@@ -347,6 +347,147 @@ class ReferencePrioritizedReplayBuffer:
             self._tree.set(int(slot), raw**self.alpha)
 
 
+def reference_step_batch(
+    engine,
+    chain,
+    knobs_grid,
+    offered_grid,
+    packet_bytes,
+    dt_s: float = 1.0,
+    *,
+    llc_bytes=None,
+    contention=None,
+    include_power: bool = True,
+):
+    """The pre-plan ``PacketEngine.step_batch``: a dedicated grid body.
+
+    Restates the NIC, ring, livelock, utilization, power and latency
+    math with explicit ``(K, L, P)`` axis indexing instead of pricing
+    through a compiled ``ChainKernelPlan``.  ``tests/test_grid_plan.py``
+    holds the plan-backed ``step_batch`` to 0 ulp against it.
+    """
+    from repro.nfv.engine import BatchTelemetry, PollingMode, _knob_arrays, chain_stack
+    from repro.utils.units import pps_to_gbps
+
+    packet_axis = not (np.isscalar(packet_bytes) or np.ndim(packet_bytes) == 0)
+    pkt = np.atleast_1d(np.asarray(packet_bytes, dtype=np.float64))
+    offered = np.atleast_1d(np.asarray(offered_grid, dtype=np.float64))
+    share, freq, llc_frac, dma_bytes, batch = _knob_arrays(knobs_grid)
+    eff_llc, eff_contention = engine._resolve_llc_contention(
+        share, llc_frac, llc_bytes, contention
+    )
+    stack = chain_stack(
+        (chain,) * pkt.size, tuple(float(p) for p in pkt), engine.server.llc.line_bytes
+    )
+    n = len(stack)
+    cpps, misses_pp = engine._chain_costs(
+        stack,
+        batch[:, None, None],
+        dma_bytes[:, None, None],
+        np.asarray(eff_llc, dtype=np.float64)[:, None, None],
+        eff_contention[:, None, None],
+    )  # (K, P, n)
+
+    nic_cap = engine.server.nic.max_pps(pkt)  # (P,)
+    admitted = np.minimum(offered[:, None], nic_cap[None, :])  # (L, P)
+    delivery = engine.dma_model.delivery_ratio(
+        dma_bytes[:, None, None], pkt, admitted[None, :, :]
+    )  # (K, L, P)
+    delivered = admitted[None, :, :] * delivery
+
+    freq_hz = freq * 1e9
+    capacity = share * freq_hz  # (K,)
+    rates = capacity[:, None, None] / cpps  # (K, P, n)
+    chain_rate = rates.min(axis=2)  # (K, P)
+    achieved = np.minimum(delivered, chain_rate[:, None, :])  # (K, L, P)
+
+    rx = engine.params.rx_drop_cycles
+    cpp0 = cpps[:, :, 0]
+    livelock = (delivered * cpp0[:, None, :] > capacity[:, None, None]) & (
+        cpp0 > rx
+    )[:, None, :]
+    denom = np.where(cpp0 > rx, cpp0 - rx, 1.0)
+    nf0_rate = np.maximum(
+        0.0, (capacity[:, None, None] - delivered * rx) / denom[:, None, :]
+    )
+    achieved = np.where(livelock, np.minimum(achieved, nf0_rate), achieved)
+
+    if engine.polling == PollingMode.POLL:
+        util = np.broadcast_to(
+            np.where(share > 0, 1.0, 0.0)[:, None, None, None],
+            achieved.shape + (n,),
+        ).copy()
+        infra_util = engine.params.infra_util_poll
+    else:
+        work = achieved[:, :, :, None] * cpps[:, None, :, :]  # (K, L, P, n)
+        work[:, :, :, 0] = work[:, :, :, 0] + np.maximum(
+            0.0, delivered - achieved
+        ) * rx
+        cap4 = capacity[:, None, None, None]
+        util = np.where(
+            cap4 > 0, np.minimum(1.0, work / np.where(cap4 > 0, cap4, 1.0)), 0.0
+        )
+        util = np.minimum(1.0, util + engine.params.adaptive_poll_overhead)
+        infra_util = engine.params.infra_util_adaptive
+    busy_cores = np.sum(share[:, None, None, None] * util, axis=3)  # (K, L, P)
+    allocated_cores = share * n + engine.params.infra_cores  # (K,)
+    total_busy = busy_cores + engine.params.infra_cores * infra_util
+
+    cpu_utilization = np.minimum(1.0, total_busy / allocated_cores[:, None, None])
+    if include_power:
+        power_w = engine.node_power(
+            total_busy,
+            np.broadcast_to(allocated_cores[:, None, None], total_busy.shape),
+            np.broadcast_to(freq[:, None, None], total_busy.shape),
+        )
+        energy_j = power_w * dt_s
+    else:
+        power_w = np.zeros_like(total_busy)
+        energy_j = np.zeros_like(total_busy)
+
+    total_misses_pp = np.sum(misses_pp, axis=2)  # (K, P)
+    miss_rate = achieved * total_misses_pp[:, None, :]
+    dropped = np.maximum(0.0, offered[None, :, None] - achieved)
+    fcol = freq_hz[:, None]
+    proc_s = np.where(
+        fcol > 0, np.sum(cpps, axis=2) / np.where(fcol > 0, fcol, 1.0), np.inf
+    )  # (K, P)
+    fill_s = batch[:, None, None] / np.maximum(achieved, 1.0)
+    cr = chain_rate[:, None, :]
+    utilization_peak = np.where(
+        cr > 0, np.minimum(1.0, achieved / np.where(cr > 0, cr, 1.0)), 1.0
+    )
+    queue_s = proc_s[:, None, :] * utilization_peak / np.maximum(
+        1e-6, 1.0 - np.minimum(utilization_peak, 0.999)
+    )
+    latency_s = fill_s + proc_s[:, None, :] + queue_s
+
+    if packet_axis:
+        grid, knob, nf = np.s_[...], np.s_[...], np.s_[...]
+    else:
+        grid, knob, nf = np.s_[:, :, 0], np.s_[:, 0], np.s_[:, :, 0]
+    return BatchTelemetry(
+        dt_s=dt_s,
+        packet_bytes=pkt if packet_axis else float(pkt[0]),
+        offered_pps=offered,
+        achieved_pps=achieved[grid],
+        throughput_gbps=pps_to_gbps(achieved, pkt[None, None, :])[grid],
+        llc_miss_rate_per_s=miss_rate[grid],
+        cpu_utilization=cpu_utilization[grid],
+        cpu_cores_busy=total_busy[grid],
+        power_w=power_w[grid],
+        energy_j=energy_j[grid],
+        dropped_pps=dropped[grid],
+        latency_s=latency_s[grid],
+        chain_rate_pps=chain_rate[knob],
+        cycles_per_packet=cpps[knob],
+        misses_per_packet=misses_pp[knob],
+        service_rate_pps=rates[knob],
+        nf_utilization=util[nf],
+        nf_names=stack.profiles[0].names,
+    )
+
+
 def reference_node_step(node, offered, dt_s: float = 1.0):
     """The pre-kernel ``Node.step``: one scalar engine call per chain.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -166,10 +167,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     if args.top < 1:
         raise ValueError("--top must be >= 1")
-    if args.loads is not None and any(l < 0 for l in args.loads):
-        raise ValueError("--loads must be non-negative")
-    if args.packet_bytes is not None and any(p <= 0 for p in args.packet_bytes):
-        raise ValueError("--packet-bytes must be positive")
+    if args.loads is not None and not all(
+        math.isfinite(l) and l >= 0 for l in args.loads
+    ):
+        raise ValueError("--loads must be finite and non-negative")
+    if args.packet_bytes is not None and not all(
+        math.isfinite(p) and p > 0 for p in args.packet_bytes
+    ):
+        raise ValueError("--packet-bytes must be finite and positive")
     grid = GRIDS.get(args.grid)()
     packet_bytes = args.packet_bytes
     if packet_bytes is not None and len(packet_bytes) == 1:

@@ -4,8 +4,8 @@ The paper's Baseline never tunes anything; its Heuristic tunes slowly by
 trial and error.  This controller answers the natural question between
 them — *how good could a static configuration be?* — by grid-searching
 the whole knob space against the observed workload in one vectorized
-:meth:`~repro.nfv.engine.PacketEngine.step_batch` call and then pinning
-the winner for the rest of the run.  It is the simulator equivalent of
+pass through a compiled :class:`~repro.nfv.engine.ChainKernelPlan` and
+then pinning the winner for the rest of the run.  It is the simulator equivalent of
 an offline exhaustive sweep (the thousands-of-candidates regime of the
 joint placement/allocation literature), and doubles as an upper bound
 for every static policy in the Fig. 9 comparison.
@@ -87,8 +87,8 @@ class OracleStaticController(Controller):
 
     The first control interval runs on defaults to observe the workload;
     the grid search then scores every candidate against the observed
-    arrival rate and frame size in one ``step_batch`` call and locks in
-    the winner.  ``objective`` picks the score: Eq. 3's
+    arrival rate and frame size in one plan pricing and locks in the
+    winner.  ``objective`` picks the score: Eq. 3's
     ``energy_efficiency`` (default), ``max_throughput`` (ties broken by
     energy), or ``min_energy`` among settings that keep at least
     ``min_delivery`` of the offered load flowing.
@@ -123,11 +123,9 @@ class OracleStaticController(Controller):
         self.min_delivery = min_delivery
         #: Re-run the exhaustive search against the currently observed
         #: workload every this many control intervals (None: search once
-        #: and hold, the classic oracle-static).  Re-searches are
-        #: plan-aware: the grid's load-independent physics compiles into
-        #: one :class:`~repro.nfv.engine.ChainKernelPlan` that is reused
-        #: across every periodic re-search, so each one costs a single
-        #: plan pricing instead of a full grid recompile.
+        #: and hold, the classic oracle-static).  Every search prices
+        #: through one cached compiled plan, so a re-search costs a
+        #: single plan pricing instead of a full grid recompile.
         self.research_every = research_every
         self._engine = engine
         self._knobs: KnobSettings | None = None
@@ -162,38 +160,6 @@ class OracleStaticController(Controller):
         """Defaults for the observation interval (nothing chosen yet)."""
         return KnobSettings().clamped(self.ranges)
 
-    def _score_columns(
-        self, *, throughput, energy, energy_efficiency, achieved, offered: float
-    ) -> np.ndarray:
-        """Higher-is-better score per candidate from per-candidate columns.
-
-        The one scoring path both search flavors share —
-        :meth:`search`'s ``step_batch`` telemetry and :meth:`research`'s
-        compiled-plan telemetry feed the same columns here, so the two
-        cannot diverge on what an objective means.
-        """
-        delivered_frac = (
-            achieved / offered if offered > 0 else np.ones_like(energy)
-        )
-        return score_candidates(
-            self.objective,
-            throughput=throughput,
-            energy=energy,
-            energy_efficiency=energy_efficiency,
-            delivered_frac=delivered_frac,
-            min_delivery=self.min_delivery,
-        )
-
-    def _score(self, bt) -> np.ndarray:
-        """Score a ``step_batch`` grid (K knobs x the single observed load)."""
-        return self._score_columns(
-            throughput=bt.throughput_gbps[:, 0],
-            energy=bt.energy_j[:, 0],
-            energy_efficiency=bt.energy_efficiency[:, 0],
-            achieved=bt.achieved_pps[:, 0],
-            offered=float(bt.offered_pps[0]),
-        )
-
     def _resolve_engine(self) -> PacketEngine:
         """The platform engine searches run on (built once if not given).
 
@@ -217,41 +183,24 @@ class OracleStaticController(Controller):
         *,
         dt_s: float = 1.0,
     ) -> KnobSettings:
-        """Run the vectorized grid search and lock in the winner."""
-        engine = self._resolve_engine()
-        bt = engine.step_batch(chain, self.grid, [offered_pps], packet_bytes, dt_s)
-        best = int(np.argmax(self._score(bt)))
-        self._knobs = self.grid[best]
-        return self._knobs
-
-    def research(
-        self,
-        chain: ServiceChain,
-        offered_pps: float,
-        packet_bytes: float,
-        *,
-        dt_s: float = 1.0,
-    ) -> KnobSettings:
-        """Plan-aware exhaustive re-search against a fresh workload.
+        """Exhaustive grid search against one workload; locks in the winner.
 
         The grid's load-independent half (per-candidate NF costs,
-        service rates, ring/NIC caps) is compiled once into a
-        K-row :class:`~repro.nfv.engine.ChainKernelPlan` — one row per
+        service rates, ring/NIC caps) is compiled once into a K-row
+        :class:`~repro.nfv.engine.ChainKernelPlan` — one row per
         candidate, all over the same chain and frame size — and cached
-        on (engine, chain, frame size).  Each periodic re-search then
-        prices the observed load through the plan in one vectorized
+        on (engine, chain, frame size).  Each search, first or periodic,
+        then prices the observed load through the plan in one vectorized
         pass, which is what keeps ``research_every`` cheap enough to run
-        inside the control loop.  Scores match :meth:`search` (both
-        paths agree with the scalar engine to <= 1 ulp); on effective
-        ties the two may pick different, equally-scored winners.
+        inside the control loop.
         """
         engine = self._resolve_engine()
         # The engine object itself is part of the key (held by strong
         # reference, so the identity can never be recycled): candidates
         # must always be priced on the physics that will serve them.
         key = (engine, chain, float(packet_bytes))
+        k = len(self.grid)
         if self._plan_key != key:
-            k = len(self.grid)
             stack = chain_stack(
                 (chain,) * k,
                 (float(packet_bytes),) * k,
@@ -259,22 +208,20 @@ class OracleStaticController(Controller):
             )
             self._plan = engine.compile_chains(stack, self.grid)
             self._plan_key = key
-        mt = self._plan.step(
-            np.full(len(self.grid), float(offered_pps)), dt_s
+        offered = float(offered_pps)
+        mt = self._plan.step(np.full(k, offered), dt_s)
+        delivered_frac = (
+            mt.achieved_pps / offered if offered > 0 else np.ones_like(mt.energy_j)
         )
-        self._knobs = self.grid[
-            int(
-                np.argmax(
-                    self._score_columns(
-                        throughput=mt.throughput_gbps,
-                        energy=mt.energy_j,
-                        energy_efficiency=mt.energy_efficiency,
-                        achieved=mt.achieved_pps,
-                        offered=float(offered_pps),
-                    )
-                )
-            )
-        ]
+        score = score_candidates(
+            self.objective,
+            throughput=mt.throughput_gbps,
+            energy=mt.energy_j,
+            energy_efficiency=mt.energy_efficiency,
+            delivered_frac=delivered_frac,
+            min_delivery=self.min_delivery,
+        )
+        self._knobs = self.grid[int(np.argmax(score))]
         return self._knobs
 
     def decide(
@@ -282,29 +229,20 @@ class OracleStaticController(Controller):
     ) -> KnobSettings:
         """Search against the observed workload, then hold (or re-search).
 
-        The first decision runs the one-off :meth:`search`; with
-        ``research_every`` set, every N-th interval re-runs the
-        exhaustive search through the cached compiled plan against the
-        interval's observed arrival rate and frame size.
+        The first decision runs :meth:`search`; with ``research_every``
+        set, every N-th interval searches again against the interval's
+        observed arrival rate and frame size.
         """
         self._intervals += 1
-        if self._knobs is None:
+        if self._knobs is None or (
+            self.research_every is not None
+            and self._intervals % self.research_every == 0
+        ):
             if self._chain is None:
                 raise RuntimeError(
                     "OracleStaticController needs prepare(chain) before decide()"
                 )
             self.search(
-                self._chain,
-                sample.arrival_rate_pps,
-                sample.packet_bytes,
-                dt_s=sample.dt_s,
-            )
-        elif (
-            self.research_every is not None
-            and self._chain is not None
-            and self._intervals % self.research_every == 0
-        ):
-            self.research(
                 self._chain,
                 sample.arrival_rate_pps,
                 sample.packet_bytes,

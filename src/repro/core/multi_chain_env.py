@@ -23,7 +23,6 @@ from repro.core.knobs import KnobSpace
 from repro.core.sla import SLA
 from repro.core.state import StateEncoder
 from repro.nfv.chain import ServiceChain
-from repro.nfv.cluster_kernel import ClusterKernel
 from repro.nfv.controller import OnvmController
 from repro.nfv.engine import (
     EngineParams,
@@ -87,7 +86,6 @@ class MultiChainEnv:
         engine_params: EngineParams | None = None,
         polling: PollingMode = PollingMode.ADAPTIVE,
         rng: RngLike = None,
-        use_kernel: bool = True,
     ):
         if not chains:
             raise ValueError("need at least one chain")
@@ -108,12 +106,6 @@ class MultiChainEnv:
         self._polling = polling
         self._rng = as_generator(rng)
         self.controller: OnvmController | None = None
-        #: Step intervals through the cluster-wide kernel (the fused
-        #: pricing path shared with ``Cluster``/``SdnController``);
-        #: ``False`` keeps the direct ``run_interval`` reference path —
-        #: both agree to <= 1 ulp.
-        self.use_kernel = use_kernel
-        self._kernel: ClusterKernel | None = None
         self._step_count = 0
 
     @property
@@ -145,31 +137,16 @@ class MultiChainEnv:
         self.controller = OnvmController(node, interval_s=self.interval_s, rng=self._rng)
         for chain, gen in zip(self.chains, self.generators):
             self.controller.add_chain(chain, gen, KnobSettings())
-        self._kernel = ClusterKernel([node]) if self.use_kernel else None
         self._step_count = 0
-        self._run_interval()
+        self.controller.run_interval()
         return self._observe()
-
-    def _run_interval(
-        self, knobs: dict[str, KnobSettings] | None = None
-    ) -> dict[str, TelemetrySample]:
-        """One control interval, through the cluster kernel when enabled."""
-        assert self.controller is not None
-        if self._kernel is None:
-            return self.controller.run_interval(knobs=knobs)
-        dt = self.interval_s
-        offered = self.controller.draw_offered(dt)
-        samples = self._kernel.step(offered, dt, knobs=knobs)
-        self.controller.finish_interval(samples, dt)
-        return samples
 
     def _aggregate(self, samples: dict[str, TelemetrySample]) -> TelemetrySample:
         """Fold per-chain telemetry into one Eq. 1/2-style aggregate.
 
-        Delegates to :func:`repro.nfv.engine.aggregate_samples` — the
-        same fold :meth:`MultiChainTelemetry.aggregate` uses — so the
-        aggregate is identical whichever kernel dispatch path (compiled
-        plan or scalar fallback) produced the interval's samples.
+        Delegates to :func:`repro.nfv.engine.aggregate_samples`, so the
+        aggregate is identical whichever dispatch path (compiled plan or
+        scalar fallback) produced the interval's samples.
         """
         return aggregate_samples([samples[c.name] for c in self.chains])
 
@@ -193,7 +170,7 @@ class MultiChainEnv:
             requested[chain.name] = self.knob_space.to_settings(
                 action[i * k : (i + 1) * k]
             )
-        samples = self._run_interval(knobs=requested)
+        samples = self.controller.run_interval(knobs=requested)
         node = self.controller.node
         knobs = {name: node.chains[name].knobs for name in requested}
         agg = self._aggregate(samples)

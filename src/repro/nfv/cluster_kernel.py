@@ -386,18 +386,15 @@ class ClusterKernel:
             dt_s,
         )
 
-        # Node meters and telemetry handoff.
+        # Node meters.
         # repro-lint: allow[KRN002] per-node meter side effects; scalar folds stay sequential for bit-compat
         for j, node in enumerate(self.nodes):
             start, stop = meta.slices[j]
             node.meter.record(
                 power_list[j], dt_s, sum(achieved_dt_l[start:stop])
             )
-            # The fused pass owns this interval's telemetry; a stale
-            # per-node kernel view must not outlive it.
-            node.last_multi = None
 
-        chain_samples = multi.samples(lazy_per_nf=True)
+        chain_samples = multi.samples()
         samples: dict[str, TelemetrySample] = {}
         # repro-lint: allow[KRN002] per-chain meter/sample handoff mutates hosted objects; inherently per-object
         for r, name in enumerate(meta.names):

@@ -42,10 +42,10 @@ utilization track actual work with a small polling overhead.
 
 The implementation is array-native: the per-NF cost model is evaluated
 over whole chains at once from an immutable, cached :class:`ChainProfile`
-(the NF catalog constants of a chain laid out as NumPy arrays), and
-:meth:`PacketEngine.step_batch` evaluates a K-knob x L-load grid in one
-vectorized call — the fast path the figure scans, knob searches and
-scenario sweeps run on.
+(the NF catalog constants of a chain laid out as NumPy arrays).  Every
+vectorized evaluation — stacked chains on a node or cluster, and the
+K-knob x L-load grids of :meth:`PacketEngine.step_batch` — prices
+through one compiled :class:`ChainKernelPlan`.
 """
 
 from __future__ import annotations
@@ -516,15 +516,16 @@ class BatchTelemetry:
 
 @dataclass
 class MultiChainTelemetry:
-    """Telemetry of R chains stepped diagonally in one kernel call.
+    """Telemetry of one :meth:`ChainKernelPlan.step` call.
 
-    Unlike :class:`BatchTelemetry` (one chain, a knob x load grid), each
-    row here is a *different* chain evaluated at its own knob setting,
-    offered load and packet size — the multi-chain node's per-interval
-    workload.  Per-chain quantities have shape ``(R,)``; per-NF
-    quantities ``(R, n_max)`` with padded lanes zeroed.  Row ``r``'s
-    values match the scalar :meth:`PacketEngine.step` call for that
-    chain bit-for-bit (to <= 1 ulp).
+    For a diagonal plan each row is a *different* chain evaluated at its
+    own knob setting, offered load and packet size — the multi-chain
+    node's per-interval workload.  Per-chain quantities have shape
+    ``(R,)``; per-NF quantities ``(R, n_max)`` with padded lanes zeroed.
+    Row ``r``'s values match the scalar :meth:`PacketEngine.step` call
+    for that chain to <= 1 ulp.  A grid plan's call carries the grid
+    shapes instead (see :meth:`PacketEngine.step_batch`, which repacks
+    them into a :class:`BatchTelemetry`).
     """
 
     dt_s: float
@@ -554,50 +555,12 @@ class MultiChainTelemetry:
         """Gbps per kJ per row (Eq. 3's lambda, zero at zero energy)."""
         return efficiency_grid(self.throughput_gbps, self.energy_j)
 
-    def sample(self, r: int) -> TelemetrySample:
-        """Materialize one chain's row as a full :class:`TelemetrySample`."""
-        profile = self.stack.profiles[r]
-        cpp = self.cycles_per_packet[r]
-        rate = self.service_rate_pps[r]
-        util = self.nf_utilization[r]
-        mpp = self.misses_per_packet[r]
-        per_nf = [
-            NFTelemetry(
-                name=name,
-                cycles_per_packet=float(cpp[i]),
-                service_rate_pps=float(rate[i]),
-                utilization=float(util[i]),
-                misses_per_packet=float(mpp[i]),
-            )
-            for i, name in enumerate(profile.names)
-        ]
-        offered = float(self.offered_pps[r])
-        return TelemetrySample(
-            dt_s=self.dt_s,
-            offered_pps=offered,
-            achieved_pps=float(self.achieved_pps[r]),
-            packet_bytes=float(self.packet_bytes[r]),
-            throughput_gbps=float(self.throughput_gbps[r]),
-            llc_miss_rate_per_s=float(self.llc_miss_rate_per_s[r]),
-            cpu_utilization=float(self.cpu_utilization[r]),
-            cpu_cores_busy=float(self.cpu_cores_busy[r]),
-            power_w=float(self.power_w[r]),
-            energy_j=float(self.energy_j[r]),
-            dropped_pps=float(self.dropped_pps[r]),
-            latency_s=float(self.latency_s[r]),
-            arrival_rate_pps=offered,
-            per_nf=per_nf,
-        )
-
-    def samples(self, *, lazy_per_nf: bool = False) -> list[TelemetrySample]:
+    def samples(self) -> list[TelemetrySample]:
         """All rows as :class:`TelemetrySample` objects.
 
-        Equivalent to ``[self.sample(r) for r in range(len(self))]`` but
-        converts each array to Python floats in one pass — the cheap
-        materialization path the node uses every interval.  With
-        ``lazy_per_nf`` the per-NF rows come back as :class:`_LazyPerNF`
-        sequences (equal to, and materializing into, the eager lists on
-        first access) — the cluster kernel's hot path, where most
+        Converts each array to Python floats in one pass.  Per-NF rows
+        come back as :class:`_LazyPerNF` sequences (equal to, and
+        materializing into, the eager lists on first access): most
         consumers never read per-NF telemetry.
         """
         offered = self.offered_pps.tolist()
@@ -615,50 +578,25 @@ class MultiChainTelemetry:
         rate = self.service_rate_pps.tolist()
         util = self.nf_utilization.tolist()
         mpp = self.misses_per_packet.tolist()
-        out = []
-        for r, profile in enumerate(self.stack.profiles):
-            cpp_r, rate_r, util_r, mpp_r = cpp[r], rate[r], util[r], mpp[r]
-            if lazy_per_nf:
-                per_nf = _LazyPerNF(profile.names, cpp_r, rate_r, util_r, mpp_r)
-            else:
-                per_nf = [
-                    NFTelemetry(
-                        name=name,
-                        cycles_per_packet=cpp_r[i],
-                        service_rate_pps=rate_r[i],
-                        utilization=util_r[i],
-                        misses_per_packet=mpp_r[i],
-                    )
-                    for i, name in enumerate(profile.names)
-                ]
-            out.append(
-                TelemetrySample(
-                    dt_s=self.dt_s,
-                    offered_pps=offered[r],
-                    achieved_pps=achieved[r],
-                    packet_bytes=pkt[r],
-                    throughput_gbps=thr[r],
-                    llc_miss_rate_per_s=miss_rate[r],
-                    cpu_utilization=cpu_util[r],
-                    cpu_cores_busy=busy[r],
-                    power_w=power[r],
-                    energy_j=energy[r],
-                    dropped_pps=dropped[r],
-                    latency_s=latency[r],
-                    arrival_rate_pps=offered[r],
-                    per_nf=per_nf,
-                )
+        return [
+            TelemetrySample(
+                dt_s=self.dt_s,
+                offered_pps=offered[r],
+                achieved_pps=achieved[r],
+                packet_bytes=pkt[r],
+                throughput_gbps=thr[r],
+                llc_miss_rate_per_s=miss_rate[r],
+                cpu_utilization=cpu_util[r],
+                cpu_cores_busy=busy[r],
+                power_w=power[r],
+                energy_j=energy[r],
+                dropped_pps=dropped[r],
+                latency_s=latency[r],
+                arrival_rate_pps=offered[r],
+                per_nf=_LazyPerNF(profile.names, cpp[r], rate[r], util[r], mpp[r]),
             )
-        return out
-
-    def aggregate(self) -> TelemetrySample:
-        """Fold the rows into one Eq. 1/2-style node aggregate.
-
-        Delegates to :func:`aggregate_samples` — the single
-        authoritative fold — so kernel-backed and sample-based callers
-        can never diverge.
-        """
-        return aggregate_samples(self.samples())
+            for r, profile in enumerate(self.stack.profiles)
+        ]
 
 
 def aggregate_samples(samples) -> TelemetrySample:
@@ -667,9 +605,8 @@ def aggregate_samples(samples) -> TelemetrySample:
     Throughput/energy/misses/drops sum over chains (``psi_T = sum_i
     T_{f_i}``, ``psi_E = sum_i E_{f_i}``); utilization and latency take
     the worst chain; packet size is the achieved-rate-weighted mean.
-    This is the only implementation of the fold — the multi-chain env
-    and :meth:`MultiChainTelemetry.aggregate` both call it, so the
-    result does not depend on which stepping path produced the samples.
+    This is the only implementation of the fold, so the result does
+    not depend on which stepping path produced the samples.
     """
     items = list(samples)
     if not items:
@@ -700,41 +637,44 @@ def aggregate_samples(samples) -> TelemetrySample:
 
 @dataclass
 class ChainKernelPlan:
-    """A compiled multi-chain stepping kernel for fixed knob settings.
+    """A compiled stepping kernel for fixed knob settings.
 
-    Built by :meth:`PacketEngine.compile_chains`; holds every
-    load-independent quantity (per-NF costs, service rates, livelock
-    constants, NIC/ring caps, allocated cores) so :meth:`step` only has
-    to price the interval's offered loads.  Each step's row ``r``
-    matches the scalar :meth:`PacketEngine.step` call for that chain to
-    <= 1 ulp.
+    Holds every load-independent quantity (per-NF costs, service rates,
+    livelock constants, NIC/ring caps, allocated cores) so :meth:`step`
+    only has to price the offered loads.  :meth:`step` is the one
+    vectorized pricing body, written with ``...``/``[..., None]``
+    broadcasting so it serves two plan shapes:
+
+    * a *diagonal* plan (:meth:`PacketEngine.compile_chains`) — rows
+      ``(R,)``, per-NF arrays ``(R, n)``, one offered load per row; row
+      ``r`` matches the scalar :meth:`PacketEngine.step` call for that
+      chain to <= 1 ulp;
+    * a *grid* plan (:meth:`PacketEngine.step_batch`) — knob columns
+      ``(K, 1, 1)`` against P stacked frame sizes, so rows are
+      ``(K, 1, P)``, per-NF arrays ``(K, 1, P, n)``, and an ``(L, 1)``
+      load column broadcasts every priced array to ``(K, L, P)``.
     """
 
     engine: "PacketEngine"
     stack: ChainStack
-    share: np.ndarray  # (R,)
-    freq: np.ndarray  # (R,) GHz
-    batch: np.ndarray  # (R,)
-    capacity: np.ndarray  # (R,) cycles/s granted per NF
-    cpps: np.ndarray  # (R, n) cycles/packet (padded lanes zeroed)
-    misses_pp: np.ndarray  # (R, n)
-    rates: np.ndarray  # (R, n) per-NF service rates
-    chain_rate: np.ndarray  # (R,) pipeline bottleneck rate
-    livelock_able: np.ndarray  # (R,) bool: NF0 cpp exceeds the rx-drop cost
-    livelock_denom: np.ndarray  # (R,)
-    nic_cap: np.ndarray  # (R,) line-rate pps at each chain's frame size
-    absorb_pps: np.ndarray  # (R,) rx-ring burst absorption cap
-    proc_s: np.ndarray  # (R,) pipeline walk time
-    total_misses_pp: np.ndarray  # (R,)
-    allocated_cores: np.ndarray  # (R,)
+    share: np.ndarray  # knob column: (R,) or (K, 1, 1)
+    freq: np.ndarray  # knob column, GHz
+    batch: np.ndarray  # knob column
+    capacity: np.ndarray  # knob column: cycles/s granted per NF
+    cpps: np.ndarray  # per-NF cycles/packet (padded lanes zeroed)
+    misses_pp: np.ndarray  # per-NF
+    rates: np.ndarray  # per-NF service rates
+    chain_rate: np.ndarray  # rows: pipeline bottleneck rate
+    livelock_able: np.ndarray  # rows, bool: NF0 cpp exceeds the rx-drop cost
+    livelock_denom: np.ndarray  # rows
+    nic_cap: np.ndarray  # (R,) or (P,): line-rate pps at each frame size
+    absorb_pps: np.ndarray  # rows: rx-ring burst absorption cap
+    proc_s: np.ndarray  # rows: pipeline walk time
+    total_misses_pp: np.ndarray  # rows
+    allocated_cores: np.ndarray  # rows
     infra_busy: float
-    util_poll: np.ndarray | None  # (R, n) fixed utilization under POLL
-    busy_poll: np.ndarray | None  # (R,)
-
-    @property
-    def rows(self) -> int:
-        """Number of chains the plan steps."""
-        return self.share.shape[0]
+    util_poll: np.ndarray | None  # per-NF fixed utilization under POLL
+    busy_poll: np.ndarray | None  # rows
 
     def step(
         self,
@@ -743,13 +683,20 @@ class ChainKernelPlan:
         *,
         include_power: bool = True,
     ) -> MultiChainTelemetry:
-        """Price one control interval's offered loads through the plan."""
+        """Price offered loads through the plan.
+
+        A diagonal plan takes one offered rate per row; a grid plan
+        takes an ``(L, 1)`` load column.  Loads must be non-negative
+        (``inf`` is legal: the NIC line rate clamps it); NaN is rejected.
+        """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         offered = np.atleast_1d(np.asarray(offered_grid, dtype=np.float64))
-        if offered.shape != self.share.shape:
-            raise ValueError("need one offered rate per stacked chain")
-        if np.any(offered < 0):
+        rows = self.chain_rate.shape
+        expected = rows if len(rows) == 1 else (offered.shape[0], 1)
+        if offered.shape != expected:
+            raise ValueError("need one offered rate per plan row")
+        if not np.all(offered >= 0):
             raise ValueError("offered rates must be non-negative")
         rx = self.engine.params.rx_drop_cycles
         cpps = self.cpps
@@ -762,13 +709,13 @@ class ChainKernelPlan:
         delivery = np.minimum(
             1.0, self.absorb_pps / np.where(admitted > 0, admitted, 1.0)
         )
-        delivered = admitted * np.where(admitted == 0, 1.0, delivery)  # (R,)
+        delivered = admitted * np.where(admitted == 0, 1.0, delivery)
 
         # 3. Pipeline bottleneck.
         achieved = np.minimum(delivered, self.chain_rate)
 
         # 4. Receive livelock.
-        cpp0 = cpps[:, 0]
+        cpp0 = cpps[..., 0]
         livelock = (delivered * cpp0 > capacity) & self.livelock_able
         nf0_rate = np.maximum(
             0.0, (capacity - delivered * rx) / self.livelock_denom
@@ -777,21 +724,23 @@ class ChainKernelPlan:
 
         # 5. Per-NF utilization.
         if self.util_poll is not None:
-            util = self.util_poll.copy()
-            busy_cores = self.busy_poll
+            util = np.broadcast_to(
+                self.util_poll, achieved.shape + cpps.shape[-1:]
+            ).copy()
+            busy_cores = np.broadcast_to(self.busy_poll, achieved.shape)
         else:
-            work = achieved[:, None] * cpps  # (R, n)
-            work[:, 0] = work[:, 0] + np.maximum(0.0, delivered - achieved) * rx
-            cap2 = capacity[:, None]
+            work = achieved[..., None] * cpps
+            work[..., 0] = work[..., 0] + np.maximum(0.0, delivered - achieved) * rx
+            cap = capacity[..., None]
             util = np.where(
-                cap2 > 0, np.minimum(1.0, work / np.where(cap2 > 0, cap2, 1.0)), 0.0
+                cap > 0, np.minimum(1.0, work / np.where(cap > 0, cap, 1.0)), 0.0
             )
             util = np.minimum(
                 1.0, util + self.engine.params.adaptive_poll_overhead
             )
             if self.stack.valid is not None:
                 util = np.where(self.stack.valid, util, 0.0)
-            busy_cores = np.sum(self.share[:, None] * util, axis=1)  # (R,)
+            busy_cores = np.sum(self.share[..., None] * util, axis=-1)
         total_busy = busy_cores + self.infra_busy
 
         # 6. Node power (or zeros when the node prices power itself).
@@ -847,7 +796,9 @@ def _knob_arrays(
     """(cpu_share, freq_ghz, llc_fraction, dma_bytes, batch) columns.
 
     Accepts a sequence of :class:`KnobSettings` or an ``(K, 5)`` array in
-    :meth:`KnobSettings.as_array` layout (dma in MB).
+    :meth:`KnobSettings.as_array` layout (dma in MB).  The one knob
+    validation every plan shares: empty grids and non-finite or
+    out-of-range columns are rejected.
     """
     if isinstance(knobs_grid, np.ndarray):
         arr = np.asarray(knobs_grid, dtype=np.float64)
@@ -858,18 +809,21 @@ def _knob_arrays(
         batch = np.round(arr[:, 4])
     else:
         knobs_list = list(knobs_grid)
-        if not knobs_list:
-            raise ValueError("knob grid must contain at least one setting")
         share = np.asarray([k.cpu_share for k in knobs_list], dtype=np.float64)
         freq = np.asarray([k.cpu_freq_ghz for k in knobs_list], dtype=np.float64)
         llc_frac = np.asarray([k.llc_fraction for k in knobs_list], dtype=np.float64)
         dma_bytes = np.asarray([k.dma_bytes for k in knobs_list], dtype=np.float64)
         batch = np.asarray([float(k.batch_size) for k in knobs_list], dtype=np.float64)
+    if share.size == 0:
+        raise ValueError("knob grid must contain at least one setting")
+    columns = (share, freq, llc_frac, dma_bytes, batch)
+    if not all(np.all(np.isfinite(c)) for c in columns):
+        raise ValueError("knob grid contains non-finite values")
     if np.any(share <= 0) or np.any(freq <= 0) or np.any(batch < 1):
         raise ValueError("knob grid contains invalid cpu_share/freq/batch values")
     if np.any(llc_frac <= 0) or np.any(llc_frac > 1.0) or np.any(dma_bytes <= 0):
         raise ValueError("knob grid contains invalid llc_fraction/dma values")
-    return share, freq, llc_frac, dma_bytes, batch
+    return columns
 
 
 class PacketEngine:
@@ -955,8 +909,10 @@ class PacketEngine:
         """(cycles/packet, misses/packet) for every NF of a chain at once.
 
         ``batch``/``dma_bytes``/``llc_bytes``/``contention`` are scalars
-        (shape ``()``) or knob-grid columns of shape ``(K, 1)``; the NF
-        axis is last, so results have shape ``(n,)`` or ``(K, n)``.
+        (shape ``()``) or knob columns with a trailing length-1 NF axis
+        (``(R, 1)`` for a diagonal plan, ``(K, 1, 1, 1)`` for a grid);
+        the NF axis is last, so results have shape ``(n,)`` or the
+        columns' shape broadcast against the stack's ``(rows, n)``.
         """
         llc = self.server.llc
         p = self.params
@@ -1004,30 +960,6 @@ class PacketEngine:
         cycles[..., 1:] = cycles[..., 1:] + p.inter_nf_handoff_cycles
         return cycles, misses
 
-    def nf_cycles_per_packet(
-        self,
-        chain: ServiceChain,
-        nf_index: int,
-        knobs: KnobSettings,
-        packet_bytes: float,
-        *,
-        llc_bytes: float,
-        contention: float = 1.0,
-    ) -> tuple[float, float]:
-        """(cycles/packet, misses/packet) for one NF under the knobs.
-
-        ``llc_bytes`` is the chain's granted LLC capacity (NFs of a chain
-        share one CLOS); ``contention`` multiplies miss probabilities for
-        cross-chain interference.  The whole chain is evaluated at once
-        (the per-NF terms share every knob-dependent factor), so callers
-        that need all NFs should use :meth:`chain_service_rate` instead.
-        """
-        profile = chain_profile(chain, packet_bytes, self.server.llc.line_bytes)
-        cycles, misses = self._chain_costs(
-            profile, float(knobs.batch_size), knobs.dma_bytes, llc_bytes, contention
-        )
-        return float(cycles[nf_index]), float(misses[nf_index])
-
     # -- power ---------------------------------------------------------------
 
     def node_power(self, busy_cores, allocated_cores, freq_ghz):
@@ -1069,28 +1001,6 @@ class PacketEngine:
 
     # -- chain-level -------------------------------------------------------
 
-    def chain_service_rate(
-        self,
-        chain: ServiceChain,
-        knobs: KnobSettings,
-        packet_bytes: float,
-        *,
-        llc_bytes: float,
-        contention: float = 1.0,
-    ) -> tuple[float, list[float], list[float]]:
-        """Pipeline service rate and per-NF (cpp, misses) lists.
-
-        Each NF gets ``cpu_share`` cores at ``cpu_freq_ghz``; the chain
-        rate is the slowest stage.
-        """
-        profile = chain_profile(chain, packet_bytes, self.server.llc.line_bytes)
-        cycles, misses = self._chain_costs(
-            profile, float(knobs.batch_size), knobs.dma_bytes, llc_bytes, contention
-        )
-        freq_hz = knobs.cpu_freq_ghz * 1e9
-        rates = knobs.cpu_share * freq_hz / cycles
-        return float(rates.min()), [float(c) for c in cycles], [float(m) for m in misses]
-
     def step(
         self,
         chain: ServiceChain,
@@ -1116,7 +1026,7 @@ class PacketEngine:
             when several chains share the socket; default 1 (or the
             no-CAT contention when CAT is disabled).
         """
-        if offered_pps < 0 or packet_bytes <= 0 or dt_s <= 0:
+        if not offered_pps >= 0 or not packet_bytes > 0 or dt_s <= 0:
             raise ValueError("offered rate/packet size/dt must be valid")
         llc = self.server.llc
         if llc_bytes is None:
@@ -1267,219 +1177,57 @@ class PacketEngine:
         contention:
             Cross-chain miss multiplier — scalar or per-knob ``(K,)``.
 
-        Every point is numerically equivalent to the corresponding
-        :meth:`step` call.
+        The grid is a :class:`ChainKernelPlan`: knob columns ``(K, 1, 1)``
+        against one stack row per frame size, priced with an ``(L, 1)``
+        load column, so every point is numerically equivalent to the
+        corresponding :meth:`step` call and grid arrays come out
+        C-contiguous in ``(K, L, P)`` order.
         """
-        if not (np.isscalar(packet_bytes) or np.ndim(packet_bytes) == 0):
-            return self._step_batch_packet_axis(
-                chain,
-                knobs_grid,
-                offered_grid,
-                packet_bytes,
-                dt_s,
-                llc_bytes=llc_bytes,
-                contention=contention,
-                include_power=include_power,
-            )
-        packet_bytes = float(packet_bytes)
-        if packet_bytes <= 0 or dt_s <= 0:
-            raise ValueError("packet size/dt must be positive")
-        # One physics pipeline: evaluate as a length-1 packet axis and
-        # squeeze it back out (bitwise identical to a dedicated 2-D
-        # evaluation; the packet-axis equivalence tests pin this).
-        full = self._step_batch_packet_axis(
-            chain,
-            knobs_grid,
-            offered_grid,
-            [packet_bytes],
-            dt_s,
-            llc_bytes=llc_bytes,
-            contention=contention,
-            include_power=include_power,
-        )
-        return BatchTelemetry(
-            dt_s=dt_s,
-            packet_bytes=packet_bytes,
-            offered_pps=full.offered_pps,
-            achieved_pps=full.achieved_pps[:, :, 0],
-            throughput_gbps=full.throughput_gbps[:, :, 0],
-            llc_miss_rate_per_s=full.llc_miss_rate_per_s[:, :, 0],
-            cpu_utilization=full.cpu_utilization[:, :, 0],
-            cpu_cores_busy=full.cpu_cores_busy[:, :, 0],
-            power_w=full.power_w[:, :, 0],
-            energy_j=full.energy_j[:, :, 0],
-            dropped_pps=full.dropped_pps[:, :, 0],
-            latency_s=full.latency_s[:, :, 0],
-            chain_rate_pps=full.chain_rate_pps[:, 0],
-            cycles_per_packet=full.cycles_per_packet[:, 0, :],
-            misses_per_packet=full.misses_per_packet[:, 0, :],
-            service_rate_pps=full.service_rate_pps[:, 0, :],
-            nf_utilization=full.nf_utilization[:, :, 0, :],
-            nf_names=full.nf_names,
-        )
-
-    def _step_batch_packet_axis(
-        self,
-        chain: ServiceChain,
-        knobs_grid,
-        offered_grid,
-        packet_grid,
-        dt_s: float = 1.0,
-        *,
-        llc_bytes=None,
-        contention=None,
-        include_power: bool = True,
-    ) -> BatchTelemetry:
-        """K knobs x L loads x P packet sizes in one vectorized pass.
-
-        Axis convention: grid quantities are ``(K, L, P)``; per-knob
-        per-NF quantities are ``(K, P, n)`` (the NF axis stays last so
-        :meth:`_chain_costs` broadcasting is unchanged).  Each (k, l, p)
-        point is numerically equivalent to the corresponding scalar
-        :meth:`step` call at ``packet_grid[p]``.
-        """
-        if dt_s <= 0:
-            raise ValueError("packet size/dt must be positive")
-        pkt = np.atleast_1d(np.asarray(packet_grid, dtype=np.float64))
+        packet_axis = not (np.isscalar(packet_bytes) or np.ndim(packet_bytes) == 0)
+        pkt = np.atleast_1d(np.asarray(packet_bytes, dtype=np.float64))
         if pkt.ndim != 1 or pkt.size == 0:
             raise ValueError("packet-size grid must be a non-empty 1-D axis")
-        if np.any(pkt <= 0):
+        if not np.all(pkt > 0) or dt_s <= 0:
             raise ValueError("packet size/dt must be positive")
         offered = np.atleast_1d(np.asarray(offered_grid, dtype=np.float64))
         if offered.ndim != 1:
             raise ValueError("offered grid must be one-dimensional")
-        if np.any(offered < 0):
-            raise ValueError("offered rates must be non-negative")
         share, freq, llc_frac, dma_bytes, batch = _knob_arrays(knobs_grid)
-        llc = self.server.llc
         eff_llc, eff_contention = self._resolve_llc_contention(
             share, llc_frac, llc_bytes, contention
         )
-
         # One stack row per packet size (same chain throughout, so lanes
         # are homogeneous — no padding mask).
         stack = chain_stack(
-            (chain,) * pkt.size, tuple(float(p) for p in pkt), llc.line_bytes
+            (chain,) * pkt.size, tuple(float(p) for p in pkt), self.server.llc.line_bytes
         )
-        n = len(stack)
-        # Knob columns as (K, 1, 1): the packet axis is second, NFs last.
-        cpps, misses_pp = self._chain_costs(
+        plan = self._compile(
             stack,
-            batch[:, None, None],
-            dma_bytes[:, None, None],
-            np.asarray(eff_llc, dtype=np.float64)[:, None, None],
-            eff_contention[:, None, None],
-        )  # (K, P, n)
-
-        # 1. NIC admission (line rate per frame size).
-        nic_cap = self.server.nic.max_pps(pkt)  # (P,)
-        admitted = np.minimum(offered[:, None], nic_cap[None, :])  # (L, P)
-
-        # 2. Rx-ring delivery (DMA buffer absorption).
-        delivery = self.dma_model.delivery_ratio(
-            dma_bytes[:, None, None], pkt, admitted[None, :, :]
-        )  # (K, L, P)
-        delivered = admitted[None, :, :] * delivery
-
-        # 3. Pipeline bottleneck.
-        freq_hz = freq * 1e9
-        capacity = share * freq_hz  # (K,)
-        rates = capacity[:, None, None] / cpps  # (K, P, n)
-        chain_rate = rates.min(axis=2)  # (K, P)
-        achieved = np.minimum(delivered, chain_rate[:, None, :])  # (K, L, P)
-
-        # 4. Receive livelock.
-        rx = self.params.rx_drop_cycles
-        cpp0 = cpps[:, :, 0]  # (K, P)
-        livelock = (delivered * cpp0[:, None, :] > capacity[:, None, None]) & (
-            cpp0 > rx
-        )[:, None, :]
-        denom = np.where(cpp0 > rx, cpp0 - rx, 1.0)
-        nf0_rate = np.maximum(
-            0.0, (capacity[:, None, None] - delivered * rx) / denom[:, None, :]
+            *(c[:, None, None] for c in (share, freq, dma_bytes, batch, eff_llc, eff_contention)),
         )
-        achieved = np.where(livelock, np.minimum(achieved, nf0_rate), achieved)
-
-        # 5. Per-NF utilization.  Under POLL it is a constant of the
-        #    knobs, so the (K, L, P, n) work pipeline is skipped.
-        if self.polling == PollingMode.POLL:
-            util = np.broadcast_to(
-                np.where(share > 0, 1.0, 0.0)[:, None, None, None],
-                achieved.shape + (n,),
-            ).copy()
+        t = plan.step(offered[:, None], dt_s, include_power=include_power)
+        if packet_axis:
+            grid, knob, nf = np.s_[...], np.s_[:, 0], np.s_[...]
         else:
-            work = achieved[:, :, :, None] * cpps[:, None, :, :]  # (K, L, P, n)
-            work[:, :, :, 0] = work[:, :, :, 0] + np.maximum(
-                0.0, delivered - achieved
-            ) * rx
-            cap4 = capacity[:, None, None, None]
-            util = np.where(
-                cap4 > 0, np.minimum(1.0, work / np.where(cap4 > 0, cap4, 1.0)), 0.0
-            )
-            util = np.minimum(1.0, util + self.params.adaptive_poll_overhead)
-        busy_cores = np.sum(share[:, None, None, None] * util, axis=3)  # (K, L, P)
-
-        # Infrastructure (Rx/Tx) threads.
-        infra_util = (
-            self.params.infra_util_poll
-            if self.polling == PollingMode.POLL
-            else self.params.infra_util_adaptive
-        )
-        infra_busy = self.params.infra_cores * infra_util
-        allocated_cores = share * n + self.params.infra_cores  # (K,)
-        total_busy = busy_cores + infra_busy
-
-        # 6. Node power (one vectorized Fan-model evaluation).
-        cpu_utilization = np.minimum(
-            1.0, total_busy / allocated_cores[:, None, None]
-        )
-        if include_power:
-            power_w = self.node_power(
-                total_busy,
-                np.broadcast_to(allocated_cores[:, None, None], total_busy.shape),
-                np.broadcast_to(freq[:, None, None], total_busy.shape),
-            )
-            energy_j = power_w * dt_s
-        else:
-            power_w = np.zeros_like(total_busy)
-            energy_j = np.zeros_like(total_busy)
-
-        # 7. Diagnostics.
-        total_misses_pp = np.sum(misses_pp, axis=2)  # (K, P)
-        miss_rate = achieved * total_misses_pp[:, None, :]
-        dropped = np.maximum(0.0, offered[None, :, None] - achieved)
-        fcol = freq_hz[:, None]
-        proc_s = np.where(
-            fcol > 0, np.sum(cpps, axis=2) / np.where(fcol > 0, fcol, 1.0), np.inf
-        )  # (K, P)
-        fill_s = batch[:, None, None] / np.maximum(achieved, 1.0)
-        cr = chain_rate[:, None, :]
-        utilization_peak = np.where(
-            cr > 0, np.minimum(1.0, achieved / np.where(cr > 0, cr, 1.0)), 1.0
-        )
-        queue_s = proc_s[:, None, :] * utilization_peak / np.maximum(
-            1e-6, 1.0 - np.minimum(utilization_peak, 0.999)
-        )
-        latency_s = fill_s + proc_s[:, None, :] + queue_s
-
+            grid, knob, nf = np.s_[..., 0], np.s_[:, 0, 0], np.s_[:, :, 0]
         return BatchTelemetry(
             dt_s=dt_s,
-            packet_bytes=pkt,
+            packet_bytes=pkt if packet_axis else float(pkt[0]),
             offered_pps=offered,
-            achieved_pps=achieved,
-            throughput_gbps=pps_to_gbps(achieved, pkt[None, None, :]),
-            llc_miss_rate_per_s=miss_rate,
-            cpu_utilization=cpu_utilization,
-            cpu_cores_busy=total_busy,
-            power_w=power_w,
-            energy_j=energy_j,
-            dropped_pps=dropped,
-            latency_s=latency_s,
-            chain_rate_pps=chain_rate,
-            cycles_per_packet=cpps,
-            misses_per_packet=misses_pp,
-            service_rate_pps=rates,
-            nf_utilization=util,
+            achieved_pps=t.achieved_pps[grid],
+            throughput_gbps=t.throughput_gbps[grid],
+            llc_miss_rate_per_s=t.llc_miss_rate_per_s[grid],
+            cpu_utilization=t.cpu_utilization[grid],
+            cpu_cores_busy=t.cpu_cores_busy[grid],
+            power_w=t.power_w[grid],
+            energy_j=t.energy_j[grid],
+            dropped_pps=t.dropped_pps[grid],
+            latency_s=t.latency_s[grid],
+            chain_rate_pps=t.chain_rate_pps[knob],
+            cycles_per_packet=t.cycles_per_packet[knob],
+            misses_per_packet=t.misses_per_packet[knob],
+            service_rate_pps=t.service_rate_pps[knob],
+            nf_utilization=t.nf_utilization[nf],
             nf_names=stack.profiles[0].names,
         )
 
@@ -1490,8 +1238,8 @@ class PacketEngine:
         *,
         llc_bytes=None,
         contention=None,
-    ) -> "ChainKernelPlan":
-        """Precompute the load-independent half of multi-chain stepping.
+    ) -> ChainKernelPlan:
+        """Compile a diagonal plan: one knob setting per stacked chain.
 
         Per-NF costs, service rates, ring absorb rates and NIC caps
         depend only on (chains, knobs, LLC grants, contention) — not on
@@ -1500,6 +1248,11 @@ class PacketEngine:
         handful of vectorized ops.  Nodes cache one plan per
         knob/deployment generation, which is what makes steady-state
         multi-chain stepping cheap.
+
+        ``llc_bytes`` is the per-chain granted LLC capacity ``(R,)``
+        (default: derived from each setting's ``llc_fraction``);
+        ``contention`` the cross-chain miss multiplier, scalar or
+        ``(R,)``.
         """
         share, freq, llc_frac, dma_bytes, batch = _knob_arrays(knobs_grid)
         if share.shape[0] != stack.rows:
@@ -1507,13 +1260,25 @@ class PacketEngine:
         eff_llc, eff_contention = self._resolve_llc_contention(
             share, llc_frac, llc_bytes, contention
         )
+        return self._compile(
+            stack, share, freq, dma_bytes, batch, eff_llc, eff_contention
+        )
 
+    def _compile(
+        self, stack, share, freq, dma_bytes, batch, eff_llc, eff_contention
+    ) -> ChainKernelPlan:
+        """Build a plan from knob columns that broadcast against the stack rows.
+
+        ``(R,)`` columns over an R-row stack give the diagonal plan;
+        ``(K, 1, 1)`` columns over a P-row stack give the grid plan.  The
+        NF axis is always last (``[..., None]``).
+        """
         cpps, misses_pp = self._chain_costs(
             stack,
-            batch[:, None],
-            dma_bytes[:, None],
-            eff_llc[:, None],
-            eff_contention[:, None],
+            batch[..., None],
+            dma_bytes[..., None],
+            eff_llc[..., None],
+            eff_contention[..., None],
         )
         valid = stack.valid
         if valid is not None:
@@ -1521,53 +1286,50 @@ class PacketEngine:
             # sums and mins see only real NFs.
             cpps = np.where(valid, cpps, 0.0)
             misses_pp = np.where(valid, misses_pp, 0.0)
-        pkt = stack.packet_bytes[:, 0]  # (R,)
+        pkt = stack.packet_bytes[:, 0]
 
         # Pipeline service rates.
         freq_hz = freq * 1e9
-        capacity = share * freq_hz  # (R,)
+        capacity = share * freq_hz
         if valid is None:
-            rates = capacity[:, None] / cpps  # (R, n)
-            chain_rate = rates.min(axis=1)
+            rates = capacity[..., None] / cpps
+            chain_rate = rates.min(axis=-1)
         else:
-            rates = capacity[:, None] / np.where(valid, cpps, 1.0)
-            chain_rate = np.where(valid, rates, np.inf).min(axis=1)
+            rates = capacity[..., None] / np.where(valid, cpps, 1.0)
+            chain_rate = np.where(valid, rates, np.inf).min(axis=-1)
             rates = np.where(valid, rates, 0.0)
 
         # Receive-livelock constants of NF 0.
         rx = self.params.rx_drop_cycles
-        cpp0 = cpps[:, 0]
+        cpp0 = cpps[..., 0]
         livelock_able = cpp0 > rx
         livelock_denom = np.where(livelock_able, cpp0 - rx, 1.0)
 
-        # NIC line rate and rx-ring absorb rate per chain.
+        # NIC line rate and rx-ring absorb rate per frame size.
         nic_cap = self.server.nic.max_pps(pkt)
         absorb_pps = self.dma_model.absorb_rate_pps(dma_bytes, pkt)
 
         proc_s = np.where(
             freq_hz > 0,
-            np.sum(cpps, axis=1) / np.where(freq_hz > 0, freq_hz, 1.0),
+            np.sum(cpps, axis=-1) / np.where(freq_hz > 0, freq_hz, 1.0),
             np.inf,
         )
-        total_misses_pp = np.sum(misses_pp, axis=1)
+        total_misses_pp = np.sum(misses_pp, axis=-1)
         allocated_cores = share * stack.n_nfs + self.params.infra_cores
-        infra_util = (
-            self.params.infra_util_poll
-            if self.polling == PollingMode.POLL
-            else self.params.infra_util_adaptive
-        )
         if self.polling == PollingMode.POLL:
+            infra_util = self.params.infra_util_poll
             util_poll = np.broadcast_to(
-                np.where(share > 0, 1.0, 0.0)[:, None], cpps.shape
+                np.where(share > 0, 1.0, 0.0)[..., None], cpps.shape
             ).copy()
             if valid is not None:
                 util_poll = np.where(valid, util_poll, 0.0)
-            busy_poll = np.sum(share[:, None] * util_poll, axis=1)
+            busy_poll = np.sum(share[..., None] * util_poll, axis=-1)
         else:
+            infra_util = self.params.infra_util_adaptive
             util_poll = None
             busy_poll = None
 
-        # The cached arrays are aliased into every MultiChainTelemetry the
+        # The cached arrays are aliased into every telemetry object the
         # plan produces; freeze them so an in-place write on a telemetry
         # object cannot corrupt the plan for later intervals.
         for arr in (cpps, misses_pp, rates, chain_rate, nic_cap,
@@ -1596,48 +1358,6 @@ class PacketEngine:
             util_poll=util_poll,
             busy_poll=busy_poll,
         )
-
-    def step_chains(
-        self,
-        stack: ChainStack,
-        knobs_grid,
-        offered_grid,
-        dt_s: float = 1.0,
-        *,
-        llc_bytes=None,
-        contention=None,
-        include_power: bool = True,
-    ) -> MultiChainTelemetry:
-        """Step R chains diagonally — each at its own knobs/load — at once.
-
-        This is the multi-chain node's hot path: one vectorized pass
-        replaces R scalar :meth:`step` calls.  Row ``r`` of the result
-        is numerically equivalent (<= 1 ulp) to
-        ``step(stack.profiles[r], knobs_grid[r], offered_grid[r], ...)``.
-        One-shot convenience over :meth:`compile_chains` +
-        :meth:`ChainKernelPlan.step`; callers stepping the same knobs
-        repeatedly should hold on to the plan instead.
-
-        Parameters
-        ----------
-        stack:
-            The hosted chains' profiles (one row per chain, each at its
-            own packet size); see :func:`chain_stack`.
-        knobs_grid:
-            R knob settings (sequence of :class:`KnobSettings` or an
-            ``(R, 5)`` array), one per chain.
-        offered_grid:
-            Offered packet rates, shape ``(R,)``.
-        llc_bytes:
-            Per-chain granted LLC capacity, shape ``(R,)``; default
-            derives it from each setting's ``llc_fraction``.
-        contention:
-            Cross-chain miss multiplier — scalar or ``(R,)``.
-        """
-        plan = self.compile_chains(
-            stack, knobs_grid, llc_bytes=llc_bytes, contention=contention
-        )
-        return plan.step(offered_grid, dt_s, include_power=include_power)
 
     def fixed_volume_energy(
         self,

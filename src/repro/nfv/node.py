@@ -73,13 +73,6 @@ class Node:
         self.meter = EnergyMeter()
         self._chains: dict[str, HostedChain] = {}
         self._last_grants: dict[str, int] | None = None
-        #: Raw kernel telemetry of the most recent interval (array form
-        #: of the per-chain samples), for array-native consumers.  It is
-        #: ``None`` whenever the interval ran the scalar fallback — every
-        #: first sight of a knob/deployment configuration, i.e. all of a
-        #: knob-churning RL rollout — so callers must handle the cold
-        #: path (or fold the sample dicts via ``aggregate_samples``).
-        self.last_multi: MultiChainTelemetry | None = None
         # Compiled-kernel cache: the engine's load-independent chain plan
         # is reused until the deployment/knob generation (or the offered
         # packet sizes) change.
@@ -104,7 +97,6 @@ class Node:
         self.cache.clear()
         self.meter.reset()
         self._last_grants = None
-        self.last_multi = None
         self._invalidate_plan()
 
     def _invalidate_plan(self) -> None:
@@ -325,12 +317,7 @@ class Node:
         samples: dict[str, TelemetrySample] = {}
         busy_cores_total = infra_busy
         allocated_total = params.infra_cores
-        # Lazy per-NF rows: equal to (and materializing into) the eager
-        # NFTelemetry lists on first access, skipped entirely by the
-        # consumers that only read chain-level scalars.
-        chain_samples = (
-            multi.samples(lazy_per_nf=True) if multi is not None else None
-        )
+        chain_samples = multi.samples() if multi is not None else None
         for i, (name, hosted) in enumerate(self._chains.items()):
             if chain_samples is not None:
                 sample = chain_samples[i]
@@ -367,21 +354,13 @@ class Node:
             name: max(s.cpu_cores_busy, 1e-9) for name, s in samples.items()
         }
         wsum = sum(weights.values())
-        for i, (name, sample) in enumerate(samples.items()):
+        for name, sample in samples.items():
             share = weights[name] / wsum if wsum > 0 else 1.0 / len(samples)
             sample.power_w = power_w * share
             sample.energy_j = energy_j * share
-            if multi is not None:
-                # Mirror the attribution into the kernel arrays so
-                # aggregate consumers (the multi-chain env) see priced
-                # telemetry.
-                multi.power_w[i] = sample.power_w
-                multi.energy_j[i] = sample.energy_j
             hosted = self._chains[name]
             hosted.meter.record(sample.power_w, dt_s, sample.achieved_pps * dt_s)
             hosted.last_sample = sample
-        # Stale kernel telemetry must never outlive its interval.
-        self.last_multi = multi
         return samples
 
     def node_power_w(self) -> float:

@@ -87,7 +87,6 @@ class SdnController:
         *,
         interval_s: float = 1.0,
         rng: RngLike = None,
-        use_kernel: bool = True,
     ):
         self.config = config or SdnConfig()
         self.interval_s = float(interval_s)
@@ -103,10 +102,7 @@ class SdnController:
         # one fleet, say) can never interleave draws on shared RNG state.
         self._rng = private_stream(rng)
         #: Cluster-wide stepping: one fused kernel pass per interval over
-        #: every registered node.  ``use_kernel=False`` keeps the
-        #: per-node ``step_all`` reference path (bit-identical; the
-        #: differential tests step both).
-        self.use_kernel = use_kernel
+        #: every registered node.
         self._kernel: ClusterKernel | None = None
 
     # -- registration ---------------------------------------------------------
@@ -175,30 +171,16 @@ class SdnController:
 
         Nodes are stepped with the current steering table's aggregates —
         the whole cluster of replicas is priced in one fused
-        :class:`~repro.nfv.cluster_kernel.ClusterKernel` pass (per-node
-        :meth:`~repro.nfv.node.Node.step_all` when ``use_kernel`` is
-        off; both paths agree to <= 1 ulp) — and the returned telemetry
-        updates the replicas and drives the steering decisions for the
-        *next* interval.
+        :class:`~repro.nfv.cluster_kernel.ClusterKernel` pass — and the
+        returned telemetry updates the replicas and drives the steering
+        decisions for the *next* interval.
         """
         offered = self.offered_per_chain(self.interval_s)
-        samples: dict[str, TelemetrySample] = {}
-        if self.use_kernel:
-            if self._kernel is None:
-                self._kernel = ClusterKernel(
-                    [replica.node for replica in self._replicas.values()]
-                )
-            samples = self._kernel.step(offered, self.interval_s)
-        else:
-            # Group chains by node so multi-replica nodes step once.
-            by_node: dict[int, tuple[Node, dict[str, tuple[float, float]]]] = {}
-            for name, replica in self._replicas.items():
-                node_id = id(replica.node)
-                if node_id not in by_node:
-                    by_node[node_id] = (replica.node, {})
-                by_node[node_id][1][name] = offered[name]
-            for node, node_offered in by_node.values():
-                samples.update(node.step_all(node_offered, self.interval_s))
+        if self._kernel is None:
+            self._kernel = ClusterKernel(
+                [replica.node for replica in self._replicas.values()]
+            )
+        samples = self._kernel.step(offered, self.interval_s)
         for name, replica in self._replicas.items():
             replica.last_sample = samples[name]
         self._t += self.interval_s

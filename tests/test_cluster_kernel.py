@@ -7,16 +7,14 @@ engine by ``tests/test_node_step_all.py`` — to <= 1 ulp (asserted
 bit-exact) across randomized node counts, heterogeneous chains, knob
 churn, frame-size changes and both dispatch paths (cold per-node
 fallback and warm fused plan).  The consumer classes pin the rewired
-surfaces: ``SdnController`` steering decisions, ``Cluster.step``
-aggregates and ``MultiChainEnv`` episodes must be identical with the
-kernel on and off.
+surfaces: ``SdnController`` steering decisions and ``Cluster.step``
+aggregates must be identical to the per-node loop in
+``benchmarks/perf/reference.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.multi_chain_env import MultiChainEnv
-from repro.core.sla import EnergyEfficiencySLA
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
 from repro.nfv.cluster import Cluster
 from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible
@@ -250,14 +248,28 @@ class TestClusterTelemetry:
         assert bottleneck_utilization(sample) == sample.cpu_utilization
 
 
+class _PerNodeLoop:
+    """Stands in for an SDN controller's fused kernel: the per-node loop."""
+
+    def __init__(self, nodes, step_cluster):
+        self.nodes = nodes
+        self.step_cluster = step_cluster
+
+    def step(self, offered, dt_s):
+        per_node = [
+            {n: offered[n] for n in node.chains if n in offered} for node in self.nodes
+        ]
+        return self.step_cluster(self.nodes, per_node, dt_s)
+
+
 class TestSdnSteeringEquivalence:
-    """Steering outcomes are unchanged between kernel and per-node paths."""
+    """Steering outcomes are unchanged between the kernel and the per-node loop."""
 
     LINE = line_rate_pps(10.0, 1518)
 
-    def _build(self, use_kernel: bool) -> SdnController:
+    def _build(self) -> SdnController:
         config = SdnConfig(max_migrations_per_interval=1, flow_cooldown_intervals=3)
-        sdn = SdnController(config, rng=0, use_kernel=use_kernel)
+        sdn = SdnController(config, rng=0)
         tuned = KnobSettings(
             cpu_share=1.0, batch_size=128, dma_mb=12, llc_fraction=0.45
         )
@@ -284,9 +296,13 @@ class TestSdnSteeringEquivalence:
         )
         return sdn
 
-    def test_migration_decisions_identical(self):
-        kernel_sdn = self._build(use_kernel=True)
-        ref_sdn = self._build(use_kernel=False)
+    def test_migration_decisions_identical(self, perf_reference):
+        kernel_sdn = self._build()
+        ref_sdn = self._build()
+        ref_sdn._kernel = _PerNodeLoop(
+            [replica.node for replica in ref_sdn.replicas.values()],
+            perf_reference.reference_cluster_step,
+        )
         for it in range(15):
             got = kernel_sdn.run_interval()
             ref = ref_sdn.run_interval()
@@ -312,7 +328,7 @@ class TestSdnSteeringEquivalence:
         assert "overload-relief" in reasons
 
     def test_kernel_handles_replica_registration_growth(self):
-        sdn = self._build(use_kernel=True)
+        sdn = self._build()
         sdn.run_interval()
         node = Node()
         chain = default_chain("sfc9")
@@ -345,43 +361,3 @@ class TestClusterStepEquivalence:
         sample = cluster.step()  # heterogeneous dt -> legacy path
         assert cluster.kernel.last_telemetry is None
         assert sample.total_throughput_gbps > 0
-
-
-class TestMultiChainEnvEquivalence:
-    """MultiChainEnv episodes are identical with the kernel on and off."""
-
-    def _env(self, use_kernel: bool) -> MultiChainEnv:
-        chains = [default_chain("c0"), light_chain("c1"), heavy_chain("c2")]
-        gens = [
-            ConstantRateGenerator(6e5),
-            ConstantRateGenerator(4e5),
-            ConstantRateGenerator(2e5),
-        ]
-        return MultiChainEnv(
-            EnergyEfficiencySLA(),
-            chains,
-            gens,
-            episode_len=6,
-            rng=5,
-            use_kernel=use_kernel,
-        )
-
-    def test_episode_bit_identical(self):
-        env_k = self._env(True)
-        env_r = self._env(False)
-        obs_k = env_k.reset()
-        obs_r = env_r.reset()
-        np.testing.assert_array_equal(obs_k, obs_r)
-        rng = np.random.default_rng(17)
-        done = False
-        while not done:
-            action = rng.uniform(-1.0, 1.0, size=env_k.action_dim)
-            rk = env_k.step(action)
-            rr = env_r.step(action)
-            np.testing.assert_array_equal(rk.observation, rr.observation)
-            assert rk.reward == rr.reward
-            assert rk.samples == rr.samples
-            assert rk.per_chain_knobs == rr.per_chain_knobs
-            assert rk.sample == rr.sample
-            done = rk.done
-        assert rr.done

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nfv.chain import default_chain
-from repro.nfv.engine import EngineParams, PacketEngine, PollingMode
+from repro.nfv.engine import EngineParams, PacketEngine, PollingMode, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.utils.units import line_rate_pps
 
@@ -70,6 +70,12 @@ class TestInvariants:
             engine.step(CHAIN, TUNED, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             engine.step(CHAIN, TUNED, 1.0, 1518, 0.0)
+        with pytest.raises(ValueError):
+            engine.step(CHAIN, TUNED, float("nan"), 1518, 1.0)
+        with pytest.raises(ValueError):
+            engine.step(CHAIN, TUNED, 1.0, float("nan"), 1.0)
+        # An infinite offer is legal: the NIC line rate clamps it.
+        assert engine.step(CHAIN, TUNED, float("inf"), 1518, 1.0).achieved_pps > 0
 
 
 class TestKnobEffects:
@@ -206,9 +212,10 @@ class TestReceiveLivelock:
         eng = PacketEngine()
         chain = ServiceChain("solo", (NAT,))
         knobs = KnobSettings(cpu_share=0.1, cpu_freq_ghz=1.2, dma_mb=40, batch_size=64)
-        rate, _, _ = eng.chain_service_rate(
-            chain, knobs, 64, llc_bytes=9e6, contention=1.0
+        plan = eng.compile_chains(
+            chain_stack((chain,), (64.0,)), [knobs], llc_bytes=[9e6], contention=1.0
         )
+        rate = float(plan.step([0.0]).chain_rate_pps[0])
         offered = line_rate_pps(10.0, 64)
         s = eng.step(chain, knobs, offered, 64, 1.0)
         assert s.achieved_pps < rate  # livelock took a bite

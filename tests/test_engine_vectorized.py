@@ -19,6 +19,7 @@ from repro.nfv.engine import (
     PacketEngine,
     PollingMode,
     chain_profile,
+    chain_stack,
 )
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.nf import CATALOG
@@ -177,13 +178,17 @@ class TestScalarEquivalence:
             pkt = float(rng.uniform(64, 1518))
             llc_bytes = float(rng.uniform(1e5, 2e7))
             cont = float(rng.uniform(1.0, 2.0))
+            mt = engine.compile_chains(
+                chain_stack((chain,), (pkt,)),
+                [knobs],
+                llc_bytes=[llc_bytes],
+                contention=cont,
+            ).step([0.0])
             for i in range(len(chain)):
                 ref = reference_nf_cycles(
                     engine, chain, i, knobs, pkt, llc_bytes=llc_bytes, contention=cont
                 )
-                got = engine.nf_cycles_per_packet(
-                    chain, i, knobs, pkt, llc_bytes=llc_bytes, contention=cont
-                )
+                got = (mt.cycles_per_packet[0, i], mt.misses_per_packet[0, i])
                 np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
 
 
@@ -273,6 +278,35 @@ class TestBatchEquivalence:
             engine.step_batch(chain, [KnobSettings()], [1e5], 0.0)
         with pytest.raises(ValueError):
             engine.step_batch(chain, np.zeros((2, 4)), [1e5], 1518.0)
+
+    def test_rejects_empty_grids_alike(self):
+        engine = PacketEngine()
+        chain = default_chain()
+        for empty in ([], np.empty((0, 5))):
+            with pytest.raises(ValueError, match="at least one setting"):
+                engine.step_batch(chain, empty, [1e5], 1518.0)
+
+    def test_rejects_non_finite_inputs(self):
+        engine = PacketEngine()
+        chain = default_chain()
+        arr = np.stack([KnobSettings().as_array()] * 3)
+        for col in range(5):
+            for bad in (np.nan, np.inf):
+                grid = arr.copy()
+                grid[1, col] = bad
+                with pytest.raises(ValueError, match="knob grid"):
+                    engine.step_batch(chain, grid, [1e5], 1518.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            engine.step_batch(chain, arr, [1e5, np.nan], 1518.0)
+        with pytest.raises(ValueError, match="positive"):
+            engine.step_batch(chain, arr, [1e5], [64.0, np.nan])
+        plan = engine.compile_chains(chain_stack((chain,), (1518.0,)), arr[:1])
+        with pytest.raises(ValueError, match="non-negative"):
+            plan.step([np.nan])
+        # An infinite offer stays legal: the NIC line rate clamps it.
+        bt = engine.step_batch(chain, arr, [np.inf], 1518.0)
+        assert np.all(bt.achieved_pps == bt.achieved_pps[0, 0])
+        assert plan.step([np.inf]).achieved_pps[0] == bt.achieved_pps[0, 0]
 
 
 class TestPacketAxis:

@@ -1,7 +1,7 @@
 """Differential and property tests for the multi-chain stepping kernel.
 
 ``Node.step_all`` evaluates every hosted chain in one vectorized
-:meth:`PacketEngine.step_chains` pass.  The golden suite checks it
+:class:`~repro.nfv.engine.ChainKernelPlan` pass.  The golden suite checks it
 against the scalar reference — one ``engine.step`` call per chain, the
 seed implementation's shape — to <= 1 ulp across randomized chain
 counts, knob settings, loads and packet sizes, on both the cold
@@ -17,7 +17,7 @@ import pytest
 
 from repro.hw.cache import contention_factor
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
-from repro.nfv.engine import PollingMode, chain_stack
+from repro.nfv.engine import PollingMode, aggregate_samples, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 
@@ -299,7 +299,6 @@ class TestMultiChainInvariants:
 
         node.reset()
         assert node.chains == {}
-        assert node.last_multi is None
         for chain in chains:
             node.deploy(chain, knobs[chain.name])
         second_run = [node.step_all(o) for o in offered_seq]
@@ -308,25 +307,51 @@ class TestMultiChainInvariants:
             assert a == b  # dataclass equality: every field, every NF, bit-exact
 
 
+def compile_node_plan(node: Node, offered: dict):
+    """A node's chains compiled into one diagonal plan, plus their loads."""
+    names = list(node.chains)
+    stack = chain_stack(
+        tuple(node.chains[n].chain for n in names),
+        tuple(offered[n][1] for n in names),
+        node.server.llc.line_bytes,
+    )
+    plan = node.engine.compile_chains(
+        stack,
+        [node.chains[n].knobs for n in names],
+        llc_bytes=[node.llc_bytes_for(n) for n in names],
+    )
+    return plan, [offered[n][0] for n in names]
+
+
 class TestKernelTelemetry:
-    """MultiChainTelemetry surface: samples(), aggregate(), stacking."""
+    """MultiChainTelemetry surface: samples(), aggregation, stacking."""
 
     def test_samples_match_indexed_sample(self):
         node, chains = build_node(4)
         offered = draw_offered(np.random.default_rng(11), chains)
-        for _ in range(2):  # second interval takes the compiled-plan path
-            node.step_all(offered)
-        multi = node.last_multi
-        assert multi is not None and len(multi) == len(chains)
-        assert multi.samples() == [multi.sample(r) for r in range(len(multi))]
+        plan, loads = compile_node_plan(node, offered)
+        multi = plan.step(loads)
+        rows = multi.samples()
+        assert len(rows) == len(chains)
+        for r, sample in enumerate(rows):
+            for field in SCALAR_FIELDS[1:] + ("power_w", "energy_j"):
+                source = "offered_pps" if field == "arrival_rate_pps" else field
+                assert getattr(sample, field) == float(getattr(multi, source)[r])
+            names = multi.stack.profiles[r].names
+            assert [t.name for t in sample.per_nf] == list(names)
+            for i, nf in enumerate(sample.per_nf):
+                assert nf.cycles_per_packet == float(multi.cycles_per_packet[r, i])
+                assert nf.service_rate_pps == float(multi.service_rate_pps[r, i])
+                assert nf.utilization == float(multi.nf_utilization[r, i])
+                assert nf.misses_per_packet == float(multi.misses_per_packet[r, i])
 
     def test_aggregate_matches_python_fold(self):
         node, chains = build_node(6)
         offered = draw_offered(np.random.default_rng(12), chains)
         for _ in range(2):
             samples = node.step_all(offered)
-        agg = node.last_multi.aggregate()
         items = list(samples.values())
+        agg = aggregate_samples(items)
         assert agg.achieved_pps == pytest.approx(sum(s.achieved_pps for s in items))
         assert agg.energy_j == pytest.approx(sum(s.energy_j for s in items))
         assert agg.power_w == pytest.approx(sum(s.power_w for s in items))
@@ -335,27 +360,14 @@ class TestKernelTelemetry:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_step_chains_one_shot_matches_scalar(self, seed):
-        # The public one-shot kernel API (compile + step in one call)
-        # must honor the same <= 1 ulp contract as the node's cached
-        # plan path.
+        # A plan compiled and stepped once must honor the same <= 1 ulp
+        # contract as the node's cached plan path.
         node, chains = build_node(seed)
         rng = np.random.default_rng(400 + seed)
         offered = draw_offered(rng, chains)
-        names = list(node.chains)
-        stack = chain_stack(
-            tuple(node.chains[n].chain for n in names),
-            tuple(offered[n][1] for n in names),
-            node.server.llc.line_bytes,
-        )
-        multi = node.engine.step_chains(
-            stack,
-            [node.chains[n].knobs for n in names],
-            [offered[n][0] for n in names],
-            llc_bytes=[node.llc_bytes_for(n) for n in names],
-            include_power=False,
-        )
-        for r, name in enumerate(names):
-            hosted = node.chains[name]
+        plan, loads = compile_node_plan(node, offered)
+        rows = plan.step(loads, include_power=False).samples()
+        for row, (name, hosted) in zip(rows, node.chains.items()):
             ref = node.engine.step(
                 hosted.chain,
                 hosted.knobs,
@@ -364,7 +376,7 @@ class TestKernelTelemetry:
                 llc_bytes=node.llc_bytes_for(name),
                 include_power=False,
             )
-            assert_sample_close(multi.sample(r), ref)
+            assert_sample_close(row, ref)
 
     def test_chain_stack_validates_lengths(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import OracleStaticController, StaticBaseline, default_knob_grid, run_controller
+from repro.baselines.oracle import score_candidates
 from repro.nfv.chain import default_chain
 from repro.nfv.engine import BatchTelemetry, EngineParams, PacketEngine
 from repro.nfv.knobs import KnobSettings
@@ -59,29 +60,37 @@ class TestOracleStatic:
         assert not np.allclose(bt_h.energy_efficiency, bt_d.energy_efficiency)
 
     def test_research_matches_search_winner(self):
-        # The plan-aware periodic re-search prices candidates through a
-        # compiled ChainKernelPlan instead of a fresh step_batch; both
-        # paths agree with the scalar engine to <= 1 ulp, so they must
-        # pick the same winner on non-tied grids.
+        # Every search, first or periodic, prices candidates through the
+        # cached K-row plan; its winner must be the one a fresh
+        # step_batch grid scored with the same objective picks.
         chain = default_chain()
         engine = PacketEngine()
         for objective in ("energy_efficiency", "max_throughput", "min_energy"):
             ctrl = OracleStaticController(objective=objective)
             ctrl.prepare(chain, engine)
             for load in (3e5, 8e5, 1.4e6):
-                assert ctrl.search(chain, load, 512.0) == ctrl.research(
-                    chain, load, 512.0
-                ), (objective, load)
+                bt = engine.step_batch(chain, ctrl.grid, [load], 512.0)
+                score = score_candidates(
+                    objective,
+                    throughput=bt.throughput_gbps[:, 0],
+                    energy=bt.energy_j[:, 0],
+                    energy_efficiency=bt.energy_efficiency[:, 0],
+                    delivered_frac=bt.achieved_pps[:, 0] / load,
+                    min_delivery=ctrl.min_delivery,
+                )
+                assert ctrl.search(chain, load, 512.0) == ctrl.grid[
+                    int(np.argmax(score))
+                ], (objective, load)
 
     def test_research_reuses_the_compiled_plan(self):
         chain = default_chain()
         ctrl = OracleStaticController()
         ctrl.prepare(chain, PacketEngine())
-        ctrl.research(chain, 5e5, 512.0)
+        ctrl.search(chain, 5e5, 512.0)
         plan = ctrl._plan
-        ctrl.research(chain, 9e5, 512.0)  # new load, same plan
+        ctrl.search(chain, 9e5, 512.0)  # new load, same plan
         assert ctrl._plan is plan
-        ctrl.research(chain, 9e5, 1024.0)  # new frame size -> recompile
+        ctrl.search(chain, 9e5, 1024.0)  # new frame size -> recompile
         assert ctrl._plan is not plan
 
     def test_periodic_research_tracks_workload_shifts(self):
@@ -91,8 +100,8 @@ class TestOracleStatic:
         engine = PacketEngine()
         ctrl = OracleStaticController(research_every=1)
         ctrl.prepare(chain, engine)
-        low = ctrl.research(chain, 1e5, 1518.0)
-        high = ctrl.research(chain, 2e6, 64.0)
+        low = ctrl.search(chain, 1e5, 1518.0)
+        high = ctrl.search(chain, 2e6, 64.0)
         assert isinstance(low, KnobSettings) and isinstance(high, KnobSettings)
         assert low != high  # the re-search is live, not a cached no-op
 
@@ -105,13 +114,17 @@ class TestOracleStatic:
         ctrl.prepare(chain, engine)
         sample = engine.step(chain, KnobSettings(), 5e5, 512.0)
         analyzer = FlowAnalyzer()
+        searches = []
+        search = ctrl.search
+        ctrl.search = lambda *a, **kw: searches.append(a) or search(*a, **kw)
         first = ctrl.decide(sample, analyzer, KnobSettings())  # initial search
-        assert first == ctrl._knobs
+        assert first == ctrl._knobs and len(searches) == 1
         plan_before = ctrl._plan
         ctrl.decide(sample, analyzer, first)  # interval 2: hold
-        assert ctrl._plan is plan_before  # no re-search yet
+        assert len(searches) == 1  # no re-search yet
         ctrl.decide(sample, analyzer, first)  # interval 3: re-search fires
-        assert ctrl._plan is not None
+        assert len(searches) == 2
+        assert ctrl._plan is plan_before  # same workload -> same cached plan
         with pytest.raises(ValueError):
             OracleStaticController(research_every=0)
 

@@ -8,7 +8,7 @@ from repro.core.knobs import KnobSpace
 from repro.hw.cache import capacity_miss_ratio, ddio_hit_ratio, prefetch_efficiency
 from repro.hw.power import ServerPowerModel
 from repro.nfv.chain import default_chain
-from repro.nfv.engine import PacketEngine
+from repro.nfv.engine import PacketEngine, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.rings import FluidRing
 from repro.utils.stats import rolling_mean
@@ -98,11 +98,12 @@ class TestEngineProperties:
     @settings(deadline=None, max_examples=30)
     @given(knob_strategy, st.sampled_from([64.0, 1518.0]))
     def test_misses_per_packet_nonnegative(self, knobs, pkt):
-        _, cpps, misses = ENGINE.chain_service_rate(
-            CHAIN, knobs, pkt, llc_bytes=9e6, contention=1.0
+        plan = ENGINE.compile_chains(
+            chain_stack((CHAIN,), (pkt,)), [knobs], llc_bytes=[9e6], contention=1.0
         )
-        assert all(c > 0 for c in cpps)
-        assert all(m >= 0 for m in misses)
+        mt = plan.step([0.0])
+        assert np.all(mt.cycles_per_packet > 0)
+        assert np.all(mt.misses_per_packet >= 0)
 
 
 class TestFluidRingProperties:

@@ -183,6 +183,16 @@ class TestScanCommand:
             cli_main(["scan", "baseline", "--objective", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--loads", "nan"), ("--loads", "inf"), ("--packet-bytes", "nan")]
+    )
+    def test_scan_rejects_non_finite_axes(self, flag, value, tmp_path, capsys):
+        out_path = tmp_path / "scan.json"
+        argv = ["scan", "baseline", "--grid", "coarse", flag, value, "--out", str(out_path)]
+        assert cli_main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_scan_unknown_spec_source(self):
         with pytest.raises(SystemExit, match="neither a spec file"):
             cli_main(["scan", "no-such-preset"])
