@@ -9,13 +9,9 @@ PRs:
 * ``engine_batch_grid`` — a K-knob x L-load grid through ``step_batch``
   vs. the same grid through scalar ``step`` calls (the vectorization
   payoff for figure scans / knob searches; criterion: >= 5x);
-* ``multi_chain_grid`` — a node hosting many chains stepped through the
-  one-pass ``Node.step_all`` kernel vs. the seed per-chain scalar
-  ``Node.step`` loop (the multi-chain env / SDN scaling payoff;
-  criterion: >= 5x);
 * ``cluster_grid`` — an 8-node x 4-chain SDN/cluster interval through
-  the fused ``ClusterKernel`` pass vs. the per-node ``step_all`` loop
-  (the multi-node scaling payoff; criterion: >= 3x);
+  the fused ``ClusterKernel`` pass vs. the per-node loop of scalar
+  ``step_all`` folds (the multi-chain scaling payoff; criterion: >= 3x);
 * ``fleet_scale`` — a 4-shard x 8-node x 4-chain fleet stepped by
   process-backed ``ShardWorker``s vs. the single-process ``LocalShard``
   loop (the sharded scale-out payoff; both backends are bit-identical,
@@ -90,7 +86,6 @@ FORMAT_VERSION = 1
 #: Minimum acceptable in-run speedups (vectorized vs. reference loop).
 CRITERIA = {
     "engine_batch_grid": 5.0,
-    "multi_chain_grid": 5.0,
     "cluster_grid": 3.0,
     "fleet_scale": 2.0,
     "fleet_throughput": 1.5,
@@ -186,59 +181,6 @@ def bench_engine_batch_grid(quick: bool, rounds: int) -> dict:
     }
 
 
-def _multi_chain_node(n_chains: int) -> tuple:
-    """A node hosting ``n_chains`` heterogeneous chains + its offered map."""
-    from repro.nfv.chain import default_chain, heavy_chain, light_chain
-    from repro.nfv.node import Node
-
-    rng = np.random.default_rng(7)
-    node = Node()
-    offered = {}
-    kinds = (default_chain, light_chain, heavy_chain)
-    pkts = (64.0, 512.0, 1518.0)
-    for i in range(n_chains):
-        chain = kinds[i % len(kinds)](f"c{i}")
-        node.deploy(
-            chain,
-            KnobSettings(
-                cpu_share=float(rng.uniform(0.3, 1.5)),
-                cpu_freq_ghz=float(rng.uniform(1.2, 2.1)),
-                llc_fraction=float(rng.uniform(0.05, 1.0 / n_chains)),
-                dma_mb=float(rng.uniform(1.0, 40.0)),
-                batch_size=int(rng.integers(1, 257)),
-            ),
-        )
-        offered[chain.name] = (float(rng.uniform(1e5, 2e6)), pkts[i % len(pkts)])
-    return node, offered
-
-
-def bench_multi_chain_grid(quick: bool, rounds: int) -> dict:
-    """C hosted chains per interval: ``Node.step_all`` vs. the scalar loop."""
-    n_chains = 12 if quick else 16
-    n_steps = 40 if quick else 80
-    kernel_node, offered = _multi_chain_node(n_chains)
-    loop_node, _ = _multi_chain_node(n_chains)
-
-    def kernel():
-        for _ in range(n_steps):
-            kernel_node.step_all(offered)
-
-    def loop():
-        for _ in range(n_steps):
-            reference.reference_node_step(loop_node, offered)
-
-    kernel_s = _best_of(kernel, rounds)
-    loop_s = _best_of(loop, max(1, rounds - 1))
-    return {
-        "seconds": kernel_s,
-        "chains": n_chains,
-        "steps": n_steps,
-        "reference_seconds": loop_s,
-        "speedup": loop_s / kernel_s,
-        "chain_steps_per_second": n_chains * n_steps / kernel_s,
-    }
-
-
 def _cluster(n_nodes: int, n_chains: int) -> tuple:
     """``n_nodes`` nodes x ``n_chains`` chains + the flat offered map."""
     from repro.nfv.chain import default_chain, heavy_chain, light_chain
@@ -282,7 +224,7 @@ def bench_cluster_grid(quick: bool, rounds: int) -> dict:
     per_node_offered = [
         {name: offered[name] for name in node.chains} for node in loop_nodes
     ]
-    # Warm both sides so the kernel (and per-node plans) are compiled.
+    # Warm both sides: the kernel compiles its plan on the second sight.
     for _ in range(2):
         kernel.step(offered)
         reference.reference_cluster_step(loop_nodes, per_node_offered)
@@ -663,7 +605,6 @@ def bench_obs_overhead(quick: bool, rounds: int) -> dict:
 BENCHES = {
     "engine_step": bench_engine_step,
     "engine_batch_grid": bench_engine_batch_grid,
-    "multi_chain_grid": bench_multi_chain_grid,
     "cluster_grid": bench_cluster_grid,
     "fleet_scale": bench_fleet_scale,
     "fleet_throughput": bench_fleet_throughput,

@@ -488,82 +488,14 @@ def reference_step_batch(
     )
 
 
-def reference_node_step(node, offered, dt_s: float = 1.0):
-    """The pre-kernel ``Node.step``: one scalar engine call per chain.
-
-    A faithful copy of the seed implementation (per-chain
-    ``engine.step`` loop, ring/meter bookkeeping, power attribution) so
-    the multi-chain bench reports an honest kernel-vs-loop speedup.
-    """
-    from repro.hw.cache import contention_factor
-
-    total_demand = 0.0
-    for name, hosted in node._chains.items():
-        pps, pkt = offered.get(name, (0.0, 1518.0))
-        total_demand += (
-            hosted.knobs.batch_size * pkt
-            + hosted.chain.total_state_bytes
-            + hosted.knobs.dma_bytes * 0.25
-        )
-    contention = contention_factor(total_demand, node.server.llc.size_bytes)
-
-    params = node.engine.params
-    infra_util = (
-        params.infra_util_poll
-        if node.engine.polling.value == "poll"
-        else params.infra_util_adaptive
-    )
-    infra_busy = params.infra_cores * infra_util
-    samples = {}
-    busy_cores_total = infra_busy
-    allocated_total = params.infra_cores
-    for name, hosted in node._chains.items():
-        pps, pkt = offered.get(name, (0.0, 1518.0))
-        sample = node.engine.step(
-            hosted.chain,
-            hosted.knobs,
-            pps,
-            pkt,
-            dt_s,
-            llc_bytes=node.llc_bytes_for(name),
-            contention=contention,
-            include_power=False,
-        )
-        hosted.rx_ring.offer(
-            min(pps, sample.achieved_pps + sample.dropped_pps),
-            max(sample.achieved_pps, 1.0),
-            dt_s,
-        )
-        samples[name] = sample
-        busy_cores_total += max(0.0, sample.cpu_cores_busy - infra_busy)
-        allocated_total += hosted.knobs.cpu_share * len(hosted.chain)
-
-    freqs = [h.knobs.cpu_freq_ghz for h in node._chains.values()]
-    freq = sum(freqs) / len(freqs) if freqs else node.server.cpu.base_freq_ghz
-    power_w = node.engine.node_power(busy_cores_total, allocated_total, freq)
-    energy_j = power_w * dt_s
-    node.meter.record(power_w, dt_s, sum(s.achieved_pps * dt_s for s in samples.values()))
-
-    weights = {name: max(s.cpu_cores_busy, 1e-9) for name, s in samples.items()}
-    wsum = sum(weights.values())
-    for name, sample in samples.items():
-        share = weights[name] / wsum if wsum > 0 else 1.0 / len(samples)
-        sample.power_w = power_w * share
-        sample.energy_j = energy_j * share
-        hosted = node._chains[name]
-        hosted.meter.record(sample.power_w, dt_s, sample.achieved_pps * dt_s)
-        hosted.last_sample = sample
-    return samples
-
-
 def reference_cluster_step(nodes, per_node_offered, dt_s: float = 1.0):
     """The pre-cluster-kernel interval: a Python loop over nodes.
 
-    One ``Node.step_all`` call per node (itself the PR-3 per-node
-    kernel), which is exactly what ``Cluster.step`` and
-    ``SdnController.run_interval`` executed before the fused
-    cluster-wide pass — so the ``cluster_grid`` bench reports an honest
-    kernel-vs-per-node-loop speedup.
+    One ``Node.step_all`` call per node — the scalar per-node fold —
+    which is what ``Cluster.step`` and ``SdnController.run_interval``
+    would execute without the fused cluster-wide pass, so the
+    ``cluster_grid`` bench reports an honest kernel-vs-per-node-loop
+    speedup.
     """
     samples = {}
     for node, offered in zip(nodes, per_node_offered):

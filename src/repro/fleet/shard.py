@@ -289,12 +289,18 @@ class ShardSim:
         return replace(ticket, knobs=applied)
 
     def set_knobs(self, updates: Mapping[str, Mapping[str, Any]]) -> None:
-        """Apply per-chain knob settings (clamped on the owning node)."""
+        """Apply per-chain knob settings (clamped on the owning node).
+
+        Every name and setting is checked before any is applied, so a
+        rejected update leaves the shard unchanged.
+        """
+        checked: dict[str, KnobSettings] = {}
         for name, settings in updates.items():
             if name not in self._tickets:
                 raise KeyError(f"no chain {name!r} on shard {self.config.name!r}")
-            node = self.nodes[self._tickets[name].node]
-            node.apply_knobs(name, KnobSettings(**dict(settings)))
+            checked[name] = KnobSettings(**dict(settings))
+        for name, knobs in checked.items():
+            self.nodes[self._tickets[name].node].apply_knobs(name, knobs)
 
     # -- the stepping loop -------------------------------------------------
 

@@ -8,11 +8,7 @@ from repro.nfv.chain import (
     microbench_chains,
 )
 from repro.nfv.cluster import Cluster, ClusterSample, consolidation_plan
-from repro.nfv.cluster_kernel import (
-    ClusterKernel,
-    ClusterTelemetry,
-    engines_compatible,
-)
+from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible
 from repro.nfv.controller import ChainBinding, ChainObservation, OnvmController
 from repro.nfv.engine import (
     EngineParams,
@@ -54,7 +50,6 @@ __all__ = [
     "Cluster",
     "ClusterKernel",
     "ClusterSample",
-    "ClusterTelemetry",
     "consolidation_plan",
     "engines_compatible",
     "ChainBinding",

@@ -1,23 +1,20 @@
 """Cluster-wide stepping kernel: one vectorized pass over all nodes.
 
-The SDN steering loop and the multi-node ``Cluster`` scenarios step many
-nodes in lockstep, each node hosting several chain replicas.  PR 3
-collapsed the per-*chain* Python loop into one
-:class:`~repro.nfv.engine.ChainKernelPlan` pass per node; this module
-collapses the per-*node* loop the same way: every hosted chain across
-the whole cluster becomes one row of a single padded super-stack, the
-load-independent half compiles once per cluster-wide (knobs, deployment)
-generation, and an interval is priced for all replicas in one
-vectorized evaluation.
+The SDN steering loop, the multi-node ``Cluster`` scenarios and the
+fleet shards step many nodes in lockstep, each node hosting several
+chains.  Every hosted chain across the cluster becomes one row of a
+single padded super-stack; its load-independent half compiles into one
+:class:`~repro.nfv.engine.ChainKernelPlan` per cluster-wide (knobs,
+deployment, frame sizes) generation, and an interval is priced for all
+rows in one vectorized evaluation.  This kernel is the one place a
+diagonal plan is compiled and cached:
 
-The dispatch mirrors :meth:`~repro.nfv.node.Node.step_all` exactly:
-
-* a configuration on first sight runs the per-node ``step_all`` loop
-  (bit-identical, and cheaper for knob-churning RL that never revisits
-  a setting);
-* on second sight the cluster-wide :class:`ClusterKernelPlan` compiles
-  and prices every subsequent interval until a knob/deployment change
-  (or new frame sizes) invalidates it;
+* a configuration on first sight runs each node's scalar
+  :meth:`~repro.nfv.node.Node.step_all` fold (cheaper than a compile
+  for knob-churning control loops that never revisit a setting);
+* on second sight the cluster-wide plan compiles and prices every
+  subsequent interval until a knob/deployment change (or new frame
+  sizes) invalidates it;
 * nodes with incompatible hardware or engine calibration always take
   the per-node path — the kernel only fuses physics it can prove is the
   same.
@@ -36,12 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.nfv.engine import (
-    ChainKernelPlan,
-    MultiChainTelemetry,
-    TelemetrySample,
-    chain_stack,
-)
+from repro.nfv.engine import ChainKernelPlan, TelemetrySample, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 from repro.nfv.rings import offer_many
@@ -87,10 +79,10 @@ class _FusedMeta:
     Everything here depends only on the (knobs, deployment, frame sizes)
     generation the plan was compiled for — never on the interval's
     offered loads — so the fused step can skip the per-node Python
-    rebuild ``step_all`` performs each interval.  The accumulated values
-    (``allocated_totals``, ``freq_means``) are produced by the *same*
-    sequential Python-float arithmetic as ``step_all``, preserving
-    bit-compatibility.
+    rebuild ``step_all`` performs each interval.  The per-node fold
+    inputs (``infra_busy``, ``allocated_totals``, ``freq_means``) come
+    from :meth:`~repro.nfv.node.Node.fold_inputs`, the method
+    ``step_all`` reads, preserving bit-compatibility.
     """
 
     names: tuple[str, ...]
@@ -104,34 +96,10 @@ class _FusedMeta:
     freq_means: np.ndarray  # (N,)
 
 
-@dataclass
-class ClusterTelemetry:
-    """Array view of one cluster interval for array-native consumers.
-
-    ``multi`` is the fused :class:`~repro.nfv.engine.MultiChainTelemetry`
-    over all rows (power already attributed); ``names`` maps rows to
-    chain names, ``node_slices`` gives each node's contiguous row range,
-    and ``bottleneck_utilization`` is the per-row binding-stage
-    utilization (the SDN steering signal) computed in one vectorized
-    reduction.
-    """
-
-    multi: MultiChainTelemetry
-    names: tuple[str, ...]
-    node_slices: tuple[tuple[int, int], ...]
-    node_power_w: np.ndarray  # (N,)
-    bottleneck_utilization: np.ndarray  # (R,)
-
-    @property
-    def rows(self) -> int:
-        """Chains priced in this interval."""
-        return len(self.names)
-
-
 class ClusterKernel:
     """Steps a fixed set of nodes through one fused kernel pass.
 
-    Owns the cluster-wide compiled-plan cache.  ``step`` is a drop-in
+    Owns the one compiled-plan cache.  ``step`` is a drop-in
     replacement for looping ``node.step_all`` over the nodes: it takes
     the union of the nodes' offered traffic (chain names are unique
     across a cluster) and returns the union of their telemetry, with
@@ -154,10 +122,6 @@ class ClusterKernel:
         self._plan_meta: _FusedMeta | None = None
         self._owners_gens: tuple | None = None
         self._owners: dict[str, Node] = {}
-        #: Array telemetry of the most recent interval, ``None`` whenever
-        #: the interval ran the per-node fallback (every first sight of a
-        #: configuration) — callers must handle the cold path.
-        self.last_telemetry: ClusterTelemetry | None = None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -181,6 +145,8 @@ class ClusterKernel:
             Optional per-chain settings applied (clamped, repartitioned)
             on the owning nodes before the interval runs.
 
+        Every chain name is checked before any knob is applied, so a
+        call that raises ``KeyError`` leaves every node unchanged.
         Returns the union of per-chain telemetry over all nodes.
         """
         if dt_s <= 0:
@@ -192,16 +158,17 @@ class ClusterKernel:
             }
             self._owners_gens = gens
         owners = self._owners
-        if knobs:
-            for name, settings in knobs.items():
-                if name not in owners:
-                    raise KeyError(f"no chain {name!r} on this cluster")
-                owners[name].apply_knobs(name, settings)
-            gens = tuple(node._config_gen for node in self.nodes)
-            self._owners_gens = gens
+        for name in knobs or ():
+            if name not in owners:
+                raise KeyError(f"no chain {name!r} on this cluster")
         unknown = set(offered) - owners.keys()
         if unknown:
             raise KeyError(f"offered traffic for unknown chains: {sorted(unknown)}")
+        if knobs:
+            for name, settings in knobs.items():
+                owners[name].apply_knobs(name, settings)
+            gens = tuple(node._config_gen for node in self.nodes)
+            self._owners_gens = gens
 
         # Flat load/frame columns in node-major deployment order (the
         # exact per-node ordering step_all uses).
@@ -213,7 +180,6 @@ class ClusterKernel:
                 all_loads.append(pps)
                 all_pkts.append(pkt)
 
-        self.last_telemetry = None
         # Cross-chain contention derives from (generation, frame sizes),
         # so the plan cache keys on exactly those.  The dispatch (not the
         # fused loop) is the sanctioned instrumentation point: plan-cache
@@ -257,9 +223,9 @@ class ClusterKernel:
         """Build the cluster-wide plan: one super-stack over all nodes.
 
         Alongside the compiled physics, every knob/deployment-static
-        quantity the per-interval fold needs (allocated cores, mean
-        frequency, infra-thread busy share, ring/meter handles) is
-        precomputed here with ``step_all``'s exact scalar arithmetic.
+        quantity the per-interval fold needs (each node's
+        :meth:`~repro.nfv.node.Node.fold_inputs`, ring/meter handles) is
+        collected here.
         """
         _gens, all_pkts = key
         chains: list = []
@@ -278,21 +244,12 @@ class ClusterKernel:
         row = 0
         for j, node in enumerate(self.nodes):
             start = row
-            params = node.engine.params
-            infra_util = (
-                params.infra_util_poll
-                if node.engine.polling.value == "poll"
-                else params.infra_util_adaptive
-            )
-            node_infra = params.infra_cores * infra_util
-            allocated_total = params.infra_cores
             for name, hosted in node.chains.items():
                 chains.append(hosted.chain)
                 knobs.append(hosted.knobs)
                 grants.append(node.cache.allocated_bytes(name))
                 names.append(name)
                 hosted_rows.append(hosted)
-                allocated_total += hosted.knobs.cpu_share * len(hosted.chain)
             row += len(node.chains)
             pkts_t = all_pkts[start:row]
             pkts.extend(pkts_t)
@@ -301,12 +258,8 @@ class ClusterKernel:
             )
             slices.append((start, row))
             counts[j] = row - start
+            node_infra, allocated_totals[j], freq_means[j] = node.fold_inputs()
             infra_busy.append(node_infra)
-            allocated_totals[j] = allocated_total
-            freqs = [h.knobs.cpu_freq_ghz for h in node.chains.values()]
-            freq_means[j] = (
-                sum(freqs) / len(freqs) if freqs else node.server.cpu.base_freq_ghz
-            )
         engine = self.nodes[0].engine
         stack = chain_stack(tuple(chains), tuple(pkts), engine.server.llc.line_bytes)
         self._plan = engine.compile_chains(
@@ -402,13 +355,4 @@ class ClusterKernel:
             hosted.meter.record(rows_power_l[r], dt_s, achieved_dt_l[r])
             hosted.last_sample = chain_samples[r]
             samples[name] = chain_samples[r]
-
-        # repro-lint: allow[KRN001] telemetry handoff is the fused pass's one sanctioned output slot
-        self.last_telemetry = ClusterTelemetry(
-            multi=multi,
-            names=meta.names,
-            node_slices=meta.slices,
-            node_power_w=power_nodes,
-            bottleneck_utilization=np.max(multi.nf_utilization, axis=1),
-        )
         return samples

@@ -1245,8 +1245,8 @@ class PacketEngine:
         depend only on (chains, knobs, LLC grants, contention) — not on
         the interval's offered load — so they are evaluated once here;
         :meth:`ChainKernelPlan.step` then prices each interval with a
-        handful of vectorized ops.  Nodes cache one plan per
-        knob/deployment generation, which is what makes steady-state
+        handful of vectorized ops.  The cluster kernel caches one plan
+        per knob/deployment generation, which is what makes steady-state
         multi-chain stepping cheap.
 
         ``llc_bytes`` is the per-chain granted LLC capacity ``(R,)``

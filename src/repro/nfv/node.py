@@ -23,11 +23,9 @@ from repro.hw.server import ServerSpec
 from repro.nfv.chain import ServiceChain
 from repro.nfv.engine import (
     EngineParams,
-    MultiChainTelemetry,
     PacketEngine,
     PollingMode,
     TelemetrySample,
-    chain_stack,
 )
 from repro.nfv.knobs import DEFAULT_RANGES, KnobRanges, KnobSettings
 from repro.nfv.rings import FluidRing
@@ -73,13 +71,10 @@ class Node:
         self.meter = EnergyMeter()
         self._chains: dict[str, HostedChain] = {}
         self._last_grants: dict[str, int] | None = None
-        # Compiled-kernel cache: the engine's load-independent chain plan
-        # is reused until the deployment/knob generation (or the offered
-        # packet sizes) change.
+        # Deployment/knob generation, bumped on every change: the
+        # contention factor here and the cluster kernel's compiled plan
+        # are cached per generation.
         self._config_gen = 0
-        self._plan_key: tuple | None = None
-        self._plan = None
-        self._plan_candidate: tuple | None = None
         self._demand_key: tuple | None = None
         self._contention = 1.0
 
@@ -97,14 +92,7 @@ class Node:
         self.cache.clear()
         self.meter.reset()
         self._last_grants = None
-        self._invalidate_plan()
-
-    def _invalidate_plan(self) -> None:
-        """Drop the compiled stepping plan (deployment or knobs changed)."""
         self._config_gen += 1
-        self._plan_key = None
-        self._plan = None
-        self._demand_key = None
 
     @property
     def chains(self) -> dict[str, HostedChain]:
@@ -118,7 +106,7 @@ class Node:
         hosted = HostedChain(chain=chain, knobs=(knobs or KnobSettings()).clamped(self.ranges, self.server.cpu))
         self._chains[chain.name] = hosted
         self._repartition_llc()
-        self._invalidate_plan()
+        self._config_gen += 1
         return hosted
 
     def undeploy(self, name: str) -> None:
@@ -128,7 +116,7 @@ class Node:
         del self._chains[name]
         if self._chains:
             self._repartition_llc()
-        self._invalidate_plan()
+        self._config_gen += 1
 
     def apply_knobs(self, name: str, knobs: KnobSettings) -> KnobSettings:
         """Apply (clamped) knob settings to a chain; returns what stuck.
@@ -142,7 +130,7 @@ class Node:
         if applied != self._chains[name].knobs:
             self._chains[name].knobs = applied
             self._repartition_llc()
-            self._invalidate_plan()
+            self._config_gen += 1
         return applied
 
     def _repartition_llc(self) -> None:
@@ -205,19 +193,31 @@ class Node:
             )
         return self._contention
 
-    # -- simulation --------------------------------------------------------
+    def fold_inputs(self) -> tuple[float, float, float]:
+        """The knob/deployment-static inputs of the node power fold.
 
-    def step(
-        self,
-        offered: dict[str, tuple[float, float]],
-        dt_s: float = 1.0,
-    ) -> dict[str, TelemetrySample]:
-        """Advance one control interval with the chains' current knobs.
-
-        Thin wrapper over :meth:`step_all` (the multi-chain kernel) kept
-        for the established call sites; see there for semantics.
+        Returns ``(infra_busy, allocated_cores, freq_ghz)``: the busy
+        cores of the ONVM Rx/Tx infra threads, which run once per node
+        although every engine sample includes them; the infra cores plus
+        every hosted chain's allocated cores; and the chains' mean
+        frequency (the base frequency on an empty node).
+        :meth:`step_all` and the cluster kernel's compile both read them
+        here, which keeps their power folds bit-identical.
         """
-        return self.step_all(offered, dt_s)
+        params = self.engine.params
+        infra_util = (
+            params.infra_util_poll
+            if self.engine.polling.value == "poll"
+            else params.infra_util_adaptive
+        )
+        allocated = params.infra_cores
+        for hosted in self._chains.values():
+            allocated += hosted.knobs.cpu_share * len(hosted.chain)
+        freqs = [h.knobs.cpu_freq_ghz for h in self._chains.values()]
+        freq = sum(freqs) / len(freqs) if freqs else self.server.cpu.base_freq_ghz
+        return params.infra_cores * infra_util, allocated, freq
+
+    # -- simulation --------------------------------------------------------
 
     def step_all(
         self,
@@ -226,23 +226,21 @@ class Node:
         *,
         knobs: dict[str, KnobSettings] | None = None,
     ) -> dict[str, TelemetrySample]:
-        """Advance one control interval, stepping every chain in one pass.
+        """Advance one control interval over every hosted chain.
 
-        All hosted chains are evaluated through the vectorized
-        multi-chain kernel (stacked chain profiles, shared
-        LLC-repartition math, batched cache/DMA/power model
-        evaluations): a cached
-        :class:`~repro.nfv.engine.ChainKernelPlan` prices the interval
-        when the knob/deployment configuration has been seen before,
-        and a configuration on first sight runs the equivalent scalar
-        per-chain loop; every path matches the scalar engine to
-        <= 1 ulp.
+        Each chain is priced by the scalar engine at the node's shared
+        cross-chain LLC contention; node power is then computed once
+        from the union of busy cores and attributed to chains in
+        proportion to the cycles they consumed.  This is the scalar fold
+        :class:`~repro.nfv.cluster_kernel.ClusterKernel` runs for a
+        configuration on first sight and replays bit-exactly over its
+        compiled plan afterwards.
 
         Parameters
         ----------
         offered:
             Mapping chain name -> (offered_pps, packet_bytes) for this
-            interval.
+            interval; chains without an entry idle at (0, 1518).
         dt_s:
             Interval length in seconds.
         knobs:
@@ -250,18 +248,21 @@ class Node:
             repartitioned) before the interval runs — the joint-action
             path of the multi-chain environments.
 
-        Returns per-chain telemetry.  Node power is computed once from
-        the union of busy cores and attributed to chains proportionally
-        to the cycles they consumed.
+        Every chain name is checked before any knob is applied, so a
+        call that raises ``KeyError`` leaves the node unchanged.
+        Returns per-chain telemetry.
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
-        if knobs:
-            for name, settings in knobs.items():
-                self.apply_knobs(name, settings)
+        for name in knobs or ():
+            if name not in self._chains:
+                raise KeyError(f"no chain {name!r} on this node")
         unknown = set(offered) - set(self._chains)
         if unknown:
             raise KeyError(f"offered traffic for unknown chains: {sorted(unknown)}")
+        if knobs:
+            for name, settings in knobs.items():
+                self.apply_knobs(name, settings)
 
         loads: list[float] = []
         pkts: list[float] = []
@@ -269,82 +270,33 @@ class Node:
             pps, pkt = offered.get(name, (0.0, 1518.0))
             loads.append(pps)
             pkts.append(pkt)
-        pkts_t = tuple(pkts)
-
-        contention = self.contention_for(pkts_t)
-
-        # One kernel pass: per-chain physics without power.  The ONVM
-        # Rx/Tx infra threads exist once per node, so their
-        # busy/allocated contribution (which each engine sample includes)
-        # is de-duplicated below.
-        params = self.engine.params
-        infra_util = (
-            params.infra_util_poll
-            if self.engine.polling.value == "poll"
-            else params.infra_util_adaptive
-        )
-        infra_busy = params.infra_cores * infra_util
-        # Kernel dispatch.  Compiling the load-independent plan only pays
-        # off when the (deployment, knobs, frame sizes) configuration is
-        # stepped more than once, so a plan is compiled the second time
-        # a configuration shows up; an unseen configuration runs through
-        # the scalar per-chain loop (bit-identical, and cheaper for the
-        # knob-churning RL training loops that never revisit a setting).
-        plan_key = (self._config_gen, pkts_t, contention)
-        multi: MultiChainTelemetry | None = None
-        if not self._chains:
-            pass  # nothing to stack; the loop below is a no-op
-        elif self._plan_key == plan_key:
-            multi = self._plan.step(loads, dt_s, include_power=False)
-        elif self._plan_candidate == plan_key:
-            hosted_list = list(self._chains.values())
-            stack = chain_stack(
-                tuple(h.chain for h in hosted_list),
-                pkts_t,
-                self.server.llc.line_bytes,
-            )
-            self._plan = self.engine.compile_chains(
-                stack,
-                [h.knobs for h in hosted_list],
-                llc_bytes=[self.cache.allocated_bytes(n) for n in self._chains],
-                contention=contention,
-            )
-            self._plan_key = plan_key
-            multi = self._plan.step(loads, dt_s, include_power=False)
-        else:
-            self._plan_candidate = plan_key
+        contention = self.contention_for(tuple(pkts))
+        infra_busy, allocated_total, freq = self.fold_inputs()
 
         samples: dict[str, TelemetrySample] = {}
         busy_cores_total = infra_busy
-        allocated_total = params.infra_cores
-        chain_samples = multi.samples() if multi is not None else None
-        for i, (name, hosted) in enumerate(self._chains.items()):
-            if chain_samples is not None:
-                sample = chain_samples[i]
-            else:
-                sample = self.engine.step(
-                    hosted.chain,
-                    hosted.knobs,
-                    loads[i],
-                    pkts[i],
-                    dt_s,
-                    llc_bytes=self.cache.allocated_bytes(name),
-                    contention=contention,
-                    include_power=False,
-                )
+        for load, pkt, (name, hosted) in zip(loads, pkts, self._chains.items()):
+            sample = self.engine.step(
+                hosted.chain,
+                hosted.knobs,
+                load,
+                pkt,
+                dt_s,
+                llc_bytes=self.cache.allocated_bytes(name),
+                contention=contention,
+                include_power=False,
+            )
             # Route through the rx fluid ring for drop/latency accounting.
             hosted.rx_ring.offer(
-                min(loads[i], sample.achieved_pps + sample.dropped_pps),
+                min(load, sample.achieved_pps + sample.dropped_pps),
                 max(sample.achieved_pps, 1.0),
                 dt_s,
             )
             samples[name] = sample
+            # Every sample includes the infra threads; count them once.
             busy_cores_total += max(0.0, sample.cpu_cores_busy - infra_busy)
-            allocated_total += hosted.knobs.cpu_share * len(hosted.chain)
 
         # Node power: one Fan-model evaluation over the union of chains.
-        freqs = [h.knobs.cpu_freq_ghz for h in self._chains.values()]
-        freq = sum(freqs) / len(freqs) if freqs else self.server.cpu.base_freq_ghz
         power_w = self.engine.node_power(busy_cores_total, allocated_total, freq)
         energy_j = power_w * dt_s
         self.meter.record(power_w, dt_s, sum(s.achieved_pps * dt_s for s in samples.values()))

@@ -1,20 +1,22 @@
 """Differential and behavioral tests for the cluster-wide stepping kernel.
 
 ``ClusterKernel.step`` prices every node's hosted chains in one fused
-pass.  The golden suite checks it against the per-node reference — a
-Python loop of ``Node.step_all`` calls, itself pinned to the scalar
-engine by ``tests/test_node_step_all.py`` — to <= 1 ulp (asserted
-bit-exact) across randomized node counts, heterogeneous chains, knob
-churn, frame-size changes and both dispatch paths (cold per-node
-fallback and warm fused plan).  The consumer classes pin the rewired
-surfaces: ``SdnController`` steering decisions and ``Cluster.step``
-aggregates must be identical to the per-node loop in
+pass; it is the one place a diagonal plan is compiled and cached.  The
+golden suite checks it against the per-node reference — a Python loop
+of ``Node.step_all`` calls, the scalar per-node fold — to <= 1 ulp
+(asserted bit-exact) across randomized node counts, heterogeneous
+chains, knob churn, frame-size changes and every dispatch path, read
+from the ``kernel/plan_cache/*`` counters (cold per-node fallback,
+compile on second sight, warm fused plan).  The consumer classes pin
+the rewired surfaces: ``SdnController`` steering decisions and
+``Cluster.step`` aggregates must be identical to the per-node loop in
 ``benchmarks/perf/reference.py``.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
 from repro.nfv.cluster import Cluster
 from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible
@@ -72,6 +74,33 @@ def reference_step(nodes: list[Node], offered: dict, dt_s: float = 1.0) -> dict:
     return samples
 
 
+def plan_cache_paths(step, *args, **kwargs):
+    """Run one step with ``repro.obs`` on; return its result and the
+    plan-cache paths the kernel took (``hit``/``promote``/``miss``/
+    ``fallback``; empty when the kernel was not stepped)."""
+    obs.enable()
+    try:
+        result = step(*args, **kwargs)
+        counters = obs.drain_counters()
+    finally:
+        obs.disable()
+    prefix = "kernel/plan_cache/"
+    paths = [name[len(prefix):] for name in counters if name.startswith(prefix)]
+    return result, paths
+
+
+def node_state(nodes):
+    """Knobs, CAT grants and config generation of every node."""
+    return [
+        (
+            {name: hosted.knobs for name, hosted in node.chains.items()},
+            node.cache.allocations,
+            node._config_gen,
+        )
+        for node in nodes
+    ]
+
+
 class TestGoldenEquivalence:
     """~50 randomized cases: fused kernel vs. per-node loop, bit-exact."""
 
@@ -112,26 +141,26 @@ class TestGoldenEquivalence:
             drawn = {
                 name: (float(rng.uniform(0.0, 3e6)), pkts[name]) for name in offered
             }
-            got = kernel.step(drawn)
+            got, paths = plan_cache_paths(kernel.step, drawn)
             ref = reference_step(nodes_r, drawn)
             for name in ref:
                 assert got[name] == ref[name]
-            if it >= 1:  # same configuration re-stepped -> fused path
-                assert kernel.last_telemetry is not None
+            # Same configuration re-stepped: compiled once, then fused.
+            assert paths == [("miss", "promote", "hit", "hit")[it]]
 
     def test_knob_churn_falls_back_then_recompiles(self):
         nodes_k, offered = build_cluster(3)
         nodes_r, _ = build_cluster(3)
         kernel = ClusterKernel(nodes_k)
         for _ in range(3):
-            kernel.step(offered)
+            _, paths = plan_cache_paths(kernel.step, offered)
             reference_step(nodes_r, offered)
-        assert kernel.last_telemetry is not None
+        assert paths == ["hit"]
         name = next(iter(offered))
         new_knobs = {name: KnobSettings(cpu_share=0.9, batch_size=48)}
-        got = kernel.step(offered, knobs=new_knobs)
+        got, paths = plan_cache_paths(kernel.step, offered, knobs=new_knobs)
         # Knob change invalidates the fused plan: cold interval again.
-        assert kernel.last_telemetry is None
+        assert paths == ["miss"]
         for node in nodes_r:
             if name in node.chains:
                 node.apply_knobs(name, new_knobs[name])
@@ -139,9 +168,9 @@ class TestGoldenEquivalence:
         for chain_name in ref:
             assert got[chain_name] == ref[chain_name]
         # Second sight of the new configuration fuses again and matches.
-        got = kernel.step(offered)
+        got, paths = plan_cache_paths(kernel.step, offered)
         ref = reference_step(nodes_r, offered)
-        assert kernel.last_telemetry is not None
+        assert paths == ["promote"]
         for chain_name in ref:
             assert got[chain_name] == ref[chain_name]
 
@@ -158,9 +187,9 @@ class TestGoldenEquivalence:
         kernel = ClusterKernel([node_a, node_b])
         offered = {"a0": (1e6, 512.0), "b0": (5e5, 1518.0)}
         for _ in range(3):
-            got = kernel.step(offered)
+            got, paths = plan_cache_paths(kernel.step, offered)
             ref = reference_step([ref_a, ref_b], offered)
-            assert kernel.last_telemetry is None  # never fuses
+            assert paths == ["fallback"]  # never fuses
             for name in ref:
                 assert got[name] == ref[name]
 
@@ -184,6 +213,21 @@ class TestGoldenEquivalence:
         assert set(out) == set(nodes[0].chains)
         assert empty.node_power_w() > 0
 
+    def test_rejected_step_leaves_nodes_unchanged(self):
+        # Names are all checked before any knob lands: an unknown knob
+        # after a known one, or unknown offered traffic, must not apply
+        # the known chain's knobs, repartition CAT or bump a generation.
+        nodes, offered = build_cluster(3)
+        kernel = ClusterKernel(nodes)
+        known = next(iter(offered))
+        changed = KnobSettings(cpu_share=0.9, llc_fraction=0.07, batch_size=48)
+        before = node_state(nodes)
+        with pytest.raises(KeyError):
+            kernel.step(offered, knobs={known: changed, "ghost": KnobSettings()})
+        with pytest.raises(KeyError):
+            kernel.step({**offered, "ghost": (1e5, 64.0)}, knobs={known: changed})
+        assert node_state(nodes) == before
+
     def test_duplicate_node_objects_are_deduped(self):
         nodes, offered = build_cluster(2)
         kernel = ClusterKernel([nodes[0], nodes[0], *nodes])
@@ -197,25 +241,7 @@ class TestGoldenEquivalence:
 
 
 class TestClusterTelemetry:
-    """The fused pass's array view and the lazy per-NF materialization."""
-
-    def test_last_telemetry_rows_match_samples(self):
-        nodes, offered = build_cluster(6)
-        kernel = ClusterKernel(nodes)
-        for _ in range(2):
-            samples = kernel.step(offered)
-        ct = kernel.last_telemetry
-        assert ct is not None
-        assert ct.rows == len(samples)
-        for r, name in enumerate(ct.names):
-            assert samples[name].achieved_pps == float(ct.multi.achieved_pps[r])
-            assert samples[name].power_w == float(ct.multi.power_w[r])
-            # Bottleneck utilization equals the max over per-NF rows.
-            assert float(ct.bottleneck_utilization[r]) == pytest.approx(
-                max(t.utilization for t in samples[name].per_nf), abs=0.0
-            )
-        starts = [s for s, _ in ct.node_slices]
-        assert starts[0] == 0 and ct.node_slices[-1][1] == ct.rows
+    """The fused pass's lazy per-NF materialization and steering signal."""
 
     def test_lazy_per_nf_equals_eager(self):
         nodes, offered = build_cluster(7)
@@ -345,7 +371,7 @@ class TestClusterStepEquivalence:
         fused = Cluster.testbed(3, rng=0)
         legacy = Cluster.testbed(3, rng=0)
         for _ in range(4):
-            a = fused.step()
+            a, paths = plan_cache_paths(fused.step)
             per_chain = {}
             for ctrl in legacy.controllers:
                 per_chain.update(ctrl.run_interval(None))
@@ -353,11 +379,12 @@ class TestClusterStepEquivalence:
             for name in per_chain:
                 assert a.per_chain[name] == per_chain[name]
         # Warm intervals actually ran fused.
-        assert fused.kernel.last_telemetry is not None
+        assert paths in (["promote"], ["hit"])
 
     def test_mixed_intervals_fall_back(self):
         cluster = Cluster.testbed(2, rng=1)
         cluster.controllers[1].interval_s = 0.5
-        sample = cluster.step()  # heterogeneous dt -> legacy path
-        assert cluster.kernel.last_telemetry is None
+        # Heterogeneous dt -> per-controller path; the kernel never steps.
+        sample, paths = plan_cache_paths(cluster.step)
+        assert paths == []
         assert sample.total_throughput_gbps > 0

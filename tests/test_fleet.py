@@ -267,6 +267,25 @@ class TestShardSim:
         with pytest.raises(KeyError):
             sim.undeploy("ghost")
 
+    def test_rejected_set_knobs_leaves_shard_unchanged(self):
+        # Every name and setting is checked before any knob lands: an
+        # unknown chain or an invalid setting after a valid update must
+        # not apply it, repartition CAT or bump the node's generation.
+        sim = ShardSim(shard_config())
+        node = sim.nodes[0]
+
+        def state():
+            knobs = {name: hosted.knobs for name, hosted in node.chains.items()}
+            return knobs, node.cache.allocations, node._config_gen
+
+        before = state()
+        valid = {"cpu_share": 0.5, "llc_fraction": 0.07}
+        with pytest.raises(KeyError):
+            sim.set_knobs({"s0-n0-c0": valid, "ghost": {}})
+        with pytest.raises(ValueError):
+            sim.set_knobs({"s0-n0-c0": valid, "s0-n0-c1": {"batch_size": 0}})
+        assert state() == before
+
     def test_vacated_node_bills_parked_power(self):
         config = shard_config(n_nodes=2, chains=1, parked_power_w=5.0)
         sim = ShardSim(config)

@@ -16,7 +16,7 @@ class TestNodeDeployment:
     def test_deploy_and_step(self):
         node = Node()
         node.deploy(default_chain("c0"))
-        out = node.step({"c0": (1e5, 1518.0)}, 1.0)
+        out = node.step_all({"c0": (1e5, 1518.0)}, 1.0)
         assert "c0" in out
         assert out["c0"].achieved_pps > 0
 
@@ -38,7 +38,7 @@ class TestNodeDeployment:
         node = Node()
         node.deploy(default_chain("c0"))
         with pytest.raises(KeyError):
-            node.step({"zzz": (1.0, 64.0)}, 1.0)
+            node.step_all({"zzz": (1.0, 64.0)}, 1.0)
 
     def test_apply_knobs_clamps(self):
         node = Node()
@@ -83,7 +83,7 @@ class TestNodeEnergy:
         c1, c2 = microbench_chains()
         node.deploy(c1, KnobSettings(llc_fraction=0.5))
         node.deploy(c2, KnobSettings(llc_fraction=0.3))
-        out = node.step({"C1": (5e6, 64.0), "C2": (1e6, 64.0)}, 1.0)
+        out = node.step_all({"C1": (5e6, 64.0), "C2": (1e6, 64.0)}, 1.0)
         total_attributed = sum(s.energy_j for s in out.values())
         assert total_attributed == pytest.approx(node.meter.total_joules)
 
@@ -92,7 +92,7 @@ class TestNodeEnergy:
         c1, c2 = microbench_chains()
         node.deploy(c1, KnobSettings(llc_fraction=0.5, cpu_share=1.5))
         node.deploy(c2, KnobSettings(llc_fraction=0.3, cpu_share=0.5))
-        out = node.step({"C1": (8e6, 64.0), "C2": (1e4, 64.0)}, 1.0)
+        out = node.step_all({"C1": (8e6, 64.0), "C2": (1e4, 64.0)}, 1.0)
         assert out["C1"].energy_j > out["C2"].energy_j
 
     def test_contention_hurts_colocated_chains(self):
@@ -100,12 +100,12 @@ class TestNodeEnergy:
         # cache-hungry neighbour at the same CAT grant.
         alone = Node()
         alone.deploy(default_chain("c0"), KnobSettings(llc_fraction=0.4))
-        solo = alone.step({"c0": (line_rate_pps(10, 1518), 1518.0)}, 1.0)["c0"]
+        solo = alone.step_all({"c0": (line_rate_pps(10, 1518), 1518.0)}, 1.0)["c0"]
 
         shared = Node()
         shared.deploy(default_chain("c0"), KnobSettings(llc_fraction=0.4))
         shared.deploy(light_chain("noisy"), KnobSettings(llc_fraction=0.4, batch_size=256, dma_mb=40))
-        both = shared.step(
+        both = shared.step_all(
             {"c0": (line_rate_pps(10, 1518), 1518.0), "noisy": (5e6, 64.0)}, 1.0
         )["c0"]
         assert both.achieved_pps <= solo.achieved_pps

@@ -1,15 +1,18 @@
-"""Differential and property tests for the multi-chain stepping kernel.
+"""Differential and property tests for node stepping and the diagonal plan.
 
-``Node.step_all`` evaluates every hosted chain in one vectorized
-:class:`~repro.nfv.engine.ChainKernelPlan` pass.  The golden suite checks it
-against the scalar reference — one ``engine.step`` call per chain, the
-seed implementation's shape — to <= 1 ulp across randomized chain
-counts, knob settings, loads and packet sizes, on both the cold
-(scalar-fallback) and warm (compiled-plan) dispatch paths.  The
-property classes pin the node invariants the kernel must preserve: CAT
+``Node.step_all`` is the scalar per-node fold: one ``engine.step`` per
+chain, then one node power evaluation.  A diagonal
+:class:`~repro.nfv.engine.ChainKernelPlan` is compiled and cached only
+by :class:`~repro.nfv.cluster_kernel.ClusterKernel`, so the golden suite
+steps a one-node kernel against an independent scalar reference — one
+``engine.step`` call per chain, the seed implementation's shape — to
+<= 1 ulp across randomized chain counts, knob settings, loads and
+packet sizes, through the first-sight scalar fold, the compile and the
+cached plan.  The property classes pin the node invariants: CAT
 partitions stay within capacity through deploy/undeploy/apply_knobs
-interleavings, node power is monotone in offered load per chain, and
-``reset()`` round-trips ``step_all`` results bit-exactly.
+interleavings, node power is monotone in offered load per chain,
+``reset()`` round-trips ``step_all`` results bit-exactly, and a
+rejected step leaves the node unchanged.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 
 from repro.hw.cache import contention_factor
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
+from repro.nfv.cluster_kernel import ClusterKernel
 from repro.nfv.engine import PollingMode, aggregate_samples, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
@@ -125,64 +129,26 @@ def assert_sample_close(got, ref, *, maxulp: int = 1) -> None:
 
 
 class TestGoldenEquivalence:
-    """~50 randomized cases: kernel vs. per-chain scalar loop, <= 1 ulp."""
+    """~50 randomized cases: compiled plan vs. per-chain scalar loop, <= 1 ulp."""
 
     @pytest.mark.parametrize("seed", range(25))
     @pytest.mark.parametrize("dt_s", [1.0, 0.25])
     def test_step_all_matches_scalar_loop(self, seed, dt_s):
         node, chains = build_node(seed)
+        kernel = ClusterKernel([node])
         rng = np.random.default_rng(1000 + seed)
-        # Three intervals with the same knob/frame configuration walk all
-        # dispatch paths: scalar fallback, compile-on-second-sight, and
-        # the cached compiled plan.
+        # Three intervals with the same knob/frame configuration walk the
+        # kernel's dispatch: the node's scalar fold on first sight, the
+        # compile on second sight, and the cached plan.
         offered = draw_offered(rng, chains)
         for _ in range(3):
             ref = reference_samples(node, offered, dt_s)
-            got = node.step_all(offered, dt_s)
+            got = kernel.step(offered, dt_s)
             assert set(got) == set(ref)
             for name in ref:
                 # Power is attributed node-side (identically on every
                 # path), so the engine-level fields carry the comparison.
                 assert_sample_close(got[name], ref[name])
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_plan_survives_load_changes_only(self, seed):
-        # Varying loads reuse the compiled plan; the results must still
-        # match the scalar loop at every new load vector.
-        node, chains = build_node(seed)
-        rng = np.random.default_rng(2000 + seed)
-        pkt = {c.name: float(rng.choice(PACKET_SIZES)) for c in chains}
-        for _ in range(4):
-            offered = {
-                c.name: (float(rng.uniform(0.0, 3e6)), pkt[c.name]) for c in chains
-            }
-            ref = reference_samples(node, offered)
-            got = node.step_all(offered)
-            for name in ref:
-                assert_sample_close(got[name], ref[name])
-
-    def test_knob_change_invalidates_plan(self):
-        node, chains = build_node(3)
-        rng = np.random.default_rng(7)
-        offered = draw_offered(rng, chains)
-        for _ in range(3):
-            node.step_all(offered)
-        node.apply_knobs(
-            chains[0].name, KnobSettings(cpu_share=0.9, batch_size=48)
-        )
-        ref = reference_samples(node, offered)
-        got = node.step_all(offered)
-        for name in ref:
-            assert_sample_close(got[name], ref[name])
-
-    def test_step_is_a_thin_wrapper(self):
-        node_a, chains = build_node(5)
-        node_b, _ = build_node(5)
-        offered = draw_offered(np.random.default_rng(9), chains)
-        for _ in range(2):
-            sa = node_a.step(offered)
-            sb = node_b.step_all(offered)
-            assert sa == sb
 
     def test_step_all_applies_knobs_first(self):
         node, chains = build_node(2)
@@ -202,9 +168,28 @@ class TestGoldenEquivalence:
         with pytest.raises(ValueError):
             node.step_all({}, dt_s=0.0)
 
+    def test_rejected_step_leaves_node_unchanged(self):
+        # Names are all checked before any knob lands: an unknown knob
+        # after a known one, or unknown offered traffic, must not apply
+        # the known chain's knobs, repartition CAT or bump the generation.
+        node, chains = build_node(3)
+        known = chains[0].name
+        changed = KnobSettings(cpu_share=0.9, llc_fraction=0.07, batch_size=48)
+        offered = draw_offered(np.random.default_rng(5), chains)
+
+        def state():
+            knobs = {name: hosted.knobs for name, hosted in node.chains.items()}
+            return knobs, node.cache.allocations, node._config_gen
+
+        before = state()
+        with pytest.raises(KeyError):
+            node.step_all(offered, knobs={known: changed, "ghost": KnobSettings()})
+        with pytest.raises(KeyError):
+            node.step_all({**offered, "ghost": (1e5, 64.0)}, knobs={known: changed})
+        assert state() == before
+
     def test_empty_node_steps_repeatedly(self):
-        # A chainless node idles (infra power only) on every call — the
-        # kernel dispatch must not try to stack zero profiles.
+        # A chainless node idles (infra power only) on every call.
         node = Node()
         for _ in range(3):
             assert node.step_all({}) == {}
@@ -361,7 +346,7 @@ class TestKernelTelemetry:
     @pytest.mark.parametrize("seed", range(4))
     def test_step_chains_one_shot_matches_scalar(self, seed):
         # A plan compiled and stepped once must honor the same <= 1 ulp
-        # contract as the node's cached plan path.
+        # contract as the cluster kernel's cached plan path.
         node, chains = build_node(seed)
         rng = np.random.default_rng(400 + seed)
         offered = draw_offered(rng, chains)

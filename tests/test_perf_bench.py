@@ -27,7 +27,7 @@ def bench_mod():
     return mod
 
 
-def _result(slice_speedup=2.5, grid_speedup=30.0, multi_speedup=6.0,
+def _result(slice_speedup=2.5, grid_speedup=30.0, cluster_speedup=8.0,
             seconds=0.1, mode="quick", calib=0.05):
     return {
         "format_version": 1,
@@ -39,10 +39,10 @@ def _result(slice_speedup=2.5, grid_speedup=30.0, multi_speedup=6.0,
                 "speedup": grid_speedup,
                 "criterion_min_speedup": 5.0,
             },
-            "multi_chain_grid": {
+            "cluster_grid": {
                 "seconds": seconds,
-                "speedup": multi_speedup,
-                "criterion_min_speedup": 5.0,
+                "speedup": cluster_speedup,
+                "criterion_min_speedup": 3.0,
             },
             "training_slice": {
                 "seconds": seconds,
@@ -68,11 +68,11 @@ class TestCheckAgainst:
         problems = bench_mod.check_against(bad, _result(), 2.0)
         assert any("criterion" in p for p in problems)
 
-    def test_fails_on_missed_multi_chain_criterion(self, bench_mod):
-        # The multi-chain kernel gate: >= 5x over the per-chain loop.
-        bad = _result(multi_speedup=3.0)
+    def test_fails_on_missed_cluster_criterion(self, bench_mod):
+        # The fused cluster kernel gate: >= 3x over the per-node loop.
+        bad = _result(cluster_speedup=2.0)
         problems = bench_mod.check_against(bad, _result(), 2.0)
-        assert any("multi_chain_grid" in p and "5x criterion" in p for p in problems)
+        assert any("cluster_grid" in p and "3x criterion" in p for p in problems)
 
     def test_criterion_has_noise_tolerance(self, bench_mod):
         near = _result(slice_speedup=2.0 * bench_mod.CRITERION_TOLERANCE + 0.01)
