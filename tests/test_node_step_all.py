@@ -8,7 +8,9 @@ steps a one-node kernel against an independent scalar reference — one
 ``engine.step`` call per chain, the seed implementation's shape — to
 <= 1 ulp across randomized chain counts, knob settings, loads and
 packet sizes, through the first-sight scalar fold, the compile and the
-cached plan.  The property classes pin the node invariants: CAT
+cached plan, which load-only changes reuse and a knob change
+invalidates (paths read from the ``kernel/plan_cache/*`` counters).
+The property classes pin the node invariants: CAT
 partitions stay within capacity through deploy/undeploy/apply_knobs
 interleavings, node power is monotone in offered load per chain,
 ``reset()`` round-trips ``step_all`` results bit-exactly, and a
@@ -18,6 +20,7 @@ rejected step leaves the node unchanged.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.hw.cache import contention_factor
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
 from repro.nfv.cluster_kernel import ClusterKernel
@@ -109,6 +112,19 @@ def reference_samples(node: Node, offered: dict, dt_s: float = 1.0) -> dict:
     return out
 
 
+def plan_cache_paths(step, *args, **kwargs):
+    """Run one kernel step with ``repro.obs`` on; return its result and
+    the ``kernel/plan_cache/*`` paths it took."""
+    obs.enable()
+    try:
+        result = step(*args, **kwargs)
+        counters = obs.drain_counters()
+    finally:
+        obs.disable()
+    prefix = "kernel/plan_cache/"
+    return result, [name[len(prefix):] for name in counters if name.startswith(prefix)]
+
+
 def assert_sample_close(got, ref, *, maxulp: int = 1) -> None:
     """Field-wise <= ``maxulp`` agreement of two telemetry samples."""
     for field in SCALAR_FIELDS:
@@ -149,6 +165,41 @@ class TestGoldenEquivalence:
                 # Power is attributed node-side (identically on every
                 # path), so the engine-level fields carry the comparison.
                 assert_sample_close(got[name], ref[name])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plan_survives_load_changes_only(self, seed):
+        # Varying loads reuse the kernel's compiled plan; the results must
+        # still match the scalar loop at every new load vector.
+        node, chains = build_node(seed)
+        kernel = ClusterKernel([node])
+        rng = np.random.default_rng(2000 + seed)
+        pkt = {c.name: float(rng.choice(PACKET_SIZES)) for c in chains}
+        for it in range(4):
+            offered = {
+                c.name: (float(rng.uniform(0.0, 3e6)), pkt[c.name]) for c in chains
+            }
+            ref = reference_samples(node, offered)
+            got, paths = plan_cache_paths(kernel.step, offered)
+            assert paths == [("miss", "promote", "hit", "hit")[it]]
+            for name in ref:
+                assert_sample_close(got[name], ref[name])
+
+    def test_knob_change_invalidates_plan(self):
+        node, chains = build_node(3)
+        kernel = ClusterKernel([node])
+        rng = np.random.default_rng(7)
+        offered = draw_offered(rng, chains)
+        for _ in range(3):
+            kernel.step(offered)
+        node.apply_knobs(
+            chains[0].name, KnobSettings(cpu_share=0.9, batch_size=48)
+        )
+        ref = reference_samples(node, offered)
+        got, paths = plan_cache_paths(kernel.step, offered)
+        # The stale plan is not reused: the new configuration is cold.
+        assert paths == ["miss"]
+        for name in ref:
+            assert_sample_close(got[name], ref[name])
 
     def test_step_all_applies_knobs_first(self):
         node, chains = build_node(2)
