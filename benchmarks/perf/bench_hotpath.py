@@ -16,10 +16,10 @@ PRs:
   process-backed ``ShardWorker``s vs. the single-process ``LocalShard``
   loop (the sharded scale-out payoff; both backends are bit-identical,
   so the ratio is pure parallelism; criterion: >= 2x at 4 shards);
-* ``fleet_throughput`` — the same fleet through the pipelined
-  shared-memory transport (``pipeline_depth=1`` + telemetry arenas) vs.
-  the seed lockstep transport that pickles every ``ShardReport``
-  through the pipe (kept in ``reference.py``; criterion: >= 1.5x);
+* ``fleet_throughput`` — the same fleet through the pipelined cycle
+  schedule over shared-memory telemetry arenas vs. the seed lockstep
+  schedule over a transport that pickles every ``ShardReport`` through
+  the pipe (both kept in ``reference.py``; criterion: >= 1.5x);
 * ``fleet_routing`` — all-pairs routed paths + k-shortest alternatives
   over a WAN ring topology through the vectorized ``RoutingTable``
   (Floyd–Warshall in numpy) vs. the per-pair scalar Dijkstra/k-via
@@ -275,8 +275,8 @@ def bench_fleet_scale(quick: bool, rounds: int) -> dict:
     fleet = FleetSpec.from_mapping(FLEETS.get("datacenter")())
     cycles = 1 if quick else 2
     seed = 5
-    local = FleetCoordinator(fleet, seed=seed, backend="local")
-    proc = FleetCoordinator(fleet, seed=seed, backend="process")
+    local = FleetCoordinator(fleet.with_updates(backend="local"), seed=seed)
+    proc = FleetCoordinator(fleet.with_updates(backend="process"), seed=seed)
     try:
         # Warm both fleets: kernels compile, workers come up.
         local.run_cycles(1)
@@ -324,40 +324,38 @@ def bench_fleet_throughput(quick: bool, rounds: int) -> dict:
     """The datacenter fleet: pipelined shared-memory transport vs. the
     seed lockstep pickled transport (criterion: >= 1.5x).
 
-    Both sides run the process backend, so the ratio isolates what this
-    PR changed: double-buffered decide/step overlap plus zero-copy
-    telemetry arenas, against lockstep cycles whose every ``run`` reply
-    pickles a full ``ShardReport`` through the pipe.  Workers are
-    started once and kept warm; rounds are interleaved.
+    Both sides run the process backend, so the ratio isolates the
+    double-buffered decide/step overlap plus zero-copy telemetry arenas,
+    against ``reference_lockstep_cycles`` over workers whose every
+    ``run`` reply pickles a full ``ShardReport`` through the pipe.
+    Workers are started once and kept warm; rounds are interleaved.
     """
     import repro.fleet.coordinator as coordinator_mod
     from repro.fleet import FLEETS, FleetCoordinator, FleetSpec
 
-    fleet = FleetSpec.from_mapping(FLEETS.get("datacenter")())
+    fleet = FleetSpec.from_mapping(FLEETS.get("datacenter")()).with_updates(
+        backend="process"
+    )
     cycles = 1 if quick else 2
     seed = 5
-    pipe = FleetCoordinator(
-        fleet.with_updates(pipeline_depth=1), seed=seed, backend="process"
-    )
+    pipe = FleetCoordinator(fleet, seed=seed)
     saved = coordinator_mod.ShardWorker
     coordinator_mod.ShardWorker = reference.ReferenceShardWorker
     try:
-        lock = FleetCoordinator(
-            fleet.with_updates(pipeline_depth=0), seed=seed, backend="process"
-        )
+        lock = FleetCoordinator(fleet, seed=seed)
     finally:
         coordinator_mod.ShardWorker = saved
     try:
         # Warm both fleets: kernels compile, workers come up.
         pipe.run_cycles(1)
-        lock.run_cycles(1)
+        reference.reference_lockstep_cycles(lock, 1)
         pipe_s = lock_s = float("inf")
         for _ in range(max(3, rounds)):
             t0 = time.perf_counter()
             pipe.run_cycles(cycles)
             pipe_s = min(pipe_s, time.perf_counter() - t0)
             t0 = time.perf_counter()
-            lock.run_cycles(cycles)
+            reference.reference_lockstep_cycles(lock, cycles)
             lock_s = min(lock_s, time.perf_counter() - t0)
     finally:
         pipe.close()
@@ -573,7 +571,7 @@ def bench_obs_overhead(quick: bool, rounds: int) -> dict:
     unit_s = _best_of(disabled_calls, max(3, rounds)) / n
 
     fleet = FleetSpec.from_mapping(FLEETS.get("small")())
-    coordinator = FleetCoordinator(fleet, seed=7, backend="local")
+    coordinator = FleetCoordinator(fleet.with_updates(backend="local"), seed=7)
     try:
         coordinator.run_cycles(1)  # warm: kernels compile
         # Count the instrumentation calls one cycle makes (span enter +

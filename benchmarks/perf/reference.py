@@ -693,6 +693,34 @@ class ReferenceShardWorker:
             self._proc.terminate()
 
 
+# -- fleet: lockstep cycle schedule --------------------------------------------
+
+
+def reference_lockstep_cycles(coordinator, n: int) -> None:
+    """The seed fleet schedule: step, gather, decide, scatter, in lockstep.
+
+    Drives ``coordinator`` through ``n`` cycles with its own
+    ``_merge_records``, ``_plan_cycle`` and ``_apply_cycle``, applying
+    each cycle's decisions before the shards step again — so every
+    decision lands one interval boundary earlier than under the
+    pipelined :meth:`~repro.fleet.coordinator.FleetCoordinator.run_cycles`.
+    The ``fleet_throughput`` bench times it and ``TestPipelining`` uses
+    it as the oracle for that one-boundary lag.
+    """
+    handles = list(coordinator.handles.values())
+    step = coordinator.fleet.sync_every
+    for _ in range(n):
+        for handle in handles:
+            handle.begin_run(coordinator._interval, step)
+        reports = [handle.finish_run() for handle in handles]
+        coordinator._merge_records(reports)
+        coordinator._interval += step
+        plan = coordinator._plan_cycle(
+            reports, coordinator._cycle, coordinator._interval
+        )
+        coordinator._apply_cycle(plan)
+
+
 # -- fleet: per-pair scalar routing --------------------------------------------
 
 

@@ -234,7 +234,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             spec,
             backend=args.backend,
             cycles=args.cycles,
-            pipeline_depth=args.pipeline_depth,
             placement=args.placement,
             out_path=args.out,
         )
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spec", help="spec JSON file or scenario preset id (needs a fleet: section)"
     )
     p_fleet.add_argument(
-        "--backend", default=None, choices=("local", "process"),
+        "--backend", default=None,
         help="override the fleet's shard backend (process = one worker "
              "process per shard; results are bit-identical to local)",
     )
@@ -415,16 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cycles", type=int, default=None, help="override the coordinator cycles"
     )
     p_fleet.add_argument(
-        "--pipeline-depth", type=int, default=None, choices=(0, 1),
-        help="override the decide/step overlap (0 = lockstep, 1 = "
-             "double-buffered: decisions land one cycle later)",
-    )
-    p_fleet.add_argument(
         "--placement", default=None,
-        choices=("watermark", "greedy", "genetic"),
         help="override the placement policy proposing migrations "
-             "(watermark = flow-affine consolidation; greedy/genetic = "
-             "topology-aware routed-energy searchers)",
+             "(see 'repro list' for the registered policies)",
     )
     p_fleet.add_argument("--seed", type=int, default=None, help="override the seed")
     p_fleet.add_argument("--quick", action="store_true", help="reduced budgets")

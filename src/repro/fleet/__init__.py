@@ -7,7 +7,10 @@ its own kernel — in-process (:class:`~repro.fleet.shard.LocalShard`) or
 in a real worker process (:class:`~repro.fleet.shard.ShardWorker`) — and
 a :class:`~repro.fleet.coordinator.FleetCoordinator` running the global
 gather / decide / scatter loop: per-shard telemetry summaries in, SDN
-knob steering and **cross-shard chain migration** decisions out.
+knob steering and **cross-shard chain migration** decisions out.  The
+loop has one schedule: the coordinator decides on cycle *t*'s telemetry
+while the shards step cycle *t+1*, and the decisions land at the next
+interval boundary.
 
 Determinism is the design center: all stochastic inputs (traffic draws,
 flash crowds, churn) come from counter-based RNG streams keyed on

@@ -21,14 +21,15 @@ decisions the single-cluster controllers cannot:
 
 Every decision is a deterministic function of the gathered reports and
 the counter-based churn stream, so a seeded run is bit-identical across
-backends and worker counts.  With ``pipeline_depth=1`` (the default) the
-decide phase is pipelined: while the coordinator plans cycle *t* from
-its gathered telemetry, the shards are already stepping cycle *t+1*'s
-intervals — safe because workload draws are counter-based and
-placement-independent — and the planned migration/knob commands are
-applied at the next interval boundary (bounded staleness: every decision
-lands exactly one cycle later than in lockstep mode, on both backends
-alike, so the differential guarantee is preserved depth-for-depth).
+backends and worker counts.  The decide phase is pipelined: while the
+coordinator plans cycle *t* from its gathered telemetry, the shards are
+already stepping cycle *t+1*'s intervals — safe because workload draws
+are counter-based and placement-independent — and the planned
+migration/knob commands are applied at the next interval boundary
+(bounded staleness: every decision lands exactly one cycle after the
+telemetry it was planned from, on both backends alike).  The lockstep
+schedule, which decides before the shards step again, is kept as
+``reference_lockstep_cycles`` in ``benchmarks/perf/reference.py``.
 :func:`run_fleet` is the facade the CLI and tests share; its
 :class:`FleetResult` artifact records the per-interval fleet energy/SLA
 series, the migration log and the churn history.
@@ -174,7 +175,7 @@ class _CyclePlan:
     """One cycle's decisions, computed without touching any handle.
 
     Planning is pure — no pipe traffic, no coordinator-state mutation —
-    so on the pipelined path it can overlap the shards stepping the next
+    so it can overlap the shards stepping the next
     cycle; :meth:`FleetCoordinator._apply_cycle` scatters it at the
     following interval boundary.  ``cycle``/``interval`` identify the
     reported cycle the plan was computed from (what the logs record),
@@ -200,7 +201,6 @@ class FleetCoordinator:
         sla_params: Mapping[str, Any] | None = None,
         interval_s: float = 1.0,
         seed: int = 0,
-        backend: str | None = None,
         mp_context: str | None = None,
     ):
         if interval_s <= 0:
@@ -210,7 +210,6 @@ class FleetCoordinator:
         self.sla_params = dict(sla_params or {})
         self.interval_s = float(interval_s)
         self.seed = int(seed)
-        self.backend = backend or fleet.backend
         topo = fleet.topology
         #: Global node index: position in ``topology.flatten()``.
         self._global_nodes = topo.flatten()
@@ -269,8 +268,8 @@ class FleetCoordinator:
         self._records_mark = 0
         self._chain_intervals_total = 0
         self._metrics_log: list[dict[str, Any]] = []
-        make = LocalShard if self.backend == "local" else ShardWorker
-        kwargs = {} if self.backend == "local" else {"mp_context": mp_context}
+        make = LocalShard if fleet.backend == "local" else ShardWorker
+        kwargs = {} if fleet.backend == "local" else {"mp_context": mp_context}
         self.handles: dict[str, Any] = {}
         try:
             for shard in topo.shards:
@@ -326,7 +325,7 @@ class FleetCoordinator:
     def run_cycles(self, n_cycles: int) -> None:
         """Run ``n_cycles`` gather/decide/scatter cycles.
 
-        With ``pipeline_depth=1`` the decide phase of cycle *t* overlaps
+        The decide phase of cycle *t* overlaps
         the shards stepping cycle *t+1* (its commands are applied at the
         next interval boundary — bounded staleness).  The pipeline fully
         drains before this method returns, so the final gathered cycle
@@ -338,11 +337,7 @@ class FleetCoordinator:
             raise RuntimeError("coordinator is closed")
         if n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
-        if self.fleet.pipeline_depth == 0:
-            for _ in range(n_cycles):
-                self._one_cycle()
-            return
-        # Depth 1: double-buffered.  Each iteration kicks off the next
+        # Double-buffered.  Each iteration kicks off the next
         # run before deciding the previous cycle, so planning (and, on
         # the process backend, the coordinator's entire decide phase)
         # overlaps the shards' stepping.  Scatter commands only ever go
@@ -384,36 +379,19 @@ class FleetCoordinator:
         if obs._ENABLED:
             self._drain_worker_spans()
 
-    def _one_cycle(self) -> None:
-        """One lockstep cycle (``pipeline_depth=0``): gather, then decide
-        and scatter before the shards step again."""
-        handles = list(self.handles.values())
-        n = self.fleet.sync_every
-        with obs.span("fleet/cycle", cycle=self._cycle):
-            for handle in handles:
-                handle.begin_run(self._interval, n)
-            with obs.span("fleet/gather", interval=self._interval):
-                reports = [handle.finish_run() for handle in handles]
-            self._merge_records(reports)
-            self._interval += n
-            with obs.span("fleet/plan", cycle=self._cycle):
-                plan = self._plan_cycle(reports, self._cycle, self._interval)
-            self._apply_cycle(plan)
-        if obs._ENABLED:
-            self._drain_worker_spans()
-
     def _plan_cycle(
         self, reports: list[ShardReport], cycle: int, interval: int
     ) -> _CyclePlan:
         """Decide one cycle from its gathered reports (pure).
 
-        Replays the exact lockstep decision order — churn departures
+        Keeps one fixed decision order — churn departures
         free capacity, the consolidation pass plans against the
         post-departure occupancy, arrivals land on the post-migration
         layout, steering routes via the post-migration placement — but
         against local copies of the placement/occupancy state, so no
         coordinator state mutates and no pipe traffic happens until
-        :meth:`_apply_cycle`.
+        :meth:`_apply_cycle`, and :meth:`run_cycles` can plan while the
+        shards step.
         """
         summaries: dict[str, ChainSummary] = {}
         node_info: dict[tuple[str, int], NodeSummary] = {}
@@ -482,9 +460,9 @@ class FleetCoordinator:
     def _apply_cycle(self, plan: _CyclePlan) -> None:
         """Scatter one plan's decisions and write the logs.
 
-        On the pipelined path this runs one cycle after the plan's
-        reports were gathered; every log row carries the plan's own
-        cycle/interval stamps, so the artifact shape is depth-invariant.
+        This runs one cycle after the plan's reports were gathered;
+        every log row carries the plan's own cycle/interval stamps (the
+        cycle the telemetry came from), not the cycle it was applied in.
         """
         with obs.span("fleet/apply", cycle=plan.cycle):
             self._apply_cycle_inner(plan)
@@ -589,8 +567,8 @@ class FleetCoordinator:
         path, and the best ``budget_per_cycle`` net-positive moves that
         keep SLA headroom at the target are applied.  ``placement`` and
         ``counts`` are the *authoritative* post-departure chain
-        locations and per-node occupancy — on the pipelined path the
-        gathered ``summaries`` are one cycle stale (a chain migrated by
+        locations and per-node occupancy — the gathered ``summaries``
+        are one cycle stale (a chain migrated by
         the previous plan still reports its old node), so move sources
         come from ``placement``; the telemetry only feeds the scoring.
         ``counts`` is mutated in place as moves are accepted, so the
@@ -723,7 +701,7 @@ class FleetCoordinator:
         """(gain_j, cost_j, reason, path) of one candidate move.
 
         ``src_key`` is the chain's authoritative current location (its
-        summary may lag one cycle on the pipelined path), and the
+        summary lags one cycle behind the applied plans), and the
         co-location lookup reads the authoritative ``placement`` book
         for the same reason: a flow-mate migrated by the previous plan
         must count at its *new* node, not where its stale summary still
@@ -883,10 +861,10 @@ class FleetCoordinator:
         sanctioned clock — called strictly after the cycle's decisions
         are applied, so it cannot perturb a seeded run.
 
-        On the pipelined path the merge order runs one cycle ahead of
-        the apply order, so rows are claimed by interval stamp (records
-        arrive index-sorted): each snapshot takes exactly its own
-        cycle's rows no matter the pipeline depth.  Throughput is a
+        The merge order runs one cycle ahead of the apply order, so
+        rows are claimed by interval stamp (records arrive
+        index-sorted): each snapshot takes exactly its own cycle's rows,
+        whichever cycle's gather merged them.  Throughput is a
         running average over the whole run — a per-window rate would
         spike on the drain half-cycle, whose gather happened inside the
         previous window.
@@ -980,7 +958,7 @@ class FleetCoordinator:
         fleet_info = self.fleet.to_dict()
         fleet_info.update(
             {
-                "backend": self.backend,
+                "backend": self.fleet.backend,
                 "sla": self.sla,
                 "sla_params": dict(self.sla_params),
                 "interval_s": self.interval_s,
@@ -1004,19 +982,16 @@ def run_fleet(
     *,
     backend: str | None = None,
     cycles: int | None = None,
-    pipeline_depth: int | None = None,
     placement: str | None = None,
     out_path=None,
-    mp_context: str | None = None,
 ) -> FleetResult:
     """Run a scenario spec's fleet section end-to-end.
 
     ``spec`` is a :class:`~repro.scenario.spec.ScenarioSpec` whose
     ``fleet`` field holds the fleet section (inline or via a
     :data:`~repro.fleet.spec.FLEETS` preset).  ``backend`` / ``cycles``
-    / ``pipeline_depth`` / ``placement`` override the section without
-    editing the spec.  Writes the JSON artifact to ``out_path`` when
-    given.
+    / ``placement`` override the section without editing the spec.
+    Writes the JSON artifact to ``out_path`` when given.
     """
     if getattr(spec, "fleet", None) is None:
         raise ValueError(
@@ -1028,8 +1003,6 @@ def run_fleet(
         fleet = fleet.with_updates(cycles=cycles)
     if backend is not None:
         fleet = fleet.with_updates(backend=backend)
-    if pipeline_depth is not None:
-        fleet = fleet.with_updates(pipeline_depth=pipeline_depth)
     if placement is not None:
         fleet = fleet.with_updates(placement=placement)
     with FleetCoordinator(
@@ -1038,7 +1011,6 @@ def run_fleet(
         sla_params=spec.sla_params,
         interval_s=spec.interval_s,
         seed=spec.seed,
-        mp_context=mp_context,
     ) as coordinator:
         coordinator.run_cycles(fleet.cycles)
         result = coordinator.result()

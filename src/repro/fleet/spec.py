@@ -152,11 +152,6 @@ class FleetSpec:
     #: Coordinator cycles to run; each cycle is ``sync_every`` intervals.
     cycles: int = 8
     sync_every: int = 4
-    #: Decide/step overlap: 0 = lockstep (decide blocks the shards), 1 =
-    #: double-buffered (shards step cycle t+1 while the coordinator
-    #: decides on cycle t's telemetry; decisions land one interval
-    #: boundary later — bounded staleness).
-    pipeline_depth: int = 1
     backend: str = "local"
     #: Which :data:`~repro.fleet.placement.PLACEMENTS` policy proposes
     #: the fleet-wide desired placement each cycle.
@@ -167,10 +162,16 @@ class FleetSpec:
             raise ValueError("fleet needs at least one coordinator cycle")
         if self.sync_every < 1:
             raise ValueError("sync_every must be >= 1")
-        if self.pipeline_depth not in (0, 1):
-            raise ValueError(
-                "pipeline_depth must be 0 (lockstep) or 1 (double-buffered)"
-            )
+        # The initial layout must fit the per-node bound that sizes each
+        # shard's telemetry arena; admission and migration respect it.
+        capacity = self.migration.capacity_per_node
+        for shard in self.topology.shards:
+            if shard.chains_per_node > capacity:
+                raise ValueError(
+                    f"shard {shard.name!r} starts with "
+                    f"{shard.chains_per_node} chains per node, above "
+                    f"migration.capacity_per_node={capacity}"
+                )
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown fleet backend {self.backend!r}; options: {BACKENDS}"
@@ -205,7 +206,6 @@ class FleetSpec:
             "steering": _config_dict(self.steering),
             "cycles": self.cycles,
             "sync_every": self.sync_every,
-            "pipeline_depth": self.pipeline_depth,
             "backend": self.backend,
             "placement": self.placement,
         }

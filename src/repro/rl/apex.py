@@ -52,11 +52,6 @@ class ApexConfig:
     actor_steps_per_cycle: int = 32
     evict_every_cycles: int = 50
     evict_fraction: float = 0.10
-    #: Step the actor fleet in lockstep, batching all actors' policy
-    #: forwards into one stacked inference per environment step
-    #: (bit-identical to per-actor ``forward`` calls; actors' envs and
-    #: noise processes are independent, so trajectories are unchanged).
-    batched_inference: bool = True
 
     def __post_init__(self) -> None:
         if self.n_actors < 1:
@@ -282,20 +277,13 @@ class ApexCoordinator:
         if n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
         cfg = self.config
-        batched = cfg.batched_inference and len(self.actors) > 1
         for _ in range(n_cycles):
-            if batched:
-                # One stacked policy inference per step across the fleet;
-                # experience still ingests in actor order, so the replay
-                # stream is identical to the sequential schedule.
-                collected = ApexActor.collect_lockstep(
-                    self.actors, cfg.actor_steps_per_cycle
-                )
-            else:
-                collected = [
-                    actor.collect(cfg.actor_steps_per_cycle)
-                    for actor in self.actors
-                ]
+            # One stacked policy inference per step across the fleet;
+            # experience still ingests in actor order, so the replay
+            # stream is identical to per-actor ``collect`` calls.
+            collected = ApexActor.collect_lockstep(
+                self.actors, cfg.actor_steps_per_cycle
+            )
             for experiences in collected:
                 self.learner.ingest(experiences)
                 self.stats.actor_steps += cfg.actor_steps_per_cycle

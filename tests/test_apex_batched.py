@@ -115,9 +115,9 @@ class TestLockstepCollect:
     def _factory(self, i, rng):
         return NFVEnv(EnergyEfficiencySLA(), episode_len=8, rng=rng)
 
-    def _coordinator(self, batched: bool) -> ApexCoordinator:
+    def _coordinator(self, n_actors: int) -> ApexCoordinator:
         cfg = ApexConfig(
-            n_actors=3,
+            n_actors=n_actors,
             local_buffer_size=16,
             sync_every_steps=32,
             replay_capacity=2048,
@@ -125,7 +125,6 @@ class TestLockstepCollect:
             learner_steps_per_cycle=4,
             actor_steps_per_cycle=16,
             evict_every_cycles=0,
-            batched_inference=batched,
         )
         return ApexCoordinator(
             self._factory,
@@ -136,10 +135,18 @@ class TestLockstepCollect:
             rng=9,
         )
 
-    def test_coordinator_bit_identical_to_sequential(self):
-        ca = self._coordinator(batched=True)
-        cb = self._coordinator(batched=False)
+    @pytest.mark.parametrize("n_actors", [1, 3])
+    def test_coordinator_bit_identical_to_sequential(self, n_actors, monkeypatch):
+        ca = self._coordinator(n_actors)
         sa = ca.run_cycles(5)
+        # The reference coordinator collects with one per-actor
+        # ``collect`` call each, the schedule lockstep batching replaced.
+        monkeypatch.setattr(
+            ApexActor,
+            "collect_lockstep",
+            staticmethod(lambda actors, n: [a.collect(n) for a in actors]),
+        )
+        cb = self._coordinator(n_actors)
         sb = cb.run_cycles(5)
         assert sa.actor_steps == sb.actor_steps
         assert sa.learner_updates == sb.learner_updates

@@ -26,7 +26,9 @@ from repro.fleet import (
     interval_stream,
     run_fleet,
 )
+from repro.fleet.placement import PLACEMENTS
 from repro.fleet.shard import ShardSim, kind_nfs
+from repro.fleet.spec import BACKENDS
 from repro.scenario import SCENARIOS, ScenarioSpec
 
 
@@ -213,6 +215,23 @@ class TestFleetSpec:
     def test_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):
             FleetSpec.from_mapping(fleet_section(backend="gpu"))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_initial_layout_above_capacity_raises(self, backend):
+        # The process backend sizes each shard's telemetry arena by
+        # capacity_per_node, so an over-capacity initial layout used to
+        # run locally but fail in the first process-backend cycle.
+        section = fleet_section(
+            n_shards=1,
+            nodes=2,
+            chains_per_node=3,
+            backend=backend,
+            migration={"capacity_per_node": 2},
+        )
+        with pytest.raises(ValueError, match="shard 's0'.*capacity_per_node=2"):
+            FleetSpec.from_mapping(section)
+        section["migration"] = {"capacity_per_node": 3}
+        assert FleetSpec.from_mapping(section).topology.total_chains == 6
 
     def test_all_presets_resolve(self):
         for name in FLEETS:
@@ -418,7 +437,9 @@ class TestProcessBackend:
     def test_one_cycle_smoke(self):
         """One multi-process coordinator cycle: the CI gate on ``fleet_mp``."""
         fleet = FleetSpec.from_mapping(fleet_section(cycles=1))
-        with FleetCoordinator(fleet, seed=2, backend="process") as coordinator:
+        with FleetCoordinator(
+            fleet.with_updates(backend="process"), seed=2
+        ) as coordinator:
             coordinator.run_cycles(1)
             result = coordinator.result()
         assert result.totals["intervals"] == 2
@@ -590,9 +611,10 @@ class TestProcessBackend:
 
 
 class TestPipelining:
-    """``pipeline_depth`` semantics: depth 0 is the seed lockstep loop,
-    depth 1 overlaps deciding on cycle *t* with stepping cycle *t+1* and
-    lands every decision exactly one interval boundary later."""
+    """The one fleet schedule overlaps deciding on cycle *t* with stepping
+    cycle *t+1*, so every decision lands exactly one interval boundary
+    later than under the seed lockstep loop, which lives on as
+    ``reference_lockstep_cycles`` in ``benchmarks/perf/reference.py``."""
 
     def churny_section(self, **overrides):
         return fleet_section(
@@ -605,64 +627,64 @@ class TestPipelining:
             **overrides,
         )
 
+    def lockstep(self, perf_reference, spec, backend="local"):
+        """``run_fleet`` with the lockstep reference schedule."""
+        fleet = FleetSpec.from_mapping(spec.fleet).with_updates(backend=backend)
+        with FleetCoordinator(
+            fleet,
+            sla=spec.sla,
+            sla_params=spec.sla_params,
+            interval_s=spec.interval_s,
+            seed=spec.seed,
+        ) as coordinator:
+            perf_reference.reference_lockstep_cycles(coordinator, fleet.cycles)
+            return coordinator.result()
+
     def test_depth_validation(self):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            FleetSpec.from_mapping(fleet_section(pipeline_depth=2))
+        with pytest.raises(ValueError, match="unknown fleet fields.*pipeline_depth"):
+            FleetSpec.from_mapping(fleet_section(pipeline_depth=1))
+        assert "pipeline_depth" not in FleetSpec.from_mapping(fleet_section()).to_dict()
 
-    def test_depth_zero_matches_seed_lockstep_loop(self):
-        # run_cycles at depth 0 must be exactly n back-to-back
-        # gather/decide/scatter cycles — the pre-pipelining loop.
-        fleet = FleetSpec.from_mapping(self.churny_section(pipeline_depth=0))
-        run = FleetCoordinator(fleet, seed=3)
-        stepped = FleetCoordinator(fleet, seed=3)
-        try:
-            run.run_cycles(fleet.cycles)
-            for _ in range(fleet.cycles):
-                stepped._one_cycle()
-            assert run.result().comparable() == stepped.result().comparable()
-        finally:
-            run.close()
-            stepped.close()
-
-    def test_depth_one_delays_decisions_one_boundary(self):
+    def test_depth_one_delays_decisions_one_boundary(self, perf_reference):
         spec = ScenarioSpec(
             name="fleet-stale",
             controller="static",
             fleet=self.churny_section(),
             seed=11,
         )
-        d0 = run_fleet(spec, pipeline_depth=0)
-        d1 = run_fleet(spec, pipeline_depth=1)
+        d0 = self.lockstep(perf_reference, spec)
+        d1 = run_fleet(spec)
         cycle0_arrivals = [
             c for c in d0.churn if c["cycle"] == 0 and c["event"] == "arrival"
         ]
         assert cycle0_arrivals  # guard: this seed must actually admit chains
-        # Both depths admit the same chains (the plan is a pure function
-        # of cycle 0's reports, identical in both runs) ...
+        # Both schedules admit the same chains (the plan is a pure
+        # function of cycle 0's reports, identical in both runs) ...
         assert [c["chain"] for c in cycle0_arrivals] == [
             c["chain"]
             for c in d1.churn
             if c["cycle"] == 0 and c["event"] == "arrival"
         ]
-        # ... but with sync_every=2, depth 0 deploys them before
-        # interval 2 while depth 1 applies the same plan one boundary
-        # later, so the admitted chains only step from interval 4 on.
+        # ... but with sync_every=2, lockstep deploys them before
+        # interval 2 while the pipeline applies the same plan one
+        # boundary later, so the admitted chains only step from
+        # interval 4 on.
         assert d0.intervals[2]["chains"] > d1.intervals[2]["chains"]
         assert d0.intervals[0]["chains"] == d1.intervals[0]["chains"]
 
     @pytest.mark.fleet_mp
-    def test_depth_zero_bit_identical_across_backends(self):
-        # The depth-1 cross-backend differential is
-        # test_process_run_bit_identical_to_local (depth 1 is the
-        # default); this pins the lockstep path too.
+    def test_depth_zero_bit_identical_across_backends(self, perf_reference):
+        # The pipelined cross-backend differential is
+        # test_process_run_bit_identical_to_local; this pins the
+        # lockstep reference driving either backend's handles too.
         spec = ScenarioSpec(
             name="fleet-diff-d0",
             controller="static",
-            fleet=self.churny_section(pipeline_depth=0),
+            fleet=self.churny_section(),
             seed=9,
         )
-        local = run_fleet(spec, backend="local")
-        proc = run_fleet(spec, backend="process")
+        local = self.lockstep(perf_reference, spec, "local")
+        proc = self.lockstep(perf_reference, spec, "process")
         assert proc.comparable() == local.comparable()
 
 
@@ -686,6 +708,19 @@ class TestFleetCli:
 
         assert main(["fleet", "baseline"]) == 2
         assert "no fleet section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, options",
+        [("--placement", tuple(PLACEMENTS.names())), ("--backend", BACKENDS)],
+    )
+    def test_unknown_choice_exits_2_naming_options(self, flag, options, capsys):
+        from repro.__main__ import main
+
+        assert main(["fleet", "fleet-small", flag, "ghost"]) == 2
+        err = capsys.readouterr().err
+        assert "'ghost'" in err
+        for name in options:
+            assert name in err
 
     def test_list_shows_fleet_presets(self, capsys):
         from repro.__main__ import main
