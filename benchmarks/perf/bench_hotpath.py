@@ -653,7 +653,7 @@ def check_against(result: dict, baseline: dict, max_slowdown: float) -> list[str
             and speedup < CRITERION_TOLERANCE * criterion
         ):
             problems.append(
-                f"{name}: speedup {speedup:.2f}x below the {criterion:.0f}x criterion"
+                f"{name}: speedup {speedup:.2f}x below the {criterion:g}x criterion"
             )
         max_overhead = bench.get("criterion_max_overhead_pct")
         overhead = bench.get("overhead_pct")

@@ -721,6 +721,42 @@ def reference_lockstep_cycles(coordinator, n: int) -> None:
         coordinator._apply_cycle(plan)
 
 
+# -- fleet: per-key workload draws ---------------------------------------------
+
+
+def reference_offered(workload, seed: int, chain_name: str, index: int, dt_s: float):
+    """One chain's offered pps at one interval, drawn per key.
+
+    The pre-block body of ``WorkloadConfig.offered``: a fresh
+    ``SeedSequence``-seeded generator for the load, and one more for
+    every start interval in the trailing flash-crowd window.  Each entry
+    of the block ``offered`` returns must equal this at 0 ulp.
+    """
+    from repro.fleet.workload import interval_stream
+    from repro.traffic.generators import ConstantRateGenerator, DiurnalGenerator
+
+    if workload.profile == "diurnal":
+        base = DiurnalGenerator(
+            peak_rate_pps=workload.peak_rate_pps,
+            trough_fraction=workload.trough_fraction,
+            period_s=workload.period_s,
+            noise_std=workload.noise_std,
+        )
+    else:
+        base = ConstantRateGenerator(workload.peak_rate_pps)
+    rng = interval_stream(seed, f"fleet/load/{chain_name}", index)
+    rate = base.rate_at(index * dt_s, dt_s, rng)
+    flash = workload.flash
+    multiplier = 1.0
+    if flash.probability > 0.0:
+        for start in range(max(0, index - flash.duration_intervals + 1), index + 1):
+            rng = interval_stream(seed, f"fleet/flash/{chain_name}", start)
+            if rng.random() < flash.probability:
+                multiplier = flash.multiplier
+                break
+    return float(rate * multiplier)
+
+
 # -- fleet: per-pair scalar routing --------------------------------------------
 
 

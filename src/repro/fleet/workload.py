@@ -7,12 +7,24 @@ any RNG state carried inside a generator would have to be shipped along
 and replayed in exactly the same order for the run to stay reproducible.
 
 Instead, every stochastic input here is **counter-based**: the draw for
-chain ``c`` at global interval ``t`` comes from a fresh generator seeded
-on ``(experiment seed, stream name, t)`` via :func:`interval_stream`.  A
-chain's offered-load trajectory is therefore a pure function of the spec
-— independent of which shard hosts it, of its migration history, and of
-the worker count — which is what makes process-backed fleet runs
-bit-identical to the in-process reference.
+chain ``c`` at global interval ``t`` comes from the PCG64 stream that
+``SeedSequence(entropy=seed, spawn_key=(hash_name(stream name), t))``
+seeds (:func:`interval_stream`).  A chain's offered-load trajectory is
+therefore a pure function of the spec — independent of which shard hosts
+it, of its migration history, and of the worker count — which is what
+makes process-backed fleet runs bit-identical to the in-process
+reference.
+
+Building a ``SeedSequence`` per draw costs tens of microseconds, so
+:meth:`WorkloadConfig.offered` draws a shard run's whole
+``(chains, intervals)`` load block at once: :func:`interval_keys`
+re-derives numpy's seeding for the whole key array in uint32/uint64
+lanes, flash-crowd starts come from those states' first uniforms, and
+only the diurnal noise (numpy's ziggurat normal) still goes through a
+:class:`numpy.random.Generator`, one key at a time.  Every entry equals
+the per-key :func:`interval_stream` draw bit for bit.  Churn and the
+genetic placement draw once per coordinator cycle and keep
+:func:`interval_stream`.
 
 The load shapes themselves reuse :mod:`repro.traffic.generators`
 (:class:`~repro.traffic.generators.DiurnalGenerator` for the day/night
@@ -22,16 +34,22 @@ Poisson churn (chain arrival/departure) is drawn per coordinator cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.traffic.generators import ConstantRateGenerator, DiurnalGenerator
+from repro.traffic.generators import DiurnalGenerator
 from repro.utils.rng import hash_name
 
 #: Load profiles a fleet workload may use.
 PROFILES = ("constant", "diurnal")
+
+#: Largest interval index a counter-based key holds: numpy encodes a
+#: spawn-key entry below 2**32 as one uint32 word, and :func:`interval_keys`
+#: implements only that encoding.
+MAX_INTERVAL_INDEX = 2**32 - 1
 
 
 def interval_stream(seed: int, name: str, index: int) -> np.random.Generator:
@@ -49,6 +67,207 @@ def interval_stream(seed: int, name: str, index: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
+# -- counter-based keys as arrays -----------------------------------------------
+#
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes its entropy
+# words -- the seed's, then the spawn key's -- into a 4-word uint32 pool,
+# and PCG64 seeds its 128-bit LCG from the pool's generate_state(4,
+# uint64).  interval_keys runs the same arithmetic in uint32/uint64
+# lanes, one lane per key.
+
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+#: PCG64's 128-bit LCG multiplier, as 64-bit limbs.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _const_chain(const: int, mult: int, n: int) -> list[int]:
+    """``const * mult**j`` (mod 2**32) for ``j < n``: the hash constants
+    SeedSequence steps through, one per hash."""
+    out = []
+    for _ in range(n):
+        out.append(const)
+        const = (const * mult) & _M32
+    return out
+
+
+#: generate_state's hash constants: output word ``i`` is xored with
+#: entry ``i`` and multiplied by entry ``i + 1``.
+_STATE_CONSTS = np.array(_const_chain(_INIT_B, _MULT_B, 9), dtype=np.uint32)[:, None]
+
+
+def _seed_constants(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seed's share of every key: ``(pool, consts)``.
+
+    ``pool`` is SeedSequence's pool after the seed's entropy words, and
+    ``consts`` are the 13 hash constants the spawn words use next.  Both
+    depend on the seed alone, so they are computed here as Python ints.
+    """
+    words = [seed & _M32]
+    while seed >> 32 * len(words):
+        words.append((seed >> 32 * len(words)) & _M32)
+    # A spawn key follows, so the seed words are zero-padded to the pool.
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * _MULT_A) & _M32
+        value = (value * const) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _M32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return (
+        np.array(pool, dtype=np.uint32)[:, None],
+        np.array(_const_chain(const, _MULT_A, 13), dtype=np.uint32)[:, None],
+    )
+
+
+def _absorb(pool: np.ndarray, word: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Mix one spawn word into each pool word, hashing it afresh with the
+    next constant each time."""
+    hashed = (word ^ consts[:-1]) * consts[1:]
+    hashed ^= hashed >> 16
+    mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * hashed
+    return mixed ^ (mixed >> 16)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, from 32-bit halves."""
+    a_lo, a_hi = a & _M32, a >> 32
+    b_lo, b_hi = np.uint64(b & _M32), np.uint64(b >> 32)
+    cross_1, cross_2 = a_hi * b_lo, a_lo * b_hi
+    mid = ((a_lo * b_lo) >> 32) + (cross_1 & _M32) + (cross_2 & _M32)
+    return a_hi * b_hi + (cross_1 >> 32) + (cross_2 >> 32) + (mid >> 32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` (mod 2**128) in uint64 limbs."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's transition ``state * MULT + inc`` (mod 2**128)."""
+    prod_hi = (
+        _mulhi64(lo, _PCG_MULT_LO)
+        + lo * np.uint64(_PCG_MULT_HI)
+        + hi * np.uint64(_PCG_MULT_LO)
+    )
+    return _add128(prod_hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
+
+
+def interval_keys(seed: int, name_hashes, indices) -> tuple[np.ndarray, ...]:
+    """The PCG64 states of :func:`interval_stream`, for a key array at once.
+
+    ``name_hashes`` (:func:`~repro.utils.rng.hash_name` values) and
+    ``indices`` broadcast against each other.  Returns the uint64 limbs
+    ``(state_hi, state_lo, inc_hi, inc_lo)`` of
+    ``PCG64(SeedSequence(entropy=seed, spawn_key=(hash, index)))`` for
+    every key: numpy's ``bit_generator.state`` bit for bit.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    hashes, index = np.broadcast_arrays(
+        np.asarray(name_hashes, dtype=np.uint64), np.asarray(indices, dtype=np.int64)
+    )
+    if index.size and (index.min() < 0 or index.max() > MAX_INTERVAL_INDEX):
+        raise ValueError(
+            f"interval indices must be in [0, {MAX_INTERVAL_INDEX}], "
+            f"got [{index.min()}, {index.max()}]"
+        )
+    shape = hashes.shape
+    index = index.ravel().astype(np.uint32)
+    hash_lo = (hashes.ravel() & _M32).astype(np.uint32)
+    hash_hi = (hashes.ravel() >> 32).astype(np.uint32)
+    # SeedSequence encodes a hash below 2**32 as one word: the index is
+    # then the second spawn word, and there is no third.
+    two_words = hash_hi != 0
+    pool, consts = _seed_constants(seed)
+    pool = _absorb(pool, hash_lo, consts[0:5])
+    pool = _absorb(pool, np.where(two_words, hash_hi, index), consts[4:9])
+    pool = np.where(two_words, _absorb(pool, index, consts[8:13]), pool)
+    # generate_state(4, uint64): eight hashed words cycling over the pool,
+    # paired little-endian into (seed_hi, seed_lo, seq_hi, seq_lo).
+    words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_CONSTS[:-1]) * _STATE_CONSTS[1:]
+    words = (words ^ (words >> 16)).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << 32)
+    # PCG64 seeding: inc = 2 * seq + 1, then two LCG steps around the seed.
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    state_hi, state_lo = _lcg_step(
+        *_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo
+    )
+    return (
+        state_hi.reshape(shape),
+        state_lo.reshape(shape),
+        inc_hi.reshape(shape),
+        inc_lo.reshape(shape),
+    )
+
+
+def first_uniforms(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each key's first ``Generator.random()`` draw.
+
+    PCG64 steps its state and outputs the XSL-RR mix of the new state;
+    ``random()`` keeps the output's top 53 bits.
+    """
+    hi, lo = _lcg_step(*keys)
+    rot = hi >> 58
+    mixed = hi ^ lo
+    out = (mixed >> rot) | (mixed << ((64 - rot) & 63))
+    return (out >> 11) * 2.0**-53
+
+
+def first_normals(keys: tuple[np.ndarray, ...], scale: float) -> np.ndarray:
+    """Each key's first ``Generator.normal(0.0, scale)`` draw.
+
+    numpy's ziggurat normal is reachable only through a Generator, so
+    one generator takes on each key's state in turn: the one per-key
+    Python loop of a block draw.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
+    state_hi, state_lo, inc_hi, inc_lo = (limb.ravel().tolist() for limb in keys)
+    draws = []
+    for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        draws.append(gen.normal(0.0, scale))
+    return np.array(draws, dtype=np.float64).reshape(keys[0].shape)
+
+
+def _name_hashes(prefix: str, names: Sequence[str]) -> np.ndarray:
+    """The :func:`interval_stream` name hash of each ``prefix + name``."""
+    return np.array([hash_name(prefix + name) for name in names], dtype=np.uint64)
+
+
+def _require_finite(config: Any, *names: str) -> None:
+    """Reject NaN and infinite values, which the range checks let through."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlashCrowdConfig:
     """Sudden bounded load spikes on individual chains."""
@@ -59,6 +278,7 @@ class FlashCrowdConfig:
     duration_intervals: int = 4
 
     def __post_init__(self) -> None:
+        _require_finite(self, "multiplier")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("flash probability must be in [0, 1]")
         if self.multiplier < 1.0:
@@ -79,6 +299,7 @@ class ChurnConfig:
     max_chains: int = 256
 
     def __post_init__(self) -> None:
+        _require_finite(self, "arrivals_per_cycle")
         if self.arrivals_per_cycle < 0:
             raise ValueError("arrival rate must be >= 0")
         if not 0.0 <= self.departure_prob <= 1.0:
@@ -108,6 +329,7 @@ class WorkloadConfig:
             raise ValueError(
                 f"unknown workload profile {self.profile!r}; options: {PROFILES}"
             )
+        _require_finite(self, "peak_rate_pps", "period_s", "noise_std", "packet_bytes")
         if self.peak_rate_pps <= 0:
             raise ValueError("peak rate must be positive")
         if not 0.0 <= self.trough_fraction <= 1.0:
@@ -120,48 +342,70 @@ class WorkloadConfig:
             raise ValueError("packet size must be positive")
         if self.flow_group_size < 1:
             raise ValueError("flow_group_size must be >= 1")
-        # The base-shape generator is stateless (all randomness arrives
-        # through the per-call rng), so one instance serves every chain
-        # and interval; building it per draw would dominate the shard
-        # stepping hot loop.
-        object.__setattr__(self, "_base", self._base_generator())
 
-    # -- per-interval draws ------------------------------------------------
+    # -- offered load ------------------------------------------------------
 
-    def _base_generator(self):
+    def offered(
+        self, seed: int, names: Sequence[str], start: int, n: int, dt_s: float
+    ) -> np.ndarray:
+        """Offered pps of each chain in ``names`` over the global
+        intervals ``[start, start + n)``, as a ``(len(names), n)`` block.
+
+        Entry ``[c, k]`` is a pure function of ``(seed, names[c],
+        start + k)``: the diurnal level times ``1 + normal(0, noise_std)``
+        from the chain's ``fleet/load`` stream, clamped at 0, times the
+        flash-crowd factor.  Packets are ``packet_bytes`` long.
+        """
+        if start < 0:
+            raise ValueError(f"start interval must be >= 0, got {start}")
+        if n < 1:
+            raise ValueError(f"must draw at least one interval, got n={n}")
         if self.profile == "diurnal":
-            return DiurnalGenerator(
-                peak_rate_pps=self.peak_rate_pps,
-                trough_fraction=self.trough_fraction,
-                period_s=self.period_s,
-                noise_std=self.noise_std,
+            curve = DiurnalGenerator(
+                self.peak_rate_pps, self.trough_fraction, self.period_s
             )
-        return ConstantRateGenerator(self.peak_rate_pps)
+            peak_level = np.array(
+                [
+                    self.peak_rate_pps * curve.level(t * dt_s, dt_s)
+                    for t in range(start, start + n)
+                ]
+            )
+            keys = interval_keys(
+                seed,
+                _name_hashes("fleet/load/", names)[:, None],
+                np.arange(start, start + n),
+            )
+            rate = peak_level * (1.0 + first_normals(keys, self.noise_std))
+            # Python's max(0.0, x); np.maximum would keep a -0.0.
+            rate = np.where(rate > 0.0, rate, 0.0)
+        else:
+            rate = np.full((len(names), n), self.peak_rate_pps)
+        return rate * self._flash_factor(seed, names, start, n)
 
-    def flash_multiplier(self, seed: int, chain_name: str, index: int) -> float:
-        """The flash-crowd factor for one chain at one interval.
+    def _flash_factor(self, seed: int, names: Sequence[str], start: int, n: int):
+        """``multiplier`` where a flash crowd that started in the trailing
+        ``duration_intervals`` window is active, else 1.
 
-        A crowd that started at any interval in the trailing
-        ``duration_intervals`` window is still active; starts are
-        counter-based draws, so the factor is a pure function of the key.
+        Each (chain, start interval) is drawn once per block, from the
+        first uniform of the chain's ``fleet/flash`` stream.
         """
         cfg = self.flash
         if cfg.probability <= 0.0:
             return 1.0
-        for start in range(max(0, index - cfg.duration_intervals + 1), index + 1):
-            rng = interval_stream(seed, f"fleet/flash/{chain_name}", start)
-            if rng.random() < cfg.probability:
-                return cfg.multiplier
-        return 1.0
-
-    def offered(
-        self, seed: int, chain_name: str, index: int, dt_s: float
-    ) -> tuple[float, float]:
-        """Offered ``(pps, packet_bytes)`` for a chain at a global interval."""
-        rng = interval_stream(seed, f"fleet/load/{chain_name}", index)
-        rate = self._base.rate_at(index * dt_s, dt_s, rng)
-        rate *= self.flash_multiplier(seed, chain_name, index)
-        return float(rate), self.packet_bytes
+        window = cfg.duration_intervals
+        first = max(0, start - window + 1)
+        keys = interval_keys(
+            seed,
+            _name_hashes("fleet/flash/", names)[:, None],
+            np.arange(first, start + n),
+        )
+        # Running count of fired starts, aligned so that column k counts
+        # the starts before interval start - window + 1 + k.
+        fired = np.zeros((len(names), n + window), dtype=np.int64)
+        fired[:, first - start + window :] = first_uniforms(keys) < cfg.probability
+        fired = np.cumsum(fired, axis=1)
+        active = fired[:, window:] > fired[:, :n]
+        return np.where(active, cfg.multiplier, 1.0)
 
     # -- churn -------------------------------------------------------------
 

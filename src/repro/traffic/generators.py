@@ -167,15 +167,19 @@ class DiurnalGenerator:
         if self.noise_std < 0:
             raise ValueError("noise std must be non-negative")
 
-    def rate_at(self, t_s: float, dt_s: float, rng: RngLike = None) -> float:
-        """Mean-of-interval sinusoid with lognormal-ish noise."""
-        gen = as_generator(rng)
+    def level(self, t_s: float, dt_s: float) -> float:
+        """Noise-free load level in ``[trough_fraction, 1]`` at the
+        midpoint of the interval ``[t, t+dt)``."""
         mid = t_s + dt_s / 2.0
         phase = 2.0 * math.pi * (mid % self.period_s) / self.period_s
         lo = self.trough_fraction
-        level = lo + (1.0 - lo) * 0.5 * (1.0 - math.cos(phase))
+        return lo + (1.0 - lo) * 0.5 * (1.0 - math.cos(phase))
+
+    def rate_at(self, t_s: float, dt_s: float, rng: RngLike = None) -> float:
+        """Mean-of-interval sinusoid with lognormal-ish noise."""
+        gen = as_generator(rng)
         noise = 1.0 + gen.normal(0.0, self.noise_std)
-        return max(0.0, self.peak_rate_pps * level * noise)
+        return max(0.0, self.peak_rate_pps * self.level(t_s, dt_s) * noise)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from repro.fleet.placement import PLACEMENTS
 from repro.fleet.shard import ShardSim, kind_nfs
 from repro.fleet.spec import BACKENDS
 from repro.scenario import SCENARIOS, ScenarioSpec
+from repro.traffic.generators import DiurnalGenerator
 
 
 def small_workload(**overrides):
@@ -145,24 +146,54 @@ class TestWorkload:
 
     def test_offered_is_pure(self):
         wl = small_workload(noise_std=0.1)
-        assert wl.offered(3, "c0", 5, 1.0) == wl.offered(3, "c0", 5, 1.0)
-        assert wl.offered(3, "c0", 5, 1.0) != wl.offered(3, "c0", 6, 1.0)
+        block = wl.offered(3, ["c0"], 5, 2, 1.0)
+        assert np.array_equal(block, wl.offered(3, ["c0"], 5, 2, 1.0))
+        assert block[0, 0] != block[0, 1]
+        # A chain's row depends on neither its block-mates nor the run split.
+        assert np.array_equal(wl.offered(3, ["x", "c0"], 5, 2, 1.0)[1], block[0])
+        assert wl.offered(3, ["c0"], 6, 1, 1.0)[0, 0] == block[0, 1]
 
     def test_diurnal_shape(self):
         wl = small_workload(noise_std=0.0, trough_fraction=0.2, period_s=64.0)
-        trough = wl.offered(0, "c", 0, 1.0)[0]
-        peak = wl.offered(0, "c", 31, 1.0)[0]  # half period = peak
+        day = wl.offered(0, ["c"], 0, 32, 1.0)[0]
+        trough, peak = day[0], day[31]  # half period = peak
         assert peak > trough
         assert peak <= wl.peak_rate_pps
 
     def test_flash_crowd_window(self):
         wl = small_workload(
-            flash=FlashCrowdConfig(probability=1.0, multiplier=2.0, duration_intervals=3)
+            noise_std=0.0,
+            flash=FlashCrowdConfig(probability=1.0, multiplier=2.0, duration_intervals=3),
         )
+        calm = small_workload(noise_std=0.0)
         # probability 1: always flashing.
-        assert wl.flash_multiplier(0, "c", 10) == 2.0
-        calm = small_workload()
-        assert calm.flash_multiplier(0, "c", 10) == 1.0
+        flashing = wl.offered(0, ["c"], 10, 1, 1.0)[0, 0]
+        assert flashing / calm.offered(0, ["c"], 10, 1, 1.0)[0, 0] == 2.0
+        # No flash crowd: the noise-free diurnal rate, unscaled.
+        curve = DiurnalGenerator(
+            calm.peak_rate_pps,
+            trough_fraction=calm.trough_fraction,
+            period_s=calm.period_s,
+        )
+        assert calm.offered(0, ["c"], 10, 1, 1.0)[0, 0] == (
+            calm.peak_rate_pps * curve.level(10.0, 1.0)
+        )
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda v: WorkloadConfig(peak_rate_pps=v), "peak_rate_pps"),
+            (lambda v: WorkloadConfig(period_s=v), "period_s"),
+            (lambda v: WorkloadConfig(noise_std=v), "noise_std"),
+            (lambda v: WorkloadConfig(packet_bytes=v), "packet_bytes"),
+            (lambda v: FlashCrowdConfig(multiplier=v), "multiplier"),
+            (lambda v: ChurnConfig(arrivals_per_cycle=v), "arrivals_per_cycle"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_parameters(self, make, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make(value)
 
     def test_churn_events_deterministic_and_bounded(self):
         wl = small_workload(

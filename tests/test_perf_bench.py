@@ -74,6 +74,18 @@ class TestCheckAgainst:
         problems = bench_mod.check_against(bad, _result(), 2.0)
         assert any("cluster_grid" in p and "3x criterion" in p for p in problems)
 
+    def test_criterion_message_keeps_fractional_criterion(self, bench_mod):
+        # fleet_throughput's criterion is 1.5x; the message must not
+        # round it to "2x".
+        bad = _result()
+        bad["benches"]["fleet_throughput"] = {
+            "seconds": 0.1,
+            "speedup": 1.0,
+            "criterion_min_speedup": 1.5,
+        }
+        problems = bench_mod.check_against(bad, _result(), 2.0)
+        assert any("fleet_throughput" in p and "the 1.5x criterion" in p for p in problems)
+
     def test_criterion_has_noise_tolerance(self, bench_mod):
         near = _result(slice_speedup=2.0 * bench_mod.CRITERION_TOLERANCE + 0.01)
         assert bench_mod.check_against(near, _result(), 2.0) == []
