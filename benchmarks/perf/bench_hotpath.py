@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -101,6 +102,28 @@ def _best_of(fn, rounds: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def git_sha() -> str | None:
+    """The commit of the checkout this file sits in (None outside git)."""
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
 
 
 def calibrate(rounds: int = 3) -> float:
@@ -294,10 +317,7 @@ def bench_fleet_scale(quick: bool, rounds: int) -> dict:
         proc.close()
     n_chains = fleet.topology.total_chains
     intervals = cycles * fleet.sync_every
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     result = {
         "seconds": proc_s,
         "shards": fleet.topology.n_shards,
@@ -362,10 +382,7 @@ def bench_fleet_throughput(quick: bool, rounds: int) -> dict:
         lock.close()
     n_chains = fleet.topology.total_chains
     intervals = cycles * fleet.sync_every
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     result = {
         "seconds": pipe_s,
         "shards": fleet.topology.n_shards,
@@ -623,6 +640,8 @@ def run_suite(quick: bool = False, rounds: int = 3) -> dict:
         "format_version": FORMAT_VERSION,
         "mode": "quick" if quick else "full",
         "numpy": np.__version__,
+        "git_sha": git_sha(),
+        "cpus": usable_cpus(),
         "calibration_seconds": calibrate(),
         "benches": benches,
     }
@@ -685,12 +704,17 @@ def check_against(result: dict, baseline: dict, max_slowdown: float) -> list[str
     return problems
 
 
+#: Provenance every history record carries: what code, on what host.
+PROVENANCE = ("git_sha", "cpus", "numpy", "calibration_seconds")
+
+
 def history_record(result: dict, pr: str) -> dict:
-    """The compact per-PR trajectory record for ``BENCH_history.json``."""
+    """The compact per-PR trajectory record for ``BENCH_history.json``,
+    stamped with the run's :data:`PROVENANCE`."""
     return {
         "pr": pr,
         "mode": result.get("mode"),
-        "calibration_seconds": result.get("calibration_seconds"),
+        **{key: result.get(key) for key in PROVENANCE},
         "benches": {
             name: {
                 "seconds": bench["seconds"],

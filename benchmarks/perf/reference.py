@@ -721,6 +721,71 @@ def reference_lockstep_cycles(coordinator, n: int) -> None:
         coordinator._apply_cycle(plan)
 
 
+# -- fleet: per-interval shard run ---------------------------------------------
+
+
+def reference_shard_run(sim, start: int, n: int):
+    """A shard run stepped one interval at a time.
+
+    The pre-block body of ``ShardSim._run_inner``: one
+    ``ClusterKernel.step`` per interval (scalar fold on a configuration's
+    first sight, compile on its second), per-interval
+    ``TelemetrySample`` dicts, and the record totals folded in Python.
+    Advances ``sim`` exactly as ``sim.run(start, n)`` does; the block
+    path must match it at 0 ulp.  Totals use explicit ``+=`` folds
+    (the builtin ``sum`` compensates on Python >= 3.12).
+    """
+    from repro.fleet.shard import IntervalRecord, ShardReport
+
+    if n < 1:
+        raise ValueError("must run at least one interval")
+    if start != sim._interval:
+        raise ValueError(f"shard is at interval {sim._interval}, asked for {start}")
+    cfg = sim.config
+    dt = cfg.interval_s
+    names = list(sim._tickets)
+    pkt = sim.workload.packet_bytes
+    loads = sim.workload.offered(cfg.seed, names, start, n, dt).T.tolist()
+    records = []
+    for index, column in zip(range(start, start + n), loads):
+        offered = {name: (pps, pkt) for name, pps in zip(names, column)}
+        samples = sim.kernel.step(offered, dt)
+        energy = 0.0
+        for j, node in enumerate(sim.nodes):
+            delta = node.meter.total_joules - sim._node_energy[j]
+            sim._node_energy[j] = node.meter.total_joules
+            node_j = delta if node.chains else cfg.parked_power_w * dt
+            sim._last_node_power[j] = node_j / dt
+            energy += node_j
+        throughput = 0.0
+        violations = 0
+        for s in samples.values():
+            throughput += s.throughput_gbps
+            violations += 0 if sim.sla.satisfied(s) else 1
+        offered_total = 0.0
+        for pps in column:
+            offered_total += pps
+        records.append(
+            IntervalRecord(
+                index=index,
+                energy_j=energy,
+                throughput_gbps=throughput,
+                offered_pps=offered_total,
+                sla_violations=violations,
+                chains=len(samples),
+            )
+        )
+        sim._last_samples = samples
+        sim._interval += 1
+    chain_summaries = sim._chain_summaries()
+    return ShardReport(
+        shard=cfg.name,
+        intervals=tuple(records),
+        chains=tuple(chain_summaries),
+        nodes=tuple(sim._node_summaries(chain_summaries)),
+    )
+
+
 # -- fleet: per-key workload draws ---------------------------------------------
 
 

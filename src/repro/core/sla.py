@@ -20,6 +20,12 @@ SLAs produce comparable magnitudes for the learner.  A small negative
 slope on constraint violations (off by default strictness 1.0 = paper's
 zero-reward rule) is available because it measurably speeds convergence;
 the strictness knob is ablated in ``benchmarks/bench_ablation_knobs.py``.
+
+Every ``satisfied`` predicate is elementwise: handed one
+:class:`~repro.nfv.engine.TelemetrySample` it returns a Python ``bool``
+(the value lands in JSON ``info`` and run artifacts); handed a block
+whose fields are arrays (such as a cluster kernel's per-interval block
+telemetry) it returns the matching boolean array.
 """
 
 from __future__ import annotations
@@ -27,7 +33,16 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.nfv.engine import TelemetrySample
+
+
+def _outcome(ok):
+    """A Python ``bool`` for one sample, the boolean array for a block."""
+    if isinstance(ok, np.ndarray) and ok.ndim:
+        return ok
+    return bool(ok)
 
 
 @dataclass(frozen=True)
@@ -61,7 +76,7 @@ class SLA(abc.ABC):
 
     @abc.abstractmethod
     def satisfied(self, sample: TelemetrySample) -> bool:
-        """Whether the interval met the SLA's constraint."""
+        """Whether the interval met the SLA's constraint (elementwise)."""
 
     def describe(self) -> str:
         """Human-readable one-liner for reports."""
@@ -95,7 +110,7 @@ class MaxThroughputSLA(SLA):
 
     def satisfied(self, sample: TelemetrySample) -> bool:
         """E <= cap (scaled to the sample's interval length)."""
-        return sample.energy_j <= self.energy_cap_j * sample.dt_s
+        return _outcome(sample.energy_j <= self.energy_cap_j * sample.dt_s)
 
     def reward(self, sample: TelemetrySample) -> float:
         """Normalized throughput when within the cap, else <= 0."""
@@ -134,7 +149,7 @@ class MinEnergySLA(SLA):
 
     def satisfied(self, sample: TelemetrySample) -> bool:
         """T >= floor."""
-        return sample.throughput_gbps >= self.throughput_floor_gbps
+        return _outcome(sample.throughput_gbps >= self.throughput_floor_gbps)
 
     def reward(self, sample: TelemetrySample) -> float:
         """Energy head-room when the floor holds, else <= 0.
@@ -163,7 +178,7 @@ class EnergyEfficiencySLA(SLA):
 
     def satisfied(self, sample: TelemetrySample) -> bool:
         """The EE SLA has no hard constraint; it is always 'satisfied'."""
-        return True
+        return _outcome(np.full(np.shape(sample.energy_j), True))
 
     def reward(self, sample: TelemetrySample) -> float:
         """Normalized efficiency: (T/T_ref) / (E/E_ref)."""
@@ -211,7 +226,9 @@ class LatencySLA(SLA):
 
     def satisfied(self, sample: TelemetrySample) -> bool:
         """latency <= bound (and the chain actually forwarded traffic)."""
-        return sample.latency_s <= self.latency_bound_s and sample.achieved_pps > 0
+        return _outcome(
+            (sample.latency_s <= self.latency_bound_s) & (sample.achieved_pps > 0)
+        )
 
     def reward(self, sample: TelemetrySample) -> float:
         """Normalized throughput under the latency bound, else <= 0."""

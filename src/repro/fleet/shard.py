@@ -3,8 +3,9 @@
 A shard is one cluster of the fleet, simulated as a deterministic state
 machine driven by coordinator commands:
 
-* ``run(start, n)`` — advance ``n`` global control intervals, pricing
-  every hosted chain through the shard's fused cluster kernel, and
+* ``run(start, n)`` — advance ``n`` global control intervals as one
+  block through the shard's fused cluster kernel
+  (:meth:`~repro.nfv.cluster_kernel.ClusterKernel.step_block`), and
   return a :class:`ShardReport` summary (per-interval energy/SLA rows
   plus per-chain and per-node state for the coordinator's decisions);
 * ``deploy(ticket)`` / ``undeploy(name)`` — chain arrival, departure and
@@ -36,6 +37,8 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro import obs
 from repro.fleet.arena import (
     BANKS,
@@ -50,7 +53,7 @@ from repro.nfv.chain import (
     heavy_chain,
     light_chain,
 )
-from repro.nfv.cluster_kernel import ClusterKernel
+from repro.nfv.cluster_kernel import ClusterKernel, left_sums
 from repro.nfv.engine import bottleneck_utilization
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
@@ -325,41 +328,39 @@ class ShardSim:
         cfg = self.config
         dt = cfg.interval_s
         names = list(self._tickets)
-        pkt = self.workload.packet_bytes
-        loads = self.workload.offered(cfg.seed, names, start, n, dt).T.tolist()
-        records: list[IntervalRecord] = []
-        for index, column in zip(range(start, start + n), loads):
-            offered = {name: (pps, pkt) for name, pps in zip(names, column)}
-            samples = self.kernel.step(offered, dt)
-            # Node-level energy: meter deltas, so idle (but unvacated)
-            # nodes are billed; a node with no chains at all is parked
-            # and billed at the parked floor instead.
-            energy = 0.0
-            for j, node in enumerate(self.nodes):
-                delta = node.meter.total_joules - self._node_energy[j]
-                self._node_energy[j] = node.meter.total_joules
-                node_j = delta if node.chains else cfg.parked_power_w * dt
-                self._last_node_power[j] = node_j / dt
-                energy += node_j
-            throughput = sum(s.throughput_gbps for s in samples.values())
-            # A left-to-right fold in ticket order; np.sum's pairwise
-            # rounding would change the recorded totals.
-            offered_total = sum(column)
-            violations = sum(
-                0 if self.sla.satisfied(s) else 1 for s in samples.values()
+        loads = self.workload.offered(cfg.seed, names, start, n, dt)
+        block = self.kernel.step_block(names, loads, self.workload.packet_bytes, dt)
+        # Node-level energy: meter deltas, so idle (but unvacated) nodes
+        # are billed; a node with no chains at all is parked and billed
+        # at the parked floor instead.
+        totals = block.node_joules
+        hosting = np.asarray([bool(node.chains) for node in self.nodes])
+        node_j = np.where(
+            hosting,
+            totals - np.vstack([self._node_energy, totals[:-1]]),
+            cfg.parked_power_w * dt,
+        )
+        self._node_energy = totals[-1].tolist()
+        self._last_node_power = (node_j[-1] / dt).tolist()
+        # Left-to-right folds in node, row and ticket order; np.sum's
+        # pairwise rounding would change the recorded totals.
+        energy = left_sums(node_j).tolist()
+        throughput = left_sums(block.throughput_gbps).tolist()
+        offered = left_sums(loads.T).tolist()
+        violations = (~self.sla.satisfied(block)).sum(axis=1).tolist()
+        records = [
+            IntervalRecord(
+                index=start + i,
+                energy_j=energy[i],
+                throughput_gbps=throughput[i],
+                offered_pps=offered[i],
+                sla_violations=violations[i],
+                chains=len(block.samples),
             )
-            records.append(
-                IntervalRecord(
-                    index=index,
-                    energy_j=energy,
-                    throughput_gbps=throughput,
-                    offered_pps=offered_total,
-                    sla_violations=violations,
-                    chains=len(samples),
-                )
-            )
-            self._last_samples = samples
-            self._interval += 1
+            for i in range(n)
+        ]
+        self._last_samples = block.samples
+        self._interval += n
         chain_summaries = self._chain_summaries()
         return ShardReport(
             shard=cfg.name,

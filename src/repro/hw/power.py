@@ -27,6 +27,8 @@ paper's figures for the ~20 s measurement windows the experiments use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -257,3 +259,58 @@ class EnergyMeter:
         """Zero all accumulators."""
         self._total_j = self._total_s = self._total_packets = 0.0
         self._window_j = self._window_s = self._window_packets = 0.0
+
+
+def record_many(meters, power_w, dt_s: float, packets) -> np.ndarray:
+    """Integrate intervals into many :class:`EnergyMeter`\\ s at once.
+
+    ``power_w`` and ``packets`` hold one sample per meter, ``(M,)``, or
+    a block of n intervals, ``(n, M)``.  The result equals calling
+    ``meters[m].record(power_w[i, m], dt_s, packets[i, m])`` for every
+    interval in order — each accumulator is the same left-to-right sum
+    (``np.add.accumulate`` adds one row at a time) — while every meter
+    object is read and written once.  Returns each meter's total joules
+    after each interval, in the shape of ``power_w``.
+    """
+    meters = list(meters)
+    power = np.asarray(power_w, dtype=np.float64)
+    counts = np.asarray(packets, dtype=np.float64)
+    if (
+        power.ndim not in (1, 2)
+        or power.shape[-1:] != (len(meters),)
+        or counts.shape != power.shape
+    ):
+        raise ValueError("need one power and packet sample per meter")
+    if power.ndim == 1:
+        # One interval: a record call per meter beats the array round trip.
+        for m, watts, count in zip(meters, power.tolist(), counts.tolist()):
+            m.record(watts, dt_s, count)
+        return np.asarray([m._total_j for m in meters])
+    if dt_s < 0:
+        raise ValueError("dt must be non-negative")
+    if np.any(power < 0):
+        raise ValueError("power must be non-negative")
+    joules = power * dt_s
+    # Row 0 holds the meters' accumulators, rows 1..n the increments.
+    acc = np.empty((len(power) + 1, len(meters), 6))
+    acc[0] = np.fromiter(
+        chain.from_iterable(map(_meter_state, meters)), np.float64, 6 * len(meters)
+    ).reshape(len(meters), 6)
+    acc[1:, :, 0::3] = joules[..., None]
+    acc[1:, :, 1::3] = dt_s
+    acc[1:, :, 2::3] = counts[..., None]
+    np.add.accumulate(acc, axis=0, out=acc)
+    for m, (tj, ts, tp, wj, ws, wp) in zip(meters, acc[-1].tolist()):
+        m._total_j, m._total_s, m._total_packets = tj, ts, tp
+        m._window_j, m._window_s, m._window_packets = wj, ws, wp
+    return acc[1:, :, 0]
+
+
+_meter_state = attrgetter(
+    "_total_j",
+    "_total_s",
+    "_total_packets",
+    "_window_j",
+    "_window_s",
+    "_window_packets",
+)

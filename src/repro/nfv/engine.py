@@ -53,6 +53,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -522,6 +523,9 @@ class MultiChainTelemetry:
     own knob setting, offered load and packet size — the multi-chain
     node's per-interval workload.  Per-chain quantities have shape
     ``(R,)``; per-NF quantities ``(R, n_max)`` with padded lanes zeroed.
+    A block of n intervals puts a leading ``n`` axis on every
+    load-dependent quantity (``offered_pps`` through ``latency_s`` and
+    ``nf_utilization``).
     Row ``r``'s values match the scalar :meth:`PacketEngine.step` call
     for that chain to <= 1 ulp.  A grid plan's call carries the grid
     shapes instead (see :meth:`PacketEngine.step_batch`, which repacks
@@ -556,46 +560,57 @@ class MultiChainTelemetry:
         return efficiency_grid(self.throughput_gbps, self.energy_j)
 
     def samples(self) -> list[TelemetrySample]:
-        """All rows as :class:`TelemetrySample` objects.
+        """All rows as :class:`TelemetrySample` objects (of the last
+        interval, for a block of intervals).
 
         Converts each array to Python floats in one pass.  Per-NF rows
         come back as :class:`_LazyPerNF` sequences (equal to, and
         materializing into, the eager lists on first access): most
         consumers never read per-NF telemetry.
         """
-        offered = self.offered_pps.tolist()
-        achieved = self.achieved_pps.tolist()
+        # Index the interval axis of a block; one interval has none.
+        at = (-1,) if self.achieved_pps.ndim == 2 else ()
+        offered = self.offered_pps[at].tolist()
+        achieved = self.achieved_pps[at].tolist()
         pkt = self.packet_bytes.tolist()
-        thr = self.throughput_gbps.tolist()
-        miss_rate = self.llc_miss_rate_per_s.tolist()
-        cpu_util = self.cpu_utilization.tolist()
-        busy = self.cpu_cores_busy.tolist()
-        power = self.power_w.tolist()
-        energy = self.energy_j.tolist()
-        dropped = self.dropped_pps.tolist()
-        latency = self.latency_s.tolist()
+        thr = self.throughput_gbps[at].tolist()
+        miss_rate = self.llc_miss_rate_per_s[at].tolist()
+        cpu_util = self.cpu_utilization[at].tolist()
+        busy = self.cpu_cores_busy[at].tolist()
+        power = self.power_w[at].tolist()
+        energy = self.energy_j[at].tolist()
+        dropped = self.dropped_pps[at].tolist()
+        latency = self.latency_s[at].tolist()
         cpp = self.cycles_per_packet.tolist()
         rate = self.service_rate_pps.tolist()
-        util = self.nf_utilization.tolist()
+        util = self.nf_utilization[at].tolist()
         mpp = self.misses_per_packet.tolist()
+        per_nf = [
+            _LazyPerNF(profile.names, *nf_rows)
+            for profile, *nf_rows in zip(self.stack.profiles, cpp, rate, util, mpp)
+        ]
+        # Positional, in TelemetrySample's field order (dt_s, offered,
+        # achieved, packet bytes, throughput, LLC misses, CPU utilization,
+        # busy cores, power, energy, drops, latency, arrival rate, per-NF
+        # rows): a keyword call costs about three times as much.
         return [
-            TelemetrySample(
-                dt_s=self.dt_s,
-                offered_pps=offered[r],
-                achieved_pps=achieved[r],
-                packet_bytes=pkt[r],
-                throughput_gbps=thr[r],
-                llc_miss_rate_per_s=miss_rate[r],
-                cpu_utilization=cpu_util[r],
-                cpu_cores_busy=busy[r],
-                power_w=power[r],
-                energy_j=energy[r],
-                dropped_pps=dropped[r],
-                latency_s=latency[r],
-                arrival_rate_pps=offered[r],
-                per_nf=_LazyPerNF(profile.names, cpp[r], rate[r], util[r], mpp[r]),
+            TelemetrySample(*fields)
+            for fields in zip(
+                repeat(self.dt_s),
+                offered,
+                achieved,
+                pkt,
+                thr,
+                miss_rate,
+                cpu_util,
+                busy,
+                power,
+                energy,
+                dropped,
+                latency,
+                offered,
+                per_nf,
             )
-            for r, profile in enumerate(self.stack.profiles)
         ]
 
 
@@ -685,16 +700,21 @@ class ChainKernelPlan:
     ) -> MultiChainTelemetry:
         """Price offered loads through the plan.
 
-        A diagonal plan takes one offered rate per row; a grid plan
-        takes an ``(L, 1)`` load column.  Loads must be non-negative
-        (``inf`` is legal: the NIC line rate clamps it); NaN is rejected.
+        A diagonal plan takes one offered rate per row, ``(R,)``, or an
+        ``(n, R)`` block of n intervals priced at once (every output
+        gains the leading interval axis); a grid plan takes an
+        ``(L, 1)`` load column.  Loads must be non-negative (``inf`` is
+        legal: the NIC line rate clamps it); NaN is rejected.
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         offered = np.atleast_1d(np.asarray(offered_grid, dtype=np.float64))
         rows = self.chain_rate.shape
-        expected = rows if len(rows) == 1 else (offered.shape[0], 1)
-        if offered.shape != expected:
+        if len(rows) == 1:
+            shape_ok = offered.ndim <= 2 and offered.shape[-1:] == rows
+        else:
+            shape_ok = offered.shape == (offered.shape[0], 1)
+        if not shape_ok:
             raise ValueError("need one offered rate per plan row")
         if not np.all(offered >= 0):
             raise ValueError("offered rates must be non-negative")

@@ -232,9 +232,11 @@ class Node:
         cross-chain LLC contention; node power is then computed once
         from the union of busy cores and attributed to chains in
         proportion to the cycles they consumed.  This is the scalar fold
-        :class:`~repro.nfv.cluster_kernel.ClusterKernel` runs for a
-        configuration on first sight and replays bit-exactly over its
-        compiled plan afterwards.
+        :meth:`ClusterKernel.step <repro.nfv.cluster_kernel.ClusterKernel.step>`
+        runs for a one-interval configuration on first sight (a shard's
+        run of several intervals compiles at once instead), and the
+        kernel's compiled plan replays it bit-exactly.  Its sums are
+        left-to-right ``+=`` folds, the order the fused fold replays.
 
         Parameters
         ----------
@@ -299,13 +301,18 @@ class Node:
         # Node power: one Fan-model evaluation over the union of chains.
         power_w = self.engine.node_power(busy_cores_total, allocated_total, freq)
         energy_j = power_w * dt_s
-        self.meter.record(power_w, dt_s, sum(s.achieved_pps * dt_s for s in samples.values()))
+        packets = 0.0
+        for sample in samples.values():
+            packets += sample.achieved_pps * dt_s
+        self.meter.record(power_w, dt_s, packets)
 
         # Attribute power to chains by consumed cycles.
         weights = {
             name: max(s.cpu_cores_busy, 1e-9) for name, s in samples.items()
         }
-        wsum = sum(weights.values())
+        wsum = 0.0
+        for weight in weights.values():
+            wsum += weight
         for name, sample in samples.items():
             share = weights[name] / wsum if wsum > 0 else 1.0 / len(samples)
             sample.power_w = power_w * share

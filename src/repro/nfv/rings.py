@@ -15,6 +15,8 @@ references between them.  The simulator uses rings in two ways:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -144,15 +146,22 @@ class FluidRing:
         self.high_water = 0.0
 
 
+_ring_state = attrgetter("occupancy", "capacity_packets", "dropped", "high_water")
+
+
 def offer_many(rings, in_rates_pps, out_rates_pps, dt_s: float) -> np.ndarray:
-    """Advance many :class:`FluidRing`\\ s one interval in one array pass.
+    """Advance many :class:`FluidRing`\\ s in one array pass.
 
     Semantically ``[r.offer(i, o, dt_s) for r, i, o in zip(...)]`` — the
     same float operations evaluated elementwise, so occupancy, drops and
     high-water marks land bit-identically — but the integration runs as
     a handful of vectorized ops, which is what the cluster kernel uses
     to keep per-chain ring bookkeeping off the Python hot path.
-    Returns the forwarded rates, shape ``(R,)``.
+
+    Rates are ``(R,)`` for one interval, or ``(n, R)`` for n intervals
+    in order: each ring integrates them one after another, and every
+    ring object is written back once.  Returns the forwarded rates, in
+    the shape of the rates.
     """
     if dt_s <= 0:
         raise ValueError("dt must be positive")
@@ -161,23 +170,32 @@ def offer_many(rings, in_rates_pps, out_rates_pps, dt_s: float) -> np.ndarray:
     if np.any(in_rates < 0) or np.any(out_rates < 0):
         raise ValueError("rates must be non-negative")
     rings = list(rings)
-    if in_rates.shape != (len(rings),) or out_rates.shape != (len(rings),):
+    if (
+        in_rates.ndim not in (1, 2)
+        or in_rates.shape[-1:] != (len(rings),)
+        or out_rates.shape != in_rates.shape
+    ):
         raise ValueError("need one in/out rate per ring")
     if not rings:
-        return np.empty(0, dtype=np.float64)
-    occupancy = np.asarray([r.occupancy for r in rings], dtype=np.float64)
-    capacity = np.asarray([r.capacity_packets for r in rings], dtype=np.float64)
-    available = occupancy + in_rates * dt_s
-    served = np.minimum(out_rates * dt_s, available)
-    backlog = available - served
-    overflow = np.maximum(0.0, backlog - capacity)
-    backlog = np.minimum(backlog, capacity)
-    occ_list = backlog.tolist()
-    over_list = overflow.tolist()
-    for r, occ, over in zip(rings, occ_list, over_list):
-        if over > 0.0:
-            r.dropped += over
+        return np.empty(in_rates.shape, dtype=np.float64)
+    state = chain.from_iterable(map(_ring_state, rings))
+    occupancy, capacity, dropped, high_water = (
+        np.fromiter(state, np.float64, 4 * len(rings)).reshape(len(rings), 4).T
+    )
+    arriving = in_rates.reshape(-1, len(rings)) * dt_s
+    serviceable = out_rates.reshape(-1, len(rings)) * dt_s
+    served = np.empty_like(arriving)
+    for i in range(len(arriving)):  # each interval in order
+        available = occupancy + arriving[i]
+        served[i] = np.minimum(serviceable[i], available)
+        backlog = available - served[i]
+        dropped = dropped + np.maximum(0.0, backlog - capacity)
+        occupancy = np.minimum(backlog, capacity)
+        high_water = np.maximum(high_water, occupancy)
+    for r, occ, drop, high in zip(
+        rings, occupancy.tolist(), dropped.tolist(), high_water.tolist()
+    ):
         r.occupancy = occ
-        if occ > r.high_water:
-            r.high_water = occ
-    return served / dt_s
+        r.dropped = drop
+        r.high_water = high
+    return (served / dt_s).reshape(in_rates.shape)

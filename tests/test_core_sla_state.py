@@ -12,8 +12,10 @@ from repro.core.sla import (
     sla_from_name,
 )
 from repro.core.state import StateEncoder, StateScales
+from repro.nfv.cluster_kernel import BlockTelemetry
 from repro.nfv.engine import TelemetrySample
 from repro.nfv.knobs import KnobSettings
+from repro.scenario.catalog import SLAS
 
 
 def sample(throughput=5.0, energy=50.0, util=0.5, arrival=5e5, dt=1.0):
@@ -104,6 +106,97 @@ class TestEnergyEfficiencySLA:
     def test_more_efficient_scores_higher(self):
         sla = EnergyEfficiencySLA()
         assert sla.reward(sample(8.0, 40.0)) > sla.reward(sample(8.0, 80.0))
+
+
+class TestElementwisePredicates:
+    """One ``satisfied`` serves a sample and a block of samples."""
+
+    BOUNDS = {
+        "max_throughput": {"energy_cap_j": 40.0},
+        "min_energy": {"throughput_floor_gbps": 4.0},
+        "energy_efficiency": {},
+        "latency": {"latency_bound_s": 1e-3},
+    }
+    DT = 0.5
+
+    def block(self, seed: int) -> BlockTelemetry:
+        rng = np.random.default_rng(seed)
+        shape = (6, 5)
+        energy = rng.uniform(0.0, 40.0, shape)
+        throughput = rng.uniform(0.0, 8.0, shape)
+        latency = rng.uniform(0.0, 2e-3, shape)
+        achieved = rng.uniform(0.0, 1e6, shape)
+        # The edges: each bound met exactly, and chains that forwarded
+        # nothing (one of them well inside the latency bound).
+        energy[0] = 40.0 * self.DT
+        throughput[1] = 4.0
+        latency[2] = 1e-3
+        achieved[3] = 0.0
+        latency[3, :2] = 5e-4
+        return BlockTelemetry(
+            dt_s=self.DT,
+            achieved_pps=achieved,
+            throughput_gbps=throughput,
+            energy_j=energy,
+            latency_s=latency,
+            node_joules=np.zeros((6, 1)),
+            samples={},
+        )
+
+    def sample_at(self, block: BlockTelemetry, i: int, r: int) -> TelemetrySample:
+        return TelemetrySample(
+            dt_s=block.dt_s,
+            offered_pps=float(block.achieved_pps[i, r]),
+            achieved_pps=float(block.achieved_pps[i, r]),
+            packet_bytes=1518.0,
+            throughput_gbps=float(block.throughput_gbps[i, r]),
+            llc_miss_rate_per_s=0.0,
+            cpu_utilization=0.5,
+            cpu_cores_busy=1.0,
+            power_w=float(block.energy_j[i, r]) / block.dt_s,
+            energy_j=float(block.energy_j[i, r]),
+            dropped_pps=0.0,
+            latency_s=float(block.latency_s[i, r]),
+            arrival_rate_pps=float(block.achieved_pps[i, r]),
+        )
+
+    def test_grid_covers_every_registered_sla(self):
+        assert set(SLAS.names()) == set(self.BOUNDS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_block_equals_per_sample(self, name, seed):
+        sla = SLAS.get(name)(**self.BOUNDS[name])
+        block = self.block(seed)
+        got = sla.satisfied(block)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == bool and got.shape == block.energy_j.shape
+        want = [
+            [sla.satisfied(self.sample_at(block, i, r)) for r in range(5)]
+            for i in range(6)
+        ]
+        # A sample gets a Python bool: it is written into JSON artifacts.
+        assert {type(v) for row in want for v in row} == {bool}
+        assert got.tolist() == want
+
+    def test_edges(self):
+        block = self.block(0)
+        energy_cap = SLAS.get("max_throughput")(energy_cap_j=40.0)
+        assert energy_cap.satisfied(block)[0].all()
+        floor = SLAS.get("min_energy")(throughput_floor_gbps=4.0)
+        assert floor.satisfied(block)[1].all()
+        latency = SLAS.get("latency")(latency_bound_s=1e-3).satisfied(block)
+        assert latency[2].tolist() == (block.achieved_pps[2] > 0).tolist()
+        assert not latency[3].any()
+        assert EnergyEfficiencySLA().satisfied(block).all()
+
+    def test_numpy_scalar_fields_still_give_a_python_bool(self):
+        s = sample()
+        s.energy_j = np.float64(s.energy_j)
+        s.throughput_gbps = np.float64(s.throughput_gbps)
+        s.latency_s = np.float64(s.latency_s)
+        for name, params in self.BOUNDS.items():
+            assert type(SLAS.get(name)(**params).satisfied(s)) is bool, name
 
 
 class TestFactory:

@@ -141,3 +141,33 @@ class TestCommittedBaseline:
                 # runs instead.
                 continue
             assert record["speedup"] >= minimum, name
+
+
+class TestHistoryRecord:
+    def test_record_carries_provenance(self, bench_mod):
+        result = _result()
+        result.update(numpy="2.4.6", git_sha="0" * 40, cpus=2)
+        record = bench_mod.history_record(result, "rev-b")
+        assert record["pr"] == "rev-b"
+        assert {key: record[key] for key in bench_mod.PROVENANCE} == {
+            "git_sha": "0" * 40,
+            "cpus": 2,
+            "numpy": "2.4.6",
+            "calibration_seconds": 0.05,
+        }
+        assert record["benches"]["cluster_grid"] == {"seconds": 0.1, "speedup": 8.0}
+
+    def test_appended_record_is_stamped(self, bench_mod, tmp_path):
+        result = _result()
+        result.update(
+            numpy="2.4.6", git_sha=bench_mod.git_sha(), cpus=bench_mod.usable_cpus()
+        )
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps([{"pr": "rev-a", "benches": {}}]))
+        records = bench_mod.append_history(path, result, "ci")
+        assert [r["pr"] for r in records] == ["rev-a", "ci"]
+        assert json.loads(path.read_text()) == records
+        stamped = records[-1]
+        assert stamped["cpus"] >= 1
+        sha = stamped["git_sha"]
+        assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)
