@@ -178,7 +178,8 @@ class EnergyEfficiencySLA(SLA):
 
     def satisfied(self, sample: TelemetrySample) -> bool:
         """The EE SLA has no hard constraint; it is always 'satisfied'."""
-        return _outcome(np.full(np.shape(sample.energy_j), True))
+        shape = getattr(sample.energy_j, "shape", ())
+        return np.ones(shape, dtype=bool) if shape else True
 
     def reward(self, sample: TelemetrySample) -> float:
         """Normalized efficiency: (T/T_ref) / (E/E_ref)."""

@@ -294,9 +294,12 @@ class TestBlockHelpers:
             want.append([r.total_joules for r in ref])
         assert totals.tolist() == want
         assert [vars(m) for m in meters] == [vars(r) for r in ref]
-        assert record_many(meters, power[0], 0.5, packets[0]).tolist() == [
-            m.total_joules for m in meters
-        ]
+        # One interval, (M,) in and out.
+        totals = record_many(meters, power[0], 0.5, packets[0])
+        for r, p, k in zip(ref, power[0].tolist(), packets[0].tolist()):
+            r.record(p, 0.5, k)
+        assert totals.tolist() == [r.total_joules for r in ref]
+        assert [vars(m) for m in meters] == [vars(r) for r in ref]
         with pytest.raises(ValueError):
             record_many(meters, -power, 0.5, packets)
 
