@@ -736,6 +736,7 @@ def reference_shard_run(sim, start: int, n: int):
     (the builtin ``sum`` compensates on Python >= 3.12).
     """
     from repro.fleet.shard import IntervalRecord, ShardReport
+    from repro.fleet.workload import stream_hashes
 
     if n < 1:
         raise ValueError("must run at least one interval")
@@ -745,7 +746,8 @@ def reference_shard_run(sim, start: int, n: int):
     dt = cfg.interval_s
     names = list(sim._tickets)
     pkt = sim.workload.packet_bytes
-    loads = sim.workload.offered(cfg.seed, names, start, n, dt).T.tolist()
+    hashes = stream_hashes(names)
+    loads = sim.workload.offered(cfg.seed, hashes, start, n, dt).T.tolist()
     records = []
     for index, column in zip(range(start, start + n), loads):
         offered = {name: (pps, pkt) for name, pps in zip(names, column)}

@@ -101,7 +101,7 @@ class LintConfig:
                 "RoutingTable.k_alternatives",
             ),
             "src/repro/fleet/placement.py": ("GeneticPlacement._fitness",),
-            "src/repro/fleet/workload.py": ("interval_keys",),
+            "src/repro/fleet/workload.py": ("interval_keys", "first_normals"),
         }
     )
 

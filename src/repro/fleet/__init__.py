@@ -56,6 +56,7 @@ from repro.fleet.workload import (
     FlashCrowdConfig,
     WorkloadConfig,
     interval_stream,
+    stream_hashes,
 )
 
 __all__ = [
@@ -88,4 +89,5 @@ __all__ = [
     "arena_layout_for",
     "interval_stream",
     "run_fleet",
+    "stream_hashes",
 ]

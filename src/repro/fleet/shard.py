@@ -58,7 +58,7 @@ from repro.nfv.engine import bottleneck_utilization
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 from repro.fleet.topology import CHAIN_KINDS
-from repro.fleet.workload import WorkloadConfig
+from repro.fleet.workload import WorkloadConfig, stream_hashes
 
 #: NF line-ups of the deployable chain presets, derived from the
 #: :mod:`repro.nfv.chain` factories so fleet chains can never silently
@@ -253,6 +253,8 @@ class ShardSim:
         ]
         self.kernel = ClusterKernel(self.nodes)
         self._tickets: dict[str, ChainTicket] = {}
+        #: Each hosted chain's (load, flash) stream hashes, from deploy.
+        self._stream_hashes: dict[str, np.ndarray] = {}
         self._interval = 0
         self._node_energy = [0.0] * config.n_nodes
         self._last_node_power = [0.0] * config.n_nodes
@@ -279,12 +281,14 @@ class ShardSim:
         knobs = KnobSettings(**dict(ticket.knobs)) if ticket.knobs else None
         self.nodes[ticket.node].deploy(chain, knobs)
         self._tickets[ticket.name] = ticket
+        self._stream_hashes[ticket.name] = stream_hashes([ticket.name])[0]
 
     def undeploy(self, name: str) -> ChainTicket:
         """Remove a chain; returns its ticket with the knobs that stuck."""
         if name not in self._tickets:
             raise KeyError(f"no chain {name!r} on shard {self.config.name!r}")
         ticket = self._tickets.pop(name)
+        del self._stream_hashes[name]
         node = self.nodes[ticket.node]
         applied = knobs_dict(node.chains[name].knobs)
         node.undeploy(name)
@@ -328,7 +332,10 @@ class ShardSim:
         cfg = self.config
         dt = cfg.interval_s
         names = list(self._tickets)
-        loads = self.workload.offered(cfg.seed, names, start, n, dt)
+        hashes = np.array(
+            [self._stream_hashes[name] for name in names], dtype=np.uint64
+        ).reshape(len(names), 2)
+        loads = self.workload.offered(cfg.seed, hashes, start, n, dt)
         block = self.kernel.step_block(names, loads, self.workload.packet_bytes, dt)
         # Node-level energy: meter deltas, so idle (but unvacated) nodes
         # are billed; a node with no chains at all is parked and billed

@@ -17,13 +17,16 @@ reference.
 
 Building a ``SeedSequence`` per draw costs tens of microseconds, so
 :meth:`WorkloadConfig.offered` draws a shard run's whole
-``(chains, intervals)`` load block at once: :func:`interval_keys`
-re-derives numpy's seeding for the whole key array in uint32/uint64
-lanes, flash-crowd starts come from those states' first uniforms, and
-only the diurnal noise (numpy's ziggurat normal) still goes through a
-:class:`numpy.random.Generator`, one key at a time.  Every entry equals
-the per-key :func:`interval_stream` draw bit for bit.  Churn and the
-genetic placement draw once per coordinator cycle and keep
+``(chains, intervals)`` load block at once, from stream-name hashes the
+shard computes when it deploys a chain (:func:`stream_hashes`):
+:func:`interval_keys` re-derives numpy's seeding for the whole key array
+in uint32/uint64 lanes, flash-crowd starts come from those states' first
+uniforms, and the diurnal noise is numpy's ziggurat normal run on their
+first outputs with numpy's own tables (:mod:`repro.fleet.ziggurat`).
+Only the keys that miss the ziggurat's one-output fast path, about 1.5%,
+go through a :class:`numpy.random.Generator`, one key at a time.  Every
+entry equals the per-key :func:`interval_stream` draw bit for bit.
+Churn and the genetic placement draw once per coordinator cycle and keep
 :func:`interval_stream`.
 
 The load shapes themselves reuse :mod:`repro.traffic.generators`
@@ -40,6 +43,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.fleet.ziggurat import KI, WI
 from repro.traffic.generators import DiurnalGenerator
 from repro.utils.rng import hash_name
 
@@ -220,29 +224,63 @@ def interval_keys(seed: int, name_hashes, indices) -> tuple[np.ndarray, ...]:
     )
 
 
-def first_uniforms(keys: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Each key's first ``Generator.random()`` draw.
-
-    PCG64 steps its state and outputs the XSL-RR mix of the new state;
-    ``random()`` keeps the output's top 53 bits.
-    """
+def _first_outputs(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each key's first 64-bit output: PCG64 steps its state and returns
+    the XSL-RR mix of the new state."""
     hi, lo = _lcg_step(*keys)
     rot = hi >> 58
     mixed = hi ^ lo
-    out = (mixed >> rot) | (mixed << ((64 - rot) & 63))
-    return (out >> 11) * 2.0**-53
+    return (mixed >> rot) | (mixed << ((64 - rot) & 63))
+
+
+def first_uniforms(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each key's first ``Generator.random()`` draw: the top 53 bits of
+    its first output."""
+    return (_first_outputs(keys) >> 11) * 2.0**-53
+
+
+# numpy's ziggurat (random_standard_normal in numpy/random/src/distributions/
+# distributions.c) splits one output r into a layer idx = r & 0xFF, a sign
+# (bit 8) and a magnitude rabs = (r >> 9) & (2**52 - 1).  Indexed by
+# r & 0x1FF, entry 256 + idx holds -wi[idx]: the sign bit picks the
+# negated weight, and rabs * -w is exactly -(rabs * w).
+_ZIG_W = np.array(WI + tuple(-w for w in WI))
+_ZIG_K = np.array(KI + KI, dtype=np.uint64)
 
 
 def first_normals(keys: tuple[np.ndarray, ...], scale: float) -> np.ndarray:
     """Each key's first ``Generator.normal(0.0, scale)`` draw.
 
-    numpy's ziggurat normal is reachable only through a Generator, so
-    one generator takes on each key's state in turn: the one per-key
-    Python loop of a block draw.
+    When the magnitude of the key's first output is below ``ki[idx]``,
+    numpy's standard normal is ``x = +-rabs * wi[idx]`` from that output
+    alone, and ``normal`` returns ``loc + scale * x``: that fast path runs
+    here in arrays.  The keys that miss it (about 1.5%: layer 0's tail,
+    the wedges, and all of layer 1, whose ``ki`` is 0) read further
+    outputs and go through :func:`_generator_normals`.  Every entry
+    equals numpy's draw bit for bit.
+    """
+    r = _first_outputs(keys)
+    signed_layer = (r & 0x1FF).astype(np.intp)
+    rabs = (r >> 9) & (2**52 - 1)
+    # numpy's loc + scale * x with loc 0.0, which turns a -0.0 into 0.0.
+    out = 0.0 + scale * (rabs.astype(np.float64) * _ZIG_W[signed_layer])
+    slow = rabs >= _ZIG_K[signed_layer]
+    if slow.any():
+        out[slow] = _generator_normals(keys, slow, scale)
+    return out
+
+
+def _generator_normals(
+    keys: tuple[np.ndarray, ...], mask: np.ndarray, scale: float
+) -> list[float]:
+    """``Generator.normal(0.0, scale)`` for the keys where ``mask`` is set.
+
+    numpy's ziggurat is reachable only through a Generator, so one
+    generator takes on each key's state in turn.
     """
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
-    state_hi, state_lo, inc_hi, inc_lo = (limb.ravel().tolist() for limb in keys)
+    state_hi, state_lo, inc_hi, inc_lo = (limb[mask].tolist() for limb in keys)
     draws = []
     for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
         bitgen.state = {
@@ -252,12 +290,23 @@ def first_normals(keys: tuple[np.ndarray, ...], scale: float) -> np.ndarray:
             "uinteger": 0,
         }
         draws.append(gen.normal(0.0, scale))
-    return np.array(draws, dtype=np.float64).reshape(keys[0].shape)
+    return draws
 
 
-def _name_hashes(prefix: str, names: Sequence[str]) -> np.ndarray:
-    """The :func:`interval_stream` name hash of each ``prefix + name``."""
-    return np.array([hash_name(prefix + name) for name in names], dtype=np.uint64)
+def stream_hashes(names: Sequence[str]) -> np.ndarray:
+    """Each chain's ``fleet/load/`` and ``fleet/flash/`` stream hashes.
+
+    One ``(load, flash)`` row per name, as the ``(len(names), 2)`` uint64
+    array :meth:`WorkloadConfig.offered` takes.  A shard hashes a chain's
+    names once, when it deploys the chain.
+    """
+    return np.array(
+        [
+            (hash_name("fleet/load/" + name), hash_name("fleet/flash/" + name))
+            for name in names
+        ],
+        dtype=np.uint64,
+    ).reshape(len(names), 2)
 
 
 def _require_finite(config: Any, *names: str) -> None:
@@ -346,15 +395,19 @@ class WorkloadConfig:
     # -- offered load ------------------------------------------------------
 
     def offered(
-        self, seed: int, names: Sequence[str], start: int, n: int, dt_s: float
+        self, seed: int, hashes: np.ndarray, start: int, n: int, dt_s: float
     ) -> np.ndarray:
-        """Offered pps of each chain in ``names`` over the global
-        intervals ``[start, start + n)``, as a ``(len(names), n)`` block.
+        """Offered pps of each chain over the global intervals
+        ``[start, start + n)``, as a ``(chains, n)`` block.
 
-        Entry ``[c, k]`` is a pure function of ``(seed, names[c],
-        start + k)``: the diurnal level times ``1 + normal(0, noise_std)``
-        from the chain's ``fleet/load`` stream, clamped at 0, times the
-        flash-crowd factor.  Packets are ``packet_bytes`` long.
+        ``hashes`` holds one ``(load, flash)`` row of stream hashes per
+        chain (:func:`stream_hashes`).  Entry ``[c, k]`` is a pure function
+        of ``(seed, hashes[c], start + k)``: the diurnal level times
+        ``1 + normal(0, noise_std)`` from the chain's ``fleet/load``
+        stream, clamped at 0, times the flash-crowd factor.  Packets are
+        ``packet_bytes`` long.  The noise is drawn in arrays
+        (:func:`first_normals`); only the keys off the ziggurat's fast
+        path take a Generator each.
         """
         if start < 0:
             raise ValueError(f"start interval must be >= 0, got {start}")
@@ -370,38 +423,31 @@ class WorkloadConfig:
                     for t in range(start, start + n)
                 ]
             )
-            keys = interval_keys(
-                seed,
-                _name_hashes("fleet/load/", names)[:, None],
-                np.arange(start, start + n),
-            )
+            keys = interval_keys(seed, hashes[:, :1], np.arange(start, start + n))
             rate = peak_level * (1.0 + first_normals(keys, self.noise_std))
             # Python's max(0.0, x); np.maximum would keep a -0.0.
             rate = np.where(rate > 0.0, rate, 0.0)
         else:
-            rate = np.full((len(names), n), self.peak_rate_pps)
-        return rate * self._flash_factor(seed, names, start, n)
+            rate = np.full((len(hashes), n), self.peak_rate_pps)
+        return rate * self._flash_factor(seed, hashes[:, 1:], start, n)
 
-    def _flash_factor(self, seed: int, names: Sequence[str], start: int, n: int):
+    def _flash_factor(self, seed: int, flash_hashes: np.ndarray, start: int, n: int):
         """``multiplier`` where a flash crowd that started in the trailing
         ``duration_intervals`` window is active, else 1.
 
         Each (chain, start interval) is drawn once per block, from the
-        first uniform of the chain's ``fleet/flash`` stream.
+        first uniform of the chain's ``fleet/flash`` stream
+        (``flash_hashes`` is a ``(chains, 1)`` column).
         """
         cfg = self.flash
         if cfg.probability <= 0.0:
             return 1.0
         window = cfg.duration_intervals
         first = max(0, start - window + 1)
-        keys = interval_keys(
-            seed,
-            _name_hashes("fleet/flash/", names)[:, None],
-            np.arange(first, start + n),
-        )
+        keys = interval_keys(seed, flash_hashes, np.arange(first, start + n))
         # Running count of fired starts, aligned so that column k counts
         # the starts before interval start - window + 1 + k.
-        fired = np.zeros((len(names), n + window), dtype=np.int64)
+        fired = np.zeros((len(flash_hashes), n + window), dtype=np.int64)
         fired[:, first - start + window :] = first_uniforms(keys) < cfg.probability
         fired = np.cumsum(fired, axis=1)
         active = fired[:, window:] > fired[:, :n]

@@ -25,6 +25,7 @@ from repro.fleet import (
     WorkloadConfig,
     interval_stream,
     run_fleet,
+    stream_hashes,
 )
 from repro.fleet.placement import PLACEMENTS
 from repro.fleet.shard import ShardSim, kind_nfs
@@ -146,16 +147,18 @@ class TestWorkload:
 
     def test_offered_is_pure(self):
         wl = small_workload(noise_std=0.1)
-        block = wl.offered(3, ["c0"], 5, 2, 1.0)
-        assert np.array_equal(block, wl.offered(3, ["c0"], 5, 2, 1.0))
+        c0 = stream_hashes(["c0"])
+        block = wl.offered(3, c0, 5, 2, 1.0)
+        assert np.array_equal(block, wl.offered(3, c0, 5, 2, 1.0))
         assert block[0, 0] != block[0, 1]
         # A chain's row depends on neither its block-mates nor the run split.
-        assert np.array_equal(wl.offered(3, ["x", "c0"], 5, 2, 1.0)[1], block[0])
-        assert wl.offered(3, ["c0"], 6, 1, 1.0)[0, 0] == block[0, 1]
+        pair = stream_hashes(["x", "c0"])
+        assert np.array_equal(wl.offered(3, pair, 5, 2, 1.0)[1], block[0])
+        assert wl.offered(3, c0, 6, 1, 1.0)[0, 0] == block[0, 1]
 
     def test_diurnal_shape(self):
         wl = small_workload(noise_std=0.0, trough_fraction=0.2, period_s=64.0)
-        day = wl.offered(0, ["c"], 0, 32, 1.0)[0]
+        day = wl.offered(0, stream_hashes(["c"]), 0, 32, 1.0)[0]
         trough, peak = day[0], day[31]  # half period = peak
         assert peak > trough
         assert peak <= wl.peak_rate_pps
@@ -166,16 +169,17 @@ class TestWorkload:
             flash=FlashCrowdConfig(probability=1.0, multiplier=2.0, duration_intervals=3),
         )
         calm = small_workload(noise_std=0.0)
+        c = stream_hashes(["c"])
         # probability 1: always flashing.
-        flashing = wl.offered(0, ["c"], 10, 1, 1.0)[0, 0]
-        assert flashing / calm.offered(0, ["c"], 10, 1, 1.0)[0, 0] == 2.0
+        flashing = wl.offered(0, c, 10, 1, 1.0)[0, 0]
+        assert flashing / calm.offered(0, c, 10, 1, 1.0)[0, 0] == 2.0
         # No flash crowd: the noise-free diurnal rate, unscaled.
         curve = DiurnalGenerator(
             calm.peak_rate_pps,
             trough_fraction=calm.trough_fraction,
             period_s=calm.period_s,
         )
-        assert calm.offered(0, ["c"], 10, 1, 1.0)[0, 0] == (
+        assert calm.offered(0, c, 10, 1, 1.0)[0, 0] == (
             calm.peak_rate_pps * curve.level(10.0, 1.0)
         )
 
@@ -307,11 +311,14 @@ class TestShardSim:
         sim.run(0, 1)
         ticket = sim.undeploy("s0-n0-c0")
         assert ticket.node == 0
+        # A chain's stream hashes come with its deploy and go with it.
+        assert sorted(sim._stream_hashes) == sim.chain_names
         assert set(ticket.knobs) == {
             "cpu_share", "cpu_freq_ghz", "llc_fraction", "dma_mb", "batch_size",
         }
         sim.deploy(ticket.with_node(1))
         assert sim.nodes[1].chains["s0-n0-c0"] is not None
+        assert sorted(sim._stream_hashes) == sim.chain_names
         with pytest.raises(ValueError, match="already"):
             sim.deploy(ticket)
         with pytest.raises(KeyError):
