@@ -237,7 +237,7 @@ def _cluster(n_nodes: int, n_chains: int) -> tuple:
 
 def bench_cluster_grid(quick: bool, rounds: int) -> dict:
     """An SDN/cluster interval: fused ClusterKernel vs. the per-node loop."""
-    from repro.nfv.cluster_kernel import ClusterKernel
+    from repro.nfv.cluster_kernel import ClusterKernel, one_interval
 
     n_nodes, n_chains = 8, 4
     n_steps = 30 if quick else 60
@@ -247,14 +247,14 @@ def bench_cluster_grid(quick: bool, rounds: int) -> dict:
     per_node_offered = [
         {name: offered[name] for name in node.chains} for node in loop_nodes
     ]
-    # Warm both sides: the kernel compiles its plan on the second sight.
+    # Warm both sides: the kernel compiles its plan on first sight.
     for _ in range(2):
-        kernel.step(offered)
+        kernel.step(*one_interval(offered))
         reference.reference_cluster_step(loop_nodes, per_node_offered)
 
     def fused():
         for _ in range(n_steps):
-            kernel.step(offered)
+            kernel.step(*one_interval(offered))
 
     def loop():
         for _ in range(n_steps):

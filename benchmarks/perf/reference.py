@@ -725,12 +725,12 @@ def reference_lockstep_cycles(coordinator, n: int) -> None:
 
 
 def reference_shard_run(sim, start: int, n: int):
-    """A shard run stepped one interval at a time.
+    """A shard run stepped one interval at a time, node by node.
 
-    The pre-block body of ``ShardSim._run_inner``: one
-    ``ClusterKernel.step`` per interval (scalar fold on a configuration's
-    first sight, compile on its second), per-interval
-    ``TelemetrySample`` dicts, and the record totals folded in Python.
+    The pre-block body of ``ShardSim._run_inner`` without the cluster
+    kernel: every interval is one :func:`reference_cluster_step` (each
+    node's scalar ``Node.step_all``), with per-interval
+    ``TelemetrySample`` dicts and the record totals folded in Python.
     Advances ``sim`` exactly as ``sim.run(start, n)`` does; the block
     path must match it at 0 ulp.  Totals use explicit ``+=`` folds
     (the builtin ``sum`` compensates on Python >= 3.12).
@@ -751,7 +751,11 @@ def reference_shard_run(sim, start: int, n: int):
     records = []
     for index, column in zip(range(start, start + n), loads):
         offered = {name: (pps, pkt) for name, pps in zip(names, column)}
-        samples = sim.kernel.step(offered, dt)
+        samples = reference_cluster_step(
+            sim.nodes,
+            [{name: offered[name] for name in node.chains} for node in sim.nodes],
+            dt,
+        )
         energy = 0.0
         for j, node in enumerate(sim.nodes):
             delta = node.meter.total_joules - sim._node_energy[j]

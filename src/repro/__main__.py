@@ -180,8 +180,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if packet_bytes is not None and len(packet_bytes) == 1:
         packet_bytes = packet_bytes[0]
     telemetry = scan_knob_grid(
-        spec, grid, offered_grid=args.loads, packet_bytes=packet_bytes,
-        jobs=args.jobs,
+        spec, grid, offered_grid=args.loads, packet_bytes=packet_bytes
     )
     payload = scan_report(
         spec, grid, telemetry, objective=args.objective, top=args.top,
@@ -389,12 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-delivery", type=float, default=0.5, metavar="FRAC",
         help="min_energy feasibility gate: required delivered fraction of "
              "the offered load (default 0.5, as in oracle-static)",
-    )
-    p_scan.add_argument(
-        "--jobs", type=int, default=None,
-        help="split the knob grid into this many chunks across worker "
-             "processes (for grids too large for one step_batch call); "
-             "results are bit-identical to a single-process scan",
     )
     p_scan.add_argument("--out", default=None, help="write the scan JSON here")
     p_scan.set_defaults(func=_cmd_scan)

@@ -84,10 +84,10 @@ class LintConfig:
         }
     )
     #: Methods (besides __init__/__post_init__/compile*) allowed to write
-    #: ``self`` state, per class.  ``ClusterKernel.step`` is the dispatch
-    #: that owns the plan-candidate / owner-table cache bookkeeping.
+    #: ``self`` state, per class.  None needs one: the plan cache is
+    #: written by ``ClusterKernel._compile`` alone.
     kernel_extra_write_methods: Mapping[str, tuple[str, ...]] = field(
-        default_factory=lambda: {"ClusterKernel": ("step",)}
+        default_factory=dict
     )
     #: Fused hot paths per module: Python-level loops here defeat the
     #: array-native discipline and must be vectorized (or carry a

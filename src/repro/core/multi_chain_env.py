@@ -144,14 +144,13 @@ class MultiChainEnv:
     def _aggregate(self, samples: dict[str, TelemetrySample]) -> TelemetrySample:
         """Fold per-chain telemetry into one Eq. 1/2-style aggregate.
 
-        Delegates to :func:`repro.nfv.engine.aggregate_samples`, so the
-        aggregate is identical whichever dispatch path (compiled plan or
-        scalar fallback) produced the interval's samples.
+        Delegates to :func:`repro.nfv.engine.aggregate_samples`, the
+        one Eq. 1/2 fold every stepping path shares.
         """
         return aggregate_samples([samples[c.name] for c in self.chains])
 
     def step(self, action: np.ndarray) -> MultiChainStep:
-        """Apply the joint action and run one interval via the kernel.
+        """Apply the joint action and run one interval.
 
         All chains' knob slices are handed to the controller together,
         so the node applies them and evaluates every chain in a single

@@ -235,7 +235,6 @@ class FleetCoordinator:
         counter = 0
         tickets: dict[str, list[ChainTicket]] = {s.name: [] for s in topo.shards}
         self._placement: dict[str, tuple[str, int]] = {}
-        self._meta: dict[str, ChainTicket] = {}
         for shard in topo.shards:
             for node in range(shard.nodes):
                 for slot in range(shard.chains_per_node):
@@ -248,7 +247,6 @@ class FleetCoordinator:
                     )
                     tickets[shard.name].append(ticket)
                     self._placement[name] = (shard.name, node)
-                    self._meta[name] = ticket
                     counter += 1
         self._dynamic: set[str] = set()
         self._arrivals_admitted = 0
@@ -475,7 +473,6 @@ class FleetCoordinator:
             self._placement.pop(name)
             self.handles[shard].undeploy(name)
             self._dynamic.discard(name)
-            self._meta.pop(name, None)
             self._churn_log.append(
                 {
                     "cycle": plan.cycle,
@@ -489,7 +486,6 @@ class FleetCoordinator:
         for shard, ticket in plan.arrivals:
             self.handles[shard].deploy(ticket)
             self._placement[ticket.name] = (shard, ticket.node)
-            self._meta[ticket.name] = ticket
             self._dynamic.add(ticket.name)
             self._arrivals_admitted += 1
             self._churn_log.append(
@@ -760,7 +756,6 @@ class FleetCoordinator:
             ticket = self.handles[src_shard].undeploy(move.chain)
             self.handles[dst_shard].deploy(ticket.with_node(dst_node))
             self._placement[move.chain] = (dst_shard, dst_node)
-            self._meta[move.chain] = ticket.with_node(dst_node)
             self._migration_energy_j += move.cost_j
             self._migrations.append(
                 {

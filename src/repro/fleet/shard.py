@@ -5,7 +5,8 @@ machine driven by coordinator commands:
 
 * ``run(start, n)`` — advance ``n`` global control intervals as one
   block through the shard's fused cluster kernel
-  (:meth:`~repro.nfv.cluster_kernel.ClusterKernel.step_block`), and
+  (:meth:`~repro.nfv.cluster_kernel.ClusterKernel.step`, which compiles
+  a configuration on first sight and prices the whole block), and
   return a :class:`ShardReport` summary (per-interval energy/SLA rows
   plus per-chain and per-node state for the coordinator's decisions);
 * ``deploy(ticket)`` / ``undeploy(name)`` — chain arrival, departure and
@@ -336,7 +337,7 @@ class ShardSim:
             [self._stream_hashes[name] for name in names], dtype=np.uint64
         ).reshape(len(names), 2)
         loads = self.workload.offered(cfg.seed, hashes, start, n, dt)
-        block = self.kernel.step_block(names, loads, self.workload.packet_bytes, dt)
+        block = self.kernel.step(names, loads, self.workload.packet_bytes, dt)
         # Node-level energy: meter deltas, so idle (but unvacated) nodes
         # are billed; a node with no chains at all is parked and billed
         # at the parked floor instead.

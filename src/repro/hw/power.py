@@ -262,33 +262,28 @@ class EnergyMeter:
 
 
 def record_many(meters, power_w, dt_s: float, packets) -> np.ndarray:
-    """Integrate intervals into many :class:`EnergyMeter`\\ s at once.
+    """Integrate a block of intervals into many :class:`EnergyMeter`\\ s.
 
-    ``power_w`` and ``packets`` hold one sample per meter, ``(M,)``, or
-    a block of n intervals, ``(n, M)``.  The result equals calling
+    ``power_w`` and ``packets`` are ``(n, M)``: n intervals of one
+    sample per meter.  The result equals calling
     ``meters[m].record(power_w[i, m], dt_s, packets[i, m])`` for every
     interval in order — each accumulator is the same left-to-right sum
     (``np.add.accumulate`` adds one row at a time) — while every meter
     object is read and written once.  Returns each meter's total joules
-    after each interval, in the shape of ``power_w``.
+    after each interval, ``(n, M)``.
     """
     meters = list(meters)
     power = np.asarray(power_w, dtype=np.float64)
     counts = np.asarray(packets, dtype=np.float64)
-    if (
-        power.ndim not in (1, 2)
-        or power.shape[-1:] != (len(meters),)
-        or counts.shape != power.shape
-    ):
-        raise ValueError("need one power and packet sample per meter")
-    if power.ndim == 1:
-        # One interval (every one-interval ClusterKernel.step): a record
-        # call per meter skips the array round trip below, which costs
-        # 25-35 us more per call at 8-32 meters on a 2-CPU x86-64 box
-        # and lowers cluster_grid's speedup from about 8.1x to 7.0x.
-        for m, watts, count in zip(meters, power.tolist(), counts.tolist()):
+    if power.ndim != 2 or power.shape[1] != len(meters) or counts.shape != power.shape:
+        raise ValueError("need an (intervals, meters) block of power and packets")
+    if len(power) == 1:
+        # One interval: a record call per meter skips the array round
+        # trip below, which costs 25-35 us more per call at 8-32 meters
+        # on a 2-CPU x86-64 box.
+        for m, watts, count in zip(meters, power[0].tolist(), counts[0].tolist()):
             m.record(watts, dt_s, count)
-        return np.asarray([m._total_j for m in meters])
+        return np.asarray([[m._total_j for m in meters]])
     if dt_s < 0:
         raise ValueError("dt must be non-negative")
     if np.any(power < 0):

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.hw.server import ServerSpec, testbed_cluster
 from repro.nfv.chain import ServiceChain, default_chain
-from repro.nfv.cluster_kernel import ClusterKernel
+from repro.nfv.cluster_kernel import ClusterKernel, one_interval
 from repro.nfv.controller import OnvmController
 from repro.nfv.engine import TelemetrySample
 from repro.nfv.node import Node
@@ -95,7 +95,7 @@ class Cluster:
             offered: dict[str, tuple[float, float]] = {}
             for ctrl in self.controllers:
                 offered.update(ctrl.draw_offered(dt))
-            samples = self.kernel.step(offered, dt)
+            samples = self.kernel.step(*one_interval(offered), dt).samples
             for ctrl in self.controllers:
                 sub = {name: samples[name] for name in ctrl.bindings}
                 ctrl.finish_interval(sub, dt)

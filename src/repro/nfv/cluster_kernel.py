@@ -7,24 +7,20 @@ single padded super-stack; its load-independent half compiles into one
 :class:`~repro.nfv.engine.ChainKernelPlan` per cluster-wide (knobs,
 deployment, frame sizes) generation, and a block of intervals is priced
 for all rows in one vectorized evaluation.  This kernel is the one place
-a diagonal plan is compiled and cached.  When it compiles depends on
-how many intervals the caller steps under one configuration:
+a diagonal plan is compiled and cached.
 
-* :meth:`ClusterKernel.step_block` — a fleet shard's run of n
-  intervals.  A run of n >= 2 reuses its configuration within itself,
-  so the plan compiles on first sight and every interval is fused;
-* :meth:`ClusterKernel.step` — one interval, the block's n = 1 case,
-  for the SDN controller, ``Cluster`` and ``MultiChainEnv``.  A
-  configuration on first sight runs each node's scalar
-  :meth:`~repro.nfv.node.Node.step_all` fold (cheaper than a compile
-  for knob-churning control loops that never revisit a setting), and
-  the plan compiles on second sight.  That rule is a heuristic, not a
-  measured split;
-* either way the plan then prices every interval until a
-  knob/deployment change (or new frame sizes) invalidates it;
-* nodes with incompatible hardware or engine calibration always take
-  the per-node path — the kernel only fuses physics it can prove is the
-  same.
+:meth:`ClusterKernel.step` is the only entry point: a fleet shard hands
+it a run of ``sync_every`` intervals, the SDN controller and ``Cluster``
+a block of one.  Every configuration compiles on first sight, and the
+plan then prices every interval until a knob/deployment change (or new
+frame sizes) invalidates it.  Measured for one interval on a 2-CPU
+x86-64 box, the per-node scalar fold costs 0.09-0.39 ms on clusters of
+at most 4 chains against a 0.49-0.62 ms compile, 2.2-2.3 ms at 8 nodes
+x 4 chains against 0.74-0.90 ms, and 8.7-9.7 ms at 32 x 4 against
+1.36-1.64 ms: a compile pays for itself from mid-sized clusters on,
+and costs a small one at most about 0.5 ms per configuration.  Nodes
+with incompatible hardware or engine calibration always take the
+per-node path — the kernel only fuses physics it can prove is the same.
 
 Node-level bookkeeping (one Fan-model power evaluation per node and
 interval, cycle-proportional power attribution, rx-ring and
@@ -61,6 +57,16 @@ def left_sums(terms, start=0.0) -> np.ndarray:
     acc[..., 0] = start
     acc[..., 1:] = terms
     return np.add.accumulate(acc, axis=-1)[..., -1]
+
+
+def one_interval(offered) -> tuple[list, np.ndarray, list]:
+    """``{name: (pps, packet_bytes)}`` as :meth:`ClusterKernel.step`'s
+    ``(names, loads, packet_bytes)`` for a block of one interval."""
+    return (
+        list(offered),
+        np.array([pps for pps, _ in offered.values()]).reshape(-1, 1),
+        [pkt for _, pkt in offered.values()],
+    )
 
 
 def engines_compatible(nodes) -> bool:
@@ -134,7 +140,7 @@ class _FusedMeta:
 
 @dataclass
 class BlockTelemetry:
-    """Per-interval telemetry of one :meth:`ClusterKernel.step_block` call.
+    """Per-interval telemetry of one :meth:`ClusterKernel.step` call.
 
     Row arrays are ``(n, R)``, one row per interval and one column per
     hosted chain in the kernel's row order (node by node, deployment
@@ -156,14 +162,12 @@ class BlockTelemetry:
 class ClusterKernel:
     """Steps a fixed set of nodes through one fused kernel pass.
 
-    Owns the one compiled-plan cache.  ``step`` is a drop-in
-    replacement for looping ``node.step_all`` over the nodes: it takes
-    the union of the nodes' offered traffic (chain names are unique
-    across a cluster) and returns the union of their telemetry, with
-    identical node-side effects (knob application, CAT repartitioning,
-    rings, meters, ``last_sample``).  ``step_block`` advances the same
-    state n intervals in one call and returns their per-interval
-    arrays.
+    Owns the one compiled-plan cache.  ``step`` replaces n rounds of
+    looping ``node.step_all`` over the nodes: it takes the union of the
+    nodes' offered traffic (chain names are unique across a cluster)
+    for a block of n intervals and returns their per-interval arrays
+    plus the last interval's telemetry, with identical node-side
+    effects (rings, meters, ``last_sample``).
     """
 
     def __init__(self, nodes):
@@ -177,132 +181,75 @@ class ClusterKernel:
         self._fusable = engines_compatible(self.nodes)
         self._plan: ChainKernelPlan | None = None
         self._plan_key: tuple | None = None
-        self._plan_candidate: tuple | None = None
         self._plan_meta: _FusedMeta | None = None
-        self._owners_gens: tuple | None = None
-        self._owners: dict[str, Node] = {}
 
     # -- dispatch ----------------------------------------------------------
 
-    def step(
-        self,
-        offered: dict[str, tuple[float, float]],
-        dt_s: float = 1.0,
-        *,
-        knobs: dict[str, KnobSettings] | None = None,
-    ) -> dict[str, TelemetrySample]:
-        """Advance every node one control interval in one kernel pass.
-
-        Parameters
-        ----------
-        offered:
-            Mapping chain name -> (offered_pps, packet_bytes) across the
-            whole cluster; chains without an entry idle at (0, 1518).
-        dt_s:
-            Interval length in seconds.
-        knobs:
-            Optional per-chain settings applied (clamped, repartitioned)
-            on the owning nodes before the interval runs.
-
-        Every chain name is checked before any knob is applied, so a
-        call that raises ``KeyError`` leaves every node unchanged.
-        Returns the union of per-chain telemetry over all nodes.
-        """
-        if dt_s <= 0:
-            raise ValueError("dt must be positive")
-        gens = tuple(node._config_gen for node in self.nodes)
-        if self._owners_gens != gens:
-            self._owners = {
-                name: node for node in self.nodes for name in node.chains
-            }
-            self._owners_gens = gens
-        owners = self._owners
-        for name in knobs or ():
-            if name not in owners:
-                raise KeyError(f"no chain {name!r} on this cluster")
-        unknown = set(offered) - owners.keys()
-        if unknown:
-            raise KeyError(f"offered traffic for unknown chains: {sorted(unknown)}")
-        if knobs:
-            for name, settings in knobs.items():
-                owners[name].apply_knobs(name, settings)
-            gens = tuple(node._config_gen for node in self.nodes)
-            self._owners_gens = gens
-
-        # Flat load/frame columns in node-major deployment order (the
-        # exact per-node ordering step_all uses).
-        all_loads: list[float] = []
-        all_pkts: list[float] = []
-        for node in self.nodes:
-            for name in node.chains:
-                pps, pkt = offered.get(name, (0.0, 1518.0))
-                all_loads.append(pps)
-                all_pkts.append(pkt)
-        if self._compile_on_reuse((gens, tuple(all_pkts)), 1):
-            return self._step_fused(all_loads, dt_s).samples
-        return self._step_per_node(offered, dt_s)
-
-    def step_block(
-        self, names, loads, packet_bytes: float, dt_s: float = 1.0
-    ) -> BlockTelemetry:
+    def step(self, names, loads, packet_bytes, dt_s: float = 1.0) -> BlockTelemetry:
         """Advance every node n intervals under the current configuration.
 
         Parameters
         ----------
         names:
             Chain names, one per row of ``loads``; hosted chains not
-            named idle at (0, 1518), as in :meth:`step`.
+            named idle at (0, 1518).
         loads:
             ``(len(names), n)`` offered pps, one column per interval.
         packet_bytes:
-            Frame size of every named chain.
+            One frame size for every named chain, or one per name.
         dt_s:
             Interval length in seconds.
 
-        The intervals run in order with :meth:`step`'s arithmetic, so
-        the state and the last interval's samples equal n ``step``
-        calls, except for when the plan compiles: a block of n >= 2
-        intervals compiles on first sight, one interval keeps
-        :meth:`step`'s rule.  Returns the per-interval arrays.
+        Every argument is checked before any state changes: unknown or
+        duplicate names, NaN or negative loads and frame sizes that are
+        not finite and positive all raise.  The intervals run in order
+        with ``step_all``'s arithmetic, so the state and the last
+        interval's samples equal n per-node ``step_all`` loops.  Returns
+        the per-interval arrays.
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         loads = np.asarray(loads, dtype=np.float64)
         if loads.ndim != 2 or loads.shape[0] != len(names) or loads.shape[1] < 1:
             raise ValueError("need a (chains, intervals >= 1) load block")
+        if not (loads >= 0).all():
+            raise ValueError("offered rates must be non-negative")
+        pkts = np.asarray(packet_bytes, dtype=np.float64)
+        if pkts.ndim and pkts.shape != (len(names),):
+            raise ValueError("need one frame size, or one per chain name")
+        pad = pkts.tolist() if pkts.ndim else [pkts.item()] * len(names)
+        if not all(0 < p < np.inf for p in set(pad)):
+            raise ValueError("frame sizes must be finite and positive")
         column = {name: i for i, name in enumerate(names)}
         if len(column) != len(names):
             raise ValueError("duplicate chain names in the load block")
         rows = [name for node in self.nodes for name in node.chains]
-        unknown = column.keys() - set(rows)
-        if unknown:
-            raise KeyError(f"offered traffic for unknown chains: {sorted(unknown)}")
-        key = (
-            tuple(node._config_gen for node in self.nodes),
-            tuple([packet_bytes if name in column else 1518.0 for name in rows]),
-        )
-        cols = [column.get(name, len(names)) for name in rows]
+        # Each row's column; unnamed rows read the idle pad after the
+        # last, and the names left in ``column`` are hosted nowhere.
+        cols = [column.pop(name, len(names)) for name in rows]
+        if column:
+            raise KeyError(f"offered traffic for unknown chains: {sorted(column)}")
+        pad.append(1518.0)
+        row_pkts = tuple([pad[c] for c in cols])
         n = loads.shape[1]
         row_loads = np.ascontiguousarray(
             np.concatenate([loads, np.zeros((1, n))])[cols].T
         )
-        if self._compile_on_reuse(key, n):
+        if self._fuse((tuple(node._config_gen for node in self.nodes), row_pkts), n):
             return self._step_fused(row_loads, dt_s)
-        return self._block_per_node(rows, row_loads, key[1], dt_s)
+        return self._block_per_node(rows, row_loads, row_pkts, dt_s)
 
-    def _compile_on_reuse(self, key, n: int) -> bool:
+    def _fuse(self, key, n: int) -> bool:
         """Plan-cache dispatch for n intervals under configuration ``key``.
 
-        Returns whether the fused plan prices them, compiling it first
-        when the configuration is reused: on its second sight, or at
-        once for a block of n >= 2 intervals, which reuses it within
-        itself.  One interval on first sight takes the scalar per-node
-        fold instead.
+        Returns whether the fused plan prices them, compiling it on a
+        configuration's first sight; mismatched hardware (or no hosted
+        chain) takes the per-node path instead.
 
         Cross-chain contention derives from (generation, frame sizes),
         so the cache keys on exactly those.  This dispatch (not the
         fused fold) is the sanctioned instrumentation point: every
-        interval counts as one plan-cache lookup (``hit``, ``miss`` or
+        interval counts as one plan-cache lookup (``hit`` or
         ``fallback``; a compile counts as ``promote`` and the rest of
         its block as hits), and the compile runs in a span, while
         ``_step_fused`` stays observation-free (KRN002 hot path).
@@ -315,39 +262,28 @@ class ClusterKernel:
             if obs._ENABLED:
                 obs.inc("kernel/plan_cache/hit", n)
             return True
-        if self._plan_candidate == key or n > 1:
-            if obs._ENABLED:
-                obs.inc("kernel/plan_cache/promote")
-                if n > 1:
-                    obs.inc("kernel/plan_cache/hit", n - 1)
-                with obs.span("kernel/compile", rows=len(key[1])):
-                    self._compile(key)
-            else:
-                self._compile(key)
-            return True
         if obs._ENABLED:
-            obs.inc("kernel/plan_cache/miss")
-        self._plan_candidate = key
-        return False
-
-    def _step_per_node(self, offered, dt_s) -> dict[str, TelemetrySample]:
-        """Cold path: each node steps through its own ``step_all``."""
-        samples: dict[str, TelemetrySample] = {}
-        for node in self.nodes:
-            node_offered = {
-                name: offered[name] for name in node.chains if name in offered
-            }
-            samples.update(node.step_all(node_offered, dt_s))
-        return samples
+            obs.inc("kernel/plan_cache/promote")
+            if n > 1:
+                obs.inc("kernel/plan_cache/hit", n - 1)
+            with obs.span("kernel/compile", rows=len(key[1])):
+                self._compile(key)
+        else:
+            self._compile(key)
+        return True
 
     def _block_per_node(self, rows, row_loads, row_pkts, dt_s) -> BlockTelemetry:
-        """Cold path for a block: interval by interval through ``step_all``."""
+        """Cold path: interval by interval, each node through ``step_all``."""
         n = len(row_loads)
         fields = np.empty((n, len(rows), 4))
         node_joules = np.empty((n, len(self.nodes)))
-        samples: dict[str, TelemetrySample] = {}
         for i, loads in enumerate(row_loads.tolist()):
-            samples = self._step_per_node(dict(zip(rows, zip(loads, row_pkts))), dt_s)
+            offered = dict(zip(rows, zip(loads, row_pkts)))
+            samples: dict[str, TelemetrySample] = {}
+            for node in self.nodes:
+                samples.update(
+                    node.step_all({name: offered[name] for name in node.chains}, dt_s)
+                )
             for r, name in enumerate(rows):
                 sample = samples[name]
                 fields[i, r] = (
@@ -426,9 +362,7 @@ class ClusterKernel:
     def _step_fused(self, loads, dt_s) -> BlockTelemetry:
         """Warm path: price a block of intervals at once, then fold per node.
 
-        ``loads`` is ``(n, R)``, one row per interval, or ``(R,)`` for
-        :meth:`step`'s one interval (the returned arrays then lack the
-        interval axis).  The fold replays ``step_all``'s scalar
+        ``loads`` is ``(n, R)``, one row per interval.  The fold replays ``step_all``'s scalar
         bookkeeping for every interval — the same float operations in
         the same order — with the elementwise parts as array ops over
         the whole block (elementwise numpy matches the scalar operations

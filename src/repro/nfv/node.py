@@ -1,9 +1,9 @@
 """A node hosting one or more NF chains.
 
 The node owns the shared hardware — the LLC partitioned with
-:class:`~repro.hw.cache.CacheAllocator`, the DVFS controller, the NIC —
-and steps all resident chains through each control interval, accounting
-for cross-chain LLC contention and producing both per-chain telemetry and
+:class:`~repro.hw.cache.CacheAllocator`, the CPU, the NIC — and steps
+all resident chains through each control interval, accounting for
+cross-chain LLC contention and producing both per-chain telemetry and
 node-level power.
 
 The Fig. 1 micro-benchmark (two chains C1/C2 sharing one socket under
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hw.cache import CacheAllocator, contention_factor
-from repro.hw.cpu import CpuFreqController, Governor
 from repro.hw.power import EnergyMeter, ServerPowerModel
 from repro.hw.server import ServerSpec
 from repro.nfv.chain import ServiceChain
@@ -51,7 +50,6 @@ class Node:
         *,
         params: EngineParams | None = None,
         polling: PollingMode = PollingMode.ADAPTIVE,
-        governor: Governor = Governor.USERSPACE,
         ranges: KnobRanges = DEFAULT_RANGES,
         park_idle_cores: bool = True,
         cat_enabled: bool = True,
@@ -65,7 +63,6 @@ class Node:
             park_idle_cores=park_idle_cores,
         )
         self.cache = CacheAllocator(self.server.llc)
-        self.cpufreq = CpuFreqController(self.server.cpu, governor)
         self.ranges = ranges
         self.park_idle_cores = park_idle_cores
         self.meter = EnergyMeter()
@@ -84,9 +81,9 @@ class Node:
         """Return to the freshly-constructed state without reallocating.
 
         Undeploys every chain, clears the CAT partitioning and zeroes the
-        energy meter, but keeps the (comparatively expensive) engine,
-        power/DMA models and DVFS controller.  Environments call this
-        between episodes instead of building a new :class:`Node`.
+        energy meter, but keeps the (comparatively expensive) engine and
+        its power/DMA models.  Environments call this between episodes
+        instead of building a new :class:`Node`.
         """
         self._chains.clear()
         self.cache.clear()
@@ -233,10 +230,9 @@ class Node:
         from the union of busy cores and attributed to chains in
         proportion to the cycles they consumed.  This is the scalar fold
         :meth:`ClusterKernel.step <repro.nfv.cluster_kernel.ClusterKernel.step>`
-        runs for a one-interval configuration on first sight (a shard's
-        run of several intervals compiles at once instead), and the
-        kernel's compiled plan replays it bit-exactly.  Its sums are
-        left-to-right ``+=`` folds, the order the fused fold replays.
+        runs for nodes it cannot fuse, and the kernel's compiled plan
+        replays it bit-exactly.  Its sums are left-to-right ``+=``
+        folds, the order the fused fold replays.
 
         Parameters
         ----------

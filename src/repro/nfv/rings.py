@@ -158,10 +158,9 @@ def offer_many(rings, in_rates_pps, out_rates_pps, dt_s: float) -> np.ndarray:
     a handful of vectorized ops, which is what the cluster kernel uses
     to keep per-chain ring bookkeeping off the Python hot path.
 
-    Rates are ``(R,)`` for one interval, or ``(n, R)`` for n intervals
-    in order: each ring integrates them one after another, and every
-    ring object is written back once.  Returns the forwarded rates, in
-    the shape of the rates.
+    Rates are ``(n, R)``, n intervals in order: each ring integrates
+    them one after another, and every ring object is written back once.
+    Returns the forwarded rates, ``(n, R)``.
     """
     if dt_s <= 0:
         raise ValueError("dt must be positive")
@@ -171,19 +170,19 @@ def offer_many(rings, in_rates_pps, out_rates_pps, dt_s: float) -> np.ndarray:
         raise ValueError("rates must be non-negative")
     rings = list(rings)
     if (
-        in_rates.ndim not in (1, 2)
-        or in_rates.shape[-1:] != (len(rings),)
+        in_rates.ndim != 2
+        or in_rates.shape[1] != len(rings)
         or out_rates.shape != in_rates.shape
     ):
-        raise ValueError("need one in/out rate per ring")
+        raise ValueError("need an (intervals, rings) block of in/out rates")
     if not rings:
         return np.empty(in_rates.shape, dtype=np.float64)
     state = chain.from_iterable(map(_ring_state, rings))
     occupancy, capacity, dropped, high_water = (
         np.fromiter(state, np.float64, 4 * len(rings)).reshape(len(rings), 4).T
     )
-    arriving = in_rates.reshape(-1, len(rings)) * dt_s
-    serviceable = out_rates.reshape(-1, len(rings)) * dt_s
+    arriving = in_rates * dt_s
+    serviceable = out_rates * dt_s
     served = np.empty_like(arriving)
     for i in range(len(arriving)):  # each interval in order
         available = occupancy + arriving[i]
@@ -198,4 +197,4 @@ def offer_many(rings, in_rates_pps, out_rates_pps, dt_s: float) -> np.ndarray:
         r.occupancy = occ
         r.dropped = drop
         r.high_water = high
-    return (served / dt_s).reshape(in_rates.shape)
+    return served / dt_s

@@ -254,63 +254,15 @@ def run(
 def _pool_map(fn, jobs, processes: int) -> list:
     """Map jobs over worker processes (in-process when 1 job/process).
 
-    The shared pool plumbing of :class:`SweepRunner` and the chunked
-    knob-grid scan: sequential execution when parallelism would not
-    help, a :class:`~concurrent.futures.ProcessPoolExecutor` otherwise,
-    results in job order either way.
+    :class:`SweepRunner`'s pool plumbing: sequential execution when
+    parallelism would not help, a
+    :class:`~concurrent.futures.ProcessPoolExecutor` otherwise, results
+    in job order either way.
     """
     if processes == 1 or len(jobs) == 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(fn, jobs))
-
-
-def _scan_worker(job: tuple) -> "BatchTelemetry":
-    """Process-pool entry point: evaluate one knob-grid chunk."""
-    from repro.nfv.engine import PacketEngine
-
-    spec_dict, knobs_chunk, offered_grid, packet_bytes = job
-    spec = ScenarioSpec.from_dict(spec_dict)
-    ctx = build_context(spec)
-    engine = PacketEngine(params=ctx.engine_params)
-    return engine.step_batch(
-        ctx.chain, knobs_chunk, offered_grid, packet_bytes, spec.interval_s
-    )
-
-
-def _concat_knob_chunks(parts: list) -> "BatchTelemetry":
-    """Stitch per-chunk telemetry back into one grid along the knob axis.
-
-    Every array in :class:`~repro.nfv.engine.BatchTelemetry` carries the
-    knob axis first, and grid rows are evaluated independently, so the
-    concatenation is bit-identical to the single-call result.
-    """
-    from repro.nfv.engine import BatchTelemetry
-
-    first = parts[0]
-    if len(parts) == 1:
-        return first
-    cat = lambda field: np.concatenate([getattr(p, field) for p in parts], axis=0)
-    return BatchTelemetry(
-        dt_s=first.dt_s,
-        packet_bytes=first.packet_bytes,
-        offered_pps=first.offered_pps,
-        achieved_pps=cat("achieved_pps"),
-        throughput_gbps=cat("throughput_gbps"),
-        llc_miss_rate_per_s=cat("llc_miss_rate_per_s"),
-        cpu_utilization=cat("cpu_utilization"),
-        cpu_cores_busy=cat("cpu_cores_busy"),
-        power_w=cat("power_w"),
-        energy_j=cat("energy_j"),
-        dropped_pps=cat("dropped_pps"),
-        latency_s=cat("latency_s"),
-        chain_rate_pps=cat("chain_rate_pps"),
-        cycles_per_packet=cat("cycles_per_packet"),
-        misses_per_packet=cat("misses_per_packet"),
-        service_rate_pps=cat("service_rate_pps"),
-        nf_utilization=cat("nf_utilization"),
-        nf_names=first.nf_names,
-    )
 
 
 def scan_knob_grid(
@@ -319,7 +271,6 @@ def scan_knob_grid(
     offered_grid=None,
     *,
     packet_bytes=None,
-    jobs: int | None = None,
 ):
     """Evaluate a knob grid against a spec's workload in one vectorized call.
 
@@ -335,20 +286,10 @@ def scan_knob_grid(
     configurations in a single engine invocation, no controller in the
     loop.
 
-    ``jobs`` splits the knob axis into that many chunks evaluated across
-    worker processes (the :class:`SweepRunner` pool plumbing) — for
-    grids too large to evaluate in one ``step_batch`` call within
-    memory.  Grid rows are independent, so the stitched result is
-    bit-identical to the single-call evaluation; the workload (loads
-    and frame sizes) is resolved once up front and shared by every
-    chunk.
-
     Returns the :class:`~repro.nfv.engine.BatchTelemetry` for the grid.
     """
     from repro.nfv.engine import PacketEngine
 
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be >= 1")
     ctx = build_context(spec)
     rng = ctx.streams.stream("knob-scan")
     generator = ctx.generator_factory(rng)
@@ -359,24 +300,6 @@ def scan_knob_grid(
     knobs_list = (
         knobs_grid if isinstance(knobs_grid, np.ndarray) else list(knobs_grid)
     )
-    n_jobs = min(jobs or 1, len(knobs_list))
-    if n_jobs > 1:
-        offered_grid = [float(x) for x in np.atleast_1d(offered_grid)]
-        if not (np.isscalar(packet_bytes) or np.ndim(packet_bytes) == 0):
-            packet_bytes = [float(p) for p in packet_bytes]
-        else:
-            packet_bytes = float(packet_bytes)
-        spec_dict = spec.to_dict()
-        # array_split yields contiguous index runs, so plain slicing
-        # covers list and (K, 5)-array grids alike.
-        bounds = np.cumsum([len(c) for c in np.array_split(np.arange(len(knobs_list)), n_jobs)])
-        worker_jobs = [
-            (spec_dict, knobs_list[start:stop], offered_grid, packet_bytes)
-            for start, stop in zip([0, *bounds[:-1]], bounds)
-            if stop > start
-        ]
-        parts = _pool_map(_scan_worker, worker_jobs, len(worker_jobs))
-        return _concat_knob_chunks(parts)
     engine = PacketEngine(params=ctx.engine_params)
     return engine.step_batch(
         ctx.chain, knobs_list, offered_grid, packet_bytes, spec.interval_s

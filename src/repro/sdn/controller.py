@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nfv.cluster_kernel import ClusterKernel
+from repro.nfv.cluster_kernel import ClusterKernel, one_interval
 from repro.nfv.engine import TelemetrySample, bottleneck_utilization
 from repro.nfv.node import Node
 from repro.sdn.flows import FlowSpec, SteeringTable
@@ -180,7 +180,7 @@ class SdnController:
             self._kernel = ClusterKernel(
                 [replica.node for replica in self._replicas.values()]
             )
-        samples = self._kernel.step(offered, self.interval_s)
+        samples = self._kernel.step(*one_interval(offered), self.interval_s).samples
         for name, replica in self._replicas.items():
             replica.last_sample = samples[name]
         self._t += self.interval_s

@@ -2,16 +2,19 @@
 
 ``ClusterKernel.step`` prices every node's hosted chains in one fused
 pass; it is the one place a diagonal plan is compiled and cached.  The
-golden suite checks it against the per-node reference — a Python loop
-of ``Node.step_all`` calls, the scalar per-node fold — to <= 1 ulp
-(asserted bit-exact) across randomized node counts, heterogeneous
-chains, knob churn, frame-size changes and every dispatch path, read
-from the ``kernel/plan_cache/*`` counters (cold per-node fallback,
-compile on second sight, warm fused plan).  The consumer classes pin
-the rewired surfaces: ``SdnController`` steering decisions and
+golden suite checks its one-interval blocks against the per-node
+reference — a Python loop of ``Node.step_all`` calls, the scalar
+per-node fold — to <= 1 ulp (asserted bit-exact) across randomized node
+counts, heterogeneous chains, knob churn, frame-size changes and every
+dispatch path, read from the ``kernel/plan_cache/*`` counters (per-node
+fallback, compile on first sight, warm fused plan).  Invalid arguments
+are rejected before any state changes.  The consumer classes pin the
+rewired surfaces: ``SdnController`` steering decisions and
 ``Cluster.step`` aggregates must be identical to the per-node loop in
 ``benchmarks/perf/reference.py``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,12 +22,13 @@ import pytest
 from repro import obs
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
 from repro.nfv.cluster import Cluster
-from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible
+from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible, one_interval
 from repro.nfv.engine import EngineParams, PollingMode, _LazyPerNF, bottleneck_utilization
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 from repro.sdn import ChainReplica, FlowSpec, SdnConfig, SdnController
 from repro.traffic.generators import ConstantRateGenerator
+from repro.traffic.packet import IMIX, LARGE_PACKETS, SMALL_PACKETS
 from repro.utils.units import line_rate_pps
 
 PACKET_SIZES = (64.0, 256.0, 512.0, 1024.0, 1518.0)
@@ -74,10 +78,15 @@ def reference_step(nodes: list[Node], offered: dict, dt_s: float = 1.0) -> dict:
     return samples
 
 
+def step_one(kernel: ClusterKernel, offered: dict, dt_s: float = 1.0) -> dict:
+    """One interval through the kernel; the per-chain samples."""
+    return kernel.step(*one_interval(offered), dt_s).samples
+
+
 def plan_cache_paths(step, *args, **kwargs):
     """Run one step with ``repro.obs`` on; return its result and the
-    plan-cache paths the kernel took (``hit``/``promote``/``miss``/
-    ``fallback``; empty when the kernel was not stepped)."""
+    plan-cache paths the kernel took (``hit``/``promote``/``fallback``;
+    empty when the kernel was not stepped)."""
     obs.enable()
     try:
         result = step(*args, **kwargs)
@@ -90,12 +99,17 @@ def plan_cache_paths(step, *args, **kwargs):
 
 
 def node_state(nodes):
-    """Knobs, CAT grants and config generation of every node."""
+    """Knobs, CAT grants, config generation, meters and rings of every node."""
     return [
         (
             {name: hosted.knobs for name, hosted in node.chains.items()},
             node.cache.allocations,
             node._config_gen,
+            vars(node.meter).copy(),
+            [
+                (vars(hosted.meter).copy(), vars(hosted.rx_ring).copy())
+                for hosted in node.chains.values()
+            ],
         )
         for node in nodes
     ]
@@ -110,10 +124,10 @@ class TestGoldenEquivalence:
         nodes_k, offered = build_cluster(seed)
         nodes_r, _ = build_cluster(seed)
         kernel = ClusterKernel(nodes_k)
-        # Three intervals walk all dispatch paths: per-node fallback,
-        # compile-on-second-sight, and the cached fused plan.
+        # Three intervals walk both fused paths: the compile on first
+        # sight and the cached plan.
         for _ in range(3):
-            got = kernel.step(offered, dt_s)
+            got = step_one(kernel, offered, dt_s)
             ref = reference_step(nodes_r, offered, dt_s)
             assert set(got) == set(ref)
             for name in ref:
@@ -141,38 +155,34 @@ class TestGoldenEquivalence:
             drawn = {
                 name: (float(rng.uniform(0.0, 3e6)), pkts[name]) for name in offered
             }
-            got, paths = plan_cache_paths(kernel.step, drawn)
+            got, paths = plan_cache_paths(step_one, kernel, drawn)
             ref = reference_step(nodes_r, drawn)
             for name in ref:
                 assert got[name] == ref[name]
             # Same configuration re-stepped: compiled once, then fused.
-            assert paths == [("miss", "promote", "hit", "hit")[it]]
+            assert paths == [("promote", "hit", "hit", "hit")[it]]
 
-    def test_knob_churn_falls_back_then_recompiles(self):
+    def test_knob_change_recompiles(self):
         nodes_k, offered = build_cluster(3)
         nodes_r, _ = build_cluster(3)
         kernel = ClusterKernel(nodes_k)
         for _ in range(3):
-            _, paths = plan_cache_paths(kernel.step, offered)
+            _, paths = plan_cache_paths(step_one, kernel, offered)
             reference_step(nodes_r, offered)
         assert paths == ["hit"]
         name = next(iter(offered))
-        new_knobs = {name: KnobSettings(cpu_share=0.9, batch_size=48)}
-        got, paths = plan_cache_paths(kernel.step, offered, knobs=new_knobs)
-        # Knob change invalidates the fused plan: cold interval again.
-        assert paths == ["miss"]
-        for node in nodes_r:
+        new_knobs = KnobSettings(cpu_share=0.9, batch_size=48)
+        for node in (*nodes_k, *nodes_r):
             if name in node.chains:
-                node.apply_knobs(name, new_knobs[name])
-        ref = reference_step(nodes_r, offered)
-        for chain_name in ref:
-            assert got[chain_name] == ref[chain_name]
-        # Second sight of the new configuration fuses again and matches.
-        got, paths = plan_cache_paths(kernel.step, offered)
-        ref = reference_step(nodes_r, offered)
-        assert paths == ["promote"]
-        for chain_name in ref:
-            assert got[chain_name] == ref[chain_name]
+                node.apply_knobs(name, new_knobs)
+        # A knob change invalidates the fused plan: the new
+        # configuration compiles on first sight.
+        for expected in ("promote", "hit"):
+            got, paths = plan_cache_paths(step_one, kernel, offered)
+            ref = reference_step(nodes_r, offered)
+            assert paths == [expected]
+            for chain_name in ref:
+                assert got[chain_name] == ref[chain_name]
 
     def test_heterogeneous_engines_use_per_node_path(self):
         node_a = Node()
@@ -187,7 +197,7 @@ class TestGoldenEquivalence:
         kernel = ClusterKernel([node_a, node_b])
         offered = {"a0": (1e6, 512.0), "b0": (5e5, 1518.0)}
         for _ in range(3):
-            got, paths = plan_cache_paths(kernel.step, offered)
+            got, paths = plan_cache_paths(step_one, kernel, offered)
             ref = reference_step([ref_a, ref_b], offered)
             assert paths == ["fallback"]  # never fuses
             for name in ref:
@@ -199,34 +209,57 @@ class TestGoldenEquivalence:
         nodes, offered = build_cluster(1)
         kernel = ClusterKernel(nodes)
         with pytest.raises(ValueError):
-            kernel.step(offered, dt_s=0.0)
+            step_one(kernel, offered, dt_s=0.0)
         with pytest.raises(KeyError):
-            kernel.step({"ghost": (1e5, 64.0)})
-        with pytest.raises(KeyError):
-            kernel.step({}, knobs={"ghost": KnobSettings()})
+            step_one(kernel, {"ghost": (1e5, 64.0)})
+        names, loads, pkts = one_interval(offered)
+        with pytest.raises(ValueError, match="frame size"):
+            kernel.step(names, loads, pkts[:-1])
+        with pytest.raises(ValueError, match="non-negative"):
+            kernel.step(names, np.full_like(loads, np.nan), pkts)
         # A node with no chains idles but still draws infra power.
         empty = Node()
         mixed = ClusterKernel([nodes[0], empty])
         first_offered = {n: offered[n] for n in nodes[0].chains}
         for _ in range(3):
-            out = mixed.step(first_offered)
+            out = step_one(mixed, first_offered)
         assert set(out) == set(nodes[0].chains)
         assert empty.node_power_w() > 0
 
-    def test_rejected_step_leaves_nodes_unchanged(self):
-        # Names are all checked before any knob lands: an unknown knob
-        # after a known one, or unknown offered traffic, must not apply
-        # the known chain's knobs, repartition CAT or bump a generation.
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -64.0])
+    def test_invalid_frame_size_leaves_state_unchanged(self, bad, warm):
+        # Frame sizes are checked once, before the kernel touches knobs,
+        # meters, rings or its plan cache: on a fresh kernel and on one
+        # whose configuration is already compiled.
         nodes, offered = build_cluster(3)
         kernel = ClusterKernel(nodes)
-        known = next(iter(offered))
-        changed = KnobSettings(cpu_share=0.9, llc_fraction=0.07, batch_size=48)
+        if warm:
+            step_one(kernel, offered)
+        plan_key = kernel._plan_key
+        before = node_state(nodes)
+        names, loads, pkts = one_interval(offered)
+        with pytest.raises(ValueError, match="frame sizes"):
+            kernel.step(names, loads, [*pkts[:-1], bad])
+        with pytest.raises(ValueError, match="frame sizes"):
+            kernel.step(names, np.repeat(loads, 3, axis=1), bad)
+        assert node_state(nodes) == before
+        assert kernel._plan_key == plan_key
+
+    def test_rejected_step_leaves_nodes_unchanged(self):
+        # Every name is checked before any state changes: unknown
+        # offered traffic after known chains must not integrate a ring
+        # or a meter, nor compile a plan.
+        nodes, offered = build_cluster(3)
+        kernel = ClusterKernel(nodes)
+        name = next(iter(offered))
         before = node_state(nodes)
         with pytest.raises(KeyError):
-            kernel.step(offered, knobs={known: changed, "ghost": KnobSettings()})
-        with pytest.raises(KeyError):
-            kernel.step({**offered, "ghost": (1e5, 64.0)}, knobs={known: changed})
+            step_one(kernel, {**offered, "ghost": (1e5, 64.0)})
+        with pytest.raises(ValueError, match="duplicate"):
+            kernel.step([name, name], np.full((2, 1), 1e5), 64.0)
         assert node_state(nodes) == before
+        assert kernel._plan_key is None
 
     def test_duplicate_node_objects_are_deduped(self):
         nodes, offered = build_cluster(2)
@@ -234,7 +267,7 @@ class TestGoldenEquivalence:
         assert len(kernel.nodes) == len(nodes)
         ref_nodes, _ = build_cluster(2)
         for _ in range(2):
-            got = kernel.step(offered)
+            got = step_one(kernel, offered)
             ref = reference_step(ref_nodes, offered)
         for name in ref:
             assert got[name] == ref[name]
@@ -247,7 +280,7 @@ class TestClusterTelemetry:
         nodes, offered = build_cluster(7)
         kernel = ClusterKernel(nodes)
         for _ in range(2):
-            samples = kernel.step(offered)
+            samples = step_one(kernel, offered)
         name = next(iter(samples))
         sample = samples[name]
         assert isinstance(sample.per_nf, _LazyPerNF)
@@ -281,11 +314,12 @@ class _PerNodeLoop:
         self.nodes = nodes
         self.step_cluster = step_cluster
 
-    def step(self, offered, dt_s):
+    def step(self, names, loads, packet_bytes, dt_s):
+        offered = dict(zip(names, zip(loads[:, 0].tolist(), packet_bytes)))
         per_node = [
             {n: offered[n] for n in node.chains if n in offered} for node in self.nodes
         ]
-        return self.step_cluster(self.nodes, per_node, dt_s)
+        return SimpleNamespace(samples=self.step_cluster(self.nodes, per_node, dt_s))
 
 
 class TestSdnSteeringEquivalence:
@@ -293,7 +327,9 @@ class TestSdnSteeringEquivalence:
 
     LINE = line_rate_pps(10.0, 1518)
 
-    def _build(self) -> SdnController:
+    def _build(self, sizes=(LARGE_PACKETS,)) -> SdnController:
+        """Four replicas and an imbalanced admission; flow j carries
+        ``sizes[j % len(sizes)]`` frames."""
         config = SdnConfig(max_migrations_per_interval=1, flow_cooldown_intervals=3)
         sdn = SdnController(config, rng=0)
         tuned = KnobSettings(
@@ -307,29 +343,23 @@ class TestSdnSteeringEquivalence:
                 ChainReplica(chain_name=f"sfc{i}", node=node, service="sfc")
             )
         # An imbalanced admission so both relief and consolidation fire.
-        for j in range(6):
-            sdn.add_flow(
-                FlowSpec(f"hot{j}", ConstantRateGenerator(0.18 * self.LINE), service="sfc"),
-                chain_name="sfc0",
-            )
-        sdn.add_flow(
-            FlowSpec("cool-a", ConstantRateGenerator(0.02 * self.LINE), service="sfc"),
-            chain_name="sfc2",
-        )
-        sdn.add_flow(
-            FlowSpec("cool-b", ConstantRateGenerator(0.03 * self.LINE), service="sfc"),
-            chain_name="sfc3",
-        )
+        flows = [(f"hot{j}", 0.18, "sfc0") for j in range(6)]
+        flows += [("cool-a", 0.02, "sfc2"), ("cool-b", 0.03, "sfc3")]
+        for j, (name, share, chain_name) in enumerate(flows):
+            generator = ConstantRateGenerator(share * self.LINE, sizes[j % len(sizes)])
+            sdn.add_flow(FlowSpec(name, generator, service="sfc"), chain_name=chain_name)
         return sdn
 
-    def test_migration_decisions_identical(self, perf_reference):
-        kernel_sdn = self._build()
-        ref_sdn = self._build()
+    def _run_lockstep(self, sizes, intervals: int, reference_cluster_step):
+        """Step a kernel-backed and a per-node-loop controller side by
+        side; every sample and steering decision must agree."""
+        kernel_sdn = self._build(sizes)
+        ref_sdn = self._build(sizes)
         ref_sdn._kernel = _PerNodeLoop(
             [replica.node for replica in ref_sdn.replicas.values()],
-            perf_reference.reference_cluster_step,
+            reference_cluster_step,
         )
-        for it in range(15):
+        for it in range(intervals):
             got = kernel_sdn.run_interval()
             ref = ref_sdn.run_interval()
             assert set(got) == set(ref)
@@ -348,10 +378,45 @@ class TestSdnSteeringEquivalence:
                     kernel_sdn.replicas[name].utilization
                     == ref_sdn.replicas[name].utilization
                 )
+        for kernel_node, ref_node in zip(
+            kernel_sdn._kernel.nodes, ref_sdn._kernel.nodes
+        ):
+            assert vars(kernel_node.meter) == vars(ref_node.meter)
+            for hk, hr in zip(kernel_node.chains.values(), ref_node.chains.values()):
+                assert vars(hk.meter) == vars(hr.meter)
+                assert hk.rx_ring == hr.rx_ring
+        return ref_sdn
+
+    def test_migration_decisions_identical(self, perf_reference):
+        ref_sdn = self._run_lockstep(
+            (LARGE_PACKETS,), 15, perf_reference.reference_cluster_step
+        )
         # The scenario actually exercised steering (not a vacuous pass).
         assert ref_sdn.table.migrations >= 2
         reasons = {rule.reason for rule in ref_sdn.table.history}
         assert "overload-relief" in reasons
+
+    def test_mixed_frame_sizes_recompile_after_migrations(self, perf_reference):
+        # 64 B, IMIX and 1518 B flows: a migration changes the mean
+        # frame size of both chains it touches, which is part of the
+        # plan key, so the kernel must recompile and still match.
+        obs.enable()
+        try:
+            ref_sdn = self._run_lockstep(
+                (SMALL_PACKETS, IMIX, LARGE_PACKETS),
+                16,
+                perf_reference.reference_cluster_step,
+            )
+            counters = obs.drain_counters()
+        finally:
+            obs.disable()
+        assert ref_sdn.table.migrations >= 2
+        reasons = {rule.reason for rule in ref_sdn.table.history}
+        assert {"overload-relief", "energy-consolidation"} <= reasons
+        # One compile on first sight, then one per migration.
+        assert counters["kernel/plan_cache/promote"] == 1 + ref_sdn.table.migrations
+        assert counters["kernel/plan_cache/hit"] > 0
+        assert "kernel/plan_cache/fallback" not in counters
 
     def test_kernel_handles_replica_registration_growth(self):
         sdn = self._build()

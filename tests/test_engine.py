@@ -74,6 +74,9 @@ class TestInvariants:
             engine.step(CHAIN, TUNED, float("nan"), 1518, 1.0)
         with pytest.raises(ValueError):
             engine.step(CHAIN, TUNED, 1.0, float("nan"), 1.0)
+        # An infinite frame size is not: it would price NaN throughput.
+        with pytest.raises(ValueError):
+            engine.step(CHAIN, TUNED, 1.0, float("inf"), 1.0)
         # An infinite offer is legal: the NIC line rate clamps it.
         assert engine.step(CHAIN, TUNED, float("inf"), 1518, 1.0).achieved_pps > 0
 

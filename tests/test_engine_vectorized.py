@@ -300,6 +300,9 @@ class TestBatchEquivalence:
             engine.step_batch(chain, arr, [1e5, np.nan], 1518.0)
         with pytest.raises(ValueError, match="positive"):
             engine.step_batch(chain, arr, [1e5], [64.0, np.nan])
+        for bad in (np.inf, [64.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                engine.step_batch(chain, arr, [1e5], bad)
         plan = engine.compile_chains(chain_stack((chain,), (1518.0,)), arr[:1])
         with pytest.raises(ValueError, match="non-negative"):
             plan.step([np.nan])

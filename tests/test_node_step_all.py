@@ -4,12 +4,13 @@
 chain, then one node power evaluation.  A diagonal
 :class:`~repro.nfv.engine.ChainKernelPlan` is compiled and cached only
 by :class:`~repro.nfv.cluster_kernel.ClusterKernel`, so the golden suite
-steps a one-node kernel against an independent scalar reference — one
-``engine.step`` call per chain, the seed implementation's shape — to
-<= 1 ulp across randomized chain counts, knob settings, loads and
-packet sizes, through the first-sight scalar fold, the compile and the
-cached plan, which load-only changes reuse and a knob change
-invalidates (paths read from the ``kernel/plan_cache/*`` counters).
+steps a one-node kernel and the node's own ``step_all`` against an
+independent scalar reference — one ``engine.step`` call per chain, the
+seed implementation's shape — to <= 1 ulp across randomized chain
+counts, knob settings, loads and packet sizes, through the compile on
+first sight and the cached plan, which load-only changes reuse and a
+knob change invalidates (paths read from the ``kernel/plan_cache/*``
+counters).
 The property classes pin the node invariants: CAT
 partitions stay within capacity through deploy/undeploy/apply_knobs
 interleavings, node power is monotone in offered load per chain,
@@ -23,7 +24,7 @@ import pytest
 from repro import obs
 from repro.hw.cache import contention_factor
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
-from repro.nfv.cluster_kernel import ClusterKernel
+from repro.nfv.cluster_kernel import ClusterKernel, one_interval
 from repro.nfv.engine import PollingMode, aggregate_samples, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
@@ -112,6 +113,11 @@ def reference_samples(node: Node, offered: dict, dt_s: float = 1.0) -> dict:
     return out
 
 
+def step_one(kernel: ClusterKernel, offered: dict, dt_s: float = 1.0) -> dict:
+    """One interval through the kernel; the per-chain samples."""
+    return kernel.step(*one_interval(offered), dt_s).samples
+
+
 def plan_cache_paths(step, *args, **kwargs):
     """Run one kernel step with ``repro.obs`` on; return its result and
     the ``kernel/plan_cache/*`` paths it took."""
@@ -151,20 +157,23 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("dt_s", [1.0, 0.25])
     def test_step_all_matches_scalar_loop(self, seed, dt_s):
         node, chains = build_node(seed)
+        twin, _ = build_node(seed)
         kernel = ClusterKernel([node])
         rng = np.random.default_rng(1000 + seed)
         # Three intervals with the same knob/frame configuration walk the
-        # kernel's dispatch: the node's scalar fold on first sight, the
-        # compile on second sight, and the cached plan.
+        # kernel's dispatch (the compile on first sight, then the cached
+        # plan) next to the twin node's scalar fold.
         offered = draw_offered(rng, chains)
         for _ in range(3):
             ref = reference_samples(node, offered, dt_s)
-            got = kernel.step(offered, dt_s)
-            assert set(got) == set(ref)
+            got = step_one(kernel, offered, dt_s)
+            scalar = twin.step_all(offered, dt_s)
+            assert set(got) == set(ref) == set(scalar)
             for name in ref:
                 # Power is attributed node-side (identically on every
                 # path), so the engine-level fields carry the comparison.
                 assert_sample_close(got[name], ref[name])
+                assert_sample_close(scalar[name], ref[name])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_plan_survives_load_changes_only(self, seed):
@@ -179,8 +188,8 @@ class TestGoldenEquivalence:
                 c.name: (float(rng.uniform(0.0, 3e6)), pkt[c.name]) for c in chains
             }
             ref = reference_samples(node, offered)
-            got, paths = plan_cache_paths(kernel.step, offered)
-            assert paths == [("miss", "promote", "hit", "hit")[it]]
+            got, paths = plan_cache_paths(step_one, kernel, offered)
+            assert paths == [("promote", "hit", "hit", "hit")[it]]
             for name in ref:
                 assert_sample_close(got[name], ref[name])
 
@@ -190,14 +199,14 @@ class TestGoldenEquivalence:
         rng = np.random.default_rng(7)
         offered = draw_offered(rng, chains)
         for _ in range(3):
-            kernel.step(offered)
+            step_one(kernel, offered)
         node.apply_knobs(
             chains[0].name, KnobSettings(cpu_share=0.9, batch_size=48)
         )
         ref = reference_samples(node, offered)
-        got, paths = plan_cache_paths(kernel.step, offered)
-        # The stale plan is not reused: the new configuration is cold.
-        assert paths == ["miss"]
+        got, paths = plan_cache_paths(step_one, kernel, offered)
+        # The stale plan is not reused: the new configuration compiles.
+        assert paths == ["promote"]
         for name in ref:
             assert_sample_close(got[name], ref[name])
 

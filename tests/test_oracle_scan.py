@@ -198,48 +198,6 @@ class TestScanKnobGrid:
         np.testing.assert_array_equal(bt.achieved_pps, direct.achieved_pps)
         np.testing.assert_array_equal(bt.energy_j, direct.energy_j)
 
-    def test_jobs_chunking_is_bit_identical(self):
-        # Chunking the knob axis across worker processes must stitch
-        # back to exactly the single-call grid (rows are independent).
-        spec = _spec()
-        grid = default_knob_grid()[:30]
-        whole = scan_knob_grid(spec, grid, offered_grid=[4e5, 8e5], packet_bytes=512.0)
-        chunked = scan_knob_grid(
-            spec, grid, offered_grid=[4e5, 8e5], packet_bytes=512.0, jobs=3
-        )
-        for field in (
-            "achieved_pps",
-            "throughput_gbps",
-            "energy_j",
-            "latency_s",
-            "cycles_per_packet",
-            "nf_utilization",
-            "chain_rate_pps",
-        ):
-            np.testing.assert_array_equal(
-                getattr(whole, field), getattr(chunked, field), err_msg=field
-            )
-        assert chunked.nf_names == whole.nf_names
-
-    def test_jobs_with_packet_axis_and_default_load(self):
-        spec = _spec()
-        grid = default_knob_grid()[:12]
-        whole = scan_knob_grid(spec, grid, packet_bytes=[64.0, 1518.0])
-        chunked = scan_knob_grid(spec, grid, packet_bytes=[64.0, 1518.0], jobs=2)
-        assert chunked.shape == whole.shape == (12, 1, 2)
-        np.testing.assert_array_equal(whole.achieved_pps, chunked.achieved_pps)
-        # The default interval load is drawn once, not once per worker.
-        np.testing.assert_array_equal(whole.offered_pps, chunked.offered_pps)
-
-    def test_jobs_validation_and_degenerate_counts(self):
-        spec = _spec()
-        grid = default_knob_grid()[:4]
-        with pytest.raises(ValueError):
-            scan_knob_grid(spec, grid, jobs=0)
-        # More jobs than candidates degrades gracefully to per-row chunks.
-        out = scan_knob_grid(spec, grid, offered_grid=[5e5], jobs=16)
-        assert out.shape[0] == 4
-
     def test_defaults_come_from_the_traffic_model(self):
         bt = scan_knob_grid(_spec(name="scan-defaults"), [KnobSettings()])
         assert bt.shape == (1, 1)

@@ -1,16 +1,15 @@
 """A shard run as one kernel block, pinned against per-interval stepping.
 
 ``ShardSim.run`` hands its whole ``(chains, n)`` load block to
-``ClusterKernel.step_block``: a run of n >= 2 intervals compiles the
-cluster plan on first sight and folds every interval through the fused
+``ClusterKernel.step``, which compiles the cluster plan on a
+configuration's first sight and folds every interval through the fused
 path.  ``reference_shard_run`` in ``benchmarks/perf/reference.py`` is
-the per-interval loop it replaced — one ``ClusterKernel.step`` per
-interval, whose first sight of a configuration runs each node's scalar
-``step_all`` fold.  The seeded grid below drives both through runs of
-1, 2, 3 and 8 intervals with a knob change, a deploy, an undeploy and a
-vacated node between runs, on every registered SLA, and requires every
-record, sample, meter and ring to match at 0 ulp.  The plan-cache
-counters show which path each run took.
+the per-interval loop without the kernel: every interval, each node's
+scalar ``Node.step_all`` fold.  The seeded grid below drives both
+through runs of 1, 2, 3 and 8 intervals with a knob change, a deploy,
+an undeploy and a vacated node between runs, on every registered SLA,
+and requires every record, sample, meter and ring to match at 0 ulp.
+The plan-cache counters show which path each run took.
 """
 
 import numpy as np
@@ -154,23 +153,18 @@ class TestBlockMatchesPerIntervalReference:
                         sim.undeploy(name)
 
         start = 0
-        previous = None
         for step, n in enumerate(lengths):
             got, counts = plan_cache_counts(block.run, start, n)
             want = perf_reference.reference_shard_run(ref, start, n)
             assert got == want
             assert_same_state(block, ref)
-            # Which plan-cache path the block took.
+            # Which plan-cache path the block took: a new configuration
+            # (every run before the last, which follows no command)
+            # compiles on first sight.
             if hetero:
                 expected = {"fallback": n}
-            elif step < 5 or previous == 1:
-                # A new configuration (or one seen once, by one interval):
-                # a run of n >= 2 compiles at once, one interval folds
-                # scalar on first sight and compiles on second.
-                if step < 5 and n == 1:
-                    expected = {"miss": 1}
-                else:
-                    expected = {"promote": 1, **({"hit": n - 1} if n > 1 else {})}
+            elif step < 5:
+                expected = {"promote": 1, **({"hit": n - 1} if n > 1 else {})}
             else:
                 expected = {"hit": n}
             assert counts == expected, (step, n)
@@ -179,7 +173,6 @@ class TestBlockMatchesPerIntervalReference:
                 assert got.nodes[0].power_w == 7.5
             commands(step)
             start += n
-            previous = n
 
     def test_grid_sees_both_sla_outcomes(self):
         # Not vacuous: across the grid each constrained SLA has chains
@@ -205,20 +198,15 @@ class TestPlanCachePath:
         (sim, _), *_ = grid_case(3 if hetero else 0)
         return sim
 
-    def test_one_interval_folds_scalar_then_compiles(self):
-        sim = self.sim()
-        assert plan_cache_counts(sim.run, 0, 1)[1] == {"miss": 1}
-        assert plan_cache_counts(sim.run, 1, 1)[1] == {"promote": 1}
-        assert plan_cache_counts(sim.run, 2, 1)[1] == {"hit": 1}
-
-    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_block_compiles_on_first_sight(self, n):
         sim = self.sim()
-        assert plan_cache_counts(sim.run, 0, n)[1] == {"promote": 1, "hit": n - 1}
+        compile_run = {"promote": 1, **({"hit": n - 1} if n > 1 else {})}
+        assert plan_cache_counts(sim.run, 0, n)[1] == compile_run
         assert plan_cache_counts(sim.run, n, n)[1] == {"hit": n}
         name = sim.chain_names[0]
         sim.set_knobs({name: {"cpu_share": 0.7, "batch_size": 40}})
-        assert plan_cache_counts(sim.run, 2 * n, n)[1] == {"promote": 1, "hit": n - 1}
+        assert plan_cache_counts(sim.run, 2 * n, n)[1] == compile_run
 
     def test_mismatched_hardware_takes_the_per_node_path(self):
         sim = self.sim(hetero=True)
@@ -226,7 +214,7 @@ class TestPlanCachePath:
             assert plan_cache_counts(sim.run, start, n)[1] == {"fallback": n}
 
 
-class TestStepBlock:
+class TestStep:
     """The kernel entry point itself."""
 
     def kernel(self):
@@ -235,7 +223,7 @@ class TestStepBlock:
 
     def test_unnamed_chains_idle(self):
         kernel, names = self.kernel()
-        block = kernel.step_block(names[1:], np.full((len(names) - 1, 2), 4e5), 512.0)
+        block = kernel.step(names[1:], np.full((len(names) - 1, 2), 4e5), 512.0)
         idle = block.samples[names[0]]
         assert idle.offered_pps == 0.0 and idle.packet_bytes == 1518.0
         assert block.throughput_gbps.shape == (2, len(names))
@@ -245,15 +233,39 @@ class TestStepBlock:
         kernel, names = self.kernel()
         loads = np.full((len(names), 2), 1e5)
         with pytest.raises(ValueError, match="dt"):
-            kernel.step_block(names, loads, 64.0, dt_s=0.0)
+            kernel.step(names, loads, 64.0, dt_s=0.0)
         with pytest.raises(ValueError, match="load block"):
-            kernel.step_block(names, loads[:, :0], 64.0)
+            kernel.step(names, loads[:, :0], 64.0)
         with pytest.raises(ValueError, match="load block"):
-            kernel.step_block(names[1:], loads, 64.0)
+            kernel.step(names[1:], loads, 64.0)
+        with pytest.raises(ValueError, match="load block"):
+            kernel.step(names, loads[:, 0], 64.0)
         with pytest.raises(ValueError, match="duplicate"):
-            kernel.step_block([names[0], names[0]], loads[:2], 64.0)
+            kernel.step([names[0], names[0]], loads[:2], 64.0)
         with pytest.raises(KeyError, match="ghost"):
-            kernel.step_block(["ghost"], loads[:1], 64.0)
+            kernel.step(["ghost"], loads[:1], 64.0)
+        with pytest.raises(ValueError, match="one per chain"):
+            kernel.step(names, loads, [64.0] * (len(names) + 1))
+
+    def test_per_name_frame_sizes(self, perf_reference):
+        # One frame size per name equals the same sizes given row by row
+        # to the per-node reference, and the sizes are part of the plan
+        # key: a different size column compiles again.
+        (sim, ref), *_ = grid_case(2)
+        kernel, names = sim.kernel, list(sim._tickets)
+        sizes = [(64.0, 570.0, 1518.0)[i % 3] for i in range(len(names))]
+        loads = np.full((len(names), 3), 6e5)
+        for pkts, expected in ((sizes, "promote"), (sizes, "hit"), (sizes[::-1], "promote")):
+            block, counts = plan_cache_counts(kernel.step, names, loads, pkts)
+            assert expected in counts
+            for i in range(3):
+                offered = dict(zip(names, zip(loads[:, i].tolist(), pkts)))
+                want = perf_reference.reference_cluster_step(
+                    ref.nodes,
+                    [{n: offered[n] for n in node.chains} for node in ref.nodes],
+                )
+            assert block.samples == want
+            assert_same_state(sim, ref)
 
 
 class TestBlockHelpers:
@@ -275,6 +287,8 @@ class TestBlockHelpers:
         assert any(r.dropped > 0 for r in rings)
         with pytest.raises(ValueError):
             offer_many(rings, in_rates[:, :2], out_rates[:, :2], 1.0)
+        with pytest.raises(ValueError, match="block"):
+            offer_many(rings, in_rates[0], out_rates[0], 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_record_many_matches_sequential_records(self, n):
@@ -294,14 +308,10 @@ class TestBlockHelpers:
             want.append([r.total_joules for r in ref])
         assert totals.tolist() == want
         assert [vars(m) for m in meters] == [vars(r) for r in ref]
-        # One interval, (M,) in and out.
-        totals = record_many(meters, power[0], 0.5, packets[0])
-        for r, p, k in zip(ref, power[0].tolist(), packets[0].tolist()):
-            r.record(p, 0.5, k)
-        assert totals.tolist() == [r.total_joules for r in ref]
-        assert [vars(m) for m in meters] == [vars(r) for r in ref]
         with pytest.raises(ValueError):
             record_many(meters, -power, 0.5, packets)
+        with pytest.raises(ValueError, match="block"):
+            record_many(meters, power[0], 0.5, packets[0])
 
     def test_left_sums_is_the_sequential_fold(self):
         rng = np.random.default_rng(9)
