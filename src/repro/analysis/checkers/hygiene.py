@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analysis.base import FileChecker, FileContext, ProjectChecker, register
@@ -319,7 +320,7 @@ class SpecFieldChecker(ProjectChecker):
     name = "spec-fields"
 
     def check(self, project: "Project", config: LintConfig) -> Iterable[Finding]:
-        value_classes = frozenset(config.spec_value_classes)
+        value_classes = frozenset(chain.from_iterable(config.spec_classes.values()))
         for path, class_names in sorted(config.spec_classes.items()):
             ctx = project.context(path)
             if ctx is None:

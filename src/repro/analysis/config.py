@@ -125,7 +125,9 @@ class LintConfig:
 
     # -- spec serializability ----------------------------------------------
     #: Spec/config dataclasses whose fields must stay JSON-serializable
-    #: (they cross process boundaries and land in artifacts).
+    #: (they cross process boundaries and land in artifacts).  Each
+    #: round-trips through its own ``to_dict``/``from_*``, so their names
+    #: also count as serializable field types.
     spec_classes: Mapping[str, tuple[str, ...]] = field(
         default_factory=lambda: {
             "src/repro/scenario/spec.py": ("ScenarioSpec",),
@@ -145,19 +147,6 @@ class LintConfig:
                 "InterShardLink",
             ),
         }
-    )
-    #: Named config classes that count as serializable field types
-    #: because they round-trip through their own ``to_dict``/``from_*``
-    #: (and are themselves listed in ``spec_classes`` above).
-    spec_value_classes: tuple[str, ...] = (
-        "FleetTopology",
-        "ShardSpec",
-        "InterShardLink",
-        "WorkloadConfig",
-        "FlashCrowdConfig",
-        "ChurnConfig",
-        "MigrationConfig",
-        "SteeringConfig",
     )
 
     # -- registry hygiene --------------------------------------------------

@@ -82,9 +82,6 @@ class CpuSpec:
     min_freq_ghz: float = 1.2
     freq_ladder_ghz: tuple[float, ...] = XEON_E5_2620V4_FREQS_GHZ
     c_states: tuple[CStateSpec, ...] = DEFAULT_C_STATES
-    #: Effective "work per cycle" scale: instructions-per-cycle achieved by
-    #: a well-tuned DPDK poll-mode loop, folded into cycles/packet budgets.
-    ipc: float = 1.6
 
     def __post_init__(self) -> None:
         if self.cores <= 0 or self.sockets <= 0:
@@ -92,7 +89,6 @@ class CpuSpec:
         ladder = tuple(sorted(self.freq_ladder_ghz))
         if not ladder:
             raise ValueError("frequency ladder must be non-empty")
-        object.__setattr__(self, "freq_ladder_ghz", ladder) if False else None
         self.freq_ladder_ghz = ladder
         if not np.isclose(ladder[0], self.min_freq_ghz):
             raise ValueError(

@@ -192,17 +192,14 @@ class ServerPowerModel:
 class EnergyMeter:
     """Integrating power meter, the simulator's stand-in for the WT210.
 
-    Accumulates ``power * dt`` samples; exposes total joules, windowed
-    readings, and joules-per-million-packets when fed packet counts.
+    Accumulates ``power * dt`` samples; exposes total joules, average
+    power, and joules-per-million-packets when fed packet counts.
     """
 
     def __init__(self) -> None:
         self._total_j = 0.0
         self._total_s = 0.0
         self._total_packets = 0.0
-        self._window_j = 0.0
-        self._window_s = 0.0
-        self._window_packets = 0.0
 
     @property
     def total_joules(self) -> float:
@@ -225,23 +222,9 @@ class EnergyMeter:
             raise ValueError("dt must be non-negative")
         if power_w < 0:
             raise ValueError("power must be non-negative")
-        joules = power_w * dt_s
-        self._total_j += joules
+        self._total_j += power_w * dt_s
         self._total_s += dt_s
         self._total_packets += packets
-        self._window_j += joules
-        self._window_s += dt_s
-        self._window_packets += packets
-
-    def read_window(self) -> tuple[float, float, float]:
-        """Return (joules, seconds, packets) since the last read, and reset.
-
-        The ONVM controller calls this once per control interval to build
-        the RL state's energy component.
-        """
-        out = (self._window_j, self._window_s, self._window_packets)
-        self._window_j = self._window_s = self._window_packets = 0.0
-        return out
 
     def average_power(self) -> float:
         """Lifetime average power draw in watts (0 before any sample)."""
@@ -258,7 +241,6 @@ class EnergyMeter:
     def reset(self) -> None:
         """Zero all accumulators."""
         self._total_j = self._total_s = self._total_packets = 0.0
-        self._window_j = self._window_s = self._window_packets = 0.0
 
 
 def record_many(meters, power_w, dt_s: float, packets) -> np.ndarray:
@@ -290,25 +272,17 @@ def record_many(meters, power_w, dt_s: float, packets) -> np.ndarray:
         raise ValueError("power must be non-negative")
     joules = power * dt_s
     # Row 0 holds the meters' accumulators, rows 1..n the increments.
-    acc = np.empty((len(power) + 1, len(meters), 6))
+    acc = np.empty((len(power) + 1, len(meters), 3))
     acc[0] = np.fromiter(
-        chain.from_iterable(map(_meter_state, meters)), np.float64, 6 * len(meters)
-    ).reshape(len(meters), 6)
-    acc[1:, :, 0::3] = joules[..., None]
-    acc[1:, :, 1::3] = dt_s
-    acc[1:, :, 2::3] = counts[..., None]
+        chain.from_iterable(map(_meter_state, meters)), np.float64, 3 * len(meters)
+    ).reshape(len(meters), 3)
+    acc[1:, :, 0] = joules
+    acc[1:, :, 1] = dt_s
+    acc[1:, :, 2] = counts
     np.add.accumulate(acc, axis=0, out=acc)
-    for m, (tj, ts, tp, wj, ws, wp) in zip(meters, acc[-1].tolist()):
+    for m, (tj, ts, tp) in zip(meters, acc[-1].tolist()):
         m._total_j, m._total_s, m._total_packets = tj, ts, tp
-        m._window_j, m._window_s, m._window_packets = wj, ws, wp
     return acc[1:, :, 0]
 
 
-_meter_state = attrgetter(
-    "_total_j",
-    "_total_s",
-    "_total_packets",
-    "_window_j",
-    "_window_s",
-    "_window_packets",
-)
+_meter_state = attrgetter("_total_j", "_total_s", "_total_packets")

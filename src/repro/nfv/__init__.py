@@ -1,4 +1,4 @@
-"""NFV platform substrate: NFs, chains, rings, engine, nodes, controller."""
+"""NFV platform substrate: NFs, chains, engine, nodes, controller."""
 
 from repro.nfv.chain import (
     ServiceChain,
@@ -39,7 +39,6 @@ from repro.nfv.nf import (
 )
 from repro.nfv.node import HostedChain, Node
 from repro.nfv.per_nf import PerNFEngine, PerNFKnobVector
-from repro.nfv.rings import FluidRing, RingBuffer
 
 __all__ = [
     "ServiceChain",
@@ -80,6 +79,4 @@ __all__ = [
     "Node",
     "PerNFEngine",
     "PerNFKnobVector",
-    "FluidRing",
-    "RingBuffer",
 ]

@@ -23,10 +23,10 @@ with incompatible hardware or engine calibration always take the
 per-node path — the kernel only fuses physics it can prove is the same.
 
 Node-level bookkeeping (one Fan-model power evaluation per node and
-interval, cycle-proportional power attribution, rx-ring and
-energy-meter integration in interval order) replays the exact scalar
-arithmetic of ``step_all``, so every sample matches the per-node path to
-<= 1 ulp (measured 0 ulp; ``tests/test_cluster_kernel.py`` and
+interval, cycle-proportional power attribution, node energy-meter
+integration in interval order) replays the exact scalar arithmetic of
+``step_all``, so every sample matches the per-node path to <= 1 ulp
+(measured 0 ulp; ``tests/test_cluster_kernel.py`` and
 ``tests/test_shard_block.py`` pin it).
 """
 
@@ -41,7 +41,6 @@ from repro.hw.power import record_many
 from repro.nfv.engine import ChainKernelPlan, TelemetrySample, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
-from repro.nfv.rings import offer_many
 
 
 def left_sums(terms, start=0.0) -> np.ndarray:
@@ -118,8 +117,6 @@ class _FusedMeta:
 
     names: tuple[str, ...]
     hosted_rows: tuple  # (R,) HostedChain per row
-    rings: tuple  # (R,) FluidRing per row
-    chain_meters: tuple  # (R,) EnergyMeter per row
     node_meters: tuple  # (N,) EnergyMeter per node
     owner: np.ndarray  # (R,) owning node index per row
     slot: np.ndarray  # (R,) position of each row on its node
@@ -167,7 +164,7 @@ class ClusterKernel:
     nodes' offered traffic (chain names are unique across a cluster)
     for a block of n intervals and returns their per-interval arrays
     plus the last interval's telemetry, with identical node-side
-    effects (rings, meters, ``last_sample``).
+    effects (node meters, ``last_sample``).
     """
 
     def __init__(self, nodes):
@@ -305,8 +302,8 @@ class ClusterKernel:
 
         Alongside the compiled physics, every knob/deployment-static
         quantity the fold needs (each node's
-        :meth:`~repro.nfv.node.Node.fold_inputs`, ring/meter handles,
-        the row-to-node layout) is collected here.
+        :meth:`~repro.nfv.node.Node.fold_inputs`, the node meters, the
+        row-to-node layout) is collected here.
         """
         _gens, all_pkts = key
         chains: list = []
@@ -347,8 +344,6 @@ class ClusterKernel:
         self._plan_meta = _FusedMeta(
             names=tuple(names),
             hosted_rows=tuple(hosted_rows),
-            rings=tuple(h.rx_ring for h in hosted_rows),
-            chain_meters=tuple(h.meter for h in hosted_rows),
             node_meters=tuple(node.meter for node in self.nodes),
             owner=owner_arr,
             slot=np.asarray(slot, dtype=np.intp),
@@ -367,8 +362,8 @@ class ClusterKernel:
         the same order — with the elementwise parts as array ops over
         the whole block (elementwise numpy matches the scalar operations
         bit for bit), the order-sensitive per-node sums as left folds,
-        and every node's Fan-model power in one batched call.  Rings and
-        meters integrate the intervals in order, and each object is
+        and every node's Fan-model power in one batched call.  The node
+        meters integrate the intervals in order, and each meter is
         written back once per block.
         """
         plan = self._plan
@@ -382,7 +377,7 @@ class ClusterKernel:
         rows = np.empty(busy.shape[:-1] + (3, busy.shape[-1]))
         np.maximum(0.0, busy - meta.infra_rows, out=rows[..., 0, :])
         weights = np.maximum(busy, 1e-9, out=rows[..., 1, :])
-        achieved_dt = np.multiply(multi.achieved_pps, dt_s, out=rows[..., 2, :])
+        np.multiply(multi.achieved_pps, dt_s, out=rows[..., 2, :])
         sums = meta.node_sums(rows, meta.fold_start)
         busy_totals, wsums, packets = sums[..., 0, :], sums[..., 1, :], sums[..., 2, :]
 
@@ -400,15 +395,7 @@ class ClusterKernel:
         multi.power_w = power_nodes[..., meta.owner] * shares
         multi.energy_j = energy_nodes[..., meta.owner] * shares
 
-        # Rx rings and energy meters integrate the intervals in order.
-        offer_many(
-            meta.rings,
-            np.minimum(multi.offered_pps, multi.achieved_pps + multi.dropped_pps),
-            np.maximum(multi.achieved_pps, 1.0),
-            dt_s,
-        )
         node_joules = record_many(meta.node_meters, power_nodes, dt_s, packets)
-        record_many(meta.chain_meters, multi.power_w, dt_s, achieved_dt)
 
         last = multi.samples()
         # repro-lint: allow[KRN002] per-chain sample handoff mutates hosted objects, once per block

@@ -130,15 +130,19 @@ class OnvmController:
 
         ``config`` maps chain name -> {"nfs": [names...], optional
         "knobs": {field: value}}; ``generators`` maps chain name to its
-        traffic source.
+        traffic source.  Every entry's chain, knobs and generator are
+        checked before any chain is deployed.
         """
-        ctrl = OnvmController(node, **kwargs)
+        entries = []
         for name, spec in config.items():
             chain = ServiceChain.from_names(name, list(spec["nfs"]))
             knobs = KnobSettings(**spec.get("knobs", {}))
             if name not in generators:
                 raise KeyError(f"no traffic generator for chain {name!r}")
-            ctrl.add_chain(chain, generators[name], knobs)
+            entries.append((chain, generators[name], knobs))
+        ctrl = OnvmController(node, **kwargs)
+        for entry in entries:
+            ctrl.add_chain(*entry)
         return ctrl
 
     # -- Algorithm 3 operations ---------------------------------------------

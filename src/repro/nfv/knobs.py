@@ -11,6 +11,7 @@ batch sizes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,16 +74,18 @@ class KnobSettings:
     batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.cpu_share <= 0:
-            raise ValueError("cpu_share must be positive")
-        if self.cpu_freq_ghz <= 0:
-            raise ValueError("cpu_freq_ghz must be positive")
+        # Chained comparisons reject NaN and infinities too, which
+        # ``clamped`` would otherwise carry through ``max``/``min``.
+        if not 0 < self.cpu_share < math.inf:
+            raise ValueError("cpu_share must be positive and finite")
+        if not 0 < self.cpu_freq_ghz < math.inf:
+            raise ValueError("cpu_freq_ghz must be positive and finite")
         if not 0.0 < self.llc_fraction <= 1.0:
             raise ValueError("llc_fraction must be in (0, 1]")
-        if self.dma_mb <= 0:
-            raise ValueError("dma_mb must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 0 < self.dma_mb < math.inf:
+            raise ValueError("dma_mb must be positive and finite")
+        if not 1 <= self.batch_size < math.inf:
+            raise ValueError("batch_size must be finite and >= 1")
 
     @property
     def dma_bytes(self) -> float:

@@ -12,12 +12,10 @@ different LLC splits) runs directly on this class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.hw.cache import CacheAllocator, contention_factor
-from repro.hw.power import EnergyMeter, ServerPowerModel
+from repro.hw.power import EnergyMeter
 from repro.hw.server import ServerSpec
 from repro.nfv.chain import ServiceChain
 from repro.nfv.engine import (
@@ -27,7 +25,6 @@ from repro.nfv.engine import (
     TelemetrySample,
 )
 from repro.nfv.knobs import DEFAULT_RANGES, KnobRanges, KnobSettings
-from repro.nfv.rings import FluidRing
 
 
 @dataclass
@@ -36,8 +33,6 @@ class HostedChain:
 
     chain: ServiceChain
     knobs: KnobSettings
-    rx_ring: FluidRing = field(default_factory=lambda: FluidRing(capacity_packets=4096))
-    meter: EnergyMeter = field(default_factory=EnergyMeter)
     last_sample: TelemetrySample | None = None
 
 
@@ -247,8 +242,10 @@ class Node:
             path of the multi-chain environments.
 
         Every chain name is checked before any knob is applied, so a
-        call that raises ``KeyError`` leaves the node unchanged.
-        Returns per-chain telemetry.
+        call that raises ``KeyError`` leaves the node unchanged.  The
+        interval advances the node's energy meter and each hosted
+        chain's ``last_sample``, nothing else.  Returns per-chain
+        telemetry.
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
@@ -284,12 +281,6 @@ class Node:
                 contention=contention,
                 include_power=False,
             )
-            # Route through the rx fluid ring for drop/latency accounting.
-            hosted.rx_ring.offer(
-                min(load, sample.achieved_pps + sample.dropped_pps),
-                max(sample.achieved_pps, 1.0),
-                dt_s,
-            )
             samples[name] = sample
             # Every sample includes the infra threads; count them once.
             busy_cores_total += max(0.0, sample.cpu_cores_busy - infra_busy)
@@ -313,9 +304,7 @@ class Node:
             share = weights[name] / wsum if wsum > 0 else 1.0 / len(samples)
             sample.power_w = power_w * share
             sample.energy_j = energy_j * share
-            hosted = self._chains[name]
-            hosted.meter.record(sample.power_w, dt_s, sample.achieved_pps * dt_s)
-            hosted.last_sample = sample
+            self._chains[name].last_sample = sample
         return samples
 
     def node_power_w(self) -> float:

@@ -99,17 +99,13 @@ def plan_cache_paths(step, *args, **kwargs):
 
 
 def node_state(nodes):
-    """Knobs, CAT grants, config generation, meters and rings of every node."""
+    """Knobs, CAT grants, config generation and meter of every node."""
     return [
         (
             {name: hosted.knobs for name, hosted in node.chains.items()},
             node.cache.allocations,
             node._config_gen,
             vars(node.meter).copy(),
-            [
-                (vars(hosted.meter).copy(), vars(hosted.rx_ring).copy())
-                for hosted in node.chains.values()
-            ],
         )
         for node in nodes
     ]
@@ -134,15 +130,10 @@ class TestGoldenEquivalence:
                 # Dataclass equality: every field (power included) and
                 # every per-NF row, bit-exact.
                 assert got[name] == ref[name]
-        # Side effects match too: node/chain meters and rx rings.
+        # Side effects match too: the node meters.
         for nk, nr in zip(nodes_k, nodes_r):
             assert nk.meter.total_joules == nr.meter.total_joules
             assert nk.meter.total_packets == nr.meter.total_packets
-            for hk, hr in zip(nk.chains.values(), nr.chains.values()):
-                assert hk.meter.total_joules == hr.meter.total_joules
-                assert hk.rx_ring.occupancy == hr.rx_ring.occupancy
-                assert hk.rx_ring.dropped == hr.rx_ring.dropped
-                assert hk.rx_ring.high_water == hr.rx_ring.high_water
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fused_plan_survives_load_changes_only(self, seed):
@@ -230,7 +221,7 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -64.0])
     def test_invalid_frame_size_leaves_state_unchanged(self, bad, warm):
         # Frame sizes are checked once, before the kernel touches knobs,
-        # meters, rings or its plan cache: on a fresh kernel and on one
+        # meters or its plan cache: on a fresh kernel and on one
         # whose configuration is already compiled.
         nodes, offered = build_cluster(3)
         kernel = ClusterKernel(nodes)
@@ -248,8 +239,8 @@ class TestGoldenEquivalence:
 
     def test_rejected_step_leaves_nodes_unchanged(self):
         # Every name is checked before any state changes: unknown
-        # offered traffic after known chains must not integrate a ring
-        # or a meter, nor compile a plan.
+        # offered traffic after known chains must not integrate a meter
+        # nor compile a plan.
         nodes, offered = build_cluster(3)
         kernel = ClusterKernel(nodes)
         name = next(iter(offered))
@@ -382,9 +373,6 @@ class TestSdnSteeringEquivalence:
             kernel_sdn._kernel.nodes, ref_sdn._kernel.nodes
         ):
             assert vars(kernel_node.meter) == vars(ref_node.meter)
-            for hk, hr in zip(kernel_node.chains.values(), ref_node.chains.values()):
-                assert vars(hk.meter) == vars(hr.meter)
-                assert hk.rx_ring == hr.rx_ring
         return ref_sdn
 
     def test_migration_decisions_identical(self, perf_reference):

@@ -100,16 +100,6 @@ class TestEnergyMeter:
         assert meter.total_seconds == pytest.approx(4.0)
         assert meter.average_power() == pytest.approx(75.0)
 
-    def test_window_reset(self):
-        meter = EnergyMeter()
-        meter.record(10.0, 1.0, packets=100)
-        j, s, p = meter.read_window()
-        assert (j, s, p) == (10.0, 1.0, 100.0)
-        j2, s2, p2 = meter.read_window()
-        assert (j2, s2, p2) == (0.0, 0.0, 0.0)
-        # Totals unaffected by window reads.
-        assert meter.total_joules == 10.0
-
     def test_joules_per_mpacket(self):
         meter = EnergyMeter()
         meter.record(100.0, 1.0, packets=2e6)

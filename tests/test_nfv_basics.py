@@ -1,4 +1,4 @@
-"""NF catalog, chains, rings and knob-settings tests."""
+"""NF catalog, chains and knob-settings tests."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from repro.nfv.knobs import (
     heuristic_initial_settings,
 )
 from repro.nfv.nf import CATALOG, EPC, IDS, NAT, NFSpec, get_nf
-from repro.nfv.rings import FluidRing, RingBuffer
 
 
 class TestNFCatalog:
@@ -93,105 +92,6 @@ class TestServiceChain:
             ServiceChain("x", ())
 
 
-class TestRingBuffer:
-    def test_fifo_order(self):
-        r = RingBuffer(8)
-        r.enqueue_burst([1, 2, 3])
-        assert r.dequeue_burst(2) == [1, 2]
-        assert r.dequeue_burst(5) == [3]
-
-    def test_drop_tail(self):
-        r = RingBuffer(2)
-        n = r.enqueue_burst([1, 2, 3, 4])
-        assert n == 2
-        assert r.dropped == 2
-
-    def test_wraparound(self):
-        r = RingBuffer(3)
-        for i in range(10):
-            r.enqueue_burst([i])
-            assert r.dequeue_burst(1) == [i]
-        assert r.dropped == 0
-
-    def test_counters(self):
-        r = RingBuffer(4)
-        r.enqueue_burst([1, 2, 3])
-        r.dequeue_burst(2)
-        assert (r.enqueued, r.dequeued) == (3, 2)
-        assert r.high_water == 3
-
-    def test_peek(self):
-        r = RingBuffer(4)
-        assert r.peek() is None
-        r.enqueue_burst(["a"])
-        assert r.peek() == "a"
-        assert len(r) == 1
-
-    def test_clear(self):
-        r = RingBuffer(4)
-        r.enqueue_burst([1, 2])
-        r.clear()
-        assert len(r) == 0
-        assert r.enqueued == 2  # counters retained
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
-        with pytest.raises(ValueError):
-            RingBuffer(4).dequeue_burst(-1)
-
-
-class TestFluidRing:
-    def test_forwards_when_service_covers(self):
-        r = FluidRing(1000)
-        out = r.offer(100.0, 200.0, 1.0)
-        assert out == pytest.approx(100.0)
-        assert r.occupancy == pytest.approx(0.0)
-
-    def test_backlogs_when_service_short(self):
-        r = FluidRing(1000)
-        out = r.offer(300.0, 100.0, 1.0)
-        assert out == pytest.approx(100.0)
-        assert r.occupancy == pytest.approx(200.0)
-
-    def test_overflow_drops(self):
-        r = FluidRing(100)
-        r.offer(500.0, 0.0, 1.0)
-        assert r.occupancy == 100.0
-        assert r.dropped == pytest.approx(400.0)
-
-    def test_drain_backlog(self):
-        r = FluidRing(1000)
-        r.offer(300.0, 100.0, 1.0)
-        out = r.offer(0.0, 300.0, 1.0)
-        assert out == pytest.approx(200.0)
-        assert r.occupancy == pytest.approx(0.0)
-
-    def test_littles_law_delay(self):
-        r = FluidRing(1000)
-        r.offer(300.0, 100.0, 1.0)
-        assert r.delay_s(100.0) == pytest.approx(2.0)
-
-    def test_delay_with_zero_service(self):
-        r = FluidRing(10)
-        r.offer(5.0, 0.0, 1.0)
-        assert r.delay_s(0.0) == float("inf")
-
-    def test_reset(self):
-        r = FluidRing(10)
-        r.offer(50.0, 0.0, 1.0)
-        r.reset()
-        assert r.occupancy == 0.0 and r.dropped == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FluidRing(0)
-        with pytest.raises(ValueError):
-            FluidRing(10).offer(-1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            FluidRing(10).offer(1.0, 0.0, 0.0)
-
-
 class TestKnobSettings:
     def test_baseline_defaults(self):
         k = baseline_settings()
@@ -241,3 +141,12 @@ class TestKnobSettings:
             KnobSettings.from_array(np.zeros(4))
         with pytest.raises(ValueError):
             KnobRanges(min_cpu_share=2.0, max_cpu_share=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["cpu_share", "cpu_freq_ghz", "llc_fraction", "dma_mb", "batch_size"]
+    )
+    def test_non_finite_values_rejected(self, field, bad):
+        # clamped() would keep a NaN (max(nan, lo) is nan) and price it.
+        with pytest.raises(ValueError, match=field):
+            KnobSettings(**{field: bad})

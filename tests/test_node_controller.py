@@ -160,6 +160,19 @@ class TestController:
         with pytest.raises(KeyError):
             OnvmController.from_config({"web": {"nfs": ["nat"]}}, {})
 
+    def test_from_config_rejects_non_finite_knobs(self):
+        # Every entry is checked first: the valid chain before the NaN
+        # one is not deployed either.
+        node = Node()
+        config = {
+            "c0": {"nfs": ["firewall", "router"]},
+            "c1": {"nfs": ["firewall", "router"], "knobs": {"cpu_share": np.nan}},
+        }
+        generators = {name: ConstantRateGenerator(1e5) for name in config}
+        with pytest.raises(ValueError, match="cpu_share"):
+            OnvmController.from_config(config, generators, node)
+        assert node.chains == {}
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             OnvmController(interval_s=0.0)

@@ -106,6 +106,13 @@ class TestPerNFEngine:
         eng = PerNFEngine()
         with pytest.raises(ValueError):
             eng.step_per_nf(CHAIN, uniform_knobs(), -1.0, 1518, 1.0)
+        # NaN loads and NaN or infinite frame sizes priced NaN telemetry.
+        for load, pkt in ((np.nan, 1518), (1e5, np.nan), (1e5, np.inf), (1e5, 0.0)):
+            with pytest.raises(ValueError):
+                eng.step_per_nf(CHAIN, uniform_knobs(), load, pkt, 1.0)
+        # An infinite load stays legal: the NIC clamps it.
+        sample = eng.step_per_nf(CHAIN, uniform_knobs(), np.inf, 1518, 1.0)
+        assert np.isfinite(sample.achieved_pps) and np.isfinite(sample.latency_s)
 
 
 class TestPerNFKnobVector:

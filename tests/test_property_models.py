@@ -10,7 +10,6 @@ from repro.hw.power import ServerPowerModel
 from repro.nfv.chain import default_chain
 from repro.nfv.engine import PacketEngine, chain_stack
 from repro.nfv.knobs import KnobSettings
-from repro.nfv.rings import FluidRing
 from repro.utils.stats import rolling_mean
 
 CHAIN = default_chain()
@@ -104,49 +103,6 @@ class TestEngineProperties:
         mt = plan.step([0.0])
         assert np.all(mt.cycles_per_packet > 0)
         assert np.all(mt.misses_per_packet >= 0)
-
-
-class TestFluidRingProperties:
-    @settings(deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1e5),
-                st.floats(min_value=0.0, max_value=1e5),
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_conservation(self, steps):
-        """Arrivals = forwarded + drops + backlog, interval by interval."""
-        ring = FluidRing(5000.0)
-        total_in = total_out = 0.0
-        for in_rate, out_rate in steps:
-            served = ring.offer(in_rate, out_rate, 1.0)
-            total_in += in_rate
-            total_out += served
-        assert np.isclose(
-            total_in, total_out + ring.dropped + ring.occupancy, rtol=1e-9, atol=1e-6
-        )
-
-    @settings(deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1e5),
-                st.floats(min_value=0.0, max_value=1e5),
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_occupancy_bounded(self, steps):
-        ring = FluidRing(1000.0)
-        for in_rate, out_rate in steps:
-            ring.offer(in_rate, out_rate, 1.0)
-            assert 0.0 <= ring.occupancy <= 1000.0
-            assert ring.high_water <= 1000.0
 
 
 class TestKnobSpaceProperties:

@@ -682,6 +682,34 @@ class TestSpecFieldChecker:
         )
         assert report.findings == ()
 
+    def test_listed_spec_classes_are_field_types(self, tmp_path):
+        # A class listed in spec_classes may type another's field; an
+        # unlisted class may not.
+        report = lint_tree(
+            tmp_path,
+            {
+                "src/spec.py": """
+                from dataclasses import dataclass
+
+                @dataclass(frozen=True)
+                class Inner:
+                    rate: float
+
+                @dataclass(frozen=True)
+                class MySpec:
+                    inner: Inner
+                    nested: tuple[Inner, ...] = ()
+                    other: Outsider | None = None
+                """
+            },
+            config=dataclasses.replace(
+                BARE, spec_classes={"src/spec.py": ("MySpec", "Inner")}
+            ),
+        )
+        assert codes(report) == ["SPEC001"]
+        (finding,) = report.findings
+        assert "MySpec.other" in finding.message
+
     def test_missing_anchor_class_is_loud(self, tmp_path):
         report = lint_tree(
             tmp_path,

@@ -8,8 +8,10 @@ the per-interval loop without the kernel: every interval, each node's
 scalar ``Node.step_all`` fold.  The seeded grid below drives both
 through runs of 1, 2, 3 and 8 intervals with a knob change, a deploy,
 an undeploy and a vacated node between runs, on every registered SLA,
-and requires every record, sample, meter and ring to match at 0 ulp.
-The plan-cache counters show which path each run took.
+and requires every record, sample and node meter to match at 0 ulp.
+The plan-cache counters show which path each run took.  The same grid
+checks that every interval's per-chain energy sums to its node's meter
+increment.
 """
 
 import numpy as np
@@ -23,7 +25,6 @@ from repro.hw.server import ServerSpec
 from repro.nfv.cluster_kernel import ClusterKernel, left_sums
 from repro.nfv.engine import EngineParams
 from repro.nfv.node import Node
-from repro.nfv.rings import FluidRing, offer_many
 
 #: Every registered SLA, with a constraint that some chains miss.
 SLA_PARAMS = {
@@ -92,6 +93,25 @@ def grid_case(seed: int):
     return sims, lengths, knobs, hetero, tickets
 
 
+def apply_command(sim: ShardSim, step: int, others, knobs) -> None:
+    """The grid's command after run ``step``; each bumps a node
+    generation, so the next run steps a new configuration."""
+    if step == 0:
+        sim.set_knobs({others[0].name: knobs})
+    elif step == 1:
+        sim.deploy(
+            ChainTicket(
+                name="arrival", nfs=kind_nfs("heavy"), flow="fa", node=len(sim.nodes) - 1
+            )
+        )
+    elif step == 2:
+        sim.undeploy(others[-1].name)
+    elif step == 3:
+        # Vacate node 0: it is parked and billed at the floor.
+        for name in [n for n, t in sim._tickets.items() if t.node == 0]:
+            sim.undeploy(name)
+
+
 def plan_cache_counts(run, *args):
     """Run with ``repro.obs`` on; return the result and the
     ``kernel/plan_cache/*`` counts it recorded."""
@@ -110,7 +130,7 @@ def plan_cache_counts(run, *args):
 
 
 def assert_same_state(block: ShardSim, ref: ShardSim) -> None:
-    """Samples, meters and rings of two shards agree bit for bit."""
+    """Samples and node meters of two shards agree bit for bit."""
     assert block._last_samples == ref._last_samples
     assert block._node_energy == ref._node_energy
     assert block._last_node_power == ref._last_node_power
@@ -119,8 +139,6 @@ def assert_same_state(block: ShardSim, ref: ShardSim) -> None:
         assert list(node_b.chains) == list(node_r.chains)
         for hosted_b, hosted_r in zip(node_b.chains.values(), node_r.chains.values()):
             assert hosted_b.last_sample == hosted_r.last_sample
-            assert vars(hosted_b.meter) == vars(hosted_r.meter)
-            assert hosted_b.rx_ring == hosted_r.rx_ring
 
 
 class TestBlockMatchesPerIntervalReference:
@@ -130,28 +148,6 @@ class TestBlockMatchesPerIntervalReference:
     def test_block_run_matches_reference(self, seed, perf_reference):
         (block, ref), lengths, knobs, hetero, tickets = grid_case(seed)
         others = [t for t in tickets if t.node != 0]
-
-        def commands(step: int) -> None:
-            # Each command bumps a node generation: a new configuration.
-            for sim in (block, ref):
-                if step == 0:
-                    sim.set_knobs({others[0].name: knobs})
-                elif step == 1:
-                    sim.deploy(
-                        ChainTicket(
-                            name="arrival",
-                            nfs=kind_nfs("heavy"),
-                            flow="fa",
-                            node=len(sim.nodes) - 1,
-                        )
-                    )
-                elif step == 2:
-                    sim.undeploy(others[-1].name)
-                elif step == 3:
-                    # Vacate node 0: it is parked and billed at the floor.
-                    for name in [n for n, t in sim._tickets.items() if t.node == 0]:
-                        sim.undeploy(name)
-
         start = 0
         for step, n in enumerate(lengths):
             got, counts = plan_cache_counts(block.run, start, n)
@@ -171,8 +167,44 @@ class TestBlockMatchesPerIntervalReference:
             if step == 4:
                 assert got.nodes[0].chains == 0
                 assert got.nodes[0].power_w == 7.5
-            commands(step)
+            for sim in (block, ref):
+                apply_command(sim, step, others, knobs)
             start += n
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_chain_energy_sums_to_node_meter(self, seed):
+        # Energy attribution is conserved: in every interval, the
+        # left-fold sum of a node's per-chain energy equals its meter's
+        # increment, on the fused path and the per-node one alike.
+        (sim, _), lengths, knobs, _, tickets = grid_case(seed)
+        others = [t for t in tickets if t.node != 0]
+        kernel_step = sim.kernel.step
+        checked = 0
+
+        def step(*args):
+            nonlocal checked
+            widths = [len(node.chains) for node in sim.nodes]
+            before = [node.meter.total_joules for node in sim.nodes]
+            block = kernel_step(*args)
+            increments = np.diff(np.vstack([before, block.node_joules]), axis=0)
+            # Rows run node by node, in deployment order within a node.
+            ends = np.cumsum(widths).tolist()
+            for j, (width, end) in enumerate(zip(widths, ends)):
+                if width:
+                    attributed = left_sums(block.energy_j[:, end - width : end])
+                    np.testing.assert_allclose(
+                        attributed, increments[:, j], rtol=1e-12, atol=0.0
+                    )
+                    checked += len(attributed)
+            return block
+
+        sim.kernel.step = step
+        start = 0
+        for i, n in enumerate(lengths):
+            sim.run(start, n)
+            apply_command(sim, i, others, knobs)
+            start += n
+        assert checked >= sum(lengths)
 
     def test_grid_sees_both_sla_outcomes(self):
         # Not vacuous: across the grid each constrained SLA has chains
@@ -269,26 +301,7 @@ class TestStep:
 
 
 class TestBlockHelpers:
-    """Rings, meters and folds advance a block as n sequential calls."""
-
-    def test_offer_many_block_matches_sequential_offers(self):
-        rng = np.random.default_rng(5)
-        rings = [FluidRing(capacity_packets=c) for c in (50.0, 4096.0, 1e5)]
-        ref = [FluidRing(capacity_packets=r.capacity_packets) for r in rings]
-        in_rates = rng.uniform(0.0, 4e3, (6, 3))
-        out_rates = rng.uniform(0.0, 3e3, (6, 3))
-        served = offer_many(rings, in_rates, out_rates, 0.25)
-        want = [
-            [r.offer(i, o, 0.25) for r, i, o in zip(ref, row_in, row_out)]
-            for row_in, row_out in zip(in_rates.tolist(), out_rates.tolist())
-        ]
-        assert served.tolist() == want
-        assert rings == ref
-        assert any(r.dropped > 0 for r in rings)
-        with pytest.raises(ValueError):
-            offer_many(rings, in_rates[:, :2], out_rates[:, :2], 1.0)
-        with pytest.raises(ValueError, match="block"):
-            offer_many(rings, in_rates[0], out_rates[0], 1.0)
+    """Meters and folds advance a block as n sequential calls."""
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_record_many_matches_sequential_records(self, n):
