@@ -585,7 +585,7 @@ def reference_shard_worker(config, conn) -> None:
                 return
             try:
                 if kind == "run":
-                    conn.send(("report", sim.run(msg[1], msg[2])))
+                    conn.send(("report", sim.run(msg[1])))
                 elif kind == "deploy":
                     sim.deploy(msg[1])
                     conn.send(("ok",))
@@ -624,6 +624,8 @@ class ReferenceShardWorker:
             target=reference_shard_worker, args=(config, child_conn), daemon=True
         )
         self._proc.start()
+        #: The worker's chains in deployment order: a run's load rows.
+        self._hosted = [ticket.name for ticket in config.initial_chains]
         self._in_flight = False
         self._closed = False
         try:
@@ -650,10 +652,14 @@ class ReferenceShardWorker:
             )
         return msg[1] if len(msg) > 1 else None
 
-    def begin_run(self, start: int, n: int) -> None:
+    @property
+    def load_rows(self) -> tuple[str, ...]:
+        return tuple(self._hosted)
+
+    def begin_run(self, block) -> None:
         if self._in_flight:
             raise RuntimeError("previous run not collected")
-        self._conn.send(("run", start, n))
+        self._conn.send(("run", block))
         self._in_flight = True
 
     def finish_run(self):
@@ -665,10 +671,13 @@ class ReferenceShardWorker:
     def deploy(self, ticket) -> None:
         self._conn.send(("deploy", ticket))
         self._recv("ok")
+        self._hosted.append(ticket.name)
 
     def undeploy(self, name: str):
         self._conn.send(("undeploy", name))
-        return self._recv("ticket")
+        ticket = self._recv("ticket")
+        self._hosted.remove(name)
+        return ticket
 
     def set_knobs(self, updates) -> None:
         self._conn.send(("knobs", dict(updates)))
@@ -710,8 +719,11 @@ def reference_lockstep_cycles(coordinator, n: int) -> None:
     handles = list(coordinator.handles.values())
     step = coordinator.fleet.sync_every
     for _ in range(n):
+        block = coordinator._draw_loads(
+            list(coordinator._placement), coordinator._interval
+        )
         for handle in handles:
-            handle.begin_run(coordinator._interval, step)
+            handle.begin_run(block.take(handle.load_rows))
         reports = [handle.finish_run() for handle in handles]
         coordinator._merge_records(reports)
         coordinator._interval += step
@@ -724,30 +736,31 @@ def reference_lockstep_cycles(coordinator, n: int) -> None:
 # -- fleet: per-interval shard run ---------------------------------------------
 
 
-def reference_shard_run(sim, start: int, n: int):
+def reference_shard_run(sim, block):
     """A shard run stepped one interval at a time, node by node.
 
     The pre-block body of ``ShardSim._run_inner`` without the cluster
     kernel: every interval is one :func:`reference_cluster_step` (each
     node's scalar ``Node.step_all``), with per-interval
     ``TelemetrySample`` dicts and the record totals folded in Python.
-    Advances ``sim`` exactly as ``sim.run(start, n)`` does; the block
+    Advances ``sim`` exactly as ``sim.run(block)`` does; the block
     path must match it at 0 ulp.  Totals use explicit ``+=`` folds
     (the builtin ``sum`` compensates on Python >= 3.12).
     """
     from repro.fleet.shard import IntervalRecord, ShardReport
-    from repro.fleet.workload import stream_hashes
 
+    start, n = block.start, block.pps.shape[1]
     if n < 1:
         raise ValueError("must run at least one interval")
     if start != sim._interval:
         raise ValueError(f"shard is at interval {sim._interval}, asked for {start}")
+    names = list(sim._tickets)
+    if list(block.names) != names:
+        raise ValueError(f"load rows {block.names} are not the hosted chains {names}")
     cfg = sim.config
     dt = cfg.interval_s
-    names = list(sim._tickets)
     pkt = sim.workload.packet_bytes
-    hashes = stream_hashes(names)
-    loads = sim.workload.offered(cfg.seed, hashes, start, n, dt).T.tolist()
+    loads = block.pps.T.tolist()
     records = []
     for index, column in zip(range(start, start + n), loads):
         offered = {name: (pps, pkt) for name, pps in zip(names, column)}

@@ -1,11 +1,15 @@
-"""Legacy setup shim.
+"""Package metadata for ``pip install -e .``.
 
 The offline build environment ships setuptools without ``wheel``; modern
 PEP 660 editable installs need ``bdist_wheel``, so ``pip install -e .``
-falls back to this ``setup.py develop`` path.  All metadata lives in
-pyproject.toml; this file only triggers the legacy code path.
+falls back to this ``setup.py develop`` path.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

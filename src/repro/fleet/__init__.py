@@ -54,6 +54,7 @@ from repro.fleet.topology import (
 from repro.fleet.workload import (
     ChurnConfig,
     FlashCrowdConfig,
+    LoadBlock,
     WorkloadConfig,
     interval_stream,
     stream_hashes,
@@ -74,6 +75,7 @@ __all__ = [
     "GeneticPlacement",
     "GreedyPlacement",
     "InterShardLink",
+    "LoadBlock",
     "LocalShard",
     "MigrationConfig",
     "PlacementModel",

@@ -21,13 +21,17 @@ decisions the single-cluster controllers cannot:
 
 Every decision is a deterministic function of the gathered reports and
 the counter-based churn stream, so a seeded run is bit-identical across
-backends and worker counts.  The decide phase is pipelined: while the
-coordinator plans cycle *t* from its gathered telemetry, the shards are
-already stepping cycle *t+1*'s intervals — safe because workload draws
-are counter-based and placement-independent — and the planned
-migration/knob commands are applied at the next interval boundary
-(bounded staleness: every decision lands exactly one cycle after the
-telemetry it was planned from, on both backends alike).  The lockstep
+backends and worker counts.  The coordinator also draws the fleet's
+offered load, once per cycle for every chain
+(:meth:`~repro.fleet.workload.WorkloadConfig.offered`), and hands each
+shard its own rows with the run command.  The decide phase is
+pipelined: while the coordinator plans cycle *t* from its gathered
+telemetry, the shards are already stepping cycle *t+1*'s intervals —
+safe because workload draws are counter-based and placement-independent
+— and the planned migration/knob commands are applied at the next
+interval boundary (bounded staleness: every decision lands exactly one
+cycle after the telemetry it was planned from, on both backends
+alike).  The lockstep
 schedule, which decides before the shards step again, is kept as
 ``reference_lockstep_cycles`` in ``benchmarks/perf/reference.py``.
 :func:`run_fleet` is the facade the CLI and tests share; its
@@ -42,6 +46,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
+
+import numpy as np
 
 from repro import obs
 from repro.obs import clock
@@ -59,6 +65,7 @@ from repro.fleet.placement import PLACEMENTS
 from repro.fleet.routing import RoutingTable
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import CHAIN_KINDS
+from repro.fleet.workload import LoadBlock, stream_hashes
 
 #: Fleet-artifact schema version (bump on layout changes).
 FLEET_FORMAT_VERSION = 1
@@ -203,7 +210,7 @@ class FleetCoordinator:
         seed: int = 0,
         mp_context: str | None = None,
     ):
-        if interval_s <= 0:
+        if not interval_s > 0:
             raise ValueError("interval must be positive")
         self.fleet = fleet
         self.sla = sla
@@ -248,6 +255,11 @@ class FleetCoordinator:
                     tickets[shard.name].append(ticket)
                     self._placement[name] = (shard.name, node)
                     counter += 1
+        #: Each deployed chain's ``(load, flash)`` stream hashes
+        #: (:func:`~repro.fleet.workload.stream_hashes`), from the moment
+        #: it enters the fleet until it departs.
+        initial = list(self._placement)
+        self._hashes = dict(zip(initial, stream_hashes(initial)))
         self._dynamic: set[str] = set()
         self._arrivals_admitted = 0
         self._interval = 0
@@ -274,7 +286,6 @@ class FleetCoordinator:
                 config = ShardConfig(
                     name=shard.name,
                     n_nodes=shard.nodes,
-                    seed=self.seed,
                     interval_s=self.interval_s,
                     sla=self.sla,
                     sla_params=self.sla_params,
@@ -323,7 +334,9 @@ class FleetCoordinator:
     def run_cycles(self, n_cycles: int) -> None:
         """Run ``n_cycles`` gather/decide/scatter cycles.
 
-        The decide phase of cycle *t* overlaps
+        Each cycle starts with one draw of the offered load of every
+        hosted chain, and each shard's run command carries its rows.  The
+        decide phase of cycle *t* overlaps
         the shards stepping cycle *t+1* (its commands are applied at the
         next interval boundary — bounded staleness).  The pipeline fully
         drains before this method returns, so the final gathered cycle
@@ -348,8 +361,9 @@ class FleetCoordinator:
         cycle = self._cycle
         for _ in range(n_cycles):
             with obs.span("fleet/cycle", cycle=cycle):
+                block = self._draw_loads(list(self._placement), self._interval)
                 for handle in handles:
-                    handle.begin_run(self._interval, n)
+                    handle.begin_run(block.take(handle.load_rows))
                 if pending is not None:
                     with obs.span("fleet/plan", cycle=pending[1]):
                         plan = self._plan_cycle(*pending)
@@ -376,6 +390,20 @@ class FleetCoordinator:
             self._apply_cycle(plan)
         if obs._ENABLED:
             self._drain_worker_spans()
+
+    def _draw_loads(self, names: list[str], start: int) -> LoadBlock:
+        """The offered load of ``names`` over one run from ``start``,
+        drawn from their stored stream hashes in one key pass
+        (:meth:`~repro.fleet.workload.WorkloadConfig.offered`)."""
+        hashes = np.array([self._hashes[name] for name in names], np.uint64)
+        pps = self.fleet.workload.offered(
+            self.seed,
+            hashes.reshape(len(names), 2),
+            start,
+            self.fleet.sync_every,
+            self.interval_s,
+        )
+        return LoadBlock(start, tuple(names), pps)
 
     def _plan_cycle(
         self, reports: list[ShardReport], cycle: int, interval: int
@@ -471,6 +499,7 @@ class FleetCoordinator:
     def _apply_cycle_inner(self, plan: _CyclePlan) -> None:
         for name, shard in plan.departures:
             self._placement.pop(name)
+            del self._hashes[name]
             self.handles[shard].undeploy(name)
             self._dynamic.discard(name)
             self._churn_log.append(
@@ -486,6 +515,7 @@ class FleetCoordinator:
         for shard, ticket in plan.arrivals:
             self.handles[shard].deploy(ticket)
             self._placement[ticket.name] = (shard, ticket.node)
+            self._hashes[ticket.name] = stream_hashes([ticket.name])[0]
             self._dynamic.add(ticket.name)
             self._arrivals_admitted += 1
             self._churn_log.append(
@@ -591,6 +621,7 @@ class FleetCoordinator:
         )
         if desired is None:
             return []
+        flow_mates = self._flow_mates(summaries, placement)
         candidates: list[
             tuple[float, str, int, float, float, str, tuple[str, ...]]
         ] = []
@@ -601,14 +632,7 @@ class FleetCoordinator:
             if dst == cur:
                 continue
             gain, cost, reason, path = self._score_move(
-                chain,
-                placement[name],
-                cur,
-                dst,
-                counts,
-                summaries,
-                node_info,
-                placement,
+                chain, placement[name], cur, dst, counts, node_info, flow_mates
             )
             if (
                 mig.max_path_latency_s > 0.0
@@ -683,6 +707,25 @@ class FleetCoordinator:
                 obs.inc("fleet/migrations/accepted")
         return moves
 
+    @staticmethod
+    def _flow_mates(
+        summaries: Mapping[str, ChainSummary],
+        placement: Mapping[str, tuple[str, int]],
+    ) -> dict[tuple[str, tuple[str, int]], int]:
+        """How many reporting chains of each flow group sit on each node:
+        ``(flow, (shard, node)) -> count``.
+
+        Locations come from the authoritative ``placement`` book, not
+        the summaries: a flow-mate migrated by the previous plan must
+        count at its *new* node, not where its stale summary still
+        reports it.
+        """
+        mates: dict[tuple[str, tuple[str, int]], int] = {}
+        for name, summary in summaries.items():
+            key = (summary.flow, placement[name])
+            mates[key] = mates.get(key, 0) + 1
+        return mates
+
     def _score_move(
         self,
         chain: ChainSummary,
@@ -690,19 +733,17 @@ class FleetCoordinator:
         cur: int,
         dst: int,
         counts: list[int],
-        summaries: dict[str, ChainSummary],
         node_info: dict[tuple[str, int], NodeSummary],
-        placement: Mapping[str, tuple[str, int]],
+        flow_mates: Mapping[tuple[str, tuple[str, int]], int],
     ) -> tuple[float, float, str, tuple[str, ...]]:
         """(gain_j, cost_j, reason, path) of one candidate move.
 
         ``src_key`` is the chain's authoritative current location (its
-        summary lags one cycle behind the applied plans), and the
-        co-location lookup reads the authoritative ``placement`` book
-        for the same reason: a flow-mate migrated by the previous plan
-        must count at its *new* node, not where its stale summary still
-        reports it.  ``path`` is the routed shard sequence the transfer
-        travels (just the one shard for intra-shard moves).
+        summary lags one cycle behind the applied plans), and
+        ``flow_mates`` counts each flow group's chains per node from the
+        same book (:meth:`_flow_mates`).  ``path`` is the routed shard
+        sequence the transfer travels (just the one shard for
+        intra-shard moves).
         """
         mig = self.fleet.migration
         dst_shard, _dst_node = self._global_nodes[dst]
@@ -719,14 +760,9 @@ class FleetCoordinator:
                 0.0, src_info.power_w - mig.parked_power_w - marginal_w
             ) * horizon_s
             reason = "vacate"
-        dst_key = self._global_nodes[dst]
-        same_flow_at_dst = any(
-            other.flow == chain.flow
-            and placement.get(other.name) == dst_key
-            and other.name != chain.name
-            for other in summaries.values()
-        )
-        if same_flow_at_dst:
+        # The chain itself sits at src_key, never at the destination, so
+        # any count there is a flow-mate.
+        if flow_mates.get((chain.flow, self._global_nodes[dst]), 0):
             gain_j += mig.colocation_gain_j
         # Cost: redeploy overhead, plus shipping resident state + DMA
         # buffer along the routed path for cross-shard moves — each hop

@@ -3,8 +3,10 @@
 A shard is one cluster of the fleet, simulated as a deterministic state
 machine driven by coordinator commands:
 
-* ``run(start, n)`` — advance ``n`` global control intervals as one
-  block through the shard's fused cluster kernel
+* ``run(block)`` — advance the global control intervals of a
+  :class:`~repro.fleet.workload.LoadBlock` (the offered load the
+  coordinator drew for the shard's chains) as one block through the
+  shard's fused cluster kernel
   (:meth:`~repro.nfv.cluster_kernel.ClusterKernel.step`, which compiles
   a configuration on first sight and prices the whole block), and
   return a :class:`ShardReport` summary (per-interval energy/SLA rows
@@ -26,9 +28,9 @@ shared-memory :class:`~repro.fleet.arena.TelemetryArena` and the run
 reply is a tiny ``("telemetry", bank, generation, start, n, n_chains)``
 ack; the handle reconstructs the :class:`ShardReport` from the arena
 bank using its own ticket mirror (resynced only on deploy/undeploy).
-Because every stochastic input is counter-based
-(:mod:`repro.fleet.workload`), both backends produce bit-identical
-telemetry for the same seed.
+A shard draws nothing itself: every stochastic input is counter-based
+(:mod:`repro.fleet.workload`) and drawn by the coordinator, so both
+backends produce bit-identical telemetry for the same seed.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from repro.nfv.engine import bottleneck_utilization
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 from repro.fleet.topology import CHAIN_KINDS
-from repro.fleet.workload import WorkloadConfig, stream_hashes
+from repro.fleet.workload import LoadBlock, WorkloadConfig
 
 #: NF line-ups of the deployable chain presets, derived from the
 #: :mod:`repro.nfv.chain` factories so fleet chains can never silently
@@ -131,7 +133,6 @@ class ShardConfig:
 
     name: str
     n_nodes: int
-    seed: int
     interval_s: float
     sla: str
     sla_params: Mapping[str, Any]
@@ -152,7 +153,7 @@ class ShardConfig:
             raise ValueError("shard config needs a name")
         if self.n_nodes < 1:
             raise ValueError("shard needs at least one node")
-        if self.interval_s <= 0:
+        if not self.interval_s > 0:
             raise ValueError("interval must be positive")
         if self.parked_power_w < 0:
             raise ValueError("parked power must be >= 0")
@@ -240,7 +241,12 @@ class ShardReport:
 
 
 class ShardSim:
-    """The deterministic shard state machine (backend-independent)."""
+    """The deterministic shard state machine (backend-independent).
+
+    The shard hashes and draws nothing: each :meth:`run` is handed the
+    offered load of its chains, one row per hosted chain in
+    :attr:`load_rows` order.
+    """
 
     def __init__(self, config: ShardConfig):
         from repro.scenario.catalog import SLAS  # deferred: registry import
@@ -254,8 +260,6 @@ class ShardSim:
         ]
         self.kernel = ClusterKernel(self.nodes)
         self._tickets: dict[str, ChainTicket] = {}
-        #: Each hosted chain's (load, flash) stream hashes, from deploy.
-        self._stream_hashes: dict[str, np.ndarray] = {}
         self._interval = 0
         self._node_energy = [0.0] * config.n_nodes
         self._last_node_power = [0.0] * config.n_nodes
@@ -270,6 +274,12 @@ class ShardSim:
         """Hosted chains in sorted order."""
         return sorted(self._tickets)
 
+    @property
+    def load_rows(self) -> tuple[str, ...]:
+        """Hosted chains in deployment order: the rows :meth:`run`
+        expects of a load block."""
+        return tuple(self._tickets)
+
     def deploy(self, ticket: ChainTicket) -> None:
         """Deploy a ticketed chain on its target node."""
         if ticket.name in self._tickets:
@@ -282,14 +292,12 @@ class ShardSim:
         knobs = KnobSettings(**dict(ticket.knobs)) if ticket.knobs else None
         self.nodes[ticket.node].deploy(chain, knobs)
         self._tickets[ticket.name] = ticket
-        self._stream_hashes[ticket.name] = stream_hashes([ticket.name])[0]
 
     def undeploy(self, name: str) -> ChainTicket:
         """Remove a chain; returns its ticket with the knobs that stuck."""
         if name not in self._tickets:
             raise KeyError(f"no chain {name!r} on shard {self.config.name!r}")
         ticket = self._tickets.pop(name)
-        del self._stream_hashes[name]
         node = self.nodes[ticket.node]
         applied = knobs_dict(node.chains[name].knobs)
         node.undeploy(name)
@@ -312,32 +320,37 @@ class ShardSim:
 
     # -- the stepping loop -------------------------------------------------
 
-    def run(self, start: int, n: int) -> ShardReport:
-        """Advance ``n`` global intervals ``[start, start + n)``.
+    def run(self, block: LoadBlock) -> ShardReport:
+        """Advance the global intervals ``[block.start, block.start + n)``
+        under the ``(chains, n)`` offered loads of ``block``.
 
-        ``start`` must match the shard's own clock — the fleet steps in
-        lockstep, and a drifted shard would silently draw the wrong
-        counter-based traffic.
+        The block's rows must be the hosted chains in :attr:`load_rows`
+        order, and ``block.start`` must match the shard's own clock — the
+        fleet steps in lockstep, and a drifted shard would silently run
+        another interval's counter-based traffic.
         """
-        with obs.span("shard/run", shard=self.config.name, start=start, n=n):
-            return self._run_inner(start, n)
+        n = block.pps.shape[-1]
+        with obs.span("shard/run", shard=self.config.name, start=block.start, n=n):
+            return self._run_inner(block)
 
-    def _run_inner(self, start: int, n: int) -> ShardReport:
-        if n < 1:
-            raise ValueError("must run at least one interval")
+    def _run_inner(self, load_block: LoadBlock) -> ShardReport:
+        cfg = self.config
+        names = self.load_rows
+        if tuple(load_block.names) != names:
+            raise ValueError(
+                f"shard {cfg.name!r} hosts chains {list(names)}, but the "
+                f"load block's rows are {list(load_block.names)}"
+            )
+        start = load_block.start
         if start != self._interval:
             raise ValueError(
-                f"shard {self.config.name!r} is at interval {self._interval}, "
+                f"shard {cfg.name!r} is at interval {self._interval}, "
                 f"coordinator asked for {start}"
             )
-        cfg = self.config
         dt = cfg.interval_s
-        names = list(self._tickets)
-        hashes = np.array(
-            [self._stream_hashes[name] for name in names], dtype=np.uint64
-        ).reshape(len(names), 2)
-        loads = self.workload.offered(cfg.seed, hashes, start, n, dt)
+        loads = load_block.pps
         block = self.kernel.step(names, loads, self.workload.packet_bytes, dt)
+        n = loads.shape[1]
         # Node-level energy: meter deltas, so idle (but unvacated) nodes
         # are billed; a node with no chains at all is parked and billed
         # at the parked floor instead.
@@ -443,11 +456,16 @@ class LocalShard:
         self.sim = ShardSim(config)
         self._pending: ShardReport | None = None
 
-    def begin_run(self, start: int, n: int) -> None:
+    @property
+    def load_rows(self) -> tuple[str, ...]:
+        """The chains a run's load block holds, in row order."""
+        return self.sim.load_rows
+
+    def begin_run(self, block: LoadBlock) -> None:
         """Start one run command (executes synchronously in-process)."""
         if self._pending is not None:
             raise RuntimeError("previous run not collected")
-        self._pending = self.sim.run(start, n)
+        self._pending = self.sim.run(block)
 
     def finish_run(self) -> ShardReport:
         """Collect the report of the last :meth:`begin_run`."""
@@ -543,21 +561,23 @@ def shard_worker(config: ShardConfig, conn, arena_name: str) -> None:
                 return
             try:
                 if kind == "run":
-                    if msg[2] > arena.layout.max_intervals:
+                    block = msg[1]
+                    n = block.pps.shape[-1]
+                    if n > arena.layout.max_intervals:
                         # Refuse before stepping: a post-hoc overflow in
                         # store_report would leave the sim clock advanced
                         # with the telemetry dropped.
                         raise ValueError(
                             f"shard {config.name!r} arena is sized for "
                             f"{arena.layout.max_intervals} interval rows "
-                            f"per run, asked for {msg[2]}"
+                            f"per run, asked for {n}"
                         )
-                    report = sim.run(msg[1], msg[2])
+                    report = sim.run(block)
                     bank = runs % BANKS
                     arena.store_report(bank, generation, report)
                     runs += 1
                     conn.send(
-                        ("telemetry", bank, generation, msg[1], msg[2],
+                        ("telemetry", bank, generation, block.start, n,
                          len(report.chains))
                     )
                 elif kind == "deploy":
@@ -682,13 +702,20 @@ class ShardWorker:
             return tuple(msg[1:])
         return msg[1] if len(msg) > 1 else None
 
-    def begin_run(self, start: int, n: int) -> None:
-        """Dispatch one run command without waiting for the ack."""
+    @property
+    def load_rows(self) -> tuple[str, ...]:
+        """The chains a run's load block holds, in row order (the
+        worker's deployment order, mirrored)."""
+        return tuple(self._tickets)
+
+    def begin_run(self, block: LoadBlock) -> None:
+        """Dispatch one run command, carrying the shard's load block,
+        without waiting for the ack."""
         if self._in_flight:
             raise RuntimeError("previous run not collected")
         self._pending_op = "run"
-        self._conn.send(("run", start, n))
-        self._run_span = (start, n)
+        self._conn.send(("run", block))
+        self._run_span = (block.start, block.pps.shape[-1])
         self._in_flight = True
 
     def finish_run(self) -> ShardReport:

@@ -15,17 +15,20 @@ it, of its migration history, and of the worker count — which is what
 makes process-backed fleet runs bit-identical to the in-process
 reference.
 
-Building a ``SeedSequence`` per draw costs tens of microseconds, so
-:meth:`WorkloadConfig.offered` draws a shard run's whole
-``(chains, intervals)`` load block at once, from stream-name hashes the
-shard computes when it deploys a chain (:func:`stream_hashes`):
-:func:`interval_keys` re-derives numpy's seeding for the whole key array
-in uint32/uint64 lanes, flash-crowd starts come from those states' first
-uniforms, and the diurnal noise is numpy's ziggurat normal run on their
-first outputs with numpy's own tables (:mod:`repro.fleet.ziggurat`).
-Only the keys that miss the ziggurat's one-output fast path, about 1.5%,
-go through a :class:`numpy.random.Generator`, one key at a time.  Every
-entry equals the per-key :func:`interval_stream` draw bit for bit.
+Building a ``SeedSequence`` per draw costs tens of microseconds, so the
+fleet coordinator draws a whole cycle's ``(chains, intervals)`` load
+block at once, for every chain in the fleet, with
+:meth:`WorkloadConfig.offered`, from stream-name hashes it computes when
+a chain enters the fleet (:func:`stream_hashes`).  One
+:func:`interval_keys` pass re-derives numpy's seeding for every load and
+flash key of the block in uint32/uint64 lanes, flash-crowd starts come
+from those states' first uniforms, and the diurnal noise is numpy's
+ziggurat normal run on their first outputs with numpy's own tables
+(:mod:`repro.fleet.ziggurat`).  Only the keys that miss the ziggurat's
+one-output fast path, about 1.5%, go through a
+:class:`numpy.random.Generator`, one key at a time.  Every entry equals
+the per-key :func:`interval_stream` draw bit for bit.  Each shard is
+handed its own rows as a :class:`LoadBlock`.
 Churn and the genetic placement draw once per coordinator cycle and keep
 :func:`interval_stream`.
 
@@ -297,8 +300,8 @@ def stream_hashes(names: Sequence[str]) -> np.ndarray:
     """Each chain's ``fleet/load/`` and ``fleet/flash/`` stream hashes.
 
     One ``(load, flash)`` row per name, as the ``(len(names), 2)`` uint64
-    array :meth:`WorkloadConfig.offered` takes.  A shard hashes a chain's
-    names once, when it deploys the chain.
+    array :meth:`WorkloadConfig.offered` takes.  The fleet coordinator
+    hashes a chain's names once, when the chain enters the fleet.
     """
     return np.array(
         [
@@ -307,6 +310,28 @@ def stream_hashes(names: Sequence[str]) -> np.ndarray:
         ],
         dtype=np.uint64,
     ).reshape(len(names), 2)
+
+
+@dataclass(frozen=True)
+class LoadBlock:
+    """One run's offered load: ``pps[i, k]`` is the offered pps of chain
+    ``names[i]`` at global interval ``start + k``.
+
+    The fleet coordinator draws one block per cycle for every chain
+    (:meth:`WorkloadConfig.offered`) and hands each shard its own rows
+    (:meth:`take`), in the order the shard hosts its chains.
+    """
+
+    start: int
+    names: tuple[str, ...]
+    pps: np.ndarray
+
+    def take(self, names: Sequence[str]) -> "LoadBlock":
+        """The rows of ``names``, in that order."""
+        row = {name: i for i, name in enumerate(self.names)}
+        return LoadBlock(
+            self.start, tuple(names), self.pps[[row[name] for name in names]]
+        )
 
 
 def _require_finite(config: Any, *names: str) -> None:
@@ -405,15 +430,30 @@ class WorkloadConfig:
         of ``(seed, hashes[c], start + k)``: the diurnal level times
         ``1 + normal(0, noise_std)`` from the chain's ``fleet/load``
         stream, clamped at 0, times the flash-crowd factor.  Packets are
-        ``packet_bytes`` long.  The noise is drawn in arrays
-        (:func:`first_normals`); only the keys off the ziggurat's fast
-        path take a Generator each.
+        ``packet_bytes`` long.  Every load and flash key of the block comes
+        from one :func:`interval_keys` pass, and the noise is drawn in
+        arrays (:func:`first_normals`); only the keys off the ziggurat's
+        fast path take a Generator each.
         """
         if start < 0:
             raise ValueError(f"start interval must be >= 0, got {start}")
         if n < 1:
             raise ValueError(f"must draw at least one interval, got n={n}")
-        if self.profile == "diurnal":
+        diurnal = self.profile == "diurnal"
+        window = self.flash.duration_intervals
+        first = max(0, start - window + 1)
+        # Each chain's load keys over the block, then its flash keys over
+        # the block and the trailing window (none where a stream is unused).
+        n_load = n if diurnal else 0
+        n_flash = start + n - first if self.flash.probability > 0.0 else 0
+        keys = interval_keys(
+            seed,
+            np.repeat(hashes, (n_load, n_flash), axis=1),
+            np.concatenate(
+                (np.arange(start, start + n_load), np.arange(first, first + n_flash))
+            ),
+        )
+        if diurnal:
             curve = DiurnalGenerator(
                 self.peak_rate_pps, self.trough_fraction, self.period_s
             )
@@ -423,35 +463,24 @@ class WorkloadConfig:
                     for t in range(start, start + n)
                 ]
             )
-            keys = interval_keys(seed, hashes[:, :1], np.arange(start, start + n))
-            rate = peak_level * (1.0 + first_normals(keys, self.noise_std))
+            noise = first_normals([k[:, :n_load] for k in keys], self.noise_std)
+            rate = peak_level * (1.0 + noise)
             # Python's max(0.0, x); np.maximum would keep a -0.0.
             rate = np.where(rate > 0.0, rate, 0.0)
         else:
             rate = np.full((len(hashes), n), self.peak_rate_pps)
-        return rate * self._flash_factor(seed, hashes[:, 1:], start, n)
-
-    def _flash_factor(self, seed: int, flash_hashes: np.ndarray, start: int, n: int):
-        """``multiplier`` where a flash crowd that started in the trailing
-        ``duration_intervals`` window is active, else 1.
-
-        Each (chain, start interval) is drawn once per block, from the
-        first uniform of the chain's ``fleet/flash`` stream
-        (``flash_hashes`` is a ``(chains, 1)`` column).
-        """
-        cfg = self.flash
-        if cfg.probability <= 0.0:
-            return 1.0
-        window = cfg.duration_intervals
-        first = max(0, start - window + 1)
-        keys = interval_keys(seed, flash_hashes, np.arange(first, start + n))
-        # Running count of fired starts, aligned so that column k counts
-        # the starts before interval start - window + 1 + k.
-        fired = np.zeros((len(flash_hashes), n + window), dtype=np.int64)
-        fired[:, first - start + window :] = first_uniforms(keys) < cfg.probability
+        if not n_flash:
+            return rate
+        # Running count of fired flash starts, aligned so that column k
+        # counts the starts before interval start - window + 1 + k; a
+        # crowd is active where one fired in the trailing window.
+        fired = np.zeros((len(hashes), n + window), dtype=np.int64)
+        fired[:, first - start + window :] = (
+            first_uniforms([k[:, n_load:] for k in keys]) < self.flash.probability
+        )
         fired = np.cumsum(fired, axis=1)
         active = fired[:, window:] > fired[:, :n]
-        return np.where(active, cfg.multiplier, 1.0)
+        return rate * np.where(active, self.flash.multiplier, 1.0)
 
     # -- churn -------------------------------------------------------------
 

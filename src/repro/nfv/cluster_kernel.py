@@ -204,7 +204,7 @@ class ClusterKernel:
         interval's samples equal n per-node ``step_all`` loops.  Returns
         the per-interval arrays.
         """
-        if dt_s <= 0:
+        if not dt_s > 0:
             raise ValueError("dt must be positive")
         loads = np.asarray(loads, dtype=np.float64)
         if loads.ndim != 2 or loads.shape[0] != len(names) or loads.shape[1] < 1:

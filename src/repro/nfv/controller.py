@@ -73,7 +73,7 @@ class OnvmController:
     def __init__(self, node: Node | None = None, *, interval_s: float = 1.0, rng: RngLike = None):
         self.node = node or Node()
         self.interval_s = float(interval_s)
-        if self.interval_s <= 0:
+        if not self.interval_s > 0:
             raise ValueError("interval must be positive")
         self.rng = as_generator(rng)
         self._bindings: dict[str, ChainBinding] = {}

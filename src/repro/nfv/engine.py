@@ -706,7 +706,7 @@ class ChainKernelPlan:
         ``(L, 1)`` load column.  Loads must be non-negative (``inf`` is
         legal: the NIC line rate clamps it); NaN is rejected.
         """
-        if dt_s <= 0:
+        if not dt_s > 0:
             raise ValueError("dt must be positive")
         offered = np.atleast_1d(np.asarray(offered_grid, dtype=np.float64))
         rows = self.chain_rate.shape
@@ -1046,7 +1046,7 @@ class PacketEngine:
             when several chains share the socket; default 1 (or the
             no-CAT contention when CAT is disabled).
         """
-        if not offered_pps >= 0 or not 0 < packet_bytes < np.inf or dt_s <= 0:
+        if not offered_pps >= 0 or not 0 < packet_bytes < np.inf or not dt_s > 0:
             raise ValueError("offered rate/packet size/dt must be valid")
         llc = self.server.llc
         if llc_bytes is None:
@@ -1207,7 +1207,7 @@ class PacketEngine:
         pkt = np.atleast_1d(np.asarray(packet_bytes, dtype=np.float64))
         if pkt.ndim != 1 or pkt.size == 0:
             raise ValueError("packet-size grid must be a non-empty 1-D axis")
-        if not np.all((pkt > 0) & (pkt < np.inf)) or dt_s <= 0:
+        if not np.all((pkt > 0) & (pkt < np.inf)) or not dt_s > 0:
             raise ValueError("packet size must be finite and positive, dt positive")
         offered = np.atleast_1d(np.asarray(offered_grid, dtype=np.float64))
         if offered.ndim != 1:

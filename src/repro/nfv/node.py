@@ -247,7 +247,7 @@ class Node:
         chain's ``last_sample``, nothing else.  Returns per-chain
         telemetry.
         """
-        if dt_s <= 0:
+        if not dt_s > 0:
             raise ValueError("dt must be positive")
         for name in knobs or ():
             if name not in self._chains:

@@ -115,7 +115,7 @@ class PerNFEngine(PacketEngine):
         contention: float | None = None,
     ) -> TelemetrySample:
         """One control interval with a knob vector per NF."""
-        if not offered_pps >= 0 or not 0 < packet_bytes < np.inf or dt_s <= 0:
+        if not offered_pps >= 0 or not 0 < packet_bytes < np.inf or not dt_s > 0:
             raise ValueError("offered rate/packet size/dt must be valid")
         llc_alloc = self.per_nf_llc_bytes(chain, knobs)
         eff_contention = contention if contention is not None else (

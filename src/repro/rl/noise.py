@@ -31,7 +31,7 @@ class OUNoise:
     ):
         if dim <= 0:
             raise ValueError("dim must be positive")
-        if theta < 0 or sigma < 0 or dt <= 0:
+        if theta < 0 or sigma < 0 or not dt > 0:
             raise ValueError("theta/sigma must be >= 0 and dt > 0")
         self.dim = dim
         self.mu = mu

@@ -161,7 +161,7 @@ class ScenarioSpec:
             raise ValueError("episode_len must be >= 1")
         if self.intervals < 1:
             raise ValueError("measurement horizon (intervals) must be >= 1")
-        if self.interval_s <= 0:
+        if not self.interval_s > 0:
             raise ValueError("interval_s must be positive")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError("seed must be an integer")

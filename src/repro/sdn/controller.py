@@ -90,7 +90,7 @@ class SdnController:
     ):
         self.config = config or SdnConfig()
         self.interval_s = float(interval_s)
-        if self.interval_s <= 0:
+        if not self.interval_s > 0:
             raise ValueError("interval must be positive")
         self.table = SteeringTable()
         self._replicas: dict[str, ChainReplica] = {}

@@ -54,7 +54,7 @@ class FlowAnalyzer:
 
     def observe(self, packets: float, dt_s: float) -> None:
         """Record one interval's packet count."""
-        if dt_s <= 0:
+        if not dt_s > 0:
             raise ValueError("dt must be positive")
         if packets < 0:
             raise ValueError("packet count must be non-negative")

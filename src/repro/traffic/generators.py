@@ -86,7 +86,7 @@ class PoissonGenerator:
 
     def rate_at(self, t_s: float, dt_s: float, rng: RngLike = None) -> float:
         """Sampled arrival rate over the interval."""
-        if dt_s <= 0:
+        if not dt_s > 0:
             raise ValueError("dt must be positive")
         gen = as_generator(rng)
         lam = self.mean_rate_pps * dt_s
@@ -196,7 +196,7 @@ class TraceReplayGenerator:
             raise ValueError("trace must be non-empty")
         if any(r < 0 for r in self.trace_pps):
             raise ValueError("trace rates must be non-negative")
-        if self.trace_dt_s <= 0:
+        if not self.trace_dt_s > 0:
             raise ValueError("trace dt must be positive")
 
     def rate_at(self, t_s: float, dt_s: float, rng: RngLike = None) -> float:

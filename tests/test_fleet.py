@@ -18,6 +18,7 @@ from repro.fleet import (
     FleetSpec,
     FleetTopology,
     InterShardLink,
+    LoadBlock,
     LocalShard,
     ShardConfig,
     ShardSpec,
@@ -40,7 +41,20 @@ def small_workload(**overrides):
     return WorkloadConfig(**base)
 
 
-def shard_config(name="s0", n_nodes=2, chains=2, seed=0, **overrides):
+def hosted_loads(shard, start, n, *, seed=0, config=None):
+    """The load block a coordinator hands ``shard`` (a ``ShardSim`` or a
+    shard handle) for the intervals ``[start, start + n)``: its hosted
+    chains' draws under the workload and interval length of ``config``
+    (by default the sim's own)."""
+    config = config or shard.config
+    names = shard.load_rows
+    pps = WorkloadConfig.from_dict(config.workload).offered(
+        seed, stream_hashes(names), start, n, config.interval_s
+    )
+    return LoadBlock(start, names, pps)
+
+
+def shard_config(name="s0", n_nodes=2, chains=2, **overrides):
     tickets = tuple(
         ChainTicket(
             name=f"{name}-n{i}-c{j}",
@@ -54,7 +68,6 @@ def shard_config(name="s0", n_nodes=2, chains=2, seed=0, **overrides):
     base = dict(
         name=name,
         n_nodes=n_nodes,
-        seed=seed,
         interval_s=1.0,
         sla="energy_efficiency",
         sla_params={},
@@ -292,7 +305,7 @@ class TestFleetSpec:
 class TestShardSim:
     def test_run_produces_telemetry(self):
         sim = ShardSim(shard_config())
-        report = sim.run(0, 3)
+        report = sim.run(hosted_loads(sim, 0, 3))
         assert [r.index for r in report.intervals] == [0, 1, 2]
         assert all(r.energy_j > 0 for r in report.intervals)
         assert all(r.chains == 4 for r in report.intervals)
@@ -302,23 +315,44 @@ class TestShardSim:
 
     def test_lockstep_clock_enforced(self):
         sim = ShardSim(shard_config())
-        sim.run(0, 2)
+        sim.run(hosted_loads(sim, 0, 2))
         with pytest.raises(ValueError, match="interval 2"):
-            sim.run(5, 2)
+            sim.run(hosted_loads(sim, 5, 2))
+
+    def test_run_rejects_mismatched_block(self):
+        # A run steps exactly the hosted chains' rows: a block with a
+        # chain missing, out of order, foreign, a row short, flat or
+        # without an interval is refused before any state moves.
+        sim = ShardSim(shard_config())
+        good = hosted_loads(sim, 0, 2)
+        rows = sim.load_rows
+        bad_blocks = [
+            good.take(rows[1:]),
+            good.take(rows[::-1]),
+            LoadBlock(0, rows + ("ghost",), np.vstack([good.pps, good.pps[:1]])),
+            LoadBlock(0, rows, good.pps[1:]),
+            LoadBlock(0, rows, good.pps[:, 0]),
+            LoadBlock(0, rows, good.pps[:, :0]),
+        ]
+        for bad in bad_blocks:
+            with pytest.raises(ValueError, match="load block"):
+                sim.run(bad)
+        assert [r.index for r in sim.run(good).intervals] == [0, 1]
 
     def test_deploy_undeploy_ticket_round_trip(self):
         sim = ShardSim(shard_config())
-        sim.run(0, 1)
+        sim.run(hosted_loads(sim, 0, 1))
         ticket = sim.undeploy("s0-n0-c0")
         assert ticket.node == 0
-        # A chain's stream hashes come with its deploy and go with it.
-        assert sorted(sim._stream_hashes) == sim.chain_names
+        # A chain's load row comes with its deploy and goes with it.
+        assert sorted(sim.load_rows) == sim.chain_names
         assert set(ticket.knobs) == {
             "cpu_share", "cpu_freq_ghz", "llc_fraction", "dma_mb", "batch_size",
         }
         sim.deploy(ticket.with_node(1))
         assert sim.nodes[1].chains["s0-n0-c0"] is not None
-        assert sorted(sim._stream_hashes) == sim.chain_names
+        assert sim.load_rows[-1] == "s0-n0-c0"
+        assert sorted(sim.load_rows) == sim.chain_names
         with pytest.raises(ValueError, match="already"):
             sim.deploy(ticket)
         with pytest.raises(KeyError):
@@ -347,28 +381,25 @@ class TestShardSim:
         config = shard_config(n_nodes=2, chains=1, parked_power_w=5.0)
         sim = ShardSim(config)
         sim.undeploy("s0-n1-c0")  # node 1 now empty -> parked
-        report = sim.run(0, 1)
+        report = sim.run(hosted_loads(sim, 0, 1))
         busy_only = ShardSim(shard_config(n_nodes=1, chains=1, parked_power_w=5.0))
-        busy_report = busy_only.run(0, 1)
+        busy_report = busy_only.run(hosted_loads(busy_only, 0, 1))
         assert report.intervals[0].energy_j == pytest.approx(
             busy_report.intervals[0].energy_j + 5.0
         )
         assert report.nodes[1].power_w == 5.0
 
     def test_same_seed_bit_identical(self):
-        a = ShardSim(shard_config(seed=9)).run(0, 4)
-        b = ShardSim(shard_config(seed=9)).run(0, 4)
-        assert a == b
+        a, b = ShardSim(shard_config()), ShardSim(shard_config())
+        assert a.run(hosted_loads(a, 0, 4, seed=9)) == b.run(
+            hosted_loads(b, 0, 4, seed=9)
+        )
 
     def test_different_seed_differs(self):
-        cfg = shard_config(
-            seed=1, workload=small_workload(noise_std=0.2).to_dict()
-        )
-        cfg2 = shard_config(
-            seed=2, workload=small_workload(noise_std=0.2).to_dict()
-        )
-        a = ShardSim(cfg).run(0, 4)
-        b = ShardSim(cfg2).run(0, 4)
+        cfg = shard_config(workload=small_workload(noise_std=0.2).to_dict())
+        sim_a, sim_b = ShardSim(cfg), ShardSim(cfg)
+        a = sim_a.run(hosted_loads(sim_a, 0, 4, seed=1))
+        b = sim_b.run(hosted_loads(sim_b, 0, 4, seed=2))
         assert [r.offered_pps for r in a.intervals] != [
             r.offered_pps for r in b.intervals
         ]
@@ -521,16 +552,33 @@ class TestProcessBackend:
             with pytest.raises(RuntimeError, match="TypeError"):
                 worker.deploy(bad)
             # The worker survives both command errors.
-            worker.begin_run(0, 1)
+            worker.begin_run(hosted_loads(worker, 0, 1, config=config))
             report = worker.finish_run()
         assert report.intervals[0].energy_j > 0
+
+    @pytest.mark.fleet_mp
+    def test_worker_rejects_mismatched_block(self):
+        # The run message carries the shard's rows; a block that does
+        # not match the worker's hosted chains comes back as an error,
+        # and the worker, its clock unmoved, runs the right block next.
+        config = shard_config()
+        with ShardWorker(config) as worker:
+            good = hosted_loads(worker, 0, 2, config=config)
+            rows = worker.load_rows
+            for bad in (good.take(rows[::-1]), LoadBlock(0, rows, good.pps[1:])):
+                worker.begin_run(bad)
+                with pytest.raises(RuntimeError, match="load block"):
+                    worker.finish_run()
+            worker.begin_run(good)
+            assert [r.index for r in worker.finish_run().intervals] == [0, 1]
 
     @pytest.mark.fleet_mp
     def test_worker_error_includes_traceback(self):
         # The error reply carries the worker-side traceback (trimmed to
         # the failure site) so a shard failure is debuggable from the
         # parent, not just a bare "KeyError: 'ghost'".
-        with ShardWorker(shard_config()) as worker:
+        config = shard_config()
+        with ShardWorker(config) as worker:
             with pytest.raises(RuntimeError) as excinfo:
                 worker.undeploy("ghost")
             msg = str(excinfo.value)
@@ -538,7 +586,7 @@ class TestProcessBackend:
             assert "undeploy" in msg  # the worker frame that raised
             assert "KeyError" in msg
             # The worker survives and keeps serving commands.
-            worker.begin_run(0, 1)
+            worker.begin_run(hosted_loads(worker, 0, 1, config=config))
             assert worker.finish_run().intervals[0].energy_j > 0
 
     @pytest.mark.fleet_mp
@@ -560,10 +608,11 @@ class TestProcessBackend:
             def __getattr__(self, attr):
                 return getattr(self._conn, attr)
 
-        worker = ShardWorker(shard_config())
+        config = shard_config()
+        worker = ShardWorker(config)
         spy = RecordingConn(worker._conn)
         worker._conn = spy
-        worker.begin_run(0, 2)
+        worker.begin_run(hosted_loads(worker, 0, 2, config=config))
         worker.close()
         assert spy.received == ["telemetry", "stopped"]
 
@@ -571,9 +620,10 @@ class TestProcessBackend:
     def test_killed_worker_names_the_shard(self):
         # The run is sized to take long enough that the kill always
         # lands before the telemetry ack is written.
-        worker = ShardWorker(shard_config(name="victim", arena_intervals=256))
+        config = shard_config(name="victim", arena_intervals=4096)
+        worker = ShardWorker(config)
         arena_name = worker.arena.name
-        worker.begin_run(0, 256)
+        worker.begin_run(hosted_loads(worker, 0, 4096, config=config))
         worker._proc.kill()
         worker._proc.join(timeout=10.0)
         with pytest.raises(
@@ -594,10 +644,11 @@ class TestProcessBackend:
     def test_killed_worker_reports_completed_cycles(self):
         # After one successful cycle the crash report must carry the
         # advanced cycle count and interval watermark.
-        worker = ShardWorker(shard_config(name="victim", arena_intervals=256))
-        worker.begin_run(0, 2)
+        config = shard_config(name="victim", arena_intervals=4096)
+        worker = ShardWorker(config)
+        worker.begin_run(hosted_loads(worker, 0, 2, config=config))
         worker.finish_run()
-        worker.begin_run(2, 256)
+        worker.begin_run(hosted_loads(worker, 2, 4096, config=config))
         worker._proc.kill()
         worker._proc.join(timeout=10.0)
         with pytest.raises(RuntimeError) as excinfo:
@@ -613,9 +664,10 @@ class TestProcessBackend:
         # close() with the run still in flight and the worker already
         # dead: the drain hits EOF and the stop send a broken pipe —
         # both must be absorbed, and the arena segment still unlinked.
-        worker = ShardWorker(shard_config(arena_intervals=256))
+        config = shard_config(arena_intervals=4096)
+        worker = ShardWorker(config)
         arena_name = worker.arena.name
-        worker.begin_run(0, 256)
+        worker.begin_run(hosted_loads(worker, 0, 4096, config=config))
         worker._proc.kill()
         worker._proc.join(timeout=10.0)
         worker.close()
@@ -636,9 +688,9 @@ class TestProcessBackend:
 
     def test_local_shard_interface(self):
         shard = LocalShard(shard_config())
-        shard.begin_run(0, 2)
+        shard.begin_run(hosted_loads(shard.sim, 0, 2))
         with pytest.raises(RuntimeError, match="not collected"):
-            shard.begin_run(2, 2)
+            shard.begin_run(hosted_loads(shard.sim, 2, 2))
         report = shard.finish_run()
         assert len(report.intervals) == 2
         with pytest.raises(RuntimeError, match="no run"):
@@ -891,8 +943,8 @@ class TestPlacementBook:
         counts = [0] * len(coordinator._global_nodes)
         counts[cur] = 2  # not a lone chain: isolate the bonus term
         gain, _cost, reason, _path = coordinator._score_move(
-            summaries["a"], ("s0", 0), cur, dst, counts, summaries, {},
-            placement,
+            summaries["a"], ("s0", 0), cur, dst, counts, {},
+            coordinator._flow_mates(summaries, placement),
         )
         assert reason == "colocate"
         assert gain == mig.colocation_gain_j
@@ -910,8 +962,8 @@ class TestPlacementBook:
         counts = [0] * len(coordinator._global_nodes)
         counts[cur] = 2
         gain, _cost, _reason, _path = coordinator._score_move(
-            summaries["a"], ("s0", 0), cur, dst, counts, summaries, {},
-            placement,
+            summaries["a"], ("s0", 0), cur, dst, counts, {},
+            coordinator._flow_mates(summaries, placement),
         )
         assert gain == 0.0
 
@@ -953,8 +1005,8 @@ class TestRoutedCosts:
         counts = [0] * len(coordinator._global_nodes)
         counts[cur] = 2
         return chain, coordinator._score_move(
-            chain, ("site1", 0), cur, dst, counts, {"c": chain}, {},
-            {"c": ("site1", 0)},
+            chain, ("site1", 0), cur, dst, counts, {},
+            coordinator._flow_mates({"c": chain}, {"c": ("site1", 0)}),
         )
 
     def test_multi_hop_costs_more_than_single_hop_model(self, coordinator):

@@ -20,9 +20,10 @@ from repro.fleet import (
 )
 from repro.fleet.arena import BANKS, CHAIN_FIELDS, INTERVAL_FIELDS, KNOB_FIELDS
 from repro.fleet.shard import ShardSim, kind_nfs
+from test_fleet import hosted_loads
 
 
-def shard_config(name="s0", n_nodes=2, chains=2, seed=0, **overrides):
+def shard_config(name="s0", n_nodes=2, chains=2, **overrides):
     tickets = tuple(
         ChainTicket(
             name=f"{name}-n{i}-c{j}",
@@ -36,7 +37,6 @@ def shard_config(name="s0", n_nodes=2, chains=2, seed=0, **overrides):
     base = dict(
         name=name,
         n_nodes=n_nodes,
-        seed=seed,
         interval_s=1.0,
         sla="energy_efficiency",
         sla_params={},
@@ -83,7 +83,8 @@ class TestLayout:
 class TestStoreLoad:
     def _arena_and_report(self, n=2, config=None):
         config = config or shard_config()
-        report = ShardSim(config).run(0, n)
+        sim = ShardSim(config)
+        report = sim.run(hosted_loads(sim, 0, n))
         arena = TelemetryArena.create(arena_layout_for(config))
         return arena, report
 
@@ -116,8 +117,8 @@ class TestStoreLoad:
     def test_banks_are_isolated(self):
         config = shard_config()
         sim = ShardSim(config)
-        first = sim.run(0, 2)
-        second = sim.run(2, 2)
+        first = sim.run(hosted_loads(sim, 0, 2))
+        second = sim.run(hosted_loads(sim, 2, 2))
         arena = TelemetryArena.create(arena_layout_for(config))
         try:
             arena.store_report(0, 0, first)
@@ -131,7 +132,8 @@ class TestStoreLoad:
 
     def test_capacity_guards(self):
         config = shard_config()
-        report = ShardSim(config).run(0, 3)
+        sim = ShardSim(config)
+        report = sim.run(hosted_loads(sim, 0, 3))
         tight = ArenaLayout(
             max_intervals=2, max_chains=1, n_nodes=config.n_nodes
         )
@@ -139,7 +141,8 @@ class TestStoreLoad:
         try:
             with pytest.raises(ValueError, match="interval rows"):
                 arena.store_report(0, 0, report)
-            short = ShardSim(config).run(0, 2)
+            sim = ShardSim(config)
+            short = sim.run(hosted_loads(sim, 0, 2))
             with pytest.raises(ValueError, match="chain rows"):
                 arena.store_report(0, 0, short)
             with pytest.raises(ValueError, match="bank"):
@@ -166,10 +169,11 @@ class TestStoreLoad:
 class TestWorkerArenaLifecycle:
     @pytest.mark.fleet_mp
     def test_unlink_on_close(self):
-        worker = ShardWorker(shard_config())
+        config = shard_config()
+        worker = ShardWorker(config)
         name = worker.arena.name
         shared_memory.SharedMemory(name=name).close()  # alive while open
-        worker.begin_run(0, 1)
+        worker.begin_run(hosted_loads(worker, 0, 1, config=config))
         worker.finish_run()
         worker.close()
         with pytest.raises(FileNotFoundError):
@@ -177,7 +181,8 @@ class TestWorkerArenaLifecycle:
 
     @pytest.mark.fleet_mp
     def test_generation_tracks_deployments(self):
-        with ShardWorker(shard_config()) as worker:
+        config = shard_config()
+        with ShardWorker(config) as worker:
             assert worker._generation == 0
             ticket = ChainTicket(
                 name="late", nfs=kind_nfs("light"), flow="fg9", node=0
@@ -188,7 +193,7 @@ class TestWorkerArenaLifecycle:
             assert worker._generation == 2
             # The worker stamps its own counter into the bank header; a
             # matching run proves both ends stayed in sync.
-            worker.begin_run(0, 1)
+            worker.begin_run(hosted_loads(worker, 0, 1, config=config))
             report = worker.finish_run()
             bank = (worker._runs - 1) % BANKS
             assert worker.arena.header(bank)[0] == float(worker._generation)
@@ -205,18 +210,19 @@ class TestWorkerArenaLifecycle:
                 worker.deploy(ticket)
             # The refusal happens before the sim mutates: the worker
             # still runs, and the row map still matches.
-            worker.begin_run(0, 1)
+            worker.begin_run(hosted_loads(worker, 0, 1, config=config))
             assert len(worker.finish_run().chains) == 1
 
     @pytest.mark.fleet_mp
     def test_run_longer_than_arena_is_refused(self):
-        with ShardWorker(shard_config(arena_intervals=2)) as worker:
-            worker.begin_run(0, 3)
+        config = shard_config(arena_intervals=2)
+        with ShardWorker(config) as worker:
+            worker.begin_run(hosted_loads(worker, 0, 3, config=config))
             with pytest.raises(RuntimeError, match="interval rows"):
                 worker.finish_run()
             # The refusal happens before stepping, so the worker is
             # alive and its clock never moved.
-            worker.begin_run(0, 2)
+            worker.begin_run(hosted_loads(worker, 0, 2, config=config))
             assert len(worker.finish_run().intervals) == 2
 
     @pytest.mark.fleet_mp
@@ -224,18 +230,20 @@ class TestWorkerArenaLifecycle:
         # The same deploy/undeploy/run sequence on both backends: the
         # reconstructed report must match the in-process reference
         # bit-for-bit after a chain hops nodes (row order resyncs).
+        config = shard_config()
+
         def drive(shard):
-            shard.begin_run(0, 2)
+            shard.begin_run(hosted_loads(shard, 0, 2, config=config))
             shard.finish_run()
             moved = shard.undeploy("s0-n0-c0")
             shard.deploy(moved.with_node(1))
             shard.set_knobs({"s0-n0-c1": {"cpu_share": 1.5}})
-            shard.begin_run(2, 2)
+            shard.begin_run(hosted_loads(shard, 2, 2, config=config))
             return shard.finish_run()
 
-        with ShardWorker(shard_config()) as worker:
+        with ShardWorker(config) as worker:
             via_arena = drive(worker)
-        local = LocalShard(shard_config())
+        local = LocalShard(config)
         reference = drive(local)
         assert via_arena == reference
         moved = {c.name: c.node for c in via_arena.chains}["s0-n0-c0"]

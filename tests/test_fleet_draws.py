@@ -2,15 +2,16 @@
 
 ``interval_keys`` re-derives ``PCG64(SeedSequence(entropy=seed,
 spawn_key=(hash, index)))`` for a whole key array, and
-``WorkloadConfig.offered`` builds a shard run's load block from those
-keys.  Both must match the per-key numpy path bit for bit: the key
+``WorkloadConfig.offered`` builds a cycle's load block from those keys
+in one pass.  Both must match the per-key numpy path bit for bit: the key
 states and first draws against numpy itself, the block against
 ``reference_offered`` (the per-key body in ``benchmarks/perf/reference.py``)
-at 0 ulp, and whole fleet runs against runs that draw through the
-reference.  ``first_normals`` runs numpy's ziggurat fast path in arrays
-with the tables in ``repro/fleet/ziggurat.py``; ``TestZiggurat`` pins
-every table entry against numpy's Generator, and this module regenerates
-the tables by probing it::
+at 0 ulp, the coordinator's per-cycle blocks against the same reference,
+and whole fleet runs against runs that draw through the reference.
+``first_normals`` runs numpy's ziggurat fast path in arrays with the
+tables in ``repro/fleet/ziggurat.py``; ``TestZiggurat`` pins every table
+entry against numpy's Generator, and this module regenerates the tables
+by probing it::
 
     PYTHONPATH=src python tests/test_fleet_draws.py --regen
 """
@@ -21,8 +22,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.fleet import FlashCrowdConfig, WorkloadConfig, run_fleet
-from repro.fleet import shard as shard_module
+from repro.fleet import (
+    FlashCrowdConfig,
+    FleetCoordinator,
+    FleetSpec,
+    LoadBlock,
+    WorkloadConfig,
+    run_fleet,
+)
 from repro.fleet.spec import FLEETS
 from repro.fleet.workload import (
     MAX_INTERVAL_INDEX,
@@ -36,8 +43,11 @@ from repro.scenario import ScenarioSpec
 from repro.utils.rng import hash_name
 
 SEEDS = (0, 1, 2**32 + 5, 2**130 + 9)
-#: Hashes SeedSequence encodes as one word, then 500 real name hashes.
-HASHES = (0, 5, 2**32 - 1) + tuple(hash_name(f"fleet/load/c{i}") for i in range(500))
+#: Hashes SeedSequence encodes as one word, the smallest and largest it
+#: encodes as two, then 500 real name hashes.
+HASHES = (0, 1, 5, 2**32 - 1, 2**32, 2**64 - 1) + tuple(
+    hash_name(f"fleet/load/c{i}") for i in range(500)
+)
 INDICES = (0, MAX_INTERVAL_INDEX)
 SIGMA = 0.03
 
@@ -162,23 +172,98 @@ def test_fleet_run_equals_reference_draws(perf_reference, monkeypatch, preset):
         name=f"draws-{preset}", controller="static", fleet={"preset": preset}, seed=3
     )
     block = run_fleet(spec, backend="local").comparable()
-    # offered sees only stream hashes; map them back to the chain names
-    # the shards hashed at deploy, for the per-name reference.
-    names_by_hashes = {}
+    drawn = []
 
-    def recording_stream_hashes(names):
-        hashes = stream_hashes(names)
-        names_by_hashes.update(zip(map(tuple, hashes.tolist()), names))
-        return hashes
+    def reference_draw(self, names, start):
+        drawn.append(len(names))
+        pps = _reference_block(
+            perf_reference,
+            self.fleet.workload,
+            self.seed,
+            names,
+            start,
+            self.fleet.sync_every,
+            self.interval_s,
+        )
+        return LoadBlock(start, tuple(names), pps)
 
-    def reference_offered(self, seed, hashes, start, n, dt_s):
-        names = [names_by_hashes[tuple(row)] for row in hashes.tolist()]
-        return _reference_block(perf_reference, self, seed, names, start, n, dt_s)
-
-    monkeypatch.setattr(shard_module, "stream_hashes", recording_stream_hashes)
-    monkeypatch.setattr(WorkloadConfig, "offered", reference_offered)
+    monkeypatch.setattr(FleetCoordinator, "_draw_loads", reference_draw)
     assert run_fleet(spec, backend="local").comparable() == block
-    assert names_by_hashes
+    assert drawn
+
+
+def _churny_fleet(sync_every, **section):
+    return FleetSpec.from_mapping(
+        {
+            "preset": "small",
+            "sync_every": sync_every,
+            "workload": {
+                "noise_std": 0.2,
+                "flash": {"probability": 0.3, "duration_intervals": 3},
+                "churn": {"arrivals_per_cycle": 1.5, "departure_prob": 0.3},
+            },
+            **section,
+        }
+    )
+
+
+@pytest.mark.parametrize("sync_every", [1, 3, 4])
+def test_coordinator_blocks_equal_reference(perf_reference, monkeypatch, sync_every):
+    # Every block the coordinator draws, one per cycle, holds each chain's
+    # per-key reference rows, whatever the block's composition (churn
+    # adds and drops chains) and however the run is split into cycles.
+    fleet = _churny_fleet(sync_every)
+    draw = FleetCoordinator._draw_loads
+    blocks = []
+
+    def recording_draw(self, names, start):
+        block = draw(self, names, start)
+        blocks.append(block)
+        return block
+
+    monkeypatch.setattr(FleetCoordinator, "_draw_loads", recording_draw)
+    with FleetCoordinator(fleet, seed=5) as coordinator:
+        coordinator.run_cycles(4)
+        coordinator.run_cycles(2)
+        assert len(blocks) == 6
+        # A chain's stream hashes come with its arrival and go with its
+        # departure.
+        assert set(coordinator._hashes) == set(coordinator._placement)
+        events = {c["event"] for c in coordinator.result().churn}
+    assert events == {"arrival", "departure"}
+    assert any(name.startswith("dyn-") for b in blocks for name in b.names)
+    workload = fleet.workload
+    for block in blocks:
+        assert block.pps.shape == (len(block.names), sync_every)
+        want = _reference_block(
+            perf_reference, workload, 5, block.names, block.start, sync_every, 1.0
+        )
+        assert block.pps.tobytes() == want.tobytes(), block.start
+    # Blocks tile the run's intervals in order.
+    assert [b.start for b in blocks] == [i * sync_every for i in range(6)]
+
+
+def test_fleet_that_starts_empty_draws_its_arrivals():
+    # The first block has no rows at all; the chains churn admits are
+    # drawn from the next cycle on.
+    empty = {"preset": "full-mesh", "n_shards": 2, "nodes": 2, "chains_per_node": 0}
+    fleet = _churny_fleet(2, topology=empty)
+    with FleetCoordinator(fleet, seed=4) as coordinator:
+        coordinator.run_cycles(4)
+        result = coordinator.result()
+    assert result.intervals[0]["chains"] == 0
+    assert result.totals["arrivals"] > 0
+    assert result.intervals[-1]["offered_pps"] > 0.0
+
+
+def test_block_take_picks_rows_by_name():
+    block = LoadBlock(4, ("a", "b", "c"), np.arange(6.0).reshape(3, 2))
+    taken = block.take(["c", "a"])
+    assert taken.start == 4 and taken.names == ("c", "a")
+    assert taken.pps.tolist() == [[4.0, 5.0], [0.0, 1.0]]
+    assert block.take([]).pps.shape == (0, 2)
+    with pytest.raises(KeyError):
+        block.take(["ghost"])
 
 
 def test_stream_hashes():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hw.power import EnergyMeter, PowerModelParams, ServerPowerModel
+from repro.hw.power import EnergyMeter, PowerModelParams, ServerPowerModel, record_many
 
 
 class TestPowerModel:
@@ -111,6 +111,28 @@ class TestEnergyMeter:
             meter.record(-1.0, 1.0)
         with pytest.raises(ValueError):
             meter.record(1.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_power_and_dt(self, bad):
+        # One NaN or infinite sample would leave total_joules non-finite
+        # for good; every meter entry point refuses it before any meter
+        # moves.
+        meters = [EnergyMeter(), EnergyMeter()]
+        meters[0].record(10.0, 1.0, 5.0)
+        before = [vars(m).copy() for m in meters]
+        with pytest.raises(ValueError, match="power"):
+            meters[0].record(bad, 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            meters[0].record(10.0, bad)
+        packets = np.zeros((2, 2))
+        power = np.full((2, 2), 10.0)
+        with pytest.raises(ValueError, match="dt"):
+            record_many(meters, power, bad, packets)
+        power[-1, -1] = bad
+        for rows in (power, power[1:]):  # the block and one-interval paths
+            with pytest.raises(ValueError, match="power"):
+                record_many(meters, rows, 1.0, packets[: len(rows)])
+        assert [vars(m) for m in meters] == before
 
     def test_reset(self):
         meter = EnergyMeter()

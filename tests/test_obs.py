@@ -28,7 +28,7 @@ from repro.obs.dashboard import render, summarize
 from repro.obs.metrics import percentile
 from repro.scenario import SCENARIOS
 
-from test_fleet import fleet_section, shard_config
+from test_fleet import fleet_section, hosted_loads, shard_config
 
 
 @pytest.fixture(autouse=True)
@@ -297,9 +297,10 @@ class TestFleetInstrumentation:
         # An error reply from a tracing worker carries its buffered spans
         # and counter deltas; the parent salvages them before raising.
         obs.enable(label="parent")
-        worker = ShardWorker(shard_config(trace=True))
+        config = shard_config(trace=True)
+        worker = ShardWorker(config)
         try:
-            worker.begin_run(0, 2)
+            worker.begin_run(hosted_loads(worker, 0, 2, config=config))
             worker.finish_run()  # buffers a shard/run span worker-side
             with pytest.raises(RuntimeError, match="no chain 'ghost'"):
                 worker.undeploy("ghost")
@@ -318,9 +319,10 @@ class TestFleetInstrumentation:
     @pytest.mark.fleet_mp
     def test_drain_spans_round_trip_is_delta_based(self):
         obs.enable(label="parent")
-        worker = ShardWorker(shard_config(trace=True))
+        config = shard_config(trace=True)
+        worker = ShardWorker(config)
         try:
-            worker.begin_run(0, 2)
+            worker.begin_run(hosted_loads(worker, 0, 2, config=config))
             worker.finish_run()
             events, counters = worker.drain_spans()
             assert any(e["name"] == "shard/run" for e in events)

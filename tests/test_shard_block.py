@@ -1,6 +1,6 @@
 """A shard run as one kernel block, pinned against per-interval stepping.
 
-``ShardSim.run`` hands its whole ``(chains, n)`` load block to
+``ShardSim.run`` hands the whole ``(chains, n)`` load block it is given to
 ``ClusterKernel.step``, which compiles the cluster plan on a
 configuration's first sight and folds every interval through the fused
 path.  ``reference_shard_run`` in ``benchmarks/perf/reference.py`` is
@@ -25,6 +25,7 @@ from repro.hw.server import ServerSpec
 from repro.nfv.cluster_kernel import ClusterKernel, left_sums
 from repro.nfv.engine import EngineParams
 from repro.nfv.node import Node
+from test_fleet import hosted_loads
 
 #: Every registered SLA, with a constraint that some chains miss.
 SLA_PARAMS = {
@@ -52,7 +53,6 @@ def grid_case(seed: int):
     config = ShardConfig(
         name=f"g{seed}",
         n_nodes=n_nodes,
-        seed=seed,
         interval_s=(1.0, 0.5)[seed % 2],
         sla=sla,
         sla_params=SLA_PARAMS[sla],
@@ -150,8 +150,9 @@ class TestBlockMatchesPerIntervalReference:
         others = [t for t in tickets if t.node != 0]
         start = 0
         for step, n in enumerate(lengths):
-            got, counts = plan_cache_counts(block.run, start, n)
-            want = perf_reference.reference_shard_run(ref, start, n)
+            loads = hosted_loads(block, start, n, seed=seed)
+            got, counts = plan_cache_counts(block.run, loads)
+            want = perf_reference.reference_shard_run(ref, loads)
             assert got == want
             assert_same_state(block, ref)
             # Which plan-cache path the block took: a new configuration
@@ -201,7 +202,7 @@ class TestBlockMatchesPerIntervalReference:
         sim.kernel.step = step
         start = 0
         for i, n in enumerate(lengths):
-            sim.run(start, n)
+            sim.run(hosted_loads(sim, start, n, seed=seed))
             apply_command(sim, i, others, knobs)
             start += n
         assert checked >= sum(lengths)
@@ -213,7 +214,7 @@ class TestBlockMatchesPerIntervalReference:
         some_missed = {name: False for name in SLA_NAMES}
         for seed in range(8):
             (block, _), *_ = grid_case(seed)
-            report = block.run(0, 8)
+            report = block.run(hosted_loads(block, 0, 8, seed=seed))
             total = sum(r.chains for r in report.intervals)
             violations = sum(r.sla_violations for r in report.intervals)
             some_met[block.config.sla] |= violations < total
@@ -234,16 +235,18 @@ class TestPlanCachePath:
     def test_block_compiles_on_first_sight(self, n):
         sim = self.sim()
         compile_run = {"promote": 1, **({"hit": n - 1} if n > 1 else {})}
-        assert plan_cache_counts(sim.run, 0, n)[1] == compile_run
-        assert plan_cache_counts(sim.run, n, n)[1] == {"hit": n}
+        assert plan_cache_counts(sim.run, hosted_loads(sim, 0, n))[1] == compile_run
+        assert plan_cache_counts(sim.run, hosted_loads(sim, n, n))[1] == {"hit": n}
         name = sim.chain_names[0]
         sim.set_knobs({name: {"cpu_share": 0.7, "batch_size": 40}})
-        assert plan_cache_counts(sim.run, 2 * n, n)[1] == compile_run
+        loads = hosted_loads(sim, 2 * n, n)
+        assert plan_cache_counts(sim.run, loads)[1] == compile_run
 
     def test_mismatched_hardware_takes_the_per_node_path(self):
         sim = self.sim(hetero=True)
         for start, n in ((0, 1), (1, 3), (4, 2)):
-            assert plan_cache_counts(sim.run, start, n)[1] == {"fallback": n}
+            loads = hosted_loads(sim, start, n, seed=3)
+            assert plan_cache_counts(sim.run, loads)[1] == {"fallback": n}
 
 
 class TestStep:
