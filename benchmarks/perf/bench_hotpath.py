@@ -13,9 +13,12 @@ PRs:
   the fused ``ClusterKernel`` pass vs. the per-node loop of scalar
   ``step_all`` folds (the multi-chain scaling payoff; criterion: >= 3x);
 * ``fleet_scale`` — a 4-shard x 8-node x 4-chain fleet stepped by
-  process-backed ``ShardWorker``s vs. the single-process ``LocalShard``
-  loop (the sharded scale-out payoff; both backends are bit-identical,
-  so the ratio is pure parallelism; criterion: >= 2x at 4 shards);
+  process-backed ``ShardWorker``s vs. the single-process loop of one
+  kernel per shard (``ReferenceLocalShard``; the sharded scale-out
+  payoff; both are bit-identical and step the same per-shard kernels,
+  so the ratio is pure parallelism; criterion: >= 2x at 4 shards).  The
+  grouped ``LocalShard`` backend, one kernel pass for the whole fleet,
+  is timed alongside with no criterion;
 * ``fleet_throughput`` — the same fleet through the pipelined cycle
   schedule over shared-memory telemetry arenas vs. the seed lockstep
   schedule over a transport that pickles every ``ShardReport`` through
@@ -285,35 +288,51 @@ def bench_cluster_grid(quick: bool, rounds: int) -> dict:
 
 def bench_fleet_scale(quick: bool, rounds: int) -> dict:
     """A 4-shard x 8-node x 4-chain fleet: process-backed shard workers
-    vs. the single-process reference loop (criterion: >= 2x at 4 shards).
+    vs. the single-process loop of one kernel per shard (criterion:
+    >= 2x at 4 shards).
 
     Both coordinators run the identical deterministic simulation (the
-    process backend is bit-identical to local), so the ratio isolates
-    the scatter/gather parallelism.  Workers are started once and kept
-    warm; rounds are interleaved so background-load drift hits both
-    sides equally.
+    process backend is bit-identical to local) through the same
+    per-shard kernels, so the ratio isolates the scatter/gather
+    parallelism.  The grouped local backend, which prices every shard
+    in one kernel pass, is faster than either loop for a reason that is
+    not parallelism; its time is recorded next to them, with no
+    criterion.  Workers are started once and kept warm; rounds are
+    interleaved so background-load drift hits every side equally.
     """
+    import repro.fleet.coordinator as coordinator_mod
     from repro.fleet import FLEETS, FleetCoordinator, FleetSpec
 
     fleet = FleetSpec.from_mapping(FLEETS.get("datacenter")())
     cycles = 1 if quick else 2
     seed = 5
-    local = FleetCoordinator(fleet.with_updates(backend="local"), seed=seed)
+    saved = coordinator_mod.LocalShard
+    coordinator_mod.LocalShard = reference.ReferenceLocalShard
+    try:
+        local = FleetCoordinator(fleet.with_updates(backend="local"), seed=seed)
+    finally:
+        coordinator_mod.LocalShard = saved
+    grouped = FleetCoordinator(fleet.with_updates(backend="local"), seed=seed)
     proc = FleetCoordinator(fleet.with_updates(backend="process"), seed=seed)
     try:
-        # Warm both fleets: kernels compile, workers come up.
+        # Warm every fleet: kernels compile, workers come up.
         local.run_cycles(1)
+        grouped.run_cycles(1)
         proc.run_cycles(1)
-        local_s = proc_s = float("inf")
+        local_s = grouped_s = proc_s = float("inf")
         for _ in range(max(3, rounds)):
             t0 = time.perf_counter()
             local.run_cycles(cycles)
             local_s = min(local_s, time.perf_counter() - t0)
             t0 = time.perf_counter()
+            grouped.run_cycles(cycles)
+            grouped_s = min(grouped_s, time.perf_counter() - t0)
+            t0 = time.perf_counter()
             proc.run_cycles(cycles)
             proc_s = min(proc_s, time.perf_counter() - t0)
     finally:
         local.close()
+        grouped.close()
         proc.close()
     n_chains = fleet.topology.total_chains
     intervals = cycles * fleet.sync_every
@@ -327,6 +346,7 @@ def bench_fleet_scale(quick: bool, rounds: int) -> dict:
         "cpus": cpus,
         "reference_seconds": local_s,
         "speedup": local_s / proc_s,
+        "grouped_local_seconds": grouped_s,
         "chain_steps_per_second": n_chains * intervals / proc_s,
     }
     if cpus < 2:
@@ -773,6 +793,8 @@ def main(argv: list[str] | None = None) -> int:
         extra = ""
         if bench.get("speedup") is not None:
             extra = f"  speedup={bench['speedup']:.1f}x"
+        if "grouped_local_seconds" in bench:
+            extra += f"  grouped local {bench['grouped_local_seconds']:.4f}s"
         print(f"{name:20s} {bench['seconds']:.4f}s{extra}")
 
     out = Path(args.out)

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from repro.core.env import NFVEnv
+from repro.fleet.shard import LocalShard
 from repro.hw.cache import capacity_miss_ratio, prefetch_efficiency
 from repro.nfv.engine import PacketEngine
 from repro.rl.replay import Transition, TransitionBatch
@@ -700,6 +701,26 @@ class ReferenceShardWorker:
         self._proc.join(timeout=5.0)
         if self._proc.is_alive():
             self._proc.terminate()
+
+
+# -- fleet: one kernel per in-process shard ------------------------------------
+
+
+class ReferenceLocalShard(LocalShard):
+    """The pre-group local backend: every shard steps its own kernel.
+
+    Each handle is a group of one, so ``begin_run`` steps its shard at
+    once through ``ShardSim.run``: s shards make s kernel steps per
+    cycle, where the grouped :class:`~repro.fleet.shard.LocalShard`
+    makes one.  Drop-in for ``LocalShard``, monkeypatched into the
+    coordinator as the ``fleet_scale`` bench's single-process side: its
+    per-shard runs are the same work the process backend spreads over
+    its workers.
+    """
+
+    @classmethod
+    def group(cls, configs):
+        return [cls(config) for config in configs]
 
 
 # -- fleet: lockstep cycle schedule --------------------------------------------

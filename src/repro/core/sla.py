@@ -31,11 +31,28 @@ telemetry) it returns the matching boolean array.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nfv.engine import TelemetrySample
+
+
+def _require_positive(what: str, value: float) -> None:
+    """Refuse a bound or scale that is not finite and positive.
+
+    Written ``not 0 < x < inf``: an ordered guard such as ``x <= 0`` is
+    False for NaN, and a NaN bound fails every comparison the SLA makes.
+    """
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+
+
+def _require_slope(value: float) -> None:
+    """Refuse a violation slope that is not finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"violation slope must be finite and >= 0, got {value!r}")
 
 
 def _outcome(ok):
@@ -58,8 +75,8 @@ class RewardScales:
     energy_j: float = 85.0
 
     def __post_init__(self) -> None:
-        if self.throughput_gbps <= 0 or self.energy_j <= 0:
-            raise ValueError("reward scales must be positive")
+        _require_positive("reward scale throughput_gbps", self.throughput_gbps)
+        _require_positive("reward scale energy_j", self.energy_j)
 
 
 class SLA(abc.ABC):
@@ -101,10 +118,8 @@ class MaxThroughputSLA(SLA):
         violation_slope: float = 0.5,
     ):
         super().__init__(scales)
-        if energy_cap_j <= 0:
-            raise ValueError("energy cap must be positive")
-        if violation_slope < 0:
-            raise ValueError("violation slope must be >= 0")
+        _require_positive("energy cap", energy_cap_j)
+        _require_slope(violation_slope)
         self.energy_cap_j = energy_cap_j
         self.violation_slope = violation_slope
 
@@ -137,12 +152,9 @@ class MinEnergySLA(SLA):
         headroom_gain: float = 3.0,
     ):
         super().__init__(scales)
-        if throughput_floor_gbps <= 0:
-            raise ValueError("throughput floor must be positive")
-        if violation_slope < 0:
-            raise ValueError("violation slope must be >= 0")
-        if headroom_gain <= 0:
-            raise ValueError("headroom gain must be positive")
+        _require_positive("throughput floor", throughput_floor_gbps)
+        _require_slope(violation_slope)
+        _require_positive("headroom gain", headroom_gain)
         self.throughput_floor_gbps = throughput_floor_gbps
         self.violation_slope = violation_slope
         self.headroom_gain = headroom_gain
@@ -218,10 +230,8 @@ class LatencySLA(SLA):
         violation_slope: float = 0.5,
     ):
         super().__init__(scales)
-        if latency_bound_s <= 0:
-            raise ValueError("latency bound must be positive")
-        if violation_slope < 0:
-            raise ValueError("violation slope must be >= 0")
+        _require_positive("latency bound", latency_bound_s)
+        _require_slope(violation_slope)
         self.latency_bound_s = latency_bound_s
         self.violation_slope = violation_slope
 

@@ -2,9 +2,10 @@
 
 One :class:`~repro.nfv.cluster_kernel.ClusterKernel` prices a whole
 cluster per interval; this package scales *out*: a fleet is a set of
-**shards** (clusters) joined by inter-shard links, each shard stepped by
-its own kernel — in-process (:class:`~repro.fleet.shard.LocalShard`) or
-in a real worker process (:class:`~repro.fleet.shard.ShardWorker`) — and
+**shards** (clusters) joined by inter-shard links — stepped in-process
+(:class:`~repro.fleet.shard.LocalShard`, one kernel pass per cycle for
+every shard) or each in a real worker process with its own kernel
+(:class:`~repro.fleet.shard.ShardWorker`) — and
 a :class:`~repro.fleet.coordinator.FleetCoordinator` running the global
 gather / decide / scatter loop: per-shard telemetry summaries in, SDN
 knob steering and **cross-shard chain migration** decisions out.  The

@@ -1,9 +1,11 @@
 """The fleet's global control loop: gather, decide, scatter.
 
 Each coordinator cycle runs every shard ``sync_every`` control intervals
-(concurrently, on the process backend), gathers the per-shard
-:class:`~repro.fleet.shard.ShardReport` summaries, and makes the global
-decisions the single-cluster controllers cannot:
+(concurrently on the process backend; in one cluster-kernel pass for
+all shards on the local backend, :meth:`~repro.fleet.shard.LocalShard.group`),
+gathers the per-shard :class:`~repro.fleet.shard.ShardReport`
+summaries, and makes the global decisions the single-cluster
+controllers cannot:
 
 * **churn** — admit Poisson chain arrivals onto the least-loaded nodes
   and retire departing chains (:meth:`~repro.fleet.workload.WorkloadConfig.churn_events`);
@@ -66,6 +68,7 @@ from repro.fleet.routing import RoutingTable
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import CHAIN_KINDS
 from repro.fleet.workload import LoadBlock, stream_hashes
+from repro.utils.stats import left_sum
 
 #: Fleet-artifact schema version (bump on layout changes).
 FLEET_FORMAT_VERSION = 1
@@ -278,28 +281,36 @@ class FleetCoordinator:
         self._records_mark = 0
         self._chain_intervals_total = 0
         self._metrics_log: list[dict[str, Any]] = []
-        make = LocalShard if fleet.backend == "local" else ShardWorker
-        kwargs = {} if fleet.backend == "local" else {"mp_context": mp_context}
+        configs = [
+            ShardConfig(
+                name=shard.name,
+                n_nodes=shard.nodes,
+                interval_s=self.interval_s,
+                sla=self.sla,
+                sla_params=self.sla_params,
+                workload=fleet.workload.to_dict(),
+                parked_power_w=fleet.migration.parked_power_w,
+                initial_chains=tuple(tickets[shard.name]),
+                # Telemetry-arena capacity: one run reply holds
+                # sync_every interval rows; admission never exceeds
+                # the per-node capacity bound.
+                arena_intervals=fleet.sync_every,
+                arena_chains=shard.nodes * fleet.migration.capacity_per_node,
+                trace=obs.enabled(),
+            )
+            for shard in topo.shards
+        ]
         self.handles: dict[str, Any] = {}
         try:
-            for shard in topo.shards:
-                config = ShardConfig(
-                    name=shard.name,
-                    n_nodes=shard.nodes,
-                    interval_s=self.interval_s,
-                    sla=self.sla,
-                    sla_params=self.sla_params,
-                    workload=fleet.workload.to_dict(),
-                    parked_power_w=fleet.migration.parked_power_w,
-                    initial_chains=tuple(tickets[shard.name]),
-                    # Telemetry-arena capacity: one run reply holds
-                    # sync_every interval rows; admission never exceeds
-                    # the per-node capacity bound.
-                    arena_intervals=fleet.sync_every,
-                    arena_chains=shard.nodes * fleet.migration.capacity_per_node,
-                    trace=obs.enabled(),
-                )
-                self.handles[shard.name] = make(config, **kwargs)
+            if fleet.backend == "local":
+                # One kernel pass per cycle prices every in-process shard.
+                for config, handle in zip(configs, LocalShard.group(configs)):
+                    self.handles[config.name] = handle
+            else:
+                for config in configs:
+                    self.handles[config.name] = ShardWorker(
+                        config, mp_context=mp_context
+                    )
         except BaseException:
             self.close()
             raise
@@ -535,7 +546,7 @@ class FleetCoordinator:
                 "cycle": plan.cycle,
                 "interval": plan.interval,
                 "migrations": len(plan.moves),
-                "migration_energy_j": sum(m.cost_j for m in plan.moves),
+                "migration_energy_j": left_sum(m.cost_j for m in plan.moves),
                 "arrivals": len(plan.arrivals),
                 "departures": len(plan.departures),
                 "knob_updates": sum(
@@ -910,7 +921,7 @@ class FleetCoordinator:
             rows.append(self._records[i])
             i += 1
         self._records_mark = i
-        energy_j = sum(r["energy_j"] for r in rows)
+        energy_j = left_sum(r["energy_j"] for r in rows)
         sla_violations = sum(r["sla_violations"] for r in rows)
         self._chain_intervals_total += sum(r["chains"] for r in rows)
         elapsed = now - self._t0
@@ -957,11 +968,11 @@ class FleetCoordinator:
         if elapsed_s is None:
             elapsed_s = time.perf_counter() - self._t0
         records = self._records
-        sim_energy = sum(r["energy_j"] for r in records)
+        sim_energy = left_sum(r["energy_j"] for r in records)
         throughputs = [r["throughput_gbps"] for r in records]
         horizon_s = len(records) * self.interval_s
         total_energy = sim_energy + self._migration_energy_j
-        mean_thr = sum(throughputs) / len(throughputs) if throughputs else 0.0
+        mean_thr = left_sum(throughputs) / len(throughputs) if throughputs else 0.0
         totals = {
             "intervals": len(records),
             "sim_energy_j": sim_energy,
@@ -975,7 +986,7 @@ class FleetCoordinator:
             "sla_violations": sum(r["sla_violations"] for r in records),
             "migrations": len(self._migrations),
             "migration_hops": sum(m["hops"] for m in self._migrations),
-            "migration_path_latency_s": sum(
+            "migration_path_latency_s": left_sum(
                 m["path_latency_s"] for m in self._migrations
             ),
             "arrivals": sum(

@@ -1,12 +1,12 @@
-"""Shard execution: one :class:`~repro.nfv.cluster_kernel.ClusterKernel` per shard.
+"""Shard execution: shards stepped through a shared cluster kernel.
 
 A shard is one cluster of the fleet, simulated as a deterministic state
 machine driven by coordinator commands:
 
 * ``run(block)`` — advance the global control intervals of a
   :class:`~repro.fleet.workload.LoadBlock` (the offered load the
-  coordinator drew for the shard's chains) as one block through the
-  shard's fused cluster kernel
+  coordinator drew for the shard's chains) as one block through a fused
+  cluster kernel
   (:meth:`~repro.nfv.cluster_kernel.ClusterKernel.step`, which compiles
   a configuration on first sight and prices the whole block), and
   return a :class:`ShardReport` summary (per-interval energy/SLA rows
@@ -17,10 +17,19 @@ machine driven by coordinator commands:
   group, destination node;
 * ``set_knobs(updates)`` — the scatter half of the SDN steering loop.
 
+Every run goes through one function, :func:`run_shards`: it checks
+each shard's block against the shard, prices all of them in one
+:meth:`~repro.nfv.cluster_kernel.ClusterKernel.step` over their nodes,
+and each shard books its own rows and node columns of that pass.  A
+shard's slice of a shared pass equals its own kernel's pass bit for
+bit, so how shards are grouped changes the cost, never the numbers.
+
 Two interchangeable backends execute the same :class:`ShardSim`:
 :class:`LocalShard` runs it in-process (tests, determinism reference,
-single-process baselines) and :class:`ShardWorker` runs it in a real
-worker process behind a pipe — the same message-loop plumbing as
+single-process runs), where the coordinator's shards form one group
+and the whole fleet is one kernel pass per cycle, and
+:class:`ShardWorker` runs it in a real worker process behind a pipe, a
+group of one (:meth:`ShardSim.run`) — the same message-loop plumbing as
 :mod:`repro.rl.apex_mp`'s actor workers, with commands batched so one
 coordinator cycle costs one round trip per shard.  The report body does
 not travel over the pipe: each worker writes its telemetry into a
@@ -38,7 +47,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +65,7 @@ from repro.nfv.chain import (
     heavy_chain,
     light_chain,
 )
-from repro.nfv.cluster_kernel import ClusterKernel, left_sums
+from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel, left_sums
 from repro.nfv.engine import bottleneck_utilization
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
@@ -327,13 +336,14 @@ class ShardSim:
         The block's rows must be the hosted chains in :attr:`load_rows`
         order, and ``block.start`` must match the shard's own clock — the
         fleet steps in lockstep, and a drifted shard would silently run
-        another interval's counter-based traffic.
+        another interval's counter-based traffic.  A group of one for
+        :func:`run_shards`, through the shard's own kernel.
         """
-        n = block.pps.shape[-1]
-        with obs.span("shard/run", shard=self.config.name, start=block.start, n=n):
-            return self._run_inner(block)
+        return run_shards((self,), (block,), self.kernel)[0]
 
-    def _run_inner(self, load_block: LoadBlock) -> ShardReport:
+    def _check(self, load_block: LoadBlock) -> None:
+        """Refuse a block whose rows, shape or start do not match this
+        shard."""
         cfg = self.config
         names = self.load_rows
         if tuple(load_block.names) != names:
@@ -341,15 +351,32 @@ class ShardSim:
                 f"shard {cfg.name!r} hosts chains {list(names)}, but the "
                 f"load block's rows are {list(load_block.names)}"
             )
-        start = load_block.start
-        if start != self._interval:
+        pps = np.asarray(load_block.pps)
+        if pps.ndim != 2 or pps.shape[0] != len(names):
+            raise ValueError(
+                f"shard {cfg.name!r}: need a (chains, intervals) load block "
+                f"with one row per chain, got shape {pps.shape}"
+            )
+        if load_block.start != self._interval:
             raise ValueError(
                 f"shard {cfg.name!r} is at interval {self._interval}, "
-                f"coordinator asked for {start}"
+                f"coordinator asked for {load_block.start}"
             )
+
+    def _record(self, load_block: LoadBlock, block: BlockTelemetry) -> ShardReport:
+        """Book one stepped run: this shard's rows and nodes of the pass."""
+        n = load_block.pps.shape[-1]
+        start = load_block.start
+        with obs.span("shard/run", shard=self.config.name, start=start, n=n):
+            return self._record_inner(load_block, block)
+
+    def _record_inner(
+        self, load_block: LoadBlock, block: BlockTelemetry
+    ) -> ShardReport:
+        cfg = self.config
+        start = load_block.start
         dt = cfg.interval_s
         loads = load_block.pps
-        block = self.kernel.step(names, loads, self.workload.packet_bytes, dt)
         n = loads.shape[1]
         # Node-level energy: meter deltas, so idle (but unvacated) nodes
         # are billed; a node with no chains at all is parked and billed
@@ -444,17 +471,100 @@ class ShardSim:
         return out
 
 
+def run_shards(
+    sims: Sequence[ShardSim], blocks: Sequence[LoadBlock], kernel: ClusterKernel
+) -> list[ShardReport]:
+    """Advance each shard through one run of its block, in one kernel pass.
+
+    ``kernel`` must step exactly the shards' nodes, shard by shard, so
+    each shard owns one contiguous run of the kernel's rows and node
+    columns.  Every block is checked against its shard (rows, clock,
+    length) before any state moves; one :meth:`ClusterKernel.step
+    <repro.nfv.cluster_kernel.ClusterKernel.step>` then prices every
+    shard's block, and each shard books its own
+    :meth:`~repro.nfv.cluster_kernel.BlockTelemetry.part` of it.  A
+    shard's report is the one its own kernel would give (see the
+    :mod:`repro.nfv.cluster_kernel` docstring for the one NF-padding
+    limit, which fleet chains never reach).
+    """
+    if len(sims) != len(blocks):
+        raise ValueError("need one load block per shard")
+    nodes = [node for sim in sims for node in sim.nodes]
+    if len(nodes) != len(kernel.nodes) or any(
+        a is not b for a, b in zip(nodes, kernel.nodes)
+    ):
+        raise ValueError("the kernel must step exactly the shards' nodes, in order")
+    if len({sim.config.interval_s for sim in sims}) > 1:
+        raise ValueError("shards stepped in one pass need one interval length")
+    if len({block.pps.shape[-1] for block in blocks}) > 1:
+        raise ValueError("shards stepped in one pass need blocks of one length")
+    for sim, block in zip(sims, blocks):
+        sim._check(block)
+    packet_bytes = [
+        sim.workload.packet_bytes
+        for sim, block in zip(sims, blocks)
+        for _ in block.names
+    ]
+    telemetry = kernel.step(
+        [name for block in blocks for name in block.names],
+        np.concatenate([block.pps for block in blocks]),
+        packet_bytes,
+        sims[0].config.interval_s,
+    )
+    reports = []
+    row = col = 0
+    for sim, block in zip(sims, blocks):
+        rows, cols = len(block.names), len(sim.nodes)
+        part = telemetry.part(slice(row, row + rows), slice(col, col + cols))
+        reports.append(sim._record(block, part))
+        row, col = row + rows, col + cols
+    return reports
+
+
 # -- backends ------------------------------------------------------------------
 
 
+class _RunGroup:
+    """In-process shards stepped through one shared cluster kernel: each
+    member's block for the next pass, and its report from the last.
+
+    It holds the sims, never their handles, so a group makes no
+    reference cycle and a dropped fleet is freed at once.
+    """
+
+    def __init__(self, sims: list[ShardSim], kernel: ClusterKernel):
+        self.sims = sims
+        self.kernel = kernel
+        self.blocks: list[LoadBlock | None] = [None] * len(sims)
+        self.reports: list[ShardReport | None] = [None] * len(sims)
+
+
 class LocalShard:
-    """In-process shard handle: the determinism reference backend."""
+    """In-process shard handle: the determinism reference backend.
+
+    Handles built together by :meth:`group` step as one: each
+    :meth:`begin_run` hands over its shard's block, and the call that
+    completes the set prices every shard of the group in one pass of a
+    kernel shared by all their nodes (:func:`run_shards`).  A handle
+    built alone is a group of one and runs at once.
+    """
 
     backend = "local"
 
     def __init__(self, config: ShardConfig):
         self.sim = ShardSim(config)
-        self._pending: ShardReport | None = None
+        self._group = _RunGroup([self.sim], self.sim.kernel)
+        self._slot = 0
+
+    @classmethod
+    def group(cls, configs: Sequence[ShardConfig]) -> list["LocalShard"]:
+        """One handle per config, all stepped through one shared kernel."""
+        shards = [cls(config) for config in configs]
+        sims = [shard.sim for shard in shards]
+        group = _RunGroup(sims, ClusterKernel([n for sim in sims for n in sim.nodes]))
+        for slot, shard in enumerate(shards):
+            shard._group, shard._slot = group, slot
+        return shards
 
     @property
     def load_rows(self) -> tuple[str, ...]:
@@ -462,16 +572,29 @@ class LocalShard:
         return self.sim.load_rows
 
     def begin_run(self, block: LoadBlock) -> None:
-        """Start one run command (executes synchronously in-process)."""
-        if self._pending is not None:
+        """Start one run command: once every shard of the group has its
+        block, all of them run synchronously, in this call."""
+        group, slot = self._group, self._slot
+        if group.blocks[slot] is not None or group.reports[slot] is not None:
             raise RuntimeError("previous run not collected")
-        self._pending = self.sim.run(block)
+        group.blocks[slot] = block
+        if any(pending is None for pending in group.blocks):
+            return
+        blocks, group.blocks = group.blocks, [None] * len(group.sims)
+        group.reports = run_shards(group.sims, blocks, group.kernel)
 
     def finish_run(self) -> ShardReport:
         """Collect the report of the last :meth:`begin_run`."""
-        if self._pending is None:
+        group, slot = self._group, self._slot
+        report = group.reports[slot]
+        if report is None:
+            if group.blocks[slot] is not None:
+                raise RuntimeError(
+                    f"shard {self.sim.config.name!r}: the group's other "
+                    "shards have not begun their runs"
+                )
             raise RuntimeError("no run in flight")
-        report, self._pending = self._pending, None
+        group.reports[slot] = None
         return report
 
     def deploy(self, ticket: ChainTicket) -> None:

@@ -9,18 +9,32 @@ deployment, frame sizes) generation, and a block of intervals is priced
 for all rows in one vectorized evaluation.  This kernel is the one place
 a diagonal plan is compiled and cached.
 
-:meth:`ClusterKernel.step` is the only entry point: a fleet shard hands
-it a run of ``sync_every`` intervals, the SDN controller and ``Cluster``
-a block of one.  Every configuration compiles on first sight, and the
-plan then prices every interval until a knob/deployment change (or new
-frame sizes) invalidates it.  Measured for one interval on a 2-CPU
-x86-64 box, the per-node scalar fold costs 0.09-0.39 ms on clusters of
-at most 4 chains against a 0.49-0.62 ms compile, 2.2-2.3 ms at 8 nodes
-x 4 chains against 0.74-0.90 ms, and 8.7-9.7 ms at 32 x 4 against
-1.36-1.64 ms: a compile pays for itself from mid-sized clusters on,
-and costs a small one at most about 0.5 ms per configuration.  Nodes
-with incompatible hardware or engine calibration always take the
-per-node path — the kernel only fuses physics it can prove is the same.
+:meth:`ClusterKernel.step` is the only entry point.  The in-process
+shards of a fleet share one kernel over all their nodes and hand it one
+run of ``sync_every`` intervals per coordinator cycle
+(:func:`~repro.fleet.shard.run_shards`); a shard worker process hands
+its own kernel its own shard's run, and the SDN controller and
+``Cluster`` a block of one.  Every configuration compiles on first
+sight, and the plan then prices every interval until a knob/deployment
+change (or new frame sizes) on any of its nodes invalidates it.
+Measured for one interval on a 2-CPU x86-64 box, the per-node scalar
+fold costs 0.09-0.39 ms on clusters of at most 4 chains against a
+0.49-0.62 ms compile, 2.2-2.3 ms at 8 nodes x 4 chains against
+0.74-0.90 ms, and 8.7-9.7 ms at 32 x 4 against 1.36-1.64 ms: a compile
+pays for itself from mid-sized clusters on, and costs a small one at
+most about 0.5 ms per configuration.  Nodes with incompatible hardware
+or engine calibration always take the per-node path — the kernel only
+fuses physics it can prove is the same.
+
+A row prices the same whichever rows share its plan, and a node's fold
+reads only its own rows, so a shard's slice of a shared pass equals
+its own kernel's pass bit for bit.  One limit comes from the NF axis:
+rows are padded to the longest chain, and numpy sums that axis pairwise
+once it is 8 or more lanes wide.  Padding is exact at any width for
+rows of at most 3 NFs; a row of 4 or more NFs is exact only while the
+longest row has fewer than 8 NFs (measured: 4- to 7-NF rows first
+change when padded to width 8).  Fleet chains have 2-3 NFs
+(``tests/test_fleet_group.py`` pins both sides of the limit).
 
 Node-level bookkeeping (one Fan-model power evaluation per node and
 interval, cycle-proportional power attribution, node energy-meter
@@ -154,6 +168,20 @@ class BlockTelemetry:
     latency_s: np.ndarray  # (n, R)
     node_joules: np.ndarray  # (n, N) each node meter's total after each interval
     samples: dict[str, TelemetrySample]  # the last interval's, by chain name
+
+    def part(self, rows: slice, nodes: slice) -> "BlockTelemetry":
+        """The telemetry of a contiguous run of rows and of node columns:
+        one shard's share of a pass over several shards' nodes."""
+        names = list(self.samples)[rows]
+        return BlockTelemetry(
+            self.dt_s,
+            self.achieved_pps[:, rows],
+            self.throughput_gbps[:, rows],
+            self.energy_j[:, rows],
+            self.latency_s[:, rows],
+            self.node_joules[:, nodes],
+            {name: self.samples[name] for name in names},
+        )
 
 
 class ClusterKernel:

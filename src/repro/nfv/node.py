@@ -203,10 +203,12 @@ class Node:
             else params.infra_util_adaptive
         )
         allocated = params.infra_cores
+        freq_total = 0.0
         for hosted in self._chains.values():
             allocated += hosted.knobs.cpu_share * len(hosted.chain)
-        freqs = [h.knobs.cpu_freq_ghz for h in self._chains.values()]
-        freq = sum(freqs) / len(freqs) if freqs else self.server.cpu.base_freq_ghz
+            freq_total += hosted.knobs.cpu_freq_ghz
+        n = len(self._chains)
+        freq = freq_total / n if n else self.server.cpu.base_freq_ghz
         return params.infra_cores * infra_util, allocated, freq
 
     # -- simulation --------------------------------------------------------

@@ -12,12 +12,17 @@ harnesses share:
   DES for traffic prediction; the paper compares against that scheme).
 * :func:`rolling_mean` — vectorized trailing-window smoothing used when
   rendering training curves (Figs. 6-8 plot smoothed series).
+* :func:`left_sum` — the left-to-right total the fleet artifacts record,
+  the same on every supported Python.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -159,6 +164,17 @@ class DoubleExponentialSmoothing:
         if self._level is None:
             return 0.0
         return self._level + horizon * self._trend
+
+
+def left_sum(values: Iterable[float]):
+    """``((0 + v0) + v1) + ...``: the builtin ``sum`` of Python < 3.12.
+
+    Python 3.12's ``sum`` compensates float rounding (Neumaier), which
+    changes recorded totals between interpreters; this fold adds one
+    term at a time on every version.  Like ``sum``, it starts from the
+    int ``0``, so an empty input gives ``0``.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:

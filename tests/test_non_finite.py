@@ -1,16 +1,23 @@
-"""A NaN interval length is refused by every entry point that takes one.
+"""Non-finite intervals and SLA bounds are refused where they enter.
 
 An ordered guard such as ``dt_s <= 0`` is False for NaN, so a NaN
 interval used to pass every check in the stepping stack: it priced NaN
 energy, and one such interval left a node meter's ``total_joules`` NaN
-for good.  Each guard is written ``not dt_s > 0`` instead.  This table
-feeds NaN to every public constructor and stepping method that takes an
-interval length and expects ``ValueError``.
+for good.  Each guard is written ``not dt_s > 0`` instead.  The first
+table feeds NaN to every public constructor and stepping method that
+takes an interval length and expects ``ValueError``.
+
+The same held for the SLAs: a NaN latency bound made every comparison
+False, so a fleet under ``LatencySLA(nan)`` counted every chain-interval
+as a violation.  Every float parameter of the SLAs and their reward
+scales must be finite (and positive, or >= 0 for a violation slope);
+the second table feeds NaN, +inf and -inf to each.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.sla import LatencySLA, MaxThroughputSLA, MinEnergySLA, RewardScales
 from repro.fleet import FLEETS, FleetCoordinator, FleetSpec, ShardConfig
 from repro.nfv.chain import default_chain
 from repro.nfv.cluster_kernel import ClusterKernel
@@ -93,3 +100,44 @@ ENTRY_POINTS = {
 def test_nan_interval_is_refused(entry):
     with pytest.raises(ValueError):
         ENTRY_POINTS[entry]()
+
+
+#: Every float parameter of the SLAs and their reward scales, each with a
+#: valid value; the test swaps one at a time for a non-finite one.
+SLA_PARAMETERS = {
+    MaxThroughputSLA: {"energy_cap_j": 45.0, "violation_slope": 0.5},
+    MinEnergySLA: {
+        "throughput_floor_gbps": 5.0,
+        "violation_slope": 0.5,
+        "headroom_gain": 3.0,
+    },
+    LatencySLA: {"latency_bound_s": 1e-3, "violation_slope": 0.5},
+    RewardScales: {"throughput_gbps": 10.0, "energy_j": 85.0},
+}
+SLA_CASES = [
+    pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+    for cls, params in SLA_PARAMETERS.items()
+    for name in params
+]
+
+
+@pytest.mark.parametrize("cls", SLA_PARAMETERS)
+def test_valid_sla_parameters_construct(cls):
+    cls(**SLA_PARAMETERS[cls])
+
+
+@pytest.mark.parametrize("value", [NAN, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls,name", SLA_CASES)
+def test_non_finite_sla_parameter_is_refused(cls, name, value):
+    params = {**SLA_PARAMETERS[cls], name: value}
+    with pytest.raises(ValueError):
+        cls(**params)
+
+
+def test_fleet_refuses_a_nan_latency_bound():
+    with pytest.raises(ValueError, match="latency bound"):
+        FleetCoordinator(
+            FleetSpec.from_mapping(FLEETS.get("small")()),
+            sla="latency",
+            sla_params={"latency_bound_s": NAN},
+        )
