@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Hot-path performance suite: engine step, batch grid, replay, training.
 
-Times the six inner loops every experiment funnels through and writes
+Times the inner loops every experiment funnels through and writes
 ``BENCH_hotpath.json`` so the performance trajectory is tracked across
 PRs:
 
@@ -23,10 +23,6 @@ PRs:
   schedule over shared-memory telemetry arenas vs. the seed lockstep
   schedule over a transport that pickles every ``ShardReport`` through
   the pipe (both kept in ``reference.py``; criterion: >= 1.5x);
-* ``fleet_routing`` — all-pairs routed paths + k-shortest alternatives
-  over a WAN ring topology through the vectorized ``RoutingTable``
-  (Floyd–Warshall in numpy) vs. the per-pair scalar Dijkstra/k-via
-  reference (kept in ``reference.py``; criterion: >= 5x);
 * ``replay_add_sample`` — prioritized add/sample/update against the
   seed's list + per-leaf-walk implementation (kept in ``reference.py``);
 * ``training_slice`` — a short end-to-end DDPG run vs. the same run with
@@ -93,7 +89,6 @@ CRITERIA = {
     "cluster_grid": 3.0,
     "fleet_scale": 2.0,
     "fleet_throughput": 1.5,
-    "fleet_routing": 5.0,
     "training_slice": 2.0,
 }
 
@@ -425,55 +420,6 @@ def bench_fleet_throughput(quick: bool, rounds: int) -> dict:
     return result
 
 
-def bench_fleet_routing(quick: bool, rounds: int) -> dict:
-    """All-pairs routed paths over a WAN ring: vectorized ``RoutingTable``
-    vs. the per-pair scalar Dijkstra/k-via reference (criterion: >= 5x).
-
-    Both sides compile the full shortest-path latency table and the
-    k-best one-via alternatives for every shard pair from the same
-    topology; a one-time cross-check pins that they agree before the
-    ratio is taken.  Pure array math vs. pure Python — no processes —
-    so the criterion holds on single-CPU runners too.
-    """
-    from repro.fleet import FleetTopology
-    from repro.fleet.routing import RoutingTable
-
-    n_sites = 64 if quick else 96
-    k = 4
-    topo = FleetTopology.wan(n_sites, nodes=1, chains_per_node=0)
-
-    def vectorized():
-        table = RoutingTable(topo)
-        return table, table.k_alternatives(k)
-
-    def loop():
-        return reference.reference_route_tables(topo, k)
-
-    # Cross-check once: the dense tables must match the scalar walk.
-    table, alts = vectorized()
-    ref_dist, ref_alts = loop()
-    names = table.shard_names
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if abs(table.latency_s[i, j] - ref_dist[a][b]) > 1e-12:
-                raise AssertionError(f"latency mismatch for {a}->{b}")
-            got = alts[i, j, : len(ref_alts[a][b])]
-            if np.abs(got - np.asarray(ref_alts[a][b])).max() > 1e-12:
-                raise AssertionError(f"k-alternative mismatch for {a}->{b}")
-
-    vec_s = _best_of(lambda: vectorized(), rounds)
-    loop_s = _best_of(lambda: loop(), max(1, rounds - 1))
-    pairs = n_sites * n_sites
-    return {
-        "seconds": vec_s,
-        "shards": n_sites,
-        "k": k,
-        "reference_seconds": loop_s,
-        "speedup": loop_s / vec_s,
-        "pairs_per_second": pairs / vec_s,
-    }
-
-
 def _replay_workload(buf, n_add: int, n_rounds: int, rng: np.random.Generator):
     chunk = 64
     for start in range(0, n_add, chunk):
@@ -643,7 +589,6 @@ BENCHES = {
     "cluster_grid": bench_cluster_grid,
     "fleet_scale": bench_fleet_scale,
     "fleet_throughput": bench_fleet_throughput,
-    "fleet_routing": bench_fleet_routing,
     "replay_add_sample": bench_replay,
     "training_slice": bench_training_slice,
     "obs_overhead": bench_obs_overhead,

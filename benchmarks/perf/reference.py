@@ -493,8 +493,8 @@ def reference_cluster_step(nodes, per_node_offered, dt_s: float = 1.0):
     """The pre-cluster-kernel interval: a Python loop over nodes.
 
     One ``Node.step_all`` call per node — the scalar per-node fold —
-    which is what ``Cluster.step`` and ``SdnController.run_interval``
-    would execute without the fused cluster-wide pass, so the
+    which is what ``SdnController.run_interval`` would execute without
+    the fused cluster-wide pass, so the
     ``cluster_grid`` bench reports an honest kernel-vs-per-node-loop
     speedup.
     """
@@ -862,18 +862,16 @@ def reference_offered(workload, seed: int, chain_name: str, index: int, dt_s: fl
     return float(rate * multiplier)
 
 
-# -- fleet: per-pair scalar routing --------------------------------------------
+# -- fleet: scalar routing -----------------------------------------------------
 
 
-def reference_route_tables(topology, k: int = 1):
-    """Per-pair scalar routing: one Dijkstra per source, Python k-vias.
+def reference_route_tables(topology):
+    """Scalar routing: one heap Dijkstra per source shard.
 
     The pre-``RoutingTable`` shape: every source shard runs its own
-    heap-based Dijkstra over a neighbor dict, then each pair scans every
-    via shard in a Python loop for the ``k - 1`` best one-via
-    alternative latencies.  Returns ``(dist, alternatives)`` as nested
-    dicts keyed by shard name, matching what the vectorized tables hold
-    so the bench can cross-check them.
+    heap-based Dijkstra over a neighbor dict.  Returns the shortest-path
+    latencies as nested dicts keyed by shard name, matching what the
+    vectorized tables hold so the tests can cross-check them.
     """
     import heapq
 
@@ -896,15 +894,4 @@ def reference_route_tables(topology, k: int = 1):
                     best[nxt] = alt
                     heapq.heappush(heap, (alt, nxt))
         dist[src] = {dst: best.get(dst, math.inf) for dst in names}
-    alts: dict[str, dict[str, list[float]]] = {}
-    for src in names:
-        row: dict[str, list[float]] = {}
-        for dst in names:
-            vias = sorted(
-                dist[src][m] + dist[m][dst]
-                for m in names
-                if m != src and m != dst
-            )
-            row[dst] = [dist[src][dst]] + vias[: max(0, k - 1)]
-        alts[src] = row
-    return dist, alts
+    return dist

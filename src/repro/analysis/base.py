@@ -140,18 +140,6 @@ def register(cls):
     return cls
 
 
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def str_const(node: ast.AST) -> str | None:
     """The value of a string-constant node, else ``None``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):

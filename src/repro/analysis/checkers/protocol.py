@@ -1,7 +1,7 @@
 """MP protocol consistency: every pipe opcode has a peer that answers it.
 
-The process backends (:mod:`repro.fleet.shard`, :mod:`repro.rl.apex_mp`)
-speak a strict request/reply protocol over ``multiprocessing`` pipes:
+A process backend (:mod:`repro.fleet.shard`'s shard workers) speaks a
+strict request/reply protocol over ``multiprocessing`` pipes:
 the parent-side handle sends ``(opcode, ...)`` tuples, the worker loop
 dispatches on ``msg[0]`` and replies ``(kind, ...)``, and the parent
 blocks on an expected reply kind.  A mismatch is a *latent deadlock*:

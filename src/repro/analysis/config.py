@@ -96,10 +96,7 @@ class LintConfig:
         default_factory=lambda: {
             "src/repro/nfv/engine.py": ("ChainKernelPlan.step",),
             "src/repro/nfv/cluster_kernel.py": ("ClusterKernel._step_fused",),
-            "src/repro/fleet/routing.py": (
-                "RoutingTable._compile_tables",
-                "RoutingTable.k_alternatives",
-            ),
+            "src/repro/fleet/routing.py": ("RoutingTable._compile_tables",),
             "src/repro/fleet/placement.py": ("GeneticPlacement._fitness",),
             "src/repro/fleet/workload.py": ("interval_keys", "first_normals"),
         }
@@ -112,13 +109,6 @@ class LintConfig:
             module="src/repro/fleet/shard.py",
             worker_function="shard_worker",
             handle_classes=("ShardWorker",),
-            discarded_replies=("stopped",),
-        ),
-        ProtocolSpec(
-            name="apex-actor",
-            module="src/repro/rl/apex_mp.py",
-            worker_function="actor_worker",
-            handle_classes=("ParallelApexCoordinator",),
             discarded_replies=("stopped",),
         ),
     )

@@ -71,11 +71,6 @@ class ControllerRun:
     mean_cpu_usage_pct: float
     samples: list[TelemetrySample]
 
-    @property
-    def window_energy_j(self) -> float:
-        """Energy over the run (alias used by the comparison tables)."""
-        return self.total_energy_j
-
 
 def run_controller(
     controller: Controller,

@@ -11,9 +11,7 @@ The compile is a vectorized Floyd–Warshall: each relaxation round ``k``
 updates all ``S x S`` pairs at once under a single strict-improvement
 mask (``alt < dist``), so a direct edge is never displaced by an
 equal-latency multi-hop detour and the tables are deterministic in the
-shard order of the topology.  :meth:`RoutingTable.k_alternatives` then
-derives the ``k`` best one-via deviations per pair from the same arrays
-with one ``(S, S, S)`` tensor and a partition — no per-pair Python.
+shard order of the topology.
 
 Exactness note: :meth:`path_links` reconstructs a path as its actual
 :class:`~repro.fleet.topology.InterShardLink` hops, so callers that need
@@ -158,37 +156,3 @@ class RoutingTable:
             n_bytes * 8.0 / 1e9 * self.inv_gbps_sum[i, j]
             + self.latency_s[i, j]
         )
-
-    # -- k-shortest alternatives -------------------------------------------
-
-    def k_alternatives(self, k: int) -> np.ndarray:
-        """Latencies of the ``k`` best one-via deviations, per pair.
-
-        Returns an ``(S, S, k)`` array whose ``[i, j]`` slice holds, in
-        ascending order, the shortest-path latency followed by the
-        ``k - 1`` cheapest alternatives of the form "shortest path to a
-        via shard ``m``, then shortest path onward" with ``m`` neither
-        endpoint.  This is the standard one-deviation relaxation of
-        k-shortest paths — enough to price how much slack a pair has if
-        its primary path saturates — computed as one ``(S, S, S)``
-        tensor plus a partition, with no per-pair Python.  Slots beyond
-        the available distinct vias are ``inf``.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        d = self.latency_s
-        n = d.shape[0]
-        via = d[:, None, :] + d.T[None, :, :]
-        idx = np.arange(n)
-        via[idx, :, idx] = np.inf
-        via[:, idx, idx] = np.inf
-        m = min(k - 1, n)
-        if m > 0:
-            alts = np.partition(via, m - 1, axis=2)[:, :, :m]
-            alts.sort(axis=2)
-        else:
-            alts = np.empty((n, n, 0))
-        out = np.full((n, n, k), np.inf)
-        out[:, :, 0] = d
-        out[:, :, 1 : 1 + m] = alts
-        return out

@@ -29,8 +29,7 @@ Two interchangeable backends execute the same :class:`ShardSim`:
 single-process runs), where the coordinator's shards form one group
 and the whole fleet is one kernel pass per cycle, and
 :class:`ShardWorker` runs it in a real worker process behind a pipe, a
-group of one (:meth:`ShardSim.run`) — the same message-loop plumbing as
-:mod:`repro.rl.apex_mp`'s actor workers, with commands batched so one
+group of one (:meth:`ShardSim.run`), with commands batched so one
 coordinator cycle costs one round trip per shard.  The report body does
 not travel over the pipe: each worker writes its telemetry into a
 shared-memory :class:`~repro.fleet.arena.TelemetryArena` and the run
@@ -44,6 +43,7 @@ backends produce bit-identical telemetry for the same seed.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import traceback
 from dataclasses import dataclass, field, replace
@@ -164,8 +164,8 @@ class ShardConfig:
             raise ValueError("shard needs at least one node")
         if not self.interval_s > 0:
             raise ValueError("interval must be positive")
-        if self.parked_power_w < 0:
-            raise ValueError("parked power must be >= 0")
+        if not 0 <= self.parked_power_w < math.inf:
+            raise ValueError("parked power must be finite and >= 0")
         if self.arena_intervals < 1:
             raise ValueError("arena_intervals must be >= 1")
         if self.arena_chains < 0:

@@ -16,6 +16,7 @@ partial override keeps the preset's other fields).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -71,20 +72,25 @@ class MigrationConfig:
             raise ValueError("need 0 <= low_watermark < headroom")
         if self.capacity_per_node < 1:
             raise ValueError("capacity_per_node must be >= 1")
-        if self.parked_power_w < 0:
-            raise ValueError("parked power must be >= 0")
+        # Written ``not 0 <= x < inf``: an ordered guard such as ``x < 0``
+        # is False for NaN, and a NaN power or energy fails every
+        # comparison the migration scoring makes.
+        if not 0 <= self.parked_power_w < math.inf:
+            raise ValueError("parked power must be finite and >= 0")
         if not 0.0 <= self.dynamic_fraction <= 1.0:
             raise ValueError("dynamic_fraction must be in [0, 1]")
-        if self.colocation_gain_j < 0:
-            raise ValueError("colocation gain must be >= 0")
+        if not 0 <= self.colocation_gain_j < math.inf:
+            raise ValueError("colocation gain must be finite and >= 0")
         if self.amortize_intervals < 1:
             raise ValueError("amortize_intervals must be >= 1")
-        if self.link_power_w < 0:
-            raise ValueError("link power must be >= 0")
-        if self.setup_j < 0:
-            raise ValueError("setup energy must be >= 0")
-        if self.max_path_latency_s < 0:
-            raise ValueError("max path latency must be >= 0 (0 = unbounded)")
+        if not 0 <= self.link_power_w < math.inf:
+            raise ValueError("link power must be finite and >= 0")
+        if not 0 <= self.setup_j < math.inf:
+            raise ValueError("setup energy must be finite and >= 0")
+        if not 0 <= self.max_path_latency_s < math.inf:
+            raise ValueError(
+                "max path latency must be finite and >= 0 (0 = unbounded)"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,12 +115,12 @@ class SteeringConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.low_watermark < self.high_watermark <= 1.0:
             raise ValueError("need 0 < low_watermark < high_watermark <= 1")
-        if self.share_step <= 1.0:
-            raise ValueError("share_step must be > 1")
-        if self.freq_step_ghz <= 0:
-            raise ValueError("freq_step_ghz must be positive")
-        if not 0.0 < self.share_min <= self.share_max:
-            raise ValueError("need 0 < share_min <= share_max")
+        if not 1.0 < self.share_step < math.inf:
+            raise ValueError("share_step must be finite and > 1")
+        if not 0 < self.freq_step_ghz < math.inf:
+            raise ValueError("freq_step_ghz must be finite and positive")
+        if not 0.0 < self.share_min <= self.share_max < math.inf:
+            raise ValueError("need 0 < share_min <= share_max < inf")
 
 
 def _config_dict(obj) -> dict[str, Any]:

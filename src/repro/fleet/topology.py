@@ -20,6 +20,7 @@ topology dict resolves them declaratively via :data:`TOPOLOGY_PRESETS`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -80,10 +81,10 @@ class InterShardLink:
             raise ValueError("link endpoints need names")
         if self.a == self.b:
             raise ValueError(f"link endpoints must differ (got {self.a!r} twice)")
-        if self.gbps <= 0:
-            raise ValueError("link capacity must be positive")
-        if self.latency_s < 0:
-            raise ValueError("link latency must be >= 0")
+        if not 0 < self.gbps < math.inf:
+            raise ValueError("link capacity must be finite and positive")
+        if not 0 <= self.latency_s < math.inf:
+            raise ValueError("link latency must be finite and >= 0")
 
     @property
     def key(self) -> tuple[str, str]:
@@ -125,10 +126,10 @@ class FleetTopology:
         names = [s.name for s in self.shards]
         if len(names) != len(set(names)):
             raise ValueError(f"shard names must be unique: {names}")
-        if self.default_link_gbps <= 0:
-            raise ValueError("default link capacity must be positive")
-        if self.default_link_latency_s < 0:
-            raise ValueError("default link latency must be >= 0")
+        if not 0 < self.default_link_gbps < math.inf:
+            raise ValueError("default link capacity must be finite and positive")
+        if not 0 <= self.default_link_latency_s < math.inf:
+            raise ValueError("default link latency must be finite and >= 0")
         known = set(names)
         seen: set[tuple[str, str]] = set()
         for link in self.links:

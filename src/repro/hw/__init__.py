@@ -4,7 +4,6 @@ from repro.hw.cache import (
     CacheAllocator,
     ClassOfService,
     LlcSpec,
-    batch_misses_per_packet,
     capacity_miss_ratio,
     contention_factor,
     contiguous_mask,
@@ -12,47 +11,29 @@ from repro.hw.cache import (
     is_contiguous,
     mask_ways,
 )
-from repro.hw.cpu import (
-    DEFAULT_C_STATES,
-    XEON_E5_2620V4_FREQS_GHZ,
-    CoreState,
-    CpuFreqController,
-    CpuSpec,
-    CStateSpec,
-    Governor,
-)
+from repro.hw.cpu import XEON_E5_2620V4_FREQS_GHZ, CpuSpec
 from repro.hw.dma import DmaBufferModel, DmaSpec
-from repro.hw.nic import Nic, NicSpec, PortCounters
+from repro.hw.nic import NicSpec
 from repro.hw.power import EnergyMeter, PowerModelParams, ServerPowerModel
-from repro.hw.server import ServerSpec, testbed_cluster, testbed_node
+from repro.hw.server import ServerSpec
 
 __all__ = [
     "CacheAllocator",
     "ClassOfService",
     "LlcSpec",
-    "batch_misses_per_packet",
     "capacity_miss_ratio",
     "contention_factor",
     "contiguous_mask",
     "ddio_hit_ratio",
     "is_contiguous",
     "mask_ways",
-    "DEFAULT_C_STATES",
     "XEON_E5_2620V4_FREQS_GHZ",
-    "CoreState",
-    "CpuFreqController",
     "CpuSpec",
-    "CStateSpec",
-    "Governor",
     "DmaBufferModel",
     "DmaSpec",
-    "Nic",
     "NicSpec",
-    "PortCounters",
     "EnergyMeter",
     "PowerModelParams",
     "ServerPowerModel",
     "ServerSpec",
-    "testbed_cluster",
-    "testbed_node",
 ]

@@ -241,46 +241,6 @@ def capacity_miss_ratio(
     )
 
 
-def batch_misses_per_packet(
-    batch_size: int,
-    packet_bytes: float,
-    allocated_bytes: float,
-    *,
-    cold_lines_per_packet: float = 4.0,
-    line_bytes: int = 64,
-    resident_state_bytes: float = 0.0,
-    locality: float = 1.6,
-) -> float:
-    """LLC misses per packet as a function of batch size — the Fig. 3(b) curve.
-
-    Two competing effects:
-
-    * **Amortization** — each batch pays a fixed number of cold misses for
-      descriptor rings / NF instruction+state warmup; per-packet cost
-      falls as ``1/batch``.
-    * **Overflow** — the in-flight batch working set
-      ``batch * packet_bytes + resident_state`` must fit in the chain's
-      allocation; past that, capacity misses grow with the overflow via
-      :func:`capacity_miss_ratio`.
-
-    The sum is U-shaped in batch size, with the minimum moving left when
-    the allocation shrinks, matching the paper's micro-benchmark.
-    """
-    if batch_size < 1:
-        raise ValueError("batch size must be >= 1")
-    if packet_bytes <= 0:
-        raise ValueError("packet size must be positive")
-    lines_per_packet = max(1.0, packet_bytes / line_bytes)
-    # Cold/startup misses amortized over the batch.
-    cold_batch_lines = 48.0  # descriptor ring + NF code/stack warm-up lines
-    amortized = cold_batch_lines / batch_size + cold_lines_per_packet * 0.05
-    # Capacity misses on the packet data itself.
-    ws = batch_size * packet_bytes + resident_state_bytes
-    miss_ratio = capacity_miss_ratio(ws, allocated_bytes, locality=locality)
-    capacity = miss_ratio * lines_per_packet
-    return float(amortized + capacity)
-
-
 def ddio_hit_ratio(
     dma_buffer_bytes,
     ddio_bytes,

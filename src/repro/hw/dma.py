@@ -123,22 +123,3 @@ class DmaBufferModel:
         return ddio_hit_ratio(
             self.clamp(dma_bytes), self.llc.ddio_bytes, allocated_bytes
         )
-
-    def access_cycles_per_packet(
-        self,
-        dma_bytes: float,
-        packet_bytes: float,
-        allocated_bytes: float,
-    ) -> float:
-        """Average packet-access cost in cycles, blending LLC hits and spills.
-
-        A DDIO-resident packet costs ``hit_cycles`` per cache line touched;
-        a spilled packet pays the DRAM ``miss_penalty_cycles`` on first
-        touch of each line.
-        """
-        hit = self.llc_spill_hit_ratio(dma_bytes, allocated_bytes)
-        lines = max(1.0, packet_bytes / self.llc.line_bytes)
-        per_line = hit * self.llc.hit_cycles + (1.0 - hit) * self.llc.miss_penalty_cycles
-        # Only the first touch of each line pays the full latency; later
-        # accesses pipeline.  Charge 40% of lines as latency-bound.
-        return float(0.4 * lines * per_line)

@@ -1,14 +1,14 @@
 """NIC model: a DPDK-compatible Intel X540-AT2 10 GbE adapter.
 
 The NIC bounds achieved throughput at line rate for the current frame
-size and meters per-port counters the controller reads each interval.
+size (:meth:`NicSpec.max_pps`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.utils.units import line_rate_pps, pps_to_gbps
+from repro.utils.units import line_rate_pps
 
 
 @dataclass(frozen=True)
@@ -26,67 +26,3 @@ class NicSpec:
     def max_pps(self, packet_bytes: float) -> float:
         """Line-rate packet cap for a frame size (14.88 Mpps @ 64 B)."""
         return line_rate_pps(self.line_rate_gbps, packet_bytes)
-
-
-@dataclass
-class PortCounters:
-    """Cumulative per-port packet/byte counters (like ethtool -S)."""
-
-    rx_packets: float = 0.0
-    rx_bytes: float = 0.0
-    rx_dropped: float = 0.0
-    tx_packets: float = 0.0
-    tx_bytes: float = 0.0
-
-
-class Nic:
-    """A NIC instance with per-port counters and line-rate admission.
-
-    :meth:`admit` applies the line-rate cap to an offered packet rate and
-    records drops, so the simulator's achieved throughput can never exceed
-    what the physical link carries.
-    """
-
-    def __init__(self, spec: NicSpec | None = None):
-        self.spec = spec or NicSpec()
-        self._ports: list[PortCounters] = [PortCounters() for _ in range(self.spec.ports)]
-
-    @property
-    def ports(self) -> list[PortCounters]:
-        """Per-port counter objects."""
-        return self._ports
-
-    def admit(
-        self, port: int, offered_pps: float, packet_bytes: float, dt_s: float
-    ) -> float:
-        """Admit up to line rate; returns the admitted packet rate.
-
-        Offered packets beyond line rate are counted as rx drops — the
-        generator pushed them onto the wire but the MAC could not accept.
-        """
-        if not 0 <= port < self.spec.ports:
-            raise ValueError(f"port {port} out of range")
-        if offered_pps < 0 or packet_bytes <= 0 or dt_s < 0:
-            raise ValueError("offered rate/packet size/dt must be valid")
-        cap = self.spec.max_pps(packet_bytes)
-        admitted = min(offered_pps, cap)
-        counters = self._ports[port]
-        counters.rx_packets += admitted * dt_s
-        counters.rx_bytes += admitted * dt_s * packet_bytes
-        counters.rx_dropped += max(0.0, offered_pps - admitted) * dt_s
-        return admitted
-
-    def transmit(self, port: int, pps: float, packet_bytes: float, dt_s: float) -> float:
-        """Record transmitted packets, capped at line rate; returns tx rate."""
-        if not 0 <= port < self.spec.ports:
-            raise ValueError(f"port {port} out of range")
-        cap = self.spec.max_pps(packet_bytes)
-        sent = min(pps, cap)
-        counters = self._ports[port]
-        counters.tx_packets += sent * dt_s
-        counters.tx_bytes += sent * dt_s * packet_bytes
-        return sent
-
-    def throughput_gbps(self, pps: float, packet_bytes: float) -> float:
-        """Convert a packet rate through this NIC into wire Gbps."""
-        return pps_to_gbps(pps, packet_bytes)

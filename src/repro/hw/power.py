@@ -15,8 +15,8 @@ extend it with the two effects GreenNFV's knobs expose:
   DVFS range, giving the classic cubic term; a constant uncore/static share
   remains.  We model ``P_max(f) = P_static + P_dyn * (f / f_base)^3``.
 * **C-states** — idle power shrinks when cores sleep;
-  :meth:`ServerPowerModel.power` accepts an idle-fraction scale produced by
-  :class:`repro.hw.cpu.CpuFreqController`.
+  :meth:`ServerPowerModel.power` accepts an idle-fraction scale, which the
+  packet engine derives from the cores it parks.
 
 The defaults model the *chain-attributed* package power the paper's
 measurements report (idle near 30 W, fully-loaded near 150 W at base
@@ -102,8 +102,9 @@ class ServerPowerModel:
             Operating frequency; ``None`` means base frequency.
         idle_fraction:
             Scale on the idle power term, < 1 when cores sit in deep
-            C-states (see :meth:`CpuFreqController.idle_power_fractions`);
-            may be an array broadcast against ``utilization``.
+            C-states (the packet engine charges a parked core 8% of its
+            active-idle share); may be an array broadcast against
+            ``utilization``.
 
         The Fan model term ``2u - u^h`` is monotonically increasing on
         [0, 1] for ``h in (0, 2]``, equals 0 at u=0 and 1 at u=1, so power

@@ -2,9 +2,8 @@
 
 The paper's evaluation uses six identical nodes (Xeon E5-2620 v4, 64 GB
 RAM, X540-AT2 NIC): three generate traffic with MoonGen, three host the NF
-chains.  :class:`ServerSpec` bundles the hardware specs;
-:func:`testbed_node` builds the default node profile used across the
-experiments so every harness agrees on the hardware.
+chains.  :class:`ServerSpec` bundles the hardware specs; its defaults
+are that node profile, so every harness agrees on the hardware.
 """
 
 from __future__ import annotations
@@ -34,15 +33,3 @@ class ServerSpec:
     def __post_init__(self) -> None:
         if self.memory_gb <= 0:
             raise ValueError("memory must be positive")
-
-
-def testbed_node(name: str = "node0") -> ServerSpec:
-    """The default GreenNFV testbed node profile."""
-    return ServerSpec(name=name)
-
-
-def testbed_cluster(n_nodes: int = 6) -> list[ServerSpec]:
-    """The paper's six-node deployment (3 traffic + 3 NF hosts)."""
-    if n_nodes <= 0:
-        raise ValueError("cluster needs at least one node")
-    return [testbed_node(f"node{i}") for i in range(n_nodes)]

@@ -7,7 +7,7 @@ from repro.nfv.chain import (
     light_chain,
     microbench_chains,
 )
-from repro.nfv.cluster import Cluster, ClusterSample, consolidation_plan
+from repro.nfv.cluster import consolidation_plan
 from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible
 from repro.nfv.controller import ChainBinding, ChainObservation, OnvmController
 from repro.nfv.engine import (
@@ -22,7 +22,6 @@ from repro.nfv.knobs import (
     KnobRanges,
     KnobSettings,
     baseline_settings,
-    heuristic_initial_settings,
 )
 from repro.nfv.nf import (
     CATALOG,
@@ -46,9 +45,7 @@ __all__ = [
     "heavy_chain",
     "light_chain",
     "microbench_chains",
-    "Cluster",
     "ClusterKernel",
-    "ClusterSample",
     "consolidation_plan",
     "engines_compatible",
     "ChainBinding",
@@ -63,7 +60,6 @@ __all__ = [
     "KnobRanges",
     "KnobSettings",
     "baseline_settings",
-    "heuristic_initial_settings",
     "CATALOG",
     "CDN_CACHE",
     "EPC",

@@ -37,11 +37,6 @@ class ServiceChain:
         """Aggregate resident state of the chain's NFs (LLC demand)."""
         return sum(nf.state_bytes for nf in self.nfs)
 
-    @property
-    def total_base_cycles(self) -> float:
-        """Sum of per-packet fixed costs across the chain."""
-        return sum(nf.base_cycles for nf in self.nfs)
-
     def cycles_for_packet(self, packet_bytes: float) -> float:
         """Pure compute cycles for one packet through the whole chain."""
         return sum(nf.cycles_for_packet(packet_bytes) for nf in self.nfs)

@@ -1,8 +1,7 @@
 """Cluster-wide stepping kernel: one vectorized pass over all nodes.
 
-The SDN steering loop, the multi-node ``Cluster`` scenarios and the
-fleet shards step many nodes in lockstep, each node hosting several
-chains.  Every hosted chain across the cluster becomes one row of a
+The SDN steering loop and the fleet shards step many nodes in
+lockstep, each node hosting several chains.  Every hosted chain across the cluster becomes one row of a
 single padded super-stack; its load-independent half compiles into one
 :class:`~repro.nfv.engine.ChainKernelPlan` per cluster-wide (knobs,
 deployment, frame sizes) generation, and a block of intervals is priced
@@ -13,8 +12,8 @@ a diagonal plan is compiled and cached.
 shards of a fleet share one kernel over all their nodes and hand it one
 run of ``sync_every`` intervals per coordinator cycle
 (:func:`~repro.fleet.shard.run_shards`); a shard worker process hands
-its own kernel its own shard's run, and the SDN controller and
-``Cluster`` a block of one.  Every configuration compiles on first
+its own kernel its own shard's run, and the SDN controller a block of
+one.  Every configuration compiles on first
 sight, and the plan then prices every interval until a knob/deployment
 change (or new frame sizes) on any of its nodes invalidates it.
 Measured for one interval on a 2-CPU x86-64 box, the per-node scalar

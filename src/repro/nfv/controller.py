@@ -151,34 +151,6 @@ class OnvmController:
         """Apply knob settings to a chain (clamped); returns applied values."""
         return self.node.apply_knobs(name, knobs)
 
-    def draw_offered(self, dt_s: float) -> dict[str, tuple[float, float]]:
-        """Draw one interval's offered (pps, frame size) per bound chain.
-
-        The traffic half of :meth:`run_interval`, split out so a
-        cluster-level stepper can gather every node's offered loads
-        first and price them all in one fused kernel pass.  Draws
-        consume the controller's RNG exactly as ``run_interval`` would.
-        """
-        offered: dict[str, tuple[float, float]] = {}
-        for name, binding in self._bindings.items():
-            rate = binding.generator.rate_at(self._t, dt_s, self.rng)
-            pkt = binding.generator.packet_sizes.mean_bytes
-            offered[name] = (rate, pkt)
-        return offered
-
-    def finish_interval(
-        self, samples: dict[str, TelemetrySample], dt_s: float
-    ) -> None:
-        """Book one stepped interval: feed analyzers, advance the clock.
-
-        The bookkeeping half of :meth:`run_interval`, for callers that
-        stepped the node themselves (the cluster kernel path).
-        """
-        for name, sample in samples.items():
-            self._bindings[name].analyzer.observe(sample.arrival_rate_pps * dt_s, dt_s)
-        self._t += dt_s
-        self._last = samples
-
     def run_interval(
         self,
         dt_s: float | None = None,
@@ -194,9 +166,15 @@ class OnvmController:
         a round of separate ``set_knobs`` calls.
         """
         dt = dt_s if dt_s is not None else self.interval_s
-        offered = self.draw_offered(dt)
+        offered: dict[str, tuple[float, float]] = {}
+        for name, binding in self._bindings.items():
+            rate = binding.generator.rate_at(self._t, dt, self.rng)
+            offered[name] = (rate, binding.generator.packet_sizes.mean_bytes)
         samples = self.node.step_all(offered, dt, knobs=knobs)
-        self.finish_interval(samples, dt)
+        for name, sample in samples.items():
+            self._bindings[name].analyzer.observe(sample.arrival_rate_pps * dt, dt)
+        self._t += dt
+        self._last = samples
         return samples
 
     def collect_state(self) -> dict[str, ChainObservation]:

@@ -1378,25 +1378,3 @@ class PacketEngine:
             util_poll=util_poll,
             busy_poll=busy_poll,
         )
-
-    def fixed_volume_energy(
-        self,
-        chain: ServiceChain,
-        knobs: KnobSettings,
-        offered_pps: float,
-        packet_bytes: float,
-        volume_packets: float,
-        **step_kwargs,
-    ) -> tuple[float, TelemetrySample]:
-        """Energy to process a fixed packet volume (Fig. 3's metric).
-
-        Runs one representative interval to get rate and power, then
-        charges ``power * volume / rate``.  Returns (energy_j, sample).
-        """
-        if volume_packets <= 0:
-            raise ValueError("volume must be positive")
-        sample = self.step(chain, knobs, offered_pps, packet_bytes, 1.0, **step_kwargs)
-        if sample.achieved_pps <= 0:
-            return float("inf"), sample
-        duration = volume_packets / sample.achieved_pps
-        return sample.power_w * duration, sample

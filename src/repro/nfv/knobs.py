@@ -153,22 +153,3 @@ class KnobSettings:
 def baseline_settings() -> KnobSettings:
     """The untuned Baseline configuration (performance governor)."""
     return KnobSettings()
-
-
-def heuristic_initial_settings(cpu: CpuSpec | None = None) -> KnobSettings:
-    """Initial assignment of the paper's heuristic Algorithm 1 (lines 1-6).
-
-    One core, the *median* available frequency, batch size 2; LLC and DMA
-    are set per-flow by the algorithm itself, so defaults here are
-    placeholders the heuristic immediately overwrites.
-    """
-    spec = cpu or CpuSpec()
-    ladder = spec.freq_ladder_ghz
-    median_freq = ladder[len(ladder) // 2]
-    return KnobSettings(
-        cpu_share=1.0,
-        cpu_freq_ghz=median_freq,
-        llc_fraction=0.5,
-        dma_mb=2.0,
-        batch_size=2,
-    )

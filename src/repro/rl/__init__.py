@@ -1,7 +1,6 @@
 """Reinforcement learning from scratch: MLPs, DDPG, PER, Q-learning, Ape-X."""
 
 from repro.rl.apex import ApexActor, ApexConfig, ApexCoordinator, ApexLearner, ApexStats
-from repro.rl.apex_mp import ParallelApexCoordinator, ParallelStats, actor_worker
 from repro.rl.checkpoint import load_agent, save_agent
 from repro.rl.ddpg import DDPGAgent, DDPGConfig, UpdateMetrics
 from repro.rl.nn import MLP, Adam, DenseLayer
@@ -17,9 +16,6 @@ __all__ = [
     "ApexCoordinator",
     "ApexLearner",
     "ApexStats",
-    "ParallelApexCoordinator",
-    "ParallelStats",
-    "actor_worker",
     "load_agent",
     "save_agent",
     "DDPGAgent",

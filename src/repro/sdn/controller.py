@@ -72,11 +72,6 @@ class ChainReplica:
             return 0.0
         return bottleneck_utilization(self.last_sample)
 
-    @property
-    def dropping(self) -> bool:
-        """Whether the chain shed packets last interval."""
-        return bool(self.last_sample and self.last_sample.dropped_pps > 1.0)
-
 
 class SdnController:
     """Steers flows across chain replicas using NF-controller telemetry."""

@@ -1,6 +1,6 @@
 """Traffic substrate: MoonGen-like generators, size models, flow analysis."""
 
-from repro.traffic.analysis import FlowAnalyzer, TrafficPattern
+from repro.traffic.analysis import FlowAnalyzer
 from repro.traffic.generators import (
     CompositeGenerator,
     ConstantRateGenerator,
@@ -15,7 +15,6 @@ from repro.traffic.packet import IMIX, LARGE_PACKETS, SMALL_PACKETS, PacketSizeD
 
 __all__ = [
     "FlowAnalyzer",
-    "TrafficPattern",
     "CompositeGenerator",
     "ConstantRateGenerator",
     "DiurnalGenerator",

@@ -1,13 +1,7 @@
 """Shared utilities: RNG streams, streaming stats, units, table rendering."""
 
 from repro.utils.rng import StreamFactory, as_generator, spawn
-from repro.utils.stats import (
-    EWMA,
-    DoubleExponentialSmoothing,
-    RunningStats,
-    geometric_mean,
-    rolling_mean,
-)
+from repro.utils.stats import EWMA, DoubleExponentialSmoothing
 from repro.utils.tables import ExperimentReport, render_series, render_table
 from repro.utils.units import (
     ETH_OVERHEAD_BYTES,
@@ -31,9 +25,6 @@ __all__ = [
     "spawn",
     "EWMA",
     "DoubleExponentialSmoothing",
-    "RunningStats",
-    "geometric_mean",
-    "rolling_mean",
     "ExperimentReport",
     "render_series",
     "render_table",

@@ -3,15 +3,11 @@
 These are the small numerical tools the controllers and experiment
 harnesses share:
 
-* :class:`RunningStats` — Welford-style streaming mean/variance, used to
-  normalize RL observations without storing history.
 * :class:`EWMA` — exponentially weighted moving average, used by the
   heuristic controller for smoothing noisy per-interval readings.
 * :class:`DoubleExponentialSmoothing` — the DES traffic predictor used by
   the EE-Pstate baseline (Iqbal & John 2012 use simple predictors such as
   DES for traffic prediction; the paper compares against that scheme).
-* :func:`rolling_mean` — vectorized trailing-window smoothing used when
-  rendering training curves (Figs. 6-8 plot smoothed series).
 * :func:`left_sum` — the left-to-right total the fleet artifacts record,
   the same on every supported Python.
 """
@@ -19,64 +15,10 @@ harnesses share:
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
-
-class RunningStats:
-    """Numerically stable streaming mean / variance (Welford's algorithm).
-
-    Supports scalar or fixed-shape vector observations.  ``std`` is floored
-    at ``eps`` so that downstream normalization never divides by zero.
-    """
-
-    def __init__(self, shape: tuple[int, ...] = (), eps: float = 1e-8):
-        self._shape = shape
-        self._eps = float(eps)
-        self._count = 0
-        self._mean = np.zeros(shape, dtype=np.float64)
-        self._m2 = np.zeros(shape, dtype=np.float64)
-
-    @property
-    def count(self) -> int:
-        """Number of samples seen so far."""
-        return self._count
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Current sample mean (zeros before any update)."""
-        return self._mean.copy()
-
-    @property
-    def var(self) -> np.ndarray:
-        """Current (population) variance; zeros until two samples arrive."""
-        if self._count < 2:
-            return np.zeros(self._shape, dtype=np.float64)
-        return self._m2 / self._count
-
-    @property
-    def std(self) -> np.ndarray:
-        """Standard deviation floored at ``eps``."""
-        return np.maximum(np.sqrt(self.var), self._eps)
-
-    def update(self, x: np.ndarray | float) -> None:
-        """Fold one observation into the running moments."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self._shape:
-            raise ValueError(f"expected shape {self._shape}, got {x.shape}")
-        self._count += 1
-        delta = x - self._mean
-        self._mean = self._mean + delta / self._count
-        self._m2 = self._m2 + delta * (x - self._mean)
-
-    def normalize(self, x: np.ndarray | float) -> np.ndarray:
-        """Return ``(x - mean) / std`` with the current moments."""
-        x = np.asarray(x, dtype=np.float64)
-        return (x - self._mean) / self.std
 
 
 class EWMA:
@@ -175,36 +117,3 @@ def left_sum(values: Iterable[float]):
     int ``0``, so an empty input gives ``0``.
     """
     return functools.reduce(operator.add, values, 0)
-
-
-def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:
-    """Trailing-window rolling mean with a warmup ramp.
-
-    Output has the same length as the input; position ``i`` averages
-    ``series[max(0, i-window+1) : i+1]``.  Used to smooth the episode
-    curves when reproducing Figs. 6-8.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if series.ndim != 1:
-        raise ValueError("rolling_mean expects a 1-D series")
-    if series.size == 0:
-        return series.copy()
-    csum = np.cumsum(series)
-    out = np.empty_like(series)
-    w = min(window, series.size)
-    out[:w] = csum[:w] / np.arange(1, w + 1)
-    if series.size > w:
-        out[w:] = (csum[w:] - csum[:-w]) / w
-    return out
-
-
-def geometric_mean(values: np.ndarray | list[float]) -> float:
-    """Geometric mean of positive values (speedup aggregation)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("geometric_mean of empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric_mean requires strictly positive values")
-    return float(math.exp(np.mean(np.log(arr))))

@@ -9,9 +9,8 @@ counts, heterogeneous chains, knob churn, frame-size changes and every
 dispatch path, read from the ``kernel/plan_cache/*`` counters (per-node
 fallback, compile on first sight, warm fused plan).  Invalid arguments
 are rejected before any state changes.  The consumer classes pin the
-rewired surfaces: ``SdnController`` steering decisions and
-``Cluster.step`` aggregates must be identical to the per-node loop in
-``benchmarks/perf/reference.py``.
+rewired surfaces: ``SdnController`` steering decisions must be
+identical to the per-node loop in ``benchmarks/perf/reference.py``.
 """
 
 from types import SimpleNamespace
@@ -21,7 +20,6 @@ import pytest
 
 from repro import obs
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
-from repro.nfv.cluster import Cluster
 from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible, one_interval
 from repro.nfv.engine import EngineParams, PollingMode, _LazyPerNF, bottleneck_utilization
 from repro.nfv.knobs import KnobSettings
@@ -415,29 +413,3 @@ class TestSdnSteeringEquivalence:
         sdn.register_replica(ChainReplica(chain_name="sfc9", node=node, service="sfc"))
         samples = sdn.run_interval()
         assert "sfc9" in samples
-
-
-class TestClusterStepEquivalence:
-    """Cluster.step through the kernel == the legacy per-controller loop."""
-
-    def test_testbed_cluster_aggregates_identical(self):
-        fused = Cluster.testbed(3, rng=0)
-        legacy = Cluster.testbed(3, rng=0)
-        for _ in range(4):
-            a, paths = plan_cache_paths(fused.step)
-            per_chain = {}
-            for ctrl in legacy.controllers:
-                per_chain.update(ctrl.run_interval(None))
-            assert set(a.per_chain) == set(per_chain)
-            for name in per_chain:
-                assert a.per_chain[name] == per_chain[name]
-        # Warm intervals actually ran fused.
-        assert paths in (["promote"], ["hit"])
-
-    def test_mixed_intervals_fall_back(self):
-        cluster = Cluster.testbed(2, rng=1)
-        cluster.controllers[1].interval_s = 0.5
-        # Heterogeneous dt -> per-controller path; the kernel never steps.
-        sample, paths = plan_cache_paths(cluster.step)
-        assert paths == []
-        assert sample.total_throughput_gbps > 0

@@ -226,18 +226,3 @@ class TestReceiveLivelock:
     def test_no_livelock_when_underloaded(self, engine):
         s = engine.step(CHAIN, TUNED, 1e4, 1518, 1.0)
         assert s.achieved_pps == pytest.approx(1e4)
-
-
-class TestFixedVolume:
-    def test_energy_scales_with_volume(self, engine):
-        e1, _ = engine.fixed_volume_energy(CHAIN, TUNED, LINE_1518, 1518, 1e6)
-        e2, _ = engine.fixed_volume_energy(CHAIN, TUNED, LINE_1518, 1518, 2e6)
-        assert e2 == pytest.approx(2 * e1)
-
-    def test_zero_rate_is_infinite_energy(self, engine):
-        e, _ = engine.fixed_volume_energy(CHAIN, TUNED, 0.0, 1518, 1e6)
-        assert e == float("inf")
-
-    def test_validation(self, engine):
-        with pytest.raises(ValueError):
-            engine.fixed_volume_energy(CHAIN, TUNED, 1.0, 1518, 0.0)

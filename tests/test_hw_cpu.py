@@ -1,14 +1,8 @@
-"""CPU / DVFS / governor model tests."""
+"""CPU / DVFS ladder model tests."""
 
-import numpy as np
 import pytest
 
-from repro.hw.cpu import (
-    XEON_E5_2620V4_FREQS_GHZ,
-    CpuFreqController,
-    CpuSpec,
-    Governor,
-)
+from repro.hw.cpu import XEON_E5_2620V4_FREQS_GHZ, CpuSpec
 
 
 class TestCpuSpec:
@@ -32,22 +26,6 @@ class TestCpuSpec:
         assert spec.clamp_frequency(0.5) == 1.2
         assert spec.clamp_frequency(9.9) == 2.1
 
-    def test_pstate_roundtrip(self):
-        spec = CpuSpec()
-        for p in range(spec.n_pstates):
-            assert spec.freq_to_pstate(spec.pstate_to_freq(p)) == p
-
-    def test_p0_is_max_freq(self):
-        spec = CpuSpec()
-        assert spec.pstate_to_freq(0) == spec.base_freq_ghz
-
-    def test_pstate_bounds(self):
-        spec = CpuSpec()
-        with pytest.raises(ValueError):
-            spec.pstate_to_freq(-1)
-        with pytest.raises(ValueError):
-            spec.pstate_to_freq(spec.n_pstates)
-
     def test_step_down_up(self):
         spec = CpuSpec()
         assert spec.step_down(1.5) == pytest.approx(1.4)
@@ -61,84 +39,3 @@ class TestCpuSpec:
     def test_invalid_cores(self):
         with pytest.raises(ValueError):
             CpuSpec(cores=0)
-
-
-class TestGovernors:
-    def test_userspace_sets_frequency(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.USERSPACE)
-        applied = ctl.set_frequency(1.7)
-        assert applied == pytest.approx(1.7)
-        assert np.allclose(ctl.frequencies(), 1.7)
-
-    def test_userspace_partial_cores(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.USERSPACE)
-        ctl.set_frequency(1.3, cores=[0, 1])
-        freqs = ctl.frequencies()
-        assert freqs[0] == pytest.approx(1.3)
-        assert freqs[5] == pytest.approx(2.1)
-
-    def test_performance_pins_max(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.PERFORMANCE)
-        assert np.allclose(ctl.frequencies(), 2.1)
-
-    def test_powersave_pins_min(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.POWERSAVE)
-        assert np.allclose(ctl.frequencies(), 1.2)
-
-    def test_set_frequency_requires_userspace(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.PERFORMANCE)
-        with pytest.raises(RuntimeError):
-            ctl.set_frequency(1.5)
-
-    def test_ondemand_ramps_with_load(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.ONDEMAND)
-        n = ctl.spec.total_cores
-        ctl.observe_utilization(np.full(n, 0.95))
-        assert np.allclose(ctl.frequencies(), 2.1)
-        ctl.observe_utilization(np.full(n, 0.1))
-        assert ctl.frequencies()[0] < 2.1
-
-    def test_conservative_steps_one_notch(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.CONSERVATIVE)
-        n = ctl.spec.total_cores
-        f0 = ctl.frequencies()[0]
-        ctl.observe_utilization(np.full(n, 0.9))
-        f1 = ctl.frequencies()[0]
-        assert f1 == pytest.approx(min(2.1, f0))  # already at max stays
-        ctl.observe_utilization(np.full(n, 0.05))
-        assert ctl.frequencies()[0] < f1
-
-    def test_observe_shape_check(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.ONDEMAND)
-        with pytest.raises(ValueError):
-            ctl.observe_utilization([0.5])
-
-    def test_governor_switch(self):
-        ctl = CpuFreqController(CpuSpec(), Governor.USERSPACE)
-        ctl.set_governor(Governor.POWERSAVE)
-        assert np.allclose(ctl.frequencies(), 1.2)
-
-
-class TestCStates:
-    def test_enter_and_wake(self):
-        ctl = CpuFreqController(CpuSpec())
-        ctl.enter_idle(0, "C6")
-        assert ctl.cores[0].c_state == "C6"
-        wake_us = ctl.wake(0)
-        assert ctl.cores[0].c_state == "C0"
-        assert wake_us > 0
-
-    def test_unknown_cstate(self):
-        ctl = CpuFreqController(CpuSpec())
-        with pytest.raises(ValueError):
-            ctl.enter_idle(0, "C99")
-
-    def test_idle_power_fraction_drops_in_c6(self):
-        ctl = CpuFreqController(CpuSpec())
-        base = ctl.idle_power_fractions()[0]
-        ctl.enter_idle(0, "C6")
-        assert ctl.idle_power_fractions()[0] < base
-
-    def test_wake_from_c0_is_free(self):
-        ctl = CpuFreqController(CpuSpec())
-        assert ctl.wake(3) == 0.0

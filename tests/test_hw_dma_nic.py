@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hw.dma import DmaBufferModel, DmaSpec
-from repro.hw.nic import Nic, NicSpec
-from repro.utils.units import mb_to_bytes
+from repro.hw.nic import NicSpec
+from repro.utils.units import mb_to_bytes, pps_to_gbps
 
 
 class TestDmaSpec:
@@ -60,12 +60,6 @@ class TestDmaBufferModel:
         m = DmaBufferModel()
         assert m.delivery_ratio(mb_to_bytes(1), 1518, 0.0) == 1.0
 
-    def test_access_cycles_rise_on_spill(self):
-        m = DmaBufferModel()
-        resident = m.access_cycles_per_packet(mb_to_bytes(2), 1518, 9e6)
-        spilled = m.access_cycles_per_packet(mb_to_bytes(40), 1518, 2e6)
-        assert spilled > resident * 2
-
     def test_validation(self):
         m = DmaBufferModel()
         with pytest.raises(ValueError):
@@ -74,41 +68,11 @@ class TestDmaBufferModel:
             m.delivery_ratio(mb_to_bytes(1), 1518, -1.0)
 
 
-class TestNic:
-    def test_line_rate_caps_admission(self):
-        nic = Nic()
-        cap = nic.spec.max_pps(1518)
-        admitted = nic.admit(0, cap * 2, 1518, 1.0)
-        assert admitted == pytest.approx(cap)
-        assert nic.ports[0].rx_dropped == pytest.approx(cap)
-
-    def test_underload_admits_all(self):
-        nic = Nic()
-        assert nic.admit(0, 1e3, 1518, 1.0) == 1e3
-        assert nic.ports[0].rx_dropped == 0.0
-
-    def test_counters_accumulate(self):
-        nic = Nic()
-        nic.admit(0, 1e3, 64, 2.0)
-        assert nic.ports[0].rx_packets == pytest.approx(2e3)
-        assert nic.ports[0].rx_bytes == pytest.approx(2e3 * 64)
-
-    def test_transmit_caps(self):
-        nic = Nic()
-        cap = nic.spec.max_pps(64)
-        assert nic.transmit(1, cap * 3, 64, 1.0) == pytest.approx(cap)
-
-    def test_port_bounds(self):
-        nic = Nic()
-        with pytest.raises(ValueError):
-            nic.admit(5, 1.0, 64, 1.0)
-        with pytest.raises(ValueError):
-            nic.transmit(-1, 1.0, 64, 1.0)
-
-    def test_throughput_conversion(self):
-        nic = Nic()
-        cap = nic.spec.max_pps(1518)
-        assert nic.throughput_gbps(cap, 1518) == pytest.approx(10.0, rel=1e-6)
+class TestNicSpec:
+    def test_max_pps_is_line_rate(self):
+        spec = NicSpec()
+        assert pps_to_gbps(spec.max_pps(1518), 1518) == pytest.approx(10.0, rel=1e-6)
+        assert spec.max_pps(64) == pytest.approx(14.88e6, rel=1e-3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from repro.nfv.knobs import (
     KnobRanges,
     KnobSettings,
     baseline_settings,
-    heuristic_initial_settings,
 )
 from repro.nfv.nf import CATALOG, EPC, IDS, NAT, NFSpec, get_nf
 
@@ -124,11 +123,6 @@ class TestKnobSettings:
 
     def test_dma_bytes(self):
         assert KnobSettings(dma_mb=2.0).dma_bytes == pytest.approx(2e6)
-
-    def test_heuristic_initial(self):
-        k = heuristic_initial_settings()
-        assert k.batch_size == 2  # Algorithm 1 line 4
-        assert 1.2 < k.cpu_freq_ghz < 2.1  # median frequency
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nfv.chain import default_chain, light_chain, microbench_chains
-from repro.nfv.cluster import Cluster, consolidation_plan
+from repro.nfv.cluster import consolidation_plan
 from repro.nfv.controller import OnvmController
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
@@ -141,7 +141,7 @@ class TestController:
         ctrl = self._controller()
         obs, sample = ctrl.allocate("c0", KnobSettings(batch_size=128))
         assert sample.per_nf  # telemetry flowed
-        assert ctrl.bindings["c0"].analyzer.n_samples == 1
+        assert ctrl.bindings["c0"].analyzer.arrival_rate() > 0
 
     def test_remove_chain(self):
         ctrl = self._controller()
@@ -176,32 +176,6 @@ class TestController:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             OnvmController(interval_s=0.0)
-
-
-class TestCluster:
-    def test_testbed_builds_three_hosts(self):
-        cluster = Cluster.testbed(3, rng=0)
-        assert len(cluster.controllers) == 3
-        assert len(cluster.chain_names) == 3
-
-    def test_step_aggregates(self):
-        cluster = Cluster.testbed(2, rng=0)
-        sample = cluster.step()
-        assert sample.total_throughput_gbps > 0
-        assert sample.total_energy_j > 0
-        assert 0 <= sample.mean_cpu_utilization <= 1
-        assert sample.energy_efficiency > 0
-
-    def test_controller_for(self):
-        cluster = Cluster.testbed(2, rng=0)
-        assert cluster.controller_for("chain0") is cluster.controllers[0]
-        with pytest.raises(KeyError):
-            cluster.controller_for("nope")
-
-    def test_duplicate_names_rejected(self):
-        c = Cluster.testbed(1, rng=0).controllers[0]
-        with pytest.raises(ValueError):
-            Cluster([c, c])
 
 
 class TestConsolidation:

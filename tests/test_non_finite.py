@@ -12,13 +12,30 @@ False, so a fleet under ``LatencySLA(nan)`` counted every chain-interval
 as a violation.  Every float parameter of the SLAs and their reward
 scales must be finite (and positive, or >= 0 for a violation slope);
 the second table feeds NaN, +inf and -inf to each.
+
+And for the fleet configs: a NaN parked power made every interval
+energy of a shard NaN, and a ``fleet-churn`` section with it ran all
+its cycles without error while the migration scoring, whose every
+comparison was False, made no move.  The third table feeds NaN, +inf
+and -inf to each float field of the migration, shard, link, topology
+and steering configs.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.sla import LatencySLA, MaxThroughputSLA, MinEnergySLA, RewardScales
-from repro.fleet import FLEETS, FleetCoordinator, FleetSpec, ShardConfig
+from repro.fleet import (
+    FLEETS,
+    FleetCoordinator,
+    FleetSpec,
+    FleetTopology,
+    InterShardLink,
+    MigrationConfig,
+    ShardConfig,
+    ShardSpec,
+    SteeringConfig,
+)
 from repro.nfv.chain import default_chain
 from repro.nfv.cluster_kernel import ClusterKernel
 from repro.nfv.controller import OnvmController
@@ -140,4 +157,76 @@ def test_fleet_refuses_a_nan_latency_bound():
             FleetSpec.from_mapping(FLEETS.get("small")()),
             sla="latency",
             sla_params={"latency_bound_s": NAN},
+        )
+
+
+def _shard_config_with(**fields):
+    return ShardConfig(
+        name="s",
+        n_nodes=2,
+        interval_s=1.0,
+        sla="energy_efficiency",
+        sla_params={},
+        workload={},
+        **fields,
+    )
+
+
+def _topology_with(**fields):
+    return FleetTopology(shards=(ShardSpec("s0"), ShardSpec("s1")), **fields)
+
+
+#: Every float field of the fleet configs, each with a valid value and the
+#: constructor that takes it; the test swaps one at a time for a
+#: non-finite one.
+FLEET_PARAMETERS = {
+    "MigrationConfig": (
+        MigrationConfig,
+        {
+            "parked_power_w": 12.0,
+            "colocation_gain_j": 2.0,
+            "link_power_w": 25.0,
+            "setup_j": 5.0,
+            "max_path_latency_s": 0.0,
+        },
+    ),
+    "ShardConfig": (_shard_config_with, {"parked_power_w": 0.0}),
+    "InterShardLink": (
+        lambda **f: InterShardLink("s0", "s1", **f),
+        {"gbps": 40.0, "latency_s": 2e-3},
+    ),
+    "FleetTopology": (
+        _topology_with,
+        {"default_link_gbps": 40.0, "default_link_latency_s": 2e-3},
+    ),
+    "SteeringConfig": (
+        SteeringConfig,
+        {"share_step": 1.25, "freq_step_ghz": 0.15, "share_max": 2.0},
+    ),
+}
+FLEET_CASES = [
+    pytest.param(config, name, id=f"{config}.{name}")
+    for config, (_, params) in FLEET_PARAMETERS.items()
+    for name in params
+]
+
+
+@pytest.mark.parametrize("config", sorted(FLEET_PARAMETERS))
+def test_valid_fleet_parameters_construct(config):
+    build, params = FLEET_PARAMETERS[config]
+    build(**params)
+
+
+@pytest.mark.parametrize("value", [NAN, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("config,name", FLEET_CASES)
+def test_non_finite_fleet_parameter_is_refused(config, name, value):
+    build, params = FLEET_PARAMETERS[config]
+    with pytest.raises(ValueError):
+        build(**{**params, name: value})
+
+
+def test_fleet_section_refuses_a_nan_parked_power():
+    with pytest.raises(ValueError, match="parked power"):
+        FleetSpec.from_mapping(
+            {"preset": "small", "migration": {"parked_power_w": NAN}}
         )

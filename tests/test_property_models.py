@@ -10,7 +10,6 @@ from repro.hw.power import ServerPowerModel
 from repro.nfv.chain import default_chain
 from repro.nfv.engine import PacketEngine, chain_stack
 from repro.nfv.knobs import KnobSettings
-from repro.utils.stats import rolling_mean
 
 CHAIN = default_chain()
 ENGINE = PacketEngine()
@@ -124,18 +123,3 @@ class TestKnobSpaceProperties:
         a = KnobSpace().to_action(s)
         assert np.all(a >= -1.0 - 1e-9)
         assert np.all(a <= 1.0 + 1e-9)
-
-
-class TestStatsProperties:
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=100,
-        ),
-        st.integers(min_value=1, max_value=20),
-    )
-    def test_rolling_mean_bounded_by_extremes(self, xs, w):
-        out = rolling_mean(np.asarray(xs), w)
-        assert out.min() >= min(xs) - 1e-6
-        assert out.max() <= max(xs) + 1e-6

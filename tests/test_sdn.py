@@ -215,14 +215,3 @@ class TestSeedingIsolation:
 
         assert offered(1) != offered(2)
         assert offered(5) == offered(5)
-
-    def test_testbed_clusters_with_different_seeds_are_independent(self):
-        from repro.nfv.cluster import Cluster
-
-        a = Cluster.testbed(2, rng=1)
-        b = Cluster.testbed(2, rng=2)
-        same = Cluster.testbed(2, rng=1)
-        draws = lambda cluster: [c.rng.random() for c in cluster.controllers]
-        da, db, dsame = draws(a), draws(b), draws(same)
-        assert da != db
-        assert da == dsame

@@ -1,58 +1,8 @@
 """Streaming-statistics tests."""
 
-import numpy as np
 import pytest
 
-from repro.utils.stats import (
-    EWMA,
-    DoubleExponentialSmoothing,
-    RunningStats,
-    geometric_mean,
-    rolling_mean,
-)
-
-
-class TestRunningStats:
-    def test_mean_matches_numpy(self):
-        rs = RunningStats()
-        data = np.random.default_rng(0).normal(3.0, 2.0, 500)
-        for x in data:
-            rs.update(x)
-        assert rs.mean == pytest.approx(data.mean())
-        assert rs.var == pytest.approx(data.var(), rel=1e-9)
-
-    def test_vector_shape(self):
-        rs = RunningStats(shape=(3,))
-        rs.update(np.ones(3))
-        rs.update(np.zeros(3))
-        assert np.allclose(rs.mean, 0.5)
-
-    def test_shape_mismatch_raises(self):
-        rs = RunningStats(shape=(2,))
-        with pytest.raises(ValueError):
-            rs.update(np.zeros(3))
-
-    def test_std_floored(self):
-        rs = RunningStats()
-        rs.update(1.0)
-        assert rs.std > 0
-
-    def test_normalize(self):
-        rs = RunningStats()
-        for x in [0.0, 2.0]:
-            rs.update(x)
-        assert rs.normalize(1.0) == pytest.approx(0.0)
-
-    def test_count(self):
-        rs = RunningStats()
-        for i in range(5):
-            rs.update(float(i))
-        assert rs.count == 5
-
-    def test_var_zero_before_two_samples(self):
-        rs = RunningStats()
-        rs.update(4.0)
-        assert rs.var == 0.0
+from repro.utils.stats import EWMA, DoubleExponentialSmoothing
 
 
 class TestEWMA:
@@ -124,44 +74,3 @@ class TestDES:
         des.update(1.0)
         des.update(2.0)
         assert des.initialized
-
-
-class TestRollingMean:
-    def test_window_one_is_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(rolling_mean(x, 1), x)
-
-    def test_full_window(self):
-        x = np.arange(10, dtype=float)
-        out = rolling_mean(x, 3)
-        assert out[-1] == pytest.approx(np.mean(x[-3:]))
-
-    def test_warmup_ramp(self):
-        x = np.array([2.0, 4.0, 6.0, 8.0])
-        out = rolling_mean(x, 4)
-        assert out[0] == 2.0
-        assert out[1] == 3.0
-
-    def test_empty(self):
-        assert rolling_mean(np.array([]), 3).size == 0
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            rolling_mean(np.ones(3), 0)
-
-    def test_2d_rejected(self):
-        with pytest.raises(ValueError):
-            rolling_mean(np.ones((2, 2)), 2)
-
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.traffic.analysis import FlowAnalyzer, TrafficPattern
+from repro.traffic.analysis import FlowAnalyzer
 from repro.traffic.generators import (
     CompositeGenerator,
     ConstantRateGenerator,
@@ -191,55 +191,9 @@ class TestFlowAnalyzer:
             fa.observe(1e5, 1.0)
         assert fa.arrival_rate() == pytest.approx(1e5, rel=1e-6)
 
-    def test_prediction_tracks_trend(self):
-        fa = FlowAnalyzer()
-        for i in range(50):
-            fa.observe(1e4 * (i + 1), 1.0)
-        assert fa.predicted_rate() > fa.arrival_rate()
-
-    def test_idle_classification(self):
-        fa = FlowAnalyzer(idle_threshold_pps=1e3)
-        for _ in range(10):
-            fa.observe(10, 1.0)
-        assert fa.classify() is TrafficPattern.IDLE
-
-    def test_steady_classification(self):
-        fa = FlowAnalyzer()
-        for _ in range(20):
-            fa.observe(1e5, 1.0)
-        assert fa.classify() is TrafficPattern.STEADY
-
-    def test_bursty_classification(self):
-        fa = FlowAnalyzer(trend_threshold=10.0)  # disable RAMPING
-        rng = np.random.default_rng(0)
-        for _ in range(32):
-            fa.observe(1e5 if rng.random() < 0.5 else 1e6, 1.0)
-        assert fa.classify() is TrafficPattern.BURSTY
-
-    def test_ramping_classification(self):
-        fa = FlowAnalyzer()
-        for i in range(32):
-            fa.observe(1e5 * (1 + i), 1.0)
-        assert fa.classify() is TrafficPattern.RAMPING
-
-    def test_burst_factor(self):
-        fa = FlowAnalyzer()
-        for r in [1e5, 1e5, 5e5]:
-            fa.observe(r, 1.0)
-        assert fa.burst_factor() > 1.5
-
-    def test_polling_interval_clamped(self):
-        fa = FlowAnalyzer()
-        fa.observe(1.0, 1.0)
-        assert 1e-6 <= fa.polling_interval_s(32) <= 1e-2
-
     def test_validation(self):
         fa = FlowAnalyzer()
         with pytest.raises(ValueError):
             fa.observe(-1.0, 1.0)
         with pytest.raises(ValueError):
             fa.observe(1.0, 0.0)
-        with pytest.raises(ValueError):
-            fa.polling_interval_s(0)
-        with pytest.raises(ValueError):
-            FlowAnalyzer(window=1)
