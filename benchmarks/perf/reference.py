@@ -489,6 +489,164 @@ def reference_step_batch(
     )
 
 
+# -- engine: expression-form plan step and Fan power model -----------------------
+
+
+def reference_plan_step(plan, offered_grid, dt_s: float = 1.0, *, include_power=True):
+    """The expression-form ``ChainKernelPlan.step``.
+
+    Each array expression allocates a fresh result, so a grid plan's
+    step holds many grid-sized temporaries at once.  The in-place body
+    that replaced it performs the same IEEE operations in the same
+    order; ``tests/test_plan_in_place.py`` holds the two to 0 ulp.
+    """
+    from repro.nfv.engine import MultiChainTelemetry
+    from repro.utils.units import pps_to_gbps
+
+    if not dt_s > 0:
+        raise ValueError("dt must be positive")
+    offered = np.atleast_1d(np.asarray(offered_grid, dtype=np.float64))
+    rows = plan.chain_rate.shape
+    if len(rows) == 1:
+        shape_ok = offered.ndim <= 2 and offered.shape[-1:] == rows
+    else:
+        shape_ok = offered.shape == (offered.shape[0], 1)
+    if not shape_ok:
+        raise ValueError("need one offered rate per plan row")
+    if not np.all(offered >= 0):
+        raise ValueError("offered rates must be non-negative")
+    rx = plan.engine.params.rx_drop_cycles
+    cpps = plan.cpps
+    capacity = plan.capacity
+
+    admitted = np.minimum(offered, plan.nic_cap)
+    delivery = np.minimum(
+        1.0, plan.absorb_pps / np.where(admitted > 0, admitted, 1.0)
+    )
+    delivered = admitted * np.where(admitted == 0, 1.0, delivery)
+    achieved = np.minimum(delivered, plan.chain_rate)
+
+    cpp0 = cpps[..., 0]
+    livelock = (delivered * cpp0 > capacity) & plan.livelock_able
+    nf0_rate = np.maximum(0.0, (capacity - delivered * rx) / plan.livelock_denom)
+    achieved = np.where(livelock, np.minimum(achieved, nf0_rate), achieved)
+
+    if plan.util_poll is not None:
+        util = np.broadcast_to(plan.util_poll, achieved.shape + cpps.shape[-1:]).copy()
+        busy_cores = np.broadcast_to(plan.busy_poll, achieved.shape)
+    else:
+        work = achieved[..., None] * cpps
+        work[..., 0] = work[..., 0] + np.maximum(0.0, delivered - achieved) * rx
+        cap = capacity[..., None]
+        util = np.where(
+            cap > 0, np.minimum(1.0, work / np.where(cap > 0, cap, 1.0)), 0.0
+        )
+        util = np.minimum(1.0, util + plan.engine.params.adaptive_poll_overhead)
+        if plan.stack.valid is not None:
+            util = np.where(plan.stack.valid, util, 0.0)
+        busy_cores = np.sum(plan.share[..., None] * util, axis=-1)
+    total_busy = busy_cores + plan.infra_busy
+
+    cpu_utilization = np.minimum(1.0, total_busy / plan.allocated_cores)
+    if include_power:
+        power_w = np.asarray(
+            reference_node_power(plan.engine, total_busy, plan.allocated_cores, plan.freq)
+        )
+        energy_j = power_w * dt_s
+    else:
+        power_w = np.zeros_like(total_busy)
+        energy_j = np.zeros_like(total_busy)
+
+    miss_rate = achieved * plan.total_misses_pp
+    dropped = np.maximum(0.0, offered - achieved)
+    fill_s = plan.batch / np.maximum(achieved, 1.0)
+    cr = plan.chain_rate
+    utilization_peak = np.where(
+        cr > 0, np.minimum(1.0, achieved / np.where(cr > 0, cr, 1.0)), 1.0
+    )
+    queue_s = plan.proc_s * utilization_peak / np.maximum(
+        1e-6, 1.0 - np.minimum(utilization_peak, 0.999)
+    )
+    latency_s = fill_s + plan.proc_s + queue_s
+    pkt = plan.stack.packet_bytes[:, 0]
+    return MultiChainTelemetry(
+        dt_s=dt_s,
+        stack=plan.stack,
+        offered_pps=offered,
+        packet_bytes=pkt,
+        achieved_pps=achieved,
+        throughput_gbps=pps_to_gbps(achieved, pkt),
+        llc_miss_rate_per_s=miss_rate,
+        cpu_utilization=cpu_utilization,
+        cpu_cores_busy=total_busy,
+        power_w=power_w,
+        energy_j=energy_j,
+        dropped_pps=dropped,
+        latency_s=latency_s,
+        chain_rate_pps=plan.chain_rate,
+        cycles_per_packet=cpps,
+        misses_per_packet=plan.misses_pp,
+        service_rate_pps=plan.rates,
+        nf_utilization=util,
+    )
+
+
+def reference_node_power(engine, busy_cores, allocated_cores, freq_ghz):
+    """The expression-form ``PacketEngine.node_power``."""
+    total = float(engine.server.cpu.total_cores)
+    if np.isscalar(busy_cores) and np.isscalar(allocated_cores) and np.isscalar(freq_ghz):
+        allocated = float(min(total, max(allocated_cores, 0.0)))
+        busy = float(min(max(busy_cores, 0.0), total))
+        u = busy / total
+        parked = total - allocated
+        if engine.park_idle_cores:
+            idle_fraction = (allocated + 0.08 * parked) / total
+        else:
+            idle_fraction = 1.0
+        return float(
+            reference_power(engine.power_model, u, freq_ghz, idle_fraction=idle_fraction)
+        )
+    allocated = np.minimum(total, np.maximum(allocated_cores, 0.0))
+    busy = np.clip(busy_cores, 0.0, total)
+    u = busy / total
+    parked = total - allocated
+    if engine.park_idle_cores:
+        idle_fraction = (allocated + 0.08 * parked) / total
+    else:
+        idle_fraction = np.ones_like(np.asarray(u, dtype=np.float64))
+    out = reference_power(engine.power_model, u, freq_ghz, idle_fraction=idle_fraction)
+    return np.asarray(out)
+
+
+def reference_power(model, utilization, freq_ghz=None, *, idle_fraction=1.0):
+    """The expression-form ``ServerPowerModel.power``."""
+    p = model.params
+    scalar = (
+        np.isscalar(utilization)
+        and (freq_ghz is None or np.isscalar(freq_ghz))
+        and np.isscalar(idle_fraction)
+    )
+    if scalar:
+        u = np.float64(min(max(utilization, 0.0), 1.0))
+        p_max = model.p_max_at(freq_ghz if freq_ghz is not None else p.base_freq_ghz)
+        p_idle = p.p_idle_w * np.float64(min(max(idle_fraction, 0.0), 1.0))
+        shape = 2.0 * u - np.power(u, p.h)
+        return float((p_max - p_idle) * shape + p_idle)
+    u = np.clip(np.asarray(utilization, dtype=np.float64), 0.0, 1.0)
+    p_max = model.p_max_at(freq_ghz if freq_ghz is not None else p.base_freq_ghz)
+    p_idle = p.p_idle_w * np.clip(np.asarray(idle_fraction, dtype=np.float64), 0.0, 1.0)
+    shape = 2.0 * u - np.power(u, p.h)
+    return (np.asarray(p_max) - p_idle) * shape + p_idle
+
+
+def reference_efficiency_grid(throughput_gbps, energy_j):
+    """The expression-form ``efficiency_grid``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            energy_j > 0, throughput_gbps / (np.asarray(energy_j) / 1e3), 0.0
+        )
+
+
 def reference_cluster_step(nodes, per_node_offered, dt_s: float = 1.0):
     """The pre-cluster-kernel interval: a Python loop over nodes.
 

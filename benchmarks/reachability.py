@@ -5,8 +5,9 @@ Runs a corpus of entry-point invocations, each in its own process under
 ``sys.setprofile`` and ``threading.setprofile``:
 
 * every ``repro fig`` experiment and ablation with ``--quick``,
-* every non-fleet ``repro run`` preset with ``--quick``, and one traced
-  run,
+* every non-fleet ``repro run`` preset with ``--quick``, one traced
+  run, and a DDPG run that saves its policy for a later run whose spec
+  loads it,
 * every sweep preset, and one sweep of the baseline preset with each
   registered traffic model and chain and of the DDPG preset with each
   registered SLA,
@@ -307,6 +308,12 @@ def corpus(work: Path) -> tuple[list[list[str]], list[list[str]]]:
         },
     ).to_dict()))
 
+    # A DDPG run saves its policy, which a spec's policy_path then deploys.
+    policy = str(work / "policy.npz")
+    deploy = spec_file("deploy", learned.with_updates(
+        name="deploy-policy", controller_params={"policy_path": policy},
+    ).to_dict())
+
     run_trace = str(work / "run.trace.jsonl")
     fleet_trace = str(work / "fleet.trace.jsonl")
     presets = [(name, SCENARIOS.get(name)()) for name in SCENARIOS]
@@ -315,6 +322,7 @@ def corpus(work: Path) -> tuple[list[list[str]], list[list[str]]]:
         *(["repro", "run", name, "--quick"] for name, s in presets if s.fleet is None),
         ["repro", "run", "baseline", "--quick", "--trace", run_trace,
          "--out", str(work / "run.json")],
+        ["repro", "run", "greennfv-maxt", "--quick", "--save-policy", policy],
         ["repro", "sweep", registries, "--quick", "--jobs", "2",
          "--out-dir", str(work / "sweep")],
         *(["repro", "sweep", name, "--quick", "--jobs", "2"] for name in SWEEPS),
@@ -338,6 +346,7 @@ def corpus(work: Path) -> tuple[list[list[str]], list[list[str]]]:
     then = [
         ["repro", "top", run_trace, "--replay"],
         ["repro", "top", fleet_trace, "--replay"],
+        ["repro", "run", deploy, "--quick"],
     ]
     return first, then
 

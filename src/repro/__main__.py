@@ -134,11 +134,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = spec.with_updates(seed=args.seed)
     if args.quick:
         spec = quick_spec(spec)
+    if args.save_policy is not None and not args.save_policy.endswith(".npz"):
+        raise ValueError("--save-policy must name a .npz file")
     with _tracing(args.trace):
-        result = run(spec, out_path=args.out)
+        result = run(spec, out_path=args.out, policy_out=args.save_policy)
     _print_result_summary(result)
     if args.out:
         print(f"\n(result written to {args.out})")
+    if args.save_policy:
+        print(f"(policy written to {args.save_policy}; load it with "
+              "controller_params.policy_path)")
     if args.trace:
         print(f"(trace written to {args.trace}; view with 'repro top' "
               "or https://ui.perfetto.dev)")
@@ -343,6 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="write the result JSON here")
     p_run.add_argument("--seed", type=int, default=None, help="override the seed")
     p_run.add_argument("--quick", action="store_true", help="reduced budgets")
+    p_run.add_argument(
+        "--save-policy", default=None, metavar="PATH.npz",
+        help="checkpoint the trained policy of a learned controller (ddpg, "
+             "apex) here; a spec's controller_params.policy_path loads it",
+    )
     p_run.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a Chrome-trace JSONL of the run (Perfetto-loadable; "

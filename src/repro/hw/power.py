@@ -109,6 +109,13 @@ class ServerPowerModel:
         The Fan model term ``2u - u^h`` is monotonically increasing on
         [0, 1] for ``h in (0, 2]``, equals 0 at u=0 and 1 at u=1, so power
         always lands in ``[idle_fraction * P_idle, P_max(f)]``.
+
+        Python floats and numpy scalars take a scalar path; any array,
+        0-d included, takes the array path, which prices in place: ``u``,
+        then the Fan term, then the watts live in the one fresh array it
+        returns (a numpy scalar when every input is 0-d), and ``u^h`` in
+        the one scratch array, with the same IEEE operations in the same
+        order as ``(P_max - P_idle) * (2u - u^h) + P_idle``.
         """
         p = self.params
         scalar = (
@@ -122,11 +129,17 @@ class ServerPowerModel:
             p_idle = p.p_idle_w * np.float64(min(max(idle_fraction, 0.0), 1.0))
             shape = 2.0 * u - np.power(u, p.h)
             return float((p_max - p_idle) * shape + p_idle)
-        u = np.clip(np.asarray(utilization, dtype=np.float64), 0.0, 1.0)
         p_max = self.p_max_at(freq_ghz if freq_ghz is not None else p.base_freq_ghz)
         p_idle = p.p_idle_w * np.clip(np.asarray(idle_fraction, dtype=np.float64), 0.0, 1.0)
-        shape = 2.0 * u - np.power(u, p.h)
-        return (np.asarray(p_max) - p_idle) * shape + p_idle
+        band = np.asarray(p_max) - p_idle
+        out = np.empty(np.broadcast_shapes(np.shape(utilization), np.shape(band)))
+        np.clip(utilization, 0.0, 1.0, out=out)
+        fan = np.power(out, p.h)
+        np.multiply(2.0, out, out=out)
+        np.subtract(out, fan, out=out)
+        np.multiply(band, out, out=out)
+        np.add(out, p_idle, out=out)
+        return out[()] if out.ndim == 0 else out
 
     def energy(
         self,

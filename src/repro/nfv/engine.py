@@ -407,10 +407,14 @@ def efficiency_grid(throughput_gbps, energy_j) -> np.ndarray:
     grid telemetry and grid search shares, so scorers cannot diverge on
     the convention.
     """
+    energy = np.asarray(energy_j)
+    # kJ, then Gbps per kJ, in the one output array.
+    out = np.empty(np.broadcast_shapes(np.shape(throughput_gbps), energy.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            energy_j > 0, throughput_gbps / (np.asarray(energy_j) / 1e3), 0.0
-        )
+        np.divide(energy, 1e3, out=out)
+        np.divide(throughput_gbps, out, out=out)
+    np.copyto(out, 0.0, where=~(energy > 0))
+    return out
 
 
 @dataclass
@@ -705,6 +709,19 @@ class ChainKernelPlan:
         gains the leading interval axis); a grid plan takes an
         ``(L, 1)`` load column.  Loads must be non-negative (``inf`` is
         legal: the NIC line rate clamps it); NaN is rejected.
+
+        The body prices in place: every grid-sized quantity it computes
+        is written into the output array it becomes or into one of two
+        scratch buffers, which end as ``dropped_pps`` and
+        ``llc_miss_rate_per_s``; the watts and the throughput come from
+        :meth:`PacketEngine.node_power` and :func:`pps_to_gbps`.  Each
+        operation is the IEEE operation of the expression form, in the
+        same order, so the outputs are bit-identical to it; each
+        load-dependent output is a fresh C-contiguous array that shares
+        memory with no other output and with no plan array.  Busy cores
+        sum the NF lanes one at a time from the left below 8 lanes,
+        which is ``np.sum``'s own order there, and through ``np.sum``,
+        pairwise, from 8 lanes on.
         """
         if not dt_s > 0:
             raise ValueError("dt must be positive")
@@ -725,67 +742,91 @@ class ChainKernelPlan:
         # 1. NIC admission (line rate, per chain's frame size).
         admitted = np.minimum(offered, self.nic_cap)
 
-        # 2. Rx-ring delivery (DMA buffer absorption).
-        delivery = np.minimum(
-            1.0, self.absorb_pps / np.where(admitted > 0, admitted, 1.0)
-        )
-        delivered = admitted * np.where(admitted == 0, 1.0, delivery)
+        # 2. Rx-ring delivery (DMA buffer absorption): the delivery ratio,
+        #    then the delivered rate, in the first scratch buffer.
+        delivered = np.divide(self.absorb_pps, np.where(admitted > 0, admitted, 1.0))
+        np.minimum(1.0, delivered, out=delivered)
+        np.copyto(delivered, 1.0, where=admitted == 0)
+        np.multiply(admitted, delivered, out=delivered)
 
         # 3. Pipeline bottleneck.
         achieved = np.minimum(delivered, self.chain_rate)
 
-        # 4. Receive livelock.
-        cpp0 = cpps[..., 0]
-        livelock = (delivered * cpp0 > capacity) & self.livelock_able
-        nf0_rate = np.maximum(
-            0.0, (capacity - delivered * rx) / self.livelock_denom
-        )
-        achieved = np.where(livelock, np.minimum(achieved, nf0_rate), achieved)
+        # 4. Receive livelock: NF 0's rate in the second scratch buffer.
+        scratch = np.multiply(delivered, cpps[..., 0])
+        livelock = np.greater(scratch, capacity)
+        livelock &= self.livelock_able
+        np.multiply(delivered, rx, out=scratch)
+        np.subtract(capacity, scratch, out=scratch)
+        np.divide(scratch, self.livelock_denom, out=scratch)
+        np.maximum(0.0, scratch, out=scratch)
+        np.minimum(achieved, scratch, out=scratch)
+        np.copyto(achieved, scratch, where=livelock)
 
-        # 5. Per-NF utilization.
+        # 5. Per-NF utilization and busy cores.
         if self.util_poll is not None:
             util = np.broadcast_to(
                 self.util_poll, achieved.shape + cpps.shape[-1:]
             ).copy()
-            busy_cores = np.broadcast_to(self.busy_poll, achieved.shape)
+            total_busy = np.broadcast_to(self.busy_poll, achieved.shape) + self.infra_busy
         else:
-            work = achieved[..., None] * cpps
-            work[..., 0] = work[..., 0] + np.maximum(0.0, delivered - achieved) * rx
+            # Work per NF; NF 0 also spends rx cycles on what it drops.
+            util = np.multiply(achieved[..., None], cpps)
+            np.subtract(delivered, achieved, out=delivered)
+            np.maximum(0.0, delivered, out=delivered)
+            np.multiply(delivered, rx, out=delivered)
+            np.add(util[..., 0], delivered, out=util[..., 0])
             cap = capacity[..., None]
-            util = np.where(
-                cap > 0, np.minimum(1.0, work / np.where(cap > 0, cap, 1.0)), 0.0
-            )
-            util = np.minimum(
-                1.0, util + self.engine.params.adaptive_poll_overhead
-            )
+            np.divide(util, np.where(cap > 0, cap, 1.0), out=util)
+            np.minimum(1.0, util, out=util)
+            np.copyto(util, 0.0, where=~(cap > 0))
+            np.add(util, self.engine.params.adaptive_poll_overhead, out=util)
+            np.minimum(1.0, util, out=util)
             if self.stack.valid is not None:
-                util = np.where(self.stack.valid, util, 0.0)
-            busy_cores = np.sum(self.share[..., None] * util, axis=-1)
-        total_busy = busy_cores + self.infra_busy
+                np.copyto(util, 0.0, where=~self.stack.valid)
+            lanes = cpps.shape[-1]
+            if lanes < 8:
+                total_busy = np.multiply(self.share, util[..., 0])
+                # repro-lint: allow[KRN002] a left fold over at most 7 NF lanes is np.sum's own order below 8 lanes, so busy cores stay bit-identical to it
+                for lane in range(1, lanes):
+                    total_busy += np.multiply(self.share, util[..., lane], out=scratch)
+            else:
+                total_busy = np.sum(self.share[..., None] * util, axis=-1)
+            total_busy += self.infra_busy
 
-        # 6. Node power (or zeros when the node prices power itself).
-        cpu_utilization = np.minimum(1.0, total_busy / self.allocated_cores)
+        # 6. CPU utilization of the allocated cores.
+        cpu_utilization = np.divide(total_busy, self.allocated_cores)
+        np.minimum(1.0, cpu_utilization, out=cpu_utilization)
+
+        # 7. Latency: batch fill + pipeline walk + queueing, the peak
+        #    utilization and the queueing term in the scratch buffers.
+        cr = self.chain_rate
+        np.divide(achieved, np.where(cr > 0, cr, 1.0), out=scratch)
+        np.minimum(1.0, scratch, out=scratch)
+        np.copyto(scratch, 1.0, where=~(cr > 0))
+        np.minimum(scratch, 0.999, out=delivered)
+        np.subtract(1.0, delivered, out=delivered)
+        np.maximum(1e-6, delivered, out=delivered)
+        np.multiply(self.proc_s, scratch, out=scratch)
+        np.divide(scratch, delivered, out=scratch)
+        latency_s = np.maximum(achieved, 1.0)
+        np.divide(self.batch, latency_s, out=latency_s)
+        latency_s += self.proc_s
+        latency_s += scratch
+
+        # 8. Drops and LLC misses take over the scratch buffers.
+        dropped = np.subtract(offered, achieved, out=delivered)
+        np.maximum(0.0, dropped, out=dropped)
+        miss_rate = np.multiply(achieved, self.total_misses_pp, out=scratch)
+
+        # 9. Node power (or zeros when the node prices power itself).
         if include_power:
-            power_w = np.asarray(
-                self.engine.node_power(total_busy, self.allocated_cores, self.freq)
-            )
-            energy_j = power_w * dt_s
+            power_w = self.engine.node_power(total_busy, self.allocated_cores, self.freq)
+            energy_j = np.multiply(power_w, dt_s)
         else:
             power_w = np.zeros_like(total_busy)
             energy_j = np.zeros_like(total_busy)
 
-        # 7. Diagnostics.
-        miss_rate = achieved * self.total_misses_pp
-        dropped = np.maximum(0.0, offered - achieved)
-        fill_s = self.batch / np.maximum(achieved, 1.0)
-        cr = self.chain_rate
-        utilization_peak = np.where(
-            cr > 0, np.minimum(1.0, achieved / np.where(cr > 0, cr, 1.0)), 1.0
-        )
-        queue_s = self.proc_s * utilization_peak / np.maximum(
-            1e-6, 1.0 - np.minimum(utilization_peak, 0.999)
-        )
-        latency_s = fill_s + self.proc_s + queue_s
         pkt = self.stack.packet_bytes[:, 0]
 
         return MultiChainTelemetry(
@@ -1009,13 +1050,13 @@ class PacketEngine:
                 self.power_model.power(u, freq_ghz, idle_fraction=idle_fraction)
             )
         allocated = np.minimum(total, np.maximum(allocated_cores, 0.0))
-        busy = np.clip(busy_cores, 0.0, total)
-        u = busy / total
         parked = total - allocated
         if self.park_idle_cores:
             idle_fraction = (allocated + 0.08 * parked) / total
         else:
-            idle_fraction = np.ones_like(np.asarray(u, dtype=np.float64))
+            idle_fraction = 1.0
+        u = np.clip(busy_cores, 0.0, total)
+        u /= total
         out = self.power_model.power(u, freq_ghz, idle_fraction=idle_fraction)
         return np.asarray(out)
 

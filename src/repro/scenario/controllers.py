@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable
 
 from repro.baselines import (
@@ -127,7 +128,8 @@ class _SchedulerController(ScenarioController):
         DDPG network overrides (defaults: :class:`DDPGConfig`).
     ``policy_path``
         Load a saved checkpoint instead of training — the paper's
-        "train once, deploy many times" path.
+        "train once, deploy many times" path; ``repro run
+        --save-policy`` writes one.
     """
 
     distributed = False
@@ -194,6 +196,15 @@ class _SchedulerController(ScenarioController):
             distributed=self.distributed,
             apex_config=self._apex_config(),
         )
+
+    def save_policy(self, path) -> Path:
+        """Checkpoint the fitted policy where a spec's ``policy_path`` loads it.
+
+        Returns the path written (``.npz`` appended if missing).
+        """
+        if self.scheduler is None:
+            raise RuntimeError("fit() must run before save_policy()")
+        return self.scheduler.save_policy(path)
 
     def rollout(self, ctx: RunContext, intervals: int) -> list[TimelinePoint]:
         if self.scheduler is None:

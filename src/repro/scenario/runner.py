@@ -209,6 +209,7 @@ def run(
     out_path=None,
     controller: ScenarioController | None = None,
     fit: bool = True,
+    policy_out=None,
 ) -> RunResult:
     """Execute one scenario end-to-end; optionally write the JSON artifact.
 
@@ -217,7 +218,11 @@ def run(
     ``rollout`` over ``spec.intervals`` control intervals.  Passing an
     explicit ``controller`` instance bypasses the registry lookup; pass
     ``fit=False`` with it to deploy an already-fitted controller without
-    retraining (rollout only).
+    retraining (rollout only).  ``policy_out`` checkpoints the fitted
+    policy there before the rollout, for a later spec's
+    ``controller_params.policy_path``; only the learned ``ddpg`` and
+    ``apex`` controllers have one, and any other is refused before
+    ``fit`` runs.
     """
     t0 = time.perf_counter()
     ctx = build_context(spec)
@@ -230,10 +235,17 @@ def run(
             CONTROLLERS.get(spec.controller),
             dict(spec.controller_params),
         )
+    if policy_out is not None and not hasattr(controller, "save_policy"):
+        raise ValueError(
+            f"the {controller.id!r} controller has no policy checkpoint to save; "
+            "the learned 'ddpg' and 'apex' controllers write one"
+        )
     with obs.span(
         "scenario/fit", scenario=spec.name, controller=spec.controller
     ):
         history = controller.fit(ctx) if fit else None
+    if policy_out is not None:
+        controller.save_policy(policy_out)
     with obs.span("scenario/rollout", intervals=spec.intervals):
         points = controller.rollout(ctx, spec.intervals)
     result = RunResult(
@@ -351,18 +363,23 @@ def scan_report(
     axes = tuple(range(1, telemetry.achieved_pps.ndim))
     thr = telemetry.throughput_gbps.mean(axis=axes)
     energy = telemetry.energy_j.mean(axis=axes)
-    eff = telemetry.energy_efficiency
-    eff = np.where(np.isfinite(eff), eff, 0.0).mean(axis=axes)
+    # One grid-sized buffer: the fresh efficiency grid, zeroed where it
+    # is not finite, then the delivered fraction of every grid point.
+    grid = telemetry.energy_efficiency
+    np.copyto(grid, 0.0, where=~np.isfinite(grid))
+    eff = grid.mean(axis=axes)
     offered = np.atleast_1d(telemetry.offered_pps)
     if telemetry.achieved_pps.ndim == 3:
         offered_grid = offered[None, :, None]
     else:
         offered_grid = offered[None, :]
-    delivered_frac = np.where(
-        offered_grid > 0,
-        telemetry.achieved_pps / np.where(offered_grid > 0, offered_grid, 1.0),
-        1.0,
-    ).mean(axis=axes)
+    np.divide(
+        telemetry.achieved_pps,
+        np.where(offered_grid > 0, offered_grid, 1.0),
+        out=grid,
+    )
+    np.copyto(grid, 1.0, where=~(offered_grid > 0))
+    delivered_frac = grid.mean(axis=axes)
     score = score_candidates(
         objective,
         throughput=thr,

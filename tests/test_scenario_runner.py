@@ -181,6 +181,40 @@ class TestPolicyPersistenceEndToEnd:
         assert all(p["throughput_gbps"] > 0 for p in result.timeline)
         assert all(p["knobs"] is not None for p in result.timeline)
 
+    def test_cli_save_policy_then_policy_path_deploys_it(self, tmp_path, capsys):
+        from repro.__main__ import main as cli_main
+        from repro.rl.checkpoint import load_agent
+        from repro.scenario import CONTROLLERS, SCENARIOS, quick_spec
+
+        path = tmp_path / "maxt.npz"
+        trained_out = tmp_path / "trained.json"
+        argv = ["run", "greennfv-maxt", "--quick", "--save-policy", str(path),
+                "--out", str(trained_out)]
+        assert cli_main(argv) == 0
+        assert f"policy written to {path}" in capsys.readouterr().out
+        saved = load_agent(path)
+
+        spec = quick_spec(SCENARIOS.get("greennfv-maxt")())
+        params = {**spec.controller_params, "policy_path": str(path)}
+        controller = CONTROLLERS.get("ddpg")(**params)
+        deployed = run(spec.with_updates(controller_params=params), controller=controller)
+        assert deployed.training is None  # loaded, not retrained
+        actor = controller.scheduler.agent.get_policy_params()
+        assert all(map(np.array_equal, actor, saved.get_policy_params()))
+        # The saved actor acts exactly as the trained one did.
+        trained = RunResult.load(trained_out)
+        assert deployed.timeline == trained.timeline
+
+    def test_cli_save_policy_refuses_a_rule_controller(self, tmp_path, capsys):
+        from repro.__main__ import main as cli_main
+
+        path = tmp_path / "static.npz"
+        assert cli_main(["run", "baseline", "--quick", "--save-policy", str(path)]) == 2
+        assert "no policy checkpoint" in capsys.readouterr().err
+        assert not path.exists()
+        assert cli_main(["run", "greennfv-maxt", "--quick", "--save-policy", "p"]) == 2
+        assert ".npz" in capsys.readouterr().err
+
 
 class TestSweepRunner:
     def test_parallel_sweep_with_artifacts(self, tmp_path):
