@@ -365,9 +365,12 @@ def reference_step_batch(
     Restates the NIC, ring, livelock, utilization, power and latency
     math with explicit ``(K, L, P)`` axis indexing instead of pricing
     through a compiled ``ChainKernelPlan``.  ``tests/test_grid_plan.py``
-    holds the plan-backed ``step_batch`` to 0 ulp against it.
+    holds the plan-backed ``step_batch`` to 0 ulp against it.  Its sums
+    over the NF axis are left folds (``left_sums``), the order of the
+    scalar ``PacketEngine.step``, at every chain length.
     """
     from repro.nfv.engine import BatchTelemetry, PollingMode, _knob_arrays, chain_stack
+    from repro.utils.stats import left_sums
     from repro.utils.units import pps_to_gbps
 
     packet_axis = not (np.isscalar(packet_bytes) or np.ndim(packet_bytes) == 0)
@@ -430,7 +433,7 @@ def reference_step_batch(
         )
         util = np.minimum(1.0, util + engine.params.adaptive_poll_overhead)
         infra_util = engine.params.infra_util_adaptive
-    busy_cores = np.sum(share[:, None, None, None] * util, axis=3)  # (K, L, P)
+    busy_cores = left_sums(share[:, None, None, None] * util)  # (K, L, P)
     allocated_cores = share * n + engine.params.infra_cores  # (K,)
     total_busy = busy_cores + engine.params.infra_cores * infra_util
 
@@ -446,12 +449,12 @@ def reference_step_batch(
         power_w = np.zeros_like(total_busy)
         energy_j = np.zeros_like(total_busy)
 
-    total_misses_pp = np.sum(misses_pp, axis=2)  # (K, P)
+    total_misses_pp = left_sums(misses_pp)  # (K, P)
     miss_rate = achieved * total_misses_pp[:, None, :]
     dropped = np.maximum(0.0, offered[None, :, None] - achieved)
     fcol = freq_hz[:, None]
     proc_s = np.where(
-        fcol > 0, np.sum(cpps, axis=2) / np.where(fcol > 0, fcol, 1.0), np.inf
+        fcol > 0, left_sums(cpps) / np.where(fcol > 0, fcol, 1.0), np.inf
     )  # (K, P)
     fill_s = batch[:, None, None] / np.maximum(achieved, 1.0)
     cr = chain_rate[:, None, :]
@@ -498,9 +501,12 @@ def reference_plan_step(plan, offered_grid, dt_s: float = 1.0, *, include_power=
     Each array expression allocates a fresh result, so a grid plan's
     step holds many grid-sized temporaries at once.  The in-place body
     that replaced it performs the same IEEE operations in the same
-    order; ``tests/test_plan_in_place.py`` holds the two to 0 ulp.
+    order; ``tests/test_plan_in_place.py`` holds the two to 0 ulp.  Busy
+    cores sum the NF lanes as a left fold (``left_sums``), the order of
+    the scalar ``PacketEngine.step``, at every lane width.
     """
     from repro.nfv.engine import MultiChainTelemetry
+    from repro.utils.stats import left_sums
     from repro.utils.units import pps_to_gbps
 
     if not dt_s > 0:
@@ -544,7 +550,7 @@ def reference_plan_step(plan, offered_grid, dt_s: float = 1.0, *, include_power=
         util = np.minimum(1.0, util + plan.engine.params.adaptive_poll_overhead)
         if plan.stack.valid is not None:
             util = np.where(plan.stack.valid, util, 0.0)
-        busy_cores = np.sum(plan.share[..., None] * util, axis=-1)
+        busy_cores = left_sums(plan.share[..., None] * util)
     total_busy = busy_cores + plan.infra_busy
 
     cpu_utilization = np.minimum(1.0, total_busy / plan.allocated_cores)

@@ -1,26 +1,22 @@
-"""Finding suppression: the allowlist file and inline pragmas.
+"""Finding suppression by inline pragma, and the lint policy file.
 
-Two mechanisms, both explicit and reviewable:
+A finding is suppressed only where it is raised: a
+``# repro-lint: allow[CODE] reason`` comment on the flagged line (or the
+line directly above it) suppresses the named code(s) at that site, with
+the justification next to the code, e.g. a deliberately sequential fold
+in a fused kernel::
 
-* **Inline pragma** — a ``# repro-lint: allow[CODE]`` comment on the
-  flagged line (or the line directly above it) suppresses the named
-  code(s) at that site.  Use it where the justification belongs next to
-  the code, e.g. a deliberately sequential fold in a fused kernel::
+    # repro-lint: allow[KRN002] order-sensitive scalar fold (bit-compat)
+    for j, (start, stop) in enumerate(meta.slices):
 
-      # repro-lint: allow[KRN002] order-sensitive scalar fold (bit-compat)
-      for j, (start, stop) in enumerate(meta.slices):
-
-* **Allowlist file** — ``analysis_allow.toml`` at the project root
-  holds ``[[allow]]`` entries matching findings by code + path (glob)
-  and optionally by enclosing scope or exact line, each with a
-  ``reason``.  It may also carry policy sections extending the checker
-  site lists (see :meth:`repro.analysis.config.LintConfig.with_policy`).
-
-The file is a deliberately small TOML subset so the analyzer stays
-stdlib-only on every supported Python (``tomllib`` is 3.11+): comments,
-``[section]`` headers, ``[[allow]]`` array-of-tables headers, and
-single-line ``key = value`` pairs whose values are JSON-compatible
-scalars or string arrays (``"s"``, ``3``, ``true``, ``["a", "b"]``).
+``analysis_allow.toml`` at the project root carries only policy
+sections extending the checker site lists (see
+:meth:`repro.analysis.config.LintConfig.with_policy`); an ``[[allow]]``
+suppression entry is refused.  The file is a deliberately small TOML
+subset so the analyzer stays stdlib-only on every supported Python
+(``tomllib`` is 3.11+): comments, ``[section]`` headers and single-line
+``key = value`` pairs whose values are JSON-compatible scalars or
+string arrays (``"s"``, ``3``, ``true``, ``["a", "b"]``).
 """
 
 from __future__ import annotations
@@ -28,11 +24,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 from pathlib import Path
 from typing import Any, Mapping
-
-from repro.analysis.findings import CODES, Finding
 
 #: Inline suppression comment: ``# repro-lint: allow[RNG001]`` or
 #: ``# repro-lint: allow[KRN001,KRN002] free-text reason``.
@@ -41,61 +34,12 @@ PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*allow\[([A-Za-z0-9_,\s]+)\]")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_-]*)\s*=\s*(.+)$")
 
 
-@dataclass(frozen=True)
-class AllowEntry:
-    """One suppression: code + path (+ optional scope/line) + reason."""
-
-    code: str
-    path: str
-    scope: str = ""
-    line: int = 0
-    reason: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.code:
-            raise ValueError("allow entry needs a finding code")
-        if not self.path:
-            raise ValueError(f"allow entry for {self.code} needs a path")
-        if not self.reason:
-            raise ValueError(
-                f"allow entry for {self.code} at {self.path!r} needs a reason — "
-                "an unexplained suppression is a convention leak waiting to happen"
-            )
-
-    def matches(self, finding: Finding) -> bool:
-        """Whether this entry suppresses ``finding``."""
-        if self.code != finding.code:
-            return False
-        if not fnmatch(finding.path, self.path):
-            return False
-        if self.line and self.line != finding.line:
-            return False
-        if self.scope:
-            if finding.scope != self.scope and not finding.scope.startswith(
-                self.scope + "."
-            ):
-                return False
-        return True
-
-
 @dataclass
 class Allowlist:
-    """Parsed allowlist: suppression entries plus policy sections."""
+    """Parsed policy file: the checker site-list extensions by section."""
 
-    entries: tuple[AllowEntry, ...] = ()
     policy: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     source: str = "<none>"
-
-    def suppresses(self, finding: Finding) -> AllowEntry | None:
-        """The first entry matching ``finding``, or ``None``."""
-        for entry in self.entries:
-            if entry.matches(finding):
-                return entry
-        return None
-
-    def unknown_codes(self) -> list[str]:
-        """Entry codes that no checker declares (likely typos)."""
-        return sorted({e.code for e in self.entries} - set(CODES))
 
 
 def _parse_value(raw: str, lineno: int, source: str) -> Any:
@@ -110,24 +54,19 @@ def _parse_value(raw: str, lineno: int, source: str) -> Any:
 
 
 def parse_allowlist(text: str, *, source: str = "<string>") -> Allowlist:
-    """Parse allowlist text into entries + policy sections."""
-    entries: list[AllowEntry] = []
+    """Parse policy-file text into its sections."""
     policy: dict[str, dict[str, Any]] = {}
     current: dict[str, Any] | None = None  # table the next keys land in
-    pending_entries: list[dict[str, Any]] = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if stripped == "[[allow]]":
-            current = {}
-            pending_entries.append(current)
-            continue
-        if stripped.startswith("[[") and stripped.endswith("]]"):
+        if stripped.startswith("[["):
             raise ValueError(
-                f"{source}:{lineno}: unknown table array {stripped!r}; "
-                "only [[allow]] is supported"
+                f"{source}:{lineno}: table arrays such as {stripped!r} are not "
+                "supported; suppress a finding with an inline "
+                "'# repro-lint: allow[CODE] reason' pragma at its site"
             )
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip()
@@ -138,20 +77,10 @@ def parse_allowlist(text: str, *, source: str = "<string>") -> Allowlist:
             raise ValueError(f"{source}:{lineno}: cannot parse line {stripped!r}")
         if current is None:
             raise ValueError(
-                f"{source}:{lineno}: key {match.group(1)!r} outside any "
-                "[[allow]] entry or [section]"
+                f"{source}:{lineno}: key {match.group(1)!r} outside any [section]"
             )
         current[match.group(1)] = _parse_value(match.group(2).strip(), lineno, source)
-
-    for raw in pending_entries:
-        unknown = sorted(set(raw) - {"code", "path", "scope", "line", "reason"})
-        if unknown:
-            raise ValueError(
-                f"{source}: unknown [[allow]] keys {unknown!r}; "
-                "supported: code, path, scope, line, reason"
-            )
-        entries.append(AllowEntry(**raw))
-    return Allowlist(entries=tuple(entries), policy=policy, source=source)
+    return Allowlist(policy=policy, source=source)
 
 
 def load_allowlist(path: str | Path) -> Allowlist:

@@ -2,7 +2,7 @@
 
 Exit codes: ``0`` clean (or warnings without ``--strict``), ``1``
 findings that fail the build, ``2`` usage/configuration problems
-(unparsable allowlist, unknown codes).  CI runs
+(an unparsable policy file, or one with ``[[allow]]`` entries).  CI runs
 ``repro lint --strict`` so warnings cannot accumulate silently.
 """
 

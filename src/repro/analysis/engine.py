@@ -4,8 +4,8 @@
 tier-1 gate test: it walks the configured roots, parses each file once
 into a shared :class:`~repro.analysis.base.FileContext`, runs every
 registered file/project checker, then filters the raw findings through
-inline pragmas and the project allowlist.  The surviving findings land
-in a :class:`Report` that renders both human lines and a JSON document.
+inline pragmas.  The surviving findings land in a :class:`Report` that
+renders both human lines and a JSON document.
 """
 
 from __future__ import annotations
@@ -147,9 +147,10 @@ def run_lint(
 ) -> Report:
     """Lint the tree at ``root`` and return a :class:`Report`.
 
-    ``allowlist=None`` loads ``analysis_allow.toml`` from ``root`` when
-    present (pass an empty :class:`Allowlist` to disable).  ``paths``
-    overrides the configured roots (still root-relative).
+    ``allowlist=None`` loads the policy sections of
+    ``analysis_allow.toml`` from ``root`` when present (pass an empty
+    :class:`Allowlist` to disable).  ``paths`` overrides the configured
+    roots (still root-relative).
     """
     root = Path(root)
     config = config or LintConfig()
@@ -158,12 +159,6 @@ def run_lint(
         allow_path = root / DEFAULT_ALLOWLIST_NAME
         allowlist = (
             load_allowlist(allow_path) if allow_path.is_file() else Allowlist()
-        )
-    unknown = allowlist.unknown_codes()
-    if unknown:
-        raise ValueError(
-            f"{allowlist.source}: allowlist names unknown finding codes "
-            f"{unknown!r} (typo, or the checker was removed?)"
         )
     config = config.with_policy(allowlist.policy)
 
@@ -189,12 +184,8 @@ def run_lint(
     for finding in sorted(set(raw)):
         if _suppressed_by_pragma(finding, project):
             suppressed.append((finding, "pragma"))
-            continue
-        entry = allowlist.suppresses(finding)
-        if entry is not None:
-            suppressed.append((finding, f"allowlist: {entry.reason}"))
-            continue
-        kept.append(finding)
+        else:
+            kept.append(finding)
 
     return Report(
         findings=tuple(kept),

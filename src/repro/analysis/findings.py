@@ -40,8 +40,7 @@ class Finding:
 
     The field order (path, line, col, code) doubles as the report sort
     order.  ``scope`` is the dotted enclosing def/class path
-    (``"ShardWorker._recv"``), used by allowlist entries that suppress a
-    whole function instead of a brittle line number.
+    (``"ShardWorker._recv"``), shown with the finding in the report.
     """
 
     path: str

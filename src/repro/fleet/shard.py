@@ -65,12 +65,13 @@ from repro.nfv.chain import (
     heavy_chain,
     light_chain,
 )
-from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel, left_sums
+from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel
 from repro.nfv.engine import bottleneck_utilization
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 from repro.fleet.topology import CHAIN_KINDS
 from repro.fleet.workload import LoadBlock, WorkloadConfig
+from repro.utils.stats import left_sums
 
 #: NF line-ups of the deployable chain presets, derived from the
 #: :mod:`repro.nfv.chain` factories so fleet chains can never silently
@@ -483,9 +484,8 @@ def run_shards(
     <repro.nfv.cluster_kernel.ClusterKernel.step>` then prices every
     shard's block, and each shard books its own
     :meth:`~repro.nfv.cluster_kernel.BlockTelemetry.part` of it.  A
-    shard's report is the one its own kernel would give (see the
-    :mod:`repro.nfv.cluster_kernel` docstring for the one NF-padding
-    limit, which fleet chains never reach).
+    shard's report is the one its own kernel would give: a row prices
+    the same beside chains of any length.
     """
     if len(sims) != len(blocks):
         raise ValueError("need one load block per shard")

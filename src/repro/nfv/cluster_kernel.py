@@ -1,8 +1,9 @@
 """Cluster-wide stepping kernel: one vectorized pass over all nodes.
 
 The SDN steering loop and the fleet shards step many nodes in
-lockstep, each node hosting several chains.  Every hosted chain across the cluster becomes one row of a
-single padded super-stack; its load-independent half compiles into one
+lockstep, each node hosting several chains.  Every hosted chain across
+the cluster becomes one row of a single padded super-stack; its
+load-independent half compiles into one
 :class:`~repro.nfv.engine.ChainKernelPlan` per cluster-wide (knobs,
 deployment, frame sizes) generation, and a block of intervals is priced
 for all rows in one vectorized evaluation.  This kernel is the one place
@@ -21,25 +22,22 @@ fold costs 0.09-0.39 ms on clusters of at most 4 chains against a
 0.49-0.62 ms compile, 2.2-2.3 ms at 8 nodes x 4 chains against
 0.74-0.90 ms, and 8.7-9.7 ms at 32 x 4 against 1.36-1.64 ms: a compile
 pays for itself from mid-sized clusters on, and costs a small one at
-most about 0.5 ms per configuration.  Nodes with incompatible hardware
-or engine calibration always take the per-node path — the kernel only
-fuses physics it can prove is the same.
+most about 0.5 ms per configuration.  The kernel only fuses physics it
+can prove is the same: nodes of mismatched hardware or engine
+calibration are refused at construction (:func:`engines_compatible`).
 
-A row prices the same whichever rows share its plan, and a node's fold
-reads only its own rows, so a shard's slice of a shared pass equals
-its own kernel's pass bit for bit.  One limit comes from the NF axis:
-rows are padded to the longest chain, and numpy sums that axis pairwise
-once it is 8 or more lanes wide.  Padding is exact at any width for
-rows of at most 3 NFs; a row of 4 or more NFs is exact only while the
-longest row has fewer than 8 NFs (measured: 4- to 7-NF rows first
-change when padded to width 8).  Fleet chains have 2-3 NFs
-(``tests/test_fleet_group.py`` pins both sides of the limit).
+A row prices the same whichever rows share its plan: rows are padded to
+the longest chain, and every sum over the NF lanes is a left fold, which
+padded zero lanes leave exact at any width.  A node's fold reads only
+its own rows, so a shard's slice of a shared pass equals its own
+kernel's pass bit for bit.  A cluster that hosts no chain steps the
+same fold with zero rows, each node metered at its infra power.
 
 Node-level bookkeeping (one Fan-model power evaluation per node and
 interval, cycle-proportional power attribution, node energy-meter
 integration in interval order) replays the exact scalar arithmetic of
-``step_all``, so every sample matches the per-node path to <= 1 ulp
-(measured 0 ulp; ``tests/test_cluster_kernel.py`` and
+``step_all``, so every sample matches a per-node ``step_all`` loop to
+<= 1 ulp (measured 0 ulp; ``tests/test_cluster_kernel.py`` and
 ``tests/test_shard_block.py`` pin it).
 """
 
@@ -54,21 +52,7 @@ from repro.hw.power import record_many
 from repro.nfv.engine import ChainKernelPlan, TelemetrySample, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
-
-
-def left_sums(terms, start=0.0) -> np.ndarray:
-    """Left-to-right sums over the last axis: ``((start + t0) + t1) + ...``.
-
-    The order of the scalar folds' ``+=`` loops.  ``np.sum`` adds
-    pairwise and Python >= 3.12's ``sum`` compensates, so either would
-    round differently.  ``np.add.accumulate`` keeps every partial sum,
-    so it adds exactly one term at a time.
-    """
-    terms = np.asarray(terms, dtype=np.float64)
-    acc = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,))
-    acc[..., 0] = start
-    acc[..., 1:] = terms
-    return np.add.accumulate(acc, axis=-1)[..., -1]
+from repro.utils.stats import left_sums
 
 
 def one_interval(offered) -> tuple[list, np.ndarray, list]:
@@ -133,7 +117,7 @@ class _FusedMeta:
     node_meters: tuple  # (N,) EnergyMeter per node
     owner: np.ndarray  # (R,) owning node index per row
     slot: np.ndarray  # (R,) position of each row on its node
-    width: int  # most chains on one node
+    width: int  # most chains on one node (0 when none hosts a chain)
     infra_rows: np.ndarray  # (R,) owning node's infra_busy per row
     fold_start: np.ndarray  # (3, N) infra_busy, 0, 0: starts of the node folds
     allocated_totals: np.ndarray  # (N,)
@@ -191,7 +175,8 @@ class ClusterKernel:
     nodes' offered traffic (chain names are unique across a cluster)
     for a block of n intervals and returns their per-interval arrays
     plus the last interval's telemetry, with identical node-side
-    effects (node meters, ``last_sample``).
+    effects (node meters, ``last_sample``).  Nodes whose physics the
+    fused plan cannot share (:func:`engines_compatible`) are refused.
     """
 
     def __init__(self, nodes):
@@ -201,8 +186,12 @@ class ClusterKernel:
                 seen.append(node)
         if not seen:
             raise ValueError("cluster kernel needs at least one node")
+        if not engines_compatible(seen):
+            raise ValueError(
+                "cluster kernel nodes must share engine parameters, polling, "
+                "CAT, core parking and hardware specs"
+            )
         self.nodes: list[Node] = seen
-        self._fusable = engines_compatible(self.nodes)
         self._plan: ChainKernelPlan | None = None
         self._plan_key: tuple | None = None
         self._plan_meta: _FusedMeta | None = None
@@ -259,33 +248,25 @@ class ClusterKernel:
         row_loads = np.ascontiguousarray(
             np.concatenate([loads, np.zeros((1, n))])[cols].T
         )
-        if self._fuse((tuple(node._config_gen for node in self.nodes), row_pkts), n):
-            return self._step_fused(row_loads, dt_s)
-        return self._block_per_node(rows, row_loads, row_pkts, dt_s)
+        self._fuse((tuple(node._config_gen for node in self.nodes), row_pkts), n)
+        return self._step_fused(row_loads, dt_s)
 
-    def _fuse(self, key, n: int) -> bool:
-        """Plan-cache dispatch for n intervals under configuration ``key``.
-
-        Returns whether the fused plan prices them, compiling it on a
-        configuration's first sight; mismatched hardware (or no hosted
-        chain) takes the per-node path instead.
+    def _fuse(self, key, n: int) -> None:
+        """Plan-cache dispatch for n intervals under configuration ``key``,
+        compiling the plan on a configuration's first sight.
 
         Cross-chain contention derives from (generation, frame sizes),
         so the cache keys on exactly those.  This dispatch (not the
         fused fold) is the sanctioned instrumentation point: every
-        interval counts as one plan-cache lookup (``hit`` or
-        ``fallback``; a compile counts as ``promote`` and the rest of
-        its block as hits), and the compile runs in a span, while
-        ``_step_fused`` stays observation-free (KRN002 hot path).
+        interval counts as one plan-cache lookup (``hit``; a compile
+        counts as ``promote`` and the rest of its block as hits), and
+        the compile runs in a span, while ``_step_fused`` stays
+        observation-free (KRN002 hot path).
         """
-        if not self._fusable or not key[1]:
-            if obs._ENABLED:
-                obs.inc("kernel/plan_cache/fallback", n)
-            return False
         if self._plan_key == key:
             if obs._ENABLED:
                 obs.inc("kernel/plan_cache/hit", n)
-            return True
+            return
         if obs._ENABLED:
             obs.inc("kernel/plan_cache/promote")
             if n > 1:
@@ -294,33 +275,6 @@ class ClusterKernel:
                 self._compile(key)
         else:
             self._compile(key)
-        return True
-
-    def _block_per_node(self, rows, row_loads, row_pkts, dt_s) -> BlockTelemetry:
-        """Cold path: interval by interval, each node through ``step_all``."""
-        n = len(row_loads)
-        fields = np.empty((n, len(rows), 4))
-        node_joules = np.empty((n, len(self.nodes)))
-        for i, loads in enumerate(row_loads.tolist()):
-            offered = dict(zip(rows, zip(loads, row_pkts)))
-            samples: dict[str, TelemetrySample] = {}
-            for node in self.nodes:
-                samples.update(
-                    node.step_all({name: offered[name] for name in node.chains}, dt_s)
-                )
-            for r, name in enumerate(rows):
-                sample = samples[name]
-                fields[i, r] = (
-                    sample.achieved_pps,
-                    sample.throughput_gbps,
-                    sample.energy_j,
-                    sample.latency_s,
-                )
-            node_joules[i] = [node.meter.total_joules for node in self.nodes]
-        achieved, throughput, energy, latency = np.moveaxis(fields, -1, 0)
-        return BlockTelemetry(
-            dt_s, achieved, throughput, energy, latency, node_joules, samples
-        )
 
     # -- the fused path ----------------------------------------------------
 
@@ -330,7 +284,8 @@ class ClusterKernel:
         Alongside the compiled physics, every knob/deployment-static
         quantity the fold needs (each node's
         :meth:`~repro.nfv.node.Node.fold_inputs`, the node meters, the
-        row-to-node layout) is collected here.
+        row-to-node layout) is collected here.  A cluster that hosts no
+        chain has no plan, only the fold's node inputs.
         """
         _gens, all_pkts = key
         chains: list = []
@@ -361,11 +316,13 @@ class ClusterKernel:
                 node.contention_for(all_pkts[start:row]) if node.chains else 1.0
             )
             infra_busy[j], allocated_totals[j], freq_means[j] = node.fold_inputs()
-        engine = self.nodes[0].engine
-        stack = chain_stack(tuple(chains), all_pkts, engine.server.llc.line_bytes)
-        self._plan = engine.compile_chains(
-            stack, knobs, llc_bytes=grants, contention=contention
-        )
+        self._plan = None
+        if chains:
+            engine = self.nodes[0].engine
+            stack = chain_stack(tuple(chains), all_pkts, engine.server.llc.line_bytes)
+            self._plan = engine.compile_chains(
+                stack, knobs, llc_bytes=grants, contention=contention
+            )
         self._plan_key = key
         owner_arr = np.asarray(owner, dtype=np.intp)
         self._plan_meta = _FusedMeta(
@@ -374,7 +331,7 @@ class ClusterKernel:
             node_meters=tuple(node.meter for node in self.nodes),
             owner=owner_arr,
             slot=np.asarray(slot, dtype=np.intp),
-            width=max(slot) + 1,
+            width=max(slot, default=-1) + 1,
             infra_rows=infra_busy[owner_arr],
             fold_start=np.stack([infra_busy, np.zeros(n_nodes), np.zeros(n_nodes)]),
             allocated_totals=allocated_totals,
@@ -382,21 +339,24 @@ class ClusterKernel:
         )
 
     def _step_fused(self, loads, dt_s) -> BlockTelemetry:
-        """Warm path: price a block of intervals at once, then fold per node.
+        """Price a block of intervals at once, then fold per node.
 
-        ``loads`` is ``(n, R)``, one row per interval.  The fold replays ``step_all``'s scalar
-        bookkeeping for every interval — the same float operations in
-        the same order — with the elementwise parts as array ops over
-        the whole block (elementwise numpy matches the scalar operations
-        bit for bit), the order-sensitive per-node sums as left folds,
-        and every node's Fan-model power in one batched call.  The node
-        meters integrate the intervals in order, and each meter is
-        written back once per block.
+        ``loads`` is ``(n, R)``, one row per interval.  The fold replays
+        ``step_all``'s scalar bookkeeping for every interval — the same
+        float operations in the same order — with the elementwise parts
+        as array ops over the whole block (elementwise numpy matches the
+        scalar operations bit for bit), the order-sensitive per-node
+        sums as left folds, and every node's Fan-model power in one
+        batched call.  The node meters integrate the intervals in order,
+        and each meter is written back once per block.
         """
-        plan = self._plan
-        meta = self._plan_meta
-        multi = plan.step(loads, dt_s, include_power=False)
-        busy = multi.cpu_cores_busy
+        plan, meta = self._plan, self._plan_meta
+        if plan is None:
+            # No hosted chain: zero rows, and each node meters its infra power.
+            busy = achieved = loads
+        else:
+            multi = plan.step(loads, dt_s, include_power=False)
+            busy, achieved = multi.cpu_cores_busy, multi.achieved_pps
         # step_all's three per-node sums, each a left fold over the
         # node's chains in deployment order: busy cores
         # ``infra + max(0, busy_r - infra) + ...``, cycle weights and
@@ -404,7 +364,7 @@ class ClusterKernel:
         rows = np.empty(busy.shape[:-1] + (3, busy.shape[-1]))
         np.maximum(0.0, busy - meta.infra_rows, out=rows[..., 0, :])
         weights = np.maximum(busy, 1e-9, out=rows[..., 1, :])
-        np.multiply(multi.achieved_pps, dt_s, out=rows[..., 2, :])
+        np.multiply(achieved, dt_s, out=rows[..., 2, :])
         sums = meta.node_sums(rows, meta.fold_start)
         busy_totals, wsums, packets = sums[..., 0, :], sums[..., 1, :], sums[..., 2, :]
 
@@ -413,16 +373,16 @@ class ClusterKernel:
         power_nodes = np.asarray(
             engine.node_power(busy_totals, meta.allocated_totals, meta.freq_means)
         )
-        energy_nodes = power_nodes * dt_s
+        node_joules = record_many(meta.node_meters, power_nodes, dt_s, packets)
+        if plan is None:
+            return BlockTelemetry(dt_s, loads, loads, loads, loads, node_joules, {})
 
         # Cycle-proportional attribution: share_r = w_r / wsum_node, then
         # power * share and (power * dt) * share exactly as step_all
         # computes them (weights >= 1e-9, so wsum is always positive).
         shares = weights / wsums[..., meta.owner]
         multi.power_w = power_nodes[..., meta.owner] * shares
-        multi.energy_j = energy_nodes[..., meta.owner] * shares
-
-        node_joules = record_many(meta.node_meters, power_nodes, dt_s, packets)
+        multi.energy_j = power_nodes[..., meta.owner] * dt_s * shares
 
         last = multi.samples()
         # repro-lint: allow[KRN002] per-chain sample handoff mutates hosted objects, once per block

@@ -67,6 +67,7 @@ from repro.hw.power import ServerPowerModel
 from repro.hw.server import ServerSpec
 from repro.nfv.chain import ServiceChain
 from repro.nfv.knobs import KnobSettings
+from repro.utils.stats import left_sum, left_sums
 from repro.utils.units import pps_to_gbps
 
 
@@ -718,10 +719,10 @@ class ChainKernelPlan:
         operation is the IEEE operation of the expression form, in the
         same order, so the outputs are bit-identical to it; each
         load-dependent output is a fresh C-contiguous array that shares
-        memory with no other output and with no plan array.  Busy cores
-        sum the NF lanes one at a time from the left below 8 lanes,
-        which is ``np.sum``'s own order there, and through ``np.sum``,
-        pairwise, from 8 lanes on.
+        memory with no other output and with no plan array.  Every sum
+        over the NF lanes adds them one at a time from the left, as the
+        scalar :meth:`PacketEngine.step` does, so a row prices the same
+        however wide the lanes its stack pads it to.
         """
         if not dt_s > 0:
             raise ValueError("dt must be positive")
@@ -784,14 +785,10 @@ class ChainKernelPlan:
             np.minimum(1.0, util, out=util)
             if self.stack.valid is not None:
                 np.copyto(util, 0.0, where=~self.stack.valid)
-            lanes = cpps.shape[-1]
-            if lanes < 8:
-                total_busy = np.multiply(self.share, util[..., 0])
-                # repro-lint: allow[KRN002] a left fold over at most 7 NF lanes is np.sum's own order below 8 lanes, so busy cores stay bit-identical to it
-                for lane in range(1, lanes):
-                    total_busy += np.multiply(self.share, util[..., lane], out=scratch)
-            else:
-                total_busy = np.sum(self.share[..., None] * util, axis=-1)
+            total_busy = np.multiply(self.share, util[..., 0])
+            # repro-lint: allow[KRN002] a left fold over the NF lanes, in place: the scalar step's order, exact under any lane padding
+            for lane in range(1, cpps.shape[-1]):
+                total_busy += np.multiply(self.share, util[..., lane], out=scratch)
             total_busy += self.infra_busy
 
         # 6. CPU utilization of the allocated cores.
@@ -974,10 +971,11 @@ class PacketEngine:
         (``(R, 1)`` for a diagonal plan, ``(K, 1, 1, 1)`` for a grid);
         the NF axis is last, so results have shape ``(n,)`` or the
         columns' shape broadcast against the stack's ``(rows, n)``.
+        One body serves both: a scalar knob prices as the same knob in
+        a ``(1, 1)`` column, bit for bit.
         """
         llc = self.server.llc
         p = self.params
-        scalar = np.ndim(batch) == 0
 
         pf = prefetch_efficiency(batch)
         pen_eff = llc.miss_penalty_cycles * (1.0 - pf)
@@ -990,17 +988,11 @@ class PacketEngine:
         # Payload access: DDIO landing for the first NF, LLC residency of
         # the in-flight batch for the rest.
         p_hit0 = self.dma_model.llc_spill_hit_ratio(dma_bytes, llc_bytes)
-        if scalar:
-            p_miss = min(1.0, base_miss * contention)
-            p_hit0 = max(0.0, p_hit0 * (1.0 - p_miss * 0.5))
-            p_hit = np.full(len(profile), 1.0 - p_miss)
-            p_hit[0] = p_hit0
-        else:
-            p_miss = np.minimum(1.0, base_miss * contention)
-            p_hit0 = np.maximum(0.0, p_hit0 * (1.0 - p_miss * 0.5))
-            nf_shape = np.broadcast_shapes(np.shape(p_miss), (len(profile),))
-            p_hit = np.broadcast_to(np.asarray(1.0 - p_miss), nf_shape).copy()
-            p_hit[..., 0] = np.reshape(p_hit0, np.shape(p_miss))[..., 0]
+        p_miss = np.minimum(1.0, base_miss * contention)
+        p_hit0 = np.maximum(0.0, p_hit0 * (1.0 - p_miss * 0.5))
+        p_hit = np.empty(np.shape(p_miss)[:-1] + (len(profile),))
+        np.subtract(1.0, p_miss, out=p_hit)
+        p_hit[..., :1] = p_hit0
 
         # State-table walks.
         state_cycles = profile.state_lines * p_miss * pen_eff
@@ -1136,7 +1128,7 @@ class PacketEngine:
             util = np.full_like(util, 1.0 if knobs.cpu_share > 0 else 0.0)
         else:
             util = np.minimum(1.0, util + self.params.adaptive_poll_overhead)
-        busy_cores = float(np.sum(knobs.cpu_share * util))
+        busy_cores = left_sum((knobs.cpu_share * util).tolist())
         per_nf = [
             NFTelemetry(
                 name=profile.names[i],
@@ -1175,11 +1167,11 @@ class PacketEngine:
             energy_j = 0.0
 
         # 7. Diagnostics.
-        total_misses_pp = float(np.sum(misses_pp))
+        total_misses_pp = left_sum(misses_pp.tolist())
         miss_rate = achieved * total_misses_pp
         dropped = max(0.0, offered_pps - achieved)
         # Latency: batch fill time + per-NF processing + queueing headroom.
-        proc_s = float(np.sum(cpps)) / freq_hz if freq_hz > 0 else float("inf")
+        proc_s = left_sum(cpps.tolist()) / freq_hz if freq_hz > 0 else float("inf")
         fill_s = knobs.batch_size / max(achieved, 1.0)
         utilization_peak = (
             min(1.0, achieved / chain_rate) if chain_rate > 0 else 1.0
@@ -1370,12 +1362,13 @@ class PacketEngine:
         nic_cap = self.server.nic.max_pps(pkt)
         absorb_pps = self.dma_model.absorb_rate_pps(dma_bytes, pkt)
 
+        # NF-axis sums are left folds, as in the scalar step.
         proc_s = np.where(
             freq_hz > 0,
-            np.sum(cpps, axis=-1) / np.where(freq_hz > 0, freq_hz, 1.0),
+            left_sums(cpps) / np.where(freq_hz > 0, freq_hz, 1.0),
             np.inf,
         )
-        total_misses_pp = np.sum(misses_pp, axis=-1)
+        total_misses_pp = left_sums(misses_pp)
         allocated_cores = share * stack.n_nfs + self.params.infra_cores
         if self.polling == PollingMode.POLL:
             infra_util = self.params.infra_util_poll
@@ -1384,7 +1377,7 @@ class PacketEngine:
             ).copy()
             if valid is not None:
                 util_poll = np.where(valid, util_poll, 0.0)
-            busy_poll = np.sum(share[..., None] * util_poll, axis=-1)
+            busy_poll = left_sums(share[..., None] * util_poll)
         else:
             infra_util = self.params.infra_util_adaptive
             util_poll = None

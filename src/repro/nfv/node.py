@@ -225,11 +225,11 @@ class Node:
         Each chain is priced by the scalar engine at the node's shared
         cross-chain LLC contention; node power is then computed once
         from the union of busy cores and attributed to chains in
-        proportion to the cycles they consumed.  This is the scalar fold
+        proportion to the cycles they consumed.  This scalar fold is the
+        reference
         :meth:`ClusterKernel.step <repro.nfv.cluster_kernel.ClusterKernel.step>`
-        runs for nodes it cannot fuse, and the kernel's compiled plan
-        replays it bit-exactly.  Its sums are left-to-right ``+=``
-        folds, the order the fused fold replays.
+        replays bit-exactly with its compiled plan.  Its sums are
+        left-to-right ``+=`` folds, the order the fused fold replays.
 
         Parameters
         ----------

@@ -11,6 +11,7 @@ written by one version of the library loads anywhere numpy does.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ _NETWORKS = ("actor", "critic", "target_actor", "target_critic")
 
 
 def save_agent(agent: DDPGAgent, path: str | Path) -> Path:
-    """Write a DDPG agent's networks + config to a ``.npz`` checkpoint.
+    """Write a DDPG agent's networks + every config field to a ``.npz``
+    checkpoint, so a reloaded agent that keeps training explores and
+    learns as the saved one did.
 
     Returns the path written (with ``.npz`` appended if missing).
     """
@@ -40,10 +43,7 @@ def save_agent(agent: DDPGAgent, path: str | Path) -> Path:
         "format_version": FORMAT_VERSION,
         "state_dim": agent.state_dim,
         "action_dim": agent.action_dim,
-        "hidden": list(agent.config.hidden),
-        "gamma": agent.config.gamma,
-        "tau": agent.config.tau,
-        "noise_type": agent.config.noise_type,
+        **asdict(agent.config),
         "updates_done": agent.updates_done,
     }
     arrays["__meta__"] = np.frombuffer(
@@ -55,7 +55,11 @@ def save_agent(agent: DDPGAgent, path: str | Path) -> Path:
 
 
 def load_agent(path: str | Path, *, rng=0) -> DDPGAgent:
-    """Rebuild a DDPG agent from a checkpoint written by :func:`save_agent`."""
+    """Rebuild a DDPG agent from a checkpoint written by :func:`save_agent`.
+
+    Config fields the checkpoint does not hold (it was written before
+    every field was stored) take their defaults.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
@@ -67,12 +71,8 @@ def load_agent(path: str | Path, *, rng=0) -> DDPGAgent:
             raise ValueError(
                 f"unsupported checkpoint version {meta.get('format_version')!r}"
             )
-        config = DDPGConfig(
-            hidden=tuple(meta["hidden"]),
-            gamma=meta["gamma"],
-            tau=meta["tau"],
-            noise_type=meta["noise_type"],
-        )
+        saved = {f.name: meta[f.name] for f in fields(DDPGConfig) if f.name in meta}
+        config = DDPGConfig(**{**saved, "hidden": tuple(meta["hidden"])})
         agent = DDPGAgent(meta["state_dim"], meta["action_dim"], config, rng=rng)
         params: dict[str, list[np.ndarray]] = {}
         for net in _NETWORKS:

@@ -9,7 +9,8 @@ harnesses share:
   the EE-Pstate baseline (Iqbal & John 2012 use simple predictors such as
   DES for traffic prediction; the paper compares against that scheme).
 * :func:`left_sum` — the left-to-right total the fleet artifacts record,
-  the same on every supported Python.
+  the same on every supported Python, and :func:`left_sums`, the same
+  fold over the last axis of an array.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
 
 
 class EWMA:
@@ -117,3 +119,20 @@ def left_sum(values: Iterable[float]):
     int ``0``, so an empty input gives ``0``.
     """
     return functools.reduce(operator.add, values, 0)
+
+
+def left_sums(terms, start=0.0) -> np.ndarray:
+    """Left-to-right sums over the last axis: ``((start + t0) + t1) + ...``.
+
+    The order of the scalar folds' ``+=`` loops, at any axis length.
+    ``np.sum`` adds pairwise from 8 terms on and Python >= 3.12's
+    ``sum`` compensates, so either would round differently.
+    ``np.add.accumulate`` keeps every partial sum, so it adds exactly
+    one term at a time; the totals are copied out, so the result holds
+    no reference to the partial sums.
+    """
+    terms = np.asarray(terms, dtype=np.float64)
+    acc = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    acc[..., 0] = start
+    acc[..., 1:] = terms
+    return np.add.accumulate(acc, axis=-1)[..., -1].copy()

@@ -39,6 +39,36 @@ class TestRoundtrip:
         assert loaded.config.tau == 0.03
         assert loaded.config.noise_type == "gaussian"
 
+    def test_every_config_field_restored(self, tmp_path):
+        cfg = DDPGConfig(
+            hidden=(16, 8),
+            noise_sigma=0.1,
+            batch_size=16,
+            actor_lr=1e-3,
+            random_warmup_steps=7,
+        )
+        agent = DDPGAgent(4, 5, cfg, rng=0)
+        loaded = load_agent(save_agent(agent, tmp_path / "full"))
+        assert loaded.config == agent.config
+
+    def test_four_key_checkpoint_loads_with_defaults(self, tmp_path):
+        # The layout written before every config field was stored.
+        import json
+
+        cfg = DDPGConfig(hidden=(8,), gamma=0.5, tau=0.03, noise_type="gaussian")
+        agent = DDPGAgent(3, 2, DDPGConfig(hidden=(8,), batch_size=16), rng=0)
+        path = save_agent(agent, tmp_path / "old")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
+        old = {k: meta[k] for k in ("format_version", "state_dim", "action_dim")}
+        old.update(hidden=[8], gamma=0.5, tau=0.03, noise_type="gaussian")
+        arrays["__meta__"] = np.frombuffer(json.dumps(old).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        loaded = load_agent(path)
+        assert loaded.config == cfg
+        assert loaded.updates_done == 0
+
     def test_loaded_agent_can_keep_training(self, tmp_path):
         from repro.rl.replay import Transition, TransitionBatch
 

@@ -5,12 +5,14 @@ pass; it is the one place a diagonal plan is compiled and cached.  The
 golden suite checks its one-interval blocks against the per-node
 reference — a Python loop of ``Node.step_all`` calls, the scalar
 per-node fold — to <= 1 ulp (asserted bit-exact) across randomized node
-counts, heterogeneous chains, knob churn, frame-size changes and every
-dispatch path, read from the ``kernel/plan_cache/*`` counters (per-node
-fallback, compile on first sight, warm fused plan).  Invalid arguments
-are rejected before any state changes.  The consumer classes pin the
-rewired surfaces: ``SdnController`` steering decisions must be
-identical to the per-node loop in ``benchmarks/perf/reference.py``.
+counts, heterogeneous chains, knob churn, frame-size changes and both
+plan-cache outcomes, read from the ``kernel/plan_cache/*`` counters
+(compile on first sight, warm fused plan), and on clusters that host no
+chain at all.  Nodes whose hardware or engine calibration differ are
+refused at construction, and invalid arguments are rejected before any
+state changes.  The consumer classes pin the rewired surfaces:
+``SdnController`` steering decisions must be identical to the per-node
+loop in ``benchmarks/perf/reference.py``.
 """
 
 from types import SimpleNamespace
@@ -19,6 +21,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.hw.cache import LlcSpec
+from repro.hw.cpu import CpuSpec
+from repro.hw.dma import DmaSpec
+from repro.hw.nic import NicSpec
+from repro.hw.power import PowerModelParams
+from repro.hw.server import ServerSpec
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
 from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible, one_interval
 from repro.nfv.engine import EngineParams, PollingMode, _LazyPerNF, bottleneck_utilization
@@ -31,6 +39,19 @@ from repro.utils.units import line_rate_pps
 
 PACKET_SIZES = (64.0, 256.0, 512.0, 1024.0, 1518.0)
 CHAIN_KINDS = (default_chain, light_chain, heavy_chain)
+#: One node setting per physics-bearing difference the fused plan
+#: cannot share with a default ``Node()``.
+MISMATCHES = {
+    "engine-params": {"params": EngineParams(ring_call_cycles=300.0)},
+    "polling": {"polling": PollingMode.POLL},
+    "cat": {"cat_enabled": False},
+    "parking": {"park_idle_cores": False},
+    "cpu": {"server": ServerSpec(cpu=CpuSpec(cores=12))},
+    "llc": {"server": ServerSpec(llc=LlcSpec(n_ways=16))},
+    "nic": {"server": ServerSpec(nic=NicSpec(line_rate_gbps=25.0))},
+    "dma": {"server": ServerSpec(dma=DmaSpec(drain_latency_s=2e-3))},
+    "power": {"server": ServerSpec(power=PowerModelParams(p_max_w=180.0))},
+}
 
 
 def build_cluster(seed: int) -> tuple[list[Node], dict]:
@@ -83,8 +104,8 @@ def step_one(kernel: ClusterKernel, offered: dict, dt_s: float = 1.0) -> dict:
 
 def plan_cache_paths(step, *args, **kwargs):
     """Run one step with ``repro.obs`` on; return its result and the
-    plan-cache paths the kernel took (``hit``/``promote``/``fallback``;
-    empty when the kernel was not stepped)."""
+    plan-cache paths the kernel took (``hit``/``promote``; empty when
+    the kernel was not stepped)."""
     obs.enable()
     try:
         result = step(*args, **kwargs)
@@ -173,24 +194,50 @@ class TestGoldenEquivalence:
             for chain_name in ref:
                 assert got[chain_name] == ref[chain_name]
 
-    def test_heterogeneous_engines_use_per_node_path(self):
-        node_a = Node()
+    @pytest.mark.parametrize("mismatch", sorted(MISMATCHES))
+    def test_mismatched_nodes_are_refused(self, mismatch):
+        node_a, node_b = Node(), Node(**MISMATCHES[mismatch])
         node_a.deploy(default_chain("a0"), KnobSettings())
-        node_b = Node(params=EngineParams(ring_call_cycles=300.0))
         node_b.deploy(light_chain("b0"), KnobSettings())
-        ref_a = Node()
-        ref_a.deploy(default_chain("a0"), KnobSettings())
-        ref_b = Node(params=EngineParams(ring_call_cycles=300.0))
-        ref_b.deploy(light_chain("b0"), KnobSettings())
         assert not engines_compatible([node_a, node_b])
-        kernel = ClusterKernel([node_a, node_b])
-        offered = {"a0": (1e6, 512.0), "b0": (5e5, 1518.0)}
-        for _ in range(3):
-            got, paths = plan_cache_paths(step_one, kernel, offered)
-            ref = reference_step([ref_a, ref_b], offered)
-            assert paths == ["fallback"]  # never fuses
-            for name in ref:
-                assert got[name] == ref[name]
+        with pytest.raises(ValueError, match="must share"):
+            ClusterKernel([node_a, node_b])
+        with pytest.raises(ValueError, match="must share"):
+            ClusterKernel([Node(), Node(), Node(**MISMATCHES[mismatch])])
+
+    def test_cosmetic_spec_fields_may_differ(self):
+        nodes = [
+            Node(ServerSpec(name="a", memory_gb=32.0)),
+            Node(ServerSpec(name="b", os="other")),
+        ]
+        assert engines_compatible(nodes)
+        assert ClusterKernel(nodes).nodes == nodes
+
+    @pytest.mark.parametrize("kind", ["adaptive", "poll", "no-cat-unparked"])
+    def test_chainless_cluster_matches_per_node_loop(self, kind, perf_reference):
+        # Nodes that host no chain step the fused fold with zero rows;
+        # each meters its infra power exactly as step_all does.
+        settings = {
+            "adaptive": {},
+            "poll": {"polling": PollingMode.POLL},
+            "no-cat-unparked": {"cat_enabled": False, "park_idle_cores": False},
+        }[kind]
+        nodes_k = [Node(**settings) for _ in range(3)]
+        nodes_r = [Node(**settings) for _ in range(3)]
+        kernel = ClusterKernel(nodes_k)
+        for dt_s in (1.0, 0.25):
+            block, paths = plan_cache_paths(
+                kernel.step, [], np.empty((0, 3)), 1518.0, dt_s
+            )
+            want = []
+            for _ in range(3):
+                perf_reference.reference_cluster_step(nodes_r, [{}] * 3, dt_s)
+                want.append([node.meter.total_joules for node in nodes_r])
+            assert block.node_joules.tolist() == want
+            assert block.samples == {} and block.energy_j.shape == (3, 0)
+            assert paths == (["promote", "hit"] if dt_s == 1.0 else ["hit"])
+        assert [vars(n.meter) for n in nodes_k] == [vars(n.meter) for n in nodes_r]
+        assert all(n.meter.total_joules > 0 for n in nodes_k)
 
     def test_validation_and_edge_cases(self):
         with pytest.raises(ValueError):
@@ -403,6 +450,16 @@ class TestSdnSteeringEquivalence:
         assert counters["kernel/plan_cache/promote"] == 1 + ref_sdn.table.migrations
         assert counters["kernel/plan_cache/hit"] > 0
         assert "kernel/plan_cache/fallback" not in counters
+
+    def test_mismatched_replicas_are_refused(self):
+        sdn = SdnController(SdnConfig(), rng=0)
+        for i, node in enumerate((Node(), Node(polling=PollingMode.POLL))):
+            node.deploy(default_chain(f"sfc{i}"), KnobSettings())
+            sdn.register_replica(
+                ChainReplica(chain_name=f"sfc{i}", node=node, service="sfc")
+            )
+        with pytest.raises(ValueError, match="must share"):
+            sdn.run_interval()
 
     def test_kernel_handles_replica_registration_growth(self):
         sdn = self._build()

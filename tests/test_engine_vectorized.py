@@ -388,6 +388,30 @@ class TestPacketAxis:
             engine.step_batch(chain, [KnobSettings()], [-1.0], [64.0])
 
 
+class TestChainCosts:
+    def test_scalar_knobs_price_as_one_by_one_columns(self):
+        # One cost body serves the scalar step and the plans: scalar
+        # knobs and the same knobs as (1, 1) columns give the same bits,
+        # clamped miss and hit ratios included.
+        rng = np.random.default_rng(5)
+        for trial in range(80):
+            engine = PacketEngine(cat_enabled=trial % 3 != 0)
+            chain = random_chain(rng)
+            knobs = random_knobs(rng)
+            profile = chain_profile(chain, float(rng.uniform(64, 1518)), 64)
+            scalar = (
+                float(knobs.batch_size),
+                knobs.dma_bytes,
+                float(10.0 ** rng.uniform(3.0, 7.5)),
+                float(rng.uniform(1.0, 3.0)),
+            )
+            got = engine._chain_costs(profile, *scalar)
+            cols = engine._chain_costs(profile, *(np.full((1, 1), x) for x in scalar))
+            for a, b in zip(got, cols):
+                assert a.shape == (len(chain),) and b.shape == (1, len(chain))
+                assert a.tobytes() == b[0].tobytes(), trial
+
+
 class TestChainProfile:
     def test_profile_is_cached(self):
         chain = default_chain()

@@ -539,6 +539,30 @@ class TestProcessBackend:
         assert proc.comparable() == local.comparable()
 
     @pytest.mark.fleet_mp
+    def test_chainless_start_bit_identical_to_local(self):
+        # Every node starts empty, so the first cycle steps kernels with
+        # zero rows; churn admits chains from the next cycle on.
+        spec = ScenarioSpec(
+            name="fleet-empty-start",
+            controller="static",
+            fleet=fleet_section(
+                chains_per_node=0,
+                cycles=4,
+                workload=small_workload(
+                    churn=ChurnConfig(
+                        arrivals_per_cycle=1.5, departure_prob=0.2, max_chains=8
+                    ),
+                ).to_dict(),
+            ),
+            seed=4,
+        )
+        local = run_fleet(spec, backend="local")
+        proc = run_fleet(spec, backend="process")
+        assert local.intervals[0]["chains"] == 0
+        assert local.totals["arrivals"] > 0
+        assert proc.comparable() == local.comparable()
+
+    @pytest.mark.fleet_mp
     def test_worker_error_propagates(self):
         config = shard_config()
         with ShardWorker(config) as worker:

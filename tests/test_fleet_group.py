@@ -7,8 +7,9 @@ before any state moves, prices the whole group in one
 columns of that pass.  These tests pin that a shard inside a group
 reports and advances exactly as it does alone, that a dropped group is
 freed at once, that one bad block moves no shard, that a local fleet
-makes one kernel step per cycle, and the NF-padding limit the first
-guarantee rests on.
+makes one kernel step per cycle, and that a row prices the same however
+wide the other rows pad the NF axis, which the first guarantee rests
+on.
 """
 
 import gc
@@ -28,6 +29,7 @@ from repro.fleet import (
 from repro.fleet.shard import kind_nfs, run_shards
 from repro.nfv.chain import ServiceChain
 from repro.nfv.cluster_kernel import ClusterKernel
+from repro.nfv.engine import PacketEngine, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.nf import CATALOG
 from repro.nfv.node import Node
@@ -111,16 +113,15 @@ class TestGroupMatchesShardsAlone:
             assert_same_state(g.sim, a.sim)
 
     def test_empty_shard_matches_alone(self):
-        # Alone, a shard with no chains takes the per-node path; in a
-        # group the other shards' rows make every pass fused.  Its
-        # reports and node meters are the same either way.
+        # Alone, a shard with no chains steps the fused fold with zero
+        # rows: it compiles once and then hits, as any configuration
+        # does.  Its reports and node meters are the same as in a group.
         configs = group_configs(1, empty=1)
         grouped = LocalShard.group(configs)
-        got, counts = plan_cache_counts(drive, grouped)
-        assert "fallback" not in counts
+        got = drive(grouped)
         alone = [LocalShard(config) for config in configs]
         want = [plan_cache_counts(drive, [shard]) for shard in alone]
-        assert want[1][1] == {"fallback": 4 * 2}
+        assert want[1][1] == {"promote": 1, "hit": 4 * 2 - 1}
         assert got == [[w[cycle][0] for w, _ in want] for cycle in range(4)]
         assert [r.chains for r in got[-1][1].intervals] == [0, 0]
         for g, a in zip(grouped, alone):
@@ -241,13 +242,12 @@ class TestOneKernelStepPerCycle:
 
         _, counts = plan_cache_counts(run)
         assert steps == [fleet.topology.total_nodes] * fleet.cycles
-        assert "fallback" not in counts
         assert counts["promote"] <= fleet.cycles
 
 
 class TestNFPadding:
-    """A row's values do not depend on how wide the other rows are, up
-    to numpy's pairwise-sum limit on the NF axis."""
+    """A row's values do not depend on how wide the other rows are: every
+    sum over the NF axis is a left fold, exact under zero padding."""
 
     def price(self, nfs, other):
         """Row 0 and node 0 of a pass over a ``nfs`` chain, alone or
@@ -284,7 +284,24 @@ class TestNFPadding:
         for other in range(1, 13):
             assert self.same(nfs, other), other
 
-    def test_longer_rows_exact_below_width_8(self):
+    def test_longer_rows_exact_at_any_width(self):
         nfs = ("nat", "firewall", "ids", "monitor", "router")
-        assert all(self.same(nfs, other) for other in range(1, 8))
-        assert not self.same(nfs, 8)
+        for other in range(1, 13):
+            assert self.same(nfs, other), other
+
+    @pytest.mark.parametrize("width", [9, 12])
+    def test_long_chains_price_alike_on_every_path(self, width):
+        # The scalar step, a one-row diagonal plan and a knob grid sum a
+        # chain of 8 or more NFs in one order.
+        catalog = sorted(CATALOG)
+        chain = ServiceChain.from_names(
+            "long", [catalog[i % len(catalog)] for i in range(width)]
+        )
+        knobs = KnobSettings(cpu_share=0.83, cpu_freq_ghz=1.7, batch_size=77)
+        engine = PacketEngine()
+        for load in (3.1e5, 9.7e5, 4e6):
+            scalar = engine.step(chain, knobs, load, 512.0)
+            stack = chain_stack((chain,), (512.0,), engine.server.llc.line_bytes)
+            (row,) = engine.compile_chains(stack, [knobs]).step([load]).samples()
+            grid = engine.step_batch(chain, [knobs], [load], 512.0).sample(0, 0)
+            assert row == scalar and grid == scalar, load

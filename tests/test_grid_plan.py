@@ -17,8 +17,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.nfv.chain import default_chain, heavy_chain
+from repro.nfv.chain import ServiceChain, default_chain, heavy_chain
 from repro.nfv.engine import PacketEngine, PollingMode
+from repro.nfv.nf import CATALOG
 from repro.scenario.catalog import GRIDS
 from repro.scenario.presets import SCENARIOS
 from repro.scenario.runner import scan_report
@@ -98,3 +99,17 @@ def test_grid_without_power_matches_reference(perf_reference, knob_grid):
     for name in GRID_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert not got.power_w.any()
+
+
+@pytest.mark.parametrize("width", [8, 9, 12])
+@pytest.mark.parametrize("polling", list(PollingMode))
+def test_long_chains_match_reference(perf_reference, knob_grid, width, polling):
+    # Both bodies sum the NF axis as a left fold, so chains of 8 or more
+    # NFs agree too.
+    catalog = sorted(CATALOG)
+    chain = ServiceChain.from_names("long", [catalog[i % len(catalog)] for i in range(width)])
+    engine = PacketEngine(polling=polling)
+    got = engine.step_batch(chain, knob_grid, LOADS, FRAMES["axis"])
+    ref = perf_reference.reference_step_batch(engine, chain, knob_grid, LOADS, FRAMES["axis"])
+    for name in GRID_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name

@@ -24,7 +24,7 @@ from repro.analysis import (
     ProtocolSpec,
     run_lint,
 )
-from repro.analysis.allowlist import AllowEntry, parse_allowlist, pragma_codes
+from repro.analysis.allowlist import parse_allowlist, pragma_codes
 from repro.analysis.checkers.hygiene import check_registry
 from repro.scenario.registry import Registry
 
@@ -724,7 +724,7 @@ class TestSpecFieldChecker:
 
 
 # ---------------------------------------------------------------------------
-# Suppression mechanics: pragmas + allowlist
+# Suppression mechanics: pragmas, and the policy file
 # ---------------------------------------------------------------------------
 
 
@@ -754,38 +754,19 @@ class TestSuppression:
         assert report.findings == ()
         assert [reason for _, reason in report.suppressed] == ["pragma"]
 
-    def test_allowlist_entry_suppresses(self, tmp_path):
-        allow = Allowlist(
-            entries=(
-                AllowEntry(
-                    code="RNG005",
-                    path="src/*.py",
-                    scope="key",
-                    reason="cache key, never feeds a seed",
-                ),
-            )
-        )
-        report = lint_tree(
-            tmp_path,
-            {"src/mod.py": "def key(name):\n    return hash(name) % 8\n"},
-            allowlist=allow,
-        )
-        assert report.findings == ()
-        ((finding, reason),) = report.suppressed
-        assert finding.code == "RNG005"
-        assert "cache key" in reason
+    def test_allow_entry_refused_with_pragma_hint(self):
+        text = '[[allow]]\ncode = "RNG005"\npath = "src/*.py"\nreason = "cache key"\n'
+        with pytest.raises(ValueError, match=r"<string>:1: .*inline .*repro-lint: allow\[CODE\]"):
+            parse_allowlist(text)
 
-    def test_entry_requires_reason(self):
-        with pytest.raises(ValueError, match="reason"):
-            AllowEntry(code="RNG005", path="src/mod.py")
-
-    def test_unknown_code_rejected(self, tmp_path):
-        allow = parse_allowlist(
-            '[[allow]]\ncode = "NOPE999"\npath = "src/*"\nreason = "typo"\n'
-        )
+    def test_allow_entry_in_the_project_file_fails_the_run(self, tmp_path):
         (tmp_path / "src").mkdir()
-        with pytest.raises(ValueError, match="NOPE999"):
-            run_lint(tmp_path, config=BARE, allowlist=allow)
+        (tmp_path / "analysis_allow.toml").write_text(
+            '[wallclock]\nextra_allowed = []\n\n[[allow]]\ncode = "NOPE999"\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="analysis_allow.toml:4: .*pragma"):
+            run_lint(tmp_path, config=BARE)
 
     def test_parse_allowlist_policy_sections(self):
         allow = parse_allowlist(
@@ -794,18 +775,14 @@ class TestSuppression:
                 # comment
                 [rng]
                 extra_allowed = ["src/tools/gen.py"]
-
-                [[allow]]
-                code = "TIME001"
-                path = "src/tools/gen.py"
-                reason = "offline generator"
                 """
             )
         )
         assert allow.policy["rng"]["extra_allowed"] == ["src/tools/gen.py"]
-        assert allow.entries[0].code == "TIME001"
         cfg = LintConfig().with_policy(allow.policy)
         assert "src/tools/gen.py" in cfg.rng_construction_sites
+        with pytest.raises(ValueError, match="outside any"):
+            parse_allowlist('extra_allowed = ["src/tools/gen.py"]\n')
 
     def test_policy_extends_rng_sites(self, tmp_path):
         allow = parse_allowlist('[rng]\nextra_allowed = ["src/gen.py"]\n')
@@ -830,7 +807,7 @@ class TestSuppression:
         from repro.analysis import load_allowlist
 
         allow = load_allowlist(REPO_ROOT / "analysis_allow.toml")
-        assert allow.unknown_codes() == []
+        assert set(allow.policy) == {"wallclock", "exceptions"}
         assert (
             "src/repro/fleet/shard.py::shard_worker"
             in allow.policy["exceptions"]["extra_boundaries"]

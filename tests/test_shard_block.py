@@ -9,7 +9,7 @@ scalar ``Node.step_all`` fold.  The seeded grid below drives both
 through runs of 1, 2, 3 and 8 intervals with a knob change, a deploy,
 an undeploy and a vacated node between runs, on every registered SLA,
 and requires every record, sample and node meter to match at 0 ulp.
-The plan-cache counters show which path each run took.  The same grid
+The plan-cache counters show when each run compiled.  The same grid
 checks that every interval's per-chain energy sums to its node's meter
 increment.
 """
@@ -21,10 +21,7 @@ from repro import obs
 from repro.fleet.shard import ChainTicket, ShardConfig, ShardSim, kind_nfs
 from repro.fleet.workload import FlashCrowdConfig, WorkloadConfig
 from repro.hw.power import EnergyMeter, record_many
-from repro.hw.server import ServerSpec
-from repro.nfv.cluster_kernel import ClusterKernel, left_sums
-from repro.nfv.engine import EngineParams
-from repro.nfv.node import Node
+from repro.utils.stats import left_sums
 from test_fleet import hosted_loads
 
 #: Every registered SLA, with a constraint that some chains miss.
@@ -69,17 +66,9 @@ def grid_case(seed: int):
         for i in range(n_nodes)
         for j in range(per_node)
     ]
-    hetero = seed % 4 == 3
     sims = []
     for _ in range(2):
         sim = ShardSim(config)
-        if hetero:
-            # A node with its own engine calibration: the kernel can
-            # never fuse it with the others.
-            sim.nodes[-1] = Node(
-                ServerSpec(name="odd"), params=EngineParams(ring_call_cycles=300.0)
-            )
-            sim.kernel = ClusterKernel(sim.nodes)
         for ticket in tickets:
             sim.deploy(ticket)
         sims.append(sim)
@@ -90,7 +79,7 @@ def grid_case(seed: int):
         "llc_fraction": float(rng.uniform(0.05, 0.3)),
         "batch_size": int(rng.integers(8, 257)),
     }
-    return sims, lengths, knobs, hetero, tickets
+    return sims, lengths, knobs, tickets
 
 
 def apply_command(sim: ShardSim, step: int, others, knobs) -> None:
@@ -146,7 +135,7 @@ class TestBlockMatchesPerIntervalReference:
 
     @pytest.mark.parametrize("seed", range(16))
     def test_block_run_matches_reference(self, seed, perf_reference):
-        (block, ref), lengths, knobs, hetero, tickets = grid_case(seed)
+        (block, ref), lengths, knobs, tickets = grid_case(seed)
         others = [t for t in tickets if t.node != 0]
         start = 0
         for step, n in enumerate(lengths):
@@ -155,12 +144,10 @@ class TestBlockMatchesPerIntervalReference:
             want = perf_reference.reference_shard_run(ref, loads)
             assert got == want
             assert_same_state(block, ref)
-            # Which plan-cache path the block took: a new configuration
-            # (every run before the last, which follows no command)
-            # compiles on first sight.
-            if hetero:
-                expected = {"fallback": n}
-            elif step < 5:
+            # When the block compiled: a new configuration (every run
+            # before the last, which follows no command) compiles on
+            # first sight.
+            if step < 5:
                 expected = {"promote": 1, **({"hit": n - 1} if n > 1 else {})}
             else:
                 expected = {"hit": n}
@@ -176,8 +163,8 @@ class TestBlockMatchesPerIntervalReference:
     def test_chain_energy_sums_to_node_meter(self, seed):
         # Energy attribution is conserved: in every interval, the
         # left-fold sum of a node's per-chain energy equals its meter's
-        # increment, on the fused path and the per-node one alike.
-        (sim, _), lengths, knobs, _, tickets = grid_case(seed)
+        # increment.
+        (sim, _), lengths, knobs, tickets = grid_case(seed)
         others = [t for t in tickets if t.node != 0]
         kernel_step = sim.kernel.step
         checked = 0
@@ -227,8 +214,8 @@ class TestBlockMatchesPerIntervalReference:
 class TestPlanCachePath:
     """When a block compiles, read from the plan-cache counters."""
 
-    def sim(self, hetero: bool = False) -> ShardSim:
-        (sim, _), *_ = grid_case(3 if hetero else 0)
+    def sim(self) -> ShardSim:
+        (sim, _), *_ = grid_case(0)
         return sim
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -242,11 +229,21 @@ class TestPlanCachePath:
         loads = hosted_loads(sim, 2 * n, n)
         assert plan_cache_counts(sim.run, loads)[1] == compile_run
 
-    def test_mismatched_hardware_takes_the_per_node_path(self):
-        sim = self.sim(hetero=True)
-        for start, n in ((0, 1), (1, 3), (4, 2)):
+    def test_chainless_shard_compiles_on_first_sight(self, perf_reference):
+        # A shard that hosts no chain steps the fused fold with zero
+        # rows: one compile, then hits, every node metered at its infra
+        # power as the per-interval reference meters it.
+        (sim, ref), *_ = grid_case(3)
+        for shard in (sim, ref):
+            for name in list(shard._tickets):
+                shard.undeploy(name)
+        for start, n, counts in ((0, 1, {"promote": 1}), (1, 3, {"hit": 3}), (4, 2, {"hit": 2})):
             loads = hosted_loads(sim, start, n, seed=3)
-            assert plan_cache_counts(sim.run, loads)[1] == {"fallback": n}
+            got, got_counts = plan_cache_counts(sim.run, loads)
+            assert got_counts == counts
+            assert got == perf_reference.reference_shard_run(ref, loads)
+            assert_same_state(sim, ref)
+        assert all(node.meter.total_joules > 0 for node in sim.nodes)
 
 
 class TestStep:
