@@ -156,13 +156,6 @@ class ReferenceMLP:
             param_grads[i] = (dw, db)
         return param_grads, grad
 
-    def input_gradient(self, x, grad_out=None):
-        out = self.forward(x, cache=True)
-        if grad_out is None:
-            grad_out = np.ones_like(out)
-        _, gin = self.backward(grad_out)
-        return gin
-
     def get_params(self):
         out = []
         for layer in self.layers:
@@ -346,6 +339,28 @@ class ReferencePrioritizedReplayBuffer:
             raw = max(abs(float(err)), self.eps)
             self._max_priority = max(self._max_priority, raw)
             self._tree.set(int(slot), raw**self.alpha)
+
+
+# -- rl: one Ape-X actor collecting alone ---------------------------------------
+
+
+def reference_collect(actor, n_steps: int) -> list[tuple[Transition, float]]:
+    """One actor's own collection loop: a policy forward per actor per
+    step, the schedule ``ApexActor.collect_lockstep`` batches across
+    the fleet.  Returns the flushed (transition, priority) pairs."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    flushed: list[tuple[Transition, float]] = []
+    if actor._obs is None:
+        actor._obs = actor.env.reset()
+        actor.agent.reset_noise()
+    for _ in range(n_steps):
+        action = actor.agent.act(actor._obs, explore=True)
+        actor._record(actor.env.step(action), action)
+        if len(actor._local) >= actor.local_buffer_size:
+            flushed.extend(actor._flush())
+    flushed.extend(actor._flush())
+    return flushed
 
 
 def reference_step_batch(

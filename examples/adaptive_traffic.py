@@ -33,12 +33,17 @@ BURSTY = dict(
     p_high_to_low=0.15,
 )
 
+#: Seconds of bursty traffic each controller faces, and the training budget.
+DURATION_S = 60
+EPISODES = 70
+TEST_EVERY = 35
+
 
 def run_static(duration_s: int, seed: int) -> tuple[float, float]:
     """A fixed, peak-provisioned configuration (no adaptation)."""
     env = NFVEnv(
         EnergyEfficiencySLA(RewardScales(energy_j=81.5)),
-        generator=MMPPGenerator(**BURSTY),
+        generators=[MMPPGenerator(**BURSTY)],
         episode_len=duration_s,
         rng=seed,
     )
@@ -56,7 +61,7 @@ def run_static(duration_s: int, seed: int) -> tuple[float, float]:
 
 
 def main() -> None:
-    duration = 60
+    duration = DURATION_S
     spec = ScenarioSpec(
         name="adaptive-mmpp",
         sla="energy_efficiency",
@@ -64,8 +69,8 @@ def main() -> None:
         traffic="mmpp",
         traffic_params=BURSTY,
         controller="ddpg",
-        episodes=70,
-        test_every=35,
+        episodes=EPISODES,
+        test_every=TEST_EVERY,
         episode_len=16,
         intervals=duration,
         seed=5,

@@ -13,7 +13,7 @@ Run:  python examples/multi_chain_scheduling.py
 
 import numpy as np
 
-from repro.core.multi_chain_env import MultiChainEnv
+from repro.core.env import NFVEnv
 from repro.core.sla import MaxThroughputSLA, RewardScales
 from repro.core.training import train_ddpg
 from repro.experiments.microbench import fig1_chains
@@ -21,17 +21,22 @@ from repro.traffic.generators import ConstantRateGenerator
 from repro.traffic.packet import SMALL_PACKETS
 from repro.utils.tables import render_table
 
+#: Training budget: episodes, the periodic-test spacing and episode length.
+EPISODES = 60
+TEST_EVERY = 15
+EPISODE_LEN = 12
+
 
 def make_env(rng):
     c1, c2 = fig1_chains()
-    return MultiChainEnv(
+    return NFVEnv(
         MaxThroughputSLA(60.0, RewardScales(energy_j=81.5)),
-        [c1, c2],
-        [
+        chains=[c1, c2],
+        generators=[
             ConstantRateGenerator(8e6, SMALL_PACKETS),
             ConstantRateGenerator(1e6, SMALL_PACKETS),
         ],
-        episode_len=12,
+        episode_len=EPISODE_LEN,
         rng=rng,
     )
 
@@ -39,7 +44,7 @@ def make_env(rng):
 def main() -> None:
     print("Training one agent over both chains (10-dim action space)...")
     agent, history = train_ddpg(
-        make_env(1), make_env(2), episodes=60, test_every=15, rng=9
+        make_env(1), make_env(2), episodes=EPISODES, test_every=TEST_EVERY, rng=9
     )
     rows = [
         [r.episode, r.throughput_gbps, r.energy_j, r.sla_satisfied_frac]

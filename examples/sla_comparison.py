@@ -16,16 +16,25 @@ from repro import SweepRunner
 from repro.experiments.comparison import comparison_specs
 from repro.utils.tables import render_table
 
+#: Deployment length, training budgets and sweep worker processes.
+INTERVALS = 30
+TRAIN_EPISODES = 60
+QLEARNING_EPISODES = 120
+PROCESSES = 4
+
 
 def main() -> None:
     specs = comparison_specs(
-        intervals=30, train_episodes=60, qlearning_episodes=120, seed=11
+        intervals=INTERVALS,
+        train_episodes=TRAIN_EPISODES,
+        qlearning_episodes=QLEARNING_EPISODES,
+        seed=11,
     )
     print(
         f"Running the {len(specs)}-way comparison as a parallel sweep "
         "(this trains four policies)..."
     )
-    runner = SweepRunner(specs, processes=4)
+    runner = SweepRunner(specs, processes=PROCESSES)
     results = runner.run()
 
     print()

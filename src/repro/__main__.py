@@ -47,6 +47,7 @@ from repro.scenario import (
     scan_knob_grid,
     scan_report,
 )
+from repro.utils.stats import left_sum
 from repro.utils.tables import render_table
 
 _SUBCOMMANDS = ("run", "sweep", "scan", "fleet", "fig", "lint", "top", "list")
@@ -251,7 +252,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 ["backend", fleet["backend"]],
                 ["placement", fleet["placement"]],
                 ["shards", len(shards)],
-                ["total nodes", sum(s["nodes"] for s in shards)],
+                ["total nodes", left_sum(s["nodes"] for s in shards)],
                 ["intervals", t["intervals"]],
                 ["final chains", t["final_chains"]],
                 ["mean throughput (Gbps)", t["mean_throughput_gbps"]],

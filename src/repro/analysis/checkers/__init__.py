@@ -14,5 +14,6 @@ from repro.analysis.checkers import (  # noqa: F401  (import = register)
     obs,
     protocol,
     rng,
+    sums,
     wallclock,
 )

@@ -1,7 +1,6 @@
 """GreenNFV core: SLAs, RL environment, training, and the scheduler API."""
 
 from repro.core.env import NFVEnv, StepResult
-from repro.core.multi_chain_env import MultiChainEnv, MultiChainStep
 from repro.core.per_nf_env import PerNFEnv
 from repro.core.knobs import KNOB_NAMES, KnobSpace
 from repro.core.scheduler import GreenNFVScheduler, OnlineSample
@@ -28,8 +27,6 @@ __all__ = [
     "NFVEnv",
     "StepResult",
     "PerNFEnv",
-    "MultiChainEnv",
-    "MultiChainStep",
     "LatencySLA",
     "KNOB_NAMES",
     "KnobSpace",

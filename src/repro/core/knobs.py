@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nfv.knobs import DEFAULT_RANGES, KnobRanges, KnobSettings
-
-#: Canonical order of the five knobs in an action vector (Eq. 7).
-KNOB_NAMES = ("cpu_share", "cpu_freq_ghz", "llc_fraction", "dma_mb", "batch_size")
+from repro.nfv.knobs import DEFAULT_RANGES, KNOB_NAMES, KnobRanges, KnobSettings
 
 
 def _lin(u: float, lo: float, hi: float) -> float:

@@ -1,10 +1,12 @@
 """Environment over the per-NF action space (Eq. 7 in full).
 
-:class:`PerNFEnv` mirrors :class:`~repro.core.env.NFVEnv` but exposes a
-``5 x len(chain)``-dimensional action: every NF's CPU share, frequency,
-LLC share, DMA size (first NF only is physical) and batch size are
-controlled individually.  Used by the per-NF vs. per-chain granularity
-experiment.
+:class:`PerNFEnv` mirrors a one-chain :class:`~repro.core.env.NFVEnv`
+but exposes a ``5 x len(chain)``-dimensional action: every NF's CPU
+share, frequency, LLC share, DMA size (first NF only is physical) and
+batch size are controlled individually.  It steps its own per-NF engine
+and reports the same :class:`~repro.core.env.StepResult`, with the
+bottleneck NF's knobs as the chain's.  Used by the per-NF vs. per-chain
+granularity experiment.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class PerNFEnv:
             reward=self.sla.reward(sample),
             done=done,
             sample=sample,
-            knobs=knobs[bottleneck],
+            samples={self.chain.name: sample},
+            per_chain_knobs={self.chain.name: knobs[bottleneck]},
             info={
                 "sla_satisfied": self.sla.satisfied(sample),
                 "step": self._step_count,

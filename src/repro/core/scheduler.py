@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.env import NFVEnv, StepResult
+from repro.core.env import NFVEnv
 from repro.core.knobs import KnobSpace
 from repro.core.sla import SLA
 from repro.core.state import StateEncoder
@@ -91,8 +91,8 @@ class GreenNFVScheduler:
         rng = self.streams.stream(stream_name)
         return NFVEnv(
             self.sla,
-            chain=self.chain,
-            generator=self.generator_factory(rng),
+            chains=[self.chain],
+            generators=[self.generator_factory(rng)],
             episode_len=self.episode_len if episode_len is None else episode_len,
             interval_s=self.interval_s,
             knob_space=self.knob_space,
@@ -174,13 +174,10 @@ class GreenNFVScheduler:
             stream_name,
             episode_len=max(1, int(round(duration_s / self.interval_s))),
         )
-        obs = env.reset(knobs=knobs0)
+        results = env.run_policy_episode(self.agent, explore=False, knobs0=knobs0)
         out: list[OnlineSample] = []
         t = 0.0
-        done = False
-        while not done:
-            action = self.agent.act(obs, explore=False)
-            result: StepResult = env.step(action)
+        for result in results:
             t += self.interval_s
             out.append(
                 OnlineSample(
@@ -191,8 +188,6 @@ class GreenNFVScheduler:
                     sla_satisfied=result.info["sla_satisfied"],
                 )
             )
-            obs = result.observation
-            done = result.done
         return out
 
     def final_evaluation(self, episodes: int = 3):

@@ -9,6 +9,7 @@ regardless of interval length or link speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -46,16 +47,21 @@ class StateEncoder:
         """Normalized [T, E, xi, Omega]; zeros for the cold-start state."""
         if sample is None:
             return np.zeros(self.dim, dtype=np.float64)
+        return self.encode_all((sample,))
+
+    def encode_all(self, samples: Iterable[TelemetrySample]) -> np.ndarray:
+        """The concatenated states of several chains, in order (Eq. 8's
+        ``X = {X_1, ..., X_n}``), built as one array."""
         s = self.scales
-        return np.asarray(
-            [
+        row: list[float] = []
+        for sample in samples:
+            row += (
                 sample.throughput_gbps / s.throughput_gbps,
                 sample.energy_j / (s.energy_j_per_s * sample.dt_s),
                 sample.cpu_utilization,
                 sample.arrival_rate_pps / s.arrival_pps,
-            ],
-            dtype=np.float64,
-        )
+            )
+        return np.asarray(row, dtype=np.float64)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(low, high) bounds of the normalized state (for discretizers)."""

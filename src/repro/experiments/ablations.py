@@ -44,13 +44,14 @@ class AblationRow:
     auc_reward: float  # mean of periodic test rewards: convergence speed
 
 
-def _env(scale: ExperimentScale, rng, episode_len: int = 16) -> NFVEnv:
-    return NFVEnv(
+def _env(scale: ExperimentScale, rng, env_cls=NFVEnv, **kwargs) -> NFVEnv:
+    return env_cls(
         scale.max_throughput_sla(),
-        chain=experiment_chain(),
-        generator=experiment_generator(),
-        episode_len=episode_len,
+        chains=[experiment_chain()],
+        generators=[experiment_generator()],
+        episode_len=16,
         rng=rng,
+        **kwargs,
     )
 
 
@@ -280,16 +281,13 @@ def ablation_knobs(
             rng = streams.stream(f"{name}-{tag}")
             if frozen_dim is None:
                 return _env(scale, rng)
-            env = _FrozenKnobEnv(
-                scale.max_throughput_sla(),
-                chain=experiment_chain(),
-                generator=experiment_generator(),
-                episode_len=16,
-                rng=rng,
+            return _env(
+                scale,
+                rng,
+                _FrozenKnobEnv,
                 frozen_dim=frozen_dim,
                 frozen_value=default_action[frozen_dim],
             )
-            return env
 
         _, history = train_ddpg(
             build("train"),

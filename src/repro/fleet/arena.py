@@ -19,9 +19,11 @@ bank while the worker writes cycle *t+1*'s)::
     bank b:
       header    : generation, start, n_intervals, n_chains
       intervals : max_intervals x len(INTERVAL_FIELDS)
-      chains    : max_chains    x (len(CHAIN_FIELDS) + len(KNOB_FIELDS))
+      chains    : max_chains    x (len(CHAIN_FIELDS) + len(KNOB_NAMES))
       nodes     : n_nodes       x len(NODE_FIELDS)
 
+A chain row's trailing columns are its summary's ``knobs`` mapping, in
+:data:`~repro.nfv.knobs.KNOB_NAMES` order.
 Chain rows are ordered by sorted chain name — the same order
 ``ShardSim._chain_summaries`` emits — so the coordinator-side handle can
 map rows back to names from its own ticket mirror without any name data
@@ -45,6 +47,8 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
+
+from repro.nfv.knobs import KNOB_NAMES
 
 #: Banks per arena (double-buffered: one being written, one being read).
 BANKS = 2
@@ -76,15 +80,11 @@ CHAIN_FIELDS = (
     "dma_bytes",
 )
 
-#: Trailing per-chain columns: the live knob settings (keys of the
-#: summary's ``knobs`` mapping).
-KNOB_FIELDS = ("cpu_share", "cpu_freq_ghz", "llc_fraction", "dma_mb", "batch_size")
-
 #: Columns of one per-node row (attributes of
 #: :class:`~repro.fleet.shard.NodeSummary`).
 NODE_FIELDS = ("chains", "power_w", "utilization")
 
-_CHAIN_WIDTH = len(CHAIN_FIELDS) + len(KNOB_FIELDS)
+_CHAIN_WIDTH = len(CHAIN_FIELDS) + len(KNOB_NAMES)
 _ITEMSIZE = np.dtype(np.float64).itemsize
 
 
@@ -260,7 +260,7 @@ class TelemetryArena:
         for i, chain in enumerate(report.chains):
             for k, fieldname in enumerate(CHAIN_FIELDS):
                 chains[i, k] = float(getattr(chain, fieldname))
-            for k, fieldname in enumerate(KNOB_FIELDS):
+            for k, fieldname in enumerate(KNOB_NAMES):
                 chains[i, len(CHAIN_FIELDS) + k] = float(chain.knobs[fieldname])
         for j, node in enumerate(report.nodes):
             for k, fieldname in enumerate(NODE_FIELDS):

@@ -549,7 +549,7 @@ class FleetCoordinator:
                 "migration_energy_j": left_sum(m.cost_j for m in plan.moves),
                 "arrivals": len(plan.arrivals),
                 "departures": len(plan.departures),
-                "knob_updates": sum(
+                "knob_updates": left_sum(
                     len(updates) for _, updates in plan.knob_updates
                 ),
                 "chains": len(self._placement),
@@ -922,8 +922,8 @@ class FleetCoordinator:
             i += 1
         self._records_mark = i
         energy_j = left_sum(r["energy_j"] for r in rows)
-        sla_violations = sum(r["sla_violations"] for r in rows)
-        self._chain_intervals_total += sum(r["chains"] for r in rows)
+        sla_violations = left_sum(r["sla_violations"] for r in rows)
+        self._chain_intervals_total += left_sum(r["chains"] for r in rows)
         elapsed = now - self._t0
         reg = obs.registry()
         reg.observe("fleet/cycle_s", cycle_s)
@@ -983,16 +983,16 @@ class FleetCoordinator:
             "energy_efficiency": (
                 mean_thr / (total_energy / 1e3) if total_energy > 0 else 0.0
             ),
-            "sla_violations": sum(r["sla_violations"] for r in records),
+            "sla_violations": left_sum(r["sla_violations"] for r in records),
             "migrations": len(self._migrations),
-            "migration_hops": sum(m["hops"] for m in self._migrations),
+            "migration_hops": left_sum(m["hops"] for m in self._migrations),
             "migration_path_latency_s": left_sum(
                 m["path_latency_s"] for m in self._migrations
             ),
-            "arrivals": sum(
+            "arrivals": left_sum(
                 1 for c in self._churn_log if c["event"] == "arrival"
             ),
-            "departures": sum(
+            "departures": left_sum(
                 1 for c in self._churn_log if c["event"] == "departure"
             ),
             "final_chains": len(self._placement),

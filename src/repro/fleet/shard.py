@@ -67,7 +67,7 @@ from repro.nfv.chain import (
 )
 from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel
 from repro.nfv.engine import bottleneck_utilization
-from repro.nfv.knobs import KnobSettings
+from repro.nfv.knobs import KNOB_NAMES, KnobSettings
 from repro.nfv.node import Node
 from repro.fleet.topology import CHAIN_KINDS
 from repro.fleet.workload import LoadBlock, WorkloadConfig
@@ -97,17 +97,6 @@ def kind_nfs(kind: str, index: int = 0) -> tuple[str, ...]:
         raise ValueError(
             f"unknown chain kind {kind!r}; options: {('mixed', *_KIND_NFS)}"
         ) from None
-
-
-def knobs_dict(knobs: KnobSettings) -> dict[str, Any]:
-    """KnobSettings -> plain dict (ticket / report serialization)."""
-    return {
-        "cpu_share": knobs.cpu_share,
-        "cpu_freq_ghz": knobs.cpu_freq_ghz,
-        "llc_fraction": knobs.llc_fraction,
-        "dma_mb": knobs.dma_mb,
-        "batch_size": int(knobs.batch_size),
-    }
 
 
 @dataclass(frozen=True)
@@ -309,7 +298,7 @@ class ShardSim:
             raise KeyError(f"no chain {name!r} on shard {self.config.name!r}")
         ticket = self._tickets.pop(name)
         node = self.nodes[ticket.node]
-        applied = knobs_dict(node.chains[name].knobs)
+        applied = node.chains[name].knobs.to_dict()
         node.undeploy(name)
         self._last_samples.pop(name, None)
         return replace(ticket, knobs=applied)
@@ -446,7 +435,7 @@ class ShardSim:
                     ),
                     state_bytes=hosted.chain.total_state_bytes,
                     dma_bytes=hosted.knobs.dma_bytes,
-                    knobs=knobs_dict(hosted.knobs),
+                    knobs=hosted.knobs.to_dict(),
                 )
             )
         return out
@@ -884,10 +873,14 @@ class ShardWorker:
         )
         rows = arena.chains(bank)
         width = len(CHAIN_FIELDS)
+        # The trailing knob columns, in KNOB_NAMES order, as Python floats.
+        knob_rows = rows[: len(self._tickets), width:].tolist()
         chains: list[ChainSummary] = []
         for i, name in enumerate(sorted(self._tickets)):
             ticket = self._tickets[name]
             row = rows[i]
+            knobs = dict(zip(KNOB_NAMES, knob_rows[i]))
+            knobs["batch_size"] = int(knobs["batch_size"])
             if int(row[0]) != ticket.node:  # pragma: no cover - protocol bug
                 raise RuntimeError(
                     f"shard {self.name!r}: arena row {i} is on node "
@@ -908,13 +901,7 @@ class ShardWorker:
                     sla_ok=bool(row[5]),
                     state_bytes=float(row[6]),
                     dma_bytes=float(row[7]),
-                    knobs={
-                        "cpu_share": float(row[width]),
-                        "cpu_freq_ghz": float(row[width + 1]),
-                        "llc_fraction": float(row[width + 2]),
-                        "dma_mb": float(row[width + 3]),
-                        "batch_size": int(row[width + 4]),
-                    },
+                    knobs=knobs,
                 )
             )
         node_rows = arena.nodes(bank)

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.utils.stats import left_sum
+
 #: Chain presets a shard may deploy; "mixed" cycles through all three.
 CHAIN_KINDS = ("default", "light", "heavy")
 
@@ -173,12 +175,12 @@ class FleetTopology:
     @property
     def total_nodes(self) -> int:
         """NF-host nodes across the whole fleet."""
-        return sum(s.nodes for s in self.shards)
+        return left_sum(s.nodes for s in self.shards)
 
     @property
     def total_chains(self) -> int:
         """Initially deployed chains across the whole fleet."""
-        return sum(s.nodes * s.chains_per_node for s in self.shards)
+        return left_sum(s.nodes * s.chains_per_node for s in self.shards)
 
     def shard(self, name: str) -> ShardSpec:
         """Look a shard up by name."""

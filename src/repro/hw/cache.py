@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.utils.stats import left_sum
 from repro.utils.units import mb_to_bytes
 
 
@@ -156,7 +157,7 @@ class CacheAllocator:
         if not shares:
             raise ValueError("need at least one chain share")
         grants = {name: self.ways_for_fraction(frac) for name, frac in shares.items()}
-        total = sum(grants.values())
+        total = left_sum(grants.values())
         if total > self.spec.allocatable_ways:
             raise ValueError(
                 f"requested {total} ways but only {self.spec.allocatable_ways} are allocatable"

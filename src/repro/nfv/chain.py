@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.nfv.nf import FIREWALL, IDS, MONITOR, NAT, NFSpec, ROUTER, get_nf
+from repro.utils.stats import left_sum
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,11 @@ class ServiceChain:
     @property
     def total_state_bytes(self) -> float:
         """Aggregate resident state of the chain's NFs (LLC demand)."""
-        return sum(nf.state_bytes for nf in self.nfs)
+        return left_sum([nf.state_bytes for nf in self.nfs])
 
     def cycles_for_packet(self, packet_bytes: float) -> float:
         """Pure compute cycles for one packet through the whole chain."""
-        return sum(nf.cycles_for_packet(packet_bytes) for nf in self.nfs)
+        return left_sum([nf.cycles_for_packet(packet_bytes) for nf in self.nfs])
 
     @staticmethod
     def from_names(name: str, nf_names: list[str] | tuple[str, ...]) -> "ServiceChain":

@@ -151,26 +151,19 @@ class OnvmController:
         """Apply knob settings to a chain (clamped); returns applied values."""
         return self.node.apply_knobs(name, knobs)
 
-    def run_interval(
-        self,
-        dt_s: float | None = None,
-        *,
-        knobs: dict[str, KnobSettings] | None = None,
-    ) -> dict[str, TelemetrySample]:
+    def run_interval(self, dt_s: float | None = None) -> dict[str, TelemetrySample]:
         """Advance the platform one control interval.
 
         Draws each chain's offered load from its generator, steps every
         chain through the node's one-pass :meth:`~repro.nfv.node.Node.step_all`
-        kernel, and feeds the flow analyzers.  ``knobs`` optionally
-        applies per-chain settings first (the joint-action path), saving
-        a round of separate ``set_knobs`` calls.
+        kernel, and feeds the flow analyzers.
         """
         dt = dt_s if dt_s is not None else self.interval_s
         offered: dict[str, tuple[float, float]] = {}
         for name, binding in self._bindings.items():
             rate = binding.generator.rate_at(self._t, dt, self.rng)
             offered[name] = (rate, binding.generator.packet_sizes.mean_bytes)
-        samples = self.node.step_all(offered, dt, knobs=knobs)
+        samples = self.node.step_all(offered, dt)
         for name, sample in samples.items():
             self._bindings[name].analyzer.observe(sample.arrival_rate_pps * dt, dt)
         self._t += dt

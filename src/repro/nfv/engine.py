@@ -625,16 +625,20 @@ def aggregate_samples(samples) -> TelemetrySample:
     Throughput/energy/misses/drops sum over chains (``psi_T = sum_i
     T_{f_i}``, ``psi_E = sum_i E_{f_i}``); utilization and latency take
     the worst chain; packet size is the achieved-rate-weighted mean.
-    This is the only implementation of the fold, so the result does
-    not depend on which stepping path produced the samples.
+    The aggregate of one chain is that chain's own sample.  The sums
+    are left folds (:func:`~repro.utils.stats.left_sum`), the same on
+    every Python.  This is the only implementation of the fold, so the
+    result does not depend on which stepping path produced the samples.
     """
     items = list(samples)
     if not items:
         raise ValueError("need at least one sample to aggregate")
-    total_pps = sum(s.achieved_pps for s in items)
-    total_offered = sum(s.offered_pps for s in items)
+    if len(items) == 1:
+        return items[0]
+    total_pps = left_sum([s.achieved_pps for s in items])
+    total_offered = left_sum([s.offered_pps for s in items])
     mean_pkt = (
-        sum(s.packet_bytes * s.achieved_pps for s in items) / total_pps
+        left_sum([s.packet_bytes * s.achieved_pps for s in items]) / total_pps
         if total_pps > 0
         else items[0].packet_bytes
     )
@@ -643,13 +647,13 @@ def aggregate_samples(samples) -> TelemetrySample:
         offered_pps=total_offered,
         achieved_pps=total_pps,
         packet_bytes=mean_pkt,
-        throughput_gbps=sum(s.throughput_gbps for s in items),
-        llc_miss_rate_per_s=sum(s.llc_miss_rate_per_s for s in items),
+        throughput_gbps=left_sum([s.throughput_gbps for s in items]),
+        llc_miss_rate_per_s=left_sum([s.llc_miss_rate_per_s for s in items]),
         cpu_utilization=max(s.cpu_utilization for s in items),
-        cpu_cores_busy=sum(s.cpu_cores_busy for s in items),
-        power_w=sum(s.power_w for s in items),
-        energy_j=sum(s.energy_j for s in items),
-        dropped_pps=sum(s.dropped_pps for s in items),
+        cpu_cores_busy=left_sum([s.cpu_cores_busy for s in items]),
+        power_w=left_sum([s.power_w for s in items]),
+        energy_j=left_sum([s.energy_j for s in items]),
+        dropped_pps=left_sum([s.dropped_pps for s in items]),
         latency_s=max(s.latency_s for s in items),
         arrival_rate_pps=total_offered,
     )

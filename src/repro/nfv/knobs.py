@@ -57,6 +57,10 @@ class KnobRanges:
 
 DEFAULT_RANGES = KnobRanges()
 
+#: The five knobs in their canonical order (Eq. 7): the layout of an
+#: action vector and of every serialized knob row.
+KNOB_NAMES = ("cpu_share", "cpu_freq_ghz", "llc_fraction", "dma_mb", "batch_size")
+
 
 @dataclass(frozen=True)
 class KnobSettings:
@@ -121,6 +125,17 @@ class KnobSettings:
     def with_updates(self, **kwargs) -> "KnobSettings":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
+
+    def to_dict(self) -> dict[str, float | int]:
+        """The settings keyed by :data:`KNOB_NAMES`, JSON-ready (the batch
+        size as an ``int``)."""
+        return {
+            "cpu_share": self.cpu_share,
+            "cpu_freq_ghz": self.cpu_freq_ghz,
+            "llc_fraction": self.llc_fraction,
+            "dma_mb": self.dma_mb,
+            "batch_size": int(self.batch_size),
+        }
 
     def as_array(self) -> np.ndarray:
         """Vector form [cpu_share, freq, llc, dma, batch] (physical units)."""

@@ -25,6 +25,7 @@ from repro.nfv.engine import (
     TelemetrySample,
 )
 from repro.nfv.knobs import DEFAULT_RANGES, KnobRanges, KnobSettings
+from repro.utils.stats import left_sum
 
 
 @dataclass
@@ -136,7 +137,7 @@ class Node:
             return
         shares = {n: h.knobs.llc_fraction for n, h in self._chains.items()}
         grants = {n: self.cache.ways_for_fraction(f) for n, f in shares.items()}
-        total_ways = sum(grants.values())
+        total_ways = left_sum(grants.values())
         if total_ways <= self.server.llc.allocatable_ways:
             # CAT grants whole ways, so nearby fractions collapse onto the
             # same way split; skip the CLOS rebuild when nothing moves.
@@ -150,7 +151,7 @@ class Node:
             shares = {n: max(1e-6, f * scale) for n, f in shares.items()}
             # Rounding can still overshoot by a way; shave the largest.
             while (
-                sum(self.cache.ways_for_fraction(f) for f in shares.values())
+                left_sum(self.cache.ways_for_fraction(f) for f in shares.values())
                 > self.server.llc.allocatable_ways
             ):
                 biggest = max(shares, key=lambda n: shares[n])
@@ -214,11 +215,7 @@ class Node:
     # -- simulation --------------------------------------------------------
 
     def step_all(
-        self,
-        offered: dict[str, tuple[float, float]],
-        dt_s: float = 1.0,
-        *,
-        knobs: dict[str, KnobSettings] | None = None,
+        self, offered: dict[str, tuple[float, float]], dt_s: float = 1.0
     ) -> dict[str, TelemetrySample]:
         """Advance one control interval over every hosted chain.
 
@@ -238,28 +235,17 @@ class Node:
             interval; chains without an entry idle at (0, 1518).
         dt_s:
             Interval length in seconds.
-        knobs:
-            Optional per-chain knob settings applied (clamped, CAT
-            repartitioned) before the interval runs — the joint-action
-            path of the multi-chain environments.
 
-        Every chain name is checked before any knob is applied, so a
-        call that raises ``KeyError`` leaves the node unchanged.  The
-        interval advances the node's energy meter and each hosted
-        chain's ``last_sample``, nothing else.  Returns per-chain
-        telemetry.
+        A call that raises ``KeyError`` (offered traffic for a chain the
+        node does not host) leaves the node unchanged.  The interval
+        advances the node's energy meter and each hosted chain's
+        ``last_sample``, nothing else.  Returns per-chain telemetry.
         """
         if not dt_s > 0:
             raise ValueError("dt must be positive")
-        for name in knobs or ():
-            if name not in self._chains:
-                raise KeyError(f"no chain {name!r} on this node")
         unknown = set(offered) - set(self._chains)
         if unknown:
             raise KeyError(f"offered traffic for unknown chains: {sorted(unknown)}")
-        if knobs:
-            for name, settings in knobs.items():
-                self.apply_knobs(name, settings)
 
         loads: list[float] = []
         pkts: list[float] = []

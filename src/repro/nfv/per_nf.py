@@ -31,6 +31,7 @@ from repro.hw.cache import capacity_miss_ratio, prefetch_efficiency
 from repro.nfv.chain import ServiceChain
 from repro.nfv.engine import NFTelemetry, PacketEngine, PollingMode, TelemetrySample
 from repro.nfv.knobs import KnobSettings
+from repro.utils.stats import left_sum
 from repro.utils.units import pps_to_gbps
 
 
@@ -174,7 +175,7 @@ class PerNFEngine(PacketEngine):
             else self.params.infra_util_adaptive
         )
         infra_busy = self.params.infra_cores * infra_util
-        allocated = sum(k.cpu_share for k in knobs) + self.params.infra_cores
+        allocated = left_sum([k.cpu_share for k in knobs]) + self.params.infra_cores
         total_busy = busy + infra_busy
         mean_freq = busy_freq / busy if busy > 0 else float(
             np.mean([k.cpu_freq_ghz for k in knobs])
@@ -182,9 +183,9 @@ class PerNFEngine(PacketEngine):
         power_w = self.node_power(total_busy, allocated, mean_freq)
         energy_j = power_w * dt_s
 
-        total_misses = achieved * float(sum(misses))
+        total_misses = achieved * left_sum(misses)
         freq_hz = np.asarray([k.cpu_freq_ghz for k in knobs]) * 1e9
-        proc_s = float(np.sum(np.asarray(cpps) / freq_hz))
+        proc_s = left_sum((np.asarray(cpps) / freq_hz).tolist())
         fill_s = knobs[0].batch_size / max(achieved, 1.0)
         peak = min(1.0, achieved / min(rates)) if min(rates) > 0 else 1.0
         queue_s = proc_s * peak / max(1e-6, 1.0 - min(peak, 0.999))

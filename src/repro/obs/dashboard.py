@@ -25,6 +25,7 @@ from typing import Any
 
 from repro.obs.metrics import percentile
 from repro.obs.trace import read_trace
+from repro.utils.stats import left_sum
 from repro.utils.tables import render_table
 
 #: ANSI: cursor home + clear-to-end (repaint without curses).
@@ -66,7 +67,7 @@ def summarize(events: list[dict[str, Any]]) -> dict[str, Any]:
 
 def _series_total(view: dict[str, Any], name: str) -> float:
     """Sum of one per-cycle counter series (each sample is one cycle)."""
-    return float(sum(view["counters"].get(name, [])))
+    return float(left_sum(view["counters"].get(name, [])))
 
 
 def _series_last(view: dict[str, Any], name: str) -> float:
@@ -94,9 +95,9 @@ def render(path, view: dict[str, Any]) -> str:
         ],
     ]
     span_rows = [
-        [name, len(durs), sum(durs), percentile(durs, 50.0), max(durs)]
+        [name, len(durs), left_sum(durs), percentile(durs, 50.0), max(durs)]
         for name, durs in sorted(
-            view["spans"].items(), key=lambda kv: -sum(kv[1])
+            view["spans"].items(), key=lambda kv: -left_sum(kv[1])
         )
     ]
     procs = ", ".join(

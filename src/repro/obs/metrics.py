@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.utils.stats import left_sum
+
 
 def percentile(values: Iterable[float], q: float) -> float:
     """Linear-interpolation percentile of ``values`` (``q`` in [0, 100])."""
@@ -84,7 +86,7 @@ class MetricsRegistry:
                 continue
             histograms[name] = {
                 "count": len(values),
-                "sum": float(sum(values)),
+                "sum": float(left_sum(values)),
                 "min": float(min(values)),
                 "max": float(max(values)),
                 "p50": percentile(values, 50.0),

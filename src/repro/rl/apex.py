@@ -37,6 +37,7 @@ from repro.rl.ddpg import DDPGAgent, DDPGConfig, act_batch
 from repro.rl.per import PrioritizedReplayBuffer
 from repro.rl.replay import Transition, TransitionBatch
 from repro.utils.rng import RngLike, as_generator, spawn
+from repro.utils.stats import left_sum
 
 
 @dataclass(frozen=True)
@@ -87,29 +88,8 @@ class ApexActor:
         """Install the learner's latest parameters (REMOTE_CALL line 2/9)."""
         self.agent.set_all_params(params)
 
-    def collect(self, n_steps: int) -> list[tuple[Transition, float]]:
-        """Act for ``n_steps``, returning flushed (transition, priority) pairs.
-
-        Initial priorities are local TD errors under the actor's current
-        parameter copy — the Ape-X trick that lets fresh experience enter
-        the central buffer already prioritized.
-        """
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        flushed: list[tuple[Transition, float]] = []
-        if self._obs is None:
-            self._obs = self.env.reset()
-            self.agent.reset_noise()
-        for _ in range(n_steps):
-            action = self.agent.act(self._obs, explore=True)
-            self._record(self.env.step(action), action)
-            if len(self._local) >= self.local_buffer_size:
-                flushed.extend(self._flush())
-        flushed.extend(self._flush())
-        return flushed
-
     def _record(self, result, action) -> None:
-        """Book one environment step (shared by solo and lockstep paths)."""
+        """Book one environment step and its episode boundary."""
         self.reward_history.append(result.reward)
         self._local.append(
             Transition(
@@ -134,13 +114,18 @@ class ApexActor:
     ) -> list[list[tuple[Transition, float]]]:
         """Act all actors for ``n_steps`` with one batched forward per step.
 
-        Equivalent to ``[a.collect(n_steps) for a in actors]`` — every
-        actor owns its environment, parameter copy and noise process, so
-        trajectories, flush boundaries and initial priorities are
-        unchanged — but each step evaluates the whole fleet's policies
-        in a single :func:`~repro.rl.ddpg.act_batch` inference (Ape-X's
-        amortize-the-actors trick).  Returns each actor's flushed
-        (transition, priority) pairs, in actor order.
+        Equivalent to collecting with each actor alone in turn (the
+        per-actor loop kept as ``reference_collect`` in
+        ``benchmarks/perf/reference.py``) — every actor owns its
+        environment, parameter copy and noise process, so trajectories,
+        flush boundaries and initial priorities are unchanged — but each
+        step evaluates the whole fleet's policies in a single
+        :func:`~repro.rl.ddpg.act_batch` inference (Ape-X's
+        amortize-the-actors trick).  Initial priorities are local TD
+        errors under each actor's current parameter copy, the Ape-X
+        trick that lets fresh experience enter the central buffer
+        already prioritized.  Returns each actor's flushed (transition,
+        priority) pairs, in actor order.
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
@@ -280,7 +265,7 @@ class ApexCoordinator:
         for _ in range(n_cycles):
             # One stacked policy inference per step across the fleet;
             # experience still ingests in actor order, so the replay
-            # stream is identical to per-actor ``collect`` calls.
+            # stream is identical to collecting with each actor alone.
             collected = ApexActor.collect_lockstep(
                 self.actors, cfg.actor_steps_per_cycle
             )
@@ -310,7 +295,7 @@ class ApexCoordinator:
 
     def _refresh_stats(self) -> None:
         self.stats.learner_updates = self.learner.updates_done
-        self.stats.episodes = sum(a.episodes_done for a in self.actors)
+        self.stats.episodes = left_sum(a.episodes_done for a in self.actors)
         recents = []
         per_actor = []
         for a in self.actors:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import RngLike, as_generator
+from repro.utils.stats import left_sum
 
 _ACTIVATIONS = ("relu", "tanh", "linear")
 
@@ -232,14 +233,6 @@ class MLP:
             param_grads[i] = (dw, db)
         return param_grads, grad
 
-    def input_gradient(self, x: np.ndarray, grad_out: np.ndarray | None = None) -> np.ndarray:
-        """dL/dx for a fresh forward pass (defaults to sum of outputs)."""
-        out = self.forward(x, cache=True)
-        if grad_out is None:
-            grad_out = np.ones_like(out)
-        _, gin = self.backward(grad_out)
-        return gin
-
     # -- parameter plumbing ------------------------------------------------------
 
     def get_params(self) -> list[np.ndarray]:
@@ -388,7 +381,7 @@ class Adam:
             and base.dtype == np.float64
             and base.ndim == 1
             and all(g.base is base for g in grads)
-            and sum(g.size for g in grads) == base.size
+            and left_sum(g.size for g in grads) == base.size
         ):
             # The gradients are MLP.backward's flat buffer in parameter
             # order — no repacking needed.

@@ -139,32 +139,17 @@ class SumTree:
             idx = (idx - 1) >> 1
             np.add.at(self._nodes, idx, deltas)
 
-    def find_prefix(self, mass: float) -> int:
-        """Return the slot whose cumulative priority interval contains ``mass``.
-
-        ``mass`` must be in ``[0, total)``; descending from the root takes
-        the left child when the mass falls inside its subtree sum,
-        otherwise subtracts and goes right.
-        """
-        if self.total <= 0:
-            raise RuntimeError("cannot sample from an empty/zero tree")
-        mass = float(np.clip(mass, 0.0, np.nextafter(self.total, 0.0)))
-        idx = 0
-        while idx < self.capacity - 1:  # until we reach a leaf
-            left = 2 * idx + 1
-            if mass < self._nodes[left] or self._nodes[2 * idx + 2] == 0.0:
-                idx = left
-            else:
-                mass -= self._nodes[left]
-                idx = left + 1
-        return idx - (self.capacity - 1)
-
     def find_prefix_many(self, masses: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`find_prefix` over a batch of query masses.
+        """The slot whose cumulative priority interval contains each mass.
 
-        All queries descend the tree in lockstep; each level costs two
-        fancy-indexed reads instead of a Python loop per query.  Returns
-        the slot of every mass, matching the scalar descent exactly.
+        Masses are clipped into ``[0, total)``.  Every query descends from
+        the root, taking the left child when its mass falls inside the
+        left subtree's sum (or the right subtree is empty) and otherwise
+        subtracting that sum and going right.  All queries descend in
+        lockstep; each level costs two fancy-indexed reads instead of a
+        Python loop per query.  The scalar descent is kept as the
+        reference in ``benchmarks/perf/reference.py``
+        (``ReferenceSumTree.find_prefix``).
         """
         if self.total <= 0:
             raise RuntimeError("cannot sample from an empty/zero tree")

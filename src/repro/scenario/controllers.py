@@ -104,17 +104,6 @@ class ScenarioController(abc.ABC):
         """Deploy for ``intervals`` control intervals; returns the timeline."""
 
 
-def _knob_dict(knobs) -> dict[str, float]:
-    """KnobSettings -> plain dict (JSON-ready)."""
-    return {
-        "cpu_share": knobs.cpu_share,
-        "cpu_freq_ghz": knobs.cpu_freq_ghz,
-        "llc_fraction": knobs.llc_fraction,
-        "dma_mb": knobs.dma_mb,
-        "batch_size": int(knobs.batch_size),
-    }
-
-
 # -- learned controllers -------------------------------------------------------
 
 
@@ -220,7 +209,7 @@ class _SchedulerController(ScenarioController):
                 energy_j=s.energy_j,
                 power_w=s.energy_j / dt,
                 sla_satisfied=s.sla_satisfied,
-                knobs=_knob_dict(s.knobs),
+                knobs=s.knobs.to_dict(),
             )
             for s in samples
         ]
@@ -282,8 +271,8 @@ class QLearningController(ScenarioController):
         rng = ctx.streams.stream(stream)
         return NFVEnv(
             ctx.sla,
-            chain=ctx.chain,
-            generator=ctx.generator_factory(rng),
+            chains=[ctx.chain],
+            generators=[ctx.generator_factory(rng)],
             episode_len=episode_len,
             interval_s=ctx.spec.interval_s,
             engine_params=ctx.engine_params,
@@ -315,7 +304,7 @@ class QLearningController(ScenarioController):
                 energy_j=r.sample.energy_j,
                 power_w=r.sample.power_w,
                 sla_satisfied=bool(r.info["sla_satisfied"]),
-                knobs=_knob_dict(r.knobs),
+                knobs=r.knobs.to_dict(),
             )
             for i, r in enumerate(results)
         ]

@@ -397,13 +397,7 @@ def scan_report(
         results.append(
             {
                 "rank": rank + 1,
-                "knobs": {
-                    "cpu_share": k.cpu_share,
-                    "cpu_freq_ghz": k.cpu_freq_ghz,
-                    "llc_fraction": k.llc_fraction,
-                    "dma_mb": k.dma_mb,
-                    "batch_size": int(k.batch_size),
-                },
+                "knobs": k.to_dict(),
                 "score": float(score[idx]),
                 "mean_throughput_gbps": float(thr[idx]),
                 "mean_energy_j": float(energy[idx]),

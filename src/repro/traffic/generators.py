@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.traffic.packet import LARGE_PACKETS, PacketSizeDistribution
 from repro.utils.rng import RngLike, as_generator
+from repro.utils.stats import left_sum
 from repro.utils.units import line_rate_pps
 
 
@@ -232,7 +233,7 @@ class CompositeGenerator:
         """Total offered rate; updates the blended size distribution."""
         gen = as_generator(rng)
         rates = [f.rate_at(t_s, dt_s, gen) for f in self.flows]
-        total = float(sum(rates))
+        total = float(left_sum(rates))
         if total > 0:
             sizes: list[float] = []
             weights: list[float] = []

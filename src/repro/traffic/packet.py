@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import RngLike, as_generator
+from repro.utils.stats import left_sum
 from repro.utils.units import MAX_PACKET_BYTES, MIN_PACKET_BYTES
 
 
@@ -37,9 +38,9 @@ class PacketSizeDistribution:
                 raise ValueError(
                     f"frame size {s} outside [{MIN_PACKET_BYTES}, {MAX_PACKET_BYTES}]"
                 )
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
+        if any(w < 0 for w in self.weights) or left_sum(self.weights) <= 0:
             raise ValueError("weights must be non-negative with positive sum")
-        total = float(sum(self.weights))
+        total = float(left_sum(self.weights))
         object.__setattr__(
             self, "weights", tuple(float(w) / total for w in self.weights)
         )

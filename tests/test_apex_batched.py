@@ -136,15 +136,18 @@ class TestLockstepCollect:
         )
 
     @pytest.mark.parametrize("n_actors", [1, 3])
-    def test_coordinator_bit_identical_to_sequential(self, n_actors, monkeypatch):
+    def test_coordinator_bit_identical_to_sequential(
+        self, n_actors, monkeypatch, perf_reference
+    ):
         ca = self._coordinator(n_actors)
         sa = ca.run_cycles(5)
-        # The reference coordinator collects with one per-actor
-        # ``collect`` call each, the schedule lockstep batching replaced.
+        # The reference coordinator collects with each actor alone in
+        # turn, the schedule lockstep batching replaced.
+        collect = perf_reference.reference_collect
         monkeypatch.setattr(
             ApexActor,
             "collect_lockstep",
-            staticmethod(lambda actors, n: [a.collect(n) for a in actors]),
+            staticmethod(lambda actors, n: [collect(a, n) for a in actors]),
         )
         cb = self._coordinator(n_actors)
         sb = cb.run_cycles(5)
@@ -166,7 +169,7 @@ class TestLockstepCollect:
         np.testing.assert_array_equal(batch_a.rewards, batch_b.rewards)
         np.testing.assert_array_equal(batch_a.weights, batch_b.weights)
 
-    def test_collect_lockstep_matches_collect(self):
+    def test_collect_lockstep_matches_collect(self, perf_reference):
         a_seq = ApexActor(
             0,
             NFVEnv(EnergyEfficiencySLA(), episode_len=8, rng=1),
@@ -182,7 +185,7 @@ class TestLockstepCollect:
             )
             for i in range(3)
         ]
-        seq_out = a_seq.collect(20)
+        seq_out = perf_reference.reference_collect(a_seq, 20)
         lock_out = ApexActor.collect_lockstep(fleet, 20)
         # Actor 0 of the fleet mirrors the solo actor exactly: same env
         # seed, same agent seed -> same transitions, same priorities,

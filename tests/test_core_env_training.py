@@ -17,7 +17,7 @@ FAST_DDPG = DDPGConfig(hidden=(24, 24), batch_size=24)
 def make_env(episode_len=6, rng=0, sla=None):
     return NFVEnv(
         sla or EnergyEfficiencySLA(),
-        generator=ConstantRateGenerator.line_rate(),
+        generators=[ConstantRateGenerator.line_rate()],
         episode_len=episode_len,
         rng=rng,
     )
@@ -58,6 +58,17 @@ class TestNFVEnv:
         assert np.isfinite(r.reward)
         assert "sla_satisfied" in r.info
 
+    def test_one_chain_step_reports_that_chain(self):
+        # A one-chain step's aggregate is the chain's own sample, and its
+        # mean knobs are the chain's applied knobs.
+        env = make_env()
+        env.reset()
+        r = env.step(np.asarray([0.3, -0.2, 0.5, 0.1, 0.7]))
+        (name,) = r.samples
+        assert r.sample is r.samples[name]
+        assert r.knobs == r.per_chain_knobs[name]
+        assert r.observation.tolist() == env.encoder.encode(r.sample).tolist()
+
     def test_actions_change_outcome(self):
         env = make_env()
         env.reset()
@@ -78,8 +89,9 @@ class TestNFVEnv:
         env.reset()
         assert env.controller is first
         assert env.controller.time_s < t_after
-        assert set(env.controller.bindings) == {env.chain.name}
-        assert set(env.controller.node.chains) == {env.chain.name}
+        names = {chain.name for chain in env.chains}
+        assert set(env.controller.bindings) == names
+        assert set(env.controller.node.chains) == names
 
     def test_reset_reuse_matches_fresh_env(self):
         # Telemetry from a recycled platform must match a freshly built

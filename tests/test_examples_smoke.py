@@ -15,10 +15,14 @@ import pytest
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
-def run_example(name: str) -> None:
+def run_example(name: str, **constants) -> None:
+    """Import an example, override its module ``constants``, run ``main()``."""
     sys.path.insert(0, str(EXAMPLES_DIR))
     try:
         module = importlib.import_module(name)
+        for key, value in constants.items():
+            assert hasattr(module, key), f"{name} has no constant {key}"
+            setattr(module, key, value)
         module.main()
     finally:
         sys.path.remove(str(EXAMPLES_DIR))
@@ -52,6 +56,35 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "overload-relief" in out
         assert "migrations" in out
+
+    def test_multi_chain_scheduling(self, capsys):
+        run_example("multi_chain_scheduling", EPISODES=8, TEST_EVERY=4, EPISODE_LEN=4)
+        out = capsys.readouterr().out
+        assert "Joint training progress" in out
+        assert "Learned per-chain allocation" in out
+        assert "C1 (heavy)" in out and "C2 (light)" in out
+
+    def test_adaptive_traffic(self, capsys):
+        run_example("adaptive_traffic", DURATION_S=10, EPISODES=4, TEST_EVERY=2)
+        out = capsys.readouterr().out
+        assert "10 s of bursty traffic" in out
+        assert "GreenNFV (adaptive)" in out
+        assert "static peak-provisioned" in out
+        assert "Knob trajectory" in out
+
+    def test_sla_comparison(self, capsys):
+        run_example(
+            "sla_comparison",
+            INTERVALS=4,
+            TRAIN_EPISODES=2,
+            QLEARNING_EPISODES=2,
+            PROCESSES=2,
+        )
+        out = capsys.readouterr().out
+        assert "Fig. 9" in out
+        assert "Headline multiples vs. the untuned Baseline" in out
+        for name in ("Heuristics", "EE-Pstate", "Q-Learning", "GreenNFV(MaxT)"):
+            assert f"  {name}" in out
 
     @pytest.mark.slow
     def test_distributed_training(self, capsys):

@@ -18,7 +18,8 @@ from repro.fleet import (
     WorkloadConfig,
     arena_layout_for,
 )
-from repro.fleet.arena import BANKS, CHAIN_FIELDS, INTERVAL_FIELDS, KNOB_FIELDS
+from repro.fleet.arena import BANKS, CHAIN_FIELDS, INTERVAL_FIELDS
+from repro.nfv.knobs import KNOB_NAMES
 from repro.fleet.shard import ShardSim, kind_nfs
 from test_fleet import hosted_loads
 
@@ -64,7 +65,7 @@ class TestLayout:
         per_bank = (
             4  # header
             + 4 * len(INTERVAL_FIELDS)
-            + 3 * (len(CHAIN_FIELDS) + len(KNOB_FIELDS))
+            + 3 * (len(CHAIN_FIELDS) + len(KNOB_NAMES))
             + 2 * 3  # node fields
         )
         assert layout.bank_floats == per_bank

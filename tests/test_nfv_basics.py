@@ -12,6 +12,7 @@ from repro.nfv.chain import (
 )
 from repro.nfv.knobs import (
     DEFAULT_RANGES,
+    KNOB_NAMES,
     KnobRanges,
     KnobSettings,
     baseline_settings,
@@ -115,6 +116,16 @@ class TestKnobSettings:
     def test_array_roundtrip(self):
         k = KnobSettings(cpu_share=1.2, cpu_freq_ghz=1.6, llc_fraction=0.4, dma_mb=12.5, batch_size=96)
         assert KnobSettings.from_array(k.as_array()) == k
+
+    def test_dict_roundtrip(self):
+        # One serialization: keys in KNOB_NAMES order, an int batch size,
+        # and the settings rebuild from it exactly.
+        k = KnobSettings(cpu_share=1.2, cpu_freq_ghz=1.6, llc_fraction=0.4, dma_mb=12.5, batch_size=96)
+        row = k.to_dict()
+        assert tuple(row) == KNOB_NAMES
+        assert type(row["batch_size"]) is int
+        assert KnobSettings(**row) == k
+        assert row["cpu_share"] == k.as_array()[0]
 
     def test_with_updates(self):
         k = KnobSettings().with_updates(batch_size=128)

@@ -50,7 +50,7 @@ class TestSumTreeProperties:
         tree = SumTree(len(ps))
         for i, p in enumerate(ps):
             tree.set(i, p)
-        slot = tree.find_prefix(frac * tree.total)
+        (slot,) = tree.find_prefix_many(np.array([frac * tree.total]))
         assert 0 <= slot < len(ps)
         assert ps[slot] > 0  # a zero-priority slot is never selected
 

@@ -206,6 +206,46 @@ class TestRngChecker:
 
 
 # ---------------------------------------------------------------------------
+# Left-fold totals
+# ---------------------------------------------------------------------------
+
+
+class TestSumChecker:
+    def test_builtin_sum_banned_but_shadowing_allowed(self, tmp_path):
+        report = lint_tree(
+            tmp_path,
+            {
+                "src/total.py": """
+                def total(xs):
+                    return sum(xs)
+                """,
+                "src/shadowed.py": """
+                from repro.utils.stats import left_sum as sum
+
+                def total(xs):
+                    return sum(xs)
+                """,
+            },
+        )
+        assert codes(report) == ["SUM001"]
+        (finding,) = report.findings
+        assert finding.path == "src/total.py"
+
+    def test_pragma_allows_an_exact_sum(self, tmp_path):
+        report = lint_tree(
+            tmp_path,
+            {
+                "src/count.py": """
+                def count(rows):
+                    return sum(1 for _ in rows)  # repro-lint: allow[SUM001] int count
+                """
+            },
+        )
+        assert report.findings == ()
+        assert [reason for _, reason in report.suppressed] == ["pragma"]
+
+
+# ---------------------------------------------------------------------------
 # Wall-clock discipline
 # ---------------------------------------------------------------------------
 

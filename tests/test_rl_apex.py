@@ -36,7 +36,7 @@ class TestApexActor:
     def test_collect_returns_prioritized_experience(self):
         agent = DDPGAgent(4, 5, SMALL_DDPG, rng=0)
         actor = ApexActor(0, make_env(1), agent, local_buffer_size=4)
-        out = actor.collect(8)
+        (out,) = ApexActor.collect_lockstep([actor], 8)
         assert len(out) == 8
         for t, p in out:
             assert p >= 0.0
@@ -46,7 +46,7 @@ class TestApexActor:
     def test_episode_boundaries_counted(self):
         agent = DDPGAgent(4, 5, SMALL_DDPG, rng=0)
         actor = ApexActor(0, make_env(1), agent)
-        actor.collect(9)  # episode_len=4 -> at least 2 episodes done
+        ApexActor.collect_lockstep([actor], 9)  # episode_len=4 -> >= 2 episodes
         assert actor.episodes_done >= 2
 
     def test_sync_params_changes_policy(self):
@@ -63,7 +63,7 @@ class TestApexActor:
         agent = DDPGAgent(4, 5, SMALL_DDPG, rng=0)
         actor = ApexActor(0, make_env(1), agent)
         with pytest.raises(ValueError):
-            actor.collect(0)
+            ApexActor.collect_lockstep([actor], 0)
 
 
 class TestApexLearner:
@@ -72,7 +72,7 @@ class TestApexLearner:
         replay = PrioritizedReplayBuffer(128, rng=0)
         learner = ApexLearner(agent, replay)
         actor = ApexActor(0, make_env(1), DDPGAgent(4, 5, SMALL_DDPG, rng=1))
-        learner.ingest(actor.collect(32))
+        learner.ingest(ApexActor.collect_lockstep([actor], 32)[0])
         assert len(replay) == 32
         learner.learn(3)
         assert learner.updates_done == 3

@@ -82,16 +82,14 @@ class TestSumTree:
         t = SumTree(4)
         for i, p in enumerate([1.0, 2.0, 3.0, 4.0]):
             t.set(i, p)
-        assert t.find_prefix(0.5) == 0
-        assert t.find_prefix(1.5) == 1
-        assert t.find_prefix(3.5) == 2
-        assert t.find_prefix(9.9) == 3
+        out = t.find_prefix_many(np.array([0.5, 1.5, 3.5, 9.9]))
+        np.testing.assert_array_equal(out, [0, 1, 2, 3])
 
     def test_find_prefix_skips_zero_slots(self):
         t = SumTree(8)
         t.set(5, 1.0)
-        for mass in [0.0, 0.5, 0.999]:
-            assert t.find_prefix(mass) == 5
+        out = t.find_prefix_many(np.array([0.0, 0.5, 0.999]))
+        np.testing.assert_array_equal(out, [5, 5, 5])
 
     def test_sampling_proportional(self):
         t = SumTree(4)
@@ -111,7 +109,7 @@ class TestSumTree:
 
     def test_empty_tree_sampling_raises(self):
         with pytest.raises(RuntimeError):
-            SumTree(4).find_prefix(0.0)
+            SumTree(4).find_prefix_many(np.array([0.0]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

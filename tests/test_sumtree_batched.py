@@ -1,7 +1,8 @@
 """Property tests for the batched sum-tree and struct-of-arrays replay.
 
-``set_many`` / ``find_prefix_many`` must agree with loop-based ``set`` /
-``find_prefix`` on arbitrary update sequences (duplicates and wrap-around
+``set_many`` / ``find_prefix_many`` must agree with loop-based ``set`` and
+the scalar descent (``ReferenceSumTree.find_prefix``) on arbitrary update
+sequences (duplicates and wrap-around
 included), and the struct-of-arrays buffers must behave exactly like
 their element-at-a-time counterparts.
 """
@@ -69,13 +70,16 @@ class TestSetMany:
 
 class TestFindPrefixMany:
     @pytest.mark.parametrize("capacity", [1, 2, 7, 16, 50, 1000])
-    def test_matches_scalar_descent(self, capacity):
+    def test_matches_scalar_descent(self, capacity, perf_reference):
         rng = np.random.default_rng(capacity + 100)
         t = SumTree(capacity)
         slots = rng.choice(capacity, size=max(1, capacity // 2), replace=False)
         t.set_many(slots, rng.uniform(0.1, 5.0, size=slots.size))
         masses = rng.uniform(0.0, t.total, size=256)
-        expected = np.array([t.find_prefix(float(m)) for m in masses])
+        # The scalar descent, one walk per mass, over the same node sums.
+        ref = perf_reference.ReferenceSumTree(capacity)
+        ref._nodes[:] = t._nodes
+        expected = np.array([ref.find_prefix(float(m)) for m in masses])
         np.testing.assert_array_equal(t.find_prefix_many(masses), expected)
 
     def test_boundary_masses(self):
