@@ -40,7 +40,6 @@ from repro.core import (
     MinEnergySLA,
     NFVEnv,
     RewardScales,
-    sla_from_name,
 )
 from repro.nfv import KnobSettings, ServiceChain, default_chain
 from repro.scenario import (
@@ -61,7 +60,6 @@ __all__ = [
     "MinEnergySLA",
     "NFVEnv",
     "RewardScales",
-    "sla_from_name",
     "KnobSettings",
     "ServiceChain",
     "default_chain",

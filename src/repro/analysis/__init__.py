@@ -10,8 +10,9 @@ package makes those disciplines machine-enforced: a stdlib-only
 
 * a visitor-based checker registry (:mod:`repro.analysis.checkers`),
 * per-finding codes and severities (:mod:`repro.analysis.findings`),
-* inline-pragma suppression and a policy file extending the checker
-  site lists (:mod:`repro.analysis.allowlist`), and
+* inline-pragma suppression (:mod:`repro.analysis.allowlist`) beside
+  the sanctioned site lists of :class:`~repro.analysis.config.LintConfig`,
+  and
 * a JSON-reportable engine behind the ``repro lint`` CLI subcommand
   (:mod:`repro.analysis.engine`, :mod:`repro.analysis.cli`).
 
@@ -22,15 +23,12 @@ README's "Static analysis" section and printable via
 
 from __future__ import annotations
 
-from repro.analysis.allowlist import Allowlist, load_allowlist
-from repro.analysis.config import DEFAULT_ALLOWLIST_NAME, LintConfig, ProtocolSpec
+from repro.analysis.config import LintConfig, ProtocolSpec
 from repro.analysis.engine import Project, Report, run_lint
 from repro.analysis.findings import CODES, ERROR, WARNING, Finding
 
 __all__ = [
-    "Allowlist",
     "CODES",
-    "DEFAULT_ALLOWLIST_NAME",
     "ERROR",
     "Finding",
     "LintConfig",
@@ -38,6 +36,5 @@ __all__ = [
     "ProtocolSpec",
     "Report",
     "WARNING",
-    "load_allowlist",
     "run_lint",
 ]

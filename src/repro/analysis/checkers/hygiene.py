@@ -4,7 +4,7 @@ Three small checkers that catch the "it worked until it didn't" class of
 maintenance bugs:
 
 * ``EXC001`` — a swallowing broad handler (``except Exception:`` /
-  ``except BaseException:`` / bare ``except:``) outside the allowlisted
+  ``except BaseException:`` / bare ``except:``) outside the declared
   process boundaries.  Handlers that re-raise (contain a bare ``raise``)
   are always exempt; a worker loop that must report-not-crash is listed
   in :attr:`LintConfig.exception_boundaries` as ``path::scope``.
@@ -102,7 +102,7 @@ class ExceptionChecker(FileChecker):
                 f"{caught} swallows every error including programming bugs; "
                 "catch the specific exceptions you can handle, re-raise, or "
                 "declare this site a process boundary in "
-                "analysis_allow.toml [exceptions]",
+                "LintConfig.exception_boundaries",
                 checker=self.name,
             )
 

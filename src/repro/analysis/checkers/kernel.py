@@ -7,8 +7,7 @@ compile time, and the per-interval step is a pure function of the
 offered loads.  Two mechanical rules enforce it:
 
 * ``KRN001`` — a configured plan class writes a ``self`` attribute
-  outside ``__init__``/``__post_init__``/``compile*`` methods (plus the
-  per-class extras in :attr:`LintConfig.kernel_extra_write_methods`).
+  outside ``__init__``/``__post_init__``/``compile*`` methods.
   Hidden step-time state is exactly how a plan's output stops being a
   function of its inputs.
 * ``KRN002`` — a Python-level loop (``for``/``while``/comprehension)
@@ -51,12 +50,10 @@ _LOOP_NODES = (
 )
 
 
-def _method_writes_allowed(method: str, cls: str, config: LintConfig) -> bool:
+def _method_writes_allowed(method: str) -> bool:
     if method in _ALWAYS_ALLOWED_METHODS:
         return True
-    if method.startswith("compile") or method.startswith("_compile"):
-        return True
-    return method in config.kernel_extra_write_methods.get(cls, ())
+    return method.startswith("compile") or method.startswith("_compile")
 
 
 def _self_write(node: ast.AST) -> ast.AST | None:
@@ -149,7 +146,7 @@ class KernelChecker(FileChecker):
         for stmt in cls.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if _method_writes_allowed(stmt.name, cls.name, config):
+            if _method_writes_allowed(stmt.name):
                 continue
             for node in ast.walk(stmt):
                 offender = _self_write(node)

@@ -1,8 +1,8 @@
 """The ``repro lint`` subcommand.
 
 Exit codes: ``0`` clean (or warnings without ``--strict``), ``1``
-findings that fail the build, ``2`` usage/configuration problems
-(an unparsable policy file, or one with ``[[allow]]`` entries).  CI runs
+findings that fail the build, ``2`` usage problems or a source file
+that is not UTF-8.  CI runs
 ``repro lint --strict`` so warnings cannot accumulate silently.
 """
 
@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.config import DEFAULT_ALLOWLIST_NAME, LintConfig
+from repro.analysis.config import LintConfig
 from repro.analysis.engine import run_lint
 from repro.analysis.findings import CODES
 
@@ -29,7 +29,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--root",
         default=".",
-        help="project root containing src/ and the allowlist (default: .)",
+        help="project root containing src/ (default: .)",
     )
     parser.add_argument(
         "--strict",
@@ -71,12 +71,6 @@ def run_lint_cli(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(
-            f"repro lint: cannot read {root / DEFAULT_ALLOWLIST_NAME}: {exc}",
-            file=sys.stderr,
-        )
         return 2
 
     document = report.to_dict()

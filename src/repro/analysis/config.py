@@ -2,10 +2,8 @@
 
 The defaults below encode this repository's real invariants (the ones
 ``tests/test_fleet.py`` / ``tests/test_cluster_kernel.py`` pin
-behaviorally); an ``analysis_allow.toml`` at the project root can extend
-the site lists without touching code (see
-:mod:`repro.analysis.allowlist`).  All paths are project-root-relative
-with forward slashes.
+behaviorally), and every sanctioned site is listed here with its
+reason.  All paths are project-root-relative with forward slashes.
 
 Every *anchor* (a class, function or module a checker is pointed at) is
 guarded: if a refactor renames ``ClusterKernel`` or moves
@@ -16,11 +14,8 @@ disabled by a rename is worse than none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
-
-#: Default allowlist file name, looked up at the project root.
-DEFAULT_ALLOWLIST_NAME = "analysis_allow.toml"
+from dataclasses import dataclass, field
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -62,32 +57,35 @@ class LintConfig:
     wallclock_sites: tuple[str, ...] = (
         "src/repro/scenario/runner.py",
         "src/repro/fleet/coordinator.py",
+        # The observability clock: every span timestamp and cycle-latency
+        # measurement funnels through it, and nothing it returns feeds a
+        # seeded decision (FleetResult.comparable() excludes the metrics
+        # series it produces).
+        "src/repro/obs/clock.py",
     )
 
     # -- exception hygiene -------------------------------------------------
     #: ``path::scope`` sites where a swallowing ``except Exception`` is
     #: legitimate (process boundaries that must report, not crash).
-    #: Handlers that re-raise are always exempt.  Empty by default: the
-    #: project's boundaries are declared in ``analysis_allow.toml``
-    #: ``[exceptions] extra_boundaries`` where they are reviewable.
-    exception_boundaries: tuple[str, ...] = ()
+    #: Handlers that re-raise are always exempt.
+    exception_boundaries: tuple[str, ...] = (
+        # The shard worker loop: an exception from a coordinator command
+        # is reported over the pipe ("error" reply, with a trimmed worker
+        # traceback), never allowed to kill the worker; the parent
+        # re-raises it with full context.
+        "src/repro/fleet/shard.py::shard_worker",
+    )
 
     # -- kernel purity -----------------------------------------------------
     #: Compiled-plan classes per module: instances must be write-free
-    #: outside ``__init__``/``__post_init__``/``compile*`` methods (plus
-    #: the per-class extras below).
+    #: outside ``__init__``/``__post_init__``/``compile*`` methods (the
+    #: plan cache is written by ``ClusterKernel._compile`` alone).
     kernel_classes: Mapping[str, tuple[str, ...]] = field(
         default_factory=lambda: {
             "src/repro/nfv/engine.py": ("ChainKernelPlan",),
             "src/repro/nfv/cluster_kernel.py": ("ClusterKernel", "_FusedMeta"),
             "src/repro/fleet/routing.py": ("RoutingTable",),
         }
-    )
-    #: Methods (besides __init__/__post_init__/compile*) allowed to write
-    #: ``self`` state, per class.  None needs one: the plan cache is
-    #: written by ``ClusterKernel._compile`` alone.
-    kernel_extra_write_methods: Mapping[str, tuple[str, ...]] = field(
-        default_factory=dict
     )
     #: Fused hot paths per module: Python-level loops here defeat the
     #: array-native discipline and must be vectorized (or carry a
@@ -146,44 +144,3 @@ class LintConfig:
     #: an importable symbol.  Disabled for doctored test projects whose
     #: tree is not the real package.
     registry_check: bool = True
-
-    def with_policy(self, policy: Mapping[str, Mapping[str, Any]]) -> "LintConfig":
-        """Apply an allowlist file's policy sections on top of this config.
-
-        Supported sections/keys::
-
-            [rng]        extra_allowed = ["src/...py", ...]
-            [wallclock]  extra_allowed = ["src/...py", ...]
-            [exceptions] extra_boundaries = ["src/...py::scope", ...]
-        """
-        cfg = self
-        sections = {
-            "rng": ("extra_allowed", "rng_construction_sites"),
-            "wallclock": ("extra_allowed", "wallclock_sites"),
-            "exceptions": ("extra_boundaries", "exception_boundaries"),
-        }
-        for section, (key, attr) in sections.items():
-            values = policy.get(section, {})
-            unknown = sorted(set(values) - {key})
-            if unknown:
-                raise ValueError(
-                    f"unknown keys {unknown!r} in allowlist section [{section}]; "
-                    f"supported: [{key!r}]"
-                )
-            extra = values.get(key, [])
-            if extra:
-                if not isinstance(extra, list) or not all(
-                    isinstance(v, str) for v in extra
-                ):
-                    raise ValueError(
-                        f"allowlist [{section}] {key} must be a list of strings"
-                    )
-                cfg = replace(cfg, **{attr: getattr(cfg, attr) + tuple(extra)})
-        known = set(sections) | {"allow"}
-        unknown_sections = sorted(set(policy) - known)
-        if unknown_sections:
-            raise ValueError(
-                f"unknown allowlist sections {unknown_sections!r}; "
-                f"supported: {sorted(known)}"
-            )
-        return cfg

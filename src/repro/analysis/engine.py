@@ -15,17 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis import checkers as _checkers  # noqa: F401  (registers)
-from repro.analysis.allowlist import (
-    Allowlist,
-    load_allowlist,
-    pragma_codes,
-)
+from repro.analysis.allowlist import pragma_codes
 from repro.analysis.base import (
     FILE_CHECKERS,
     PROJECT_CHECKERS,
     FileContext,
 )
-from repro.analysis.config import DEFAULT_ALLOWLIST_NAME, LintConfig
+from repro.analysis.config import LintConfig
 from repro.analysis.findings import ERROR, Finding, make_finding
 from repro.analysis.findings import PARSE001
 
@@ -142,25 +138,14 @@ def run_lint(
     root: str | Path = ".",
     *,
     config: LintConfig | None = None,
-    allowlist: Allowlist | None = None,
     paths: tuple[str, ...] | None = None,
 ) -> Report:
     """Lint the tree at ``root`` and return a :class:`Report`.
 
-    ``allowlist=None`` loads the policy sections of
-    ``analysis_allow.toml`` from ``root`` when present (pass an empty
-    :class:`Allowlist` to disable).  ``paths`` overrides the configured
-    roots (still root-relative).
+    ``paths`` overrides the configured roots (still root-relative).
     """
     root = Path(root)
     config = config or LintConfig()
-
-    if allowlist is None:
-        allow_path = root / DEFAULT_ALLOWLIST_NAME
-        allowlist = (
-            load_allowlist(allow_path) if allow_path.is_file() else Allowlist()
-        )
-    config = config.with_policy(allowlist.policy)
 
     project = Project(root, paths if paths is not None else config.roots)
     files = tuple(project.files())

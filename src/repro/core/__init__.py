@@ -11,7 +11,6 @@ from repro.core.sla import (
     MaxThroughputSLA,
     MinEnergySLA,
     RewardScales,
-    sla_from_name,
 )
 from repro.core.state import STATE_NAMES, StateEncoder, StateScales
 from repro.core.training import (
@@ -37,7 +36,6 @@ __all__ = [
     "MaxThroughputSLA",
     "MinEnergySLA",
     "RewardScales",
-    "sla_from_name",
     "STATE_NAMES",
     "StateEncoder",
     "StateScales",

@@ -12,7 +12,10 @@ into a reward.  The node applies CAT partitioning across the chains'
 LLC requests and the engine's contention model couples them, so a joint
 agent must *learn* the Fig. 1 lesson (LLC proportional to the flows).
 One chain is the n = 1 case: its aggregate is its own sample.  The
-interface is gym-like (``reset``/``step``) but dependency free.
+interface is gym-like (``reset``/``step``) but dependency free; both
+hand the platform work to two hooks, ``_start`` and ``_interval``, which
+:class:`~repro.core.per_nf_env.PerNFEnv` overrides to price every NF at
+its own knobs.
 """
 
 from __future__ import annotations
@@ -28,12 +31,7 @@ from repro.core.sla import SLA
 from repro.core.state import StateEncoder
 from repro.nfv.chain import ServiceChain, default_chain
 from repro.nfv.controller import OnvmController
-from repro.nfv.engine import (
-    EngineParams,
-    PollingMode,
-    TelemetrySample,
-    aggregate_samples,
-)
+from repro.nfv.engine import EngineParams, TelemetrySample, aggregate_samples
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 from repro.traffic.generators import ConstantRateGenerator, TrafficGenerator
@@ -86,7 +84,6 @@ class NFVEnv:
         knob_space: KnobSpace | None = None,
         encoder: StateEncoder | None = None,
         engine_params: EngineParams | None = None,
-        polling: PollingMode = PollingMode.ADAPTIVE,
         rng: RngLike = None,
     ):
         self.chains = [default_chain()] if chains is None else list(chains)
@@ -109,10 +106,10 @@ class NFVEnv:
         self.knob_space = knob_space or KnobSpace()
         self.encoder = encoder or StateEncoder()
         self._engine_params = engine_params
-        self._polling = polling
         self._rng = as_generator(rng)
         self.controller: OnvmController | None = None
         self._step_count = 0
+        self._started = False
 
     # -- spaces ---------------------------------------------------------------
 
@@ -143,27 +140,19 @@ class NFVEnv:
         hardware models are not reallocated.  The traffic generators
         continue their own trajectories.
         """
-        if self.controller is None:
-            node = Node(params=self._engine_params, polling=self._polling)
-            self.controller = OnvmController(
-                node, interval_s=self.interval_s, rng=self._rng
-            )
-        else:
-            self.controller.reset()
-        for chain, generator in zip(self.chains, self.generators):
-            self.controller.add_chain(chain, generator, knobs)
+        samples = self._start(knobs)
         self._step_count = 0
-        # Run one warm-up interval under the initial knobs so the first
-        # observation reflects real telemetry rather than zeros.
-        return self.encoder.encode_all(self.controller.run_interval().values())
+        self._started = True
+        return self.encoder.encode_all(samples.values())
 
     def step(self, action: np.ndarray) -> StepResult:
         """Apply a normalized action for one control interval.
 
-        Chain ``i`` takes the action slice ``[5 i, 5 i + 5)``; every
-        slice is mapped to settings before any knob is applied.
+        Every five-knob slice ``[5 i, 5 i + 5)`` of the action is mapped
+        to settings before any knob is applied; chain ``i`` takes slice
+        ``i``.
         """
-        if self.controller is None:
+        if not self._started:
             raise RuntimeError("call reset() before step()")
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (self.action_dim,):
@@ -172,14 +161,10 @@ class NFVEnv:
             )
         k = self.knob_space.dim
         requested = [
-            self.knob_space.to_settings(action[i * k : (i + 1) * k])
-            for i in range(self.n_chains)
+            self.knob_space.to_settings(action[i : i + k])
+            for i in range(0, self.action_dim, k)
         ]
-        knobs = {
-            chain.name: self.controller.set_knobs(chain.name, settings)
-            for chain, settings in zip(self.chains, requested)
-        }
-        samples = self.controller.run_interval()
+        samples, knobs, info = self._interval(requested)
         sample = aggregate_samples(samples.values())
         self._step_count += 1
         return StepResult(
@@ -192,8 +177,42 @@ class NFVEnv:
             info={
                 "sla_satisfied": self.sla.satisfied(sample),
                 "step": self._step_count,
+                **info,
             },
         )
+
+    # -- platform hooks ---------------------------------------------------------
+
+    def _start(self, knobs: KnobSettings | None) -> dict[str, TelemetrySample]:
+        """Deploy every chain on a pristine node; the warm-up samples.
+
+        One warm-up interval under the initial knobs makes the first
+        observation reflect real telemetry rather than zeros.
+        """
+        if self.controller is None:
+            node = Node(params=self._engine_params)
+            self.controller = OnvmController(
+                node, interval_s=self.interval_s, rng=self._rng
+            )
+        else:
+            self.controller.reset()
+        for chain, generator in zip(self.chains, self.generators):
+            self.controller.add_chain(chain, generator, knobs)
+        return self.controller.run_interval()
+
+    def _interval(
+        self, requested: list[KnobSettings]
+    ) -> tuple[dict[str, TelemetrySample], dict[str, KnobSettings], dict[str, Any]]:
+        """Run one interval under one requested setting per action slice.
+
+        Returns each chain's sample and applied settings by name, and
+        any extra ``info`` entries.  The settings apply in chain order.
+        """
+        knobs = {
+            chain.name: self.controller.set_knobs(chain.name, settings)
+            for chain, settings in zip(self.chains, requested)
+        }
+        return self.controller.run_interval(), knobs, {}
 
     def run_policy_episode(
         self,

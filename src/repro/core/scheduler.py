@@ -31,7 +31,7 @@ from repro.core.training import (
     train_ddpg,
 )
 from repro.nfv.chain import ServiceChain, default_chain
-from repro.nfv.engine import EngineParams, PollingMode
+from repro.nfv.engine import EngineParams
 from repro.nfv.knobs import KnobSettings
 from repro.rl.apex import ApexConfig
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
@@ -98,7 +98,6 @@ class GreenNFVScheduler:
             knob_space=self.knob_space,
             encoder=self.encoder,
             engine_params=self.engine_params,
-            polling=PollingMode.ADAPTIVE,
             rng=rng,
         )
 

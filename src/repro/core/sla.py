@@ -252,23 +252,3 @@ class LatencySLA(SLA):
 
     def describe(self) -> str:
         return f"Latency(delay <= {self.latency_bound_s * 1e3:.1f} ms)"
-
-
-def sla_from_name(name: str, scales: RewardScales | None = None, **kwargs) -> SLA:
-    """Factory by SLA name: 'max_throughput' | 'min_energy' | 'energy_efficiency'.
-
-    ``kwargs`` carry the constraint value (``energy_cap_j`` or
-    ``throughput_floor_gbps``).
-    """
-    if name == MaxThroughputSLA.name:
-        return MaxThroughputSLA(scales=scales, **kwargs)
-    if name == MinEnergySLA.name:
-        return MinEnergySLA(scales=scales, **kwargs)
-    if name == EnergyEfficiencySLA.name:
-        return EnergyEfficiencySLA(scales)
-    if name == LatencySLA.name:
-        return LatencySLA(scales=scales, **kwargs)
-    raise ValueError(
-        f"unknown SLA {name!r}; options: max_throughput, min_energy, "
-        "energy_efficiency, latency"
-    )

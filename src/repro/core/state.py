@@ -43,12 +43,6 @@ class StateEncoder:
         """Observation dimensionality (4, per Eq. 8)."""
         return len(STATE_NAMES)
 
-    def encode(self, sample: TelemetrySample | None) -> np.ndarray:
-        """Normalized [T, E, xi, Omega]; zeros for the cold-start state."""
-        if sample is None:
-            return np.zeros(self.dim, dtype=np.float64)
-        return self.encode_all((sample,))
-
     def encode_all(self, samples: Iterable[TelemetrySample]) -> np.ndarray:
         """The concatenated states of several chains, in order (Eq. 8's
         ``X = {X_1, ..., X_n}``), built as one array."""

@@ -46,7 +46,7 @@ class AblationRow:
 
 def _env(scale: ExperimentScale, rng, env_cls=NFVEnv, **kwargs) -> NFVEnv:
     return env_cls(
-        scale.max_throughput_sla(),
+        scale.sla("max_throughput"),
         chains=[experiment_chain()],
         generators=[experiment_generator()],
         episode_len=16,
@@ -215,7 +215,7 @@ def ablation_granularity(
 
     def per_nf_env(tag: str) -> PerNFEnv:
         return PerNFEnv(
-            scale.max_throughput_sla(),
+            scale.sla("max_throughput"),
             chain=experiment_chain(),
             generator=experiment_generator(),
             episode_len=16,

@@ -14,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines import StaticBaseline, run_controller
-from repro.core.sla import (
-    EnergyEfficiencySLA,
-    MaxThroughputSLA,
-    MinEnergySLA,
-    RewardScales,
-    SLA,
-)
+from repro.core.sla import SLA, RewardScales
 from repro.nfv.chain import ServiceChain, default_chain
+from repro.scenario.catalog import SLAS
 from repro.traffic.generators import ConstantRateGenerator
 
 
@@ -63,27 +58,12 @@ class ExperimentScale:
         """Per-interval-second cap of the Fig. 10(a) fixed-SLA run."""
         return self.fig10_cap_fraction * self.baseline_power_w
 
-    def max_throughput_sla(self) -> MaxThroughputSLA:
-        """The §5.1 SLA at this scale."""
-        return MaxThroughputSLA(self.maxt_cap_j_per_s, self.reward_scales)
-
-    def min_energy_sla(self) -> MinEnergySLA:
-        """The §5.2 SLA at this scale."""
-        return MinEnergySLA(self.mine_floor_gbps, self.reward_scales)
-
-    def energy_efficiency_sla(self) -> EnergyEfficiencySLA:
-        """The §5.3 SLA."""
-        return EnergyEfficiencySLA(self.reward_scales)
-
     def sla(self, name: str) -> SLA:
-        """SLA factory over the three paper variants."""
-        if name == "max_throughput":
-            return self.max_throughput_sla()
-        if name == "min_energy":
-            return self.min_energy_sla()
-        if name == "energy_efficiency":
-            return self.energy_efficiency_sla()
-        raise ValueError(f"unknown SLA name {name!r}")
+        """One of the three paper SLAs at this scale: ``max_throughput``
+        (§5.1), ``min_energy`` (§5.2) or ``energy_efficiency`` (§5.3),
+        built through the spec registry from :meth:`sla_spec`."""
+        kind, params = self.sla_spec(name)
+        return SLAS.get(kind)(**params)
 
     def sla_spec(self, name: str) -> tuple[str, dict]:
         """The same SLA as declarative ``(sla, sla_params)`` spec fields.

@@ -92,7 +92,7 @@ def fig11_energy_saving(
 
     base_run = measure_baseline(intervals=measure_intervals, rng=seed)
     sched = GreenNFVScheduler(
-        sla=scale.min_energy_sla(),
+        sla=scale.sla("min_energy"),
         chain=experiment_chain(),
         episode_len=16,
         seed=seed,

@@ -69,20 +69,11 @@ INTERVAL_FIELDS = (
 
 #: Leading columns of one per-chain row (attributes of
 #: :class:`~repro.fleet.shard.ChainSummary`).
-CHAIN_FIELDS = (
-    "node",
-    "utilization",
-    "throughput_gbps",
-    "power_w",
-    "offered_pps",
-    "sla_ok",
-    "state_bytes",
-    "dma_bytes",
-)
+CHAIN_FIELDS = ("node", "utilization", "power_w", "state_bytes", "dma_bytes")
 
 #: Columns of one per-node row (attributes of
 #: :class:`~repro.fleet.shard.NodeSummary`).
-NODE_FIELDS = ("chains", "power_w", "utilization")
+NODE_FIELDS = ("power_w", "utilization")
 
 _CHAIN_WIDTH = len(CHAIN_FIELDS) + len(KNOB_NAMES)
 _ITEMSIZE = np.dtype(np.float64).itemsize

@@ -204,15 +204,10 @@ class ChainSummary:
     """One chain's last-interval state, as the coordinator sees it."""
 
     name: str
-    shard: str
     node: int
     flow: str
-    nfs: tuple[str, ...]
     utilization: float  # bottleneck-stage utilization (the steering signal)
-    throughput_gbps: float
     power_w: float
-    offered_pps: float
-    sla_ok: bool
     state_bytes: float
     dma_bytes: float
     knobs: Mapping[str, Any]
@@ -224,7 +219,6 @@ class NodeSummary:
 
     shard: str
     node: int
-    chains: int
     power_w: float
     utilization: float  # max bottleneck utilization over hosted chains
 
@@ -416,23 +410,12 @@ class ShardSim:
             out.append(
                 ChainSummary(
                     name=name,
-                    shard=self.config.name,
                     node=ticket.node,
                     flow=ticket.flow,
-                    nfs=ticket.nfs,
                     utilization=(
                         bottleneck_utilization(sample) if sample is not None else 0.0
                     ),
-                    throughput_gbps=(
-                        sample.throughput_gbps if sample is not None else 0.0
-                    ),
                     power_w=sample.power_w if sample is not None else 0.0,
-                    offered_pps=sample.offered_pps if sample is not None else 0.0,
-                    sla_ok=(
-                        bool(self.sla.satisfied(sample))
-                        if sample is not None
-                        else True
-                    ),
                     state_bytes=hosted.chain.total_state_bytes,
                     dma_bytes=hosted.knobs.dma_bytes,
                     knobs=hosted.knobs.to_dict(),
@@ -453,7 +436,6 @@ class ShardSim:
                 NodeSummary(
                     shard=self.config.name,
                     node=j,
-                    chains=len(hosted),
                     power_w=self._last_node_power[j],
                     utilization=max((c.utilization for c in hosted), default=0.0),
                 )
@@ -857,7 +839,7 @@ class ShardWorker:
 
     def _load_report(self, bank: int, start: int, n: int) -> ShardReport:
         """Arena bank -> :class:`ShardReport` (scalar copies off the
-        shared views; names/flows/NFs come from the ticket mirror)."""
+        shared views; names and flows come from the ticket mirror)."""
         arena = self.arena
         ivals = arena.intervals(bank)
         intervals = tuple(
@@ -890,17 +872,12 @@ class ShardWorker:
             chains.append(
                 ChainSummary(
                     name=name,
-                    shard=self.name,
                     node=ticket.node,
                     flow=ticket.flow,
-                    nfs=ticket.nfs,
                     utilization=float(row[1]),
-                    throughput_gbps=float(row[2]),
-                    power_w=float(row[3]),
-                    offered_pps=float(row[4]),
-                    sla_ok=bool(row[5]),
-                    state_bytes=float(row[6]),
-                    dma_bytes=float(row[7]),
+                    power_w=float(row[2]),
+                    state_bytes=float(row[3]),
+                    dma_bytes=float(row[4]),
                     knobs=knobs,
                 )
             )
@@ -909,9 +886,8 @@ class ShardWorker:
             NodeSummary(
                 shard=self.name,
                 node=j,
-                chains=int(node_rows[j, 0]),
-                power_w=float(node_rows[j, 1]),
-                utilization=float(node_rows[j, 2]),
+                power_w=float(node_rows[j, 0]),
+                utilization=float(node_rows[j, 1]),
             )
             for j in range(arena.layout.n_nodes)
         )

@@ -37,7 +37,7 @@ from repro.nfv.nf import (
     get_nf,
 )
 from repro.nfv.node import HostedChain, Node
-from repro.nfv.per_nf import PerNFEngine, PerNFKnobVector
+from repro.nfv.per_nf import PerNFEngine
 
 __all__ = [
     "ServiceChain",
@@ -74,5 +74,4 @@ __all__ = [
     "HostedChain",
     "Node",
     "PerNFEngine",
-    "PerNFKnobVector",
 ]

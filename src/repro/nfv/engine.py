@@ -907,6 +907,13 @@ class PacketEngine:
         self.park_idle_cores = park_idle_cores
         self.power_model = ServerPowerModel(self.server.power)
         self.dma_model = DmaBufferModel(self.server.dma, self.server.llc)
+        #: Busy cores of the ONVM Rx/Tx infra threads under this polling
+        #: mode (every sample and every node fold includes them).
+        self.infra_busy = self.params.infra_cores * (
+            self.params.infra_util_poll
+            if polling == PollingMode.POLL
+            else self.params.infra_util_adaptive
+        )
 
     # -- cache environment ---------------------------------------------------
 
@@ -1145,14 +1152,8 @@ class PacketEngine:
         ]
 
         # Infrastructure (Rx/Tx) threads.
-        infra_util = (
-            self.params.infra_util_poll
-            if self.polling == PollingMode.POLL
-            else self.params.infra_util_adaptive
-        )
-        infra_busy = self.params.infra_cores * infra_util
         allocated_cores = knobs.cpu_share * len(chain) + self.params.infra_cores
-        total_busy = busy_cores + infra_busy
+        total_busy = busy_cores + self.infra_busy
 
         # 6. Node power via the Fan et al. model.  Power utilization is
         #    node-level (busy fraction of all cores), so consuming more
@@ -1375,7 +1376,6 @@ class PacketEngine:
         total_misses_pp = left_sums(misses_pp)
         allocated_cores = share * stack.n_nfs + self.params.infra_cores
         if self.polling == PollingMode.POLL:
-            infra_util = self.params.infra_util_poll
             util_poll = np.broadcast_to(
                 np.where(share > 0, 1.0, 0.0)[..., None], cpps.shape
             ).copy()
@@ -1383,7 +1383,6 @@ class PacketEngine:
                 util_poll = np.where(valid, util_poll, 0.0)
             busy_poll = left_sums(share[..., None] * util_poll)
         else:
-            infra_util = self.params.infra_util_adaptive
             util_poll = None
             busy_poll = None
 
@@ -1412,7 +1411,7 @@ class PacketEngine:
             proc_s=proc_s,
             total_misses_pp=total_misses_pp,
             allocated_cores=allocated_cores,
-            infra_busy=self.params.infra_cores * infra_util,
+            infra_busy=self.infra_busy,
             util_poll=util_poll,
             busy_poll=busy_poll,
         )

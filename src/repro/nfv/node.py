@@ -93,9 +93,18 @@ class Node:
         return self._chains
 
     def deploy(self, chain: ServiceChain, knobs: KnobSettings | None = None) -> HostedChain:
-        """Deploy a chain (idempotent per name) with initial knobs."""
+        """Deploy a chain (idempotent per name) with initial knobs.
+
+        CAT grants every chain at least one way, so a node hosts at most
+        as many chains as it has allocatable LLC ways.
+        """
         if chain.name in self._chains:
             raise ValueError(f"chain {chain.name!r} already deployed")
+        if len(self._chains) >= self.server.llc.allocatable_ways:
+            raise ValueError(
+                f"cannot deploy {chain.name!r}: the node already hosts "
+                f"{len(self._chains)} chains, one per allocatable LLC way"
+            )
         hosted = HostedChain(chain=chain, knobs=(knobs or KnobSettings()).clamped(self.ranges, self.server.cpu))
         self._chains[chain.name] = hosted
         self._repartition_llc()
@@ -197,20 +206,14 @@ class Node:
         :meth:`step_all` and the cluster kernel's compile both read them
         here, which keeps their power folds bit-identical.
         """
-        params = self.engine.params
-        infra_util = (
-            params.infra_util_poll
-            if self.engine.polling.value == "poll"
-            else params.infra_util_adaptive
-        )
-        allocated = params.infra_cores
+        allocated = self.engine.params.infra_cores
         freq_total = 0.0
         for hosted in self._chains.values():
             allocated += hosted.knobs.cpu_share * len(hosted.chain)
             freq_total += hosted.knobs.cpu_freq_ghz
         n = len(self._chains)
         freq = freq_total / n if n else self.server.cpu.base_freq_ghz
-        return params.infra_cores * infra_util, allocated, freq
+        return self.engine.infra_busy, allocated, freq
 
     # -- simulation --------------------------------------------------------
 

@@ -23,7 +23,6 @@ per NF):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,14 +168,8 @@ class PerNFEngine(PacketEngine):
             busy += knobs[i].cpu_share * util
             busy_freq += knobs[i].cpu_share * util * knobs[i].cpu_freq_ghz
 
-        infra_util = (
-            self.params.infra_util_poll
-            if self.polling == PollingMode.POLL
-            else self.params.infra_util_adaptive
-        )
-        infra_busy = self.params.infra_cores * infra_util
         allocated = left_sum([k.cpu_share for k in knobs]) + self.params.infra_cores
-        total_busy = busy + infra_busy
+        total_busy = busy + self.infra_busy
         mean_freq = busy_freq / busy if busy > 0 else float(
             np.mean([k.cpu_freq_ghz for k in knobs])
         )
@@ -206,38 +199,3 @@ class PerNFEngine(PacketEngine):
             arrival_rate_pps=offered_pps,
             per_nf=per_nf,
         )
-
-
-@dataclass(frozen=True)
-class PerNFKnobVector:
-    """Helpers between flat vectors and per-NF knob lists."""
-
-    n_nfs: int
-
-    def __post_init__(self) -> None:
-        if self.n_nfs < 1:
-            raise ValueError("need at least one NF")
-
-    @property
-    def dim(self) -> int:
-        """Flat action dimensionality: 5 knobs per NF."""
-        return 5 * self.n_nfs
-
-    def split(self, action: np.ndarray, space) -> list[KnobSettings]:
-        """Map a flat [-1,1]^(5n) action to per-NF knob settings.
-
-        ``space`` is a :class:`repro.core.knobs.KnobSpace` applied to each
-        5-slice independently.
-        """
-        action = np.asarray(action, dtype=np.float64)
-        if action.shape != (self.dim,):
-            raise ValueError(f"expected action shape ({self.dim},), got {action.shape}")
-        return [
-            space.to_settings(action[5 * i : 5 * i + 5]) for i in range(self.n_nfs)
-        ]
-
-    def join(self, knobs: list[KnobSettings], space) -> np.ndarray:
-        """Inverse of :meth:`split`."""
-        if len(knobs) != self.n_nfs:
-            raise ValueError(f"need {self.n_nfs} knob settings, got {len(knobs)}")
-        return np.concatenate([space.to_action(k) for k in knobs])

@@ -2,7 +2,7 @@
 
 Every timestamp the tracer or metrics layer records funnels through
 these two helpers, so the lint's TIME001 discipline stays auditable:
-``analysis_allow.toml`` sanctions exactly this module, and a stray
+``LintConfig.wallclock_sites`` sanctions exactly this module, and a stray
 ``time.time()`` anywhere else in ``repro.obs`` (or in an instrumented
 module) still trips the checker.
 

@@ -67,7 +67,7 @@ class TestNFVEnv:
         (name,) = r.samples
         assert r.sample is r.samples[name]
         assert r.knobs == r.per_chain_knobs[name]
-        assert r.observation.tolist() == env.encoder.encode(r.sample).tolist()
+        assert r.observation.tolist() == env.encoder.encode_all([r.sample]).tolist()
 
     def test_actions_change_outcome(self):
         env = make_env()

@@ -9,7 +9,6 @@ from repro.core.sla import (
     MaxThroughputSLA,
     MinEnergySLA,
     RewardScales,
-    sla_from_name,
 )
 from repro.core.state import StateEncoder, StateScales
 from repro.nfv.cluster_kernel import BlockTelemetry
@@ -202,16 +201,16 @@ class TestElementwisePredicates:
 class TestFactory:
     def test_all_names(self):
         assert isinstance(
-            sla_from_name("max_throughput", energy_cap_j=10.0), MaxThroughputSLA
+            SLAS.get("max_throughput")(energy_cap_j=10.0), MaxThroughputSLA
         )
         assert isinstance(
-            sla_from_name("min_energy", throughput_floor_gbps=5.0), MinEnergySLA
+            SLAS.get("min_energy")(throughput_floor_gbps=5.0), MinEnergySLA
         )
-        assert isinstance(sla_from_name("energy_efficiency"), EnergyEfficiencySLA)
+        assert isinstance(SLAS.get("energy_efficiency")(), EnergyEfficiencySLA)
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
-            sla_from_name("max_profit")
+        with pytest.raises(KeyError, match="max_profit"):
+            SLAS.get("max_profit")
 
     def test_scales_validation(self):
         with pytest.raises(ValueError):
@@ -222,17 +221,14 @@ class TestStateEncoder:
     def test_dim_matches_eq8(self):
         assert StateEncoder().dim == 4
 
-    def test_cold_start_zeros(self):
-        assert np.allclose(StateEncoder().encode(None), 0.0)
-
     def test_normalization(self):
         enc = StateEncoder(StateScales(10.0, 100.0, 1e6))
-        obs = enc.encode(sample(throughput=5.0, energy=50.0, util=0.5, arrival=5e5))
+        obs = enc.encode_all([sample(throughput=5.0, energy=50.0, util=0.5, arrival=5e5)])
         assert obs == pytest.approx([0.5, 0.5, 0.5, 0.5])
 
     def test_interval_scaling(self):
         enc = StateEncoder(StateScales(10.0, 100.0, 1e6))
-        obs = enc.encode(sample(energy=100.0, dt=2.0))
+        obs = enc.encode_all([sample(energy=100.0, dt=2.0)])
         assert obs[1] == pytest.approx(0.5)  # 100 J over 2 s vs 100 J/s scale
 
     def test_bounds_shape(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.sla import EnergyEfficiencySLA, MaxThroughputSLA, MinEnergySLA
 from repro.experiments import (
     DEFAULT_SCALE,
     EXPERIMENTS,
@@ -29,6 +30,19 @@ class TestScale:
             assert DEFAULT_SCALE.sla(name).describe()
         with pytest.raises(ValueError):
             DEFAULT_SCALE.sla("nope")
+
+    def test_sla_is_the_paper_sla_at_this_scale(self):
+        # Built through the spec registry, field for field the §5 SLAs.
+        s = DEFAULT_SCALE
+        expected = {
+            "max_throughput": MaxThroughputSLA(s.maxt_cap_j_per_s, s.reward_scales),
+            "min_energy": MinEnergySLA(s.mine_floor_gbps, s.reward_scales),
+            "energy_efficiency": EnergyEfficiencySLA(s.reward_scales),
+        }
+        for name, sla in expected.items():
+            built = s.sla(name)
+            assert type(built) is type(sla)
+            assert vars(built) == vars(sla)
 
     def test_cap_is_fraction_of_baseline(self):
         assert DEFAULT_SCALE.maxt_cap_j_per_s == pytest.approx(

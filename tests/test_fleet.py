@@ -281,6 +281,24 @@ class TestFleetSpec:
         section["migration"] = {"capacity_per_node": 3}
         assert FleetSpec.from_mapping(section).topology.total_chains == 6
 
+    def test_more_chains_per_node_than_llc_ways_raises_at_build(self):
+        # The spec allows 19 chains on a node; the node's 18 allocatable
+        # CAT ways do not, and the 19th deploy used to hang.
+        spec = FleetSpec.from_mapping(
+            {
+                "preset": "small",
+                "migration": {"capacity_per_node": 19},
+                "topology": {
+                    "preset": "full-mesh",
+                    "n_shards": 1,
+                    "nodes": 1,
+                    "chains_per_node": 19,
+                },
+            }
+        )
+        with pytest.raises(ValueError, match="s0-n0-c18"):
+            FleetCoordinator(spec)
+
     def test_all_presets_resolve(self):
         for name in FLEETS:
             spec = FleetSpec.from_mapping({"preset": name})
@@ -933,33 +951,28 @@ class TestPlacementBook:
         )
         return FleetCoordinator(fleet, seed=0)
 
-    def _summary(self, name, shard, node, flow="fg0"):
+    def _summary(self, name, node, flow="fg0"):
         from repro.fleet.shard import ChainSummary
 
         return ChainSummary(
             name=name,
-            shard=shard,
             node=node,
             flow=flow,
-            nfs=("firewall",),
             utilization=0.2,
-            throughput_gbps=1.0,
             power_w=20.0,
-            offered_pps=1e5,
-            sla_ok=True,
             state_bytes=2e8,
             dma_bytes=5e7,
             knobs={},
         )
 
     def test_bonus_follows_book_one_cycle_after_migration(self, coordinator):
-        # Mate "b" migrated to ("s1", 0) last cycle; its summary is one
-        # cycle stale and still claims ("s0", 1).  Moving "a" to the
-        # book's node must earn the co-location bonus.
+        # Mate "b" migrated from ("s0", 1) to ("s1", 0) last cycle; its
+        # summary is one cycle stale and still reports node 1.  Moving
+        # "a" to the book's node must earn the co-location bonus.
         mig = coordinator.fleet.migration
         summaries = {
-            "a": self._summary("a", "s0", 0),
-            "b": self._summary("b", "s0", 1),  # stale telemetry
+            "a": self._summary("a", 0),
+            "b": self._summary("b", 1),  # stale telemetry
         }
         placement = {"a": ("s0", 0), "b": ("s1", 0)}  # authoritative
         cur = coordinator._global_index[("s0", 0)]
@@ -974,11 +987,11 @@ class TestPlacementBook:
         assert gain == mig.colocation_gain_j
 
     def test_stale_summary_location_earns_no_bonus(self, coordinator):
-        # The inverse: "b"'s stale summary claims the destination node,
-        # but the book knows it already moved away — no bonus.
+        # The inverse: "b"'s stale summary reports the destination's node
+        # index, but the book knows it sits on ("s0", 1) — no bonus.
         summaries = {
-            "a": self._summary("a", "s0", 0),
-            "b": self._summary("b", "s1", 0),  # stale telemetry
+            "a": self._summary("a", 0),
+            "b": self._summary("b", 0),  # stale telemetry
         }
         placement = {"a": ("s0", 0), "b": ("s0", 1)}  # authoritative
         cur = coordinator._global_index[("s0", 0)]
@@ -1011,15 +1024,10 @@ class TestRoutedCosts:
 
         chain = ChainSummary(
             name="c",
-            shard="site1",
             node=0,
             flow="fg0",
-            nfs=("firewall",),
             utilization=0.2,
-            throughput_gbps=1.0,
             power_w=20.0,
-            offered_pps=1e5,
-            sla_ok=True,
             state_bytes=2e8,
             dma_bytes=5e7,
             knobs={},

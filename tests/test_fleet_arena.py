@@ -66,7 +66,7 @@ class TestLayout:
             4  # header
             + 4 * len(INTERVAL_FIELDS)
             + 3 * (len(CHAIN_FIELDS) + len(KNOB_NAMES))
-            + 2 * 3  # node fields
+            + 2 * 2  # node fields: power, utilization
         )
         assert layout.bank_floats == per_bank
         assert layout.nbytes == BANKS * per_bank * 8
@@ -110,7 +110,8 @@ class TestStoreLoad:
                 assert rows[i, len(CHAIN_FIELDS)] == chain.knobs["cpu_share"]
             nodes = arena.nodes(0)
             for j, node in enumerate(report.nodes):
-                assert nodes[j, 1] == node.power_w
+                assert nodes[j, 0] == node.power_w
+                assert nodes[j, 1] == node.utilization
         finally:
             arena.close()
             arena.unlink()

@@ -16,7 +16,7 @@ CFG = DDPGConfig()
 @pytest.fixture(scope="module")
 def maxt_sched():
     sched = GreenNFVScheduler(
-        sla=DEFAULT_SCALE.max_throughput_sla(),
+        sla=DEFAULT_SCALE.sla("max_throughput"),
         episode_len=16,
         seed=7,
         ddpg_config=CFG,
@@ -28,7 +28,7 @@ def maxt_sched():
 @pytest.fixture(scope="module")
 def mine_sched():
     sched = GreenNFVScheduler(
-        sla=DEFAULT_SCALE.min_energy_sla(),
+        sla=DEFAULT_SCALE.sla("min_energy"),
         episode_len=16,
         seed=23,
         ddpg_config=CFG,

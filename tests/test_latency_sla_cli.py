@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.core.sla import LatencySLA, RewardScales, sla_from_name
+from repro.core.sla import LatencySLA, RewardScales
 from repro.nfv.engine import TelemetrySample
+from repro.scenario.catalog import SLAS
 
 
 def sample(throughput=5.0, latency_s=1e-3, achieved=5e5):
@@ -48,7 +49,7 @@ class TestLatencySLA:
         assert sla.reward(s) < 0
 
     def test_factory(self):
-        sla = sla_from_name("latency", latency_bound_s=5e-3)
+        sla = SLAS.get("latency")(latency_bound_s=5e-3)
         assert isinstance(sla, LatencySLA)
         assert "ms" in sla.describe()
 

@@ -53,6 +53,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_env(episode_len=0)
 
+    def test_more_chains_than_llc_ways_refused_at_reset(self):
+        # One CAT way per chain at least: 19 chains on the default 18
+        # allocatable ways used to hang in reset.
+        n = 19
+        env = NFVEnv(
+            EnergyEfficiencySLA(),
+            chains=[light_chain(f"c{i}") for i in range(n)],
+            generators=[ConstantRateGenerator(1e5) for _ in range(n)],
+        )
+        with pytest.raises(ValueError, match="'c18'"):
+            env.reset()
+
 
 class TestStepping:
     def test_episode_lifecycle(self):

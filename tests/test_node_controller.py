@@ -52,6 +52,25 @@ class TestNodeDeployment:
         with pytest.raises(KeyError):
             node.apply_knobs("x", KnobSettings())
 
+    def test_chain_past_the_llc_ways_is_refused_untouched(self):
+        # CAT grants every chain at least one way; the 19th chain on the
+        # default 18 allocatable ways used to spin forever in the grant
+        # shave loop.
+        node = Node()
+        ways = node.server.llc.allocatable_ways
+        for i in range(ways):
+            node.deploy(default_chain(f"c{i}"))
+        grants = {n: (c.mask, c.n_ways) for n, c in node.cache.allocations.items()}
+        knobs = {n: h.knobs for n, h in node.chains.items()}
+        gen = node._config_gen
+        with pytest.raises(ValueError, match="one per allocatable LLC way"):
+            node.deploy(default_chain(f"c{ways}"))
+        assert {n: h.knobs for n, h in node.chains.items()} == knobs
+        assert {
+            n: (c.mask, c.n_ways) for n, c in node.cache.allocations.items()
+        } == grants
+        assert node._config_gen == gen
+
 
 class TestNodeLlcPartitioning:
     def test_two_chains_get_disjoint_clos(self):

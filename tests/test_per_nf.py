@@ -1,15 +1,21 @@
 """Per-NF action space tests (the full Eq. 7 granularity)."""
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from repro.core.knobs import KnobSpace
+from repro.core.env import NFVEnv
 from repro.core.per_nf_env import PerNFEnv
-from repro.core.sla import EnergyEfficiencySLA, MaxThroughputSLA
+from repro.core.sla import EnergyEfficiencySLA
+from repro.experiments.ablations import ablation_granularity
 from repro.experiments.common import DEFAULT_SCALE
-from repro.nfv.chain import default_chain
+from repro.nfv.chain import default_chain, heavy_chain
 from repro.nfv.knobs import KnobSettings
-from repro.nfv.per_nf import PerNFEngine, PerNFKnobVector
+from repro.nfv.per_nf import PerNFEngine
+from repro.traffic.generators import DiurnalGenerator
 from repro.utils.units import line_rate_pps
 
 CHAIN = default_chain()
@@ -115,30 +121,6 @@ class TestPerNFEngine:
         assert np.isfinite(sample.achieved_pps) and np.isfinite(sample.latency_s)
 
 
-class TestPerNFKnobVector:
-    def test_dim(self):
-        assert PerNFKnobVector(3).dim == 15
-
-    def test_split_join_roundtrip(self):
-        vec = PerNFKnobVector(3)
-        space = KnobSpace()
-        rng = np.random.default_rng(0)
-        a = rng.uniform(-0.8, 0.8, 15)
-        knobs = vec.split(a, space)
-        a2 = vec.join(knobs, space)
-        assert np.allclose(a[:4], a2[:4], atol=1e-6)
-        assert len(knobs) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PerNFKnobVector(0)
-        vec = PerNFKnobVector(2)
-        with pytest.raises(ValueError):
-            vec.split(np.zeros(5), KnobSpace())
-        with pytest.raises(ValueError):
-            vec.join([KnobSettings()], KnobSpace())
-
-
 class TestPerNFEnv:
     def test_action_dim(self):
         env = PerNFEnv(EnergyEfficiencySLA(), episode_len=4, rng=0)
@@ -154,7 +136,7 @@ class TestPerNFEnv:
         assert r.done
         assert "per_nf_knobs" in r.info
         assert len(r.info["per_nf_knobs"]) == 3
-        assert r.info["bottleneck_nf"] in {nf.name for nf in env.chain}
+        assert r.info["bottleneck_nf"] in {nf.name for nf in env.chains[0]}
 
     def test_step_before_reset(self):
         env = PerNFEnv(EnergyEfficiencySLA(), episode_len=3, rng=0)
@@ -167,7 +149,7 @@ class TestPerNFEnv:
 
         def env(rng):
             return PerNFEnv(
-                DEFAULT_SCALE.max_throughput_sla(), episode_len=8, rng=rng
+                DEFAULT_SCALE.sla("max_throughput"), episode_len=8, rng=rng
             )
 
         _, history = train_ddpg(
@@ -184,3 +166,89 @@ class TestPerNFEnv:
     def test_validation(self):
         with pytest.raises(ValueError):
             PerNFEnv(EnergyEfficiencySLA(), episode_len=0)
+        env = PerNFEnv(EnergyEfficiencySLA(), episode_len=3, rng=0)
+        env.reset()
+        with pytest.raises(ValueError, match=r"\(15,\)"):
+            env.step(np.zeros(5))
+
+    def test_is_an_nfv_env_that_prices_per_nf(self):
+        # The lifecycle is NFVEnv's; only the pricing hooks differ.
+        assert issubclass(PerNFEnv, NFVEnv)
+        for name in ("reset", "step", "run_policy_episode", "state_dim"):
+            assert name not in vars(PerNFEnv), name
+
+    def test_reset_knobs_apply_to_every_nf(self):
+        knobs = KnobSettings(cpu_share=1.2, cpu_freq_ghz=1.8, llc_fraction=0.2,
+                             dma_mb=8, batch_size=64)
+        env = PerNFEnv(EnergyEfficiencySLA(), episode_len=2, rng=0)
+        obs = env.reset(knobs=knobs)
+        expected = PerNFEngine().step_per_nf(
+            CHAIN, [knobs] * len(CHAIN), LINE, 1518, 1.0
+        )
+        assert obs.tolist() == env.encoder.encode_all([expected]).tolist()
+
+
+#: SHA-256 prefix of the per-NF golden payload (Python 3.11).
+GOLDEN_DIGEST = "1072fa899be30b82"
+
+
+def _knob_row(k):
+    return [k.cpu_share, k.cpu_freq_ghz, k.llc_fraction, k.dma_mb, k.batch_size]
+
+
+def _sample_row(s):
+    return {
+        "chain": [s.offered_pps, s.achieved_pps, s.throughput_gbps, s.energy_j,
+                  s.cpu_utilization, s.latency_s],
+        "nfs": [[t.name, t.cycles_per_packet, t.service_rate_pps, t.utilization,
+                 t.misses_per_packet] for t in s.per_nf],
+    }
+
+
+def _episodes(env, actions, n=3):
+    episodes = []
+    for _ in range(n):
+        steps = [env.reset().tolist()]
+        for _ in range(env.episode_len):
+            r = env.step(actions.uniform(-1.0, 1.0, env.action_dim))
+            steps.append({
+                "obs": r.observation.tolist(),
+                "reward": r.reward,
+                "done": r.done,
+                "sla": bool(r.info["sla_satisfied"]),
+                "sample": _sample_row(r.sample),
+                "samples": {n: _sample_row(s) for n, s in r.samples.items()},
+                "knobs": {n: _knob_row(k) for n, k in r.per_chain_knobs.items()},
+                "mean_knobs": _knob_row(r.knobs),
+                "per_nf_knobs": [_knob_row(k) for k in r.info["per_nf_knobs"]],
+                "bottleneck_nf": r.info["bottleneck_nf"],
+            })
+        episodes.append(steps)
+    return episodes
+
+
+def golden_payload():
+    """Seeded random-action episodes on two recycled per-NF envs (the
+    second under a noisy diurnal load, which pins the clock that runs on
+    across episodes and the draw order), then the granularity ablation's
+    rows."""
+    maxt = PerNFEnv(DEFAULT_SCALE.sla("max_throughput"), episode_len=6, rng=3)
+    mine = PerNFEnv(
+        DEFAULT_SCALE.sla("min_energy"),
+        chain=heavy_chain(),
+        generator=DiurnalGenerator(8e5, period_s=20.0),
+        episode_len=6,
+        rng=4,
+    )
+    actions = np.random.default_rng(17)
+    rows, _ = ablation_granularity(episodes=30, test_every=10)
+    return {
+        "maxt": _episodes(maxt, actions),
+        "mine": _episodes(mine, actions),
+        "ablation": [asdict(r) for r in rows],
+    }
+
+
+def test_per_nf_golden():
+    blob = json.dumps(golden_payload(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16] == GOLDEN_DIGEST

@@ -15,16 +15,13 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.__main__ import main as repro_main
 from repro.analysis import (
-    Allowlist,
     LintConfig,
     ProtocolSpec,
     run_lint,
 )
-from repro.analysis.allowlist import parse_allowlist, pragma_codes
+from repro.analysis.allowlist import pragma_codes
 from repro.analysis.checkers.hygiene import check_registry
 from repro.scenario.registry import Registry
 
@@ -36,20 +33,19 @@ BARE = dataclasses.replace(
     LintConfig(),
     kernel_classes={},
     kernel_hot_functions={},
-    kernel_extra_write_methods={},
     protocols=(),
     spec_classes={},
     registry_check=False,
 )
 
 
-def lint_tree(tmp_path, files, config=BARE, allowlist=None):
+def lint_tree(tmp_path, files, config=BARE):
     """Write ``files`` under ``tmp_path`` and lint the tree."""
     for rel, text in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text), encoding="utf-8")
-    return run_lint(tmp_path, config=config, allowlist=allowlist or Allowlist())
+    return run_lint(tmp_path, config=config)
 
 
 def codes(report):
@@ -67,8 +63,8 @@ class TestShippedTreeIsClean:
         assert report.findings == (), "\n".join(report.format_lines())
         assert not report.failing(strict=True)
         # The deliberate exceptions exist and are suppressed explicitly
-        # (cluster-kernel bit-compat pragmas, boundary allowlist), not
-        # invisible to the analyzer.
+        # (cluster-kernel bit-compat pragmas), not invisible to the
+        # analyzer.
         assert len(report.suppressed) >= 4
         assert len(report.files) > 50
 
@@ -794,38 +790,10 @@ class TestSuppression:
         assert report.findings == ()
         assert [reason for _, reason in report.suppressed] == ["pragma"]
 
-    def test_allow_entry_refused_with_pragma_hint(self):
-        text = '[[allow]]\ncode = "RNG005"\npath = "src/*.py"\nreason = "cache key"\n'
-        with pytest.raises(ValueError, match=r"<string>:1: .*inline .*repro-lint: allow\[CODE\]"):
-            parse_allowlist(text)
-
-    def test_allow_entry_in_the_project_file_fails_the_run(self, tmp_path):
-        (tmp_path / "src").mkdir()
-        (tmp_path / "analysis_allow.toml").write_text(
-            '[wallclock]\nextra_allowed = []\n\n[[allow]]\ncode = "NOPE999"\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(ValueError, match="analysis_allow.toml:4: .*pragma"):
-            run_lint(tmp_path, config=BARE)
-
-    def test_parse_allowlist_policy_sections(self):
-        allow = parse_allowlist(
-            textwrap.dedent(
-                """
-                # comment
-                [rng]
-                extra_allowed = ["src/tools/gen.py"]
-                """
-            )
-        )
-        assert allow.policy["rng"]["extra_allowed"] == ["src/tools/gen.py"]
-        cfg = LintConfig().with_policy(allow.policy)
-        assert "src/tools/gen.py" in cfg.rng_construction_sites
-        with pytest.raises(ValueError, match="outside any"):
-            parse_allowlist('extra_allowed = ["src/tools/gen.py"]\n')
-
     def test_policy_extends_rng_sites(self, tmp_path):
-        allow = parse_allowlist('[rng]\nextra_allowed = ["src/gen.py"]\n')
+        config = dataclasses.replace(
+            BARE, rng_construction_sites=BARE.rng_construction_sites + ("src/gen.py",)
+        )
         report = lint_tree(
             tmp_path,
             {
@@ -835,23 +803,10 @@ class TestSuppression:
                 g = np.random.default_rng(0)
                 """
             },
-            allowlist=allow,
+            config=config,
         )
         assert report.findings == ()
-
-    def test_unknown_policy_section_rejected(self):
-        with pytest.raises(ValueError, match="unknown allowlist sections"):
-            LintConfig().with_policy({"bogus": {"x": 1}})
-
-    def test_shipped_allowlist_parses(self):
-        from repro.analysis import load_allowlist
-
-        allow = load_allowlist(REPO_ROOT / "analysis_allow.toml")
-        assert set(allow.policy) == {"wallclock", "exceptions"}
-        assert (
-            "src/repro/fleet/shard.py::shard_worker"
-            in allow.policy["exceptions"]["extra_boundaries"]
-        )
+        assert codes(lint_tree(tmp_path, {})) == ["RNG001"]
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +838,6 @@ class TestEngine:
         assert codes(report) == ["RNG003"]
         for rel, text in files.items():
             (tmp_path / rel).write_text(text, encoding="utf-8")
-        narrowed = run_lint(
-            tmp_path, config=BARE, allowlist=Allowlist(), paths=("src/clean.py",)
-        )
+        narrowed = run_lint(tmp_path, config=BARE, paths=("src/clean.py",))
         assert narrowed.findings == ()
         assert narrowed.files == ("src/clean.py",)
