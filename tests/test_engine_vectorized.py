@@ -16,6 +16,7 @@ from repro.hw.cache import capacity_miss_ratio, prefetch_efficiency
 from repro.nfv.chain import ServiceChain, default_chain, heavy_chain, light_chain
 from repro.nfv.engine import (
     BatchTelemetry,
+    EngineParams,
     PacketEngine,
     PollingMode,
     chain_profile,
@@ -23,6 +24,8 @@ from repro.nfv.engine import (
 )
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.nf import CATALOG
+from repro.nfv.node import Node
+from repro.nfv.per_nf import PerNFEngine
 from repro.utils.units import line_rate_pps
 
 ATOL = 1e-9
@@ -410,6 +413,39 @@ class TestChainCosts:
             for a, b in zip(got, cols):
                 assert a.shape == (len(chain),) and b.shape == (1, len(chain))
                 assert a.tobytes() == b[0].tobytes(), trial
+
+
+class TestInfraBusy:
+    """The ONVM Rx/Tx infra threads' busy cores: one product per engine."""
+
+    @pytest.mark.parametrize("polling", list(PollingMode))
+    def test_every_reader_sees_the_engine_product(self, polling):
+        params = EngineParams(infra_cores=3.0, infra_util_poll=0.9, infra_util_adaptive=0.25)
+        util = params.infra_util_poll if polling == PollingMode.POLL else params.infra_util_adaptive
+        engine = PacketEngine(params=params, polling=polling)
+        assert engine.infra_busy == params.infra_cores * util
+        assert PerNFEngine(params=params, polling=polling).infra_busy == engine.infra_busy
+        assert Node(params=params, polling=polling).fold_inputs()[0] == engine.infra_busy
+
+    def test_samples_add_it_to_the_nf_cores(self):
+        # Under POLL every allocated NF core busy-spins, so a sample's busy
+        # cores are exactly the NF cores plus the infra product, on the
+        # scalar step, the compiled grid and the per-NF step alike.
+        chain = default_chain()
+        params = EngineParams(infra_cores=3.0, infra_util_poll=0.9)
+        engine = PacketEngine(params=params, polling=PollingMode.POLL)
+        knobs = KnobSettings(cpu_share=1.25)
+        nf_cores = 1.25 * len(chain)
+        s = engine.step(chain, knobs, 1e6, 1518.0, 1.0)
+        assert s.cpu_cores_busy == pytest.approx(nf_cores + engine.infra_busy)
+        batch = engine.step_batch(chain, [knobs], [1e6], 1518.0, 1.0)
+        assert batch.cpu_cores_busy[0, 0] == pytest.approx(nf_cores + engine.infra_busy)
+        per_nf = PerNFEngine(params=params, polling=PollingMode.POLL)
+        shares = [0.5, 1.0, 1.5][: len(chain)]
+        s = per_nf.step_per_nf(
+            chain, [KnobSettings(cpu_share=x) for x in shares], 1e6, 1518.0, 1.0
+        )
+        assert s.cpu_cores_busy == pytest.approx(sum(shares) + per_nf.infra_busy)
 
 
 class TestChainProfile:

@@ -808,6 +808,41 @@ class TestSuppression:
         assert report.findings == ()
         assert codes(lint_tree(tmp_path, {})) == ["RNG001"]
 
+    def test_site_lists_live_in_lint_config(self, tmp_path):
+        # The observability clock may read wall-clock time and the shard
+        # worker loop may swallow exceptions, by LintConfig's defaults.
+        config = LintConfig()
+        assert "src/repro/obs/clock.py" in config.wallclock_sites
+        assert "src/repro/fleet/shard.py::shard_worker" in config.exception_boundaries
+        clock = """
+        import time
+
+        def now():
+            return time.perf_counter()
+        """
+        report = lint_tree(tmp_path, {"src/repro/obs/clock.py": clock})
+        assert report.findings == ()
+        assert codes(lint_tree(tmp_path, {"src/repro/obs/other.py": clock})) == ["TIME001"]
+
+    def test_a_project_policy_file_is_not_read(self, tmp_path):
+        # LintConfig is the one configuration channel: a leftover policy
+        # file at the project root neither widens a site list nor fails.
+        (tmp_path / "analysis_allow.toml").write_text(
+            '[rng]\nextra_allowed = ["src/gen.py"]\n\n[[allow]]\ncode = "NOPE999"\n',
+            encoding="utf-8",
+        )
+        report = lint_tree(
+            tmp_path,
+            {
+                "src/gen.py": """
+                import numpy as np
+
+                g = np.random.default_rng(0)
+                """
+            },
+        )
+        assert codes(report) == ["RNG001"]
+
 
 # ---------------------------------------------------------------------------
 # Engine details
