@@ -234,25 +234,30 @@ def _cluster(n_nodes: int, n_chains: int) -> tuple:
 
 
 def bench_cluster_grid(quick: bool, rounds: int) -> dict:
-    """An SDN/cluster interval: fused ClusterKernel vs. the per-node loop."""
-    from repro.nfv.cluster_kernel import ClusterKernel, one_interval
+    """A cluster interval: fused ClusterKernel vs. the per-node loop."""
+    from repro.nfv.cluster_kernel import ClusterKernel
 
     n_nodes, n_chains = 8, 4
     n_steps = 30 if quick else 60
     kernel_nodes, offered = _cluster(n_nodes, n_chains)
     loop_nodes, _ = _cluster(n_nodes, n_chains)
     kernel = ClusterKernel(kernel_nodes)
+    # One interval as the kernel's (names, (R, 1) loads, frame sizes);
+    # the loop side gets each node's offered dict, both built once.
+    names = list(offered)
+    loads = np.array([offered[name][0] for name in names]).reshape(-1, 1)
+    pkts = [offered[name][1] for name in names]
     per_node_offered = [
         {name: offered[name] for name in node.chains} for node in loop_nodes
     ]
     # Warm both sides: the kernel compiles its plan on first sight.
     for _ in range(2):
-        kernel.step(*one_interval(offered))
+        kernel.step(names, loads, pkts)
         reference.reference_cluster_step(loop_nodes, per_node_offered)
 
     def fused():
         for _ in range(n_steps):
-            kernel.step(*one_interval(offered))
+            kernel.step(names, loads, pkts)
 
     def loop():
         for _ in range(n_steps):

@@ -592,7 +592,6 @@ def reference_plan_step(plan, offered_grid, dt_s: float = 1.0, *, include_power=
     pkt = plan.stack.packet_bytes[:, 0]
     return MultiChainTelemetry(
         dt_s=dt_s,
-        stack=plan.stack,
         offered_pps=offered,
         packet_bytes=pkt,
         achieved_pps=achieved,
@@ -671,11 +670,9 @@ def reference_efficiency_grid(throughput_gbps, energy_j):
 def reference_cluster_step(nodes, per_node_offered, dt_s: float = 1.0):
     """The pre-cluster-kernel interval: a Python loop over nodes.
 
-    One ``Node.step_all`` call per node — the scalar per-node fold —
-    which is what ``SdnController.run_interval`` would execute without
-    the fused cluster-wide pass, so the
-    ``cluster_grid`` bench reports an honest kernel-vs-per-node-loop
-    speedup.
+    One ``Node.step_all`` call per node — the scalar per-node fold, the
+    loop ``SdnController.run_interval`` runs — so the ``cluster_grid``
+    bench reports an honest kernel-vs-per-node-loop speedup.
     """
     samples = {}
     for node, offered in zip(nodes, per_node_offered):
@@ -942,12 +939,14 @@ def reference_shard_run(sim, block):
     The pre-block body of ``ShardSim._run_inner`` without the cluster
     kernel: every interval is one :func:`reference_cluster_step` (each
     node's scalar ``Node.step_all``), with per-interval
-    ``TelemetrySample`` dicts and the record totals folded in Python.
-    Advances ``sim`` exactly as ``sim.run(block)`` does; the block
-    path must match it at 0 ulp.  Totals use explicit ``+=`` folds
-    (the builtin ``sum`` compensates on Python >= 3.12).
+    ``TelemetrySample`` dicts and the record totals folded in Python;
+    the chain summaries read the last interval's samples.  Advances
+    ``sim`` exactly as ``sim.run(block)`` does; the block path must
+    match it at 0 ulp.  Totals use explicit ``+=`` folds (the builtin
+    ``sum`` compensates on Python >= 3.12).  Returns the report and the
+    last interval's samples.
     """
-    from repro.fleet.shard import IntervalRecord, ShardReport
+    from repro.fleet.shard import ChainSummary, IntervalRecord, ShardReport
 
     start, n = block.start, block.pps.shape[1]
     if n < 1:
@@ -994,15 +993,31 @@ def reference_shard_run(sim, block):
                 chains=len(samples),
             )
         )
-        sim._last_samples = samples
         sim._interval += 1
-    chain_summaries = sim._chain_summaries()
-    return ShardReport(
+    chain_summaries = []
+    for name in sorted(sim._tickets):
+        ticket = sim._tickets[name]
+        hosted = sim.nodes[ticket.node].chains[name]
+        sample = samples[name]
+        chain_summaries.append(
+            ChainSummary(
+                name=name,
+                node=ticket.node,
+                flow=ticket.flow,
+                utilization=max(nf.utilization for nf in sample.per_nf),
+                power_w=sample.power_w,
+                state_bytes=hosted.chain.total_state_bytes,
+                dma_bytes=hosted.knobs.dma_bytes,
+                knobs=hosted.knobs.to_dict(),
+            )
+        )
+    report = ShardReport(
         shard=cfg.name,
         intervals=tuple(records),
         chains=tuple(chain_summaries),
         nodes=tuple(sim._node_summaries(chain_summaries)),
     )
+    return report, samples
 
 
 # -- fleet: per-key workload draws ---------------------------------------------

@@ -4,8 +4,8 @@ The paper's Baseline never tunes anything; its Heuristic tunes slowly by
 trial and error.  This controller answers the natural question between
 them — *how good could a static configuration be?* — by grid-searching
 the whole knob space against the observed workload in one vectorized
-pass through a compiled :class:`~repro.nfv.engine.ChainKernelPlan` and
-then pinning the winner for the rest of the run.  It is the simulator equivalent of
+:meth:`~repro.nfv.engine.PacketEngine.step_batch` grid and then pinning
+the winner for the rest of the run.  It is the simulator equivalent of
 an offline exhaustive sweep (the thousands-of-candidates regime of the
 joint placement/allocation literature), and doubles as an upper bound
 for every static policy in the Fig. 9 comparison.
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.baselines.base import Controller
 from repro.nfv.chain import ServiceChain
-from repro.nfv.engine import PacketEngine, PollingMode, TelemetrySample, chain_stack
+from repro.nfv.engine import PacketEngine, PollingMode, TelemetrySample
 from repro.nfv.knobs import DEFAULT_RANGES, KnobRanges, KnobSettings
 from repro.traffic.analysis import FlowAnalyzer
 
@@ -87,7 +87,7 @@ class OracleStaticController(Controller):
 
     The first control interval runs on defaults to observe the workload;
     the grid search then scores every candidate against the observed
-    arrival rate and frame size in one plan pricing and locks in the
+    arrival rate and frame size in one grid pricing and locks in the
     winner.  ``objective`` picks the score: Eq. 3's
     ``energy_efficiency`` (default), ``max_throughput`` (ties broken by
     energy), or ``min_energy`` among settings that keep at least
@@ -107,42 +107,24 @@ class OracleStaticController(Controller):
         ranges: KnobRanges = DEFAULT_RANGES,
         min_delivery: float = 0.5,
         engine: PacketEngine | None = None,
-        research_every: int | None = None,
     ):
         if objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
         if not 0.0 <= min_delivery <= 1.0:
             raise ValueError("min_delivery must be in [0, 1]")
-        if research_every is not None and research_every < 1:
-            raise ValueError("research_every must be >= 1 (or None)")
         self.objective = objective
         self.ranges = ranges
         self.grid = grid if grid is not None else default_knob_grid(ranges)
         if not self.grid:
             raise ValueError("search grid must contain at least one setting")
         self.min_delivery = min_delivery
-        #: Re-run the exhaustive search against the currently observed
-        #: workload every this many control intervals (None: search once
-        #: and hold, the classic oracle-static).  Every search prices
-        #: through one cached compiled plan, so a re-search costs a
-        #: single plan pricing instead of a full grid recompile.
-        self.research_every = research_every
         self._engine = engine
         self._knobs: KnobSettings | None = None
         self._chain: ServiceChain | None = None
-        self._intervals = 0
-        self._plan = None
-        self._plan_key: tuple | None = None
 
     def reset(self) -> None:
-        """Forget the locked-in choice (fresh run, fresh search).
-
-        The compiled search plan survives: it depends only on (engine,
-        chain, frame size, grid), so a rerun over the same deployment
-        re-prices candidates through the cached plan.
-        """
+        """Forget the locked-in choice (fresh run, fresh search)."""
         self._knobs = None
-        self._intervals = 0
 
     def prepare(self, chain: ServiceChain, engine: PacketEngine | None = None) -> None:
         """Remember the deployed chain and platform; the search runs on them.
@@ -161,12 +143,7 @@ class OracleStaticController(Controller):
         return KnobSettings().clamped(self.ranges)
 
     def _resolve_engine(self) -> PacketEngine:
-        """The platform engine searches run on (built once if not given).
-
-        Caching the fallback engine matters beyond avoiding rework: the
-        compiled search plan is keyed on the engine object, so a fresh
-        engine per call would defeat the plan cache entirely.
-        """
+        """The platform engine searches run on (built once if not given)."""
         if self._engine is None:
             self._engine = PacketEngine(
                 polling=self.polling,
@@ -185,39 +162,21 @@ class OracleStaticController(Controller):
     ) -> KnobSettings:
         """Exhaustive grid search against one workload; locks in the winner.
 
-        The grid's load-independent half (per-candidate NF costs,
-        service rates, ring/NIC caps) is compiled once into a K-row
-        :class:`~repro.nfv.engine.ChainKernelPlan` — one row per
-        candidate, all over the same chain and frame size — and cached
-        on (engine, chain, frame size).  Each search, first or periodic,
-        then prices the observed load through the plan in one vectorized
-        pass, which is what keeps ``research_every`` cheap enough to run
-        inside the control loop.
+        Every candidate is priced against the observed load and frame
+        size in one :meth:`~repro.nfv.engine.PacketEngine.step_batch`
+        grid, whose ``(K, 1)`` columns are scored.
         """
-        engine = self._resolve_engine()
-        # The engine object itself is part of the key (held by strong
-        # reference, so the identity can never be recycled): candidates
-        # must always be priced on the physics that will serve them.
-        key = (engine, chain, float(packet_bytes))
-        k = len(self.grid)
-        if self._plan_key != key:
-            stack = chain_stack(
-                (chain,) * k,
-                (float(packet_bytes),) * k,
-                engine.server.llc.line_bytes,
-            )
-            self._plan = engine.compile_chains(stack, self.grid)
-            self._plan_key = key
         offered = float(offered_pps)
-        mt = self._plan.step(np.full(k, offered), dt_s)
-        delivered_frac = (
-            mt.achieved_pps / offered if offered > 0 else np.ones_like(mt.energy_j)
+        bt = self._resolve_engine().step_batch(
+            chain, self.grid, [offered], packet_bytes, dt_s
         )
+        achieved = bt.achieved_pps[:, 0]
+        delivered_frac = achieved / offered if offered > 0 else np.ones_like(achieved)
         score = score_candidates(
             self.objective,
-            throughput=mt.throughput_gbps,
-            energy=mt.energy_j,
-            energy_efficiency=mt.energy_efficiency,
+            throughput=bt.throughput_gbps[:, 0],
+            energy=bt.energy_j[:, 0],
+            energy_efficiency=bt.energy_efficiency[:, 0],
             delivered_frac=delivered_frac,
             min_delivery=self.min_delivery,
         )
@@ -227,17 +186,8 @@ class OracleStaticController(Controller):
     def decide(
         self, sample: TelemetrySample, analyzer: FlowAnalyzer, knobs: KnobSettings
     ) -> KnobSettings:
-        """Search against the observed workload, then hold (or re-search).
-
-        The first decision runs :meth:`search`; with ``research_every``
-        set, every N-th interval searches again against the interval's
-        observed arrival rate and frame size.
-        """
-        self._intervals += 1
-        if self._knobs is None or (
-            self.research_every is not None
-            and self._intervals % self.research_every == 0
-        ):
+        """Search against the first observed workload, then hold."""
+        if self._knobs is None:
             if self._chain is None:
                 raise RuntimeError(
                     "OracleStaticController needs prepare(chain) before decide()"

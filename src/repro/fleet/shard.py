@@ -66,7 +66,6 @@ from repro.nfv.chain import (
     light_chain,
 )
 from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel
-from repro.nfv.engine import bottleneck_utilization
 from repro.nfv.knobs import KNOB_NAMES, KnobSettings
 from repro.nfv.node import Node
 from repro.fleet.topology import CHAIN_KINDS
@@ -256,7 +255,6 @@ class ShardSim:
         self._interval = 0
         self._node_energy = [0.0] * config.n_nodes
         self._last_node_power = [0.0] * config.n_nodes
-        self._last_samples: dict[str, Any] = {}
         for ticket in config.initial_chains:
             self.deploy(ticket)
 
@@ -294,7 +292,6 @@ class ShardSim:
         node = self.nodes[ticket.node]
         applied = node.chains[name].knobs.to_dict()
         node.undeploy(name)
-        self._last_samples.pop(name, None)
         return replace(ticket, knobs=applied)
 
     def set_knobs(self, updates: Mapping[str, Mapping[str, Any]]) -> None:
@@ -387,13 +384,12 @@ class ShardSim:
                 throughput_gbps=throughput[i],
                 offered_pps=offered[i],
                 sla_violations=violations[i],
-                chains=len(block.samples),
+                chains=block.energy_j.shape[1],
             )
             for i in range(n)
         ]
-        self._last_samples = block.samples
         self._interval += n
-        chain_summaries = self._chain_summaries()
+        chain_summaries = self._chain_summaries(block)
         return ShardReport(
             shard=cfg.name,
             intervals=tuple(records),
@@ -401,21 +397,25 @@ class ShardSim:
             nodes=tuple(self._node_summaries(chain_summaries)),
         )
 
-    def _chain_summaries(self) -> list[ChainSummary]:
+    def _chain_summaries(self, block: BlockTelemetry) -> list[ChainSummary]:
+        """Each chain's state after the block's last interval, in name
+        order; the block's columns follow the nodes' kernel row order."""
+        rows = [name for node in self.nodes for name in node.chains]
+        column = {name: r for r, name in enumerate(rows)}
+        utilization = block.utilization[-1].tolist()
+        power = block.power_w[-1].tolist()
         out: list[ChainSummary] = []
         for name in sorted(self._tickets):
             ticket = self._tickets[name]
             hosted = self.nodes[ticket.node].chains[name]
-            sample = self._last_samples.get(name)
+            r = column[name]
             out.append(
                 ChainSummary(
                     name=name,
                     node=ticket.node,
                     flow=ticket.flow,
-                    utilization=(
-                        bottleneck_utilization(sample) if sample is not None else 0.0
-                    ),
-                    power_w=sample.power_w if sample is not None else 0.0,
+                    utilization=utilization[r],
+                    power_w=power[r],
                     state_bytes=hosted.chain.total_state_bytes,
                     dma_bytes=hosted.knobs.dma_bytes,
                     knobs=hosted.knobs.to_dict(),

@@ -22,6 +22,7 @@ from typing import Any, Mapping
 
 from repro.fleet.topology import FleetTopology
 from repro.fleet.workload import ChurnConfig, FlashCrowdConfig, WorkloadConfig
+from repro.hw.server import ServerSpec
 from repro.scenario.registry import Registry
 
 #: Shard execution backends.
@@ -170,7 +171,15 @@ class FleetSpec:
             raise ValueError("sync_every must be >= 1")
         # The initial layout must fit the per-node bound that sizes each
         # shard's telemetry arena; admission and migration respect it.
+        # Every shard node is a default server, and CAT grants each
+        # chain at least one way, so the bound cannot exceed its ways.
         capacity = self.migration.capacity_per_node
+        ways = ServerSpec().llc.allocatable_ways
+        if capacity > ways:
+            raise ValueError(
+                f"migration.capacity_per_node={capacity} exceeds the "
+                f"{ways} allocatable LLC ways of a fleet node"
+            )
         for shard in self.topology.shards:
             if shard.chains_per_node > capacity:
                 raise ValueError(

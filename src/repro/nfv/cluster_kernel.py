@@ -1,9 +1,8 @@
 """Cluster-wide stepping kernel: one vectorized pass over all nodes.
 
-The SDN steering loop and the fleet shards step many nodes in
-lockstep, each node hosting several chains.  Every hosted chain across
-the cluster becomes one row of a single padded super-stack; its
-load-independent half compiles into one
+The fleet shards step many nodes in lockstep, each node hosting several
+chains.  Every hosted chain across the cluster becomes one row of a
+single padded super-stack; its load-independent half compiles into one
 :class:`~repro.nfv.engine.ChainKernelPlan` per cluster-wide (knobs,
 deployment, frame sizes) generation, and a block of intervals is priced
 for all rows in one vectorized evaluation.  This kernel is the one place
@@ -13,10 +12,12 @@ a diagonal plan is compiled and cached.
 shards of a fleet share one kernel over all their nodes and hand it one
 run of ``sync_every`` intervals per coordinator cycle
 (:func:`~repro.fleet.shard.run_shards`); a shard worker process hands
-its own kernel its own shard's run, and the SDN controller a block of
-one.  Every configuration compiles on first
-sight, and the plan then prices every interval until a knob/deployment
-change (or new frame sizes) on any of its nodes invalidates it.
+its own kernel its own shard's run.  Every configuration compiles on
+first sight, and the plan then prices every interval until a
+knob/deployment change (or new frame sizes) on any of its nodes
+invalidates it.  Single-cluster loops (the environments,
+``run_controller``, the SDN controller) step their nodes through
+:meth:`Node.step_all <repro.nfv.node.Node.step_all>` instead.
 Measured for one interval on a 2-CPU x86-64 box, the per-node scalar
 fold costs 0.09-0.39 ms on clusters of at most 4 chains against a
 0.49-0.62 ms compile, 2.2-2.3 ms at 8 nodes x 4 chains against
@@ -36,9 +37,13 @@ same fold with zero rows, each node metered at its infra power.
 Node-level bookkeeping (one Fan-model power evaluation per node and
 interval, cycle-proportional power attribution, node energy-meter
 integration in interval order) replays the exact scalar arithmetic of
-``step_all``, so every sample matches a per-node ``step_all`` loop to
-<= 1 ulp (measured 0 ulp; ``tests/test_cluster_kernel.py`` and
-``tests/test_shard_block.py`` pin it).
+``step_all``, so every returned row and node meter matches a per-node
+``step_all`` loop bit for bit (``tests/test_cluster_kernel.py`` and
+``tests/test_shard_block.py`` pin it).  The exception is the Fan
+model's frequency cube, which numpy's array power and its scalar power
+round 1 ulp apart at some mean frequencies: node power then differs by
+1 ulp, and a chain's attributed share by up to 2.  The kernel returns
+arrays only, no per-chain sample objects.
 """
 
 from __future__ import annotations
@@ -49,20 +54,10 @@ import numpy as np
 
 from repro import obs
 from repro.hw.power import record_many
-from repro.nfv.engine import ChainKernelPlan, TelemetrySample, chain_stack
+from repro.nfv.engine import ChainKernelPlan, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 from repro.utils.stats import left_sums
-
-
-def one_interval(offered) -> tuple[list, np.ndarray, list]:
-    """``{name: (pps, packet_bytes)}`` as :meth:`ClusterKernel.step`'s
-    ``(names, loads, packet_bytes)`` for a block of one interval."""
-    return (
-        list(offered),
-        np.array([pps for pps, _ in offered.values()]).reshape(-1, 1),
-        [pkt for _, pkt in offered.values()],
-    )
 
 
 def engines_compatible(nodes) -> bool:
@@ -112,8 +107,6 @@ class _FusedMeta:
     reads, preserving bit-compatibility.
     """
 
-    names: tuple[str, ...]
-    hosted_rows: tuple  # (R,) HostedChain per row
     node_meters: tuple  # (N,) EnergyMeter per node
     owner: np.ndarray  # (R,) owning node index per row
     slot: np.ndarray  # (R,) position of each row on its node
@@ -138,10 +131,11 @@ class BlockTelemetry:
 
     Row arrays are ``(n, R)``, one row per interval and one column per
     hosted chain in the kernel's row order (node by node, deployment
-    order within a node).  They are the fields the
-    :mod:`repro.core.sla` predicates read, so ``sla.satisfied(block)``
-    is the ``(n, R)`` outcome.  :class:`TelemetrySample` objects are
-    built for the last interval only.
+    order within a node).  ``achieved_pps`` through ``latency_s`` are
+    the fields the :mod:`repro.core.sla` predicates read, so
+    ``sla.satisfied(block)`` is the ``(n, R)`` outcome; ``power_w`` is
+    each chain's attributed share of its node's power and
+    ``utilization`` its bottleneck NF's utilization.
     """
 
     dt_s: float
@@ -149,21 +143,22 @@ class BlockTelemetry:
     throughput_gbps: np.ndarray  # (n, R)
     energy_j: np.ndarray  # (n, R)
     latency_s: np.ndarray  # (n, R)
+    power_w: np.ndarray  # (n, R)
+    utilization: np.ndarray  # (n, R) the max over each row's NFs
     node_joules: np.ndarray  # (n, N) each node meter's total after each interval
-    samples: dict[str, TelemetrySample]  # the last interval's, by chain name
 
     def part(self, rows: slice, nodes: slice) -> "BlockTelemetry":
         """The telemetry of a contiguous run of rows and of node columns:
         one shard's share of a pass over several shards' nodes."""
-        names = list(self.samples)[rows]
         return BlockTelemetry(
             self.dt_s,
             self.achieved_pps[:, rows],
             self.throughput_gbps[:, rows],
             self.energy_j[:, rows],
             self.latency_s[:, rows],
+            self.power_w[:, rows],
+            self.utilization[:, rows],
             self.node_joules[:, nodes],
-            {name: self.samples[name] for name in names},
         )
 
 
@@ -173,10 +168,10 @@ class ClusterKernel:
     Owns the one compiled-plan cache.  ``step`` replaces n rounds of
     looping ``node.step_all`` over the nodes: it takes the union of the
     nodes' offered traffic (chain names are unique across a cluster)
-    for a block of n intervals and returns their per-interval arrays
-    plus the last interval's telemetry, with identical node-side
-    effects (node meters, ``last_sample``).  Nodes whose physics the
-    fused plan cannot share (:func:`engines_compatible`) are refused.
+    for a block of n intervals and returns their per-interval arrays,
+    with the same node-side effect (the node meters).  Nodes whose
+    physics the fused plan cannot share (:func:`engines_compatible`) are
+    refused.
     """
 
     def __init__(self, nodes):
@@ -216,9 +211,9 @@ class ClusterKernel:
         Every argument is checked before any state changes: unknown or
         duplicate names, NaN or negative loads and frame sizes that are
         not finite and positive all raise.  The intervals run in order
-        with ``step_all``'s arithmetic, so the state and the last
-        interval's samples equal n per-node ``step_all`` loops.  Returns
-        the per-interval arrays.
+        with ``step_all``'s arithmetic, so the node meters and every
+        returned row equal n per-node ``step_all`` loops.  Returns the
+        per-interval arrays.
         """
         if not dt_s > 0:
             raise ValueError("dt must be positive")
@@ -292,8 +287,6 @@ class ClusterKernel:
         knobs: list[KnobSettings] = []
         grants: list[float] = []
         contention = np.empty(len(all_pkts), dtype=np.float64)
-        names: list[str] = []
-        hosted_rows: list = []
         owner: list[int] = []
         slot: list[int] = []
         n_nodes = len(self.nodes)
@@ -307,8 +300,6 @@ class ClusterKernel:
                 chains.append(hosted.chain)
                 knobs.append(hosted.knobs)
                 grants.append(node.cache.allocated_bytes(name))
-                names.append(name)
-                hosted_rows.append(hosted)
                 owner.append(j)
             slot.extend(range(len(node.chains)))
             row += len(node.chains)
@@ -326,8 +317,6 @@ class ClusterKernel:
         self._plan_key = key
         owner_arr = np.asarray(owner, dtype=np.intp)
         self._plan_meta = _FusedMeta(
-            names=tuple(names),
-            hosted_rows=tuple(hosted_rows),
             node_meters=tuple(node.meter for node in self.nodes),
             owner=owner_arr,
             slot=np.asarray(slot, dtype=np.intp),
@@ -375,25 +364,20 @@ class ClusterKernel:
         )
         node_joules = record_many(meta.node_meters, power_nodes, dt_s, packets)
         if plan is None:
-            return BlockTelemetry(dt_s, loads, loads, loads, loads, node_joules, {})
+            return BlockTelemetry(dt_s, *[loads] * 6, node_joules)
 
         # Cycle-proportional attribution: share_r = w_r / wsum_node, then
         # power * share and (power * dt) * share exactly as step_all
         # computes them (weights >= 1e-9, so wsum is always positive).
         shares = weights / wsums[..., meta.owner]
-        multi.power_w = power_nodes[..., meta.owner] * shares
-        multi.energy_j = power_nodes[..., meta.owner] * dt_s * shares
-
-        last = multi.samples()
-        # repro-lint: allow[KRN002] per-chain sample handoff mutates hosted objects, once per block
-        for hosted, sample in zip(meta.hosted_rows, last):
-            hosted.last_sample = sample
+        row_power = power_nodes[..., meta.owner]
         return BlockTelemetry(
             dt_s=dt_s,
-            achieved_pps=multi.achieved_pps,
+            achieved_pps=achieved,
             throughput_gbps=multi.throughput_gbps,
-            energy_j=multi.energy_j,
+            energy_j=row_power * dt_s * shares,
             latency_s=multi.latency_s,
+            power_w=row_power * shares,
+            utilization=multi.nf_utilization.max(axis=-1),
             node_joules=node_joules,
-            samples=dict(zip(meta.names, last)),
         )

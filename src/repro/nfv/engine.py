@@ -53,7 +53,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -278,89 +277,6 @@ class NFTelemetry:
     misses_per_packet: float
 
 
-class _LazyPerNF:
-    """Per-NF telemetry rows materialized on first access.
-
-    The cluster kernel prices dozens of chains per interval; most
-    consumers (state encoders, SLA folds, steering rules) read only the
-    chain-level scalars, so building one :class:`NFTelemetry` per NF per
-    chain per interval is wasted work on the hot path.  This sequence
-    holds the row's plain-float columns and builds the objects the first
-    time anything iterates or indexes it; :attr:`max_utilization` (the
-    SDN steering signal) is available without materializing.  Compares
-    equal to the eager ``list[NFTelemetry]`` it stands in for.
-    """
-
-    __slots__ = ("_names", "_cpp", "_rate", "_util", "_mpp", "_items")
-
-    def __init__(self, names, cpp, rate, util, mpp):
-        self._names = names
-        self._cpp = cpp
-        self._rate = rate
-        self._util = util
-        self._mpp = mpp
-        self._items: list[NFTelemetry] | None = None
-
-    def _materialize(self) -> list[NFTelemetry]:
-        if self._items is None:
-            self._items = [
-                NFTelemetry(
-                    name=name,
-                    cycles_per_packet=self._cpp[i],
-                    service_rate_pps=self._rate[i],
-                    utilization=self._util[i],
-                    misses_per_packet=self._mpp[i],
-                )
-                for i, name in enumerate(self._names)
-            ]
-        return self._items
-
-    @property
-    def max_utilization(self) -> float:
-        """Bottleneck-NF utilization without materializing the rows."""
-        return max(self._util) if self._names else 0.0
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __bool__(self) -> bool:
-        return bool(self._names)
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __eq__(self, other):
-        if isinstance(other, _LazyPerNF):
-            return self._materialize() == other._materialize()
-        if isinstance(other, list):
-            return self._materialize() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self._materialize())
-
-
-def bottleneck_utilization(sample: "TelemetrySample") -> float:
-    """The binding stage's utilization — the SDN steering signal.
-
-    A chain drops packets as soon as one NF saturates, so steering reads
-    the max over the chain's NFs, not the mean over provisioned cores.
-    Uses the lazy fast path when the sample came out of a kernel pass;
-    falls back to ``cpu_utilization`` when per-NF rows are absent.
-    """
-    per_nf = sample.per_nf
-    if isinstance(per_nf, _LazyPerNF):
-        if len(per_nf):
-            return per_nf.max_utilization
-        return sample.cpu_utilization
-    if per_nf:
-        return max(t.utilization for t in per_nf)
-    return sample.cpu_utilization
-
-
 @dataclass
 class TelemetrySample:
     """Everything the controller reads back after one interval.
@@ -538,7 +454,6 @@ class MultiChainTelemetry:
     """
 
     dt_s: float
-    stack: ChainStack
     offered_pps: np.ndarray  # (R,)
     packet_bytes: np.ndarray  # (R,)
     achieved_pps: np.ndarray  # (R,)
@@ -555,68 +470,6 @@ class MultiChainTelemetry:
     misses_per_packet: np.ndarray  # (R, n_max)
     service_rate_pps: np.ndarray  # (R, n_max)
     nf_utilization: np.ndarray  # (R, n_max)
-
-    def __len__(self) -> int:
-        return self.achieved_pps.shape[0]
-
-    @property
-    def energy_efficiency(self) -> np.ndarray:
-        """Gbps per kJ per row (Eq. 3's lambda, zero at zero energy)."""
-        return efficiency_grid(self.throughput_gbps, self.energy_j)
-
-    def samples(self) -> list[TelemetrySample]:
-        """All rows as :class:`TelemetrySample` objects (of the last
-        interval, for a block of intervals).
-
-        Converts each array to Python floats in one pass.  Per-NF rows
-        come back as :class:`_LazyPerNF` sequences (equal to, and
-        materializing into, the eager lists on first access): most
-        consumers never read per-NF telemetry.
-        """
-        # Index the interval axis of a block; one interval has none.
-        at = (-1,) if self.achieved_pps.ndim == 2 else ()
-        offered = self.offered_pps[at].tolist()
-        achieved = self.achieved_pps[at].tolist()
-        pkt = self.packet_bytes.tolist()
-        thr = self.throughput_gbps[at].tolist()
-        miss_rate = self.llc_miss_rate_per_s[at].tolist()
-        cpu_util = self.cpu_utilization[at].tolist()
-        busy = self.cpu_cores_busy[at].tolist()
-        power = self.power_w[at].tolist()
-        energy = self.energy_j[at].tolist()
-        dropped = self.dropped_pps[at].tolist()
-        latency = self.latency_s[at].tolist()
-        cpp = self.cycles_per_packet.tolist()
-        rate = self.service_rate_pps.tolist()
-        util = self.nf_utilization[at].tolist()
-        mpp = self.misses_per_packet.tolist()
-        per_nf = [
-            _LazyPerNF(profile.names, *nf_rows)
-            for profile, *nf_rows in zip(self.stack.profiles, cpp, rate, util, mpp)
-        ]
-        # Positional, in TelemetrySample's field order (dt_s, offered,
-        # achieved, packet bytes, throughput, LLC misses, CPU utilization,
-        # busy cores, power, energy, drops, latency, arrival rate, per-NF
-        # rows): a keyword call costs about three times as much.
-        return [
-            TelemetrySample(*fields)
-            for fields in zip(
-                repeat(self.dt_s),
-                offered,
-                achieved,
-                pkt,
-                thr,
-                miss_rate,
-                cpu_util,
-                busy,
-                power,
-                energy,
-                dropped,
-                latency,
-                offered,
-                per_nf,
-            )
-        ]
 
 
 def aggregate_samples(samples) -> TelemetrySample:
@@ -832,7 +685,6 @@ class ChainKernelPlan:
 
         return MultiChainTelemetry(
             dt_s=dt_s,
-            stack=self.stack,
             offered_pps=offered,
             packet_bytes=pkt,
             achieved_pps=achieved,

@@ -34,7 +34,6 @@ class HostedChain:
 
     chain: ServiceChain
     knobs: KnobSettings
-    last_sample: TelemetrySample | None = None
 
 
 class Node:
@@ -228,7 +227,9 @@ class Node:
         proportion to the cycles they consumed.  This scalar fold is the
         reference
         :meth:`ClusterKernel.step <repro.nfv.cluster_kernel.ClusterKernel.step>`
-        replays bit-exactly with its compiled plan.  Its sums are
+        replays bit-exactly with its compiled plan for the fleet, and
+        the single-cluster loops (the environments, ``run_controller``,
+        the SDN controller) step through it directly.  Its sums are
         left-to-right ``+=`` folds, the order the fused fold replays.
 
         Parameters
@@ -241,8 +242,8 @@ class Node:
 
         A call that raises ``KeyError`` (offered traffic for a chain the
         node does not host) leaves the node unchanged.  The interval
-        advances the node's energy meter and each hosted chain's
-        ``last_sample``, nothing else.  Returns per-chain telemetry.
+        advances the node's energy meter, nothing else.  Returns
+        per-chain telemetry, per-NF rows included.
         """
         if not dt_s > 0:
             raise ValueError("dt must be positive")
@@ -295,7 +296,6 @@ class Node:
             share = weights[name] / wsum if wsum > 0 else 1.0 / len(samples)
             sample.power_w = power_w * share
             sample.energy_j = energy_j * share
-            self._chains[name].last_sample = sample
         return samples
 
     def node_power_w(self) -> float:

@@ -4,7 +4,7 @@ from repro.rl.apex import ApexActor, ApexConfig, ApexCoordinator, ApexLearner, A
 from repro.rl.checkpoint import load_agent, save_agent
 from repro.rl.ddpg import DDPGAgent, DDPGConfig, UpdateMetrics
 from repro.rl.nn import MLP, Adam, DenseLayer
-from repro.rl.noise import GaussianNoise, OUNoise
+from repro.rl.noise import OUNoise
 from repro.rl.per import PrioritizedReplayBuffer
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.replay import ReplayBuffer, Transition, TransitionBatch
@@ -24,7 +24,6 @@ __all__ = [
     "MLP",
     "Adam",
     "DenseLayer",
-    "GaussianNoise",
     "OUNoise",
     "PrioritizedReplayBuffer",
     "QLearningAgent",

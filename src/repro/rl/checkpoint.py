@@ -58,7 +58,10 @@ def load_agent(path: str | Path, *, rng=0) -> DDPGAgent:
     """Rebuild a DDPG agent from a checkpoint written by :func:`save_agent`.
 
     Config fields the checkpoint does not hold (it was written before
-    every field was stored) take their defaults.
+    every field was stored) take their defaults.  A checkpoint that
+    selected exploration noise other than the Ornstein-Uhlenbeck process
+    (``noise_type``, a field older checkpoints store) is refused rather
+    than resumed with different noise.
     """
     path = Path(path)
     if not path.exists():
@@ -70,6 +73,11 @@ def load_agent(path: str | Path, *, rng=0) -> DDPGAgent:
         if meta.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {meta.get('format_version')!r}"
+            )
+        if meta.get("noise_type", "ou") != "ou":
+            raise ValueError(
+                f"{path} was trained with noise_type={meta['noise_type']!r}; "
+                "only Ornstein-Uhlenbeck ('ou') exploration noise is supported"
             )
         saved = {f.name: meta[f.name] for f in fields(DDPGConfig) if f.name in meta}
         config = DDPGConfig(**{**saved, "hidden": tuple(meta["hidden"])})

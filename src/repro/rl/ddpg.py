@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.rl.nn import MLP, Adam, forward_many
-from repro.rl.noise import GaussianNoise, OUNoise
+from repro.rl.noise import OUNoise
 from repro.rl.replay import TransitionBatch
 from repro.utils.rng import RngLike, as_generator, spawn
 
@@ -51,10 +51,8 @@ class DDPGConfig:
     actor_lr: float = 5e-4
     critic_lr: float = 2e-3
     batch_size: int = 64
-    noise_type: str = "ou"  # "ou" | "gaussian"
+    #: Volatility of the Ornstein-Uhlenbeck exploration noise.
     noise_sigma: float = 0.25
-    noise_sigma_min: float = 0.03
-    noise_decay: float = 0.9995
     grad_clip: float = 10.0
     #: Exploration steps acted uniformly at random before the policy takes
     #: over.  Without this the critic only ever sees actions near the
@@ -67,8 +65,6 @@ class DDPGConfig:
             raise ValueError("gamma must be in (0, 1)")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
-        if self.noise_type not in ("ou", "gaussian"):
-            raise ValueError("noise_type must be 'ou' or 'gaussian'")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -115,16 +111,7 @@ class DDPGAgent:
         self.critic_opt = Adam(
             self.critic, self.config.critic_lr, grad_clip=self.config.grad_clip
         )
-        if self.config.noise_type == "ou":
-            self.noise = OUNoise(action_dim, sigma=self.config.noise_sigma, rng=r_noise)
-        else:
-            self.noise = GaussianNoise(
-                action_dim,
-                sigma=self.config.noise_sigma,
-                sigma_min=self.config.noise_sigma_min,
-                decay=self.config.noise_decay,
-                rng=r_noise,
-            )
+        self.noise = OUNoise(action_dim, sigma=self.config.noise_sigma, rng=r_noise)
         self._warmup_rng = as_generator(spawn(gen, 1)[0])
         self._explore_calls = 0
         self.updates_done = 0

@@ -1,12 +1,10 @@
-"""Exploration noise processes for DDPG.
+"""Exploration noise for DDPG.
 
 DDPG "uses a stochastic behavior policy for search space exploration but
 estimates a deterministic target policy" — the stochasticity comes from
-additive action noise.  The original DDPG paper uses an
+additive action noise.  As in the original DDPG paper, it is an
 Ornstein-Uhlenbeck process (temporally correlated, suited to control
-problems); later practice showed plain Gaussian noise works as well.
-Both are provided, plus a decay schedule so exploration anneals over
-training.
+problems).
 """
 
 from __future__ import annotations
@@ -50,37 +48,3 @@ class OUNoise:
         dw = self._rng.normal(0.0, np.sqrt(self.dt), size=self.dim)
         self._state += self.theta * (self.mu - self._state) * self.dt + self.sigma * dw
         return self._state.copy()
-
-
-class GaussianNoise:
-    """IID Gaussian action noise with optional exponential decay."""
-
-    def __init__(
-        self,
-        dim: int,
-        *,
-        sigma: float = 0.2,
-        sigma_min: float = 0.02,
-        decay: float = 1.0,
-        rng: RngLike = None,
-    ):
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        if sigma < 0 or sigma_min < 0:
-            raise ValueError("sigma values must be non-negative")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.dim = dim
-        self.sigma = sigma
-        self.sigma_min = sigma_min
-        self.decay = decay
-        self._rng = as_generator(rng)
-
-    def reset(self) -> None:
-        """No-op (kept for interface parity with OUNoise)."""
-
-    def sample(self) -> np.ndarray:
-        """Draw one noise vector and decay sigma toward sigma_min."""
-        out = self._rng.normal(0.0, max(self.sigma, 1e-12), size=self.dim)
-        self.sigma = max(self.sigma_min, self.sigma * self.decay)
-        return out

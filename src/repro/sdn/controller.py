@@ -21,12 +21,9 @@ policies; the SDN controller rewrites the flow->chain mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.nfv.cluster_kernel import ClusterKernel, one_interval
-from repro.nfv.engine import TelemetrySample, bottleneck_utilization
+from repro.nfv.engine import TelemetrySample
 from repro.nfv.node import Node
 from repro.sdn.flows import FlowSpec, SteeringTable
 from repro.utils.rng import RngLike, private_stream
@@ -70,7 +67,7 @@ class ChainReplica:
         """
         if self.last_sample is None:
             return 0.0
-        return bottleneck_utilization(self.last_sample)
+        return max(nf.utilization for nf in self.last_sample.per_nf)
 
 
 class SdnController:
@@ -96,9 +93,6 @@ class SdnController:
         # so two controllers built from the same parent (two clusters of
         # one fleet, say) can never interleave draws on shared RNG state.
         self._rng = private_stream(rng)
-        #: Cluster-wide stepping: one fused kernel pass per interval over
-        #: every registered node.
-        self._kernel: ClusterKernel | None = None
 
     # -- registration ---------------------------------------------------------
 
@@ -121,7 +115,6 @@ class SdnController:
                 f"chain {replica.chain_name!r} is not deployed on the node"
             )
         self._replicas[replica.chain_name] = replica
-        self._kernel = None  # node set changed; rebuild on next interval
 
     def add_flow(self, flow: FlowSpec, chain_name: str | None = None) -> None:
         """Admit a flow; default placement is the least-utilized replica."""
@@ -164,18 +157,21 @@ class SdnController:
     def run_interval(self) -> dict[str, TelemetrySample]:
         """One cooperative interval: route flows, run nodes, re-steer.
 
-        Nodes are stepped with the current steering table's aggregates —
-        the whole cluster of replicas is priced in one fused
-        :class:`~repro.nfv.cluster_kernel.ClusterKernel` pass — and the
-        returned telemetry updates the replicas and drives the steering
-        decisions for the *next* interval.
+        Every replica node steps once through
+        :meth:`~repro.nfv.node.Node.step_all` with its replicas' traffic
+        under the current steering table; the returned telemetry updates
+        the replicas and drives the steering decisions for the *next*
+        interval.  Returns the samples of every chain the replica nodes
+        host, node by node in registration order.
         """
         offered = self.offered_per_chain(self.interval_s)
-        if self._kernel is None:
-            self._kernel = ClusterKernel(
-                [replica.node for replica in self._replicas.values()]
-            )
-        samples = self._kernel.step(*one_interval(offered), self.interval_s).samples
+        per_node: dict[int, tuple[Node, dict]] = {}
+        for name, replica in self._replicas.items():
+            node = replica.node
+            per_node.setdefault(id(node), (node, {}))[1][name] = offered[name]
+        samples: dict[str, TelemetrySample] = {}
+        for node, node_offered in per_node.values():
+            samples.update(node.step_all(node_offered, self.interval_s))
         for name, replica in self._replicas.items():
             replica.last_sample = samples[name]
         self._t += self.interval_s

@@ -31,13 +31,13 @@ class TestRoundtrip:
                 assert np.array_equal(a, b)
 
     def test_config_restored(self, tmp_path):
-        cfg = DDPGConfig(hidden=(24, 12), gamma=0.5, tau=0.03, noise_type="gaussian")
+        cfg = DDPGConfig(hidden=(24, 12), gamma=0.5, tau=0.03, critic_lr=1e-3)
         agent = DDPGAgent(4, 5, cfg, rng=0)
         loaded = load_agent(save_agent(agent, tmp_path / "c"))
         assert loaded.config.hidden == (24, 12)
         assert loaded.config.gamma == 0.5
         assert loaded.config.tau == 0.03
-        assert loaded.config.noise_type == "gaussian"
+        assert loaded.config.critic_lr == 1e-3
 
     def test_every_config_field_restored(self, tmp_path):
         cfg = DDPGConfig(
@@ -55,19 +55,35 @@ class TestRoundtrip:
         # The layout written before every config field was stored.
         import json
 
-        cfg = DDPGConfig(hidden=(8,), gamma=0.5, tau=0.03, noise_type="gaussian")
+        cfg = DDPGConfig(hidden=(8,), gamma=0.5, tau=0.03)
         agent = DDPGAgent(3, 2, DDPGConfig(hidden=(8,), batch_size=16), rng=0)
         path = save_agent(agent, tmp_path / "old")
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
         old = {k: meta[k] for k in ("format_version", "state_dim", "action_dim")}
-        old.update(hidden=[8], gamma=0.5, tau=0.03, noise_type="gaussian")
+        old.update(hidden=[8], gamma=0.5, tau=0.03, noise_type="ou")
         arrays["__meta__"] = np.frombuffer(json.dumps(old).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         loaded = load_agent(path)
         assert loaded.config == cfg
         assert loaded.updates_done == 0
+
+    def test_gaussian_noise_checkpoint_is_refused(self, tmp_path):
+        # Only Ornstein-Uhlenbeck noise exists: a checkpoint trained with
+        # Gaussian noise must not resume with OU noise unannounced.
+        import json
+
+        agent = DDPGAgent(3, 2, DDPGConfig(hidden=(8,)), rng=0)
+        path = save_agent(agent, tmp_path / "gauss")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
+        meta.update(noise_type="gaussian", noise_sigma_min=0.03, noise_decay=0.9995)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="noise_type='gaussian'"):
+            load_agent(path)
 
     def test_loaded_agent_can_keep_training(self, tmp_path):
         from repro.rl.replay import Transition, TransitionBatch

@@ -4,18 +4,20 @@
 pass; it is the one place a diagonal plan is compiled and cached.  The
 golden suite checks its one-interval blocks against the per-node
 reference — a Python loop of ``Node.step_all`` calls, the scalar
-per-node fold — to <= 1 ulp (asserted bit-exact) across randomized node
-counts, heterogeneous chains, knob churn, frame-size changes and both
+per-node fold — bit for bit, across randomized node counts,
+heterogeneous chains, knob churn, frame-size changes and both
 plan-cache outcomes, read from the ``kernel/plan_cache/*`` counters
 (compile on first sight, warm fused plan), and on clusters that host no
-chain at all.  Nodes whose hardware or engine calibration differ are
+chain at all.  The kernel returns rows only (achieved rate, throughput,
+energy, latency, power, bottleneck utilization); :func:`kernel_samples`
+joins them with the other sample fields, priced by the diagonal plan
+the kernel compiles, so every field of every ``step_all`` sample stays
+compared.  Nodes whose hardware or engine calibration differ are
 refused at construction, and invalid arguments are rejected before any
-state changes.  The consumer classes pin the rewired surfaces:
-``SdnController`` steering decisions must be identical to the per-node
-loop in ``benchmarks/perf/reference.py``.
+state changes.
 """
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,14 +30,17 @@ from repro.hw.nic import NicSpec
 from repro.hw.power import PowerModelParams
 from repro.hw.server import ServerSpec
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
-from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible, one_interval
-from repro.nfv.engine import EngineParams, PollingMode, _LazyPerNF, bottleneck_utilization
+from repro.nfv.cluster_kernel import ClusterKernel, engines_compatible
+from repro.nfv.engine import (
+    EngineParams,
+    NFTelemetry,
+    PollingMode,
+    TelemetrySample,
+    chain_stack,
+)
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
-from repro.sdn import ChainReplica, FlowSpec, SdnConfig, SdnController
-from repro.traffic.generators import ConstantRateGenerator
-from repro.traffic.packet import IMIX, LARGE_PACKETS, SMALL_PACKETS
-from repro.utils.units import line_rate_pps
+from repro.traffic.packet import IMIX
 
 PACKET_SIZES = (64.0, 256.0, 512.0, 1024.0, 1518.0)
 CHAIN_KINDS = (default_chain, light_chain, heavy_chain)
@@ -97,9 +102,101 @@ def reference_step(nodes: list[Node], offered: dict, dt_s: float = 1.0) -> dict:
     return samples
 
 
-def step_one(kernel: ClusterKernel, offered: dict, dt_s: float = 1.0) -> dict:
-    """One interval through the kernel; the per-chain samples."""
-    return kernel.step(*one_interval(offered), dt_s).samples
+def load_block(offered: dict) -> tuple[list, np.ndarray, list]:
+    """``{name: (pps, frame bytes)}`` as one interval's
+    :meth:`ClusterKernel.step` arguments ``(names, loads, frame sizes)``."""
+    names = list(offered)
+    return (
+        names,
+        np.array([offered[n][0] for n in names]).reshape(-1, 1),
+        [offered[n][1] for n in names],
+    )
+
+
+def step_one(kernel: ClusterKernel, offered: dict, dt_s: float = 1.0):
+    """One interval through the kernel; its block telemetry."""
+    return kernel.step(*load_block(offered), dt_s)
+
+
+#: The sample fields a kernel block returns as ``(n, R)`` rows.
+BLOCK_FIELDS = ("achieved_pps", "throughput_gbps", "energy_j", "latency_s", "power_w")
+
+
+def plan_samples(multi, stack, dt_s: float = 1.0) -> list[TelemetrySample]:
+    """One interval of a diagonal plan's rows as ``TelemetrySample``s,
+    per-NF rows included, to compare field by field with the scalar
+    ``PacketEngine.step``."""
+    rows = []
+    for r, profile in enumerate(stack.profiles):
+        n = len(profile)
+        per_nf = [
+            NFTelemetry(*nf)
+            for nf in zip(
+                profile.names,
+                multi.cycles_per_packet[r, :n].tolist(),
+                multi.service_rate_pps[r, :n].tolist(),
+                multi.nf_utilization[r, :n].tolist(),
+                multi.misses_per_packet[r, :n].tolist(),
+            )
+        ]
+        offered = float(multi.offered_pps[r])
+        rows.append(
+            TelemetrySample(
+                dt_s=dt_s,
+                offered_pps=offered,
+                achieved_pps=float(multi.achieved_pps[r]),
+                packet_bytes=float(multi.packet_bytes[r]),
+                throughput_gbps=float(multi.throughput_gbps[r]),
+                llc_miss_rate_per_s=float(multi.llc_miss_rate_per_s[r]),
+                cpu_utilization=float(multi.cpu_utilization[r]),
+                cpu_cores_busy=float(multi.cpu_cores_busy[r]),
+                power_w=float(multi.power_w[r]),
+                energy_j=float(multi.energy_j[r]),
+                dropped_pps=float(multi.dropped_pps[r]),
+                latency_s=float(multi.latency_s[r]),
+                arrival_rate_pps=offered,
+                per_nf=per_nf,
+            )
+        )
+    return rows
+
+
+def kernel_samples(nodes, offered: dict, block, dt_s: float = 1.0) -> dict:
+    """The last interval of a kernel block as one sample per hosted chain.
+
+    The block's rows give the achieved rate, throughput, energy, latency
+    and power; its utilization row must be each chain's bottleneck NF.
+    Every other field is priced by the diagonal plan the kernel
+    compiles — ``compile_chains`` on the same stack, CAT grants and
+    contention, with ``include_power=False`` — at ``offered`` (unnamed
+    chains idle at (0, 1518)).  The result compares field for field
+    with ``Node.step_all``'s samples.
+    """
+    chains, knobs, grants, contention, pkts, loads = [], [], [], [], [], []
+    for node in nodes:
+        node_offered = [offered.get(name, (0.0, 1518.0)) for name in node.chains]
+        node_contention = node.contention_for(tuple(pkt for _, pkt in node_offered))
+        for (name, hosted), (pps, pkt) in zip(node.chains.items(), node_offered):
+            chains.append(hosted.chain)
+            knobs.append(hosted.knobs)
+            grants.append(node.cache.allocated_bytes(name))
+            contention.append(node_contention)
+            pkts.append(pkt)
+            loads.append(pps)
+    if not chains:
+        return {}
+    engine = nodes[0].engine
+    stack = chain_stack(tuple(chains), tuple(pkts), engine.server.llc.line_bytes)
+    plan = engine.compile_chains(
+        stack, knobs, llc_bytes=grants, contention=np.asarray(contention)
+    )
+    rows = plan_samples(plan.step(loads, dt_s, include_power=False), stack, dt_s)
+    names = [name for node in nodes for name in node.chains]
+    for r, sample in enumerate(rows):
+        for field in BLOCK_FIELDS:
+            setattr(sample, field, float(getattr(block, field)[-1, r]))
+        assert block.utilization[-1, r] == max(nf.utilization for nf in sample.per_nf)
+    return dict(zip(names, rows))
 
 
 def plan_cache_paths(step, *args, **kwargs):
@@ -142,7 +239,8 @@ class TestGoldenEquivalence:
         # Three intervals walk both fused paths: the compile on first
         # sight and the cached plan.
         for _ in range(3):
-            got = step_one(kernel, offered, dt_s)
+            block = step_one(kernel, offered, dt_s)
+            got = kernel_samples(nodes_k, offered, block, dt_s)
             ref = reference_step(nodes_r, offered, dt_s)
             assert set(got) == set(ref)
             for name in ref:
@@ -165,7 +263,8 @@ class TestGoldenEquivalence:
             drawn = {
                 name: (float(rng.uniform(0.0, 3e6)), pkts[name]) for name in offered
             }
-            got, paths = plan_cache_paths(step_one, kernel, drawn)
+            block, paths = plan_cache_paths(step_one, kernel, drawn)
+            got = kernel_samples(nodes_k, drawn, block)
             ref = reference_step(nodes_r, drawn)
             for name in ref:
                 assert got[name] == ref[name]
@@ -188,11 +287,53 @@ class TestGoldenEquivalence:
         # A knob change invalidates the fused plan: the new
         # configuration compiles on first sight.
         for expected in ("promote", "hit"):
-            got, paths = plan_cache_paths(step_one, kernel, offered)
+            block, paths = plan_cache_paths(step_one, kernel, offered)
+            got = kernel_samples(nodes_k, offered, block)
             ref = reference_step(nodes_r, offered)
             assert paths == [expected]
             for chain_name in ref:
                 assert got[chain_name] == ref[chain_name]
+
+    def test_per_name_frame_sizes_recompile_on_change(self):
+        # A flow moving between chains changes the mean frame size of
+        # both, and the sizes are part of the plan key: each new set of
+        # per-name sizes compiles once, and every interval still
+        # matches step_all.
+        nodes_k, offered = build_cluster(6)
+        nodes_r, _ = build_cluster(6)
+        kernel = ClusterKernel(nodes_k)
+        names = list(offered)
+        mixed = (64.0, IMIX.mean_bytes, 1518.0)
+        sizes = [
+            tuple(mixed[(i + k) % 3] for i in range(len(names))) for k in range(3)
+        ]
+        schedule = [sizes[0]] * 2 + [sizes[1]] * 3 + [sizes[0], sizes[2], sizes[2]]
+        rng = np.random.default_rng(60)
+        promotes = 0
+        for i, pkts in enumerate(schedule):
+            drawn = {
+                name: (float(rng.uniform(0.0, 3e6)), pkt)
+                for name, pkt in zip(names, pkts)
+            }
+            block, paths = plan_cache_paths(step_one, kernel, drawn)
+            new_sizes = i == 0 or pkts != schedule[i - 1]
+            assert paths == ["promote" if new_sizes else "hit"], i
+            promotes += new_sizes
+            got = kernel_samples(nodes_k, drawn, block)
+            ref = reference_step(nodes_r, drawn)
+            assert set(got) == set(ref)
+            for name, want in ref.items():
+                # The kernel prices node power through numpy's array
+                # power, step_all through its scalar power, and the two
+                # round P_max's frequency cube 1 ulp apart at some mean
+                # frequencies (node n1's 1.7667 GHz here), which the
+                # attribution to chains carries as up to 2 ulp.
+                for field in ("power_w", "energy_j"):
+                    np.testing.assert_array_max_ulp(
+                        getattr(got[name], field), getattr(want, field), maxulp=2
+                    )
+                assert replace(got[name], power_w=want.power_w, energy_j=want.energy_j) == want
+        assert promotes == 4
 
     @pytest.mark.parametrize("mismatch", sorted(MISMATCHES))
     def test_mismatched_nodes_are_refused(self, mismatch):
@@ -234,7 +375,8 @@ class TestGoldenEquivalence:
                 perf_reference.reference_cluster_step(nodes_r, [{}] * 3, dt_s)
                 want.append([node.meter.total_joules for node in nodes_r])
             assert block.node_joules.tolist() == want
-            assert block.samples == {} and block.energy_j.shape == (3, 0)
+            for rows in (block.energy_j, block.power_w, block.utilization):
+                assert rows.shape == (3, 0)
             assert paths == (["promote", "hit"] if dt_s == 1.0 else ["hit"])
         assert [vars(n.meter) for n in nodes_k] == [vars(n.meter) for n in nodes_r]
         assert all(n.meter.total_joules > 0 for n in nodes_k)
@@ -248,7 +390,7 @@ class TestGoldenEquivalence:
             step_one(kernel, offered, dt_s=0.0)
         with pytest.raises(KeyError):
             step_one(kernel, {"ghost": (1e5, 64.0)})
-        names, loads, pkts = one_interval(offered)
+        names, loads, pkts = load_block(offered)
         with pytest.raises(ValueError, match="frame size"):
             kernel.step(names, loads, pkts[:-1])
         with pytest.raises(ValueError, match="non-negative"):
@@ -259,7 +401,7 @@ class TestGoldenEquivalence:
         first_offered = {n: offered[n] for n in nodes[0].chains}
         for _ in range(3):
             out = step_one(mixed, first_offered)
-        assert set(out) == set(nodes[0].chains)
+        assert out.achieved_pps.shape == (1, len(nodes[0].chains))
         assert empty.node_power_w() > 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
@@ -274,7 +416,7 @@ class TestGoldenEquivalence:
             step_one(kernel, offered)
         plan_key = kernel._plan_key
         before = node_state(nodes)
-        names, loads, pkts = one_interval(offered)
+        names, loads, pkts = load_block(offered)
         with pytest.raises(ValueError, match="frame sizes"):
             kernel.step(names, loads, [*pkts[:-1], bad])
         with pytest.raises(ValueError, match="frame sizes"):
@@ -303,170 +445,6 @@ class TestGoldenEquivalence:
         assert len(kernel.nodes) == len(nodes)
         ref_nodes, _ = build_cluster(2)
         for _ in range(2):
-            got = step_one(kernel, offered)
+            got = kernel_samples(kernel.nodes, offered, step_one(kernel, offered))
             ref = reference_step(ref_nodes, offered)
-        for name in ref:
-            assert got[name] == ref[name]
-
-
-class TestClusterTelemetry:
-    """The fused pass's lazy per-NF materialization and steering signal."""
-
-    def test_lazy_per_nf_equals_eager(self):
-        nodes, offered = build_cluster(7)
-        kernel = ClusterKernel(nodes)
-        for _ in range(2):
-            samples = step_one(kernel, offered)
-        name = next(iter(samples))
-        sample = samples[name]
-        assert isinstance(sample.per_nf, _LazyPerNF)
-        # max_utilization is readable without materializing...
-        assert sample.per_nf._items is None
-        util = sample.per_nf.max_utilization
-        assert sample.per_nf._items is None
-        # ...and materialization agrees with it and with indexing.
-        assert util == max(t.utilization for t in sample.per_nf)
-        assert sample.per_nf[0] is sample.per_nf._items[0]
-        assert len(sample.per_nf) == len(list(sample.per_nf))
-        assert bottleneck_utilization(sample) == util
-
-    def test_bottleneck_utilization_fallbacks(self):
-        nodes, offered = build_cluster(8)
-        node = nodes[0]
-        sub = {n: offered[n] for n in node.chains}
-        sample = next(iter(node.step_all(sub).values()))
-        # Eager list path.
-        assert bottleneck_utilization(sample) == max(
-            t.utilization for t in sample.per_nf
-        )
-        sample.per_nf = []
-        assert bottleneck_utilization(sample) == sample.cpu_utilization
-
-
-class _PerNodeLoop:
-    """Stands in for an SDN controller's fused kernel: the per-node loop."""
-
-    def __init__(self, nodes, step_cluster):
-        self.nodes = nodes
-        self.step_cluster = step_cluster
-
-    def step(self, names, loads, packet_bytes, dt_s):
-        offered = dict(zip(names, zip(loads[:, 0].tolist(), packet_bytes)))
-        per_node = [
-            {n: offered[n] for n in node.chains if n in offered} for node in self.nodes
-        ]
-        return SimpleNamespace(samples=self.step_cluster(self.nodes, per_node, dt_s))
-
-
-class TestSdnSteeringEquivalence:
-    """Steering outcomes are unchanged between the kernel and the per-node loop."""
-
-    LINE = line_rate_pps(10.0, 1518)
-
-    def _build(self, sizes=(LARGE_PACKETS,)) -> SdnController:
-        """Four replicas and an imbalanced admission; flow j carries
-        ``sizes[j % len(sizes)]`` frames."""
-        config = SdnConfig(max_migrations_per_interval=1, flow_cooldown_intervals=3)
-        sdn = SdnController(config, rng=0)
-        tuned = KnobSettings(
-            cpu_share=1.0, batch_size=128, dma_mb=12, llc_fraction=0.45
-        )
-        for i in range(4):
-            node = Node()
-            chain = default_chain(f"sfc{i}")
-            node.deploy(chain, tuned)
-            sdn.register_replica(
-                ChainReplica(chain_name=f"sfc{i}", node=node, service="sfc")
-            )
-        # An imbalanced admission so both relief and consolidation fire.
-        flows = [(f"hot{j}", 0.18, "sfc0") for j in range(6)]
-        flows += [("cool-a", 0.02, "sfc2"), ("cool-b", 0.03, "sfc3")]
-        for j, (name, share, chain_name) in enumerate(flows):
-            generator = ConstantRateGenerator(share * self.LINE, sizes[j % len(sizes)])
-            sdn.add_flow(FlowSpec(name, generator, service="sfc"), chain_name=chain_name)
-        return sdn
-
-    def _run_lockstep(self, sizes, intervals: int, reference_cluster_step):
-        """Step a kernel-backed and a per-node-loop controller side by
-        side; every sample and steering decision must agree."""
-        kernel_sdn = self._build(sizes)
-        ref_sdn = self._build(sizes)
-        ref_sdn._kernel = _PerNodeLoop(
-            [replica.node for replica in ref_sdn.replicas.values()],
-            reference_cluster_step,
-        )
-        for it in range(intervals):
-            got = kernel_sdn.run_interval()
-            ref = ref_sdn.run_interval()
-            assert set(got) == set(ref)
-            for name in ref:
-                assert got[name] == ref[name], (it, name)
-            # Same steering state after every interval: assignments,
-            # migration count, hysteresis budget bookkeeping.
-            flows = list(ref_sdn.table.rules)
-            assert {f: kernel_sdn.table.chain_of(f) for f in flows} == {
-                f: ref_sdn.table.chain_of(f) for f in flows
-            }
-            assert kernel_sdn.table.migrations == ref_sdn.table.migrations
-            assert kernel_sdn._cooldown == ref_sdn._cooldown
-            for name in ref_sdn.replicas:
-                assert (
-                    kernel_sdn.replicas[name].utilization
-                    == ref_sdn.replicas[name].utilization
-                )
-        for kernel_node, ref_node in zip(
-            kernel_sdn._kernel.nodes, ref_sdn._kernel.nodes
-        ):
-            assert vars(kernel_node.meter) == vars(ref_node.meter)
-        return ref_sdn
-
-    def test_migration_decisions_identical(self, perf_reference):
-        ref_sdn = self._run_lockstep(
-            (LARGE_PACKETS,), 15, perf_reference.reference_cluster_step
-        )
-        # The scenario actually exercised steering (not a vacuous pass).
-        assert ref_sdn.table.migrations >= 2
-        reasons = {rule.reason for rule in ref_sdn.table.history}
-        assert "overload-relief" in reasons
-
-    def test_mixed_frame_sizes_recompile_after_migrations(self, perf_reference):
-        # 64 B, IMIX and 1518 B flows: a migration changes the mean
-        # frame size of both chains it touches, which is part of the
-        # plan key, so the kernel must recompile and still match.
-        obs.enable()
-        try:
-            ref_sdn = self._run_lockstep(
-                (SMALL_PACKETS, IMIX, LARGE_PACKETS),
-                16,
-                perf_reference.reference_cluster_step,
-            )
-            counters = obs.drain_counters()
-        finally:
-            obs.disable()
-        assert ref_sdn.table.migrations >= 2
-        reasons = {rule.reason for rule in ref_sdn.table.history}
-        assert {"overload-relief", "energy-consolidation"} <= reasons
-        # One compile on first sight, then one per migration.
-        assert counters["kernel/plan_cache/promote"] == 1 + ref_sdn.table.migrations
-        assert counters["kernel/plan_cache/hit"] > 0
-        assert "kernel/plan_cache/fallback" not in counters
-
-    def test_mismatched_replicas_are_refused(self):
-        sdn = SdnController(SdnConfig(), rng=0)
-        for i, node in enumerate((Node(), Node(polling=PollingMode.POLL))):
-            node.deploy(default_chain(f"sfc{i}"), KnobSettings())
-            sdn.register_replica(
-                ChainReplica(chain_name=f"sfc{i}", node=node, service="sfc")
-            )
-        with pytest.raises(ValueError, match="must share"):
-            sdn.run_interval()
-
-    def test_kernel_handles_replica_registration_growth(self):
-        sdn = self._build()
-        sdn.run_interval()
-        node = Node()
-        chain = default_chain("sfc9")
-        node.deploy(chain, KnobSettings())
-        sdn.register_replica(ChainReplica(chain_name="sfc9", node=node, service="sfc"))
-        samples = sdn.run_interval()
-        assert "sfc9" in samples
+        assert got == ref

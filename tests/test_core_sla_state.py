@@ -138,8 +138,9 @@ class TestElementwisePredicates:
             throughput_gbps=throughput,
             energy_j=energy,
             latency_s=latency,
+            power_w=energy / self.DT,
+            utilization=np.full(shape, 0.5),
             node_joules=np.zeros((6, 1)),
-            samples={},
         )
 
     def sample_at(self, block: BlockTelemetry, i: int, r: int) -> TelemetrySample:

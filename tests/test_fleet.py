@@ -31,6 +31,7 @@ from repro.fleet import (
 from repro.fleet.placement import PLACEMENTS
 from repro.fleet.shard import ShardSim, kind_nfs
 from repro.fleet.spec import BACKENDS
+from repro.hw.server import ServerSpec
 from repro.scenario import SCENARIOS, ScenarioSpec
 from repro.traffic.generators import DiurnalGenerator
 
@@ -282,22 +283,49 @@ class TestFleetSpec:
         assert FleetSpec.from_mapping(section).topology.total_chains == 6
 
     def test_more_chains_per_node_than_llc_ways_raises_at_build(self):
-        # The spec allows 19 chains on a node; the node's 18 allocatable
-        # CAT ways do not, and the 19th deploy used to hang.
-        spec = FleetSpec.from_mapping(
-            {
-                "preset": "small",
-                "migration": {"capacity_per_node": 19},
-                "topology": {
-                    "preset": "full-mesh",
-                    "n_shards": 1,
-                    "nodes": 1,
-                    "chains_per_node": 19,
-                },
-            }
-        )
-        with pytest.raises(ValueError, match="s0-n0-c18"):
-            FleetCoordinator(spec)
+        # 19 chains on a node do not fit its 18 allocatable CAT ways; the
+        # 19th deploy used to hang, and the spec now refuses the layout.
+        with pytest.raises(ValueError, match="capacity_per_node=19 exceeds the 18"):
+            FleetSpec.from_mapping(
+                {
+                    "preset": "small",
+                    "migration": {"capacity_per_node": 19},
+                    "topology": {
+                        "preset": "full-mesh",
+                        "n_shards": 1,
+                        "nodes": 1,
+                        "chains_per_node": 19,
+                    },
+                }
+            )
+
+    def test_capacity_above_llc_ways_raises_at_build(self):
+        # The initial layout fits the node's 18 ways, but a capacity of
+        # 19 let admission place a 19th chain on a node, which failed
+        # in the middle of applying a plan ("cannot deploy 'dyn-0-0'").
+        section = {
+            "preset": "small",
+            "cycles": 3,
+            "migration": {"capacity_per_node": 19},
+            "topology": {
+                "preset": "full-mesh",
+                "n_shards": 1,
+                "nodes": 2,
+                "chains_per_node": 18,
+            },
+            "workload": {
+                "churn": {
+                    "arrivals_per_cycle": 3.0,
+                    "departure_prob": 0.0,
+                    "max_chains": 40,
+                }
+            },
+        }
+        ways = ServerSpec().llc.allocatable_ways
+        with pytest.raises(ValueError, match=f"exceeds the {ways} allocatable LLC ways"):
+            FleetSpec.from_mapping(section)
+        section["migration"] = {"capacity_per_node": ways}
+        assert FleetSpec.from_mapping(section).migration.capacity_per_node == ways
 
     def test_all_presets_resolve(self):
         for name in FLEETS:

@@ -33,6 +33,7 @@ from repro.nfv.engine import PacketEngine, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.nf import CATALOG
 from repro.nfv.node import Node
+from test_cluster_kernel import kernel_samples, plan_samples
 from test_fleet import hosted_loads, shard_config
 from test_shard_block import assert_same_state, plan_cache_counts
 
@@ -162,11 +163,7 @@ class TestBadBlockMovesNothing:
                 shard.sim._interval,
                 list(shard.sim._node_energy),
                 [dict(vars(node.meter)) for node in shard.sim.nodes],
-                {
-                    name: hosted.last_sample
-                    for node in shard.sim.nodes
-                    for name, hosted in node.chains.items()
-                },
+                list(shard.sim._last_node_power),
             )
             for shard in shards
         ]
@@ -267,10 +264,12 @@ class TestNFPadding:
             names.append("y")
             loads = np.vstack([loads, np.full((1, 3), 6e5)])
         block = ClusterKernel(nodes).step(names, loads, 512.0)
+        offered = dict(zip(names, ((pps, 512.0) for pps in loads[:, -1].tolist())))
         return (
             [block.achieved_pps[:, 0], block.throughput_gbps[:, 0],
-             block.energy_j[:, 0], block.latency_s[:, 0], block.node_joules[:, 0]],
-            block.samples["x"],
+             block.energy_j[:, 0], block.latency_s[:, 0], block.power_w[:, 0],
+             block.utilization[:, 0], block.node_joules[:, 0]],
+            kernel_samples(nodes, offered, block)["x"],
         )
 
     def same(self, nfs, other) -> bool:
@@ -302,6 +301,6 @@ class TestNFPadding:
         for load in (3.1e5, 9.7e5, 4e6):
             scalar = engine.step(chain, knobs, load, 512.0)
             stack = chain_stack((chain,), (512.0,), engine.server.llc.line_bytes)
-            (row,) = engine.compile_chains(stack, [knobs]).step([load]).samples()
+            (row,) = plan_samples(engine.compile_chains(stack, [knobs]).step([load]), stack)
             grid = engine.step_batch(chain, [knobs], [load], 512.0).sample(0, 0)
             assert row == scalar and grid == scalar, load

@@ -26,10 +26,11 @@ import pytest
 from repro import obs
 from repro.hw.cache import contention_factor
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
-from repro.nfv.cluster_kernel import ClusterKernel, one_interval
+from repro.nfv.cluster_kernel import ClusterKernel
 from repro.nfv.engine import PollingMode, aggregate_samples, chain_stack
 from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
+from test_cluster_kernel import kernel_samples, plan_samples, step_one
 
 PACKET_SIZES = (64.0, 256.0, 512.0, 1024.0, 1518.0)
 CHAIN_KINDS = (default_chain, light_chain, heavy_chain)
@@ -115,11 +116,6 @@ def reference_samples(node: Node, offered: dict, dt_s: float = 1.0) -> dict:
     return out
 
 
-def step_one(kernel: ClusterKernel, offered: dict, dt_s: float = 1.0) -> dict:
-    """One interval through the kernel; the per-chain samples."""
-    return kernel.step(*one_interval(offered), dt_s).samples
-
-
 def plan_cache_paths(step, *args, **kwargs):
     """Run one kernel step with ``repro.obs`` on; return its result and
     the ``kernel/plan_cache/*`` paths it took."""
@@ -168,7 +164,7 @@ class TestGoldenEquivalence:
         offered = draw_offered(rng, chains)
         for _ in range(3):
             ref = reference_samples(node, offered, dt_s)
-            got = step_one(kernel, offered, dt_s)
+            got = kernel_samples([node], offered, step_one(kernel, offered, dt_s), dt_s)
             scalar = twin.step_all(offered, dt_s)
             assert set(got) == set(ref) == set(scalar)
             for name in ref:
@@ -190,7 +186,8 @@ class TestGoldenEquivalence:
                 c.name: (float(rng.uniform(0.0, 3e6)), pkt[c.name]) for c in chains
             }
             ref = reference_samples(node, offered)
-            got, paths = plan_cache_paths(step_one, kernel, offered)
+            block, paths = plan_cache_paths(step_one, kernel, offered)
+            got = kernel_samples([node], offered, block)
             assert paths == [("promote", "hit", "hit", "hit")[it]]
             for name in ref:
                 assert_sample_close(got[name], ref[name])
@@ -206,7 +203,8 @@ class TestGoldenEquivalence:
             chains[0].name, KnobSettings(cpu_share=0.9, batch_size=48)
         )
         ref = reference_samples(node, offered)
-        got, paths = plan_cache_paths(step_one, kernel, offered)
+        block, paths = plan_cache_paths(step_one, kernel, offered)
+        got = kernel_samples([node], offered, block)
         # The stale plan is not reused: the new configuration compiles.
         assert paths == ["promote"]
         for name in ref:
@@ -313,10 +311,8 @@ class TestMultiChainInvariants:
                     )
                     for c in chains
                 }
-                node.step_all(offered)
-                power = sum(
-                    node.chains[c.name].last_sample.power_w for c in chains
-                )
+                samples = node.step_all(offered)
+                power = sum(samples[c.name].power_w for c in chains)
                 assert power >= last_power - 1e-9
                 last_power = power
 
@@ -338,7 +334,7 @@ class TestMultiChainInvariants:
             assert a == b  # dataclass equality: every field, every NF, bit-exact
 
 
-def compile_node_plan(node: Node, offered: dict):
+def compile_node_plan(node: Node, offered: dict, contention=None):
     """A node's chains compiled into one diagonal plan, plus their loads."""
     names = list(node.chains)
     stack = chain_stack(
@@ -350,31 +346,27 @@ def compile_node_plan(node: Node, offered: dict):
         stack,
         [node.chains[n].knobs for n in names],
         llc_bytes=[node.llc_bytes_for(n) for n in names],
+        contention=contention,
     )
     return plan, [offered[n][0] for n in names]
 
 
 class TestKernelTelemetry:
-    """MultiChainTelemetry surface: samples(), aggregation, stacking."""
+    """MultiChainTelemetry surface: plan rows, aggregation, stacking."""
 
-    def test_samples_match_indexed_sample(self):
+    def test_plan_rows_match_step_all(self):
+        # Every sample field but the node-attributed power, per-NF rows
+        # included, is one row of the node's diagonal plan priced at
+        # the node's CAT grants and contention.
         node, chains = build_node(4)
         offered = draw_offered(np.random.default_rng(11), chains)
-        plan, loads = compile_node_plan(node, offered)
-        multi = plan.step(loads)
-        rows = multi.samples()
-        assert len(rows) == len(chains)
-        for r, sample in enumerate(rows):
-            for field in SCALAR_FIELDS[1:] + ("power_w", "energy_j"):
-                source = "offered_pps" if field == "arrival_rate_pps" else field
-                assert getattr(sample, field) == float(getattr(multi, source)[r])
-            names = multi.stack.profiles[r].names
-            assert [t.name for t in sample.per_nf] == list(names)
-            for i, nf in enumerate(sample.per_nf):
-                assert nf.cycles_per_packet == float(multi.cycles_per_packet[r, i])
-                assert nf.service_rate_pps == float(multi.service_rate_pps[r, i])
-                assert nf.utilization == float(multi.nf_utilization[r, i])
-                assert nf.misses_per_packet == float(multi.misses_per_packet[r, i])
+        contention = node.contention_for(tuple(offered[c.name][1] for c in chains))
+        plan, loads = compile_node_plan(node, offered, contention)
+        rows = plan_samples(plan.step(loads, include_power=False), plan.stack)
+        samples = node.step_all(offered)
+        assert len(rows) == len(samples) == len(chains)
+        for row, sample in zip(rows, samples.values()):
+            assert row == replace(sample, power_w=0.0, energy_j=0.0)
 
     def test_aggregate_matches_python_fold(self):
         node, chains = build_node(6)
@@ -412,7 +404,7 @@ class TestKernelTelemetry:
         rng = np.random.default_rng(400 + seed)
         offered = draw_offered(rng, chains)
         plan, loads = compile_node_plan(node, offered)
-        rows = plan.step(loads, include_power=False).samples()
+        rows = plan_samples(plan.step(loads, include_power=False), plan.stack)
         for row, (name, hosted) in zip(rows, node.chains.items()):
             ref = node.engine.step(
                 hosted.chain,

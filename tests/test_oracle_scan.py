@@ -60,9 +60,9 @@ class TestOracleStatic:
         assert not np.allclose(bt_h.energy_efficiency, bt_d.energy_efficiency)
 
     def test_research_matches_search_winner(self):
-        # Every search, first or periodic, prices candidates through the
-        # cached K-row plan; its winner must be the one a fresh
-        # step_batch grid scored with the same objective picks.
+        # Every search prices the candidates in one step_batch grid; its
+        # winner must be the one a fresh grid scored with the same
+        # objective picks.
         chain = default_chain()
         engine = PacketEngine()
         for objective in ("energy_efficiency", "max_throughput", "min_energy"):
@@ -81,52 +81,6 @@ class TestOracleStatic:
                 assert ctrl.search(chain, load, 512.0) == ctrl.grid[
                     int(np.argmax(score))
                 ], (objective, load)
-
-    def test_research_reuses_the_compiled_plan(self):
-        chain = default_chain()
-        ctrl = OracleStaticController()
-        ctrl.prepare(chain, PacketEngine())
-        ctrl.search(chain, 5e5, 512.0)
-        plan = ctrl._plan
-        ctrl.search(chain, 9e5, 512.0)  # new load, same plan
-        assert ctrl._plan is plan
-        ctrl.search(chain, 9e5, 1024.0)  # new frame size -> recompile
-        assert ctrl._plan is not plan
-
-    def test_periodic_research_tracks_workload_shifts(self):
-        # Under research_every the oracle re-locks onto the current
-        # workload; a drastic load shift must be able to change the pick.
-        chain = default_chain()
-        engine = PacketEngine()
-        ctrl = OracleStaticController(research_every=1)
-        ctrl.prepare(chain, engine)
-        low = ctrl.search(chain, 1e5, 1518.0)
-        high = ctrl.search(chain, 2e6, 64.0)
-        assert isinstance(low, KnobSettings) and isinstance(high, KnobSettings)
-        assert low != high  # the re-search is live, not a cached no-op
-
-    def test_decide_research_cadence(self):
-        from repro.traffic.analysis import FlowAnalyzer
-
-        chain = default_chain()
-        engine = PacketEngine()
-        ctrl = OracleStaticController(research_every=3)
-        ctrl.prepare(chain, engine)
-        sample = engine.step(chain, KnobSettings(), 5e5, 512.0)
-        analyzer = FlowAnalyzer()
-        searches = []
-        search = ctrl.search
-        ctrl.search = lambda *a, **kw: searches.append(a) or search(*a, **kw)
-        first = ctrl.decide(sample, analyzer, KnobSettings())  # initial search
-        assert first == ctrl._knobs and len(searches) == 1
-        plan_before = ctrl._plan
-        ctrl.decide(sample, analyzer, first)  # interval 2: hold
-        assert len(searches) == 1  # no re-search yet
-        ctrl.decide(sample, analyzer, first)  # interval 3: re-search fires
-        assert len(searches) == 2
-        assert ctrl._plan is plan_before  # same workload -> same cached plan
-        with pytest.raises(ValueError):
-            OracleStaticController(research_every=0)
 
     def test_run_controller_threads_engine_params(self):
         # End-to-end: run_controller must hand the node's engine (with

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
-from repro.rl.noise import GaussianNoise, OUNoise
+from repro.rl.noise import OUNoise
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.replay import Transition, TransitionBatch
 
@@ -40,21 +40,6 @@ class TestNoise:
             OUNoise(0)
         with pytest.raises(ValueError):
             OUNoise(2, theta=-1.0)
-
-    def test_gaussian_decay(self):
-        n = GaussianNoise(2, sigma=1.0, sigma_min=0.1, decay=0.5, rng=0)
-        for _ in range(20):
-            n.sample()
-        assert n.sigma == pytest.approx(0.1)
-
-    def test_gaussian_shape(self):
-        assert GaussianNoise(5, rng=0).sample().shape == (5,)
-
-    def test_gaussian_validation(self):
-        with pytest.raises(ValueError):
-            GaussianNoise(2, decay=0.0)
-        with pytest.raises(ValueError):
-            GaussianNoise(2, sigma=-1.0)
 
 
 class TestDDPGAgent:
@@ -162,14 +147,7 @@ class TestDDPGAgent:
         with pytest.raises(ValueError):
             DDPGConfig(tau=0.0)
         with pytest.raises(ValueError):
-            DDPGConfig(noise_type="uniform")
-        with pytest.raises(ValueError):
             DDPGAgent(0, 2)
-
-    def test_gaussian_noise_variant(self):
-        agent = DDPGAgent(3, 2, DDPGConfig(noise_type="gaussian"), rng=0)
-        a = agent.act(np.zeros(3), explore=True)
-        assert a.shape == (2,)
 
 
 class TestQLearning:

@@ -1,10 +1,16 @@
 """SDN flow-steering tests (the paper's §6 future-work feature)."""
 
+import hashlib
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro.nfv import KnobSettings, Node, default_chain
+from repro.nfv.engine import PollingMode, TelemetrySample
 from repro.sdn import ChainReplica, FlowSpec, SdnConfig, SdnController, SteeringTable
-from repro.traffic.generators import ConstantRateGenerator
+from repro.traffic.generators import ConstantRateGenerator, PoissonGenerator
+from repro.traffic.packet import IMIX, LARGE_PACKETS, SMALL_PACKETS
 from repro.utils.units import line_rate_pps
 
 LINE = line_rate_pps(10.0, 1518)
@@ -179,6 +185,50 @@ class TestSteering:
             SdnController(interval_s=0.0)
 
 
+class TestNodeStepping:
+    """Each replica node steps once per interval through ``step_all``."""
+
+    def test_poll_and_adaptive_replicas_step_their_own_nodes(self):
+        # Nodes of different physics under one controller: each replica
+        # reads its own node's step_all sample.
+        sdn = SdnController(SdnConfig(max_migrations_per_interval=0), rng=0)
+        twins, offered = [], {}
+        for i, polling in enumerate((PollingMode.POLL, PollingMode.ADAPTIVE)):
+            name = f"sfc{i}"
+            node, twin = Node(polling=polling), Node(polling=polling)
+            for n in (node, twin):
+                n.deploy(default_chain(name), TUNED)
+            sdn.register_replica(ChainReplica(chain_name=name, node=node, service="sfc"))
+            sdn.add_flow(
+                FlowSpec(f"f{i}", ConstantRateGenerator((0.2 + 0.1 * i) * LINE), service="sfc"),
+                chain_name=name,
+            )
+            twins.append(twin)
+            offered[name] = ((0.2 + 0.1 * i) * LINE, 1518.0)
+        for _ in range(3):
+            samples = sdn.run_interval()
+            want = {}
+            for twin in twins:
+                want.update(twin.step_all({n: offered[n] for n in twin.chains}))
+            assert samples == want
+            for name, replica in sdn.replicas.items():
+                assert replica.last_sample is samples[name]
+        poll, adaptive = sdn.replicas["sfc0"], sdn.replicas["sfc1"]
+        assert poll.utilization == 1.0 > adaptive.utilization
+        for replica, twin in zip((poll, adaptive), twins):
+            assert vars(replica.node.meter) == vars(twin.meter)
+
+    def test_replica_registered_after_a_run_is_stepped(self):
+        sdn = make_sdn(2)
+        sdn.run_interval()
+        node = Node()
+        node.deploy(default_chain("sfc9"), KnobSettings())
+        sdn.register_replica(ChainReplica(chain_name="sfc9", node=node, service="sfc"))
+        samples = sdn.run_interval()
+        assert list(samples) == ["sfc0", "sfc1", "sfc9"]
+        assert node.meter.total_seconds == 1.0
+
+
 class TestSeedingIsolation:
     """Regression: fleet-facing components must never silently share RNGs.
 
@@ -215,3 +265,90 @@ class TestSeedingIsolation:
 
         assert offered(1) != offered(2)
         assert offered(5) == offered(5)
+
+
+#: The SDN golden's digest: three flow sets x 40 intervals on four
+#: replicas (see :func:`sdn_golden_payload`).
+SDN_GOLDEN_DIGEST = "6df253c4b4bf4430"
+SAMPLE_FIELDS = [f.name for f in fields(TelemetrySample) if f.name != "per_nf"]
+
+
+def _sample_row(sample):
+    """Every field of a sample, its per-NF rows included."""
+    return [getattr(sample, name) for name in SAMPLE_FIELDS] + [
+        [
+            nf.name,
+            nf.cycles_per_packet,
+            nf.service_rate_pps,
+            nf.utilization,
+            nf.misses_per_packet,
+        ]
+        for nf in sample.per_nf
+    ]
+
+
+def _golden_sdn(generator) -> SdnController:
+    """Four tuned replicas; six hot flows admitted to ``sfc0`` and two
+    cool ones to ``sfc2``/``sfc3``; flow j is ``generator(share, j)``."""
+    sdn = make_sdn(
+        4, SdnConfig(max_migrations_per_interval=1, flow_cooldown_intervals=3)
+    )
+    flows = [(f"hot{j}", 0.18, "sfc0") for j in range(6)]
+    flows += [("cool-a", 0.02, "sfc2"), ("cool-b", 0.03, "sfc3")]
+    for j, (name, share, chain_name) in enumerate(flows):
+        sdn.add_flow(
+            FlowSpec(name, generator(share * LINE, j), service="sfc"),
+            chain_name=chain_name,
+        )
+    return sdn
+
+
+def sdn_golden_payload(intervals: int = 40) -> dict:
+    """Every interval's samples, cooldowns, steering-history length and
+    node meters, then the full steering history, for three flow sets."""
+    mixed = (SMALL_PACKETS, IMIX, LARGE_PACKETS)
+    scenarios = {
+        "constant-1518": lambda pps, j: ConstantRateGenerator(pps, LARGE_PACKETS),
+        "constant-mixed": lambda pps, j: ConstantRateGenerator(pps, mixed[j % 3]),
+        "poisson-mixed": lambda pps, j: PoissonGenerator(pps, mixed[j % 3]),
+    }
+    payload = {}
+    for scenario, generator in scenarios.items():
+        sdn = _golden_sdn(generator)
+        nodes = [replica.node for replica in sdn.replicas.values()]
+        steps = []
+        for _ in range(intervals):
+            samples = sdn.run_interval()
+            steps.append(
+                {
+                    "samples": {n: _sample_row(s) for n, s in samples.items()},
+                    "order": list(samples),
+                    "cooldown": dict(sdn._cooldown),
+                    "history": len(sdn.table.history),
+                    "meters": [
+                        [m.total_joules, m.total_seconds, m.total_packets]
+                        for m in (node.meter for node in nodes)
+                    ],
+                }
+            )
+        payload[scenario] = {
+            "steps": steps,
+            "history": [
+                [r.flow, r.chain, r.revision, r.reason] for r in sdn.table.history
+            ],
+            "migrations": sdn.table.migrations,
+        }
+    return payload
+
+
+def test_sdn_golden():
+    payload = sdn_golden_payload()
+    # Both steering rules fire, so the digest pins decisions too.
+    reasons = {
+        name: {rule[3] for rule in scenario["history"]}
+        for name, scenario in payload.items()
+    }
+    assert all("overload-relief" in r for r in reasons.values()), reasons
+    assert "energy-consolidation" in reasons["poisson-mixed"], reasons
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16] == SDN_GOLDEN_DIGEST

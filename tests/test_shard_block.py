@@ -8,7 +8,9 @@ the per-interval loop without the kernel: every interval, each node's
 scalar ``Node.step_all`` fold.  The seeded grid below drives both
 through runs of 1, 2, 3 and 8 intervals with a knob change, a deploy,
 an undeploy and a vacated node between runs, on every registered SLA,
-and requires every record, sample and node meter to match at 0 ulp.
+and requires every record, summary and node meter, and every field of
+the last interval's samples (the kernel's rows joined with its diagonal
+plan's, see ``kernel_samples``), to match at 0 ulp.
 The plan-cache counters show when each run compiled.  The same grid
 checks that every interval's per-chain energy sums to its node's meter
 increment.
@@ -22,6 +24,7 @@ from repro.fleet.shard import ChainTicket, ShardConfig, ShardSim, kind_nfs
 from repro.fleet.workload import FlashCrowdConfig, WorkloadConfig
 from repro.hw.power import EnergyMeter, record_many
 from repro.utils.stats import left_sums
+from test_cluster_kernel import kernel_samples
 from test_fleet import hosted_loads
 
 #: Every registered SLA, with a constraint that some chains miss.
@@ -119,15 +122,37 @@ def plan_cache_counts(run, *args):
 
 
 def assert_same_state(block: ShardSim, ref: ShardSim) -> None:
-    """Samples and node meters of two shards agree bit for bit."""
-    assert block._last_samples == ref._last_samples
+    """Node meters and hosted chains of two shards agree bit for bit."""
     assert block._node_energy == ref._node_energy
     assert block._last_node_power == ref._last_node_power
     for node_b, node_r in zip(block.nodes, ref.nodes):
         assert vars(node_b.meter) == vars(node_r.meter)
         assert list(node_b.chains) == list(node_r.chains)
-        for hosted_b, hosted_r in zip(node_b.chains.values(), node_r.chains.values()):
-            assert hosted_b.last_sample == hosted_r.last_sample
+
+
+def run_both(block: ShardSim, ref: ShardSim, loads, perf_reference):
+    """One run of the block path and of the per-interval reference.
+
+    Their reports, node state and last-interval samples must agree bit
+    for bit.  Returns the block path's report and plan-cache counts.
+    """
+    blocks = []
+    step = block.kernel.step
+    block.kernel.step = lambda *args: blocks.append(step(*args)) or blocks[-1]
+    try:
+        got, counts = plan_cache_counts(block.run, loads)
+    finally:
+        del block.kernel.step
+    want, want_samples = perf_reference.reference_shard_run(ref, loads)
+    assert got == want
+    assert_same_state(block, ref)
+    pkt = block.workload.packet_bytes
+    offered = {
+        name: (pps, pkt) for name, pps in zip(loads.names, loads.pps[:, -1].tolist())
+    }
+    dt = block.config.interval_s
+    assert kernel_samples(block.nodes, offered, blocks[-1], dt) == want_samples
+    return got, counts
 
 
 class TestBlockMatchesPerIntervalReference:
@@ -140,10 +165,7 @@ class TestBlockMatchesPerIntervalReference:
         start = 0
         for step, n in enumerate(lengths):
             loads = hosted_loads(block, start, n, seed=seed)
-            got, counts = plan_cache_counts(block.run, loads)
-            want = perf_reference.reference_shard_run(ref, loads)
-            assert got == want
-            assert_same_state(block, ref)
+            got, counts = run_both(block, ref, loads, perf_reference)
             # When the block compiled: a new configuration (every run
             # before the last, which follows no command) compiles on
             # first sight.
@@ -239,10 +261,7 @@ class TestPlanCachePath:
                 shard.undeploy(name)
         for start, n, counts in ((0, 1, {"promote": 1}), (1, 3, {"hit": 3}), (4, 2, {"hit": 2})):
             loads = hosted_loads(sim, start, n, seed=3)
-            got, got_counts = plan_cache_counts(sim.run, loads)
-            assert got_counts == counts
-            assert got == perf_reference.reference_shard_run(ref, loads)
-            assert_same_state(sim, ref)
+            assert run_both(sim, ref, loads, perf_reference)[1] == counts
         assert all(node.meter.total_joules > 0 for node in sim.nodes)
 
 
@@ -253,11 +272,21 @@ class TestStep:
         (sim, _), *_ = grid_case(2)
         return sim.kernel, list(sim._tickets)
 
-    def test_unnamed_chains_idle(self):
-        kernel, names = self.kernel()
+    def test_unnamed_chains_idle(self, perf_reference):
+        # A chain the block does not name idles at (0, 1518), as in
+        # step_all: its row matches the per-node reference's idle sample.
+        (sim, ref), *_ = grid_case(2)
+        kernel, names = sim.kernel, list(sim._tickets)
         block = kernel.step(names[1:], np.full((len(names) - 1, 2), 4e5), 512.0)
-        idle = block.samples[names[0]]
+        offered = {name: (4e5, 512.0) for name in names[1:]}
+        for _ in range(2):
+            want = perf_reference.reference_cluster_step(
+                ref.nodes,
+                [{n: offered[n] for n in node.chains if n in offered} for node in ref.nodes],
+            )
+        idle = want[names[0]]
         assert idle.offered_pps == 0.0 and idle.packet_bytes == 1518.0
+        assert kernel_samples(sim.nodes, offered, block) == want
         assert block.throughput_gbps.shape == (2, len(names))
         assert block.node_joules.shape == (2, len(kernel.nodes))
 
@@ -296,7 +325,7 @@ class TestStep:
                     ref.nodes,
                     [{n: offered[n] for n in node.chains} for node in ref.nodes],
                 )
-            assert block.samples == want
+            assert kernel_samples(sim.nodes, offered, block) == want
             assert_same_state(sim, ref)
 
 
