@@ -85,6 +85,29 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="noise_type='gaussian'"):
             load_agent(path)
 
+    def test_ou_checkpoint_with_dropped_noise_fields_loads(self, tmp_path):
+        # Checkpoints written while the config still had noise_type,
+        # noise_sigma_min and noise_decay store all three; with OU noise
+        # they resume as before, the dropped fields ignored.
+        import json
+
+        cfg = DDPGConfig(hidden=(8,), noise_sigma=0.1, batch_size=16)
+        agent = DDPGAgent(3, 2, cfg, rng=0)
+        agent.updates_done = 7
+        path = save_agent(agent, tmp_path / "ou")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
+        meta.update(noise_type="ou", noise_sigma_min=0.03, noise_decay=0.9995)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        loaded = load_agent(path)
+        assert loaded.config == cfg
+        assert loaded.updates_done == 7
+        for net, params in agent.get_all_params().items():
+            for a, b in zip(params, loaded.get_all_params()[net]):
+                assert np.array_equal(a, b), net
+
     def test_loaded_agent_can_keep_training(self, tmp_path):
         from repro.rl.replay import Transition, TransitionBatch
 

@@ -448,3 +448,67 @@ class TestGoldenEquivalence:
             got = kernel_samples(kernel.nodes, offered, step_one(kernel, offered))
             ref = reference_step(ref_nodes, offered)
         assert got == ref
+
+
+class TestBlockRows:
+    """Blocks of several intervals: every row, not only the last one the
+    shard summaries read, and every shard's ``part`` of a pass."""
+
+    INTERVALS = 5
+
+    def _loads(self, offered: dict, seed: int) -> tuple[list, np.ndarray, list]:
+        """A block of random per-interval loads at each chain's frame size."""
+        names = list(offered)
+        rng = np.random.default_rng(100 + seed)
+        loads = rng.uniform(0.0, 3e6, size=(len(names), self.INTERVALS))
+        return names, loads, [offered[n][1] for n in names]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_interval_matches_per_node_loop(self, seed):
+        nodes_k, offered = build_cluster(seed)
+        nodes_r, _ = build_cluster(seed)
+        names, loads, pkts = self._loads(offered, seed)
+        block = ClusterKernel(nodes_k).step(names, loads, pkts)
+        rows = [name for node in nodes_r for name in node.chains]
+        assert block.utilization.shape == (self.INTERVALS, len(rows))
+        for t in range(self.INTERVALS):
+            ref = reference_step(
+                nodes_r, dict(zip(names, zip(loads[:, t].tolist(), pkts)))
+            )
+            for r, name in enumerate(rows):
+                for field in BLOCK_FIELDS:
+                    assert getattr(block, field)[t, r] == getattr(ref[name], field), (
+                        t,
+                        name,
+                        field,
+                    )
+                assert block.utilization[t, r] == max(
+                    nf.utilization for nf in ref[name].per_nf
+                ), (t, name)
+            assert block.node_joules[t].tolist() == [
+                node.meter.total_joules for node in nodes_r
+            ]
+        assert [vars(n.meter) for n in nodes_k] == [vars(n.meter) for n in nodes_r]
+
+    def test_part_equals_stepping_those_nodes_alone(self):
+        # A fleet group steps several shards' nodes in one pass and
+        # hands each shard its part of the block: the part's rows and
+        # node columns must equal a pass over that shard's nodes alone.
+        nodes, offered = build_cluster(5)
+        alone, _ = build_cluster(5)
+        assert len(nodes) == 3
+        names, loads, pkts = self._loads(offered, 5)
+        block = ClusterKernel(nodes).step(names, loads, pkts)
+        start = 0
+        for j, node in enumerate(alone):
+            mine = [i for i, name in enumerate(names) if name in node.chains]
+            want = ClusterKernel([node]).step(
+                [names[i] for i in mine], loads[mine], [pkts[i] for i in mine]
+            )
+            part = block.part(slice(start, start + len(mine)), slice(j, j + 1))
+            start += len(mine)
+            assert part.dt_s == want.dt_s
+            for field in (*BLOCK_FIELDS, "utilization", "node_joules"):
+                got, ref = getattr(part, field), getattr(want, field)
+                assert got.shape == ref.shape and np.array_equal(got, ref), (j, field)
+        assert start == block.utilization.shape[1]

@@ -327,6 +327,37 @@ class TestFleetSpec:
         section["migration"] = {"capacity_per_node": ways}
         assert FleetSpec.from_mapping(section).migration.capacity_per_node == ways
 
+    def test_capacity_at_llc_ways_fills_every_way(self):
+        # The bound is inclusive: admission may fill a node to one chain
+        # per allocatable way, and each of those deploys must succeed.
+        ways = ServerSpec().llc.allocatable_ways
+        spec = FleetSpec.from_mapping(
+            {
+                "preset": "small",
+                "cycles": 3,
+                "migration": {"capacity_per_node": ways},
+                "topology": {
+                    "preset": "full-mesh",
+                    "n_shards": 1,
+                    "nodes": 2,
+                    "chains_per_node": ways - 1,
+                },
+                "workload": {
+                    "churn": {
+                        "arrivals_per_cycle": 3.0,
+                        "departure_prob": 0.0,
+                        "max_chains": 40,
+                    }
+                },
+            }
+        )
+        with FleetCoordinator(spec, seed=1) as coordinator:
+            coordinator.run_cycles(3)
+            result = coordinator.result()
+        assert result.totals["arrivals"] == 2
+        assert result.totals["final_chains"] == 2 * ways
+        assert sorted(c["node"] for c in result.churn) == [0, 1]
+
     def test_all_presets_resolve(self):
         for name in FLEETS:
             spec = FleetSpec.from_mapping({"preset": name})

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import OracleStaticController, StaticBaseline, default_knob_grid, run_controller
 from repro.baselines.oracle import score_candidates
-from repro.nfv.chain import default_chain
+from repro.nfv.chain import default_chain, heavy_chain
 from repro.nfv.engine import BatchTelemetry, EngineParams, PacketEngine
 from repro.nfv.knobs import KnobSettings
 from repro.scenario.catalog import CONTROLLERS
@@ -81,6 +81,50 @@ class TestOracleStatic:
                 assert ctrl.search(chain, load, 512.0) == ctrl.grid[
                     int(np.argmax(score))
                 ], (objective, load)
+
+    def test_search_winner_matches_scalar_step_pricing(self):
+        # The batched pricing must pick the candidate a loop of scalar
+        # PacketEngine.step calls over the same grid picks.
+        engine = PacketEngine()
+        grid = default_knob_grid()[::17]
+        for chain in (default_chain(), heavy_chain()):
+            for objective in ("energy_efficiency", "max_throughput", "min_energy"):
+                ctrl = OracleStaticController(objective=objective, grid=grid)
+                ctrl.prepare(chain, engine)
+                for load, pkt in ((3e5, 1518.0), (1.2e6, 256.0)):
+                    steps = [engine.step(chain, k, load, pkt, 1.0) for k in grid]
+                    score = score_candidates(
+                        objective,
+                        throughput=np.array([s.throughput_gbps for s in steps]),
+                        energy=np.array([s.energy_j for s in steps]),
+                        energy_efficiency=np.array([s.energy_efficiency for s in steps]),
+                        delivered_frac=np.array([s.achieved_pps / load for s in steps]),
+                        min_delivery=ctrl.min_delivery,
+                    )
+                    assert ctrl.search(chain, load, pkt) == grid[
+                        int(np.argmax(score))
+                    ], (chain.name, objective, load)
+
+    def test_decide_searches_once_per_run(self):
+        # The oracle locks in the winner for the first observed workload
+        # and holds it when the workload shifts; reset() forgets it.
+        chain = default_chain()
+        engine = PacketEngine()
+        ctrl = OracleStaticController()
+        ctrl.prepare(chain, engine)
+        searches = []
+        search = ctrl.search
+        ctrl.search = lambda *a, **kw: searches.append(a[1:]) or search(*a, **kw)
+        low = engine.step(chain, KnobSettings(), 1e5, 1518.0)
+        high = engine.step(chain, KnobSettings(), 2e6, 64.0)
+        first = ctrl.decide(low, None, KnobSettings())
+        for sample in (low, high, high):
+            assert ctrl.decide(sample, None, first) is first
+        assert searches == [(low.arrival_rate_pps, 1518.0)]
+        ctrl.reset()
+        shifted = ctrl.decide(high, None, first)
+        assert searches[1:] == [(high.arrival_rate_pps, 64.0)]
+        assert shifted != first
 
     def test_run_controller_threads_engine_params(self):
         # End-to-end: run_controller must hand the node's engine (with

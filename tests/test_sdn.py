@@ -228,6 +228,67 @@ class TestNodeStepping:
         assert list(samples) == ["sfc0", "sfc1", "sfc9"]
         assert node.meter.total_seconds == 1.0
 
+    def test_replicas_sharing_a_node_step_it_once(self):
+        # Two replicas on one node and one on another: each node steps
+        # once per interval with all its replicas' traffic, and the
+        # samples come node by node in registration order.
+        sdn = SdnController(SdnConfig(max_migrations_per_interval=0), rng=0)
+        shared, single = Node(), Node()
+        twins = {id(shared): Node(), id(single): Node()}
+        layout = (("sfc0", shared, 0.2), ("sfc2", single, 0.3), ("sfc1", shared, 0.1))
+        for name, node, _ in sorted(layout, key=lambda row: row[0]):
+            for n in (node, twins[id(node)]):
+                n.deploy(default_chain(name), TUNED)
+        for name, node, share in layout:
+            sdn.register_replica(ChainReplica(chain_name=name, node=node, service="sfc"))
+            sdn.add_flow(
+                FlowSpec(f"f-{name}", ConstantRateGenerator(share * LINE), service="sfc"),
+                chain_name=name,
+            )
+        offered = {name: (share * LINE, 1518.0) for name, _, share in layout}
+        for _ in range(3):
+            samples = sdn.run_interval()
+            assert list(samples) == ["sfc0", "sfc1", "sfc2"]
+            want = {}
+            for node in (shared, single):
+                twin = twins[id(node)]
+                want.update(twin.step_all({n: offered[n] for n in twin.chains}))
+            assert samples == want
+        for node in (shared, single):
+            assert node.meter.total_seconds == 3.0
+            assert vars(node.meter) == vars(twins[id(node)].meter)
+
+    def test_unregistered_chain_on_a_replica_node_idles(self):
+        # A chain deployed next to a replica but not registered gets no
+        # flows: it idles at (0, 1518) and its sample is returned too.
+        sdn = make_sdn(1)
+        node = sdn.replicas["sfc0"].node
+        node.deploy(default_chain("batch"), KnobSettings())
+        twin = Node()
+        twin.deploy(default_chain("sfc0"), TUNED)
+        twin.deploy(default_chain("batch"), KnobSettings())
+        sdn.add_flow(FlowSpec("f1", ConstantRateGenerator(0.3 * LINE), service="sfc"))
+        samples = sdn.run_interval()
+        assert list(samples) == ["sfc0", "batch"]
+        assert samples == twin.step_all({"sfc0": (0.3 * LINE, 1518.0)})
+        assert samples["batch"].offered_pps == 0.0
+        assert samples["batch"].packet_bytes == 1518.0
+        assert "batch" not in sdn.replicas
+
+    def test_replica_utilization_is_the_bottleneck_nf(self):
+        # The steering signal is the busiest NF of the replica's last
+        # sample, not the chain's mean CPU utilization; 0 before any
+        # interval.
+        sdn = make_sdn(1)
+        replica = sdn.replicas["sfc0"]
+        assert replica.last_sample is None and replica.utilization == 0.0
+        sdn.add_flow(FlowSpec("f1", ConstantRateGenerator(0.3 * LINE), service="sfc"))
+        sample = sdn.run_interval()["sfc0"]
+        per_nf = [nf.utilization for nf in sample.per_nf]
+        assert len(set(per_nf)) > 1
+        assert replica.utilization == max(per_nf)
+        assert replica.utilization != sample.cpu_utilization
+
 
 class TestSeedingIsolation:
     """Regression: fleet-facing components must never silently share RNGs.
