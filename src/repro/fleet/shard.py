@@ -65,7 +65,7 @@ from repro.nfv.chain import (
     heavy_chain,
     light_chain,
 )
-from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel
+from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel, row_names
 from repro.nfv.knobs import KNOB_NAMES, KnobSettings
 from repro.nfv.node import Node
 from repro.fleet.topology import CHAIN_KINDS
@@ -400,8 +400,7 @@ class ShardSim:
     def _chain_summaries(self, block: BlockTelemetry) -> list[ChainSummary]:
         """Each chain's state after the block's last interval, in name
         order; the block's columns follow the nodes' kernel row order."""
-        rows = [name for node in self.nodes for name in node.chains]
-        column = {name: r for r, name in enumerate(rows)}
+        column = {name: r for r, name in enumerate(row_names(self.nodes))}
         utilization = block.utilization[-1].tolist()
         power = block.power_w[-1].tolist()
         out: list[ChainSummary] = []

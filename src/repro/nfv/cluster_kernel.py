@@ -60,6 +60,13 @@ from repro.nfv.node import Node
 from repro.utils.stats import left_sums
 
 
+def row_names(nodes) -> list[str]:
+    """The kernel's row order over ``nodes``: every hosted chain, node by
+    node, in deployment order within a node.  A block's ``(n, R)`` rows
+    follow it."""
+    return [name for node in nodes for name in node.chains]
+
+
 def engines_compatible(nodes) -> bool:
     """Whether all nodes' physics can be fused into one kernel pass.
 
@@ -130,8 +137,7 @@ class BlockTelemetry:
     """Per-interval telemetry of one :meth:`ClusterKernel.step` call.
 
     Row arrays are ``(n, R)``, one row per interval and one column per
-    hosted chain in the kernel's row order (node by node, deployment
-    order within a node).  ``achieved_pps`` through ``latency_s`` are
+    hosted chain in the kernel's row order (:func:`row_names`).  ``achieved_pps`` through ``latency_s`` are
     the fields the :mod:`repro.core.sla` predicates read, so
     ``sla.satisfied(block)`` is the ``(n, R)`` outcome; ``power_w`` is
     each chain's attributed share of its node's power and
@@ -212,8 +218,9 @@ class ClusterKernel:
         duplicate names, NaN or negative loads and frame sizes that are
         not finite and positive all raise.  The intervals run in order
         with ``step_all``'s arithmetic, so the node meters and every
-        returned row equal n per-node ``step_all`` loops.  Returns the
-        per-interval arrays.
+        returned row equal n per-node ``step_all`` loops, power and
+        energy within the frequency-cube ulps the module notes.  Returns
+        the per-interval arrays.
         """
         if not dt_s > 0:
             raise ValueError("dt must be positive")
@@ -231,7 +238,7 @@ class ClusterKernel:
         column = {name: i for i, name in enumerate(names)}
         if len(column) != len(names):
             raise ValueError("duplicate chain names in the load block")
-        rows = [name for node in self.nodes for name in node.chains]
+        rows = row_names(self.nodes)
         # Each row's column; unnamed rows read the idle pad after the
         # last, and the names left in ``column`` are hosted nowhere.
         cols = [column.pop(name, len(names)) for name in rows]

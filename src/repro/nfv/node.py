@@ -227,7 +227,8 @@ class Node:
         proportion to the cycles they consumed.  This scalar fold is the
         reference
         :meth:`ClusterKernel.step <repro.nfv.cluster_kernel.ClusterKernel.step>`
-        replays bit-exactly with its compiled plan for the fleet, and
+        replays with its compiled plan for the fleet (power within the
+        ulps its module notes, every other field bit-exactly), and
         the single-cluster loops (the environments, ``run_controller``,
         the SDN controller) step through it directly.  Its sums are
         left-to-right ``+=`` folds, the order the fused fold replays.

@@ -5,7 +5,9 @@ over all their nodes.  ``run_shards`` checks every shard's load block
 before any state moves, prices the whole group in one
 ``ClusterKernel.step``, and each shard books its own rows and node
 columns of that pass.  These tests pin that a shard inside a group
-reports and advances exactly as it does alone, that a dropped group is
+reports, books and advances exactly as it does alone (its part of every
+pass, row by row, and every field of its last interval's samples), that
+a dropped group is
 freed at once, that one bad block moves no shard, that a local fleet
 makes one kernel step per cycle, and that a row prices the same however
 wide the other rows pad the NF axis, which the first guarantee rests
@@ -90,6 +92,35 @@ def command(shard, step: int) -> None:
         shard.deploy(moved.with_node(0))
 
 
+def booked_parts(sims):
+    """Record what each shard books of every pass, one list per shard.
+
+    Each entry is every field of the shard's ``BlockTelemetry`` part (its
+    six row arrays and its node columns, every interval) and every field
+    of its last interval's samples, the kernel's rows joined with its
+    diagonal plan's (``kernel_samples``), taken as the shard books it.
+    """
+    parts = []
+    for sim in sims:
+        book, out = sim._record, []
+
+        def record(load_block, block, sim=sim, book=book, out=out):
+            pkt = sim.workload.packet_bytes
+            last = np.asarray(load_block.pps)[:, -1].tolist()
+            offered = {name: (pps, pkt) for name, pps in zip(load_block.names, last)}
+            out.append(
+                (
+                    {field: np.asarray(v).tolist() for field, v in vars(block).items()},
+                    kernel_samples(sim.nodes, offered, block, sim.config.interval_s),
+                )
+            )
+            return book(load_block, block)
+
+        sim._record = record
+        parts.append(out)
+    return parts
+
+
 def drive(shards, cycles: int = 4, seed: int = 0, n: int = 2):
     """Run every shard ``cycles`` times, with commands in between; the
     reports of each cycle, shard by shard."""
@@ -109,7 +140,11 @@ class TestGroupMatchesShardsAlone:
         configs = group_configs(seed)
         grouped = LocalShard.group(configs)
         alone = [LocalShard(config) for config in configs]
+        got = booked_parts([shard.sim for shard in grouped])
+        want = booked_parts([shard.sim for shard in alone])
         assert drive(grouped, seed=seed) == drive(alone, seed=seed)
+        assert [len(parts) for parts in got] == [4] * 3
+        assert got == want
         for g, a in zip(grouped, alone):
             assert_same_state(g.sim, a.sim)
 
@@ -119,12 +154,17 @@ class TestGroupMatchesShardsAlone:
         # does.  Its reports and node meters are the same as in a group.
         configs = group_configs(1, empty=1)
         grouped = LocalShard.group(configs)
+        got_parts = booked_parts([shard.sim for shard in grouped])
         got = drive(grouped)
         alone = [LocalShard(config) for config in configs]
+        want_parts = booked_parts([shard.sim for shard in alone])
         want = [plan_cache_counts(drive, [shard]) for shard in alone]
         assert want[1][1] == {"promote": 1, "hit": 4 * 2 - 1}
         assert got == [[w[cycle][0] for w, _ in want] for cycle in range(4)]
         assert [r.chains for r in got[-1][1].intervals] == [0, 0]
+        assert got_parts == want_parts
+        rows, samples = got_parts[1][-1]
+        assert rows["utilization"] == [[], []] and samples == {}
         for g, a in zip(grouped, alone):
             assert_same_state(g.sim, a.sim)
 
@@ -132,8 +172,10 @@ class TestGroupMatchesShardsAlone:
         config = shard_config()
         (grouped,) = LocalShard.group([config])
         sim = LocalShard(config).sim
+        got, want = booked_parts([grouped.sim, sim])
         grouped.begin_run(block_for(grouped, 0, 3))
         assert grouped.finish_run() == sim.run(hosted_loads(sim, 0, 3))
+        assert len(got) == 1 and got == want
         assert_same_state(grouped.sim, sim)
 
 
