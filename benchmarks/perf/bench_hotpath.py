@@ -364,11 +364,17 @@ def bench_fleet_throughput(quick: bool, rounds: int) -> dict:
     """The datacenter fleet: pipelined shared-memory transport vs. the
     seed lockstep pickled transport (criterion: >= 1.5x).
 
-    Both sides run the process backend, so the ratio isolates the
-    double-buffered decide/step overlap plus zero-copy telemetry arenas,
-    against ``reference_lockstep_cycles`` over workers whose every
-    ``run`` reply pickles a full ``ShardReport`` through the pipe.
-    Workers are started once and kept warm; rounds are interleaved.
+    Both sides run the process backend; the reference side is
+    ``reference_lockstep_cycles`` over workers whose every ``run`` reply
+    pickles a full ``ShardReport`` through the pipe.  ``run_cycles``
+    overlaps a plan and the next load draw with the shards' run only
+    from a call's second cycle on: its first cycle has no plan pending,
+    and its drain plans after the gather.  So with two cycles per timed
+    call the ratio holds one overlapped plan plus the zero-copy
+    telemetry arenas, while in ``--quick`` mode (one cycle per call, the
+    mode CI runs) nothing overlaps and the ratio measures the transport
+    and command protocol alone.  Workers are started once and kept
+    warm; rounds are interleaved.
     """
     import repro.fleet.coordinator as coordinator_mod
     from repro.fleet import FLEETS, FleetCoordinator, FleetSpec

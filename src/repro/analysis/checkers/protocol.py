@@ -1,10 +1,12 @@
 """MP protocol consistency: every pipe opcode has a peer that answers it.
 
-A process backend (:mod:`repro.fleet.shard`'s shard workers) speaks a
-strict request/reply protocol over ``multiprocessing`` pipes:
-the parent-side handle sends ``(opcode, ...)`` tuples, the worker loop
-dispatches on ``msg[0]`` and replies ``(kind, ...)``, and the parent
-blocks on an expected reply kind.  A mismatch is a *latent deadlock*:
+A process backend (:mod:`repro.fleet.shard`'s shard workers) speaks an
+in-order protocol over ``multiprocessing`` pipes: the parent-side
+handle sends ``(opcode, ...)`` tuples, the worker loop dispatches on
+``msg[0]`` and answers each with one ``(kind, ...)`` reply, in the order
+the commands came, and the parent reads every reply as an expected
+kind.  It need not wait at once: a shard handle reads a knob command's
+ack only before its next reply.  A mismatch is a *latent deadlock*:
 an unhandled opcode leaves the parent waiting forever (or the worker
 dead), and an unexpected reply kind raises on the wrong side mid-run.
 

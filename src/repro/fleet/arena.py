@@ -5,8 +5,8 @@ per shard per cycle — nested dataclasses serialized through the pipe on
 the gather critical path.  A :class:`TelemetryArena` replaces that body
 with a fixed-layout ``multiprocessing.shared_memory`` segment of float64
 rows: the worker writes telemetry in place after each run and the pipe
-carries only a tiny ack, so gather on the coordinator side is an array
-view + scalar copy instead of unpickling.
+carries only a tiny ack, so gather on the coordinator side is one block
+copy per table instead of unpickling.
 
 Layout
 ------
@@ -77,6 +77,13 @@ NODE_FIELDS = ("power_w", "utilization")
 
 _CHAIN_WIDTH = len(CHAIN_FIELDS) + len(KNOB_NAMES)
 _ITEMSIZE = np.dtype(np.float64).itemsize
+
+
+def _put(table: np.ndarray, rows: list[list]) -> None:
+    """Write ``rows`` over the table's leading rows in one block
+    assignment (numpy converts the nested lists to float64 in one pass)."""
+    if rows:
+        table[: len(rows)] = rows
 
 
 @dataclass(frozen=True)
@@ -245,17 +252,19 @@ class TelemetryArena:
                 f"got {len(report.nodes)}"
             )
         header, intervals, chains, nodes = self._banks[bank]
-        for j, row in enumerate(report.intervals):
-            for k, fieldname in enumerate(INTERVAL_FIELDS):
-                intervals[j, k] = float(getattr(row, fieldname))
-        for i, chain in enumerate(report.chains):
-            for k, fieldname in enumerate(CHAIN_FIELDS):
-                chains[i, k] = float(getattr(chain, fieldname))
-            for k, fieldname in enumerate(KNOB_NAMES):
-                chains[i, len(CHAIN_FIELDS) + k] = float(chain.knobs[fieldname])
-        for j, node in enumerate(report.nodes):
-            for k, fieldname in enumerate(NODE_FIELDS):
-                nodes[j, k] = float(getattr(node, fieldname))
+        _put(
+            intervals,
+            [[getattr(row, f) for f in INTERVAL_FIELDS] for row in report.intervals],
+        )
+        _put(
+            chains,
+            [
+                [getattr(chain, f) for f in CHAIN_FIELDS]
+                + [chain.knobs[k] for k in KNOB_NAMES]
+                for chain in report.chains
+            ],
+        )
+        _put(nodes, [[getattr(node, f) for f in NODE_FIELDS] for node in report.nodes])
         header[0] = float(generation)
         header[1] = float(report.intervals[0].index) if report.intervals else 0.0
         header[2] = float(len(report.intervals))

@@ -33,7 +33,8 @@ safe because workload draws are counter-based and placement-independent
 — and the planned migration/knob commands are applied at the next
 interval boundary (bounded staleness: every decision lands exactly one
 cycle after the telemetry it was planned from, on both backends
-alike).  The lockstep
+alike).  Cycle *t+2*'s load block is drawn in the same window, for the
+chains the plan leaves.  The lockstep
 schedule, which decides before the shards step again, is kept as
 ``reference_lockstep_cycles`` in ``benchmarks/perf/reference.py``.
 :func:`run_fleet` is the facade the CLI and tests share; its
@@ -197,6 +198,7 @@ class _CyclePlan:
     departures: tuple[tuple[str, str], ...]  # (chain, shard)
     moves: tuple[_Move, ...]
     arrivals: tuple[tuple[str, ChainTicket], ...]  # (shard, ticket)
+    arrival_hashes: np.ndarray  # (arrivals, 2) stream hashes, same order
     knob_updates: tuple[tuple[str, dict[str, dict[str, Any]]], ...]
 
 
@@ -345,11 +347,13 @@ class FleetCoordinator:
     def run_cycles(self, n_cycles: int) -> None:
         """Run ``n_cycles`` gather/decide/scatter cycles.
 
-        Each cycle starts with one draw of the offered load of every
-        hosted chain, and each shard's run command carries its rows.  The
-        decide phase of cycle *t* overlaps
-        the shards stepping cycle *t+1* (its commands are applied at the
-        next interval boundary — bounded staleness).  The pipeline fully
+        Every cycle's shards step one block of offered load, drawn in
+        one pass for every chain they host, and each shard's run command
+        carries its rows.  While the shards step cycle *t+1*, the
+        coordinator decides cycle *t* (its commands are applied at the
+        next interval boundary — bounded staleness) and draws cycle
+        *t+2*'s block.  A call draws its first block when it starts and
+        none after its last cycle.  The pipeline fully
         drains before this method returns, so the final gathered cycle
         of each call is decided and applied immediately; results depend
         on how a run is chunked into ``run_cycles`` calls, but are
@@ -360,19 +364,21 @@ class FleetCoordinator:
         if n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
         # Double-buffered.  Each iteration kicks off the next
-        # run before deciding the previous cycle, so planning (and, on
-        # the process backend, the coordinator's entire decide phase)
-        # overlaps the shards' stepping.  Scatter commands only ever go
-        # out between finish_run and the next begin_run — never while a
-        # run is in flight — keeping the pipe protocol strictly
-        # request/reply ordered.
+        # run before deciding the previous cycle, so planning and the
+        # next cycle's draw (and, on the process backend, the
+        # coordinator's entire decide phase) overlap the shards'
+        # stepping.  Scatter commands only ever go out between
+        # finish_run and the next begin_run — never while a run is in
+        # flight — so every reply a handle reads answers a command sent
+        # before it.
         handles = list(self.handles.values())
         n = self.fleet.sync_every
         pending: tuple[list[ShardReport], int, int] | None = None
         cycle = self._cycle
-        for _ in range(n_cycles):
+        for i in range(n_cycles):
             with obs.span("fleet/cycle", cycle=cycle):
-                block = self._draw_loads(list(self._placement), self._interval)
+                if i == 0:
+                    block = self._draw_loads(list(self._placement), self._interval)
                 for handle in handles:
                     handle.begin_run(block.take(handle.load_rows))
                 if pending is not None:
@@ -380,6 +386,12 @@ class FleetCoordinator:
                         plan = self._plan_cycle(*pending)
                 else:
                     plan = None
+                if i + 1 < n_cycles:
+                    # Look ahead: the next cycle steps the chains this
+                    # plan leaves, in the order _apply_cycle books them.
+                    block = self._draw_loads(
+                        self._chains_after(plan), self._interval + n
+                    )
                 with obs.span("fleet/gather", interval=self._interval):
                     reports = [handle.finish_run() for handle in handles]
                 self._merge_records(reports)
@@ -401,6 +413,21 @@ class FleetCoordinator:
             self._apply_cycle(plan)
         if obs._ENABLED:
             self._drain_worker_spans()
+
+    def _chains_after(self, plan: _CyclePlan | None) -> list[str]:
+        """The deployed chains once ``plan`` is applied, in placement
+        order: the survivors, then the arrivals in admission order.
+
+        Books the arrivals' stream hashes a boundary early, so the
+        look-ahead draw can read them before :meth:`_apply_cycle` admits
+        the chains.
+        """
+        if plan is None:
+            return list(self._placement)
+        departed = {name for name, _shard in plan.departures}
+        arrivals = [ticket.name for _shard, ticket in plan.arrivals]
+        self._hashes.update(zip(arrivals, plan.arrival_hashes))
+        return [n for n in self._placement if n not in departed] + arrivals
 
     def _draw_loads(self, names: list[str], start: int) -> LoadBlock:
         """The offered load of ``names`` over one run from ``start``,
@@ -491,6 +518,7 @@ class FleetCoordinator:
             departures=departures,
             moves=moves,
             arrivals=tuple(arrivals),
+            arrival_hashes=stream_hashes([ticket.name for _, ticket in arrivals]),
             knob_updates=knob_updates,
         )
 
@@ -523,10 +551,10 @@ class FleetCoordinator:
                 }
             )
         self._apply_migrations(plan.moves, plan.cycle, plan.interval)
-        for shard, ticket in plan.arrivals:
+        for (shard, ticket), hashes in zip(plan.arrivals, plan.arrival_hashes):
             self.handles[shard].deploy(ticket)
             self._placement[ticket.name] = (shard, ticket.node)
-            self._hashes[ticket.name] = stream_hashes([ticket.name])[0]
+            self._hashes[ticket.name] = hashes
             self._dynamic.add(ticket.name)
             self._arrivals_admitted += 1
             self._churn_log.append(

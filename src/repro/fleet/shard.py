@@ -29,9 +29,12 @@ Two interchangeable backends execute the same :class:`ShardSim`:
 single-process runs), where the coordinator's shards form one group
 and the whole fleet is one kernel pass per cycle, and
 :class:`ShardWorker` runs it in a real worker process behind a pipe, a
-group of one (:meth:`ShardSim.run`), with commands batched so one
-coordinator cycle costs one round trip per shard.  The report body does
-not travel over the pipe: each worker writes its telemetry into a
+group of one (:meth:`ShardSim.run`).  Each command is one message
+with one reply, read in order: a run's reply is collected after every
+shard's run is sent, a deploy or undeploy waits for its reply, and a
+knob command's ack is read only before the handle's next reply, so the
+worker applies knobs while the coordinator plans.  The report body
+does not travel over the pipe: each worker writes its telemetry into a
 shared-memory :class:`~repro.fleet.arena.TelemetryArena` and the run
 reply is a tiny ``("telemetry", bank, generation, start, n, n_chains)``
 ack; the handle reconstructs the :class:`ShardReport` from the arena
@@ -298,15 +301,17 @@ class ShardSim:
         """Apply per-chain knob settings (clamped on the owning node).
 
         Every name and setting is checked before any is applied, so a
-        rejected update leaves the shard unchanged.
+        rejected update leaves the shard unchanged.  Each node takes its
+        chains' updates in one call, one LLC repartition per node.
         """
-        checked: dict[str, KnobSettings] = {}
+        by_node: dict[int, dict[str, KnobSettings]] = {}
         for name, settings in updates.items():
             if name not in self._tickets:
                 raise KeyError(f"no chain {name!r} on shard {self.config.name!r}")
-            checked[name] = KnobSettings(**dict(settings))
-        for name, knobs in checked.items():
-            self.nodes[self._tickets[name].node].apply_knobs(name, knobs)
+            node = self._tickets[name].node
+            by_node.setdefault(node, {})[name] = KnobSettings(**dict(settings))
+        for node, knobs in by_node.items():
+            self.nodes[node].apply_knobs(knobs)
 
     # -- the stepping loop -------------------------------------------------
 
@@ -717,8 +722,12 @@ class ShardWorker:
     shared-memory telemetry arena.
 
     The coordinator overlaps shards by sending every handle its ``run``
-    command before collecting any ack; deployment and knob commands are
-    synchronous (they are rare and must be ordered).  The handle keeps a
+    command before collecting any ack.  A knob command does not wait for
+    its ack either: the handle counts the acks it is owed and reads them,
+    in order, before any reply it waits for, so the worker applies knobs
+    while the coordinator plans.  Deployment commands are synchronous:
+    :meth:`deploy` raises a refused ticket at the call, and
+    :meth:`undeploy` returns the migration ticket.  The handle keeps a
     ticket mirror of the worker's chain set — sorted chain name is the
     arena row order — plus a generation counter bumped on every
     deploy/undeploy, so :meth:`finish_run` can rebuild the
@@ -739,6 +748,8 @@ class ShardWorker:
         self._runs = 0
         self._run_span: tuple[int, int] | None = None
         self._in_flight = False
+        #: Knob commands sent whose acks are not read yet.
+        self._acks_owed = 0
         self._closed = False
         self._conn = None
         self._proc = None
@@ -787,13 +798,38 @@ class ShardWorker:
             detail = msg[1]
             if len(msg) > 2 and msg[2]:
                 detail = f"{detail}\n--- worker traceback ---\n{msg[2]}"
-            raise RuntimeError(f"shard {self.name!r} worker: {detail}")
+            raise RuntimeError(
+                f"shard {self.name!r} worker, op {self._pending_op!r}: {detail}"
+            )
         if msg[0] != expect:  # pragma: no cover - protocol bug
             raise RuntimeError(f"shard {self.name!r}: expected {expect!r}, got {msg[0]!r}")
         self._pending_op = None
         if len(msg) > 2:
             return tuple(msg[1:])
         return msg[1] if len(msg) > 1 else None
+
+    def _collect_acks(self) -> RuntimeError | None:
+        """Read every knob ack owed, in order; returns the first refusal
+        among them, if any, once all are read."""
+        op = self._pending_op
+        refused = None
+        while self._acks_owed:
+            self._acks_owed -= 1
+            self._pending_op = "knobs"
+            try:
+                self._recv("ok")
+            except RuntimeError as exc:
+                refused = refused or exc
+        self._pending_op = op
+        return refused
+
+    def _settle(self) -> None:
+        """Before a synchronous command goes out: read the owed knob
+        acks, and raise a refused knob command with nothing queued
+        behind it."""
+        refused = self._collect_acks()
+        if refused is not None:
+            raise refused
 
     @property
     def load_rows(self) -> tuple[str, ...]:
@@ -813,11 +849,22 @@ class ShardWorker:
 
     def finish_run(self) -> ShardReport:
         """Block for the telemetry ack, then rebuild the report from the
-        arena bank it names."""
+        arena bank it names.
+
+        The knob acks owed from before the run come first.  A refused
+        knob command raises here, once the run's own reply is read and
+        booked, so the next run finds the handle in step with its worker.
+        """
         if not self._in_flight:
             raise RuntimeError("no run in flight")
         self._in_flight = False
-        bank, generation, start, n, n_chains = self._recv("telemetry")
+        refused = self._collect_acks()
+        try:
+            bank, generation, start, n, n_chains = self._recv("telemetry")
+        except RuntimeError:
+            if refused is None:
+                raise
+            raise refused
         expected_bank = self._runs % BANKS
         self._runs += 1
         if (
@@ -833,34 +880,36 @@ class ShardWorker:
                 f"chains {n_chains}/{len(self._tickets)})"
             )
         self._last_interval = start + n
+        if refused is not None:
+            raise refused
         with obs.span("shard/arena_rebuild", shard=self.name, bank=bank):
             return self._load_report(bank, start, n)
 
     def _load_report(self, bank: int, start: int, n: int) -> ShardReport:
-        """Arena bank -> :class:`ShardReport` (scalar copies off the
-        shared views; names and flows come from the ticket mirror)."""
+        """Arena bank -> :class:`ShardReport` (one ``.tolist()`` copy per
+        table off the shared views; names and flows come from the ticket
+        mirror)."""
         arena = self.arena
-        ivals = arena.intervals(bank)
         intervals = tuple(
             IntervalRecord(
                 index=start + j,
-                energy_j=float(ivals[j, 0]),
-                throughput_gbps=float(ivals[j, 1]),
-                offered_pps=float(ivals[j, 2]),
-                sla_violations=int(ivals[j, 3]),
-                chains=int(ivals[j, 4]),
+                energy_j=energy,
+                throughput_gbps=throughput,
+                offered_pps=offered,
+                sla_violations=int(violations),
+                chains=int(hosted),
             )
-            for j in range(n)
+            for j, (energy, throughput, offered, violations, hosted) in enumerate(
+                arena.intervals(bank)[:n].tolist()
+            )
         )
-        rows = arena.chains(bank)
         width = len(CHAIN_FIELDS)
-        # The trailing knob columns, in KNOB_NAMES order, as Python floats.
-        knob_rows = rows[: len(self._tickets), width:].tolist()
+        rows = arena.chains(bank)[: len(self._tickets)].tolist()
         chains: list[ChainSummary] = []
-        for i, name in enumerate(sorted(self._tickets)):
+        for i, (name, row) in enumerate(zip(sorted(self._tickets), rows)):
             ticket = self._tickets[name]
-            row = rows[i]
-            knobs = dict(zip(KNOB_NAMES, knob_rows[i]))
+            # The trailing knob columns, in KNOB_NAMES order.
+            knobs = dict(zip(KNOB_NAMES, row[width:]))
             knobs["batch_size"] = int(knobs["batch_size"])
             if int(row[0]) != ticket.node:  # pragma: no cover - protocol bug
                 raise RuntimeError(
@@ -873,22 +922,16 @@ class ShardWorker:
                     name=name,
                     node=ticket.node,
                     flow=ticket.flow,
-                    utilization=float(row[1]),
-                    power_w=float(row[2]),
-                    state_bytes=float(row[3]),
-                    dma_bytes=float(row[4]),
+                    utilization=row[1],
+                    power_w=row[2],
+                    state_bytes=row[3],
+                    dma_bytes=row[4],
                     knobs=knobs,
                 )
             )
-        node_rows = arena.nodes(bank)
         nodes = tuple(
-            NodeSummary(
-                shard=self.name,
-                node=j,
-                power_w=float(node_rows[j, 0]),
-                utilization=float(node_rows[j, 1]),
-            )
-            for j in range(arena.layout.n_nodes)
+            NodeSummary(shard=self.name, node=j, power_w=power, utilization=util)
+            for j, (power, util) in enumerate(arena.nodes(bank).tolist())
         )
         return ShardReport(
             shard=self.name,
@@ -899,6 +942,7 @@ class ShardWorker:
 
     def deploy(self, ticket: ChainTicket) -> None:
         """Deploy a ticketed chain (synchronous; resyncs the row map)."""
+        self._settle()
         self._pending_op = "deploy"
         self._conn.send(("deploy", ticket))
         self._recv("ok")
@@ -910,6 +954,7 @@ class ShardWorker:
     def undeploy(self, name: str) -> ChainTicket:
         """Remove a chain; returns its migration ticket (synchronous;
         resyncs the row map)."""
+        self._settle()
         self._pending_op = "undeploy"
         self._conn.send(("undeploy", name))
         ticket = self._recv("ticket")
@@ -920,14 +965,19 @@ class ShardWorker:
         return ticket
 
     def set_knobs(self, updates: Mapping[str, Mapping[str, Any]]) -> None:
-        """Apply per-chain knob settings (synchronous)."""
-        self._pending_op = "knobs"
+        """Send per-chain knob settings without waiting for the ack; a
+        refused command raises at the handle's next reply."""
+        if self._in_flight:
+            # Its ack would queue behind the telemetry ack, and owed acks
+            # are read first.
+            raise RuntimeError("knob command with a run in flight")
         self._conn.send(("knobs", dict(updates)))
-        self._recv("ok")
+        self._acks_owed += 1
 
     def drain_spans(self) -> tuple[list[dict[str, Any]], dict[str, float]]:
         """Pull the worker's buffered trace events and counter deltas
         (synchronous; coordinator calls this between cycles)."""
+        self._settle()
         self._pending_op = "drain_spans"
         self._conn.send(("drain_spans",))
         events, counters = self._recv("spans")
@@ -940,16 +990,19 @@ class ShardWorker:
         self._closed = True
         try:
             if self._conn is not None:
-                if self._in_flight:
-                    # Drain the pending telemetry ack first: the stop
-                    # handshake below would otherwise consume it as its
-                    # own reply and tear the worker down mid-run.
-                    self._in_flight = False
-                    try:
-                        if self._conn.poll(30.0):
-                            self._conn.recv()
-                    except (EOFError, OSError):
-                        pass
+                # Drain the replies still owed (knob acks, then a pending
+                # telemetry ack) first: the stop handshake below would
+                # otherwise consume one as its own reply and tear the
+                # worker down mid-run.
+                owed = self._acks_owed + self._in_flight
+                self._acks_owed, self._in_flight = 0, False
+                try:
+                    for _ in range(owed):
+                        if not self._conn.poll(30.0):
+                            break
+                        self._conn.recv()
+                except (EOFError, OSError):
+                    pass
                 try:
                     self._conn.send(("stop",))
                 except (BrokenPipeError, OSError):  # pragma: no cover

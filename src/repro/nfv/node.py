@@ -13,6 +13,7 @@ different LLC splits) runs directly on this class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.hw.cache import CacheAllocator, contention_factor
 from repro.hw.power import EnergyMeter
@@ -119,17 +120,32 @@ class Node:
             self._repartition_llc()
         self._config_gen += 1
 
-    def apply_knobs(self, name: str, knobs: KnobSettings) -> KnobSettings:
-        """Apply (clamped) knob settings to a chain; returns what stuck.
+    def apply_knobs(
+        self, updates: Mapping[str, KnobSettings]
+    ) -> dict[str, KnobSettings]:
+        """Apply (clamped) knob settings to chains; returns what stuck.
 
-        Mirrors the real control path: frequency snaps to the DVFS
-        ladder, LLC share becomes whole CAT ways, batch becomes integer.
+        ``updates`` maps chain name -> settings.  Mirrors the real
+        control path: frequency snaps to the DVFS ladder, LLC share
+        becomes whole CAT ways, batch becomes integer.  Every name is
+        checked before any chain changes, and the LLC is repartitioned
+        once per call, so the node ends in the state that applying the
+        entries one at a time would leave.
         """
-        if name not in self._chains:
-            raise KeyError(f"no chain {name!r} on this node")
-        applied = knobs.clamped(self.ranges, self.server.cpu)
-        if applied != self._chains[name].knobs:
-            self._chains[name].knobs = applied
+        for name in updates:
+            if name not in self._chains:
+                raise KeyError(f"no chain {name!r} on this node")
+        applied = {
+            name: knobs.clamped(self.ranges, self.server.cpu)
+            for name, knobs in updates.items()
+        }
+        changed = False
+        for name, knobs in applied.items():
+            hosted = self._chains[name]
+            if knobs != hosted.knobs:
+                hosted.knobs = knobs
+                changed = True
+        if changed:
             self._repartition_llc()
             self._config_gen += 1
         return applied

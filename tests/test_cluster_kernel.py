@@ -296,7 +296,7 @@ class TestGoldenEquivalence:
         new_knobs = KnobSettings(cpu_share=0.9, batch_size=48)
         for node in (*nodes_k, *nodes_r):
             if name in node.chains:
-                node.apply_knobs(name, new_knobs)
+                node.apply_knobs({name: new_knobs})
         # A knob change invalidates the fused plan: the new
         # configuration compiles on first sight.
         for expected in ("promote", "hit"):

@@ -578,6 +578,22 @@ class TestCoordinatorLocal:
 # -- the differential guarantee ------------------------------------------------
 
 
+class RecordingConn:
+    """A pipe end that records the kind of every reply it reads."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.received = []
+
+    def recv(self):
+        msg = self._conn.recv()
+        self.received.append(msg[0])
+        return msg
+
+    def __getattr__(self, attr):
+        return getattr(self._conn, attr)
+
+
 class TestProcessBackend:
     @pytest.mark.fleet_mp
     def test_one_cycle_smoke(self):
@@ -696,19 +712,6 @@ class TestProcessBackend:
         # ack before the stop handshake — otherwise stop's reply read
         # consumes the telemetry message as its own, the worker is torn
         # down mid-protocol, and "stopped" is never seen.
-        class RecordingConn:
-            def __init__(self, conn):
-                self._conn = conn
-                self.received = []
-
-            def recv(self):
-                msg = self._conn.recv()
-                self.received.append(msg[0])
-                return msg
-
-            def __getattr__(self, attr):
-                return getattr(self._conn, attr)
-
         config = shard_config()
         worker = ShardWorker(config)
         spy = RecordingConn(worker._conn)
@@ -716,6 +719,81 @@ class TestProcessBackend:
         worker.begin_run(hosted_loads(worker, 0, 2, config=config))
         worker.close()
         assert spy.received == ["telemetry", "stopped"]
+
+    @pytest.mark.fleet_mp
+    @pytest.mark.parametrize(
+        "refused, error",
+        [
+            ({"ghost": {"cpu_share": 0.5}}, "KeyError"),
+            ({"s0-n0-c1": {"batch_size": 0}}, "batch_size must be"),
+        ],
+    )
+    def test_refused_knobs_raise_at_the_next_reply(self, refused, error):
+        # set_knobs returns without its ack.  A command the worker
+        # refuses raises at the handle's next reply; the run reply queued
+        # behind it is still read and booked, and no knob moves, not even
+        # the valid update sent in the same command.
+        config = shard_config()
+        with ShardWorker(config) as worker:
+            worker.begin_run(hosted_loads(worker, 0, 1, config=config))
+            before = {c.name: c.knobs for c in worker.finish_run().chains}
+            updates = {"s0-n0-c0": {**before["s0-n0-c0"], "cpu_share": 0.5}}
+            for name, settings in refused.items():
+                updates[name] = {**before.get(name, {}), **settings}
+            worker.set_knobs(updates)
+            worker.begin_run(hosted_loads(worker, 1, 2, config=config))
+            with pytest.raises(RuntimeError) as excinfo:
+                worker.finish_run()
+            msg = str(excinfo.value)
+            assert "op 'knobs'" in msg
+            assert error in msg
+            assert "--- worker traceback ---" in msg
+            assert "set_knobs" in msg  # the worker frame that raised
+            worker.begin_run(hosted_loads(worker, 3, 1, config=config))
+            report = worker.finish_run()
+        assert [r.index for r in report.intervals] == [3]
+        assert {c.name: c.knobs for c in report.chains} == before
+
+    @pytest.mark.fleet_mp
+    def test_close_reads_unacknowledged_knob_acks(self):
+        # close() reads the knob acks still owed, a refusal among them,
+        # before the stop handshake, which still sees "stopped".
+        config = shard_config()
+        worker = ShardWorker(config)
+        spy = RecordingConn(worker._conn)
+        worker._conn = spy
+        worker.set_knobs({worker.load_rows[0]: {"cpu_share": 0.5}})
+        worker.set_knobs({"ghost": {"cpu_share": 0.5}})
+        worker.close()
+        assert spy.received == ["ok", "error", "stopped"]
+
+    @pytest.mark.fleet_mp
+    def test_knobs_refused_while_a_run_is_in_flight(self):
+        # Owed acks are read before the telemetry ack, so a knob command
+        # sent behind a run would desync the pipe; it is refused unsent.
+        config = shard_config()
+        with ShardWorker(config) as worker:
+            worker.begin_run(hosted_loads(worker, 0, 1, config=config))
+            with pytest.raises(RuntimeError, match="run in flight"):
+                worker.set_knobs({"s0-n0-c0": {"cpu_share": 0.5}})
+            assert worker.finish_run().intervals[0].index == 0
+
+    @pytest.mark.fleet_mp
+    def test_deployment_commands_stay_synchronous(self):
+        # A knob ack owed before a deploy is read before the deploy goes
+        # out, and a refused ticket raises at the deploy call itself.
+        config = shard_config()
+        with ShardWorker(config) as worker:
+            spy = RecordingConn(worker._conn)
+            worker._conn = spy
+            worker.set_knobs({worker.load_rows[0]: {"cpu_share": 0.5}})
+            bad = ChainTicket(name="bad", nfs=("nat",), flow="f", node=9)
+            with pytest.raises(RuntimeError, match="op 'deploy'.*out of range"):
+                worker.deploy(bad)
+            assert spy.received == ["ok", "error"]
+            ticket = worker.undeploy(worker.load_rows[0])
+            assert ticket.knobs["cpu_share"] == 0.5
+            assert spy.received == ["ok", "error", "ticket"]
 
     @pytest.mark.fleet_mp
     def test_killed_worker_names_the_shard(self):

@@ -6,8 +6,10 @@ spawn_key=(hash, index)))`` for a whole key array, and
 in one pass.  Both must match the per-key numpy path bit for bit: the key
 states and first draws against numpy itself, the block against
 ``reference_offered`` (the per-key body in ``benchmarks/perf/reference.py``)
-at 0 ulp, the coordinator's per-cycle blocks against the same reference,
-and whole fleet runs against runs that draw through the reference.
+at 0 ulp, the coordinator's per-cycle blocks against the same reference
+and against the chains the shards host when each block is handed out
+(the coordinator draws it a cycle ahead), and whole fleet runs against
+runs that draw through the reference.
 ``first_normals`` runs numpy's ziggurat fast path in arrays with the
 tables in ``repro/fleet/ziggurat.py``; ``TestZiggurat`` pins every table
 entry against numpy's Generator, and this module regenerates the tables
@@ -207,14 +209,40 @@ def _churny_fleet(sync_every, **section):
     )
 
 
+def _migrating_fleet(sync_every):
+    """One chain per node under a light load: consolidation moves chains
+    across shards while churn adds and drops others."""
+    return _churny_fleet(
+        sync_every,
+        topology={"preset": "full-mesh", "n_shards": 2, "nodes": 2, "chains_per_node": 1},
+        workload={
+            "peak_rate_pps": 3e5,
+            "noise_std": 0.2,
+            "flash": {"probability": 0.3, "duration_intervals": 3},
+            "churn": {"arrivals_per_cycle": 0.5, "departure_prob": 0.1},
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "backend", ["local", pytest.param("process", marks=pytest.mark.fleet_mp)]
+)
+@pytest.mark.parametrize("layout", ["churn", "migrate"])
 @pytest.mark.parametrize("sync_every", [1, 3, 4])
-def test_coordinator_blocks_equal_reference(perf_reference, monkeypatch, sync_every):
+def test_coordinator_blocks_equal_reference(
+    perf_reference, monkeypatch, sync_every, layout, backend
+):
     # Every block the coordinator draws, one per cycle, holds each chain's
     # per-key reference rows, whatever the block's composition (churn
-    # adds and drops chains) and however the run is split into cycles.
-    fleet = _churny_fleet(sync_every)
+    # adds and drops chains, consolidation moves them) and however the
+    # run is split into cycles.  A block is drawn while the shards step
+    # the cycle before it, yet holds exactly the chains they host when
+    # it is handed out.
+    make = _churny_fleet if layout == "churn" else _migrating_fleet
+    fleet = make(sync_every).with_updates(backend=backend)
     draw = FleetCoordinator._draw_loads
     blocks = []
+    handed_out = []
 
     def recording_draw(self, names, start):
         block = draw(self, names, start)
@@ -223,15 +251,29 @@ def test_coordinator_blocks_equal_reference(perf_reference, monkeypatch, sync_ev
 
     monkeypatch.setattr(FleetCoordinator, "_draw_loads", recording_draw)
     with FleetCoordinator(fleet, seed=5) as coordinator:
+        handles = list(coordinator.handles.values())
+        begin = handles[0].begin_run
+
+        def recording_begin(block):
+            # Every shard's chains as the first shard gets its rows; no
+            # command reaches a shard until all have theirs.
+            hosted = [name for h in handles for name in h.load_rows]
+            handed_out.append((block.start, sorted(hosted)))
+            begin(block)
+
+        handles[0].begin_run = recording_begin
         coordinator.run_cycles(4)
         coordinator.run_cycles(2)
         assert len(blocks) == 6
         # A chain's stream hashes come with its arrival and go with its
         # departure.
         assert set(coordinator._hashes) == set(coordinator._placement)
-        events = {c["event"] for c in coordinator.result().churn}
-    assert events == {"arrival", "departure"}
+        result = coordinator.result()
+    assert {c["event"] for c in result.churn} == {"arrival", "departure"}
+    if layout == "migrate":
+        assert any(m["src_shard"] != m["dst_shard"] for m in result.migrations)
     assert any(name.startswith("dyn-") for b in blocks for name in b.names)
+    assert [(b.start, sorted(b.names)) for b in blocks] == handed_out
     workload = fleet.workload
     for block in blocks:
         assert block.pps.shape == (len(block.names), sync_every)

@@ -200,7 +200,7 @@ class TestGoldenEquivalence:
         for _ in range(3):
             step_one(kernel, offered)
         node.apply_knobs(
-            chains[0].name, KnobSettings(cpu_share=0.9, batch_size=48)
+            {chains[0].name: KnobSettings(cpu_share=0.9, batch_size=48)}
         )
         ref = reference_samples(node, offered)
         block, paths = plan_cache_paths(step_one, kernel, offered)
@@ -272,11 +272,12 @@ class TestMultiChainInvariants:
             elif op == "apply" and deployed:
                 name = deployed[int(rng.integers(len(deployed)))]
                 node.apply_knobs(
-                    name,
-                    KnobSettings(
-                        llc_fraction=float(rng.uniform(0.05, 1.0)),
-                        batch_size=int(rng.integers(1, 257)),
-                    ),
+                    {
+                        name: KnobSettings(
+                            llc_fraction=float(rng.uniform(0.05, 1.0)),
+                            batch_size=int(rng.integers(1, 257)),
+                        )
+                    }
                 )
             elif op == "step" and deployed:
                 node.step_all(
