@@ -939,14 +939,16 @@ def reference_shard_run(sim, block):
     The pre-block body of ``ShardSim._run_inner`` without the cluster
     kernel: every interval is one :func:`reference_cluster_step` (each
     node's scalar ``Node.step_all``), with per-interval
-    ``TelemetrySample`` dicts and the record totals folded in Python;
-    the chain summaries read the last interval's samples.  Advances
+    ``TelemetrySample`` dicts and the interval totals folded in Python;
+    the chain and node rows read the last interval's samples.  Advances
     ``sim`` exactly as ``sim.run(block)`` does; the block path must
     match it at 0 ulp.  Totals use explicit ``+=`` folds (the builtin
-    ``sum`` compensates on Python >= 3.12).  Returns the report and the
+    ``sum`` compensates on Python >= 3.12).  Returns the report, whose
+    tables are built row by row in the arena's column order, and the
     last interval's samples.
     """
-    from repro.fleet.shard import ChainSummary, IntervalRecord, ShardReport
+    from repro.fleet.arena import CHAIN_FIELDS
+    from repro.fleet.shard import ShardReport
 
     start, n = block.start, block.pps.shape[1]
     if n < 1:
@@ -960,8 +962,9 @@ def reference_shard_run(sim, block):
     dt = cfg.interval_s
     pkt = sim.workload.packet_bytes
     loads = block.pps.T.tolist()
-    records = []
-    for index, column in zip(range(start, start + n), loads):
+    intervals = []
+    node_power = [0.0] * len(sim.nodes)
+    for column in loads:
         offered = {name: (pps, pkt) for name, pps in zip(names, column)}
         samples = reference_cluster_step(
             sim.nodes,
@@ -973,7 +976,7 @@ def reference_shard_run(sim, block):
             delta = node.meter.total_joules - sim._node_energy[j]
             sim._node_energy[j] = node.meter.total_joules
             node_j = delta if node.chains else cfg.parked_power_w * dt
-            sim._last_node_power[j] = node_j / dt
+            node_power[j] = node_j / dt
             energy += node_j
         throughput = 0.0
         violations = 0
@@ -983,39 +986,41 @@ def reference_shard_run(sim, block):
         offered_total = 0.0
         for pps in column:
             offered_total += pps
-        records.append(
-            IntervalRecord(
-                index=index,
-                energy_j=energy,
-                throughput_gbps=throughput,
-                offered_pps=offered_total,
-                sla_violations=violations,
-                chains=len(samples),
-            )
+        intervals.append(
+            [energy, throughput, offered_total, violations, len(samples)]
         )
         sim._interval += 1
-    chain_summaries = []
-    for name in sorted(sim._tickets):
-        ticket = sim._tickets[name]
+    chains = []
+    for name, ticket in sim._tickets.items():
         hosted = sim.nodes[ticket.node].chains[name]
         sample = samples[name]
-        chain_summaries.append(
-            ChainSummary(
-                name=name,
-                node=ticket.node,
-                flow=ticket.flow,
-                utilization=max(nf.utilization for nf in sample.per_nf),
-                power_w=sample.power_w,
-                state_bytes=hosted.chain.total_state_bytes,
-                dma_bytes=hosted.knobs.dma_bytes,
-                knobs=hosted.knobs.to_dict(),
-            )
+        chains.append(
+            [
+                ticket.node,
+                max(nf.utilization for nf in sample.per_nf),
+                sample.power_w,
+                hosted.chain.total_state_bytes,
+                hosted.knobs.dma_bytes,
+                hosted.knobs.cpu_share,
+                hosted.knobs.cpu_freq_ghz,
+            ]
         )
     report = ShardReport(
         shard=cfg.name,
-        intervals=tuple(records),
-        chains=tuple(chain_summaries),
-        nodes=tuple(sim._node_summaries(chain_summaries)),
+        start=start,
+        names=tuple(names),
+        flows=tuple(ticket.flow for ticket in sim._tickets.values()),
+        intervals=np.array(intervals, dtype=np.float64),
+        chains=np.array(chains, dtype=np.float64).reshape(
+            len(chains), len(CHAIN_FIELDS)
+        ),
+        nodes=np.array(
+            [
+                [power, max((c[1] for c in chains if c[0] == j), default=0.0)]
+                for j, power in enumerate(node_power)
+            ],
+            dtype=np.float64,
+        ),
     )
     return report, samples
 

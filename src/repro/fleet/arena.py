@@ -10,26 +10,23 @@ copy per table instead of unpickling.
 
 Layout
 ------
-Every value is a float64 (the integer fields — counts, violations, batch
-sizes — stay far below 2**53, so the round trip through float64 is
+Every value is a float64 (the integer fields — node indices, counts,
+violations — stay far below 2**53, so the round trip through float64 is
 exact).  The segment holds :data:`BANKS` identical banks, double-buffered
 for the pipelined cycle (the coordinator may still be reading cycle *t*'s
 bank while the worker writes cycle *t+1*'s)::
 
     bank b:
-      header    : generation, start, n_intervals, n_chains
       intervals : max_intervals x len(INTERVAL_FIELDS)
-      chains    : max_chains    x (len(CHAIN_FIELDS) + len(KNOB_NAMES))
+      chains    : max_chains    x len(CHAIN_FIELDS)
       nodes     : n_nodes       x len(NODE_FIELDS)
 
-A chain row's trailing columns are its summary's ``knobs`` mapping, in
-:data:`~repro.nfv.knobs.KNOB_NAMES` order.
-Chain rows are ordered by sorted chain name — the same order
-``ShardSim._chain_summaries`` emits — so the coordinator-side handle can
-map rows back to names from its own ticket mirror without any name data
-crossing the arena.  The ``generation`` header slot is the deploy/
-undeploy counter: both pipe ends bump their copy on every deployment
-command, and a mismatch in the ack means the row map desynced.
+A bank holds the three tables of a :class:`~repro.fleet.shard.ShardReport`
+as they are.  Chain rows follow the shard's deployment order (its load
+rows), so the coordinator-side handle maps rows back to names from its
+own ticket mirror without any name data crossing the arena.  Which run a
+bank holds, and how many rows of it are live, travel in the worker's
+``("telemetry", ...)`` ack.
 
 Lifecycle
 ---------
@@ -48,17 +45,11 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.nfv.knobs import KNOB_NAMES
-
 #: Banks per arena (double-buffered: one being written, one being read).
 BANKS = 2
 
-#: Per-bank header slots.
-HEADER_FIELDS = ("generation", "start", "n_intervals", "n_chains")
-
-#: Columns of one per-interval telemetry row (attributes of
-#: :class:`~repro.fleet.shard.IntervalRecord`; ``index`` is implicit as
-#: ``start + row``).
+#: Columns of one per-interval row of a shard report (the row's interval
+#: index is implicit as ``start + row``).
 INTERVAL_FIELDS = (
     "energy_j",
     "throughput_gbps",
@@ -67,23 +58,22 @@ INTERVAL_FIELDS = (
     "chains",
 )
 
-#: Leading columns of one per-chain row (attributes of
-#: :class:`~repro.fleet.shard.ChainSummary`).
-CHAIN_FIELDS = ("node", "utilization", "power_w", "state_bytes", "dma_bytes")
+#: Columns of one per-chain row: the chain's node, its last-interval
+#: state and the two knobs the coordinator steers.
+CHAIN_FIELDS = (
+    "node",
+    "utilization",
+    "power_w",
+    "state_bytes",
+    "dma_bytes",
+    "cpu_share",
+    "cpu_freq_ghz",
+)
 
-#: Columns of one per-node row (attributes of
-#: :class:`~repro.fleet.shard.NodeSummary`).
+#: Columns of one per-node row.
 NODE_FIELDS = ("power_w", "utilization")
 
-_CHAIN_WIDTH = len(CHAIN_FIELDS) + len(KNOB_NAMES)
 _ITEMSIZE = np.dtype(np.float64).itemsize
-
-
-def _put(table: np.ndarray, rows: list[list]) -> None:
-    """Write ``rows`` over the table's leading rows in one block
-    assignment (numpy converts the nested lists to float64 in one pass)."""
-    if rows:
-        table[: len(rows)] = rows
 
 
 @dataclass(frozen=True)
@@ -112,9 +102,8 @@ class ArenaLayout:
     def bank_floats(self) -> int:
         """float64 slots per bank."""
         return (
-            len(HEADER_FIELDS)
-            + self.max_intervals * len(INTERVAL_FIELDS)
-            + self.max_chains * _CHAIN_WIDTH
+            self.max_intervals * len(INTERVAL_FIELDS)
+            + self.max_chains * len(CHAIN_FIELDS)
             + self.n_nodes * len(NODE_FIELDS)
         )
 
@@ -145,23 +134,22 @@ class TelemetryArena:
         flat = np.ndarray(
             (BANKS * layout.bank_floats,), dtype=np.float64, buffer=segment.buf
         )
-        n_header = len(HEADER_FIELDS)
         n_ivals = layout.max_intervals * len(INTERVAL_FIELDS)
-        n_chains = layout.max_chains * _CHAIN_WIDTH
+        n_chains = layout.max_chains * len(CHAIN_FIELDS)
         n_nodes = layout.n_nodes * len(NODE_FIELDS)
         self._banks: list[tuple[np.ndarray, ...]] = []
         for b in range(BANKS):
             o = b * layout.bank_floats
-            header = flat[o : o + n_header]
-            o += n_header
             intervals = flat[o : o + n_ivals].reshape(
                 layout.max_intervals, len(INTERVAL_FIELDS)
             )
             o += n_ivals
-            chains = flat[o : o + n_chains].reshape(layout.max_chains, _CHAIN_WIDTH)
+            chains = flat[o : o + n_chains].reshape(
+                layout.max_chains, len(CHAIN_FIELDS)
+            )
             o += n_chains
             nodes = flat[o : o + n_nodes].reshape(layout.n_nodes, len(NODE_FIELDS))
-            self._banks.append((header, intervals, chains, nodes))
+            self._banks.append((intervals, chains, nodes))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -205,33 +193,29 @@ class TelemetryArena:
 
     # -- bank views --------------------------------------------------------
 
-    def header(self, bank: int) -> np.ndarray:
-        """The ``(generation, start, n_intervals, n_chains)`` header row."""
-        return self._banks[bank][0]
-
     def intervals(self, bank: int) -> np.ndarray:
         """``(max_intervals, len(INTERVAL_FIELDS))`` view of one bank."""
-        return self._banks[bank][1]
+        return self._banks[bank][0]
 
     def chains(self, bank: int) -> np.ndarray:
-        """``(max_chains, CHAIN+KNOB columns)`` view of one bank."""
-        return self._banks[bank][2]
+        """``(max_chains, len(CHAIN_FIELDS))`` view of one bank."""
+        return self._banks[bank][1]
 
     def nodes(self, bank: int) -> np.ndarray:
         """``(n_nodes, len(NODE_FIELDS))`` view of one bank."""
-        return self._banks[bank][3]
+        return self._banks[bank][2]
 
     # -- the write path (worker side) --------------------------------------
 
-    def store_report(self, bank: int, generation: int, report) -> None:
-        """Write one shard report into a bank.
+    def store_report(self, bank: int, report) -> None:
+        """Write one shard report's three tables into a bank, one block
+        copy each.
 
         ``report`` is duck-typed (any object shaped like
         :class:`~repro.fleet.shard.ShardReport`) so this module never
-        imports the shard module it feeds.  Chain rows land in the order
-        ``report.chains`` arrives in — sorted by name, per
-        ``ShardSim._chain_summaries`` — which is the contract the
-        coordinator-side row map relies on.
+        imports the shard module it feeds.  Chain rows land in the
+        report's row order, the shard's deployment order, which is the
+        contract the coordinator-side row map relies on.
         """
         if not 0 <= bank < BANKS:
             raise ValueError(f"bank must be in [0, {BANKS}), got {bank}")
@@ -251,21 +235,7 @@ class TelemetryArena:
                 f"arena expects {layout.n_nodes} node rows, "
                 f"got {len(report.nodes)}"
             )
-        header, intervals, chains, nodes = self._banks[bank]
-        _put(
-            intervals,
-            [[getattr(row, f) for f in INTERVAL_FIELDS] for row in report.intervals],
-        )
-        _put(
-            chains,
-            [
-                [getattr(chain, f) for f in CHAIN_FIELDS]
-                + [chain.knobs[k] for k in KNOB_NAMES]
-                for chain in report.chains
-            ],
-        )
-        _put(nodes, [[getattr(node, f) for f in NODE_FIELDS] for node in report.nodes])
-        header[0] = float(generation)
-        header[1] = float(report.intervals[0].index) if report.intervals else 0.0
-        header[2] = float(len(report.intervals))
-        header[3] = float(len(report.chains))
+        intervals, chains, nodes = self._banks[bank]
+        intervals[: len(report.intervals)] = report.intervals
+        chains[: len(report.chains)] = report.chains
+        nodes[:] = report.nodes

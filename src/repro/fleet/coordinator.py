@@ -460,9 +460,9 @@ class FleetCoordinator:
         summaries: dict[str, ChainSummary] = {}
         node_info: dict[tuple[str, int], NodeSummary] = {}
         for report in reports:
-            for chain in report.chains:
+            for chain in report.chain_summaries():
                 summaries[chain.name] = chain
-            for node in report.nodes:
+            for node in report.node_summaries():
                 node_info[(node.shard, node.node)] = node
 
         # One churn draw per cycle: departures free capacity before the
@@ -590,26 +590,25 @@ class FleetCoordinator:
             self._merge_records_inner(reports)
 
     def _merge_records_inner(self, reports: list[ShardReport]) -> None:
-        by_index: dict[int, dict[str, Any]] = {}
+        # The shards step in lockstep, so their interval tables cover
+        # the same intervals; fold them in shard order from 0.0.
+        total = np.zeros_like(reports[0].intervals)
         for report in reports:
-            for row in report.intervals:
-                rec = by_index.setdefault(
-                    row.index,
-                    {
-                        "index": row.index,
-                        "energy_j": 0.0,
-                        "throughput_gbps": 0.0,
-                        "offered_pps": 0.0,
-                        "sla_violations": 0,
-                        "chains": 0,
-                    },
-                )
-                rec["energy_j"] += row.energy_j
-                rec["throughput_gbps"] += row.throughput_gbps
-                rec["offered_pps"] += row.offered_pps
-                rec["sla_violations"] += row.sla_violations
-                rec["chains"] += row.chains
-        self._records.extend(by_index[i] for i in sorted(by_index))
+            total += report.intervals
+        start = reports[0].start
+        for j, (energy, throughput, offered, violations, chains) in enumerate(
+            total.tolist()
+        ):
+            self._records.append(
+                {
+                    "index": start + j,
+                    "energy_j": energy,
+                    "throughput_gbps": throughput,
+                    "offered_pps": offered,
+                    "sla_violations": int(violations),
+                    "chains": int(chains),
+                }
+            )
 
     # -- migration ---------------------------------------------------------
 
@@ -876,29 +875,27 @@ class FleetCoordinator:
             if name in departed or name not in placement:
                 continue
             chain = summaries[name]
-            knobs = dict(chain.knobs)
             if chain.utilization > steering.high_watermark:
-                knobs["cpu_share"] = min(
-                    knobs["cpu_share"] * steering.share_step, share_max
-                )
-                knobs["cpu_freq_ghz"] = min(
-                    knobs["cpu_freq_ghz"] + steering.freq_step_ghz,
+                share = min(chain.cpu_share * steering.share_step, share_max)
+                freq = min(
+                    chain.cpu_freq_ghz + steering.freq_step_ghz,
                     ranges.max_freq_ghz,
                 )
             elif chain.utilization < steering.low_watermark:
-                knobs["cpu_share"] = max(
-                    knobs["cpu_share"] / steering.share_step, share_min
-                )
-                knobs["cpu_freq_ghz"] = max(
-                    knobs["cpu_freq_ghz"] - steering.freq_step_ghz,
+                share = max(chain.cpu_share / steering.share_step, share_min)
+                freq = max(
+                    chain.cpu_freq_ghz - steering.freq_step_ghz,
                     ranges.min_freq_ghz,
                 )
             else:
                 continue
-            if knobs == dict(chain.knobs):
+            if (share, freq) == (chain.cpu_share, chain.cpu_freq_ghz):
                 continue
             shard, _node = placement[name]
-            per_shard.setdefault(shard, {})[name] = knobs
+            per_shard.setdefault(shard, {})[name] = {
+                "cpu_share": share,
+                "cpu_freq_ghz": freq,
+            }
         return tuple(sorted(per_shard.items()))
 
     # -- observability -----------------------------------------------------

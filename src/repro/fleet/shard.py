@@ -9,8 +9,9 @@ machine driven by coordinator commands:
   cluster kernel
   (:meth:`~repro.nfv.cluster_kernel.ClusterKernel.step`, which compiles
   a configuration on first sight and prices the whole block), and
-  return a :class:`ShardReport` summary (per-interval energy/SLA rows
-  plus per-chain and per-node state for the coordinator's decisions);
+  return a :class:`ShardReport`: three float64 tables of per-interval
+  energy/SLA rows and of per-chain and per-node state for the
+  coordinator's decisions;
 * ``deploy(ticket)`` / ``undeploy(name)`` — chain arrival, departure and
   the two halves of a cross-shard migration.  A :class:`ChainTicket` is
   the serializable form of a chain in flight: NF names, knobs, flow
@@ -34,11 +35,12 @@ with one reply, read in order: a run's reply is collected after every
 shard's run is sent, a deploy or undeploy waits for its reply, and a
 knob command's ack is read only before the handle's next reply, so the
 worker applies knobs while the coordinator plans.  The report body
-does not travel over the pipe: each worker writes its telemetry into a
-shared-memory :class:`~repro.fleet.arena.TelemetryArena` and the run
-reply is a tiny ``("telemetry", bank, generation, start, n, n_chains)``
-ack; the handle reconstructs the :class:`ShardReport` from the arena
-bank using its own ticket mirror (resynced only on deploy/undeploy).
+does not travel over the pipe: each worker writes the report's tables
+into a shared-memory :class:`~repro.fleet.arena.TelemetryArena` and the
+run reply is a tiny ``("telemetry", bank, generation, start, n,
+n_chains)`` ack; the handle copies the tables out of the arena bank and
+names the chain rows from its own ticket mirror (resynced only on
+deploy/undeploy).
 A shard draws nothing itself: every stochastic input is counter-based
 (:mod:`repro.fleet.workload`) and drawn by the coordinator, so both
 backends produce bit-identical telemetry for the same seed.
@@ -58,6 +60,8 @@ from repro import obs
 from repro.fleet.arena import (
     BANKS,
     CHAIN_FIELDS,
+    INTERVAL_FIELDS,
+    NODE_FIELDS,
     ArenaLayout,
     TelemetryArena,
 )
@@ -69,7 +73,7 @@ from repro.nfv.chain import (
     light_chain,
 )
 from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel, row_names
-from repro.nfv.knobs import KNOB_NAMES, KnobSettings
+from repro.nfv.knobs import KnobSettings
 from repro.nfv.node import Node
 from repro.fleet.topology import CHAIN_KINDS
 from repro.fleet.workload import LoadBlock, WorkloadConfig
@@ -190,29 +194,17 @@ def arena_layout_for(config: ShardConfig) -> ArenaLayout:
 
 
 @dataclass(frozen=True)
-class IntervalRecord:
-    """One shard's aggregate telemetry for one global interval."""
-
-    index: int
-    energy_j: float
-    throughput_gbps: float
-    offered_pps: float
-    sla_violations: int
-    chains: int
-
-
-@dataclass(frozen=True)
 class ChainSummary:
     """One chain's last-interval state, as the coordinator sees it."""
 
     name: str
-    node: int
     flow: str
     utilization: float  # bottleneck-stage utilization (the steering signal)
     power_w: float
     state_bytes: float
     dma_bytes: float
-    knobs: Mapping[str, Any]
+    cpu_share: float
+    cpu_freq_ghz: float
 
 
 @dataclass(frozen=True)
@@ -227,12 +219,40 @@ class NodeSummary:
 
 @dataclass(frozen=True)
 class ShardReport:
-    """The gather payload: one shard's answer to a ``run`` command."""
+    """The gather payload: one shard's answer to a ``run`` command.
+
+    Its telemetry is three float64 tables in the arena's column layout
+    (:mod:`repro.fleet.arena`): ``intervals`` holds one
+    :data:`~repro.fleet.arena.INTERVAL_FIELDS` row per interval from
+    ``start``, ``chains`` one :data:`~repro.fleet.arena.CHAIN_FIELDS`
+    row per hosted chain in deployment order (the chains ``names``, in
+    flow groups ``flows``), and ``nodes`` one
+    :data:`~repro.fleet.arena.NODE_FIELDS` row per node.
+    """
 
     shard: str
-    intervals: tuple[IntervalRecord, ...]
-    chains: tuple[ChainSummary, ...]
-    nodes: tuple[NodeSummary, ...]
+    start: int
+    names: tuple[str, ...]
+    flows: tuple[str, ...]
+    intervals: np.ndarray
+    chains: np.ndarray
+    nodes: np.ndarray
+
+    def chain_summaries(self) -> list[ChainSummary]:
+        """The chain rows as the coordinator's planning records."""
+        return [
+            ChainSummary(name, flow, util, power, state, dma, share, freq)
+            for name, flow, (_node, util, power, state, dma, share, freq) in zip(
+                self.names, self.flows, self.chains.tolist()
+            )
+        ]
+
+    def node_summaries(self) -> list[NodeSummary]:
+        """The node rows as the coordinator's planning records."""
+        return [
+            NodeSummary(self.shard, j, power, util)
+            for j, (power, util) in enumerate(self.nodes.tolist())
+        ]
 
 
 class ShardSim:
@@ -257,16 +277,10 @@ class ShardSim:
         self._tickets: dict[str, ChainTicket] = {}
         self._interval = 0
         self._node_energy = [0.0] * config.n_nodes
-        self._last_node_power = [0.0] * config.n_nodes
         for ticket in config.initial_chains:
             self.deploy(ticket)
 
     # -- deployment commands -----------------------------------------------
-
-    @property
-    def chain_names(self) -> list[str]:
-        """Hosted chains in sorted order."""
-        return sorted(self._tickets)
 
     @property
     def load_rows(self) -> tuple[str, ...]:
@@ -298,18 +312,21 @@ class ShardSim:
         return replace(ticket, knobs=applied)
 
     def set_knobs(self, updates: Mapping[str, Mapping[str, Any]]) -> None:
-        """Apply per-chain knob settings (clamped on the owning node).
+        """Apply per-chain knob updates (clamped on the owning node).
 
-        Every name and setting is checked before any is applied, so a
-        rejected update leaves the shard unchanged.  Each node takes its
-        chains' updates in one call, one LLC repartition per node.
+        An update names only the knobs it changes; the chain keeps its
+        current setting of every other knob.  Every name and setting is
+        checked before any is applied, so a rejected update leaves the
+        shard unchanged.  Each node takes its chains' updates in one
+        call, one LLC repartition per node.
         """
         by_node: dict[int, dict[str, KnobSettings]] = {}
         for name, settings in updates.items():
             if name not in self._tickets:
                 raise KeyError(f"no chain {name!r} on shard {self.config.name!r}")
             node = self._tickets[name].node
-            by_node.setdefault(node, {})[name] = KnobSettings(**dict(settings))
+            knobs = self.nodes[node].chains[name].knobs.with_updates(**settings)
+            by_node.setdefault(node, {})[name] = knobs
         for node, knobs in by_node.items():
             self.nodes[node].apply_knobs(knobs)
 
@@ -360,7 +377,6 @@ class ShardSim:
         self, load_block: LoadBlock, block: BlockTelemetry
     ) -> ShardReport:
         cfg = self.config
-        start = load_block.start
         dt = cfg.interval_s
         loads = load_block.pps
         n = loads.shape[1]
@@ -375,76 +391,57 @@ class ShardSim:
             cfg.parked_power_w * dt,
         )
         self._node_energy = totals[-1].tolist()
-        self._last_node_power = (node_j[-1] / dt).tolist()
-        # Left-to-right folds in node, row and ticket order; np.sum's
-        # pairwise rounding would change the recorded totals.
-        energy = left_sums(node_j).tolist()
-        throughput = left_sums(block.throughput_gbps).tolist()
-        offered = left_sums(loads.T).tolist()
-        violations = (~self.sla.satisfied(block)).sum(axis=1).tolist()
-        records = [
-            IntervalRecord(
-                index=start + i,
-                energy_j=energy[i],
-                throughput_gbps=throughput[i],
-                offered_pps=offered[i],
-                sla_violations=violations[i],
-                chains=block.energy_j.shape[1],
-            )
-            for i in range(n)
-        ]
         self._interval += n
-        chain_summaries = self._chain_summaries(block)
-        return ShardReport(
-            shard=cfg.name,
-            intervals=tuple(records),
-            chains=tuple(chain_summaries),
-            nodes=tuple(self._node_summaries(chain_summaries)),
-        )
-
-    def _chain_summaries(self, block: BlockTelemetry) -> list[ChainSummary]:
-        """Each chain's state after the block's last interval, in name
-        order; the block's columns follow the nodes' kernel row order."""
-        column = {name: r for r, name in enumerate(row_names(self.nodes))}
+        # Left-to-right folds in node, row and ticket order; np.sum's
+        # pairwise rounding would change the recorded totals.  The
+        # columns follow INTERVAL_FIELDS.
+        intervals = np.empty((n, len(INTERVAL_FIELDS)))
+        intervals[:, 0] = left_sums(node_j)
+        intervals[:, 1] = left_sums(block.throughput_gbps)
+        intervals[:, 2] = left_sums(loads.T)
+        intervals[:, 3] = (~self.sla.satisfied(block)).sum(axis=1)
+        intervals[:, 4] = block.energy_j.shape[1]
+        # Each chain's state after the block's last interval.  The
+        # block's columns follow the nodes' kernel row order; the chain
+        # rows follow the tickets, the load rows' order.
         utilization = block.utilization[-1].tolist()
         power = block.power_w[-1].tolist()
-        out: list[ChainSummary] = []
-        for name in sorted(self._tickets):
-            ticket = self._tickets[name]
+        column = {name: r for r, name in enumerate(row_names(self.nodes))}
+        chains = []
+        for name, ticket in self._tickets.items():
             hosted = self.nodes[ticket.node].chains[name]
             r = column[name]
-            out.append(
-                ChainSummary(
-                    name=name,
-                    node=ticket.node,
-                    flow=ticket.flow,
-                    utilization=utilization[r],
-                    power_w=power[r],
-                    state_bytes=hosted.chain.total_state_bytes,
-                    dma_bytes=hosted.knobs.dma_bytes,
-                    knobs=hosted.knobs.to_dict(),
+            chains.append(
+                (
+                    ticket.node,
+                    utilization[r],
+                    power[r],
+                    hosted.chain.total_state_bytes,
+                    hosted.knobs.dma_bytes,
+                    hosted.knobs.cpu_share,
+                    hosted.knobs.cpu_freq_ghz,
                 )
             )
-        return out
-
-    def _node_summaries(
-        self, chain_summaries: list[ChainSummary]
-    ) -> list[NodeSummary]:
-        by_node: dict[int, list[ChainSummary]] = {}
-        for summary in chain_summaries:
-            by_node.setdefault(summary.node, []).append(summary)
-        out: list[NodeSummary] = []
+        # A node's utilization is its busiest chain's; its rows are one
+        # contiguous run of the kernel order.
+        nodes = np.empty((len(self.nodes), len(NODE_FIELDS)))
+        nodes[:, 0] = node_j[-1] / dt
+        r = 0
         for j, node in enumerate(self.nodes):
-            hosted = by_node.get(j, [])
-            out.append(
-                NodeSummary(
-                    shard=self.config.name,
-                    node=j,
-                    power_w=self._last_node_power[j],
-                    utilization=max((c.utilization for c in hosted), default=0.0),
-                )
-            )
-        return out
+            k = len(node.chains)
+            nodes[j, 1] = max(utilization[r : r + k], default=0.0)
+            r += k
+        return ShardReport(
+            shard=cfg.name,
+            start=load_block.start,
+            names=tuple(self._tickets),
+            flows=tuple(ticket.flow for ticket in self._tickets.values()),
+            intervals=intervals,
+            chains=np.array(chains, dtype=np.float64).reshape(
+                len(chains), len(CHAIN_FIELDS)
+            ),
+            nodes=nodes,
+        )
 
 
 def run_shards(
@@ -672,14 +669,14 @@ def shard_worker(config: ShardConfig, conn, arena_name: str) -> None:
                         )
                     report = sim.run(block)
                     bank = runs % BANKS
-                    arena.store_report(bank, generation, report)
+                    arena.store_report(bank, report)
                     runs += 1
                     conn.send(
                         ("telemetry", bank, generation, block.start, n,
                          len(report.chains))
                     )
                 elif kind == "deploy":
-                    if len(sim.chain_names) >= arena.layout.max_chains:
+                    if len(sim.load_rows) >= arena.layout.max_chains:
                         raise ValueError(
                             f"shard {config.name!r} arena is sized for "
                             f"{arena.layout.max_chains} chains; deploy of "
@@ -728,10 +725,10 @@ class ShardWorker:
     while the coordinator plans.  Deployment commands are synchronous:
     :meth:`deploy` raises a refused ticket at the call, and
     :meth:`undeploy` returns the migration ticket.  The handle keeps a
-    ticket mirror of the worker's chain set — sorted chain name is the
-    arena row order — plus a generation counter bumped on every
-    deploy/undeploy, so :meth:`finish_run` can rebuild the
-    :class:`ShardReport` from the arena bank and detect a desynced row
+    ticket mirror of the worker's chain set — deployment order is the
+    arena's chain row order — plus a generation counter bumped on every
+    deploy/undeploy, so :meth:`finish_run` can copy the
+    :class:`ShardReport` out of the arena bank and detect a desynced row
     map instead of mis-attributing telemetry.
     """
 
@@ -848,7 +845,7 @@ class ShardWorker:
         self._in_flight = True
 
     def finish_run(self) -> ShardReport:
-        """Block for the telemetry ack, then rebuild the report from the
+        """Block for the telemetry ack, then copy the report out of the
         arena bank it names.
 
         The knob acks owed from before the run come first.  A refused
@@ -886,58 +883,26 @@ class ShardWorker:
             return self._load_report(bank, start, n)
 
     def _load_report(self, bank: int, start: int, n: int) -> ShardReport:
-        """Arena bank -> :class:`ShardReport` (one ``.tolist()`` copy per
-        table off the shared views; names and flows come from the ticket
-        mirror)."""
+        """Arena bank -> :class:`ShardReport`: one copy per table off the
+        shared views; names and flows come from the ticket mirror."""
         arena = self.arena
-        intervals = tuple(
-            IntervalRecord(
-                index=start + j,
-                energy_j=energy,
-                throughput_gbps=throughput,
-                offered_pps=offered,
-                sla_violations=int(violations),
-                chains=int(hosted),
+        tickets = self._tickets
+        chains = arena.chains(bank)[: len(tickets)].copy()
+        nodes = [ticket.node for ticket in tickets.values()]
+        if chains[:, 0].tolist() != nodes:  # pragma: no cover - protocol bug
+            raise RuntimeError(
+                f"shard {self.name!r}: arena chain rows are on nodes "
+                f"{chains[:, 0].tolist()}, the ticket mirror's chains "
+                f"{list(tickets)} on nodes {nodes}"
             )
-            for j, (energy, throughput, offered, violations, hosted) in enumerate(
-                arena.intervals(bank)[:n].tolist()
-            )
-        )
-        width = len(CHAIN_FIELDS)
-        rows = arena.chains(bank)[: len(self._tickets)].tolist()
-        chains: list[ChainSummary] = []
-        for i, (name, row) in enumerate(zip(sorted(self._tickets), rows)):
-            ticket = self._tickets[name]
-            # The trailing knob columns, in KNOB_NAMES order.
-            knobs = dict(zip(KNOB_NAMES, row[width:]))
-            knobs["batch_size"] = int(knobs["batch_size"])
-            if int(row[0]) != ticket.node:  # pragma: no cover - protocol bug
-                raise RuntimeError(
-                    f"shard {self.name!r}: arena row {i} is on node "
-                    f"{int(row[0])}, ticket mirror says chain {name!r} "
-                    f"is on node {ticket.node}"
-                )
-            chains.append(
-                ChainSummary(
-                    name=name,
-                    node=ticket.node,
-                    flow=ticket.flow,
-                    utilization=row[1],
-                    power_w=row[2],
-                    state_bytes=row[3],
-                    dma_bytes=row[4],
-                    knobs=knobs,
-                )
-            )
-        nodes = tuple(
-            NodeSummary(shard=self.name, node=j, power_w=power, utilization=util)
-            for j, (power, util) in enumerate(arena.nodes(bank).tolist())
-        )
         return ShardReport(
             shard=self.name,
-            intervals=intervals,
-            chains=tuple(chains),
-            nodes=nodes,
+            start=start,
+            names=tuple(tickets),
+            flows=tuple(ticket.flow for ticket in tickets.values()),
+            intervals=arena.intervals(bank)[:n].copy(),
+            chains=chains,
+            nodes=arena.nodes(bank).copy(),
         )
 
     def deploy(self, ticket: ChainTicket) -> None:

@@ -28,10 +28,12 @@ from repro.fleet import (
     run_fleet,
     stream_hashes,
 )
+from repro.fleet.arena import CHAIN_FIELDS, INTERVAL_FIELDS, NODE_FIELDS
 from repro.fleet.placement import PLACEMENTS
 from repro.fleet.shard import ShardSim, kind_nfs
 from repro.fleet.spec import BACKENDS
 from repro.hw.server import ServerSpec
+from repro.nfv.cluster_kernel import row_names
 from repro.scenario import SCENARIOS, ScenarioSpec
 from repro.traffic.generators import DiurnalGenerator
 
@@ -53,6 +55,42 @@ def hosted_loads(shard, start, n, *, seed=0, config=None):
         seed, stream_hashes(names), start, n, config.interval_s
     )
     return LoadBlock(start, names, pps)
+
+
+def column(report, table: str, field: str) -> list[float]:
+    """One named column of a shard report's ``intervals``, ``chains`` or
+    ``nodes`` table."""
+    fields = {
+        "intervals": INTERVAL_FIELDS,
+        "chains": CHAIN_FIELDS,
+        "nodes": NODE_FIELDS,
+    }[table]
+    return getattr(report, table)[:, fields.index(field)].tolist()
+
+
+def assert_same_report(got, want) -> None:
+    """Two shard reports agree: the same shard, start, chain names and
+    flows, and float64 tables equal element for element."""
+    assert (got.shard, got.start, got.names, got.flows) == (
+        want.shard,
+        want.start,
+        want.names,
+        want.flows,
+    )
+    for table in ("intervals", "chains", "nodes"):
+        a, b = getattr(got, table), getattr(want, table)
+        assert a.dtype == b.dtype == np.float64, table
+        assert np.array_equal(a, b), (table, a, b)
+
+
+def assert_same_reports(got, want) -> None:
+    """Nested lists of shard reports agree report for report."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(a, list):
+            assert_same_reports(a, b)
+        else:
+            assert_same_report(a, b)
 
 
 def shard_config(name="s0", n_nodes=2, chains=2, **overrides):
@@ -383,12 +421,12 @@ class TestShardSim:
     def test_run_produces_telemetry(self):
         sim = ShardSim(shard_config())
         report = sim.run(hosted_loads(sim, 0, 3))
-        assert [r.index for r in report.intervals] == [0, 1, 2]
-        assert all(r.energy_j > 0 for r in report.intervals)
-        assert all(r.chains == 4 for r in report.intervals)
+        assert (report.start, len(report.intervals)) == (0, 3)
+        assert all(e > 0 for e in column(report, "intervals", "energy_j"))
+        assert column(report, "intervals", "chains") == [4.0] * 3
         assert len(report.chains) == 4
         assert len(report.nodes) == 2
-        assert all(c.utilization >= 0 for c in report.chains)
+        assert all(c.utilization >= 0 for c in report.chain_summaries())
 
     def test_lockstep_clock_enforced(self):
         sim = ShardSim(shard_config())
@@ -414,7 +452,8 @@ class TestShardSim:
         for bad in bad_blocks:
             with pytest.raises(ValueError, match="load block"):
                 sim.run(bad)
-        assert [r.index for r in sim.run(good).intervals] == [0, 1]
+        report = sim.run(good)
+        assert (report.start, len(report.intervals)) == (0, 2)
 
     def test_deploy_undeploy_ticket_round_trip(self):
         sim = ShardSim(shard_config())
@@ -422,14 +461,14 @@ class TestShardSim:
         ticket = sim.undeploy("s0-n0-c0")
         assert ticket.node == 0
         # A chain's load row comes with its deploy and goes with it.
-        assert sorted(sim.load_rows) == sim.chain_names
+        assert sorted(sim.load_rows) == sorted(row_names(sim.nodes))
         assert set(ticket.knobs) == {
             "cpu_share", "cpu_freq_ghz", "llc_fraction", "dma_mb", "batch_size",
         }
         sim.deploy(ticket.with_node(1))
         assert sim.nodes[1].chains["s0-n0-c0"] is not None
         assert sim.load_rows[-1] == "s0-n0-c0"
-        assert sorted(sim.load_rows) == sim.chain_names
+        assert sorted(sim.load_rows) == sorted(row_names(sim.nodes))
         with pytest.raises(ValueError, match="already"):
             sim.deploy(ticket)
         with pytest.raises(KeyError):
@@ -452,7 +491,29 @@ class TestShardSim:
             sim.set_knobs({"s0-n0-c0": valid, "ghost": {}})
         with pytest.raises(ValueError):
             sim.set_knobs({"s0-n0-c0": valid, "s0-n0-c1": {"batch_size": 0}})
+        with pytest.raises(TypeError, match="bogus"):
+            sim.set_knobs({"s0-n0-c0": valid, "s0-n0-c1": {"bogus": 1.0}})
         assert state() == before
+
+    @pytest.mark.parametrize(
+        "handle", [LocalShard, pytest.param(ShardWorker, marks=pytest.mark.fleet_mp)]
+    )
+    def test_partial_knob_update_keeps_the_other_knobs(self, handle):
+        # An update names only the knobs it changes: the others keep the
+        # chain's settings, not the Baseline defaults, on both backends
+        # and in the migration ticket they ride.
+        deployed = {"cpu_freq_ghz": 1.5, "llc_fraction": 0.3, "dma_mb": 8.0,
+                    "batch_size": 64}
+        ticket = ChainTicket(
+            name="c0", nfs=kind_nfs("light"), flow="f", node=0, knobs=deployed
+        )
+        shard = handle(shard_config(n_nodes=1, initial_chains=(ticket,)))
+        try:
+            shard.set_knobs({"c0": {"cpu_share": 0.5}})
+            moved = shard.undeploy("c0")
+        finally:
+            shard.close()
+        assert moved.knobs == {"cpu_share": 0.5, **deployed}
 
     def test_vacated_node_bills_parked_power(self):
         config = shard_config(n_nodes=2, chains=1, parked_power_w=5.0)
@@ -461,15 +522,15 @@ class TestShardSim:
         report = sim.run(hosted_loads(sim, 0, 1))
         busy_only = ShardSim(shard_config(n_nodes=1, chains=1, parked_power_w=5.0))
         busy_report = busy_only.run(hosted_loads(busy_only, 0, 1))
-        assert report.intervals[0].energy_j == pytest.approx(
-            busy_report.intervals[0].energy_j + 5.0
+        assert column(report, "intervals", "energy_j")[0] == pytest.approx(
+            column(busy_report, "intervals", "energy_j")[0] + 5.0
         )
-        assert report.nodes[1].power_w == 5.0
+        assert column(report, "nodes", "power_w")[1] == 5.0
 
     def test_same_seed_bit_identical(self):
         a, b = ShardSim(shard_config()), ShardSim(shard_config())
-        assert a.run(hosted_loads(a, 0, 4, seed=9)) == b.run(
-            hosted_loads(b, 0, 4, seed=9)
+        assert_same_report(
+            a.run(hosted_loads(a, 0, 4, seed=9)), b.run(hosted_loads(b, 0, 4, seed=9))
         )
 
     def test_different_seed_differs(self):
@@ -477,9 +538,9 @@ class TestShardSim:
         sim_a, sim_b = ShardSim(cfg), ShardSim(cfg)
         a = sim_a.run(hosted_loads(sim_a, 0, 4, seed=1))
         b = sim_b.run(hosted_loads(sim_b, 0, 4, seed=2))
-        assert [r.offered_pps for r in a.intervals] != [
-            r.offered_pps for r in b.intervals
-        ]
+        assert column(a, "intervals", "offered_pps") != column(
+            b, "intervals", "offered_pps"
+        )
 
     def test_kind_nfs(self):
         assert kind_nfs("light") == ("nat", "firewall")
@@ -579,15 +640,17 @@ class TestCoordinatorLocal:
 
 
 class RecordingConn:
-    """A pipe end that records the kind of every reply it reads."""
+    """A pipe end that records every reply it reads, and its kind."""
 
     def __init__(self, conn):
         self._conn = conn
         self.received = []
+        self.messages = []
 
     def recv(self):
         msg = self._conn.recv()
         self.received.append(msg[0])
+        self.messages.append(msg)
         return msg
 
     def __getattr__(self, attr):
@@ -671,7 +734,7 @@ class TestProcessBackend:
             # The worker survives both command errors.
             worker.begin_run(hosted_loads(worker, 0, 1, config=config))
             report = worker.finish_run()
-        assert report.intervals[0].energy_j > 0
+        assert column(report, "intervals", "energy_j")[0] > 0
 
     @pytest.mark.fleet_mp
     def test_worker_rejects_mismatched_block(self):
@@ -687,7 +750,8 @@ class TestProcessBackend:
                 with pytest.raises(RuntimeError, match="load block"):
                     worker.finish_run()
             worker.begin_run(good)
-            assert [r.index for r in worker.finish_run().intervals] == [0, 1]
+            report = worker.finish_run()
+            assert (report.start, len(report.intervals)) == (0, 2)
 
     @pytest.mark.fleet_mp
     def test_worker_error_includes_traceback(self):
@@ -704,7 +768,7 @@ class TestProcessBackend:
             assert "KeyError" in msg
             # The worker survives and keeps serving commands.
             worker.begin_run(hosted_loads(worker, 0, 1, config=config))
-            assert worker.finish_run().intervals[0].energy_j > 0
+            assert column(worker.finish_run(), "intervals", "energy_j")[0] > 0
 
     @pytest.mark.fleet_mp
     def test_close_drains_in_flight_run(self):
@@ -734,13 +798,12 @@ class TestProcessBackend:
         # behind it is still read and booked, and no knob moves, not even
         # the valid update sent in the same command.
         config = shard_config()
+        knobs = ("cpu_share", "cpu_freq_ghz")
         with ShardWorker(config) as worker:
             worker.begin_run(hosted_loads(worker, 0, 1, config=config))
-            before = {c.name: c.knobs for c in worker.finish_run().chains}
-            updates = {"s0-n0-c0": {**before["s0-n0-c0"], "cpu_share": 0.5}}
-            for name, settings in refused.items():
-                updates[name] = {**before.get(name, {}), **settings}
-            worker.set_knobs(updates)
+            first = worker.finish_run()
+            before = [column(first, "chains", knob) for knob in knobs]
+            worker.set_knobs({"s0-n0-c0": {"cpu_share": 0.5}, **refused})
             worker.begin_run(hosted_loads(worker, 1, 2, config=config))
             with pytest.raises(RuntimeError) as excinfo:
                 worker.finish_run()
@@ -751,8 +814,14 @@ class TestProcessBackend:
             assert "set_knobs" in msg  # the worker frame that raised
             worker.begin_run(hosted_loads(worker, 3, 1, config=config))
             report = worker.finish_run()
-        assert [r.index for r in report.intervals] == [3]
-        assert {c.name: c.knobs for c in report.chains} == before
+            tickets = [worker.undeploy(name) for name in worker.load_rows]
+        assert (report.start, len(report.intervals)) == (3, 1)
+        assert [column(report, "chains", knob) for knob in knobs] == before
+        # Every knob, not only the two a report carries, as deployed.
+        fresh = LocalShard(config)
+        assert [t.knobs for t in tickets] == [
+            fresh.undeploy(name).knobs for name in fresh.load_rows
+        ]
 
     @pytest.mark.fleet_mp
     def test_close_reads_unacknowledged_knob_acks(self):
@@ -776,7 +845,7 @@ class TestProcessBackend:
             worker.begin_run(hosted_loads(worker, 0, 1, config=config))
             with pytest.raises(RuntimeError, match="run in flight"):
                 worker.set_knobs({"s0-n0-c0": {"cpu_share": 0.5}})
-            assert worker.finish_run().intervals[0].index == 0
+            assert worker.finish_run().start == 0
 
     @pytest.mark.fleet_mp
     def test_deployment_commands_stay_synchronous(self):
@@ -1070,11 +1139,13 @@ class TestPlacementBook:
     """Co-location reads the authoritative placement book, not telemetry.
 
     On the pipelined path the gathered summaries lag one cycle: a
-    flow-mate migrated by the previous plan still *reports* its old
-    node.  The regression: ``_score_move`` used to read ``(other.shard,
-    other.node)`` from the stale summary, paying (or withholding) the
-    LLC-affinity bonus at the wrong node for one cycle after every
-    migration.
+    flow-mate migrated by the previous plan was still *reported* on its
+    old node.  The regression: ``_score_move`` used to read
+    ``(other.shard, other.node)`` from the stale summary, paying (or
+    withholding) the LLC-affinity bonus at the wrong node for one cycle
+    after every migration.  A summary now carries no location at all, so
+    each case below gives the mate's telemetry and its book location as
+    different nodes.
     """
 
     @pytest.fixture()
@@ -1088,28 +1159,28 @@ class TestPlacementBook:
         )
         return FleetCoordinator(fleet, seed=0)
 
-    def _summary(self, name, node, flow="fg0"):
+    def _summary(self, name, flow="fg0"):
         from repro.fleet.shard import ChainSummary
 
         return ChainSummary(
             name=name,
-            node=node,
             flow=flow,
             utilization=0.2,
             power_w=20.0,
             state_bytes=2e8,
             dma_bytes=5e7,
-            knobs={},
+            cpu_share=1.0,
+            cpu_freq_ghz=2.1,
         )
 
     def test_bonus_follows_book_one_cycle_after_migration(self, coordinator):
         # Mate "b" migrated from ("s0", 1) to ("s1", 0) last cycle; its
-        # summary is one cycle stale and still reports node 1.  Moving
-        # "a" to the book's node must earn the co-location bonus.
+        # summary is one cycle stale, from node 1.  Moving "a" to the
+        # book's node must earn the co-location bonus.
         mig = coordinator.fleet.migration
         summaries = {
-            "a": self._summary("a", 0),
-            "b": self._summary("b", 1),  # stale telemetry
+            "a": self._summary("a"),
+            "b": self._summary("b"),  # stale telemetry
         }
         placement = {"a": ("s0", 0), "b": ("s1", 0)}  # authoritative
         cur = coordinator._global_index[("s0", 0)]
@@ -1124,11 +1195,11 @@ class TestPlacementBook:
         assert gain == mig.colocation_gain_j
 
     def test_stale_summary_location_earns_no_bonus(self, coordinator):
-        # The inverse: "b"'s stale summary reports the destination's node
+        # The inverse: "b"'s stale summary is from the destination's node
         # index, but the book knows it sits on ("s0", 1) — no bonus.
         summaries = {
-            "a": self._summary("a", 0),
-            "b": self._summary("b", 0),  # stale telemetry
+            "a": self._summary("a"),
+            "b": self._summary("b"),  # stale telemetry
         }
         placement = {"a": ("s0", 0), "b": ("s0", 1)}  # authoritative
         cur = coordinator._global_index[("s0", 0)]
@@ -1161,13 +1232,13 @@ class TestRoutedCosts:
 
         chain = ChainSummary(
             name="c",
-            node=0,
             flow="fg0",
             utilization=0.2,
             power_w=20.0,
             state_bytes=2e8,
             dma_bytes=5e7,
-            knobs={},
+            cpu_share=1.0,
+            cpu_freq_ghz=2.1,
         )
         cur = coordinator._global_index[("site1", 0)]
         dst = coordinator._global_index[(dst_shard, 0)]

@@ -18,10 +18,9 @@ from repro.fleet import (
     WorkloadConfig,
     arena_layout_for,
 )
-from repro.fleet.arena import BANKS, CHAIN_FIELDS, INTERVAL_FIELDS
-from repro.nfv.knobs import KNOB_NAMES
+from repro.fleet.arena import BANKS, CHAIN_FIELDS, INTERVAL_FIELDS, NODE_FIELDS
 from repro.fleet.shard import ShardSim, kind_nfs
-from test_fleet import hosted_loads
+from test_fleet import RecordingConn, assert_same_report, column, hosted_loads
 
 
 def shard_config(name="s0", n_nodes=2, chains=2, **overrides):
@@ -61,15 +60,24 @@ class TestLayout:
             ArenaLayout(max_intervals=1, max_chains=1, n_nodes=0)
 
     def test_sizes(self):
+        # A bank holds the three report tables and nothing else.
         layout = ArenaLayout(max_intervals=4, max_chains=3, n_nodes=2)
         per_bank = (
-            4  # header
-            + 4 * len(INTERVAL_FIELDS)
-            + 3 * (len(CHAIN_FIELDS) + len(KNOB_NAMES))
-            + 2 * 2  # node fields: power, utilization
+            4 * len(INTERVAL_FIELDS)
+            + 3 * len(CHAIN_FIELDS)
+            + 2 * len(NODE_FIELDS)
         )
         assert layout.bank_floats == per_bank
         assert layout.nbytes == BANKS * per_bank * 8
+        arena = TelemetryArena.create(layout)
+        try:
+            for bank in range(BANKS):
+                assert arena.intervals(bank).shape == (4, len(INTERVAL_FIELDS))
+                assert arena.chains(bank).shape == (3, len(CHAIN_FIELDS))
+                assert arena.nodes(bank).shape == (2, len(NODE_FIELDS))
+        finally:
+            arena.close()
+            arena.unlink()
 
     def test_layout_for_config_fits_initial_chains(self):
         config = shard_config(n_nodes=2, chains=2)
@@ -89,32 +97,48 @@ class TestStoreLoad:
         arena = TelemetryArena.create(arena_layout_for(config))
         return arena, report
 
+    @pytest.mark.fleet_mp
     def test_round_trip(self):
+        # A stored report's tables read back as they were written ...
         arena, report = self._arena_and_report(n=2)
         try:
-            arena.store_report(0, 7, report)
-            header = arena.header(0)
-            assert header[0] == 7.0  # generation
-            assert header[1] == 0.0  # first interval index
-            assert header[2] == float(len(report.intervals))
-            assert header[3] == float(len(report.chains))
-            ivals = arena.intervals(0)
-            for j, row in enumerate(report.intervals):
-                assert ivals[j, 0] == row.energy_j
-                assert ivals[j, 1] == row.throughput_gbps
-                assert ivals[j, 3] == float(row.sla_violations)
-            rows = arena.chains(0)
-            for i, chain in enumerate(report.chains):
-                assert rows[i, 0] == float(chain.node)
-                assert rows[i, 1] == chain.utilization
-                assert rows[i, len(CHAIN_FIELDS)] == chain.knobs["cpu_share"]
-            nodes = arena.nodes(0)
-            for j, node in enumerate(report.nodes):
-                assert nodes[j, 0] == node.power_w
-                assert nodes[j, 1] == node.utilization
+            arena.store_report(0, report)
+            assert np.array_equal(arena.intervals(0)[:2], report.intervals)
+            assert np.array_equal(
+                arena.chains(0)[: len(report.chains)], report.chains
+            )
+            assert np.array_equal(arena.nodes(0), report.nodes)
         finally:
             arena.close()
             arena.unlink()
+        # ... and a worker's reports, carried through its arena, equal
+        # the in-process shard's run for run, across an arrival, a knob
+        # update, a departure and a migration.
+        config = shard_config()
+        arrival = ChainTicket(name="late", nfs=kind_nfs("heavy"), flow="fg1", node=1)
+
+        def drive(shard):
+            reports = []
+            for step in range(5):
+                shard.begin_run(hosted_loads(shard, 2 * step, 2, config=config))
+                reports.append(shard.finish_run())
+                if step == 0:
+                    shard.deploy(arrival)
+                elif step == 1:
+                    shard.set_knobs({"late": {"cpu_share": 0.4, "cpu_freq_ghz": 1.2}})
+                elif step == 2:
+                    shard.undeploy("s0-n1-c0")
+                elif step == 3:
+                    shard.deploy(shard.undeploy("s0-n0-c1").with_node(1))
+            return reports
+
+        with ShardWorker(config) as worker:
+            via_arena = drive(worker)
+        reference = drive(LocalShard(config))
+        for got, want in zip(via_arena, reference):
+            assert_same_report(got, want)
+        assert via_arena[-1].names == ("s0-n0-c0", "s0-n1-c1", "late", "s0-n0-c1")
+        assert column(via_arena[2], "chains", "cpu_share")[-1] == 0.4
 
     def test_banks_are_isolated(self):
         config = shard_config()
@@ -123,11 +147,12 @@ class TestStoreLoad:
         second = sim.run(hosted_loads(sim, 2, 2))
         arena = TelemetryArena.create(arena_layout_for(config))
         try:
-            arena.store_report(0, 0, first)
+            arena.store_report(0, first)
             before = arena.intervals(0).copy()
-            arena.store_report(1, 0, second)
+            arena.store_report(1, second)
             assert np.array_equal(arena.intervals(0), before)
-            assert arena.header(1)[1] == 2.0  # second bank's start index
+            assert second.start == 2
+            assert np.array_equal(arena.intervals(1)[:2], second.intervals)
         finally:
             arena.close()
             arena.unlink()
@@ -142,13 +167,13 @@ class TestStoreLoad:
         arena = TelemetryArena.create(tight)
         try:
             with pytest.raises(ValueError, match="interval rows"):
-                arena.store_report(0, 0, report)
+                arena.store_report(0, report)
             sim = ShardSim(config)
             short = sim.run(hosted_loads(sim, 0, 2))
             with pytest.raises(ValueError, match="chain rows"):
-                arena.store_report(0, 0, short)
+                arena.store_report(0, short)
             with pytest.raises(ValueError, match="bank"):
-                arena.store_report(BANKS, 0, short)
+                arena.store_report(BANKS, short)
         finally:
             arena.close()
             arena.unlink()
@@ -160,7 +185,7 @@ class TestStoreLoad:
         )
         try:
             with pytest.raises(ValueError, match="node rows"):
-                wrong.store_report(0, 0, report)
+                wrong.store_report(0, report)
         finally:
             wrong.close()
             wrong.unlink()
@@ -193,12 +218,14 @@ class TestWorkerArenaLifecycle:
             assert worker._generation == 1
             worker.undeploy("late")
             assert worker._generation == 2
-            # The worker stamps its own counter into the bank header; a
+            # The worker stamps its own counter into the telemetry ack; a
             # matching run proves both ends stayed in sync.
+            spy = RecordingConn(worker._conn)
+            worker._conn = spy
             worker.begin_run(hosted_loads(worker, 0, 1, config=config))
             report = worker.finish_run()
-            bank = (worker._runs - 1) % BANKS
-            assert worker.arena.header(bank)[0] == float(worker._generation)
+            (ack,) = spy.messages
+            assert ack[:3] == ("telemetry", 0, 2)
             assert len(report.chains) == len(shard_config().initial_chains)
 
     @pytest.mark.fleet_mp
@@ -247,6 +274,6 @@ class TestWorkerArenaLifecycle:
             via_arena = drive(worker)
         local = LocalShard(config)
         reference = drive(local)
-        assert via_arena == reference
-        moved = {c.name: c.node for c in via_arena.chains}["s0-n0-c0"]
-        assert moved == 1
+        assert_same_report(via_arena, reference)
+        nodes = dict(zip(via_arena.names, column(via_arena, "chains", "node")))
+        assert nodes["s0-n0-c0"] == 1

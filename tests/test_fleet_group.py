@@ -36,7 +36,13 @@ from repro.nfv.knobs import KnobSettings
 from repro.nfv.nf import CATALOG
 from repro.nfv.node import Node
 from test_cluster_kernel import kernel_samples, plan_samples
-from test_fleet import hosted_loads, shard_config
+from test_fleet import (
+    assert_same_report,
+    assert_same_reports,
+    column,
+    hosted_loads,
+    shard_config,
+)
 from test_shard_block import assert_same_state, plan_cache_counts
 
 
@@ -142,7 +148,7 @@ class TestGroupMatchesShardsAlone:
         alone = [LocalShard(config) for config in configs]
         got = booked_parts([shard.sim for shard in grouped])
         want = booked_parts([shard.sim for shard in alone])
-        assert drive(grouped, seed=seed) == drive(alone, seed=seed)
+        assert_same_reports(drive(grouped, seed=seed), drive(alone, seed=seed))
         assert [len(parts) for parts in got] == [4] * 3
         assert got == want
         for g, a in zip(grouped, alone):
@@ -160,8 +166,10 @@ class TestGroupMatchesShardsAlone:
         want_parts = booked_parts([shard.sim for shard in alone])
         want = [plan_cache_counts(drive, [shard]) for shard in alone]
         assert want[1][1] == {"promote": 1, "hit": 4 * 2 - 1}
-        assert got == [[w[cycle][0] for w, _ in want] for cycle in range(4)]
-        assert [r.chains for r in got[-1][1].intervals] == [0, 0]
+        assert_same_reports(
+            got, [[w[cycle][0] for w, _ in want] for cycle in range(4)]
+        )
+        assert column(got[-1][1], "intervals", "chains") == [0.0, 0.0]
         assert got_parts == want_parts
         rows, samples = got_parts[1][-1]
         assert rows["utilization"] == [[], []] and samples == {}
@@ -174,7 +182,7 @@ class TestGroupMatchesShardsAlone:
         sim = LocalShard(config).sim
         got, want = booked_parts([grouped.sim, sim])
         grouped.begin_run(block_for(grouped, 0, 3))
-        assert grouped.finish_run() == sim.run(hosted_loads(sim, 0, 3))
+        assert_same_report(grouped.finish_run(), sim.run(hosted_loads(sim, 0, 3)))
         assert len(got) == 1 and got == want
         assert_same_state(grouped.sim, sim)
 
@@ -205,7 +213,6 @@ class TestBadBlockMovesNothing:
                 shard.sim._interval,
                 list(shard.sim._node_energy),
                 [dict(vars(node.meter)) for node in shard.sim.nodes],
-                list(shard.sim._last_node_power),
             )
             for shard in shards
         ]

@@ -8,7 +8,7 @@ the per-interval loop without the kernel: every interval, each node's
 scalar ``Node.step_all`` fold.  The seeded grid below drives both
 through runs of 1, 2, 3 and 8 intervals with a knob change, a deploy,
 an undeploy and a vacated node between runs, on every registered SLA,
-and requires every record, summary and node meter, and every field of
+and requires every report table and node meter, and every field of
 the last interval's samples (the kernel's rows joined with its diagonal
 plan's, see ``kernel_samples``), to match at 0 ulp.
 The plan-cache counters show when each run compiled.  The same grid
@@ -25,7 +25,7 @@ from repro.fleet.workload import FlashCrowdConfig, WorkloadConfig
 from repro.hw.power import EnergyMeter, record_many
 from repro.utils.stats import left_sums
 from test_cluster_kernel import kernel_samples
-from test_fleet import hosted_loads
+from test_fleet import assert_same_report, column, hosted_loads
 
 #: Every registered SLA, with a constraint that some chains miss.
 SLA_PARAMS = {
@@ -124,7 +124,6 @@ def plan_cache_counts(run, *args):
 def assert_same_state(block: ShardSim, ref: ShardSim) -> None:
     """Node meters and hosted chains of two shards agree bit for bit."""
     assert block._node_energy == ref._node_energy
-    assert block._last_node_power == ref._last_node_power
     for node_b, node_r in zip(block.nodes, ref.nodes):
         assert vars(node_b.meter) == vars(node_r.meter)
         assert list(node_b.chains) == list(node_r.chains)
@@ -144,7 +143,7 @@ def run_both(block: ShardSim, ref: ShardSim, loads, perf_reference):
     finally:
         del block.kernel.step
     want, want_samples = perf_reference.reference_shard_run(ref, loads)
-    assert got == want
+    assert_same_report(got, want)
     assert_same_state(block, ref)
     pkt = block.workload.packet_bytes
     offered = {
@@ -175,8 +174,8 @@ class TestBlockMatchesPerIntervalReference:
                 expected = {"hit": n}
             assert counts == expected, (step, n)
             if step == 4:
-                assert not any(c.node == 0 for c in got.chains)
-                assert got.nodes[0].power_w == 7.5
+                assert 0.0 not in column(got, "chains", "node")
+                assert column(got, "nodes", "power_w")[0] == 7.5
             for sim in (block, ref):
                 apply_command(sim, step, others, knobs)
             start += n
@@ -224,8 +223,8 @@ class TestBlockMatchesPerIntervalReference:
         for seed in range(8):
             (block, _), *_ = grid_case(seed)
             report = block.run(hosted_loads(block, 0, 8, seed=seed))
-            total = sum(r.chains for r in report.intervals)
-            violations = sum(r.sla_violations for r in report.intervals)
+            total = sum(column(report, "intervals", "chains"))
+            violations = sum(column(report, "intervals", "sla_violations"))
             some_met[block.config.sla] |= violations < total
             some_missed[block.config.sla] |= violations > 0
         for name in ("max_throughput", "min_energy", "latency"):
@@ -246,7 +245,7 @@ class TestPlanCachePath:
         compile_run = {"promote": 1, **({"hit": n - 1} if n > 1 else {})}
         assert plan_cache_counts(sim.run, hosted_loads(sim, 0, n))[1] == compile_run
         assert plan_cache_counts(sim.run, hosted_loads(sim, n, n))[1] == {"hit": n}
-        name = sim.chain_names[0]
+        name = sim.load_rows[0]
         sim.set_knobs({name: {"cpu_share": 0.7, "batch_size": 40}})
         loads = hosted_loads(sim, 2 * n, n)
         assert plan_cache_counts(sim.run, loads)[1] == compile_run
