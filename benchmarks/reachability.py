@@ -12,7 +12,8 @@ Runs a corpus of entry-point invocations, each in its own process under
   registered traffic model and chain and of the DDPG preset with each
   registered SLA,
 * every fleet scenario preset and every fleet preset, each placement
-  policy, a ``fat-tree`` fleet and a traced process-backend fleet,
+  policy, a ``fat-tree`` fleet, a churning WAN fleet that migrates chains
+  across shards, and a traced process-backend fleet,
 * ``repro scan`` on every knob grid, ``lint --strict`` and ``list``, then
   ``repro top --replay`` over the run and fleet traces,
 * every ``examples/*.py``.
@@ -305,6 +306,24 @@ def corpus(work: Path) -> tuple[list[list[str]], list[list[str]]]:
             "preset": "small",
             "topology": {"preset": "fat-tree", "pods": 2},
             "migration": {"budget_per_cycle": 1},
+        },
+    ).to_dict()))
+    # The e2e fleet-churn WAN under watermark placement: its two quick
+    # cycles accept cross-shard moves, so a migration runs end to end
+    # (routed path lookups, undeploy, re-targeted ticket, deploy).
+    fleets.append(spec_file("fleet-churn", small.with_updates(
+        name="churn",
+        fleet={
+            "preset": "wan",
+            "placement": "watermark",
+            "topology": {"preset": "wan", "n_sites": 8, "nodes": 4,
+                         "chains_per_node": 1},
+            "migration": {"amortize_intervals": 64, "budget_per_cycle": 4},
+            "workload": {
+                "peak_rate_pps": 3e5,
+                "churn": {"arrivals_per_cycle": 1.0, "departure_prob": 0.05,
+                          "max_chains": 96},
+            },
         },
     ).to_dict()))
 

@@ -7,7 +7,7 @@ cluster per interval; this package scales *out*: a fleet is a set of
 every shard) or each in a real worker process with its own kernel
 (:class:`~repro.fleet.shard.ShardWorker`) — and
 a :class:`~repro.fleet.coordinator.FleetCoordinator` running the global
-gather / decide / scatter loop: per-shard telemetry summaries in, SDN
+gather / decide / scatter loop: per-shard telemetry tables in, SDN
 knob steering and **cross-shard chain migration** decisions out.  The
 loop has one schedule: the coordinator decides on cycle *t*'s telemetry
 while the shards step cycle *t+1*, and the decisions land at the next

@@ -4,7 +4,7 @@ Each coordinator cycle runs every shard ``sync_every`` control intervals
 (concurrently on the process backend; in one cluster-kernel pass for
 all shards on the local backend, :meth:`~repro.fleet.shard.LocalShard.group`),
 gathers the per-shard :class:`~repro.fleet.shard.ShardReport`
-summaries, and makes the global decisions the single-cluster
+tables, and makes the global decisions the single-cluster
 controllers cannot:
 
 * **churn** — admit Poisson chain arrivals onto the least-loaded nodes
@@ -13,9 +13,11 @@ controllers cannot:
   :data:`~repro.fleet.placement.PLACEMENTS` policy (``watermark``:
   flow-affine :func:`~repro.nfv.cluster.consolidation_plan`; ``greedy``
   / ``genetic``: topology-aware routed-energy searchers) proposes the
-  fleet-wide target placement, and each proposed move is accepted only
-  when its estimated energy gain beats the migration cost model —
-  priced along the :class:`~repro.fleet.routing.RoutingTable` path for
+  fleet-wide target placement over one
+  :class:`~repro.fleet.placement.PlacementModel` built from the
+  gathered tables, and each proposed move is accepted only when its
+  estimated energy gain beats the model's migration cost — priced
+  along the :class:`~repro.fleet.routing.RoutingTable` path for
   cross-shard moves — and the target has SLA headroom (see
   :class:`~repro.fleet.spec.MigrationConfig`);
 * **SDN knob steering** — watermark rules on each chain's bottleneck
@@ -55,16 +57,14 @@ import numpy as np
 from repro import obs
 from repro.obs import clock
 from repro.fleet.shard import (
-    ChainSummary,
     ChainTicket,
     LocalShard,
-    NodeSummary,
     ShardConfig,
     ShardReport,
     ShardWorker,
     kind_nfs,
 )
-from repro.fleet.placement import PLACEMENTS
+from repro.fleet.placement import PLACEMENTS, PlacementModel, build_model
 from repro.fleet.routing import RoutingTable
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import CHAIN_KINDS
@@ -232,13 +232,13 @@ class FleetCoordinator:
         #: migration cost model prices every cross-shard move along its
         #: routed hops (one hop on a full mesh — the pre-graph model).
         self._routing = RoutingTable(topo)
+        #: Each global node's shard, as a routing-table index.
+        self._node_shard = np.array(
+            [self._routing.index(shard) for shard, _ in self._global_nodes],
+            dtype=np.int64,
+        )
         self._placer = PLACEMENTS.get(fleet.placement)(
-            fleet=fleet,
-            routing=self._routing,
-            global_nodes=self._global_nodes,
-            global_index=self._global_index,
-            interval_s=self.interval_s,
-            seed=self.seed,
+            len(self._global_nodes), fleet.migration.capacity_per_node, self.seed
         )
         # Initial deployment: chains_per_node per node, chain kinds
         # cycling per the shard spec, consecutive chains sharing a flow
@@ -457,14 +457,6 @@ class FleetCoordinator:
         :meth:`_apply_cycle`, and :meth:`run_cycles` can plan while the
         shards step.
         """
-        summaries: dict[str, ChainSummary] = {}
-        node_info: dict[tuple[str, int], NodeSummary] = {}
-        for report in reports:
-            for chain in report.chain_summaries():
-                summaries[chain.name] = chain
-            for node in report.node_summaries():
-                node_info[(node.shard, node.node)] = node
-
         # One churn draw per cycle: departures free capacity before the
         # consolidation pass, arrivals land on the post-migration layout.
         n_arrivals, departure_names = self.fleet.workload.churn_events(
@@ -479,14 +471,11 @@ class FleetCoordinator:
             for name, key in self._placement.items()
             if name not in departed
         }
-        counts = [0] * len(self._global_nodes)
+        counts = np.zeros(len(self._global_nodes), dtype=np.int64)
         for key in placement.values():
             counts[self._global_index[key]] += 1
-        moves = tuple(
-            self._plan_migrations(
-                cycle, summaries, node_info, departed, placement, counts
-            )
-        )
+        model, chains = self._model(reports, placement, counts)
+        moves = tuple(self._plan_migrations(cycle, model, placement, counts))
         for move in moves:
             placement[move.chain] = move.dst
         arrivals: list[tuple[str, ChainTicket]] = []
@@ -495,12 +484,10 @@ class FleetCoordinator:
             group = max(1, self.fleet.workload.flow_group_size)
             k = self._arrivals_admitted
             for _ in range(n_arrivals):
-                open_nodes = [
-                    g for g in range(len(counts)) if counts[g] < capacity
-                ]
-                if not open_nodes:
+                open_nodes = np.flatnonzero(counts < capacity)
+                if not open_nodes.size:
                     break
-                target = min(open_nodes, key=lambda g: (counts[g], g))
+                target = int(open_nodes[np.argmin(counts[open_nodes])])
                 shard, node = self._global_nodes[target]
                 ticket = ChainTicket(
                     name=f"dyn-{cycle}-{k}",
@@ -511,7 +498,7 @@ class FleetCoordinator:
                 arrivals.append((shard, ticket))
                 counts[target] += 1
                 k += 1
-        knob_updates = self._plan_knobs(summaries, departed, placement)
+        knob_updates = self._plan_knobs(model.names, chains, placement)
         return _CyclePlan(
             cycle=cycle,
             interval=interval,
@@ -521,6 +508,46 @@ class FleetCoordinator:
             arrival_hashes=stream_hashes([ticket.name for _, ticket in arrivals]),
             knob_updates=knob_updates,
         )
+
+    def _model(
+        self,
+        reports: list[ShardReport],
+        placement: Mapping[str, tuple[str, int]],
+        counts: np.ndarray,
+    ) -> tuple[PlacementModel, np.ndarray]:
+        """One cycle's :class:`~repro.fleet.placement.PlacementModel`,
+        and the chain-table rows it was built from.
+
+        The rows are cut to the chains the book still places, in name
+        order: the gathered tables are one cycle stale, so a chain the
+        last plan retired still reports and one it admitted does not
+        yet.  The reports arrive in shard order with one row per node,
+        so their node tables stack in ``topology.flatten()`` order.
+        """
+        names = [name for report in reports for name in report.names]
+        flows = [flow for report in reports for flow in report.flows]
+        rows = sorted(
+            (i for i, name in enumerate(names) if name in placement),
+            key=names.__getitem__,
+        )
+        placed = tuple(names[i] for i in rows)
+        chains = np.concatenate([report.chains for report in reports])[rows]
+        model = build_model(
+            migration=self.fleet.migration,
+            routing=self._routing,
+            node_shard=self._node_shard,
+            interval_s=self.interval_s,
+            names=placed,
+            flows=[flows[i] for i in rows],
+            chains=chains,
+            nodes=np.concatenate([report.nodes for report in reports]),
+            cur=np.array(
+                [self._global_index[placement[name]] for name in placed],
+                dtype=np.int64,
+            ),
+            counts=counts,
+        )
+        return model, chains
 
     def _apply_cycle(self, plan: _CyclePlan) -> None:
         """Scatter one plan's decisions and write the logs.
@@ -615,117 +642,109 @@ class FleetCoordinator:
     def _plan_migrations(
         self,
         cycle: int,
-        summaries: dict[str, ChainSummary],
-        node_info: dict[tuple[str, int], NodeSummary],
-        departed: set[str],
+        model: PlacementModel,
         placement: Mapping[str, tuple[str, int]],
-        counts: list[int],
+        counts: np.ndarray,
     ) -> list[_Move]:
         """Policy proposes, the cost model disposes: keep net-positive moves.
 
         The configured :data:`~repro.fleet.placement.PLACEMENTS` policy
-        proposes the fleet-wide desired placement (``watermark`` is the
-        original flow-affine ``consolidation_plan``); each differing
-        chain becomes a candidate move scored by the
-        :class:`~repro.fleet.spec.MigrationConfig` model over its routed
-        path, and the best ``budget_per_cycle`` net-positive moves that
-        keep SLA headroom at the target are applied.  ``placement`` and
-        ``counts`` are the *authoritative* post-departure chain
-        locations and per-node occupancy — the gathered ``summaries``
-        are one cycle stale (a chain migrated by
-        the previous plan still reports its old node), so move sources
-        come from ``placement``; the telemetry only feeds the scoring.
+        proposes each model row's desired node (``watermark`` is the
+        original flow-affine ``consolidation_plan``).  Every row whose
+        desire differs from its book node is a candidate, and all of
+        them are scored in one array pass over ``model``:
+
+        * gain — a chain alone on its node parks the node on leaving,
+          ``max(0, node power - parked_power_w - dynamic_fraction *
+          chain power)`` over the amortization horizon; a flow-mate at
+          the target (by its book node, not its stale report) adds
+          ``colocation_gain_j``;
+        * cost — ``model.move_cost_j``, the routed migration cost.
+
+        Moves whose routed path takes longer than ``max_path_latency_s``
+        and moves that do not gain more than they cost are vetoed.  The survivors,
+        best net first, are accepted in turn within ``budget_per_cycle``
+        while the target has capacity and SLA headroom (its binding
+        stage plus the incoming chain's utilization).  ``placement``
+        and ``counts`` are the authoritative post-departure book;
         ``counts`` is mutated in place as moves are accepted, so the
         caller's arrival pass sees the post-migration occupancy.
         """
         mig = self.fleet.migration
-        if mig.budget_per_cycle <= 0 or len(self._global_nodes) < 2:
+        if mig.budget_per_cycle <= 0 or model.n_nodes < 2 or not model.names:
             return []
-        names = sorted(
-            n for n in summaries if n not in departed and n in placement
-        )
-        if not names:
-            return []
-        # Departed chains must not influence any score (e.g. a phantom
-        # co-location bonus for a flow-mate that no longer exists).
-        summaries = {n: summaries[n] for n in names}
-        desired = self._placer.desired(
-            cycle=cycle,
-            names=names,
-            summaries=summaries,
-            placement=placement,
-            counts=counts,
-            node_info=node_info,
-        )
+        desired = self._placer.desired(cycle, model)
         if desired is None:
             return []
-        flow_mates = self._flow_mates(summaries, placement)
-        candidates: list[
-            tuple[float, str, int, float, float, str, tuple[str, ...]]
-        ] = []
-        for name in names:
-            chain = summaries[name]
-            cur = self._global_index[placement[name]]
-            dst = desired[name]
-            if dst == cur:
-                continue
-            gain, cost, reason, path = self._score_move(
-                chain, placement[name], cur, dst, counts, node_info, flow_mates
+        rows = np.flatnonzero(desired != model.cur)
+        cur, dst = model.cur[rows], desired[rows]
+        vacate = model.counts[cur] == 1
+        horizon_s = mig.amortize_intervals * self.interval_s
+        marginal_w = mig.dynamic_fraction * model.power_w[rows]
+        gain = np.where(
+            vacate,
+            np.maximum(
+                0.0, model.node_power_w[cur] - mig.parked_power_w - marginal_w
             )
-            if (
-                mig.max_path_latency_s > 0.0
-                and len(path) > 1
-                and self._routing.path_latency_s(path[0], path[-1])
-                > mig.max_path_latency_s
-            ):
-                if obs._ENABLED:
-                    obs.inc("fleet/migrations/veto[path_latency]")
-                continue
-            net = gain - cost
-            if net <= 0:
-                if obs._ENABLED:
-                    obs.inc("fleet/migrations/veto[net_negative]")
-                continue
-            candidates.append((net, name, dst, gain, cost, reason, path))
-        candidates.sort(key=lambda t: (-t[0], t[1]))
+            * horizon_s,
+            0.0,
+        )
+        # The chain itself sits at its book node, never at the target, so
+        # any count there is a flow-mate.
+        mates = np.zeros((int(model.flow.max()) + 1, model.n_nodes), np.int64)
+        np.add.at(mates, (model.flow, model.cur), 1)
+        mated = mates[model.flow[rows], dst] > 0
+        gain = np.where(mated, gain + mig.colocation_gain_j, gain)
+        cost = model.move_cost_j[rows, dst]
+        net = gain - cost
+        # A bound of 0 leaves path latency unbounded.
+        far = (mig.max_path_latency_s > 0.0) & (
+            self._routing.latency_s[self._node_shard[cur], self._node_shard[dst]]
+            > mig.max_path_latency_s
+        )
+        losing = ~far & (net <= 0)
+        if obs._ENABLED:
+            for reason, vetoed in (("path_latency", far), ("net_negative", losing)):
+                if vetoed.any():
+                    obs.inc(f"fleet/migrations/veto[{reason}]", int(vetoed.sum()))
+        kept = np.flatnonzero(~(far | losing))
+        ranked = kept[np.lexsort((rows[kept], -net[kept]))].tolist()
+        gain_j, cost_j, util = gain.tolist(), cost.tolist(), model.util.tolist()
+        target_util = model.node_util.tolist()
         moves: list[_Move] = []
-        target_util = {
-            self._global_index[key]: info.utilization
-            for key, info in node_info.items()
-        }
-        for i, (net, name, dst, gain, cost, reason, path) in enumerate(
-            candidates
-        ):
+        for i, k in enumerate(ranked):
             if len(moves) >= mig.budget_per_cycle:
                 if obs._ENABLED:
-                    obs.inc(
-                        "fleet/migrations/veto[budget]", len(candidates) - i
-                    )
+                    obs.inc("fleet/migrations/veto[budget]", len(ranked) - i)
                 break
-            chain = summaries[name]
-            cur = self._global_index[placement[name]]
-            if counts[dst] >= mig.capacity_per_node:
+            c, src, to = int(rows[k]), int(cur[k]), int(dst[k])
+            if counts[to] >= mig.capacity_per_node:
                 if obs._ENABLED:
                     obs.inc("fleet/migrations/veto[capacity]")
                 continue
             # SLA headroom: the target's binding stage plus the incoming
             # chain's must stay below the watermark.
-            if target_util.get(dst, 0.0) + chain.utilization > mig.headroom:
+            if target_util[to] + util[c] > mig.headroom:
                 if obs._ENABLED:
                     obs.inc("fleet/migrations/veto[headroom]")
                 continue
+            name = model.names[c]
             src_shard = placement[name][0]
-            dst_shard = self._global_nodes[dst][0]
+            dst_shard = self._global_nodes[to][0]
             cross = dst_shard != src_shard
             moves.append(
                 _Move(
                     chain=name,
                     src=placement[name],
-                    dst=self._global_nodes[dst],
-                    gain_j=gain,
-                    cost_j=cost,
-                    reason=reason,
-                    path=path,
+                    dst=self._global_nodes[to],
+                    gain_j=gain_j[k],
+                    cost_j=cost_j[k],
+                    reason="vacate" if vacate[k] else "colocate",
+                    path=(
+                        self._routing.path(src_shard, dst_shard)
+                        if cross
+                        else (src_shard,)
+                    ),
                     path_latency_s=(
                         self._routing.path_latency_s(src_shard, dst_shard)
                         if cross
@@ -738,88 +757,12 @@ class FleetCoordinator:
                     ),
                 )
             )
-            counts[dst] += 1
-            counts[cur] -= 1
-            target_util[dst] = target_util.get(dst, 0.0) + chain.utilization
+            counts[to] += 1
+            counts[src] -= 1
+            target_util[to] += util[c]
             if obs._ENABLED:
                 obs.inc("fleet/migrations/accepted")
         return moves
-
-    @staticmethod
-    def _flow_mates(
-        summaries: Mapping[str, ChainSummary],
-        placement: Mapping[str, tuple[str, int]],
-    ) -> dict[tuple[str, tuple[str, int]], int]:
-        """How many reporting chains of each flow group sit on each node:
-        ``(flow, (shard, node)) -> count``.
-
-        Locations come from the authoritative ``placement`` book, not
-        the summaries: a flow-mate migrated by the previous plan must
-        count at its *new* node, not where its stale summary still
-        reports it.
-        """
-        mates: dict[tuple[str, tuple[str, int]], int] = {}
-        for name, summary in summaries.items():
-            key = (summary.flow, placement[name])
-            mates[key] = mates.get(key, 0) + 1
-        return mates
-
-    def _score_move(
-        self,
-        chain: ChainSummary,
-        src_key: tuple[str, int],
-        cur: int,
-        dst: int,
-        counts: list[int],
-        node_info: dict[tuple[str, int], NodeSummary],
-        flow_mates: Mapping[tuple[str, tuple[str, int]], int],
-    ) -> tuple[float, float, str, tuple[str, ...]]:
-        """(gain_j, cost_j, reason, path) of one candidate move.
-
-        ``src_key`` is the chain's authoritative current location (its
-        summary lags one cycle behind the applied plans), and
-        ``flow_mates`` counts each flow group's chains per node from the
-        same book (:meth:`_flow_mates`).  ``path`` is the routed shard
-        sequence the transfer travels (just the one shard for
-        intra-shard moves).
-        """
-        mig = self.fleet.migration
-        dst_shard, _dst_node = self._global_nodes[dst]
-        horizon_s = mig.amortize_intervals * self.interval_s
-        # Gain: vacating a node drops it to the parked floor (minus the
-        # dynamic power the chain re-adds at its target); otherwise only
-        # the flow-group LLC affinity bonus applies.
-        marginal_w = mig.dynamic_fraction * chain.power_w
-        src_info = node_info.get(src_key)
-        reason = "colocate"
-        gain_j = 0.0
-        if counts[cur] == 1 and src_info is not None:
-            gain_j = max(
-                0.0, src_info.power_w - mig.parked_power_w - marginal_w
-            ) * horizon_s
-            reason = "vacate"
-        # The chain itself sits at src_key, never at the destination, so
-        # any count there is a flow-mate.
-        if flow_mates.get((chain.flow, self._global_nodes[dst]), 0):
-            gain_j += mig.colocation_gain_j
-        # Cost: redeploy overhead, plus shipping resident state + DMA
-        # buffer along the routed path for cross-shard moves — each hop
-        # serializes the payload at its own link rate and keeps the
-        # transport powered (``link_power_w``) for its share of the
-        # transfer.  On a full mesh the path is the single direct link,
-        # reproducing the pre-graph cost bit-for-bit.
-        cost_j = mig.setup_j
-        path: tuple[str, ...] = (src_key[0],)
-        if dst_shard != src_key[0]:
-            path = self._routing.path(src_key[0], dst_shard)
-            for link in self._routing.path_links(src_key[0], dst_shard):
-                transfer_s = (
-                    (chain.state_bytes + chain.dma_bytes) * 8.0
-                    / (link.gbps * 1e9)
-                    + link.latency_s
-                )
-                cost_j += transfer_s * mig.link_power_w
-        return gain_j, cost_j, reason, path
 
     def _apply_migrations(
         self, moves: tuple[_Move, ...], cycle: int, interval: int
@@ -854,8 +797,8 @@ class FleetCoordinator:
 
     def _plan_knobs(
         self,
-        summaries: dict[str, ChainSummary],
-        departed: set[str],
+        names: tuple[str, ...],
+        chains: np.ndarray,
         placement: Mapping[str, tuple[str, int]],
     ) -> tuple[tuple[str, dict[str, dict[str, Any]]], ...]:
         from repro.nfv.knobs import DEFAULT_RANGES as ranges
@@ -867,29 +810,23 @@ class FleetCoordinator:
         # a chain already pinned at the limits is not re-sent the same
         # futile update every cycle.  ``placement`` is the planned
         # post-migration layout, so an update for a migrating chain is
-        # routed to its destination shard.
+        # routed to its destination shard.  The rows are the model's,
+        # in CHAIN_FIELDS column order.
         share_max = min(steering.share_max, ranges.max_cpu_share)
         share_min = max(steering.share_min, ranges.min_cpu_share)
         per_shard: dict[str, dict[str, dict[str, Any]]] = {}
-        for name in sorted(summaries):
-            if name in departed or name not in placement:
-                continue
-            chain = summaries[name]
-            if chain.utilization > steering.high_watermark:
-                share = min(chain.cpu_share * steering.share_step, share_max)
-                freq = min(
-                    chain.cpu_freq_ghz + steering.freq_step_ghz,
-                    ranges.max_freq_ghz,
-                )
-            elif chain.utilization < steering.low_watermark:
-                share = max(chain.cpu_share / steering.share_step, share_min)
-                freq = max(
-                    chain.cpu_freq_ghz - steering.freq_step_ghz,
-                    ranges.min_freq_ghz,
-                )
+        for name, (_node, util, _power, _state, _dma, cpu_share, freq_ghz) in zip(
+            names, chains.tolist()
+        ):
+            if util > steering.high_watermark:
+                share = min(cpu_share * steering.share_step, share_max)
+                freq = min(freq_ghz + steering.freq_step_ghz, ranges.max_freq_ghz)
+            elif util < steering.low_watermark:
+                share = max(cpu_share / steering.share_step, share_min)
+                freq = max(freq_ghz - steering.freq_step_ghz, ranges.min_freq_ghz)
             else:
                 continue
-            if (share, freq) == (chain.cpu_share, chain.cpu_freq_ghz):
+            if (share, freq) == (cpu_share, freq_ghz):
                 continue
             shard, _node = placement[name]
             per_shard.setdefault(shard, {})[name] = {

@@ -1,14 +1,16 @@
 """Joint placement + path-allocation baselines for the fleet coordinator.
 
 The coordinator's migration pass has two halves: a *policy* proposes a
-fleet-wide desired placement, and the common vetting loop keeps only the
-net-positive, budget/capacity/headroom-respecting moves (scored by the
-exact :class:`~repro.fleet.spec.MigrationConfig` model over routed
-paths).  :data:`PLACEMENTS` is the policy registry — ``repro fleet
---placement {watermark,greedy,genetic}`` — and every policy is a
-deterministic function of the gathered telemetry, the authoritative
-placement book and the cycle index, so seeded runs stay bit-identical
-across backends regardless of the policy.
+fleet-wide desired placement, and the common vetting pass keeps only the
+net-positive, budget/capacity/headroom-respecting moves.  Both read one
+:class:`PlacementModel`, the cycle's problem as dense arrays built from
+the gathered shard tables and the placement book
+(:func:`build_model`); its ``move_cost_j`` is the
+:class:`~repro.fleet.spec.MigrationConfig` cost over routed paths.
+:data:`PLACEMENTS` is the policy registry — ``repro fleet --placement
+{watermark,greedy,genetic}`` — and every policy is a deterministic
+function of the model and the cycle index, so seeded runs stay
+bit-identical across backends regardless of the policy.
 
 * ``watermark`` — the original coordinator: flow-affine consolidation
   via :func:`~repro.nfv.cluster.consolidation_plan`, blind to the link
@@ -30,11 +32,12 @@ across backends regardless of the policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Sequence
 
 import numpy as np
 
 from repro.fleet.routing import RoutingTable
+from repro.fleet.spec import MigrationConfig
 from repro.fleet.workload import interval_stream
 from repro.nfv.cluster import consolidation_plan
 from repro.scenario.registry import Registry
@@ -50,13 +53,16 @@ _INFEASIBLE_J = 1e12
 class PlacementModel:
     """One cycle's placement problem as dense arrays.
 
-    ``C`` chains (the sorted summary names) over ``N`` global nodes.
-    ``move_cost_j[c, n]`` is the routed migration cost estimate of
-    shipping chain ``c`` to node ``n`` (0 at its current node):
-    per-hop serialization over the shortest path's links plus path
-    latency, priced at ``link_power_w`` — the same shape the
-    coordinator's exact scorer charges, built from the routing table's
-    precompiled matrices.  ``extern``/``extern_util`` account for
+    ``C`` chains (the reporting chains the placement book holds, in name
+    order) over ``N`` global nodes (``topology.flatten()`` order).
+    ``cur`` and ``counts`` come from the book; the chain columns and
+    ``node_power_w`` / ``node_util`` from the gathered report tables.
+    ``move_cost_j[c, n]`` is the one migration cost: ``setup_j``, plus,
+    for a cross-shard move, each hop of the routed path serializing the
+    chain's state and DMA buffer at its own rate and adding its latency,
+    priced at ``link_power_w`` and folded in hop order (0 at the chain's
+    current node).  Every policy searches it and the coordinator's
+    vetting pass charges it.  ``extern``/``extern_util`` account for
     placed chains outside the problem (no telemetry yet), so capacity
     and headroom stay honest.
     """
@@ -68,6 +74,8 @@ class PlacementModel:
     power_w: np.ndarray
     move_cost_j: np.ndarray
     counts: np.ndarray
+    node_power_w: np.ndarray
+    node_util: np.ndarray
     extern: np.ndarray
     extern_util: np.ndarray
     vacate_gain_j: np.ndarray
@@ -83,53 +91,48 @@ class PlacementModel:
 
 def build_model(
     *,
-    fleet: Any,
+    migration: MigrationConfig,
     routing: RoutingTable,
-    global_nodes: list[tuple[str, int]],
-    global_index: Mapping[tuple[str, int], int],
+    node_shard: np.ndarray,
     interval_s: float,
-    names: list[str],
-    summaries: Mapping[str, Any],
-    placement: Mapping[str, tuple[str, int]],
-    counts: list[int],
-    node_info: Mapping[tuple[str, int], Any],
+    names: tuple[str, ...],
+    flows: Sequence[str],
+    chains: np.ndarray,
+    nodes: np.ndarray,
+    cur: np.ndarray,
+    counts: np.ndarray,
 ) -> PlacementModel:
-    """Assemble the dense problem arrays for one cycle."""
-    mig = fleet.migration
-    n_nodes = len(global_nodes)
-    cur = np.array([global_index[placement[n]] for n in names], dtype=np.int64)
-    flow_codes: dict[str, int] = {}
-    flow = np.array(
-        [
-            flow_codes.setdefault(summaries[n].flow, len(flow_codes))
-            for n in names
-        ],
-        dtype=np.int64,
-    )
-    util = np.array([summaries[n].utilization for n in names])
-    power_w = np.array([summaries[n].power_w for n in names])
-    payload = np.array(
-        [summaries[n].state_bytes + summaries[n].dma_bytes for n in names]
-    )
-    node_shard = np.array(
-        [routing.index(shard) for shard, _ in global_nodes], dtype=np.int64
-    )
-    chain_shard = node_shard[cur]
-    inv = routing.inv_gbps_sum[chain_shard[:, None], node_shard[None, :]]
-    lat = routing.latency_s[chain_shard[:, None], node_shard[None, :]]
-    transfer_s = payload[:, None] * 8.0 / 1e9 * inv + lat
-    cross = node_shard[None, :] != chain_shard[:, None]
-    move_cost = mig.setup_j + np.where(cross, transfer_s * mig.link_power_w, 0.0)
+    """Assemble one cycle's problem from the report tables.
+
+    ``chains`` holds the :data:`~repro.fleet.arena.CHAIN_FIELDS` rows of
+    ``names`` (in flow groups ``flows``), ``nodes`` the
+    :data:`~repro.fleet.arena.NODE_FIELDS` row of every global node, and
+    ``node_shard`` each global node's routing-table shard index.
+    """
+    mig = migration
+    n_nodes = len(node_shard)
+    codes: dict[str, int] = {}
+    flow = np.array([codes.setdefault(f, len(codes)) for f in flows], dtype=np.int64)
+    _node, util, power_w, state_bytes, dma_bytes, _share, _freq = chains.T
+    node_power, node_util = nodes.T
+    payload = (state_bytes + dma_bytes)[:, None]
+    src = node_shard[cur][:, None]
+    dst = node_shard[None, :]
+    # The routed fold, hop by hop in path order (a per-hop sum, not one
+    # over the summed reciprocal rates, which rounds differently).  A
+    # same-shard move has no hops, and a hop past a path's end adds
+    # exactly 0.0, so those moves cost setup_j alone.
+    move_cost = np.full((len(names), n_nodes), float(mig.setup_j))
+    for h in range(routing.hop_gbps.shape[2]):
+        transfer_s = (
+            payload * 8.0 / (routing.hop_gbps[src, dst, h] * 1e9)
+            + routing.hop_latency_s[src, dst, h]
+        )
+        move_cost += transfer_s * mig.link_power_w
     move_cost[np.arange(len(names)), cur] = 0.0
-    counts_arr = np.asarray(counts, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
     own = np.bincount(cur, minlength=n_nodes)
     own_util = np.bincount(cur, weights=util, minlength=n_nodes)
-    node_power = np.zeros(n_nodes)
-    node_util = np.zeros(n_nodes)
-    for key, info in node_info.items():
-        g = global_index[key]
-        node_power[g] = info.power_w
-        node_util[g] = info.utilization
     horizon_s = mig.amortize_intervals * interval_s
     return PlacementModel(
         names=tuple(names),
@@ -138,8 +141,10 @@ def build_model(
         util=util,
         power_w=power_w,
         move_cost_j=move_cost,
-        counts=counts_arr,
-        extern=np.clip(counts_arr - own, 0, None),
+        counts=counts,
+        node_power_w=node_power,
+        node_util=node_util,
+        extern=np.clip(counts - own, 0, None),
         extern_util=np.clip(node_util - own_util, 0.0, None),
         vacate_gain_j=np.clip(node_power - mig.parked_power_w, 0.0, None)
         * horizon_s,
@@ -194,86 +199,42 @@ def greedy_assign(model: PlacementModel) -> np.ndarray:
 
 
 class PlacementPolicy:
-    """Shared construction for the registered policies."""
+    """Shared construction for the registered policies: the fleet's
+    global node count, the per-node chain capacity and the run seed."""
 
-    def __init__(
-        self,
-        *,
-        fleet: Any,
-        routing: RoutingTable,
-        global_nodes: list[tuple[str, int]],
-        global_index: Mapping[tuple[str, int], int],
-        interval_s: float,
-        seed: int,
-    ):
-        self.fleet = fleet
-        self.routing = routing
-        self.global_nodes = list(global_nodes)
-        self.global_index = dict(global_index)
-        self.interval_s = float(interval_s)
+    def __init__(self, n_nodes: int, capacity: int, seed: int):
+        self.n_nodes = int(n_nodes)
+        self.capacity = int(capacity)
         self.seed = int(seed)
 
-    def desired(
-        self,
-        *,
-        cycle: int,
-        names: list[str],
-        summaries: Mapping[str, Any],
-        placement: Mapping[str, tuple[str, int]],
-        counts: list[int],
-        node_info: Mapping[tuple[str, int], Any],
-    ) -> dict[str, int] | None:
-        """The fleet-wide desired placement, or ``None`` to skip."""
+    def desired(self, cycle: int, model: PlacementModel) -> np.ndarray | None:
+        """Each model row's desired global node, or ``None`` to skip."""
         raise NotImplementedError
-
-    def _model(self, names, summaries, placement, counts, node_info):
-        return build_model(
-            fleet=self.fleet,
-            routing=self.routing,
-            global_nodes=self.global_nodes,
-            global_index=self.global_index,
-            interval_s=self.interval_s,
-            names=names,
-            summaries=summaries,
-            placement=placement,
-            counts=counts,
-            node_info=node_info,
-        )
 
 
 @PLACEMENTS.register("watermark")
 class WatermarkPlacement(PlacementPolicy):
     """The original coordinator policy: flow-affine consolidation."""
 
-    def desired(
-        self, *, cycle, names, summaries, placement, counts, node_info
-    ) -> dict[str, int] | None:
-        mig = self.fleet.migration
-        chains = [summaries[n] for n in names]
-        flow_paths = {n: [summaries[n].flow] for n in names}
+    def desired(self, cycle: int, model: PlacementModel) -> np.ndarray | None:
+        flow_paths = {name: [f] for name, f in zip(model.names, model.flow.tolist())}
         try:
-            return consolidation_plan(
-                chains,
-                flow_paths,
-                len(self.global_nodes),
-                capacity=mig.capacity_per_node,
+            plan = consolidation_plan(
+                model.names, flow_paths, self.n_nodes, capacity=self.capacity
             )
         except ValueError:
             # More chains than the capacity model admits (transient
             # churn overshoot): skip consolidation this cycle.
             return None
+        return np.array([plan[name] for name in model.names], dtype=np.int64)
 
 
 @PLACEMENTS.register("greedy")
 class GreedyPlacement(PlacementPolicy):
     """LP-shaped greedy over the routed-energy model (topology-aware)."""
 
-    def desired(
-        self, *, cycle, names, summaries, placement, counts, node_info
-    ) -> dict[str, int] | None:
-        model = self._model(names, summaries, placement, counts, node_info)
-        assign = greedy_assign(model)
-        return {name: int(assign[c]) for c, name in enumerate(model.names)}
+    def desired(self, cycle: int, model: PlacementModel) -> np.ndarray | None:
+        return greedy_assign(model)
 
 
 @PLACEMENTS.register("genetic")
@@ -286,10 +247,7 @@ class GeneticPlacement(PlacementPolicy):
     seed_mutation = 0.25
     mutation = 0.08
 
-    def desired(
-        self, *, cycle, names, summaries, placement, counts, node_info
-    ) -> dict[str, int] | None:
-        model = self._model(names, summaries, placement, counts, node_info)
+    def desired(self, cycle: int, model: PlacementModel) -> np.ndarray | None:
         n_chains, n_nodes = len(model.names), model.n_nodes
         rng = interval_stream(self.seed, "fleet/placement/genetic", cycle)
         pop = np.tile(model.cur, (self.population, 1))
@@ -307,8 +265,7 @@ class GeneticPlacement(PlacementPolicy):
             mutate = rng.random((n_children, n_chains)) < self.mutation
             children[mutate] = rng.integers(0, n_nodes, size=int(mutate.sum()))
             pop = np.concatenate([elite, children])
-        best = pop[int(np.argmin(self._fitness(model, pop)))]
-        return {name: int(best[c]) for c, name in enumerate(model.names)}
+        return pop[int(np.argmin(self._fitness(model, pop)))]
 
     def _fitness(self, model: PlacementModel, pop: np.ndarray) -> np.ndarray:
         """Vectorized routed-energy estimate of a ``(P, C)`` population.

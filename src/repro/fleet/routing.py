@@ -13,11 +13,13 @@ mask (``alt < dist``), so a direct edge is never displaced by an
 equal-latency multi-hop detour and the tables are deterministic in the
 shard order of the topology.
 
-Exactness note: :meth:`path_links` reconstructs a path as its actual
-:class:`~repro.fleet.topology.InterShardLink` hops, so callers that need
-bit-reproducible energy accounting (the coordinator's ``_score_move``)
-sum per-hop floats in hop order; the dense matrices are for batched
-scoring where a vectorized estimate is the point.
+Exactness note: ``hop_gbps`` and ``hop_latency_s`` hold each routed
+path's links in hop order, the same links :meth:`path_links` returns as
+:class:`~repro.fleet.topology.InterShardLink` objects.  The migration
+cost model (:func:`~repro.fleet.placement.build_model`) folds per-hop
+floats over them in hop order, so its energy accounting is
+bit-reproducible; ``inv_gbps_sum`` sums the reciprocals first and rounds
+differently, so it serves only the :meth:`transfer_seconds` estimate.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ class RoutingTable:
       per-byte serialization weight of the whole path);
     * ``next_hop`` — successor matrix: ``next_hop[i, j]`` is the first
       shard index after ``i`` on the path to ``j``.
+
+    ``hop_gbps`` and ``hop_latency_s`` are ``(S, S, H)``, ``H`` the most
+    hops of any path: ``[i, j, h]`` is the rate and latency of hop ``h``
+    of the path from ``i`` to ``j``.  Past a path's last hop the rate is
+    ``inf`` and the latency 0, so a padded hop serializes a payload in
+    exactly 0 s.
     """
 
     def __init__(self, topology: FleetTopology):
@@ -63,7 +71,9 @@ class RoutingTable:
 
         All five tables relax under one strict-improvement mask, so they
         stay mutually consistent (the bottleneck/hop/reciprocal entries
-        always describe the same path the latency entry priced).
+        always describe the same path the latency entry priced).  The hop
+        tables then walk ``next_hop`` over the adjacency arrays, one
+        round per hop for every pair at once.
         """
         n = lat.shape[0]
         dist = lat.copy()
@@ -92,11 +102,23 @@ class RoutingTable:
             # Topology validation rejects disconnected graphs before a
             # table is ever built; this guards direct misuse.
             raise ValueError("topology graph is disconnected; cannot route")
+        depth = int(hops.max(initial=0))
+        hop_gbps = np.full((n, n, depth), np.inf)
+        hop_lat = np.zeros((n, n, depth))
+        at = np.repeat(idx[:, None], n, axis=1)
+        for h in range(depth):  # repro-lint: allow[KRN002] a path walk is sequential in its hops; each round steps all S x S paths at once
+            step = nxt[at, idx[None, :]]
+            live = h < hops
+            hop_gbps[:, :, h] = np.where(live, gbw[at, step], np.inf)
+            hop_lat[:, :, h] = np.where(live, lat[at, step], 0.0)
+            at = step
         self.latency_s = dist
         self.next_hop = nxt
         self.hops = hops
         self.bottleneck_gbps = bneck
         self.inv_gbps_sum = inv
+        self.hop_gbps = hop_gbps
+        self.hop_latency_s = hop_lat
 
     # -- lookups -----------------------------------------------------------
 
@@ -128,8 +150,8 @@ class RoutingTable:
         """The actual links along the routed path, in hop order.
 
         Every consecutive pair on a routed path is adjacent by
-        construction, so ``link_between`` resolves each hop exactly —
-        this is the bit-reproducible view the migration cost model sums.
+        construction, so ``link_between`` resolves each hop exactly: the
+        per-pair object view of ``hop_gbps`` and ``hop_latency_s``.
         """
         hops = self.path(src, dst)
         return tuple(

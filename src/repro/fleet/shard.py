@@ -194,30 +194,6 @@ def arena_layout_for(config: ShardConfig) -> ArenaLayout:
 
 
 @dataclass(frozen=True)
-class ChainSummary:
-    """One chain's last-interval state, as the coordinator sees it."""
-
-    name: str
-    flow: str
-    utilization: float  # bottleneck-stage utilization (the steering signal)
-    power_w: float
-    state_bytes: float
-    dma_bytes: float
-    cpu_share: float
-    cpu_freq_ghz: float
-
-
-@dataclass(frozen=True)
-class NodeSummary:
-    """One node's last-interval state (consolidation signals)."""
-
-    shard: str
-    node: int
-    power_w: float
-    utilization: float  # max bottleneck utilization over hosted chains
-
-
-@dataclass(frozen=True)
 class ShardReport:
     """The gather payload: one shard's answer to a ``run`` command.
 
@@ -237,22 +213,6 @@ class ShardReport:
     intervals: np.ndarray
     chains: np.ndarray
     nodes: np.ndarray
-
-    def chain_summaries(self) -> list[ChainSummary]:
-        """The chain rows as the coordinator's planning records."""
-        return [
-            ChainSummary(name, flow, util, power, state, dma, share, freq)
-            for name, flow, (_node, util, power, state, dma, share, freq) in zip(
-                self.names, self.flows, self.chains.tolist()
-            )
-        ]
-
-    def node_summaries(self) -> list[NodeSummary]:
-        """The node rows as the coordinator's planning records."""
-        return [
-            NodeSummary(self.shard, j, power, util)
-            for j, (power, util) in enumerate(self.nodes.tolist())
-        ]
 
 
 class ShardSim:

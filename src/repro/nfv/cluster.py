@@ -8,12 +8,12 @@ placement policies start from it.
 
 from __future__ import annotations
 
-from repro.nfv.chain import ServiceChain
+from typing import Hashable, Sequence
 
 
 def consolidation_plan(
-    chains: list[ServiceChain],
-    flow_paths: dict[str, list[str]],
+    names: Sequence[str],
+    flow_paths: dict[str, list[Hashable]],
     n_nodes: int,
     *,
     capacity: int | None = None,
@@ -27,8 +27,8 @@ def consolidation_plan(
 
     Parameters
     ----------
-    chains:
-        Chains to place (anything with a unique ``name``).
+    names:
+        Names of the chains to place, unique.
     flow_paths:
         chain name -> list of flow identifiers it processes.
     n_nodes:
@@ -38,7 +38,7 @@ def consolidation_plan(
         split; when a whole (sub-)group no longer fits on any node its
         members are placed individually — co-location is a preference,
         never a reason to oversubscribe a node.  Raises when the chains
-        cannot fit at all (``len(chains) > capacity * n_nodes``).
+        cannot fit at all (``len(names) > capacity * n_nodes``).
 
     Returns chain name -> node index.
     """
@@ -47,12 +47,11 @@ def consolidation_plan(
     if capacity is not None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if len(chains) > capacity * n_nodes:
+        if len(names) > capacity * n_nodes:
             raise ValueError(
-                f"{len(chains)} chains cannot fit on {n_nodes} nodes "
+                f"{len(names)} chains cannot fit on {n_nodes} nodes "
                 f"of capacity {capacity}"
             )
-    names = [c.name for c in chains]
     if len(names) != len(set(names)):
         raise ValueError("duplicate chain names")
     # Union-find over chains sharing any flow id.

@@ -29,8 +29,8 @@ from repro.fleet import (
     stream_hashes,
 )
 from repro.fleet.arena import CHAIN_FIELDS, INTERVAL_FIELDS, NODE_FIELDS
-from repro.fleet.placement import PLACEMENTS
-from repro.fleet.shard import ShardSim, kind_nfs
+from repro.fleet.placement import PLACEMENTS, PlacementPolicy
+from repro.fleet.shard import ShardReport, ShardSim, kind_nfs
 from repro.fleet.spec import BACKENDS
 from repro.hw.server import ServerSpec
 from repro.nfv.cluster_kernel import row_names
@@ -426,7 +426,7 @@ class TestShardSim:
         assert column(report, "intervals", "chains") == [4.0] * 3
         assert len(report.chains) == 4
         assert len(report.nodes) == 2
-        assert all(c.utilization >= 0 for c in report.chain_summaries())
+        assert all(u >= 0 for u in column(report, "chains", "utilization"))
 
     def test_lockstep_clock_enforced(self):
         sim = ShardSim(shard_config())
@@ -1135,18 +1135,61 @@ class TestPresetDeepMerge:
 # -- migration scoring ---------------------------------------------------------
 
 
+class Desire(PlacementPolicy):
+    """A stub policy: the named chains want the given global nodes, every
+    other chain stays where the book has it."""
+
+    def __init__(self, targets):
+        super().__init__(n_nodes=0, capacity=0, seed=0)
+        self.targets = targets
+
+    def desired(self, cycle, model):
+        return np.array(
+            [self.targets.get(n, c) for n, c in zip(model.names, model.cur.tolist())]
+        )
+
+
+def table_report(shard, rows, n_nodes, node_power_w=50.0):
+    """A gathered report of ``(name, flow, node)`` chain rows, each chain
+    at 20 W and 0.2 utilization with 200 MB of state and a 50 MB DMA
+    buffer, on nodes drawing ``node_power_w``."""
+    chains = [[node, 0.2, 20.0, 2e8, 5e7, 1.0, 2.1] for _name, _flow, node in rows]
+    return ShardReport(
+        shard=shard,
+        start=0,
+        names=tuple(name for name, _flow, _node in rows),
+        flows=tuple(flow for _name, flow, _node in rows),
+        intervals=np.zeros((1, len(INTERVAL_FIELDS))),
+        chains=np.array(chains, dtype=np.float64).reshape(len(rows), len(CHAIN_FIELDS)),
+        nodes=np.tile([node_power_w, 0.2], (n_nodes, 1)),
+    )
+
+
+def plan_moves(coordinator, book, reports, targets):
+    """The moves one cycle plans from ``reports`` for the placement book
+    ``book`` when the policy wants each chain of ``targets`` at its
+    ``(shard, node)``."""
+    coordinator._placement = dict(book)
+    coordinator._placer = Desire(
+        {name: coordinator._global_index[key] for name, key in targets.items()}
+    )
+    return coordinator._plan_cycle(reports, 0, 2).moves
+
+
 class TestPlacementBook:
     """Co-location reads the authoritative placement book, not telemetry.
 
-    On the pipelined path the gathered summaries lag one cycle: a
-    flow-mate migrated by the previous plan was still *reported* on its
-    old node.  The regression: ``_score_move`` used to read
-    ``(other.shard, other.node)`` from the stale summary, paying (or
-    withholding) the LLC-affinity bonus at the wrong node for one cycle
-    after every migration.  A summary now carries no location at all, so
-    each case below gives the mate's telemetry and its book location as
-    different nodes.
+    On the pipelined path the gathered tables lag one cycle: a flow-mate
+    migrated by the previous plan still *reports* from its old node.  The
+    regression: the scorer used to read the mate's location from its
+    stale telemetry, paying (or withholding) the LLC-affinity bonus at
+    the wrong node for one cycle after every migration.  Each case below
+    gives the mate's report row and its book location as different
+    nodes; a third chain shares the mover's node, so no vacate gain
+    hides the bonus.
     """
+
+    BONUS_J = 100.0
 
     @pytest.fixture()
     def coordinator(self):
@@ -1155,62 +1198,37 @@ class TestPlacementBook:
                 "topology": FleetTopology.uniform(
                     2, nodes=2, chains_per_node=1
                 ).to_dict(),
+                "migration": {"colocation_gain_j": self.BONUS_J},
             }
         )
-        return FleetCoordinator(fleet, seed=0)
-
-    def _summary(self, name, flow="fg0"):
-        from repro.fleet.shard import ChainSummary
-
-        return ChainSummary(
-            name=name,
-            flow=flow,
-            utilization=0.2,
-            power_w=20.0,
-            state_bytes=2e8,
-            dma_bytes=5e7,
-            cpu_share=1.0,
-            cpu_freq_ghz=2.1,
-        )
+        with FleetCoordinator(fleet, seed=0) as coordinator:
+            yield coordinator
 
     def test_bonus_follows_book_one_cycle_after_migration(self, coordinator):
         # Mate "b" migrated from ("s0", 1) to ("s1", 0) last cycle; its
-        # summary is one cycle stale, from node 1.  Moving "a" to the
+        # row still comes from s0's table, node 1.  Moving "a" to the
         # book's node must earn the co-location bonus.
-        mig = coordinator.fleet.migration
-        summaries = {
-            "a": self._summary("a"),
-            "b": self._summary("b"),  # stale telemetry
-        }
-        placement = {"a": ("s0", 0), "b": ("s1", 0)}  # authoritative
-        cur = coordinator._global_index[("s0", 0)]
-        dst = coordinator._global_index[("s1", 0)]
-        counts = [0] * len(coordinator._global_nodes)
-        counts[cur] = 2  # not a lone chain: isolate the bonus term
-        gain, _cost, reason, _path = coordinator._score_move(
-            summaries["a"], ("s0", 0), cur, dst, counts, {},
-            coordinator._flow_mates(summaries, placement),
-        )
-        assert reason == "colocate"
-        assert gain == mig.colocation_gain_j
+        book = {"a": ("s0", 0), "c": ("s0", 0), "b": ("s1", 0)}
+        reports = [
+            table_report("s0", [("a", "fg0", 0), ("c", "fg1", 0), ("b", "fg0", 1)], 2),
+            table_report("s1", [], 2),
+        ]
+        moves = plan_moves(coordinator, book, reports, {"a": ("s1", 0)})
+        assert [(m.chain, m.dst, m.reason) for m in moves] == [
+            ("a", ("s1", 0), "colocate")
+        ]
+        assert moves[0].gain_j == self.BONUS_J
 
     def test_stale_summary_location_earns_no_bonus(self, coordinator):
-        # The inverse: "b"'s stale summary is from the destination's node
-        # index, but the book knows it sits on ("s0", 1) — no bonus.
-        summaries = {
-            "a": self._summary("a"),
-            "b": self._summary("b"),  # stale telemetry
-        }
-        placement = {"a": ("s0", 0), "b": ("s0", 1)}  # authoritative
-        cur = coordinator._global_index[("s0", 0)]
-        dst = coordinator._global_index[("s1", 0)]
-        counts = [0] * len(coordinator._global_nodes)
-        counts[cur] = 2
-        gain, _cost, _reason, _path = coordinator._score_move(
-            summaries["a"], ("s0", 0), cur, dst, counts, {},
-            coordinator._flow_mates(summaries, placement),
-        )
-        assert gain == 0.0
+        # The inverse: "b"'s stale row is from the destination node, but
+        # the book knows it sits on ("s0", 1): no bonus, and the move
+        # cannot pay for itself.
+        book = {"a": ("s0", 0), "c": ("s0", 0), "b": ("s0", 1)}
+        reports = [
+            table_report("s0", [("a", "fg0", 0), ("c", "fg1", 0)], 2),
+            table_report("s1", [("b", "fg0", 0)], 2),
+        ]
+        assert plan_moves(coordinator, book, reports, {"a": ("s1", 0)}) == ()
 
 
 class TestRoutedCosts:
@@ -1225,44 +1243,33 @@ class TestRoutedCosts:
                 ).to_dict(),
             }
         )
-        return FleetCoordinator(fleet, seed=0)
+        with FleetCoordinator(fleet, seed=0) as coordinator:
+            yield coordinator
 
-    def _score(self, coordinator, dst_shard):
-        from repro.fleet.shard import ChainSummary
-
-        chain = ChainSummary(
-            name="c",
-            flow="fg0",
-            utilization=0.2,
-            power_w=20.0,
-            state_bytes=2e8,
-            dma_bytes=5e7,
-            cpu_share=1.0,
-            cpu_freq_ghz=2.1,
-        )
-        cur = coordinator._global_index[("site1", 0)]
-        dst = coordinator._global_index[(dst_shard, 0)]
-        counts = [0] * len(coordinator._global_nodes)
-        counts[cur] = 2
-        return chain, coordinator._score_move(
-            chain, ("site1", 0), cur, dst, counts, {},
-            coordinator._flow_mates({"c": chain}, {"c": ("site1", 0)}),
-        )
+    def _move(self, coordinator, dst_shard):
+        # One chain per site; "c" sits alone on site1 and is worth moving
+        # for the node it vacates.
+        book = {f"c{i}": (f"site{i}", 0) for i in range(6)}
+        book["c"] = book.pop("c1")
+        reports = [
+            table_report(shard, [(name, name, 0)], 1)
+            for name, (shard, _node) in sorted(book.items(), key=lambda kv: kv[1])
+        ]
+        (move,) = plan_moves(coordinator, book, reports, {"c": (dst_shard, 0)})
+        return move
 
     def test_multi_hop_costs_more_than_single_hop_model(self, coordinator):
         mig = coordinator.fleet.migration
-        chain, (_gain, cost, _reason, path) = self._score(
-            coordinator, "site5"
-        )
+        move = self._move(coordinator, "site5")
         # site1 -> site5 rides two ring links via site0.
-        assert path == ("site1", "site0", "site5")
-        payload = chain.state_bytes + chain.dma_bytes
+        assert move.path == ("site1", "site0", "site5")
+        payload = 2e8 + 5e7
         expected = mig.setup_j
         for link in coordinator._routing.path_links("site1", "site5"):
             expected += (
                 payload * 8.0 / (link.gbps * 1e9) + link.latency_s
             ) * mig.link_power_w
-        assert cost == expected
+        assert move.cost_j == expected
         # The pre-graph flat model would price this as one direct hop.
         link = coordinator.fleet.topology.link_between("site0", "site1")
         single_hop = (
@@ -1270,22 +1277,15 @@ class TestRoutedCosts:
             + (payload * 8.0 / (link.gbps * 1e9) + link.latency_s)
             * mig.link_power_w
         )
-        assert cost > single_hop * 1.5
+        assert move.cost_j > single_hop * 1.5
 
     def test_adjacent_hop_reproduces_flat_model(self, coordinator):
         mig = coordinator.fleet.migration
-        chain, (_gain, cost, _reason, path) = self._score(
-            coordinator, "site2"
-        )
-        assert path == ("site1", "site2")
+        move = self._move(coordinator, "site2")
+        assert move.path == ("site1", "site2")
         link = coordinator.fleet.topology.link_between("site1", "site2")
-        assert cost == (
+        assert move.cost_j == (
             mig.setup_j
-            + (
-                (chain.state_bytes + chain.dma_bytes)
-                * 8.0
-                / (link.gbps * 1e9)
-                + link.latency_s
-            )
+            + ((2e8 + 5e7) * 8.0 / (link.gbps * 1e9) + link.latency_s)
             * mig.link_power_w
         )

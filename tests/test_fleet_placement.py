@@ -22,6 +22,8 @@ def model(**overrides):
         power_w=np.array([30.0, 20.0]),
         move_cost_j=np.array([[0.0, 10.0], [10.0, 0.0]]),
         counts=np.array([1, 1]),
+        node_power_w=np.array([112.0, 112.0]),
+        node_util=np.array([0.2, 0.2]),
         extern=np.array([0, 0]),
         extern_util=np.array([0.0, 0.0]),
         vacate_gain_j=np.array([100.0, 100.0]),

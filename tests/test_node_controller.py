@@ -201,7 +201,7 @@ class TestController:
 
 class TestConsolidation:
     def test_shared_flows_colocate(self):
-        chains = [default_chain(f"c{i}") for i in range(4)]
+        chains = [f"c{i}" for i in range(4)]
         flow_paths = {
             "c0": ["flowA"],
             "c1": ["flowA", "flowB"],
@@ -213,7 +213,7 @@ class TestConsolidation:
         assert plan["c3"] != plan["c0"]
 
     def test_balances_groups(self):
-        chains = [default_chain(f"c{i}") for i in range(4)]
+        chains = [f"c{i}" for i in range(4)]
         plan = consolidation_plan(chains, {}, n_nodes=2)
         loads = [list(plan.values()).count(n) for n in range(2)]
         assert loads == [2, 2]
@@ -221,6 +221,5 @@ class TestConsolidation:
     def test_validation(self):
         with pytest.raises(ValueError):
             consolidation_plan([], {}, 0)
-        chains = [default_chain("a"), default_chain("a")]
         with pytest.raises(ValueError):
-            consolidation_plan(chains, {}, 1)
+            consolidation_plan(["a", "a"], {}, 1)
