@@ -69,7 +69,6 @@ except ImportError:  # script / file-path invocation
 import repro.core.training as training_mod
 import repro.hw.cpu as cpu_mod
 import repro.nfv.knobs as knobs_mod
-import repro.nfv.node as node_mod
 import repro.rl.ddpg as ddpg_mod
 from repro.core.env import NFVEnv
 from repro.core.sla import EnergyEfficiencySLA
@@ -488,7 +487,6 @@ def bench_training_slice(quick: bool, rounds: int) -> dict:
             ddpg_mod.MLP,
             knobs_mod.KnobSettings.clamped,
             cpu_mod.CpuSpec.clamp_frequency,
-            node_mod.Node._repartition_llc,
         )
         training_mod.PrioritizedReplayBuffer = (
             reference.ReferencePrioritizedReplayBuffer
@@ -497,7 +495,6 @@ def bench_training_slice(quick: bool, rounds: int) -> dict:
         ddpg_mod.MLP = reference.ReferenceMLP
         knobs_mod.KnobSettings.clamped = reference.reference_clamped
         cpu_mod.CpuSpec.clamp_frequency = reference.reference_clamp_frequency
-        node_mod.Node._repartition_llc = reference.reference_repartition_llc
         try:
             train_ddpg(
                 reference.RebuildingEnv(sla, episode_len=16, rng=1),
@@ -512,7 +509,6 @@ def bench_training_slice(quick: bool, rounds: int) -> dict:
             ) = saved[:3]
             knobs_mod.KnobSettings.clamped = saved[3]
             cpu_mod.CpuSpec.clamp_frequency = saved[4]
-            node_mod.Node._repartition_llc = saved[5]
 
     # Interleave the two variants so background-load drift hits both
     # sides equally; best-of per side is then a fair ratio.

@@ -705,24 +705,6 @@ def reference_clamp_frequency(spec, freq_ghz: float) -> float:
     return float(ladder[int(np.argmin(np.abs(ladder - freq_ghz)))])
 
 
-def reference_repartition_llc(self) -> None:
-    """Seed ``Node._repartition_llc``: rebuild the CLOS layout every call."""
-    if not self._chains:
-        return
-    shares = {n: h.knobs.llc_fraction for n, h in self._chains.items()}
-    total_ways = sum(self.cache.ways_for_fraction(f) for f in shares.values())
-    if total_ways > self.server.llc.allocatable_ways:
-        scale = self.server.llc.allocatable_ways / total_ways
-        shares = {n: max(1e-6, f * scale) for n, f in shares.items()}
-        while (
-            sum(self.cache.ways_for_fraction(f) for f in shares.values())
-            > self.server.llc.allocatable_ways
-        ):
-            biggest = max(shares, key=lambda n: shares[n])
-            shares[biggest] = max(1e-6, shares[biggest] * 0.9)
-    self.cache.allocate(shares)
-
-
 class RebuildingEnv(NFVEnv):
     """An environment that rebuilds the platform every episode.
 

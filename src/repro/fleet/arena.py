@@ -191,19 +191,27 @@ class TelemetryArena:
         except FileNotFoundError:
             pass
 
-    # -- bank views --------------------------------------------------------
+    # -- bank reads --------------------------------------------------------
+    #
+    # Each read is a copy: a view into the segment would outlive close(),
+    # and reading it then would touch unmapped memory.
+
+    def _table(self, bank: int, which: int) -> np.ndarray:
+        if self._closed:
+            raise ValueError("telemetry arena is closed")
+        return self._banks[bank][which].copy()
 
     def intervals(self, bank: int) -> np.ndarray:
-        """``(max_intervals, len(INTERVAL_FIELDS))`` view of one bank."""
-        return self._banks[bank][0]
+        """``(max_intervals, len(INTERVAL_FIELDS))`` copy of one bank's table."""
+        return self._table(bank, 0)
 
     def chains(self, bank: int) -> np.ndarray:
-        """``(max_chains, len(CHAIN_FIELDS))`` view of one bank."""
-        return self._banks[bank][1]
+        """``(max_chains, len(CHAIN_FIELDS))`` copy of one bank's table."""
+        return self._table(bank, 1)
 
     def nodes(self, bank: int) -> np.ndarray:
-        """``(n_nodes, len(NODE_FIELDS))`` view of one bank."""
-        return self._banks[bank][2]
+        """``(n_nodes, len(NODE_FIELDS))`` copy of one bank's table."""
+        return self._table(bank, 2)
 
     # -- the write path (worker side) --------------------------------------
 

@@ -811,27 +811,31 @@ class FleetCoordinator:
         # futile update every cycle.  ``placement`` is the planned
         # post-migration layout, so an update for a migrating chain is
         # routed to its destination shard.  The rows are the model's,
-        # in CHAIN_FIELDS column order.
+        # in CHAIN_FIELDS column order; a busy chain steps up, an idle
+        # one down, and a chain between the watermarks keeps its knobs.
         share_max = min(steering.share_max, ranges.max_cpu_share)
         share_min = max(steering.share_min, ranges.min_cpu_share)
+        util, share, freq = chains[:, 1], chains[:, 5], chains[:, 6]
+        up = util > steering.high_watermark
+        down = ~up & (util < steering.low_watermark)
+        new_share = np.where(
+            up,
+            np.minimum(share * steering.share_step, share_max),
+            np.maximum(share / steering.share_step, share_min),
+        )
+        new_freq = np.where(
+            up,
+            np.minimum(freq + steering.freq_step_ghz, ranges.max_freq_ghz),
+            np.maximum(freq - steering.freq_step_ghz, ranges.min_freq_ghz),
+        )
+        send = (up | down) & ((new_share != share) | (new_freq != freq))
         per_shard: dict[str, dict[str, dict[str, Any]]] = {}
-        for name, (_node, util, _power, _state, _dma, cpu_share, freq_ghz) in zip(
-            names, chains.tolist()
-        ):
-            if util > steering.high_watermark:
-                share = min(cpu_share * steering.share_step, share_max)
-                freq = min(freq_ghz + steering.freq_step_ghz, ranges.max_freq_ghz)
-            elif util < steering.low_watermark:
-                share = max(cpu_share / steering.share_step, share_min)
-                freq = max(freq_ghz - steering.freq_step_ghz, ranges.min_freq_ghz)
-            else:
-                continue
-            if (share, freq) == (cpu_share, freq_ghz):
-                continue
-            shard, _node = placement[name]
-            per_shard.setdefault(shard, {})[name] = {
-                "cpu_share": share,
-                "cpu_freq_ghz": freq,
+        rows = np.flatnonzero(send).tolist()
+        for i, s, f in zip(rows, new_share[rows].tolist(), new_freq[rows].tolist()):
+            shard, _node = placement[names[i]]
+            per_shard.setdefault(shard, {})[names[i]] = {
+                "cpu_share": s,
+                "cpu_freq_ghz": f,
             }
         return tuple(sorted(per_shard.items()))
 

@@ -2,10 +2,10 @@
 
 A :class:`RoutingTable` compiles a :class:`~repro.fleet.topology.FleetTopology`
 into dense all-pairs arrays: shortest-path latency, per-path bottleneck
-bandwidth, hop counts, next-hop successors and the summed reciprocal
-bandwidth along each path — everything the coordinator's migration cost
-model and the placement searchers need, batched in numpy instead of
-per-pair graph walks.
+bandwidth, hop counts, next-hop successors and each path's links in hop
+order — everything the coordinator's migration cost model and the
+placement searchers need, batched in numpy instead of per-pair graph
+walks.
 
 The compile is a vectorized Floyd–Warshall: each relaxation round ``k``
 updates all ``S x S`` pairs at once under a single strict-improvement
@@ -16,10 +16,9 @@ shard order of the topology.
 Exactness note: ``hop_gbps`` and ``hop_latency_s`` hold each routed
 path's links in hop order, the same links :meth:`path_links` returns as
 :class:`~repro.fleet.topology.InterShardLink` objects.  The migration
-cost model (:func:`~repro.fleet.placement.build_model`) folds per-hop
-floats over them in hop order, so its energy accounting is
-bit-reproducible; ``inv_gbps_sum`` sums the reciprocals first and rounds
-differently, so it serves only the :meth:`transfer_seconds` estimate.
+cost model (:func:`~repro.fleet.placement.build_model`) and
+:meth:`RoutingTable.transfer_seconds` fold per-hop floats over them in
+hop order, so a transfer is timed bit for bit as it is charged.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fleet.topology import FleetTopology, InterShardLink
+from repro.utils.stats import left_sums
 
 
 class RoutingTable:
@@ -38,8 +38,6 @@ class RoutingTable:
     * ``bottleneck_gbps`` — thinnest edge along that path (``inf`` on
       the diagonal);
     * ``hops`` — edge count of the path (0 on the diagonal);
-    * ``inv_gbps_sum`` — sum of ``1/gbps`` over the path's edges (the
-      per-byte serialization weight of the whole path);
     * ``next_hop`` — successor matrix: ``next_hop[i, j]`` is the first
       shard index after ``i`` on the path to ``j``.
 
@@ -69,9 +67,9 @@ class RoutingTable:
     def _compile_tables(self, lat: np.ndarray, gbw: np.ndarray) -> None:
         """Vectorized Floyd–Warshall over the adjacency arrays.
 
-        All five tables relax under one strict-improvement mask, so they
-        stay mutually consistent (the bottleneck/hop/reciprocal entries
-        always describe the same path the latency entry priced).  The hop
+        All four tables relax under one strict-improvement mask, so they
+        stay mutually consistent (the bottleneck and hop entries always
+        describe the same path the latency entry priced).  The hop
         tables then walk ``next_hop`` over the adjacency arrays, one
         round per hop for every pair at once.
         """
@@ -85,8 +83,6 @@ class RoutingTable:
         np.fill_diagonal(hops, 0)
         bneck = np.where(gbw > 0.0, gbw, 0.0)
         np.fill_diagonal(bneck, np.inf)
-        inv = np.where(gbw > 0.0, 1.0 / np.where(gbw > 0.0, gbw, 1.0), np.inf)
-        np.fill_diagonal(inv, 0.0)
         for k in range(n):  # repro-lint: allow[KRN002] Floyd–Warshall relaxation rounds are inherently sequential in k; each round is a fully vectorized S x S update
             alt = dist[:, k, None] + dist[None, k, :]
             better = alt < dist
@@ -96,7 +92,6 @@ class RoutingTable:
             bneck = np.where(
                 better, np.minimum(bneck[:, k, None], bneck[None, k, :]), bneck
             )
-            inv = np.where(better, inv[:, k, None] + inv[None, k, :], inv)
         off_diag = ~np.eye(n, dtype=bool)
         if n > 1 and not np.isfinite(dist[off_diag]).all():
             # Topology validation rejects disconnected graphs before a
@@ -116,7 +111,6 @@ class RoutingTable:
         self.next_hop = nxt
         self.hops = hops
         self.bottleneck_gbps = bneck
-        self.inv_gbps_sum = inv
         self.hop_gbps = hop_gbps
         self.hop_latency_s = hop_lat
 
@@ -167,14 +161,14 @@ class RoutingTable:
         return float(self.bottleneck_gbps[self.index(src), self.index(dst)])
 
     def transfer_seconds(self, src: str, dst: str, n_bytes: float) -> float:
-        """Routed wire time for ``n_bytes``: per-hop serialization + path latency.
+        """Routed wire time for ``n_bytes``: hop by hop, the payload's
+        serialization at the hop's link rate plus the hop's latency.
 
-        Each hop serializes the payload at its own link rate, so the
-        transfer integrates ``bytes * 8 / gbps`` over the path (the
-        precompiled ``inv_gbps_sum``) before adding the path latency.
+        The fold ``n_bytes * 8.0 / (gbps * 1e9) + latency`` over
+        :attr:`hop_gbps` and :attr:`hop_latency_s` is the migration
+        cost's (:func:`~repro.fleet.placement.build_model`), so both
+        agree to the last bit; a padded hop adds exactly 0.
         """
         i, j = self.index(src), self.index(dst)
-        return float(
-            n_bytes * 8.0 / 1e9 * self.inv_gbps_sum[i, j]
-            + self.latency_s[i, j]
-        )
+        terms = n_bytes * 8.0 / (self.hop_gbps[i, j] * 1e9) + self.hop_latency_s[i, j]
+        return float(left_sums(terms))

@@ -17,6 +17,11 @@ machine driven by coordinator commands:
   the serializable form of a chain in flight: NF names, knobs, flow
   group, destination node;
 * ``set_knobs(updates)`` — the scatter half of the SDN steering loop.
+  The shard's nodes keep their chains' knobs as views of one float64
+  table, so a command reads the named chains' rows, clamps them
+  (:func:`~repro.nfv.knobs.clamp_table`) and writes them back in one
+  pass each; a node moves its generation, and so costs the next run a
+  compile of the plan's knob half, only when one of its values moved.
 
 Every run goes through one function, :func:`run_shards`: it checks
 each shard's block against the shard, prices all of them in one
@@ -73,11 +78,15 @@ from repro.nfv.chain import (
     light_chain,
 )
 from repro.nfv.cluster_kernel import BlockTelemetry, ClusterKernel, row_names
-from repro.nfv.knobs import KnobSettings
-from repro.nfv.node import Node
+from repro.nfv.knobs import KNOB_NAMES, KnobSettings, clamp_table
+from repro.nfv.node import STATE, TABLE_COLUMNS, Node
 from repro.fleet.topology import CHAIN_KINDS
 from repro.fleet.workload import LoadBlock, WorkloadConfig
 from repro.utils.stats import left_sums
+from repro.utils.units import mb_to_bytes
+
+#: Each knob's column in a node's table.
+_KNOB_COLUMN = {name: i for i, name in enumerate(KNOB_NAMES)}
 
 #: NF line-ups of the deployable chain presets, derived from the
 #: :mod:`repro.nfv.chain` factories so fleet chains can never silently
@@ -229,10 +238,12 @@ class ShardSim:
         self.config = config
         self.workload = WorkloadConfig.from_dict(config.workload)
         self.sla = SLAS.get(config.sla)(**dict(config.sla_params))
-        self.nodes = [
-            Node(ServerSpec(name=f"{config.name}.n{i}"))
-            for i in range(config.n_nodes)
-        ]
+        servers = [ServerSpec(name=f"{config.name}.n{i}") for i in range(config.n_nodes)]
+        # The nodes' chain tables are views of one shard table, so a knob
+        # command reads and writes every node's rows at once.
+        ways = servers[0].llc.allocatable_ways
+        self._tables = np.empty((len(servers), ways, len(TABLE_COLUMNS)))
+        self.nodes = [Node(s, store=t) for s, t in zip(servers, self._tables)]
         self.kernel = ClusterKernel(self.nodes)
         self._tickets: dict[str, ChainTicket] = {}
         self._interval = 0
@@ -275,20 +286,39 @@ class ShardSim:
         """Apply per-chain knob updates (clamped on the owning node).
 
         An update names only the knobs it changes; the chain keeps its
-        current setting of every other knob.  Every name and setting is
-        checked before any is applied, so a rejected update leaves the
-        shard unchanged.  Each node takes its chains' updates in one
-        call, one LLC repartition per node.
+        current setting of every other knob.  Every name, knob and value
+        is checked before any is applied, so a rejected update leaves the
+        shard unchanged.  The command's rows are read from the shard's
+        table, clamped (:func:`~repro.nfv.knobs.clamp_table`) and written
+        back in one pass each; a node whose values do not move keeps its
+        generation, so the next run compiles nothing for it.
         """
-        by_node: dict[int, dict[str, KnobSettings]] = {}
-        for name, settings in updates.items():
-            if name not in self._tickets:
+        if not updates:
+            return
+        at: tuple[list[int], list[int]] = ([], [])  # each entry's node and row
+        for name in updates:
+            ticket = self._tickets.get(name)
+            if ticket is None:
                 raise KeyError(f"no chain {name!r} on shard {self.config.name!r}")
-            node = self._tickets[name].node
-            knobs = self.nodes[node].chains[name].knobs.with_updates(**settings)
-            by_node.setdefault(node, {})[name] = knobs
-        for node, knobs in by_node.items():
-            self.nodes[node].apply_knobs(knobs)
+            at[0].append(ticket.node)
+            at[1].append(self.nodes[ticket.node].row_of(name))
+        current = self._tables[at][:, :5]
+        rows = current.tolist()
+        for row, settings in zip(rows, updates.values()):
+            for knob, value in settings.items():
+                if knob not in _KNOB_COLUMN:
+                    raise TypeError(f"unknown knob {knob!r}; knobs: {list(KNOB_NAMES)}")
+                row[_KNOB_COLUMN[knob]] = value
+        node = self.nodes[0]  # a shard's nodes share ranges and ladder
+        knobs = clamp_table(rows, node.ranges, node.server.cpu)
+        moved = knobs != current
+        self._tables[at[0], at[1], :5] = knobs
+        written: dict[int, bool] = {}  # node -> whether an llc_fraction moved
+        for j, row, llc in zip(at[0], moved.any(axis=1).tolist(), moved[:, 2].tolist()):
+            if row:
+                written[j] = written.get(j, False) or llc
+        for j, llc in written.items():
+            self.nodes[j].knobs_written(llc)
 
     # -- the stepping loop -------------------------------------------------
 
@@ -364,26 +394,19 @@ class ShardSim:
         # Each chain's state after the block's last interval.  The
         # block's columns follow the nodes' kernel row order; the chain
         # rows follow the tickets, the load rows' order.
-        utilization = block.utilization[-1].tolist()
-        power = block.power_w[-1].tolist()
         column = {name: r for r, name in enumerate(row_names(self.nodes))}
-        chains = []
-        for name, ticket in self._tickets.items():
-            hosted = self.nodes[ticket.node].chains[name]
-            r = column[name]
-            chains.append(
-                (
-                    ticket.node,
-                    utilization[r],
-                    power[r],
-                    hosted.chain.total_state_bytes,
-                    hosted.knobs.dma_bytes,
-                    hosted.knobs.cpu_share,
-                    hosted.knobs.cpu_freq_ghz,
-                )
-            )
+        order = [column[name] for name in self._tickets]
+        table = np.concatenate([node.table for node in self.nodes])[order]
+        chains = np.empty((len(order), len(CHAIN_FIELDS)))
+        chains[:, 0] = [ticket.node for ticket in self._tickets.values()]
+        chains[:, 1] = block.utilization[-1, order]
+        chains[:, 2] = block.power_w[-1, order]
+        chains[:, 3] = table[:, STATE]
+        chains[:, 4] = mb_to_bytes(table[:, 3])
+        chains[:, 5:] = table[:, :2]
         # A node's utilization is its busiest chain's; its rows are one
         # contiguous run of the kernel order.
+        utilization = block.utilization[-1].tolist()
         nodes = np.empty((len(self.nodes), len(NODE_FIELDS)))
         nodes[:, 0] = node_j[-1] / dt
         r = 0
@@ -397,9 +420,7 @@ class ShardSim:
             names=tuple(self._tickets),
             flows=tuple(ticket.flow for ticket in self._tickets.values()),
             intervals=intervals,
-            chains=np.array(chains, dtype=np.float64).reshape(
-                len(chains), len(CHAIN_FIELDS)
-            ),
+            chains=chains,
             nodes=nodes,
         )
 
@@ -843,11 +864,11 @@ class ShardWorker:
             return self._load_report(bank, start, n)
 
     def _load_report(self, bank: int, start: int, n: int) -> ShardReport:
-        """Arena bank -> :class:`ShardReport`: one copy per table off the
-        shared views; names and flows come from the ticket mirror."""
+        """Arena bank -> :class:`ShardReport`: one copy per table (the
+        arena's reads); names and flows come from the ticket mirror."""
         arena = self.arena
         tickets = self._tickets
-        chains = arena.chains(bank)[: len(tickets)].copy()
+        chains = arena.chains(bank)[: len(tickets)]
         nodes = [ticket.node for ticket in tickets.values()]
         if chains[:, 0].tolist() != nodes:  # pragma: no cover - protocol bug
             raise RuntimeError(
@@ -860,9 +881,9 @@ class ShardWorker:
             start=start,
             names=tuple(tickets),
             flows=tuple(ticket.flow for ticket in tickets.values()),
-            intervals=arena.intervals(bank)[:n].copy(),
+            intervals=arena.intervals(bank)[:n],
             chains=chains,
-            nodes=arena.nodes(bank).copy(),
+            nodes=arena.nodes(bank),
         )
 
     def deploy(self, ticket: ChainTicket) -> None:

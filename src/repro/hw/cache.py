@@ -320,14 +320,15 @@ def prefetch_efficiency(
     )
 
 
-def contention_factor(total_demand_bytes: float, size_bytes: float) -> float:
+def contention_factor(total_demand_bytes, size_bytes: float):
     """Extra miss multiplier when co-located chains oversubscribe the LLC.
 
     Disjoint CAT partitions remove most interference, but memory bandwidth
     and the directory are still shared; we apply a mild super-linear
-    penalty once aggregate demand exceeds the cache size.
+    penalty once aggregate demand exceeds the cache size.  Accepts one
+    demand or an array of them (one per node).
     """
     if size_bytes <= 0:
         raise ValueError("cache size must be positive")
-    x = max(0.0, total_demand_bytes / size_bytes - 1.0)
-    return 1.0 + 0.5 * x
+    x = total_demand_bytes / size_bytes - 1.0
+    return 1.0 + 0.5 * (max(0.0, x) if np.isscalar(x) else np.maximum(0.0, x))

@@ -95,22 +95,18 @@ def consolidation_plan(
                 members[i : i + capacity] for i in range(0, len(members), capacity)
             )
 
-    def fits(node: int, count: int) -> bool:
-        return capacity is None or loads[node] + count <= capacity
-
+    # Each group goes to the least-loaded node, the lowest index on a tie.
+    # When that node cannot take the group, no node can, and the members
+    # go one by one to the least-loaded node (which always has room).
     for members in placeable:
-        rooms = [n for n in range(n_nodes) if fits(n, len(members))]
-        if rooms:
-            target = min(rooms, key=lambda n: (loads[n], n))
+        target = loads.index(min(loads))
+        if capacity is None or loads[target] + len(members) <= capacity:
             for m in members:
                 assignment[m] = target
             loads[target] += len(members)
         else:
             for m in members:
-                target = min(
-                    (n for n in range(n_nodes) if fits(n, 1)),
-                    key=lambda n: (loads[n], n),
-                )
+                target = loads.index(min(loads))
                 assignment[m] = target
                 loads[target] += 1
     return assignment

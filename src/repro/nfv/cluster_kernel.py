@@ -12,19 +12,20 @@ a diagonal plan is compiled and cached.
 shards of a fleet share one kernel over all their nodes and hand it one
 run of ``sync_every`` intervals per coordinator cycle
 (:func:`~repro.fleet.shard.run_shards`); a shard worker process hands
-its own kernel its own shard's run.  Every configuration compiles on
-first sight, and the plan then prices every interval until a
-knob/deployment change (or new frame sizes) on any of its nodes
-invalidates it.  Single-cluster loops (the environments,
-``run_controller``, the SDN controller) step their nodes through
-:meth:`Node.step_all <repro.nfv.node.Node.step_all>` instead.
-Measured for one interval on a 2-CPU x86-64 box, the per-node scalar
-fold costs 0.09-0.39 ms on clusters of at most 4 chains against a
-0.49-0.62 ms compile, 2.2-2.3 ms at 8 nodes x 4 chains against
-0.74-0.90 ms, and 8.7-9.7 ms at 32 x 4 against 1.36-1.64 ms: a compile
-pays for itself from mid-sized clusters on, and costs a small one at
-most about 0.5 ms per configuration.  The kernel only fuses physics it
-can prove is the same: nodes of mismatched hardware or engine
+its own kernel its own shard's run.  Single-cluster loops (the
+environments, ``run_controller``, the SDN controller) step their nodes
+through :meth:`Node.step_all <repro.nfv.node.Node.step_all>` instead.
+
+The plan is cached in two halves.  The deployment half (the chain
+stack and the node layout of the rows) is rebuilt only when a node's
+chain set or the frame sizes change.  The knob half is recomputed
+whenever a node's knob generation moves, from the nodes' chain tables
+concatenated in row order: every node's contention and power-fold
+inputs (:func:`~repro.nfv.node.node_folds`) and the physics, through
+``compile_chains``' ``(R, 5)`` array path.  On a 2-CPU x86-64 box, at
+32 nodes x 4 chains, a knob-only compile takes 0.32 ms, a full one 0.54
+ms and an interval of stepping 0.22 ms.  The kernel only fuses physics
+it can prove is the same: nodes of mismatched hardware or engine
 calibration are refused at construction (:func:`engines_compatible`).
 
 A row prices the same whichever rows share its plan: rows are padded to
@@ -54,9 +55,8 @@ import numpy as np
 
 from repro import obs
 from repro.hw.power import record_many
-from repro.nfv.engine import ChainKernelPlan, chain_stack
-from repro.nfv.knobs import KnobSettings
-from repro.nfv.node import Node
+from repro.nfv.engine import ChainKernelPlan, ChainStack, stack_profiles
+from repro.nfv.node import GRANT, Node, node_folds
 from repro.utils.stats import left_sums
 
 
@@ -102,34 +102,37 @@ def engines_compatible(nodes) -> bool:
 
 @dataclass(frozen=True)
 class _FusedMeta:
-    """Knob/deployment-static constants cached with the compiled plan.
+    """The deployment half of the plan cache.
 
-    Everything here depends only on the (knobs, deployment, frame sizes)
-    generation the plan was compiled for — never on the interval's
-    offered loads — so the fused step can skip the per-node Python
-    rebuild ``step_all`` performs each interval.  The per-node fold
-    inputs (the infra busy cores in ``infra_rows`` and ``fold_start``,
-    ``allocated_totals``, ``freq_means``) come from
-    :meth:`~repro.nfv.node.Node.fold_inputs`, the method ``step_all``
-    reads, preserving bit-compatibility.
+    Everything here depends only on which chains the nodes host, in
+    what order and at which frame sizes, so a knob-only change keeps
+    it: the chain stack, the row layout (row ``r`` is chain ``slot[r]``
+    of node ``owner[r]``), the node meters, and the infra busy cores
+    that start each node's folds.
     """
 
-    node_meters: tuple  # (N,) EnergyMeter per node
+    stack: ChainStack | None  # None when no node hosts a chain
     owner: np.ndarray  # (R,) owning node index per row
     slot: np.ndarray  # (R,) position of each row on its node
+    counts: np.ndarray  # (N,) chains per node
     width: int  # most chains on one node (0 when none hosts a chain)
+    pkts: np.ndarray  # (R,) frame size per row
+    node_meters: tuple  # (N,) EnergyMeter per node
     infra_rows: np.ndarray  # (R,) owning node's infra_busy per row
     fold_start: np.ndarray  # (3, N) infra_busy, 0, 0: starts of the node folds
-    allocated_totals: np.ndarray  # (N,)
-    freq_means: np.ndarray  # (N,)
+
+    def node_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``(..., R) -> (..., N, width)``: each node's rows in deployment
+        order, zero past its last."""
+        out = np.zeros(rows.shape[:-1] + (len(self.node_meters), self.width))
+        out[..., self.owner, self.slot] = rows
+        return out
 
     def node_sums(self, rows: np.ndarray, start) -> np.ndarray:
         """Each node's :func:`left_sums` over its rows in deployment
         order, ``(..., R) -> (..., N)``: the order of ``step_all``'s
         ``+=`` folds (zero padding ends a short node's fold exactly)."""
-        terms = np.zeros(rows.shape[:-1] + (len(self.node_meters), self.width))
-        terms[..., self.owner, self.slot] = rows
-        return left_sums(terms, start)
+        return left_sums(self.node_rows(rows), start)
 
 
 @dataclass
@@ -195,7 +198,9 @@ class ClusterKernel:
         self.nodes: list[Node] = seen
         self._plan: ChainKernelPlan | None = None
         self._plan_key: tuple | None = None
+        self._power_inputs: tuple | None = None
         self._plan_meta: _FusedMeta | None = None
+        self._meta_key: tuple | None = None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -281,57 +286,55 @@ class ClusterKernel:
     # -- the fused path ----------------------------------------------------
 
     def _compile(self, key) -> None:
-        """Build the cluster-wide plan: one super-stack over all nodes.
-
-        Alongside the compiled physics, every knob/deployment-static
-        quantity the fold needs (each node's
-        :meth:`~repro.nfv.node.Node.fold_inputs`, the node meters, the
-        row-to-node layout) is collected here.  A cluster that hosts no
-        chain has no plan, only the fold's node inputs.
-        """
-        _gens, all_pkts = key
-        chains: list = []
-        knobs: list[KnobSettings] = []
-        grants: list[float] = []
-        contention = np.empty(len(all_pkts), dtype=np.float64)
-        owner: list[int] = []
-        slot: list[int] = []
-        n_nodes = len(self.nodes)
-        infra_busy = np.empty(n_nodes, dtype=np.float64)
-        allocated_totals = np.empty(n_nodes, dtype=np.float64)
-        freq_means = np.empty(n_nodes, dtype=np.float64)
-        row = 0
-        for j, node in enumerate(self.nodes):
-            start = row
-            for name, hosted in node.chains.items():
-                chains.append(hosted.chain)
-                knobs.append(hosted.knobs)
-                grants.append(node.cache.allocated_bytes(name))
-                owner.append(j)
-            slot.extend(range(len(node.chains)))
-            row += len(node.chains)
-            contention[start:row] = (
-                node.contention_for(all_pkts[start:row]) if node.chains else 1.0
-            )
-            infra_busy[j], allocated_totals[j], freq_means[j] = node.fold_inputs()
+        """Build the plan's knob half from the nodes' tables, and its
+        deployment half (:class:`_FusedMeta`) only when a node's chain
+        set or the frame sizes changed.  A cluster that hosts no chain
+        has no plan, only the fold's node inputs."""
+        _gens, row_pkts = key
+        deployment = (tuple(node._deploy_gen for node in self.nodes), row_pkts)
+        if self._meta_key != deployment:
+            self._compile_meta(row_pkts)
+            self._meta_key = deployment
+        meta = self._plan_meta
+        engine = self.nodes[0].engine
+        table = np.concatenate([node.table for node in self.nodes])
+        # node_folds reads row k of every node at once: (width, ..., N).
+        slots, pkts = (np.moveaxis(meta.node_rows(a), -1, 0) for a in (table.T, meta.pkts))
+        contention, allocated, freq = node_folds(slots, pkts, meta.counts, engine)
+        self._power_inputs = (allocated, freq)
         self._plan = None
-        if chains:
-            engine = self.nodes[0].engine
-            stack = chain_stack(tuple(chains), all_pkts, engine.server.llc.line_bytes)
+        if meta.stack is not None:
             self._plan = engine.compile_chains(
-                stack, knobs, llc_bytes=grants, contention=contention
+                meta.stack,
+                table[:, :5],
+                llc_bytes=table[:, GRANT],
+                contention=contention[meta.owner],
             )
         self._plan_key = key
-        owner_arr = np.asarray(owner, dtype=np.intp)
+
+    def _compile_meta(self, row_pkts) -> None:
+        """Stack the hosted chains at their frame sizes and lay the rows
+        out node by node."""
+        hosted = [h for node in self.nodes for h in node.chains.values()]
+        counts = np.array([len(node.chains) for node in self.nodes])
+        owner = np.repeat(np.arange(len(counts)), counts)
+        # A row's position on its node: its index past the node's first row.
+        slot = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        infra_busy = np.array([node.engine.infra_busy for node in self.nodes])
+        zeros = np.zeros(len(self.nodes))
+        line = self.nodes[0].engine.server.llc.line_bytes
         self._plan_meta = _FusedMeta(
+            stack=stack_profiles(h.profile(p, line) for h, p in zip(hosted, row_pkts))
+            if hosted
+            else None,
+            owner=owner,
+            slot=slot,
+            counts=counts,
+            width=int(counts.max(initial=0)),
+            pkts=np.array(row_pkts, dtype=np.float64),
             node_meters=tuple(node.meter for node in self.nodes),
-            owner=owner_arr,
-            slot=np.asarray(slot, dtype=np.intp),
-            width=max(slot, default=-1) + 1,
-            infra_rows=infra_busy[owner_arr],
-            fold_start=np.stack([infra_busy, np.zeros(n_nodes), np.zeros(n_nodes)]),
-            allocated_totals=allocated_totals,
-            freq_means=freq_means,
+            infra_rows=infra_busy[owner],
+            fold_start=np.stack([infra_busy, zeros, zeros]),
         )
 
     def _step_fused(self, loads, dt_s) -> BlockTelemetry:
@@ -347,6 +350,7 @@ class ClusterKernel:
         and each meter is written back once per block.
         """
         plan, meta = self._plan, self._plan_meta
+        allocated, freq = self._power_inputs
         if plan is None:
             # No hosted chain: zero rows, and each node meters its infra power.
             busy = achieved = loads
@@ -367,7 +371,7 @@ class ClusterKernel:
         # One batched Fan-model evaluation across nodes and intervals.
         engine = self.nodes[0].engine
         power_nodes = np.asarray(
-            engine.node_power(busy_totals, meta.allocated_totals, meta.freq_means)
+            engine.node_power(busy_totals, allocated, freq)
         )
         node_joules = record_many(meta.node_meters, power_nodes, dt_s, packets)
         if plan is None:

@@ -219,18 +219,17 @@ def stack_profiles(profiles) -> ChainStack:
         raise ValueError("need at least one profile to stack")
     n_nfs = [len(p) for p in profiles]
     n_max = max(n_nfs)
-    rows = len(profiles)
-    compute = np.zeros((rows, n_max), dtype=np.float64)
-    state = np.zeros((rows, n_max), dtype=np.float64)
-    touched = np.zeros((rows, n_max), dtype=np.float64)
-    for r, p in enumerate(profiles):
-        compute[r, : n_nfs[r]] = p.compute_cycles
-        state[r, : n_nfs[r]] = p.state_lines
-        touched[r, : n_nfs[r]] = p.touched_lines
+    lanes = np.arange(n_max)[None, :] < np.asarray(n_nfs)[:, None]
+    # A mask assignment fills the live lanes row by row, in the order of
+    # the profiles' arrays concatenated.
+    compute, state, touched = np.zeros((3, len(profiles), n_max))
+    compute[lanes] = np.concatenate([p.compute_cycles for p in profiles])
+    state[lanes] = np.concatenate([p.state_lines for p in profiles])
+    touched[lanes] = np.concatenate([p.touched_lines for p in profiles])
     if min(n_nfs) == n_max:
         valid = None
     else:
-        valid = np.arange(n_max)[None, :] < np.asarray(n_nfs)[:, None]
+        valid = lanes
         valid.flags.writeable = False
     total_state = np.asarray(
         [p.total_state_bytes for p in profiles], dtype=np.float64

@@ -6,7 +6,9 @@ packet batch size — per chain.  :class:`KnobRanges` defines the physical
 limits (derived from the testbed hardware); :class:`KnobSettings` is a
 concrete assignment, with clamping that mirrors what the real control
 plane does (frequency ladder snapping, whole-way LLC grants, integer
-batch sizes).
+batch sizes).  Nodes keep knobs as float64 rows in
+:meth:`KnobSettings.as_array` layout, and :func:`clamp_table` clamps a
+table of them in one pass.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ DEFAULT_RANGES = KnobRanges()
 #: The five knobs in their canonical order (Eq. 7): the layout of an
 #: action vector and of every serialized knob row.
 KNOB_NAMES = ("cpu_share", "cpu_freq_ghz", "llc_fraction", "dma_mb", "batch_size")
+# The open bounds of each column's check in ``KnobSettings.__post_init__``
+# (``llc_fraction <= 1`` and ``batch_size >= 1`` at the neighbouring floats).
+_VALID = np.array([[0, 0, 0, 0, np.nextafter(1, 0)], [np.inf] * 5])
+_VALID[1, 2] = np.nextafter(1, 2)
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,43 @@ class KnobSettings:
             dma_mb=float(arr[3]),
             batch_size=int(round(arr[4])),
         )
+
+
+def knob_row(k: KnobSettings) -> list:
+    """A :class:`KnobSettings` as a list in :meth:`KnobSettings.as_array` layout."""
+    return [k.cpu_share, k.cpu_freq_ghz, k.llc_fraction, k.dma_mb, k.batch_size]
+
+
+def clamp_table(
+    table, ranges: KnobRanges = DEFAULT_RANGES, cpu: CpuSpec | None = None
+) -> np.ndarray:
+    """``(k, 5)`` knob rows validated and clamped in one pass: row for row
+    ``KnobSettings(*row).clamped(ranges, cpu)``.  The first row the
+    constructor refuses raises its ``ValueError``, values that are not
+    real numbers ``TypeError``.  Returns a new array."""
+    if len(table) <= 1:  # one object clamps faster than the numpy calls below
+        rows = [knob_row(KnobSettings(*row).clamped(ranges, cpu)) for row in table]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(KNOB_NAMES))
+    try:
+        table = np.asarray(table)
+    except ValueError:  # ragged: a value that is a sequence
+        table = np.empty(0, dtype=object)
+    if table.dtype.kind not in "biuf":
+        raise TypeError("knob values must be real numbers")
+    valid = ((table > _VALID[0]) & (table < _VALID[1])).all(axis=1)
+    if not valid.all():
+        KnobSettings(*table[valid.argmin()].tolist())  # raises
+    r = ranges
+    out = table.astype(np.float64)
+    out[:, 4] = np.round(out[:, 4])  # half to even, as round()
+    low = (r.min_cpu_share, r.min_freq_ghz, r.min_llc_fraction, r.min_dma_mb, r.min_batch)
+    high = (r.max_cpu_share, r.max_freq_ghz, r.max_llc_fraction, r.max_dma_mb, r.max_batch)
+    np.clip(out, low, high, out=out)
+    out[:, 4] = np.trunc(out[:, 4])
+    if cpu is not None:  # the nearest ladder step, the lower on a tie
+        ladder = np.asarray(cpu.freq_ladder_ghz)
+        out[:, 1] = ladder[np.abs(ladder - out[:, 1, None]).argmin(axis=1)]
+    return out
 
 
 def baseline_settings() -> KnobSettings:

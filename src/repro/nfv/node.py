@@ -6,35 +6,87 @@ all resident chains through each control interval, accounting for
 cross-chain LLC contention and producing both per-chain telemetry and
 node-level power.
 
+Its chains live in one float64 table, a row per chain in deployment
+order (:data:`TABLE_COLUMNS`): the knobs in ``KnobSettings.as_array``
+layout, the CAT grant, the resident state and the NF count.  Knob
+writes move the node's generation only when a value moves, and re-grant
+CAT only when an ``llc_fraction`` moved.  :func:`node_folds` is the one
+definition of a node's knob-static interval inputs, for one node's rows
+or (in the cluster kernel) for every node's at once.
+
 The Fig. 1 micro-benchmark (two chains C1/C2 sharing one socket under
 different LLC splits) runs directly on this class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from typing import Mapping
+
+import numpy as np
 
 from repro.hw.cache import CacheAllocator, contention_factor
 from repro.hw.power import EnergyMeter
 from repro.hw.server import ServerSpec
 from repro.nfv.chain import ServiceChain
-from repro.nfv.engine import (
-    EngineParams,
-    PacketEngine,
-    PollingMode,
-    TelemetrySample,
-)
-from repro.nfv.knobs import DEFAULT_RANGES, KnobRanges, KnobSettings
+from repro.nfv.engine import EngineParams, PacketEngine, PollingMode, TelemetrySample
+from repro.nfv.engine import ChainProfile, chain_profile
+from repro.nfv.knobs import DEFAULT_RANGES, KNOB_NAMES, KnobRanges, KnobSettings
+from repro.nfv.knobs import knob_row
 from repro.utils.stats import left_sum
+from repro.utils.units import mb_to_bytes
+
+#: A node table's columns: the knobs, the chain's CAT grant (bytes), its
+#: resident state (bytes) and its NF count.
+TABLE_COLUMNS = (*KNOB_NAMES, "grant_bytes", "state_bytes", "n_nfs")
+GRANT, STATE, NFS = 5, 6, 7
 
 
-@dataclass
 class HostedChain:
-    """A chain deployed on a node with its current knob settings."""
+    """A chain deployed on a node; its knobs are the node's table row."""
 
-    chain: ServiceChain
-    knobs: KnobSettings
+    def __init__(self, chain: ServiceChain, node: "Node"):
+        self.chain = chain
+        self._node = weakref.ref(node)
+        self._profiles: dict[tuple[float, float], ChainProfile] = {}
+
+    @property
+    def knobs(self) -> KnobSettings:
+        """The chain's current (clamped) knob settings."""
+        node = self._node()
+        share, freq, llc, dma, batch = node.table[node.row_of(self.chain.name), :5].tolist()
+        return KnobSettings(share, freq, llc, dma, int(batch))
+
+    def profile(self, packet_bytes: float, line_bytes: float) -> ChainProfile:
+        """:func:`~repro.nfv.engine.chain_profile`, memoized per hosted
+        chain: the shared cache hashes the whole chain on every lookup,
+        and a deploy's compile looks up every hosted chain."""
+        key = (packet_bytes, line_bytes)
+        if key not in self._profiles:
+            self._profiles[key] = chain_profile(self.chain, packet_bytes, line_bytes)
+        return self._profiles[key]
+
+
+def node_folds(slots, pkts, counts, engine: PacketEngine):
+    """``(contention, allocated_cores, freq_ghz)`` of nodes, as left folds
+    over their rows: the LLC contention factor of the demand ``batch *
+    pkt + state + dma_bytes * 0.25``, the infra plus the chains' cores,
+    and the mean frequency (the base frequency without chains).
+
+    ``slots[k]`` is row ``k`` of each node and ``pkts[k]`` its frame size:
+    one node's rows and floats, or ``(columns, N)`` and ``(N,)`` arrays,
+    zero past a node's last chain; ``counts`` holds the chain counts.
+    """
+    demand, allocated, freq = 0.0, engine.params.infra_cores, 0.0
+    for row, pkt in zip(slots, pkts):
+        demand += row[4] * pkt + row[STATE] + mb_to_bytes(row[3]) * 0.25
+        allocated += row[0] * row[NFS]
+        freq += row[1]
+    contention = contention_factor(demand, engine.server.llc.size_bytes)
+    base = engine.server.cpu.base_freq_ghz
+    if np.ndim(counts):
+        return contention, allocated, np.where(counts > 0, freq / np.maximum(counts, 1), base)
+    return contention, allocated, freq / counts if counts else base
 
 
 class Node:
@@ -49,6 +101,7 @@ class Node:
         ranges: KnobRanges = DEFAULT_RANGES,
         park_idle_cores: bool = True,
         cat_enabled: bool = True,
+        store: np.ndarray | None = None,
     ):
         self.server = server or ServerSpec()
         self.engine = PacketEngine(
@@ -63,13 +116,22 @@ class Node:
         self.park_idle_cores = park_idle_cores
         self.meter = EnergyMeter()
         self._chains: dict[str, HostedChain] = {}
-        self._last_grants: dict[str, int] | None = None
-        # Deployment/knob generation, bumped on every change: the
-        # contention factor here and the cluster kernel's compiled plan
-        # are cached per generation.
+        self._rows: dict[str, int] = {}
+        self._ways: list[int] = []  # the CAT ways last granted, per row
+        # A row per allocatable way, the table its head: ``store``, when a
+        # shard shares one table of them among its nodes.
+        shape = (self.server.llc.allocatable_ways, len(TABLE_COLUMNS))
+        self._store = np.empty(shape) if store is None else store
+        if self._store.shape != shape:
+            raise ValueError(f"a node's store must have shape {shape}")
+        self._table = self._store[:0]
+        # ``_config_gen`` moves on every deployment or knob change,
+        # ``_deploy_gen`` only with the chain set: the folds here and the
+        # cluster kernel's two plan halves are cached per generation.
         self._config_gen = 0
-        self._demand_key: tuple | None = None
-        self._contention = 1.0
+        self._deploy_gen = 0
+        self._fold_key: tuple | None = None
+        self._folds: list[float] = []
 
     # -- deployment --------------------------------------------------------
 
@@ -82,15 +144,26 @@ class Node:
         instead of building a new :class:`Node`.
         """
         self._chains.clear()
+        self._rows.clear()
         self.cache.clear()
         self.meter.reset()
-        self._last_grants = None
-        self._config_gen += 1
+        self._deployed()
 
     @property
     def chains(self) -> dict[str, HostedChain]:
         """Chains currently hosted on this node."""
         return self._chains
+
+    @property
+    def table(self) -> np.ndarray:
+        """The ``(R, len(TABLE_COLUMNS))`` chain table (do not write it)."""
+        return self._table
+
+    def row_of(self, name: str) -> int:
+        """A hosted chain's row in :attr:`table`."""
+        if name not in self._rows:
+            raise KeyError(f"no chain {name!r} on this node")
+        return self._rows[name]
 
     def deploy(self, chain: ServiceChain, knobs: KnobSettings | None = None) -> HostedChain:
         """Deploy a chain (idempotent per name) with initial knobs.
@@ -105,110 +178,105 @@ class Node:
                 f"cannot deploy {chain.name!r}: the node already hosts "
                 f"{len(self._chains)} chains, one per allocatable LLC way"
             )
-        hosted = HostedChain(chain=chain, knobs=(knobs or KnobSettings()).clamped(self.ranges, self.server.cpu))
-        self._chains[chain.name] = hosted
-        self._repartition_llc()
-        self._config_gen += 1
+        row = knob_row((knobs or KnobSettings()).clamped(self.ranges, self.server.cpu))
+        r = self._rows[chain.name] = len(self._chains)
+        self._chains[chain.name] = hosted = HostedChain(chain, self)
+        self._store[r] = (*row, 0.0, chain.total_state_bytes, len(chain))
+        self._deployed()
         return hosted
 
     def undeploy(self, name: str) -> None:
         """Remove a chain from the node."""
-        if name not in self._chains:
-            raise KeyError(f"no chain {name!r} on this node")
+        r = self.row_of(name)
         del self._chains[name]
-        if self._chains:
-            self._repartition_llc()
-        self._config_gen += 1
+        self._rows = {n: i for i, n in enumerate(self._chains)}
+        self._store[r : len(self._chains)] = self._store[r + 1 : len(self._chains) + 1]
+        self._deployed()
 
-    def apply_knobs(
-        self, updates: Mapping[str, KnobSettings]
-    ) -> dict[str, KnobSettings]:
+    def _deployed(self) -> None:
+        """The chain set moved: re-grant CAT, move both generations."""
+        self._table = self._store[: len(self._chains)]
+        if self._chains:
+            self._grant(relayout=True)
+        self._config_gen += 1
+        self._deploy_gen += 1
+
+    def apply_knobs(self, updates: Mapping[str, KnobSettings]) -> dict[str, KnobSettings]:
         """Apply (clamped) knob settings to chains; returns what stuck.
 
         ``updates`` maps chain name -> settings.  Mirrors the real
         control path: frequency snaps to the DVFS ladder, LLC share
         becomes whole CAT ways, batch becomes integer.  Every name is
-        checked before any chain changes, and the LLC is repartitioned
-        once per call, so the node ends in the state that applying the
-        entries one at a time would leave.
+        checked before any chain changes, and the rows are written at
+        once, so the node ends in the state that applying the entries one
+        at a time would leave.  Each setting clamps on its own
+        (:meth:`KnobSettings.clamped`): the environments and controllers
+        apply one chain at a time, which a one-row table clamps in more
+        time; a shard's knob command clamps its table
+        (:func:`~repro.nfv.knobs.clamp_table`).
         """
-        for name in updates:
-            if name not in self._chains:
-                raise KeyError(f"no chain {name!r} on this node")
-        applied = {
-            name: knobs.clamped(self.ranges, self.server.cpu)
-            for name, knobs in updates.items()
-        }
-        changed = False
-        for name, knobs in applied.items():
-            hosted = self._chains[name]
-            if knobs != hosted.knobs:
-                hosted.knobs = knobs
-                changed = True
-        if changed:
-            self._repartition_llc()
-            self._config_gen += 1
+        rows = [self.row_of(name) for name in updates]
+        applied = {n: k.clamped(self.ranges, self.server.cpu) for n, k in updates.items()}
+        knobs = [knob_row(k) for k in applied.values()]
+        current = [self._table[r, :5].tolist() for r in rows]
+        if current != knobs:
+            for r, row in zip(rows, knobs):
+                self._table[r, :5] = row
+            self.knobs_written(any(old[2] != new[2] for old, new in zip(current, knobs)))
         return applied
 
-    def _repartition_llc(self) -> None:
-        """Re-run CAT allocation from the chains' llc_fraction knobs.
+    def knobs_written(self, llc_moved: bool) -> None:
+        """Account for knob values that moved in :attr:`table` (written
+        here, or by a shard into the store it shares): move the
+        generation, and re-grant CAT if an ``llc_fraction`` moved."""
+        if llc_moved:
+            self._grant(relayout=False)
+        self._config_gen += 1
+
+    def _grant(self, *, relayout: bool) -> None:
+        """Grant CAT ways from the ``llc_fraction`` column into the grant
+        column, laying the CLOS masks out again only if the chain set
+        changed (``relayout``) or a grant moved.
 
         When the requested fractions oversubscribe the allocatable ways,
         grants are scaled down proportionally — the controller's policy
         for resolving conflicting chain requests.
         """
-        if not self._chains:
-            return
-        shares = {n: h.knobs.llc_fraction for n, h in self._chains.items()}
-        grants = {n: self.cache.ways_for_fraction(f) for n, f in shares.items()}
-        total_ways = left_sum(grants.values())
-        if total_ways <= self.server.llc.allocatable_ways:
-            # CAT grants whole ways, so nearby fractions collapse onto the
-            # same way split; skip the CLOS rebuild when nothing moves.
-            if grants == self._last_grants:
-                return
-            self._last_grants = grants
-        else:
-            self._last_grants = None
-        if total_ways > self.server.llc.allocatable_ways:
-            scale = self.server.llc.allocatable_ways / total_ways
-            shares = {n: max(1e-6, f * scale) for n, f in shares.items()}
+        llc = self.server.llc
+        ways = self.cache.ways_for_fraction
+        shares = self._table[:, 2].tolist()
+        granted = [ways(f) for f in shares]
+        if left_sum(granted) > llc.allocatable_ways:
+            scale = llc.allocatable_ways / left_sum(granted)
+            shares = [max(1e-6, f * scale) for f in shares]
+            granted = [ways(f) for f in shares]
             # Rounding can still overshoot by a way; shave the largest.
-            while (
-                left_sum(self.cache.ways_for_fraction(f) for f in shares.values())
-                > self.server.llc.allocatable_ways
-            ):
-                biggest = max(shares, key=lambda n: shares[n])
+            while left_sum(granted) > llc.allocatable_ways:
+                biggest = max(range(len(shares)), key=shares.__getitem__)
                 shares[biggest] = max(1e-6, shares[biggest] * 0.9)
-        self.cache.allocate(shares)
+                granted = [ways(f) for f in shares]
+        if relayout or granted != self._ways:
+            self._ways = granted
+            self.cache.allocate(dict(zip(self._chains, shares)))
+            self._table[:, GRANT] = [self.cache.allocated_bytes(n) for n in self._chains]
 
     def llc_bytes_for(self, name: str) -> float:
         """LLC capacity currently granted to a chain by CAT."""
-        return self.cache.allocated_bytes(name)
+        return float(self._table[self.row_of(name), GRANT])
+
+    def _fold(self, pkts: tuple[float, ...]) -> list[float]:
+        """This node's :func:`node_folds` at frame sizes ``pkts`` (one per
+        chain), cached per (generation, frame sizes)."""
+        if self._fold_key != (self._config_gen, pkts):
+            folds = node_folds(self._table.tolist(), pkts, len(pkts), self.engine)
+            self._folds = [float(f) for f in folds]
+            self._fold_key = (self._config_gen, pkts)
+        return self._folds
 
     def contention_for(self, pkts: tuple[float, ...]) -> float:
-        """Cross-chain contention from aggregate LLC demand at these frames.
-
-        ``pkts`` holds one frame size per hosted chain, in deployment
-        order.  The demand depends only on knobs, resident state and
-        frame sizes — not on offered rates — so the factor is cached per
-        (knob/deployment generation, frame sizes); :meth:`step_all` and
-        the cluster kernel both price contention through this one path.
-        """
-        demand_key = (self._config_gen, pkts)
-        if self._demand_key != demand_key:
-            total_demand = 0.0
-            for pkt, hosted in zip(pkts, self._chains.values()):
-                total_demand += (
-                    hosted.knobs.batch_size * pkt
-                    + hosted.chain.total_state_bytes
-                    + hosted.knobs.dma_bytes * 0.25
-                )
-            self._demand_key = demand_key
-            self._contention = contention_factor(
-                total_demand, self.server.llc.size_bytes
-            )
-        return self._contention
+        """Cross-chain contention from aggregate LLC demand at these frames
+        (one per hosted chain, in deployment order): :func:`node_folds`."""
+        return self._fold(pkts)[0]
 
     def fold_inputs(self) -> tuple[float, float, float]:
         """The knob/deployment-static inputs of the node power fold.
@@ -217,18 +285,12 @@ class Node:
         cores of the ONVM Rx/Tx infra threads, which run once per node
         although every engine sample includes them; the infra cores plus
         every hosted chain's allocated cores; and the chains' mean
-        frequency (the base frequency on an empty node).
-        :meth:`step_all` and the cluster kernel's compile both read them
-        here, which keeps their power folds bit-identical.
+        frequency (the base frequency on an empty node).  Through
+        :func:`node_folds`, as the cluster kernel reads them.
         """
-        allocated = self.engine.params.infra_cores
-        freq_total = 0.0
-        for hosted in self._chains.values():
-            allocated += hosted.knobs.cpu_share * len(hosted.chain)
-            freq_total += hosted.knobs.cpu_freq_ghz
-        n = len(self._chains)
-        freq = freq_total / n if n else self.server.cpu.base_freq_ghz
-        return self.engine.infra_busy, allocated, freq
+        if self._fold_key is None or self._fold_key[0] != self._config_gen:
+            self._fold((1518.0,) * len(self._chains))
+        return (self.engine.infra_busy, *self._folds[1:])
 
     # -- simulation --------------------------------------------------------
 
@@ -279,14 +341,15 @@ class Node:
 
         samples: dict[str, TelemetrySample] = {}
         busy_cores_total = infra_busy
-        for load, pkt, (name, hosted) in zip(loads, pkts, self._chains.items()):
+        rows = self._table.tolist()
+        for load, pkt, row, (name, hosted) in zip(loads, pkts, rows, self._chains.items()):
             sample = self.engine.step(
                 hosted.chain,
-                hosted.knobs,
+                KnobSettings(*row[:4], int(row[4])),
                 load,
                 pkt,
                 dt_s,
-                llc_bytes=self.cache.allocated_bytes(name),
+                llc_bytes=row[GRANT],
                 contention=contention,
                 include_power=False,
             )

@@ -2,11 +2,14 @@
 
 The fleet coordinator's migration planner is driven by this function, so
 its corner cases (empty cluster, single node, one giant co-location
-group) and the per-node capacity bound get pinned here.
+group) and the per-node capacity bound get pinned here, and its
+placement loop is compared with the filter-every-node loop it replaced.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nfv.cluster import consolidation_plan
 
@@ -105,3 +108,91 @@ class TestConsolidationPlanCapacity:
         assert consolidation_plan(cs, flow_paths, 2) == consolidation_plan(
             cs, flow_paths, 2, capacity=10
         )
+
+
+def reference_plan(names, flow_paths, n_nodes, capacity=None):
+    """The placement loop before it took one ``loads.index(min(loads))``
+    per group: filter the nodes that fit the whole group, take the
+    least-loaded (then lowest) of them, and place the members one by one
+    when none fits.  The grouping is the function's own."""
+    parent = {n: n for n in names}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    by_flow = {}
+    for name in names:
+        for flow in flow_paths.get(name, []):
+            by_flow.setdefault(flow, []).append(name)
+    for members in by_flow.values():
+        for other in members[1:]:
+            ra, rb = find(members[0]), find(other)
+            if ra != rb:
+                parent[ra] = rb
+    groups = {}
+    for name in names:
+        groups.setdefault(find(name), []).append(name)
+    assignment, loads, placeable = {}, [0] * n_nodes, []
+    for _, members in sorted(groups.items(), key=lambda kv: -len(kv[1])):
+        if capacity is None or len(members) <= capacity:
+            placeable.append(members)
+        else:
+            placeable.extend(
+                members[i : i + capacity] for i in range(0, len(members), capacity)
+            )
+
+    def fits(node, count):
+        return capacity is None or loads[node] + count <= capacity
+
+    for members in placeable:
+        rooms = [n for n in range(n_nodes) if fits(n, len(members))]
+        if rooms:
+            target = min(rooms, key=lambda n: (loads[n], n))
+            for m in members:
+                assignment[m] = target
+            loads[target] += len(members)
+        else:
+            for m in members:
+                target = min(
+                    (n for n in range(n_nodes) if fits(n, 1)),
+                    key=lambda n: (loads[n], n),
+                )
+                assignment[m] = target
+                loads[target] += 1
+    return assignment
+
+
+@st.composite
+def instances(draw):
+    n_nodes = draw(st.integers(min_value=1, max_value=8))
+    capacity = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+    most = 24 if capacity is None else min(24, n_nodes * capacity)
+    cs = names(draw(st.integers(min_value=0, max_value=most)))
+    flows = st.lists(st.sampled_from([f"f{i}" for i in range(6)]), max_size=3)
+    flow_paths = {c: draw(flows) for c in cs}
+    return cs, flow_paths, n_nodes, capacity
+
+
+class TestAgainstReferenceLoop:
+    @settings(deadline=None, max_examples=300)
+    @given(instances())
+    def test_same_assignment_in_the_same_order(self, instance):
+        cs, flow_paths, n_nodes, capacity = instance
+        got = consolidation_plan(cs, flow_paths, n_nodes, capacity=capacity)
+        want = reference_plan(cs, flow_paths, n_nodes, capacity=capacity)
+        assert list(got.items()) == list(want.items())
+
+    def test_the_fallback_splits_a_group_no_node_fits(self):
+        # Three flow groups of 2 on two nodes of capacity 3: the first
+        # two fill each node to 2, and the third fits on neither, so its
+        # members go one at a time to the least-loaded node.
+        cs = names(6)
+        flow_paths = {c: [f"f{i // 2}"] for i, c in enumerate(cs)}
+        args = (cs, flow_paths, 2)
+        got = consolidation_plan(*args, capacity=3)
+        assert list(got.items()) == list(reference_plan(*args, capacity=3).items())
+        assert (got["c4"], got["c5"]) == (0, 1)
+        assert sorted(got.values()) == [0, 0, 0, 1, 1, 1]

@@ -3,7 +3,11 @@ isolation, capacity guards, generation tracking and ``/dev/shm``
 lifecycle (no segment may outlive its owning handle).
 """
 
+import os
+import subprocess
+import sys
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,41 @@ class TestStoreLoad:
             wrong.unlink()
             arena.close()
             arena.unlink()
+
+
+class TestReadsAfterClose:
+    def test_a_read_from_before_close_survives_close(self):
+        # A read used to hand out a view into the segment; touching it
+        # after close() read unmapped memory and killed the interpreter
+        # (exit 139).  In a child process, so a regression cannot take
+        # the test run down with it.
+        snippet = (
+            "from repro.fleet.arena import ArenaLayout, TelemetryArena\n"
+            "a = TelemetryArena.create(ArenaLayout(2, 2, 1))\n"
+            "v = a.intervals(0)\n"
+            "a.close(); a.unlink()\n"
+            "print(v.sum())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", snippet], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().strip() == "0.0"
+
+    def test_reads_are_copies_and_a_closed_arena_refuses_them(self):
+        arena = TelemetryArena.create(ArenaLayout(2, 2, 1))
+        try:
+            table = arena.chains(0)
+            table[:] = 7.0
+            assert not arena.chains(0).any()
+        finally:
+            arena.close()
+            arena.unlink()
+        for read in (arena.intervals, arena.chains, arena.nodes):
+            with pytest.raises(ValueError, match="closed"):
+                read(0)
 
 
 class TestWorkerArenaLifecycle:

@@ -197,17 +197,23 @@ class TestRoutingTable:
                     min(link.gbps for link in links), abs=0.0
                 )
 
-    def test_transfer_seconds_sums_per_hop(self):
-        topo = FleetTopology.wan(4, nodes=1, chains_per_node=1)
-        table = RoutingTable(topo)
-        n_bytes = 2.5e8
-        expect = sum(
-            n_bytes * 8.0 / (link.gbps * 1e9) + link.latency_s
-            for link in table.path_links("site1", "site3")
-        )
-        assert table.transfer_seconds("site1", "site3", n_bytes) == (
-            pytest.approx(expect, rel=1e-12)
-        )
+    @pytest.mark.parametrize(
+        "topology",
+        [FleetTopology.wan(8), FleetTopology.wan(64), FleetTopology.fat_tree(3, 3)],
+        ids=["wan8", "wan64", "fat-tree"],
+    )
+    def test_transfer_seconds_sums_per_hop(self, topology):
+        # Exactly the per-link fold the migration cost charges, for
+        # every ordered pair (a same-shard "transfer" takes 0 s).
+        table = RoutingTable(topology)
+        rng = np.random.default_rng(8)
+        for a in table.shard_names:
+            for b in table.shard_names:
+                n_bytes = float(rng.uniform(1e8, 1e9))
+                expect = 0.0
+                for link in table.path_links(a, b) if a != b else ():
+                    expect += n_bytes * 8.0 / (link.gbps * 1e9) + link.latency_s
+                assert table.transfer_seconds(a, b, n_bytes) == expect, (a, b)
 
     def test_deterministic_rebuild(self):
         topo = FleetTopology.fat_tree(pods=2, shards_per_pod=3)
@@ -215,4 +221,5 @@ class TestRoutingTable:
         assert np.array_equal(one.latency_s, two.latency_s)
         assert np.array_equal(one.next_hop, two.next_hop)
         assert np.array_equal(one.bottleneck_gbps, two.bottleneck_gbps)
-        assert np.array_equal(one.inv_gbps_sum, two.inv_gbps_sum)
+        assert np.array_equal(one.hop_gbps, two.hop_gbps)
+        assert np.array_equal(one.hop_latency_s, two.hop_latency_s)

@@ -6,9 +6,9 @@ placement policies and the coordinator's vetting pass read that one
 table.  Its float order is the per-link fold the coordinator once ran
 per candidate: start from ``setup_j`` and, hop by hop along the routed
 path, add ``(payload * 8 / (gbps * 1e9) + latency) * link_power_w``.
-Summing the reciprocal rates first (``RoutingTable.inv_gbps_sum``)
-rounds differently on 47% of the cross-shard costs of the churning WAN
-below, so every comparison here is exact.
+Summing the reciprocal rates first would round differently on 47% of
+the cross-shard costs of the churning WAN below, so every comparison
+here is exact.
 """
 
 import numpy as np

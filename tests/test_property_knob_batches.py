@@ -1,13 +1,16 @@
 """Applying knobs as one mapping equals applying them one at a time.
 
 ``Node.apply_knobs`` takes all of a node's updates in one call and
-repartitions the LLC once; a fleet shard batches each knob command's
-updates by node.  Over random update sets on nodes of 4-6 chains (no-op
-entries, LLC requests that oversubscribe the allocatable ways, mixed
-sets), a node given the whole mapping, a node given its entries one by
-one and a node deployed with the resulting knobs must agree on every
-knob, CAT grant, contention factor and power-fold input, and one
-cluster-kernel step over each must return bit-identical arrays.
+repartitions the LLC once; a fleet shard clamps each knob command's
+rows in one pass and writes them node by node.  Over random update sets
+on nodes of 4-6 chains (no-op entries, LLC requests that oversubscribe
+the allocatable ways, mixed sets), a node given the whole mapping, a
+node given its entries one by one and a node deployed with the
+resulting knobs must agree on every knob, CAT grant, contention factor
+and power-fold input, and one cluster-kernel step over each must return
+bit-identical arrays.  Random partial ``ShardSim.set_knobs`` commands
+are held to the same standard against the per-object command they
+replaced, kept here as the reference.
 """
 
 from dataclasses import replace
@@ -17,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fleet.shard import ChainTicket, ShardConfig, ShardSim, kind_nfs
+from repro.fleet.workload import WorkloadConfig
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
 from repro.nfv.cluster_kernel import ClusterKernel
-from repro.nfv.knobs import KnobSettings
+from repro.nfv.knobs import KNOB_NAMES, KnobSettings
 from repro.nfv.node import Node
 
 KINDS = (default_chain, light_chain, heavy_chain)
@@ -137,3 +142,77 @@ class TestApplyKnobsBatch:
                 {"c0": KnobSettings(cpu_share=0.5), "ghost": KnobSettings()}
             )
         assert (state(node, pkts), node._config_gen) == before
+
+
+def shard(initial: list[list[KnobSettings]]) -> ShardSim:
+    """A shard with one node per entry of ``initial``, each hosting a
+    chain per setting."""
+    tickets = tuple(
+        ChainTicket(f"n{j}c{i}", kind_nfs("mixed", i + j), f"f{j}", j, knobs.to_dict())
+        for j, node in enumerate(initial)
+        for i, knobs in enumerate(node)
+    )
+    return ShardSim(
+        ShardConfig(
+            name="s",
+            n_nodes=len(initial),
+            interval_s=1.0,
+            sla="latency",
+            sla_params={"latency_bound_s": 1e-3},
+            workload=WorkloadConfig(peak_rate_pps=5e5).to_dict(),
+            parked_power_w=10.0,
+            initial_chains=tickets,
+        )
+    )
+
+
+def reference_set_knobs(sim: ShardSim, updates) -> None:
+    """The per-object command: each entry's settings merged into the
+    chain's ``KnobSettings``, then one ``apply_knobs`` per node."""
+    by_node = {}
+    for name, settings_ in updates.items():
+        node = sim._tickets[name].node
+        knobs = sim.nodes[node].chains[name].knobs.with_updates(**settings_)
+        by_node.setdefault(node, {})[name] = knobs
+    for node, knobs in by_node.items():
+        sim.nodes[node].apply_knobs(knobs)
+
+
+@st.composite
+def commands(draw):
+    """Initial knobs for 1-4 nodes of 1-5 chains, and one partial command
+    over some of the chains (each entry names a random subset of knobs)."""
+    initial = draw(
+        st.lists(st.lists(knob_strategy, min_size=1, max_size=5), min_size=1, max_size=4)
+    )
+    names = [f"n{j}c{i}" for j, node in enumerate(initial) for i in range(len(node))]
+    picked = draw(st.lists(st.sampled_from(names), unique=True, min_size=1))
+    updates = {}
+    for name in picked:
+        knobs = draw(knob_strategy).to_dict()
+        keys = draw(st.lists(st.sampled_from(KNOB_NAMES), unique=True))
+        updates[name] = {key: knobs[key] for key in keys}
+    return initial, updates
+
+
+class TestShardCommand:
+    @settings(deadline=None, max_examples=60)
+    @given(commands(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_command_equals_the_per_object_reference(self, command, seed):
+        initial, updates = command
+        got, want = shard(initial), shard(initial)
+        gens = [node._config_gen for node in got.nodes]
+        got.set_knobs(updates)
+        reference_set_knobs(want, updates)
+        rng = np.random.default_rng(seed)
+        for node_got, node_want, gen in zip(got.nodes, want.nodes, gens):
+            pkts = tuple(float(rng.choice(PACKETS)) for _ in node_got.chains)
+            assert state(node_got, pkts) == state(node_want, pkts)
+            assert (node_got._config_gen != gen) == (node_want._config_gen != gen)
+        names = list(got.load_rows)
+        loads = rng.uniform(0.0, 2e6, size=(len(names), 3))
+        arrays = [
+            ClusterKernel(sim.nodes).step(names, loads, 512.0) for sim in (got, want)
+        ]
+        for field in ARRAYS:
+            assert getattr(arrays[0], field).tobytes() == getattr(arrays[1], field).tobytes()
