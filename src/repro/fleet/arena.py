@@ -12,21 +12,23 @@ Layout
 ------
 Every value is a float64 (the integer fields — node indices, counts,
 violations — stay far below 2**53, so the round trip through float64 is
-exact).  The segment holds :data:`BANKS` identical banks, double-buffered
-for the pipelined cycle (the coordinator may still be reading cycle *t*'s
-bank while the worker writes cycle *t+1*'s)::
+exact).  The segment holds one run's tables::
 
-    bank b:
-      intervals : max_intervals x len(INTERVAL_FIELDS)
-      chains    : max_chains    x len(CHAIN_FIELDS)
-      nodes     : n_nodes       x len(NODE_FIELDS)
+    intervals : max_intervals x len(INTERVAL_FIELDS)
+    chains    : max_chains    x len(CHAIN_FIELDS)
+    nodes     : n_nodes       x len(NODE_FIELDS)
 
-A bank holds the three tables of a :class:`~repro.fleet.shard.ShardReport`
+These are the three tables of a :class:`~repro.fleet.shard.ShardReport`
 as they are.  Chain rows follow the shard's deployment order (its load
 rows), so the coordinator-side handle maps rows back to names from its
-own ticket mirror without any name data crossing the arena.  Which run a
-bank holds, and how many rows of it are live, travel in the worker's
-``("telemetry", ...)`` ack.
+own ticket mirror without any name data crossing the arena.  Which run
+the tables hold, and how many rows of them are live, travel in the
+worker's ``("telemetry", ...)`` ack.
+
+One set of tables is enough: every read is a copy, and the handle copies
+a run's tables out before it sends the next run (it refuses to begin a
+run while one is in flight), so the worker never writes over tables the
+coordinator still reads.
 
 Lifecycle
 ---------
@@ -44,9 +46,6 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
-
-#: Banks per arena (double-buffered: one being written, one being read).
-BANKS = 2
 
 #: Columns of one per-interval row of a shard report (the row's interval
 #: index is implicit as ``start + row``).
@@ -99,22 +98,18 @@ class ArenaLayout:
             raise ValueError("arena needs at least one node row")
 
     @property
-    def bank_floats(self) -> int:
-        """float64 slots per bank."""
-        return (
+    def nbytes(self) -> int:
+        """Segment size: one run's three tables."""
+        floats = (
             self.max_intervals * len(INTERVAL_FIELDS)
             + self.max_chains * len(CHAIN_FIELDS)
             + self.n_nodes * len(NODE_FIELDS)
         )
-
-    @property
-    def nbytes(self) -> int:
-        """Total segment size across all banks."""
-        return BANKS * self.bank_floats * _ITEMSIZE
+        return floats * _ITEMSIZE
 
 
 class TelemetryArena:
-    """One shard's shared-memory telemetry segment, viewed as numpy banks.
+    """One shard's shared-memory telemetry segment, viewed as three tables.
 
     Use :meth:`create` on the owning (coordinator) side and
     :meth:`attach` on the worker side; never the constructor directly.
@@ -132,24 +127,15 @@ class TelemetryArena:
         self._owner = owner
         self._closed = False
         flat = np.ndarray(
-            (BANKS * layout.bank_floats,), dtype=np.float64, buffer=segment.buf
+            (layout.nbytes // _ITEMSIZE,), dtype=np.float64, buffer=segment.buf
         )
         n_ivals = layout.max_intervals * len(INTERVAL_FIELDS)
         n_chains = layout.max_chains * len(CHAIN_FIELDS)
-        n_nodes = layout.n_nodes * len(NODE_FIELDS)
-        self._banks: list[tuple[np.ndarray, ...]] = []
-        for b in range(BANKS):
-            o = b * layout.bank_floats
-            intervals = flat[o : o + n_ivals].reshape(
-                layout.max_intervals, len(INTERVAL_FIELDS)
-            )
-            o += n_ivals
-            chains = flat[o : o + n_chains].reshape(
-                layout.max_chains, len(CHAIN_FIELDS)
-            )
-            o += n_chains
-            nodes = flat[o : o + n_nodes].reshape(layout.n_nodes, len(NODE_FIELDS))
-            self._banks.append((intervals, chains, nodes))
+        intervals = flat[:n_ivals].reshape(layout.max_intervals, len(INTERVAL_FIELDS))
+        o = n_ivals + n_chains
+        chains = flat[n_ivals:o].reshape(layout.max_chains, len(CHAIN_FIELDS))
+        nodes = flat[o:].reshape(layout.n_nodes, len(NODE_FIELDS))
+        self._tables = (intervals, chains, nodes)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -181,7 +167,7 @@ class TelemetryArena:
         if self._closed:
             return
         self._closed = True
-        self._banks = []
+        self._tables = ()
         self._segment.close()
 
     def unlink(self) -> None:
@@ -191,33 +177,32 @@ class TelemetryArena:
         except FileNotFoundError:
             pass
 
-    # -- bank reads --------------------------------------------------------
+    # -- reads -------------------------------------------------------------
     #
     # Each read is a copy: a view into the segment would outlive close(),
     # and reading it then would touch unmapped memory.
 
-    def _table(self, bank: int, which: int) -> np.ndarray:
+    def _table(self, which: int) -> np.ndarray:
         if self._closed:
             raise ValueError("telemetry arena is closed")
-        return self._banks[bank][which].copy()
+        return self._tables[which].copy()
 
-    def intervals(self, bank: int) -> np.ndarray:
-        """``(max_intervals, len(INTERVAL_FIELDS))`` copy of one bank's table."""
-        return self._table(bank, 0)
+    def intervals(self) -> np.ndarray:
+        """``(max_intervals, len(INTERVAL_FIELDS))`` copy of the interval table."""
+        return self._table(0)
 
-    def chains(self, bank: int) -> np.ndarray:
-        """``(max_chains, len(CHAIN_FIELDS))`` copy of one bank's table."""
-        return self._table(bank, 1)
+    def chains(self) -> np.ndarray:
+        """``(max_chains, len(CHAIN_FIELDS))`` copy of the chain table."""
+        return self._table(1)
 
-    def nodes(self, bank: int) -> np.ndarray:
-        """``(n_nodes, len(NODE_FIELDS))`` copy of one bank's table."""
-        return self._table(bank, 2)
+    def nodes(self) -> np.ndarray:
+        """``(n_nodes, len(NODE_FIELDS))`` copy of the node table."""
+        return self._table(2)
 
     # -- the write path (worker side) --------------------------------------
 
-    def store_report(self, bank: int, report) -> None:
-        """Write one shard report's three tables into a bank, one block
-        copy each.
+    def store_report(self, report) -> None:
+        """Write one shard report's three tables, one block copy each.
 
         ``report`` is duck-typed (any object shaped like
         :class:`~repro.fleet.shard.ShardReport`) so this module never
@@ -225,8 +210,6 @@ class TelemetryArena:
         report's row order, the shard's deployment order, which is the
         contract the coordinator-side row map relies on.
         """
-        if not 0 <= bank < BANKS:
-            raise ValueError(f"bank must be in [0, {BANKS}), got {bank}")
         layout = self.layout
         if len(report.intervals) > layout.max_intervals:
             raise ValueError(
@@ -243,7 +226,7 @@ class TelemetryArena:
                 f"arena expects {layout.n_nodes} node rows, "
                 f"got {len(report.nodes)}"
             )
-        intervals, chains, nodes = self._banks[bank]
+        intervals, chains, nodes = self._tables
         intervals[: len(report.intervals)] = report.intervals
         chains[: len(report.chains)] = report.chains
         nodes[:] = report.nodes

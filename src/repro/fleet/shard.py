@@ -42,10 +42,10 @@ knob command's ack is read only before the handle's next reply, so the
 worker applies knobs while the coordinator plans.  The report body
 does not travel over the pipe: each worker writes the report's tables
 into a shared-memory :class:`~repro.fleet.arena.TelemetryArena` and the
-run reply is a tiny ``("telemetry", bank, generation, start, n,
-n_chains)`` ack; the handle copies the tables out of the arena bank and
-names the chain rows from its own ticket mirror (resynced only on
-deploy/undeploy).
+run reply is a tiny ``("telemetry", generation, start, n, n_chains)``
+ack; the handle copies the tables out of the arena before it sends the
+next run, and names the chain rows from its own ticket mirror (resynced
+only on deploy/undeploy).
 A shard draws nothing itself: every stochastic input is counter-based
 (:mod:`repro.fleet.workload`) and drawn by the coordinator, so both
 backends produce bit-identical telemetry for the same seed.
@@ -63,7 +63,6 @@ import numpy as np
 
 from repro import obs
 from repro.fleet.arena import (
-    BANKS,
     CHAIN_FIELDS,
     INTERVAL_FIELDS,
     NODE_FIELDS,
@@ -606,8 +605,8 @@ def shard_worker(config: ShardConfig, conn, arena_name: str) -> None:
 
     Run telemetry travels through the shared-memory arena named
     ``arena_name`` (created and owned by the parent handle): the worker
-    stores each report into the bank ``runs % BANKS`` and replies with a
-    small ``("telemetry", ...)`` ack.  The ``generation`` counter bumps
+    stores each report there and replies with a small
+    ``("telemetry", ...)`` ack.  The ``generation`` counter bumps
     on every successful deploy/undeploy — the parent mirrors it, so a
     telemetry ack written against a stale chain set is detected instead
     of silently mis-mapping arena rows to chain names.
@@ -627,7 +626,6 @@ def shard_worker(config: ShardConfig, conn, arena_name: str) -> None:
         return
     conn.send(("ready", config.name))
     generation = 0
-    runs = 0
     try:
         while True:
             msg = conn.recv()
@@ -649,12 +647,9 @@ def shard_worker(config: ShardConfig, conn, arena_name: str) -> None:
                             f"per run, asked for {n}"
                         )
                     report = sim.run(block)
-                    bank = runs % BANKS
-                    arena.store_report(bank, report)
-                    runs += 1
+                    arena.store_report(report)
                     conn.send(
-                        ("telemetry", bank, generation, block.start, n,
-                         len(report.chains))
+                        ("telemetry", generation, block.start, n, len(report.chains))
                     )
                 elif kind == "deploy":
                     if len(sim.load_rows) >= arena.layout.max_chains:
@@ -709,8 +704,8 @@ class ShardWorker:
     ticket mirror of the worker's chain set — deployment order is the
     arena's chain row order — plus a generation counter bumped on every
     deploy/undeploy, so :meth:`finish_run` can copy the
-    :class:`ShardReport` out of the arena bank and detect a desynced row
-    map instead of mis-attributing telemetry.
+    :class:`ShardReport` out of the arena and detect a desynced row map
+    instead of mis-attributing telemetry.
     """
 
     backend = "process"
@@ -827,7 +822,7 @@ class ShardWorker:
 
     def finish_run(self) -> ShardReport:
         """Block for the telemetry ack, then copy the report out of the
-        arena bank it names.
+        arena.
 
         The knob acks owed from before the run come first.  A refused
         knob command raises here, once the run's own reply is read and
@@ -838,37 +833,34 @@ class ShardWorker:
         self._in_flight = False
         refused = self._collect_acks()
         try:
-            bank, generation, start, n, n_chains = self._recv("telemetry")
+            generation, start, n, n_chains = self._recv("telemetry")
         except RuntimeError:
             if refused is None:
                 raise
             raise refused
-        expected_bank = self._runs % BANKS
         self._runs += 1
         if (
-            bank != expected_bank
-            or generation != self._generation
+            generation != self._generation
             or (start, n) != self._run_span
             or n_chains != len(self._tickets)
         ):  # pragma: no cover - protocol bug
             raise RuntimeError(
-                f"shard {self.name!r}: telemetry ack out of sync (bank "
-                f"{bank}/{expected_bank}, generation {generation}/"
-                f"{self._generation}, span {(start, n)}/{self._run_span}, "
-                f"chains {n_chains}/{len(self._tickets)})"
+                f"shard {self.name!r}: telemetry ack out of sync (generation "
+                f"{generation}/{self._generation}, span {(start, n)}/"
+                f"{self._run_span}, chains {n_chains}/{len(self._tickets)})"
             )
         self._last_interval = start + n
         if refused is not None:
             raise refused
-        with obs.span("shard/arena_rebuild", shard=self.name, bank=bank):
-            return self._load_report(bank, start, n)
+        with obs.span("shard/arena_rebuild", shard=self.name):
+            return self._load_report(start, n)
 
-    def _load_report(self, bank: int, start: int, n: int) -> ShardReport:
-        """Arena bank -> :class:`ShardReport`: one copy per table (the
-        arena's reads); names and flows come from the ticket mirror."""
+    def _load_report(self, start: int, n: int) -> ShardReport:
+        """Arena -> :class:`ShardReport`: one copy per table (the arena's
+        reads); names and flows come from the ticket mirror."""
         arena = self.arena
         tickets = self._tickets
-        chains = arena.chains(bank)[: len(tickets)]
+        chains = arena.chains()[: len(tickets)]
         nodes = [ticket.node for ticket in tickets.values()]
         if chains[:, 0].tolist() != nodes:  # pragma: no cover - protocol bug
             raise RuntimeError(
@@ -881,9 +873,9 @@ class ShardWorker:
             start=start,
             names=tuple(tickets),
             flows=tuple(ticket.flow for ticket in tickets.values()),
-            intervals=arena.intervals(bank)[:n],
+            intervals=arena.intervals()[:n],
             chains=chains,
-            nodes=arena.nodes(bank),
+            nodes=arena.nodes(),
         )
 
     def deploy(self, ticket: ChainTicket) -> None:

@@ -128,12 +128,6 @@ class _FusedMeta:
         out[..., self.owner, self.slot] = rows
         return out
 
-    def node_sums(self, rows: np.ndarray, start) -> np.ndarray:
-        """Each node's :func:`left_sums` over its rows in deployment
-        order, ``(..., R) -> (..., N)``: the order of ``step_all``'s
-        ``+=`` folds (zero padding ends a short node's fold exactly)."""
-        return left_sums(self.node_rows(rows), start)
-
 
 @dataclass
 class BlockTelemetry:
@@ -360,12 +354,13 @@ class ClusterKernel:
         # step_all's three per-node sums, each a left fold over the
         # node's chains in deployment order: busy cores
         # ``infra + max(0, busy_r - infra) + ...``, cycle weights and
-        # packets (both from zero).
+        # packets (both from zero).  Zero padding ends a short node's
+        # fold exactly.
         rows = np.empty(busy.shape[:-1] + (3, busy.shape[-1]))
         np.maximum(0.0, busy - meta.infra_rows, out=rows[..., 0, :])
         weights = np.maximum(busy, 1e-9, out=rows[..., 1, :])
         np.multiply(achieved, dt_s, out=rows[..., 2, :])
-        sums = meta.node_sums(rows, meta.fold_start)
+        sums = left_sums(meta.node_rows(rows), meta.fold_start)
         busy_totals, wsums, packets = sums[..., 0, :], sums[..., 1, :], sums[..., 2, :]
 
         # One batched Fan-model evaluation across nodes and intervals.

@@ -149,7 +149,7 @@ class OnvmController:
 
     def set_knobs(self, name: str, knobs: KnobSettings) -> KnobSettings:
         """Apply knob settings to a chain (clamped); returns applied values."""
-        return self.node.apply_knobs({name: knobs})[name]
+        return self.node.apply_knobs(name, knobs)
 
     def run_interval(self, dt_s: float | None = None) -> dict[str, TelemetrySample]:
         """Advance the platform one control interval.

@@ -51,6 +51,7 @@ through one compiled :class:`ChainKernelPlan`.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -65,7 +66,7 @@ from repro.hw.dma import DmaBufferModel
 from repro.hw.power import ServerPowerModel
 from repro.hw.server import ServerSpec
 from repro.nfv.chain import ServiceChain
-from repro.nfv.knobs import KnobSettings
+from repro.nfv.knobs import KnobSettings, knob_row
 from repro.utils.stats import left_sum, left_sums
 from repro.utils.units import pps_to_gbps
 
@@ -708,25 +709,21 @@ def _knob_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(cpu_share, freq_ghz, llc_fraction, dma_bytes, batch) columns.
 
-    Accepts a sequence of :class:`KnobSettings` or an ``(K, 5)`` array in
-    :meth:`KnobSettings.as_array` layout (dma in MB).  The one knob
-    validation every plan shares: empty grids and non-finite or
-    out-of-range columns are rejected.
+    Accepts a sequence of :class:`KnobSettings`, read as its
+    :func:`~repro.nfv.knobs.knob_row` table, or an ``(K, 5)`` array in
+    :meth:`KnobSettings.as_array` layout (dma in MB).  Every value is
+    priced as given, a fractional batch too, as :meth:`PacketEngine.step`
+    prices it.  The one knob validation every plan shares: empty grids
+    and non-finite or out-of-range columns are rejected.
     """
-    if isinstance(knobs_grid, np.ndarray):
-        arr = np.asarray(knobs_grid, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 5:
-            raise ValueError(f"knob grid array must have shape (K, 5), got {arr.shape}")
-        share, freq, llc_frac = arr[:, 0], arr[:, 1], arr[:, 2]
-        dma_bytes = arr[:, 3] * 1e6
-        batch = np.round(arr[:, 4])
-    else:
-        knobs_list = list(knobs_grid)
-        share = np.asarray([k.cpu_share for k in knobs_list], dtype=np.float64)
-        freq = np.asarray([k.cpu_freq_ghz for k in knobs_list], dtype=np.float64)
-        llc_frac = np.asarray([k.llc_fraction for k in knobs_list], dtype=np.float64)
-        dma_bytes = np.asarray([k.dma_bytes for k in knobs_list], dtype=np.float64)
-        batch = np.asarray([float(k.batch_size) for k in knobs_list], dtype=np.float64)
+    if not isinstance(knobs_grid, np.ndarray):
+        rows = itertools.chain.from_iterable(map(knob_row, knobs_grid))
+        knobs_grid = np.fromiter(rows, dtype=np.float64).reshape(-1, 5)
+    arr = np.asarray(knobs_grid, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 5:
+        raise ValueError(f"knob grid array must have shape (K, 5), got {arr.shape}")
+    share, freq, llc_frac, batch = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 4]
+    dma_bytes = arr[:, 3] * 1e6
     if share.size == 0:
         raise ValueError("knob grid must contain at least one setting")
     columns = (share, freq, llc_frac, dma_bytes, batch)

@@ -145,16 +145,7 @@ class KnobSettings:
 
     def as_array(self) -> np.ndarray:
         """Vector form [cpu_share, freq, llc, dma, batch] (physical units)."""
-        return np.asarray(
-            [
-                self.cpu_share,
-                self.cpu_freq_ghz,
-                self.llc_fraction,
-                self.dma_mb,
-                float(self.batch_size),
-            ],
-            dtype=np.float64,
-        )
+        return np.asarray(knob_row(self), dtype=np.float64)
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "KnobSettings":

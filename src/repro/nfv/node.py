@@ -11,8 +11,9 @@ order (:data:`TABLE_COLUMNS`): the knobs in ``KnobSettings.as_array``
 layout, the CAT grant, the resident state and the NF count.  Knob
 writes move the node's generation only when a value moves, and re-grant
 CAT only when an ``llc_fraction`` moved.  :func:`node_folds` is the one
-definition of a node's knob-static interval inputs, for one node's rows
-or (in the cluster kernel) for every node's at once.
+definition of a node's knob-static interval inputs: :meth:`Node.step_all`
+folds the node's rows in every interval, and the cluster kernel every
+node's rows at once, once per compiled plan.
 
 The Fig. 1 micro-benchmark (two chains C1/C2 sharing one socket under
 different LLC splits) runs directly on this class.
@@ -21,7 +22,6 @@ different LLC splits) runs directly on this class.
 from __future__ import annotations
 
 import weakref
-from typing import Mapping
 
 import numpy as np
 
@@ -126,12 +126,10 @@ class Node:
             raise ValueError(f"a node's store must have shape {shape}")
         self._table = self._store[:0]
         # ``_config_gen`` moves on every deployment or knob change,
-        # ``_deploy_gen`` only with the chain set: the folds here and the
-        # cluster kernel's two plan halves are cached per generation.
+        # ``_deploy_gen`` only with the chain set: the cluster kernel's
+        # two plan halves are cached per generation.
         self._config_gen = 0
         self._deploy_gen = 0
-        self._fold_key: tuple | None = None
-        self._folds: list[float] = []
 
     # -- deployment --------------------------------------------------------
 
@@ -201,28 +199,22 @@ class Node:
         self._config_gen += 1
         self._deploy_gen += 1
 
-    def apply_knobs(self, updates: Mapping[str, KnobSettings]) -> dict[str, KnobSettings]:
-        """Apply (clamped) knob settings to chains; returns what stuck.
+    def apply_knobs(self, name: str, knobs: KnobSettings) -> KnobSettings:
+        """Apply (clamped) knob settings to one chain; returns what stuck.
 
-        ``updates`` maps chain name -> settings.  Mirrors the real
-        control path: frequency snaps to the DVFS ladder, LLC share
-        becomes whole CAT ways, batch becomes integer.  Every name is
-        checked before any chain changes, and the rows are written at
-        once, so the node ends in the state that applying the entries one
-        at a time would leave.  Each setting clamps on its own
-        (:meth:`KnobSettings.clamped`): the environments and controllers
-        apply one chain at a time, which a one-row table clamps in more
-        time; a shard's knob command clamps its table
-        (:func:`~repro.nfv.knobs.clamp_table`).
+        Mirrors the real control path: frequency snaps to the DVFS
+        ladder, LLC share becomes whole CAT ways, batch becomes integer.
+        The setting clamps as an object (:meth:`KnobSettings.clamped`):
+        the environments and controllers apply one chain at a time, which
+        a one-row table clamps in more time; a shard's knob command
+        clamps its table (:func:`~repro.nfv.knobs.clamp_table`).
         """
-        rows = [self.row_of(name) for name in updates]
-        applied = {n: k.clamped(self.ranges, self.server.cpu) for n, k in updates.items()}
-        knobs = [knob_row(k) for k in applied.values()]
-        current = [self._table[r, :5].tolist() for r in rows]
-        if current != knobs:
-            for r, row in zip(rows, knobs):
-                self._table[r, :5] = row
-            self.knobs_written(any(old[2] != new[2] for old, new in zip(current, knobs)))
+        r = self.row_of(name)
+        applied = knobs.clamped(self.ranges, self.server.cpu)
+        row, current = knob_row(applied), self._table[r, :5].tolist()
+        if current != row:
+            self._table[r, :5] = row
+            self.knobs_written(current[2] != row[2])
         return applied
 
     def knobs_written(self, llc_moved: bool) -> None:
@@ -263,34 +255,6 @@ class Node:
     def llc_bytes_for(self, name: str) -> float:
         """LLC capacity currently granted to a chain by CAT."""
         return float(self._table[self.row_of(name), GRANT])
-
-    def _fold(self, pkts: tuple[float, ...]) -> list[float]:
-        """This node's :func:`node_folds` at frame sizes ``pkts`` (one per
-        chain), cached per (generation, frame sizes)."""
-        if self._fold_key != (self._config_gen, pkts):
-            folds = node_folds(self._table.tolist(), pkts, len(pkts), self.engine)
-            self._folds = [float(f) for f in folds]
-            self._fold_key = (self._config_gen, pkts)
-        return self._folds
-
-    def contention_for(self, pkts: tuple[float, ...]) -> float:
-        """Cross-chain contention from aggregate LLC demand at these frames
-        (one per hosted chain, in deployment order): :func:`node_folds`."""
-        return self._fold(pkts)[0]
-
-    def fold_inputs(self) -> tuple[float, float, float]:
-        """The knob/deployment-static inputs of the node power fold.
-
-        Returns ``(infra_busy, allocated_cores, freq_ghz)``: the busy
-        cores of the ONVM Rx/Tx infra threads, which run once per node
-        although every engine sample includes them; the infra cores plus
-        every hosted chain's allocated cores; and the chains' mean
-        frequency (the base frequency on an empty node).  Through
-        :func:`node_folds`, as the cluster kernel reads them.
-        """
-        if self._fold_key is None or self._fold_key[0] != self._config_gen:
-            self._fold((1518.0,) * len(self._chains))
-        return (self.engine.infra_busy, *self._folds[1:])
 
     # -- simulation --------------------------------------------------------
 
@@ -336,12 +300,12 @@ class Node:
             pps, pkt = offered.get(name, (0.0, 1518.0))
             loads.append(pps)
             pkts.append(pkt)
-        contention = self.contention_for(tuple(pkts))
-        infra_busy, allocated_total, freq = self.fold_inputs()
+        rows = self._table.tolist()
+        contention, allocated_total, freq = node_folds(rows, pkts, len(pkts), self.engine)
+        infra_busy = self.engine.infra_busy
 
         samples: dict[str, TelemetrySample] = {}
         busy_cores_total = infra_busy
-        rows = self._table.tolist()
         for load, pkt, row, (name, hosted) in zip(loads, pkts, rows, self._chains.items()):
             sample = self.engine.step(
                 hosted.chain,

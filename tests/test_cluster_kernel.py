@@ -39,7 +39,7 @@ from repro.nfv.engine import (
     chain_stack,
 )
 from repro.nfv.knobs import KnobSettings
-from repro.nfv.node import Node
+from repro.nfv.node import Node, node_folds
 from repro.traffic.packet import IMIX
 
 PACKET_SIZES = (64.0, 256.0, 512.0, 1024.0, 1518.0)
@@ -175,7 +175,10 @@ def kernel_samples(nodes, offered: dict, block, dt_s: float = 1.0) -> dict:
     chains, knobs, grants, contention, pkts, loads = [], [], [], [], [], []
     for node in nodes:
         node_offered = [offered.get(name, (0.0, 1518.0)) for name in node.chains]
-        node_contention = node.contention_for(tuple(pkt for _, pkt in node_offered))
+        pkts_of_node = [pkt for _, pkt in node_offered]
+        node_contention = node_folds(
+            node.table.tolist(), pkts_of_node, len(pkts_of_node), node.engine
+        )[0]
         for (name, hosted), (pps, pkt) in zip(node.chains.items(), node_offered):
             chains.append(hosted.chain)
             knobs.append(hosted.knobs)
@@ -207,7 +210,8 @@ def cube_rounds_apart(node: Node) -> bool:
     the second, so only on such a node may node power differ (by 1 ulp)
     and a chain's attributed power and energy (by up to 2 ulp).
     """
-    freq = node.fold_inputs()[2]
+    n = len(node.chains)
+    freq = node_folds(node.table.tolist(), [1518.0] * n, n, node.engine)[2]
     model = node.engine.power_model
     return model.p_max_at(np.array([freq]))[0] != model.p_max_at(freq)
 
@@ -296,7 +300,7 @@ class TestGoldenEquivalence:
         new_knobs = KnobSettings(cpu_share=0.9, batch_size=48)
         for node in (*nodes_k, *nodes_r):
             if name in node.chains:
-                node.apply_knobs({name: new_knobs})
+                node.apply_knobs(name, new_knobs)
         # A knob change invalidates the fused plan: the new
         # configuration compiles on first sight.
         for expected in ("promote", "hit"):

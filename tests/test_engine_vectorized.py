@@ -243,6 +243,20 @@ class TestBatchEquivalence:
         np.testing.assert_array_equal(a.achieved_pps, b.achieved_pps)
         np.testing.assert_array_equal(a.power_w, b.power_w)
 
+    def test_fractional_batch_prices_alike_on_every_path(self):
+        # KnobSettings accepts a batch of 32.5: every path must price
+        # that batch, and none may round it.
+        engine = PacketEngine()
+        chain = default_chain()
+        knobs = KnobSettings(batch_size=32.5, cpu_share=0.3)
+        want = engine.step(chain, knobs, 3e6, 512.0).achieved_pps
+        by_list = engine.step_batch(chain, [knobs], [3e6], 512.0)
+        by_row = engine.step_batch(chain, knobs.as_array()[None], [3e6], 512.0)
+        plan = engine.compile_chains(chain_stack((chain,), (512.0,)), [knobs])
+        assert by_list.achieved_pps[0, 0] == want
+        assert by_row.achieved_pps[0, 0] == want
+        assert plan.step([3e6]).achieved_pps[0] == want
+
     def test_per_knob_llc_and_contention(self):
         engine = PacketEngine()
         chain = default_chain()
@@ -425,7 +439,13 @@ class TestInfraBusy:
         engine = PacketEngine(params=params, polling=polling)
         assert engine.infra_busy == params.infra_cores * util
         assert PerNFEngine(params=params, polling=polling).infra_busy == engine.infra_busy
-        assert Node(params=params, polling=polling).fold_inputs()[0] == engine.infra_busy
+        # An empty node's interval is its infra threads alone.
+        node = Node(params=params, polling=polling)
+        node.step_all({})
+        base = node.server.cpu.base_freq_ghz
+        assert node.meter.total_joules == engine.node_power(
+            engine.infra_busy, params.infra_cores, base
+        )
 
     def test_samples_add_it_to_the_nf_cores(self):
         # Under POLL every allocated NF core busy-spins, so a sample's busy

@@ -1,6 +1,6 @@
-"""Telemetry-arena tests: layout, store/load round trips, bank
-isolation, capacity guards, generation tracking and ``/dev/shm``
-lifecycle (no segment may outlive its owning handle).
+"""Telemetry-arena tests: layout, store/load round trips, reports that
+outlive the next run, capacity guards, generation tracking and
+``/dev/shm`` lifecycle (no segment may outlive its owning handle).
 """
 
 import os
@@ -22,7 +22,7 @@ from repro.fleet import (
     WorkloadConfig,
     arena_layout_for,
 )
-from repro.fleet.arena import BANKS, CHAIN_FIELDS, INTERVAL_FIELDS, NODE_FIELDS
+from repro.fleet.arena import CHAIN_FIELDS, INTERVAL_FIELDS, NODE_FIELDS
 from repro.fleet.shard import ShardSim, kind_nfs
 from test_fleet import RecordingConn, assert_same_report, column, hosted_loads
 
@@ -64,21 +64,19 @@ class TestLayout:
             ArenaLayout(max_intervals=1, max_chains=1, n_nodes=0)
 
     def test_sizes(self):
-        # A bank holds the three report tables and nothing else.
+        # The segment holds one run's three report tables and nothing else.
         layout = ArenaLayout(max_intervals=4, max_chains=3, n_nodes=2)
-        per_bank = (
+        one_run = (
             4 * len(INTERVAL_FIELDS)
             + 3 * len(CHAIN_FIELDS)
             + 2 * len(NODE_FIELDS)
         )
-        assert layout.bank_floats == per_bank
-        assert layout.nbytes == BANKS * per_bank * 8
+        assert layout.nbytes == one_run * 8
         arena = TelemetryArena.create(layout)
         try:
-            for bank in range(BANKS):
-                assert arena.intervals(bank).shape == (4, len(INTERVAL_FIELDS))
-                assert arena.chains(bank).shape == (3, len(CHAIN_FIELDS))
-                assert arena.nodes(bank).shape == (2, len(NODE_FIELDS))
+            assert arena.intervals().shape == (4, len(INTERVAL_FIELDS))
+            assert arena.chains().shape == (3, len(CHAIN_FIELDS))
+            assert arena.nodes().shape == (2, len(NODE_FIELDS))
         finally:
             arena.close()
             arena.unlink()
@@ -106,12 +104,12 @@ class TestStoreLoad:
         # A stored report's tables read back as they were written ...
         arena, report = self._arena_and_report(n=2)
         try:
-            arena.store_report(0, report)
-            assert np.array_equal(arena.intervals(0)[:2], report.intervals)
+            arena.store_report(report)
+            assert np.array_equal(arena.intervals()[:2], report.intervals)
             assert np.array_equal(
-                arena.chains(0)[: len(report.chains)], report.chains
+                arena.chains()[: len(report.chains)], report.chains
             )
-            assert np.array_equal(arena.nodes(0), report.nodes)
+            assert np.array_equal(arena.nodes(), report.nodes)
         finally:
             arena.close()
             arena.unlink()
@@ -144,22 +142,31 @@ class TestStoreLoad:
         assert via_arena[-1].names == ("s0-n0-c0", "s0-n1-c1", "late", "s0-n0-c1")
         assert column(via_arena[2], "chains", "cpu_share")[-1] == 0.4
 
-    def test_banks_are_isolated(self):
+    @pytest.mark.fleet_mp
+    def test_a_report_outlives_the_next_run(self):
+        # The worker writes every run into the same tables.  That is safe
+        # because finish_run copies them out before the next run can be
+        # sent, so a report kept from one cycle must not change when the
+        # next cycle, after a deploy, overwrites the segment.
         config = shard_config()
-        sim = ShardSim(config)
-        first = sim.run(hosted_loads(sim, 0, 2))
-        second = sim.run(hosted_loads(sim, 2, 2))
-        arena = TelemetryArena.create(arena_layout_for(config))
-        try:
-            arena.store_report(0, first)
-            before = arena.intervals(0).copy()
-            arena.store_report(1, second)
-            assert np.array_equal(arena.intervals(0), before)
-            assert second.start == 2
-            assert np.array_equal(arena.intervals(1)[:2], second.intervals)
-        finally:
-            arena.close()
-            arena.unlink()
+        arrival = ChainTicket(name="late", nfs=kind_nfs("heavy"), flow="fg1", node=1)
+        with ShardWorker(config) as worker:
+            worker.begin_run(hosted_loads(worker, 0, 2, config=config))
+            first = worker.finish_run()
+            kept = [t.tobytes() for t in (first.intervals, first.chains, first.nodes)]
+            worker.deploy(arrival)
+            worker.begin_run(hosted_loads(worker, 2, 2, config=config))
+            second = worker.finish_run()
+            # Checked with the segment still mapped, so a report that
+            # viewed it would fail here rather than crash.
+            assert [t.tobytes() for t in (first.intervals, first.chains, first.nodes)] == kept
+        # The next run did write over every table the first one read.
+        assert len(second.chains) == len(first.chains) + 1
+        for table in ("intervals", "chains", "nodes"):
+            assert not np.array_equal(
+                getattr(second, table)[: len(getattr(first, table))],
+                getattr(first, table),
+            ), table
 
     def test_capacity_guards(self):
         config = shard_config()
@@ -171,13 +178,11 @@ class TestStoreLoad:
         arena = TelemetryArena.create(tight)
         try:
             with pytest.raises(ValueError, match="interval rows"):
-                arena.store_report(0, report)
+                arena.store_report(report)
             sim = ShardSim(config)
             short = sim.run(hosted_loads(sim, 0, 2))
             with pytest.raises(ValueError, match="chain rows"):
-                arena.store_report(0, short)
-            with pytest.raises(ValueError, match="bank"):
-                arena.store_report(BANKS, short)
+                arena.store_report(short)
         finally:
             arena.close()
             arena.unlink()
@@ -189,7 +194,7 @@ class TestStoreLoad:
         )
         try:
             with pytest.raises(ValueError, match="node rows"):
-                wrong.store_report(0, report)
+                wrong.store_report(report)
         finally:
             wrong.close()
             wrong.unlink()
@@ -206,7 +211,7 @@ class TestReadsAfterClose:
         snippet = (
             "from repro.fleet.arena import ArenaLayout, TelemetryArena\n"
             "a = TelemetryArena.create(ArenaLayout(2, 2, 1))\n"
-            "v = a.intervals(0)\n"
+            "v = a.intervals()\n"
             "a.close(); a.unlink()\n"
             "print(v.sum())\n"
         )
@@ -221,15 +226,15 @@ class TestReadsAfterClose:
     def test_reads_are_copies_and_a_closed_arena_refuses_them(self):
         arena = TelemetryArena.create(ArenaLayout(2, 2, 1))
         try:
-            table = arena.chains(0)
+            table = arena.chains()
             table[:] = 7.0
-            assert not arena.chains(0).any()
+            assert not arena.chains().any()
         finally:
             arena.close()
             arena.unlink()
         for read in (arena.intervals, arena.chains, arena.nodes):
             with pytest.raises(ValueError, match="closed"):
-                read(0)
+                read()
 
 
 class TestWorkerArenaLifecycle:
@@ -264,7 +269,7 @@ class TestWorkerArenaLifecycle:
             worker.begin_run(hosted_loads(worker, 0, 1, config=config))
             report = worker.finish_run()
             (ack,) = spy.messages
-            assert ack[:3] == ("telemetry", 0, 2)
+            assert ack[:2] == ("telemetry", 2)
             assert len(report.chains) == len(shard_config().initial_chains)
 
     @pytest.mark.fleet_mp

@@ -150,16 +150,15 @@ def shard(n_nodes=3, per_node=3) -> ShardSim:
 
 def reference_set_knobs(sim: ShardSim, updates) -> None:
     """The per-object knob command: one ``KnobSettings`` per entry, then
-    each node's ``apply_knobs``."""
-    by_node = {}
+    each chain's ``apply_knobs`` on its node."""
+    entries = []
     for name, knob_settings in updates.items():
         if name not in sim._tickets:
             raise KeyError(name)
-        node = sim._tickets[name].node
-        knobs = sim.nodes[node].chains[name].knobs.with_updates(**knob_settings)
-        by_node.setdefault(node, {})[name] = knobs
-    for node, knobs in by_node.items():
-        sim.nodes[node].apply_knobs(knobs)
+        node = sim.nodes[sim._tickets[name].node]
+        entries.append((node, name, node.chains[name].knobs.with_updates(**knob_settings)))
+    for node, name, knobs in entries:
+        node.apply_knobs(name, knobs)
 
 
 def snapshot(sim: ShardSim):

@@ -43,16 +43,14 @@ class TestNodeDeployment:
     def test_apply_knobs_clamps(self):
         node = Node()
         node.deploy(default_chain("c0"))
-        applied = node.apply_knobs(
-            {"c0": KnobSettings(cpu_share=50, cpu_freq_ghz=1.77)}
-        )["c0"]
+        applied = node.apply_knobs("c0", KnobSettings(cpu_share=50, cpu_freq_ghz=1.77))
         assert applied.cpu_share == node.ranges.max_cpu_share
         assert applied.cpu_freq_ghz == pytest.approx(1.8)  # ladder snap
 
     def test_apply_knobs_unknown_chain(self):
         node = Node()
         with pytest.raises(KeyError):
-            node.apply_knobs({"x": KnobSettings()})
+            node.apply_knobs("x", KnobSettings())
 
     def test_chain_past_the_llc_ways_is_refused_untouched(self):
         # CAT grants every chain at least one way; the 19th chain on the

@@ -29,7 +29,7 @@ from repro.nfv.chain import default_chain, heavy_chain, light_chain
 from repro.nfv.cluster_kernel import ClusterKernel
 from repro.nfv.engine import PollingMode, aggregate_samples, chain_stack
 from repro.nfv.knobs import KnobSettings
-from repro.nfv.node import Node
+from repro.nfv.node import Node, node_folds
 from test_cluster_kernel import kernel_samples, plan_samples, step_one
 
 PACKET_SIZES = (64.0, 256.0, 512.0, 1024.0, 1518.0)
@@ -199,9 +199,7 @@ class TestGoldenEquivalence:
         offered = draw_offered(rng, chains)
         for _ in range(3):
             step_one(kernel, offered)
-        node.apply_knobs(
-            {chains[0].name: KnobSettings(cpu_share=0.9, batch_size=48)}
-        )
+        node.apply_knobs(chains[0].name, KnobSettings(cpu_share=0.9, batch_size=48))
         ref = reference_samples(node, offered)
         block, paths = plan_cache_paths(step_one, kernel, offered)
         got = kernel_samples([node], offered, block)
@@ -272,12 +270,11 @@ class TestMultiChainInvariants:
             elif op == "apply" and deployed:
                 name = deployed[int(rng.integers(len(deployed)))]
                 node.apply_knobs(
-                    {
-                        name: KnobSettings(
-                            llc_fraction=float(rng.uniform(0.05, 1.0)),
-                            batch_size=int(rng.integers(1, 257)),
-                        )
-                    }
+                    name,
+                    KnobSettings(
+                        llc_fraction=float(rng.uniform(0.05, 1.0)),
+                        batch_size=int(rng.integers(1, 257)),
+                    ),
                 )
             elif op == "step" and deployed:
                 node.step_all(
@@ -361,7 +358,8 @@ class TestKernelTelemetry:
         # the node's CAT grants and contention.
         node, chains = build_node(4)
         offered = draw_offered(np.random.default_rng(11), chains)
-        contention = node.contention_for(tuple(offered[c.name][1] for c in chains))
+        pkts = [offered[c.name][1] for c in chains]
+        contention = node_folds(node.table.tolist(), pkts, len(pkts), node.engine)[0]
         plan, loads = compile_node_plan(node, offered, contention)
         rows = plan_samples(plan.step(loads, include_power=False), plan.stack)
         samples = node.step_all(offered)

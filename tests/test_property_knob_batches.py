@@ -1,13 +1,12 @@
-"""Applying knobs as one mapping equals applying them one at a time.
+"""Knob updates leave a node as a fresh deploy with the final knobs would.
 
-``Node.apply_knobs`` takes all of a node's updates in one call and
-repartitions the LLC once; a fleet shard clamps each knob command's
-rows in one pass and writes them node by node.  Over random update sets
-on nodes of 4-6 chains (no-op entries, LLC requests that oversubscribe
-the allocatable ways, mixed sets), a node given the whole mapping, a
-node given its entries one by one and a node deployed with the
-resulting knobs must agree on every knob, CAT grant, contention factor
-and power-fold input, and one cluster-kernel step over each must return
+``Node.apply_knobs`` applies one chain's settings; a fleet shard clamps
+each knob command's rows in one pass and writes them node by node.
+Over random update sets on nodes of 4-6 chains (no-op entries, LLC
+requests that oversubscribe the allocatable ways, mixed sets), a node
+given the entries one by one and a node deployed with the resulting
+knobs must agree on every knob, CAT grant, contention factor and
+power-fold input, and one cluster-kernel step over each must return
 bit-identical arrays.  Random partial ``ShardSim.set_knobs`` commands
 are held to the same standard against the per-object command they
 replaced, kept here as the reference.
@@ -25,7 +24,7 @@ from repro.fleet.workload import WorkloadConfig
 from repro.nfv.chain import default_chain, heavy_chain, light_chain
 from repro.nfv.cluster_kernel import ClusterKernel
 from repro.nfv.knobs import KNOB_NAMES, KnobSettings
-from repro.nfv.node import Node
+from repro.nfv.node import Node, node_folds
 
 KINDS = (default_chain, light_chain, heavy_chain)
 PACKETS = (64.0, 512.0, 1518.0)
@@ -85,8 +84,7 @@ def state(node: Node, pkts: tuple[float, ...]):
         {name: hosted.knobs for name, hosted in node.chains.items()},
         node.cache.allocations,
         [node.llc_bytes_for(name) for name in node.chains],
-        node.contention_for(pkts),
-        node.fold_inputs(),
+        node_folds(node.table.tolist(), pkts, len(pkts), node.engine),
     )
 
 
@@ -98,20 +96,20 @@ def kernel_arrays(node: Node, loads: np.ndarray, pkts: tuple[float, ...]):
 class TestApplyKnobsBatch:
     @settings(deadline=None, max_examples=60)
     @given(scenarios(), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_mapping_equals_one_at_a_time(self, scenario, seed):
+    def test_one_at_a_time_equals_a_fresh_deploy(self, scenario, seed):
         initial, updates = scenario
-        batched, stepped = build(initial), build(initial)
+        stepped = build(initial)
         changed = any(
-            knobs.clamped(batched.ranges, batched.server.cpu)
-            != batched.chains[name].knobs
+            knobs.clamped(stepped.ranges, stepped.server.cpu)
+            != stepped.chains[name].knobs
             for name, knobs in updates.items()
         )
-        gens = batched._config_gen, stepped._config_gen
-        applied = batched.apply_knobs(updates)
+        gen = stepped._config_gen
         for name, knobs in updates.items():
-            assert stepped.apply_knobs({name: knobs}) == {name: applied[name]}
-        assert (batched._config_gen != gens[0]) == changed
-        assert (stepped._config_gen != gens[1]) == changed
+            applied = stepped.apply_knobs(name, knobs)
+            assert applied == knobs.clamped(stepped.ranges, stepped.server.cpu)
+            assert stepped.chains[name].knobs == applied
+        assert (stepped._config_gen != gen) == changed
         # Deploying chains with their final knobs partitions the LLC
         # from scratch: an oracle that shares no code with apply_knobs.
         fresh = build(
@@ -119,17 +117,14 @@ class TestApplyKnobsBatch:
         )
         rng = np.random.default_rng(seed)
         pkts = tuple(float(rng.choice(PACKETS)) for _ in initial)
-        want = state(fresh, pkts)
-        assert state(batched, pkts) == want
-        assert state(stepped, pkts) == want
+        assert state(stepped, pkts) == state(fresh, pkts)
         loads = rng.uniform(0.0, 2e6, size=(len(initial), 3))
-        want = kernel_arrays(fresh, loads, pkts)
-        assert kernel_arrays(batched, loads, pkts) == want
-        assert kernel_arrays(stepped, loads, pkts) == want
+        assert kernel_arrays(stepped, loads, pkts) == kernel_arrays(fresh, loads, pkts)
 
     def test_oversubscribed_requests_fit_the_ways(self):
         node = build([KnobSettings(llc_fraction=0.1)] * 5)
-        node.apply_knobs({f"c{i}": KnobSettings(llc_fraction=0.9) for i in range(5)})
+        for i in range(5):
+            node.apply_knobs(f"c{i}", KnobSettings(llc_fraction=0.9))
         ways = sum(c.n_ways for c in node.cache.allocations.values())
         assert ways <= node.server.llc.allocatable_ways
 
@@ -138,9 +133,7 @@ class TestApplyKnobsBatch:
         pkts = (1518.0,) * 4
         before = state(node, pkts), node._config_gen
         with pytest.raises(KeyError, match="ghost"):
-            node.apply_knobs(
-                {"c0": KnobSettings(cpu_share=0.5), "ghost": KnobSettings()}
-            )
+            node.apply_knobs("ghost", KnobSettings(cpu_share=0.5))
         assert (state(node, pkts), node._config_gen) == before
 
 
@@ -168,14 +161,11 @@ def shard(initial: list[list[KnobSettings]]) -> ShardSim:
 
 def reference_set_knobs(sim: ShardSim, updates) -> None:
     """The per-object command: each entry's settings merged into the
-    chain's ``KnobSettings``, then one ``apply_knobs`` per node."""
-    by_node = {}
+    chain's ``KnobSettings`` and applied with its node's
+    ``apply_knobs``."""
     for name, settings_ in updates.items():
-        node = sim._tickets[name].node
-        knobs = sim.nodes[node].chains[name].knobs.with_updates(**settings_)
-        by_node.setdefault(node, {})[name] = knobs
-    for node, knobs in by_node.items():
-        sim.nodes[node].apply_knobs(knobs)
+        node = sim.nodes[sim._tickets[name].node]
+        node.apply_knobs(name, node.chains[name].knobs.with_updates(**settings_))
 
 
 @st.composite
